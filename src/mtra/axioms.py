@@ -302,11 +302,14 @@ def _decomposition_guard(instance: Instance) -> None:
         )
 
 
-def _lottery_lp(
+def _lottery_report(
+    prop: str,
     instance: Instance,
     P: FractionalAssignment,
     assignments: Sequence[DiscreteAssignment],
-) -> tuple[LinearProgram, Sequence[DiscreteAssignment]]:
+) -> PropertyReport:
+    """Exact LP feasibility of P as a mixture of ``assignments``, reported
+    as ``prop``."""
     nv = len(assignments)
     cons = []
     for j in range(instance.n):
@@ -314,16 +317,12 @@ def _lottery_lp(
             row = [1 if a.bundles[j] == x else 0 for a in assignments]
             cons.append(constraint(row, EQ, P.entry(j, x)))
     cons.append(constraint([1] * nv, EQ, 1))
-    return LinearProgram(nv, tuple(cons), None, nonneg=True), assignments
-
-
-def _lottery_from_witness(
-    witness: Sequence[Fraction], assignments: Sequence[DiscreteAssignment]
-) -> Lottery:
-    entries = tuple(
-        (w, a) for w, a in zip(witness, assignments) if w > 0
-    )
-    return Lottery(entries)
+    out = feasibility(LinearProgram(nv, tuple(cons), None, nonneg=True))
+    if out.optimal:
+        lottery = Lottery(tuple((w, a) for w, a in zip(out.witness, assignments) if w > 0))
+        assert lottery.expectation(instance) == P
+        return PropertyReport(prop, True, witness=lottery)
+    return PropertyReport(prop, False, witness=FarkasWitness(out.certificate))
 
 
 def check_decomposability(instance: Instance, P: FractionalAssignment) -> PropertyReport:
@@ -331,19 +330,7 @@ def check_decomposability(instance: Instance, P: FractionalAssignment) -> Proper
     all (n!)^p of them; a pass carries the lottery, a fail the Farkas
     certificate of the matching equations."""
     _decomposition_guard(instance)
-    lp, assignments = _lottery_lp(instance, P, all_discrete_assignments(instance))
-    out = feasibility(lp)
-    if out.optimal:
-        lottery = _lottery_from_witness(out.witness, assignments)
-        assert lottery.expectation(instance) == P
-        return PropertyReport("decomposability", True, witness=lottery)
-    return PropertyReport(
-        "decomposability", False, witness=FarkasWitness(out.certificate)
-    )
-
-
-def _discrete_sd_efficient(instance: Instance, disc: DiscreteAssignment) -> bool:
-    return _discrete_sd_efficient_cached(instance, disc.bundles)
+    return _lottery_report("decomposability", instance, P, all_discrete_assignments(instance))
 
 
 @lru_cache(maxsize=100_000)
@@ -360,17 +347,9 @@ def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> Pro
     """Is P a mixture of *sd-efficient* discrete assignments?"""
     _decomposition_guard(instance)
     efficient = [
-        a for a in all_discrete_assignments(instance) if _discrete_sd_efficient(instance, a)
+        a for a in all_discrete_assignments(instance) if _discrete_sd_efficient_cached(instance, a.bundles)
     ]
-    lp, assignments = _lottery_lp(instance, P, efficient)
-    out = feasibility(lp)
-    if out.optimal:
-        lottery = _lottery_from_witness(out.witness, assignments)
-        assert lottery.expectation(instance) == P
-        return PropertyReport("ex-post-efficiency", True, witness=lottery)
-    return PropertyReport(
-        "ex-post-efficiency", False, witness=FarkasWitness(out.certificate)
-    )
+    return _lottery_report("ex-post-efficiency", instance, P, efficient)
 
 
 # -- mechanism-level axioms ---------------------------------------------------
@@ -389,12 +368,6 @@ def mechanism_callable(mechanism: str) -> Callable[[Instance, Tiebreak], Fractio
 
 def _default_tiebreaks(instance: Instance) -> tuple[object, ...]:
     return spaces.sweep_tiebreaks(instance.m)
-
-
-def _order_of(instance: Instance, pref: Preference) -> prefs.PartialOrder:
-    if isinstance(pref, prefs.PartialOrder):
-        return pref
-    return prefs.induce_order(pref)
 
 
 def check_strategyproofness(
@@ -418,7 +391,7 @@ def check_strategyproofness(
             order = instance.orders[j]
             seen: dict[prefs.PartialOrder, FractionalAssignment] = {}
             for report in misreports.for_agent(instance, j):
-                rep_order = _order_of(instance, report)
+                rep_order = prefs.as_order(report)
                 if rep_order == order:
                     continue  # a truthful report cannot manipulate
                 lied = seen.get(rep_order)
@@ -462,7 +435,7 @@ def check_upper_invariance(
         seen: dict[tuple[int, prefs.PartialOrder], FractionalAssignment] = {}
         for j, report, pivot in transforms.candidates(instance, truth):
             old = instance.orders[j]
-            new = _order_of(instance, report)
+            new = prefs.as_order(report)
             if new == old:
                 continue  # identical order, identical run
             valid, _ = prefs.is_uit(old, new, pivot, truth.row(j))

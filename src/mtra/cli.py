@@ -29,7 +29,7 @@ from .axioms import (
     sd_compare,
 )
 from .errors import GuardViolation, MtraError, ParseError
-from .fixtures import REPLAY_CHECKS, fixture_names
+from .fixtures import fixture_names, replay_all
 from .mechanisms import MrpExact, MrpMonteCarlo, MrpSingle, mgd, mgd_decompose, mps, mrp
 from .model import Instance
 
@@ -38,15 +38,17 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 
-ASSIGNMENT_PROPERTIES = (
-    "sd-efficiency",
-    "ex-post-efficiency",
-    "sd-envy-freeness",
-    "weak-sd-envy-freeness",
-    "equal-treatment-of-equals",
-    "ordinal-fairness",
-    "decomposability",
-)
+# Property name -> checker, in the order "all" runs them.  The lambdas look
+# the checkers up when called, so a wrapper patched onto this module applies.
+ASSIGNMENT_CHECKS = {
+    "sd-efficiency": lambda inst, P: check_sd_efficiency(inst, P),
+    "ex-post-efficiency": lambda inst, P: check_ex_post_efficiency(inst, P),
+    "sd-envy-freeness": lambda inst, P: check_envy(inst, P, "strong"),
+    "weak-sd-envy-freeness": lambda inst, P: check_envy(inst, P, "weak"),
+    "equal-treatment-of-equals": lambda inst, P: check_ete(inst, P),
+    "ordinal-fairness": lambda inst, P: check_ordinal_fairness(inst, P),
+    "decomposability": lambda inst, P: check_decomposability(inst, P),
+}
 MECHANISM_PROPERTIES = (
     "sd-strategyproofness",
     "weak-sd-strategyproofness",
@@ -114,12 +116,19 @@ def _mrp_mode(mode: str, seed: int, instance: Instance):
         random.Random(seed).shuffle(priority)
         return MrpSingle(tuple(priority))
     if mode.startswith("mc:"):
-        try:
-            samples = int(mode.split(":", 1)[1])
-        except ValueError:
-            raise ParseError(f"bad monte-carlo mode {mode!r}") from None
-        return MrpMonteCarlo(samples, seed)
+        return MrpMonteCarlo(_count(mode, "monte-carlo mode"), seed)
     raise ParseError(f"unknown mode {mode!r}")
+
+
+def _count(spec: str, what: str) -> int:
+    """The K of an ``mc:K`` or ``sampled:K`` argument: a positive integer."""
+    try:
+        k = int(spec.split(":", 1)[1])
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise ParseError(f"bad {what} {spec!r}: K must be a positive integer")
+    return k
 
 
 def _misreport_space(kind: str, seed: int):
@@ -130,7 +139,7 @@ def _misreport_space(kind: str, seed: int):
     if kind == "independent":
         return spaces.IndependentCpNetMisreports()
     if kind.startswith("sampled:"):
-        return spaces.SampledLinearOrderMisreports(int(kind.split(":", 1)[1]), seed)
+        return spaces.SampledLinearOrderMisreports(_count(kind, "misreport space"), seed)
     raise ParseError(f"unknown misreport space {kind!r}")
 
 
@@ -138,7 +147,7 @@ def cmd_check(args) -> int:
     instance, file_tb = _load_instance(args.instance)
     assignment = io.parse_assignment(_read(args.assignment), instance)
     wanted = (
-        list(ASSIGNMENT_PROPERTIES)
+        list(ASSIGNMENT_CHECKS)
         if args.property == "all"
         else [p.strip() for p in args.property.split(",") if p.strip()]
     )
@@ -168,20 +177,8 @@ def cmd_check(args) -> int:
                         args.mechanism, instance, space, strength, tiebreaks=tiebreaks
                     )
                 )
-        elif prop == "sd-efficiency":
-            reports.append(check_sd_efficiency(instance, assignment))
-        elif prop == "ex-post-efficiency":
-            reports.append(check_ex_post_efficiency(instance, assignment))
-        elif prop == "sd-envy-freeness":
-            reports.append(check_envy(instance, assignment, "strong"))
-        elif prop == "weak-sd-envy-freeness":
-            reports.append(check_envy(instance, assignment, "weak"))
-        elif prop == "equal-treatment-of-equals":
-            reports.append(check_ete(instance, assignment))
-        elif prop == "ordinal-fairness":
-            reports.append(check_ordinal_fairness(instance, assignment))
-        elif prop == "decomposability":
-            reports.append(check_decomposability(instance, assignment))
+        elif prop in ASSIGNMENT_CHECKS:
+            reports.append(ASSIGNMENT_CHECKS[prop](instance, assignment))
         else:
             raise ParseError(f"unknown property {prop!r}")
     for r in reports:
@@ -267,16 +264,16 @@ def cmd_replay_paper(args) -> int:
         for name in fixture_names():
             print(name)
         return EXIT_OK
-    for name, fn in REPLAY_CHECKS:
-        result = fn()
-        line = f"{'PASS' if result.passed else 'FAIL'} {name}"
+    results = replay_all()
+    for result in results:
+        line = f"{'PASS' if result.passed else 'FAIL'} {result.name}"
         if result.detail:
             line += f" ({result.detail})"
         print(line)
         if not result.passed:
-            print(f"first divergence: {name}", file=sys.stderr)
+            print(f"first divergence: {result.name}", file=sys.stderr)
             return EXIT_FAIL
-    print(f"{len(REPLAY_CHECKS)} fixtures reproduced")
+    print(f"{len(results)} fixtures reproduced")
     return EXIT_OK
 
 

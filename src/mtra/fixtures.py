@@ -468,28 +468,14 @@ def _improvable_pairs_check() -> ReplayResult:
         (bn["1F2B"], bn["2F1B"]),
         (bn["2F2B"], bn["2F1B"]),
     }
-    acyclic = _pair_relation_acyclic(pairs)
+    better_than = [[a for a, b in pairs if b == x] for x in range(inst.m)]
+    acyclic = prefs.dependency_order(better_than) is not None
     cycle = find_generalized_cycle(inst, assignment_3())
     return _check(
         "improvable-pairs-cycle",
         pairs == want and acyclic and cycle is not None,
         "pair relation acyclic yet a generalized cycle exists",
     )
-
-
-def _pair_relation_acyclic(pairs: set[tuple[int, int]]) -> bool:
-    nodes = {a for a, _ in pairs} | {b for _, b in pairs}
-    succ = {n: {b for a, b in pairs if a == n} for n in nodes}
-    seen: set[int] = set()
-    while len(seen) < len(nodes):
-        progress = False
-        for n in nodes:
-            if n not in seen and succ[n] <= seen:
-                seen.add(n)
-                progress = True
-        if not progress:
-            return False
-    return True
 
 
 def _ordinal_fairness_gap_check() -> ReplayResult:
@@ -550,11 +536,7 @@ REPLAY_CHECKS: tuple[tuple[str, Callable[[], ReplayResult]], ...] = (
 
 
 def replay_all() -> list[ReplayResult]:
-    out = []
-    for name, fn in REPLAY_CHECKS:
-        result = fn()
-        out.append(ReplayResult(name, result.passed, result.detail))
-    return out
+    return [fn() for _, fn in REPLAY_CHECKS]
 
 
 def fixture_names() -> list[str]:

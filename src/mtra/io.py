@@ -18,6 +18,7 @@ from .model import (
     FractionalAssignment,
     Instance,
     Lottery,
+    _resolve_bundle,
     build_instance,
     validate_assignment,
 )
@@ -61,19 +62,12 @@ def parse_instance(text: str) -> tuple[Instance, object]:
         if not isinstance(raw, Sequence) or len(raw) != instance.n:
             raise ParseError("tiebreak must list one bundle order per agent")
         tiebreak = [
-            [_bundle_id(instance, name) for name in agent_tb] for agent_tb in raw
+            [_resolve_bundle(instance, name) for name in agent_tb] for agent_tb in raw
         ]
         for tb in tiebreak:
             if sorted(tb) != list(range(instance.m)):
                 raise ParseError("tiebreak must rank every bundle exactly once")
     return instance, tiebreak
-
-
-def _bundle_id(instance: Instance, name: str) -> int:
-    try:
-        return instance.bundle_by_name[str(name)]
-    except KeyError:
-        raise ParseError(f"unknown bundle name {name!r}") from None
 
 
 def serialize_instance(instance: Instance, tiebreak=None) -> str:
@@ -134,7 +128,7 @@ def parse_tiebreak(text: str, instance: Instance):
         raise ParseError("tiebreak file must rank bundles for every agent")
     out = []
     for agent_tb in doc:
-        ranked = [_bundle_id(instance, name) for name in agent_tb]
+        ranked = [_resolve_bundle(instance, name) for name in agent_tb]
         if sorted(ranked) != list(range(instance.m)):
             raise ParseError("tiebreak must rank every bundle exactly once")
         out.append(ranked)
@@ -172,7 +166,7 @@ def parse_assignment(text: str, instance: Instance) -> FractionalAssignment:
             raise ParseError(f"agent {j} row must be an object keyed by bundle name")
         values = [Fraction(0)] * instance.m
         for name, share in row.items():
-            values[_bundle_id(instance, name)] = parse_frac(share)
+            values[_resolve_bundle(instance, name)] = parse_frac(share)
         rows.append(tuple(values))
     P = FractionalAssignment(tuple(rows))
     violation = validate_assignment(P, instance)
@@ -204,10 +198,16 @@ def parse_lottery(text: str, instance: Instance) -> Lottery:
     doc = _loads(text)
     if not isinstance(doc, Mapping) or "entries" not in doc:
         raise ParseError("lottery document must be an object with 'entries'")
+    if not isinstance(doc["entries"], list):
+        raise ParseError("lottery 'entries' must be a list")
     entries = []
     for e in doc["entries"]:
+        if not isinstance(e, Mapping) or "probability" not in e:
+            raise ParseError("lottery entry must be an object with a 'probability'")
+        if not isinstance(e.get("assignment"), list):
+            raise ParseError("lottery entry must list its 'assignment' by bundle name")
         prob = parse_frac(e["probability"])
-        bundles = tuple(_bundle_id(instance, name) for name in e["assignment"])
+        bundles = tuple(_resolve_bundle(instance, name) for name in e["assignment"])
         disc = DiscreteAssignment(bundles)
         disc.validate(instance)
         entries.append((prob, disc))

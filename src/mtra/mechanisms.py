@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import preferences as prefs
-from .errors import DimensionMismatch, TooManyAgentsForExact
+from .errors import DimensionMismatch, MtraError, TooManyAgentsForExact
 from .model import (
     ONE,
     ZERO,
@@ -26,6 +26,7 @@ from .model import (
     FractionalAssignment,
     Instance,
     Lottery,
+    from_discrete,
 )
 
 EXACT_AGENT_LIMIT = 8
@@ -94,6 +95,10 @@ class MrpMonteCarlo:
     samples: int
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise MtraError(f"monte-carlo mode needs at least one sample, got {self.samples}")
+
 
 MrpMode = MrpSingle | MrpExact | MrpMonteCarlo
 
@@ -116,7 +121,7 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
     n = instance.n
     if isinstance(mode, MrpSingle):
         disc = serial_dictatorship(instance, sorts, mode.priority)
-        return MrpResult(_matrix_from_discrete(instance, disc), _point_lottery(disc), mode)
+        return MrpResult(from_discrete(instance, disc), Lottery(((ONE, disc),)), mode)
     if isinstance(mode, MrpExact):
         if n > EXACT_AGENT_LIMIT:
             raise TooManyAgentsForExact(
@@ -155,19 +160,6 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
         )
         return MrpResult(FractionalAssignment(rows), None, mode)
     raise TypeError(f"unknown MRP mode {mode!r}")
-
-
-def _matrix_from_discrete(instance: Instance, disc: DiscreteAssignment) -> FractionalAssignment:
-    rows = []
-    for x in disc.bundles:
-        row = [ZERO] * instance.m
-        row[x] = ONE
-        rows.append(tuple(row))
-    return FractionalAssignment(tuple(rows))
-
-
-def _point_lottery(disc: DiscreteAssignment) -> Lottery:
-    return Lottery(((ONE, disc),))
 
 
 # -- MPS -----------------------------------------------------------------

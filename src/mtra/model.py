@@ -140,10 +140,7 @@ class Instance:
     @cached_property
     def orders(self) -> tuple[prefs.PartialOrder, ...]:
         """Per-agent partial order (CP-nets induced on demand, cached)."""
-        return tuple(
-            p if isinstance(p, prefs.PartialOrder) else prefs.induce_order(p)
-            for p in self.preferences
-        )
+        return tuple(prefs.as_order(p) for p in self.preferences)
 
     def cpnet(self, agent: int) -> prefs.CPNet | None:
         p = self.preferences[agent]
@@ -253,9 +250,13 @@ def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
         parents[type_index[child]].append(type_index[parent])
     tables: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
     raw_cpt = raw.get("cpt", {})
+    if not isinstance(raw_cpt, Mapping):
+        raise ParseError("'cpt' must be an object keyed by type name")
     for tname, rows in raw_cpt.items():
         if tname not in type_index:
             raise ParseError(f"CPT names unknown type {tname!r}")
+        if not isinstance(rows, Mapping):
+            raise ParseError(f"CPT for type {tname!r} must be an object keyed by parent items")
         ti = type_index[tname]
         parent_list = sorted(parents[ti])
         table: dict[tuple[int, ...], tuple[int, ...]] = {}

@@ -295,6 +295,22 @@ def is_uit(
 # -- CP-nets -------------------------------------------------------------
 
 
+def dependency_order(parents: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """Nodes ``0..len(parents)-1`` with each one after all of its
+    ``parents[i]`` (least ready node first), or None if the graph is cyclic."""
+    remaining = set(range(len(parents)))
+    out: list[int] = []
+    placed: set[int] = set()
+    while remaining:
+        ready = sorted(i for i in remaining if set(parents[i]) <= placed)
+        if not ready:
+            return None
+        out.append(ready[0])
+        placed.add(ready[0])
+        remaining.remove(ready[0])
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class CPNet:
     """An acyclic CP-net over ``p`` item types.
@@ -315,7 +331,8 @@ class CPNet:
         p = len(self.sizes)
         if len(self.parents) != p or len(self.tables) != p:
             raise IncompleteCPT("per-type parent or table list has wrong length")
-        self._check_acyclic()
+        if dependency_order(self.parents) is None:
+            raise CyclicDependency("CP-net dependency graph is cyclic")
         for i in range(p):
             expected = set(itertools.product(*(range(self.sizes[q]) for q in self.parents[i])))
             seen = set()
@@ -327,26 +344,6 @@ class CPNet:
                     raise IncompleteCPT(f"row for type {i} at {key} is not a total order")
             if seen != expected:
                 raise IncompleteCPT(f"table for type {i} does not cover the parent product")
-
-    def _check_acyclic(self) -> None:
-        order = self.type_order()
-        if order is None:
-            raise CyclicDependency("CP-net dependency graph is cyclic")
-
-    def type_order(self) -> tuple[int, ...] | None:
-        """Types in dependency-topological order, or None if cyclic."""
-        p = len(self.sizes)
-        remaining = set(range(p))
-        out: list[int] = []
-        placed: set[int] = set()
-        while remaining:
-            ready = sorted(i for i in remaining if set(self.parents[i]) <= placed)
-            if not ready:
-                return None
-            out.append(ready[0])
-            placed.add(ready[0])
-            remaining.remove(ready[0])
-        return tuple(out)
 
     def row(self, type_index: int, parent_assignment: tuple[int, ...]) -> tuple[int, ...]:
         for key, order in self.tables[type_index]:
@@ -391,6 +388,12 @@ def induce_order(cpnet: CPNet) -> PartialOrder:
     return _induced_order_cached(cpnet)
 
 
+def as_order(preference: PartialOrder | CPNet) -> PartialOrder:
+    """The partial order a preference stands for: itself, or the order a
+    CP-net induces."""
+    return preference if isinstance(preference, PartialOrder) else induce_order(preference)
+
+
 @lru_cache(maxsize=65536)
 def _induced_order_cached(cpnet: CPNet) -> PartialOrder:
     sizes = cpnet.sizes
@@ -431,7 +434,7 @@ def top_cpnet(cpnet: CPNet, remaining: Sequence[Iterable[int]]) -> tuple[int, ..
     if any(not r for r in remaining_sets):
         raise NothingAvailable("a type has no remaining items")
     chosen: dict[int, int] = {}
-    order = cpnet.type_order()
+    order = dependency_order(cpnet.parents)
     assert order is not None  # construction rejects cyclic nets
     for i in order:
         key = tuple(chosen[q] for q in cpnet.parents[i])

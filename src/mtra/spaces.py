@@ -42,33 +42,11 @@ def all_partial_orders(m: int) -> tuple[prefs.PartialOrder, ...]:
         rel = [0] * m
         for better, worse in chosen:
             rel[worse] |= 1 << better
-        closed = _close(list(rel), m)
-        if closed is None:
-            continue
-        if closed == rel:  # count each poset once: keep the closed subsets
+        # count each poset once: keep the closed subsets.  The closure of
+        # a cyclic relation is reflexive, so it never equals rel.
+        if prefs._closure(list(rel), m) == rel:
             out.append(prefs.PartialOrder(m, tuple(rel)))
     return tuple(out)
-
-
-def _close(above: list[int], m: int) -> list[int] | None:
-    changed = True
-    while changed:
-        changed = False
-        for x in range(m):
-            acc = above[x]
-            extra = 0
-            rest = acc
-            while rest:
-                y = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                extra |= above[y]
-            if extra & ~acc:
-                above[x] = acc | extra
-                changed = True
-    for x in range(m):
-        if above[x] & (1 << x):
-            return None
-    return above
 
 
 @lru_cache(maxsize=64)
@@ -83,21 +61,9 @@ def acyclic_dependency_graphs(p: int) -> tuple[tuple[tuple[int, ...], ...], ...]
         parents = tuple(
             tuple(sorted(a for a, b in chosen if b == t)) for t in range(p)
         )
-        if _graph_acyclic(parents, p):
+        if prefs.dependency_order(parents) is not None:
             out.append(parents)
     return tuple(out)
-
-
-def _graph_acyclic(parents: Sequence[Sequence[int]], p: int) -> bool:
-    placed: set[int] = set()
-    remaining = set(range(p))
-    while remaining:
-        ready = [t for t in remaining if set(parents[t]) <= placed]
-        if not ready:
-            return False
-        placed.update(ready)
-        remaining.difference_update(ready)
-    return True
 
 
 def count_cpnets(sizes: Sequence[int], parents: Sequence[Sequence[int]]) -> int:

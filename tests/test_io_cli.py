@@ -68,6 +68,10 @@ def test_lottery_parse_errors(three_chains):
             '{"entries": [{"probability": "1/2", "assignment": ["1F", "2F", "3F"]}]}',
             three_chains,
         )
+    # malformed shapes: entries not a list, an entry not an object, no assignment
+    for text in ('{"entries": 3}', '{"entries": [5]}', '{"entries": [{"probability": "1"}]}'):
+        with pytest.raises(ParseError):
+            io.parse_lottery(text, three_chains)
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -242,6 +246,32 @@ def test_cli_parse_error_exit2(workdir, capsys):
     bad = workdir / "bad.json"
     bad.write_text("nonsense")
     assert main(["check", str(workdir / "mixed_pair.json"), str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, patch",
+    [
+        (["run", "{inst}", "--mechanism", "mrp", "--mode", "mc:0"], None),
+        (["run", "{inst}", "--mechanism", "mrp", "--mode", "mc:-3"], None),
+        (["check", "{inst}", "{a1}", "--property", "sd-strategyproofness", "--mechanism", "mps",
+          "--misreports", "sampled:abc"], None),
+        (["check", "{inst}", "{a1}", "--property", "sd-strategyproofness", "--mechanism", "mps",
+          "--misreports", "sampled:0"], None),
+        (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc["preferences"][0].update(cpt=[1, 2])),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc["preferences"][0]["cpt"].update(B=["1B", "2B"])),
+    ],
+    ids=["mc-zero", "mc-negative", "sampled-not-int", "sampled-zero", "cpt-list", "cpt-rows-list"],
+)
+def test_cli_bad_input_exit2(workdir, capsys, argv, patch):
+    doc = json.loads((workdir / "mixed_pair.json").read_text())
+    if patch is not None:
+        patch(doc)
+    (workdir / "case.json").write_text(json.dumps(doc))
+    paths = {"inst": str(workdir / "case.json"), "a1": str(workdir / "a1.json")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
 
 
 def test_cli_guard_exit3(tmp_path, capsys):

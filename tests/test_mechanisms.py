@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mtra import fixtures, spaces
-from mtra.errors import TooManyAgentsForExact
+from mtra.errors import MtraError, TooManyAgentsForExact
 from mtra.mechanisms import (
     MrpExact,
     MrpMonteCarlo,
@@ -68,6 +68,10 @@ def test_mrp_monte_carlo_reproducible(mixed_pair):
     b = mrp(mixed_pair, MrpMonteCarlo(64, seed=7), fixtures.sort_a(mixed_pair)).assignment
     assert a == b
     assert all(sum(row) == 1 for row in a.rows)
+    # zero samples would average nothing into an all-zero matrix
+    for samples in (0, -3):
+        with pytest.raises(MtraError):
+            MrpMonteCarlo(samples)
 
 
 def test_mrp_exact_guard():

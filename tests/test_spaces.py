@@ -25,6 +25,8 @@ def test_dependency_graphs():
     assert spaces.acyclic_dependency_graphs(1) == (((),),)
     graphs = spaces.acyclic_dependency_graphs(2)
     assert set(graphs) == {((), ()), ((), (0,)), ((1,), ())}
+    # labelled DAGs on three nodes
+    assert len(spaces.acyclic_dependency_graphs(3)) == 25
 
 
 def test_cpnet_enumeration_counts():
