@@ -15,10 +15,11 @@ from typing import Callable, Iterable, Sequence
 
 from . import preferences as prefs
 from . import spaces
-from .errors import InstanceTooLargeToDecide, UniverseMismatch
-from .lp import EQ, GE, LinearProgram, constraint, feasibility, solve
+from .errors import InstanceTooLargeToDecide, SoundnessError, UniverseMismatch
+from .lp import EQ, GE, Constraint, LinearProgram, feasibility, solve
 from .mechanisms import MrpExact, Tiebreak, mgd, mps, mrp
 from .model import (
+    ONE,
     ZERO,
     DiscreteAssignment,
     FractionalAssignment,
@@ -186,6 +187,15 @@ class FarkasWitness:
 # -- assignment-level axioms --------------------------------------------------
 
 
+def _unit_row(nv: int, cols: Iterable[int]) -> tuple[Fraction, ...]:
+    """LP coefficients that are ONE at ``cols`` and ZERO elsewhere, made
+    from the shared constants rather than one Fraction per entry."""
+    row = [ZERO] * nv
+    for c in cols:
+        row[c] = ONE
+    return tuple(row)
+
+
 def check_sd_efficiency(instance: Instance, P: FractionalAssignment) -> PropertyReport:
     """No assignment Q != P has weakly larger upper-contour sums everywhere.
 
@@ -197,46 +207,46 @@ def check_sd_efficiency(instance: Instance, P: FractionalAssignment) -> Property
     """
     n, m = instance.n, instance.m
     nv = n * m
-    cons = []
-    for j in range(n):
-        row = [0] * nv
-        for x in range(m):
-            row[j * m + x] = 1
-        cons.append(constraint(row, EQ, 1))
+    cons = [Constraint(_unit_row(nv, range(j * m, (j + 1) * m)), EQ, ONE) for j in range(n)]
     for o in range(n * instance.p):
-        row = [0] * nv
-        for j in range(n):
-            for x, items in enumerate(instance.bundle_items):
-                if o in items:
-                    row[j * m + x] = 1
-        cons.append(constraint(row, EQ, 1))
+        holders = [x for x, items in enumerate(instance.bundle_items) if o in items]
+        cons.append(Constraint(_unit_row(nv, (j * m + x for j in range(n) for x in holders)), EQ, ONE))
     base = ZERO
     depth_coeffs = [ZERO] * nv
     for j in range(n):
         order = instance.orders[j]
         sums = ucs_sums(order, P.row(j))
         for x in range(m):
-            row = [0] * nv
-            for y in prefs._bits(order.ucs_mask(x)):
-                row[j * m + y] = 1
-            cons.append(constraint(row, GE, sums[x]))
+            ucs = order.ucs_mask(x)
+            if sums[x] == 1:
+                # Q's row sums to 1, so "ucs share >= 1" says Q puts
+                # nothing outside the contour set; written that way the
+                # LP presolve removes those columns
+                outside = (j * m + y for y in range(m) if not ucs >> y & 1)
+                cons.append(Constraint(_unit_row(nv, outside), EQ, ZERO))
+            else:
+                inside = (j * m + y for y in prefs._bits(ucs))
+                cons.append(Constraint(_unit_row(nv, inside), GE, sums[x]))
             base += sums[x]
         for y in range(m):
             depth_coeffs[j * m + y] = Fraction(order.downset_size(y))
     lp = LinearProgram(nv, tuple(cons), tuple(depth_coeffs), nonneg=True)
     out = solve(lp)
-    assert out.optimal, "P itself is feasible, so the LP cannot fail"
-    assert out.objective_value >= base
+    if not out.optimal:
+        raise SoundnessError("P itself is feasible, so the LP cannot fail")
+    if out.objective_value < base:
+        raise SoundnessError("the LP optimum lies below P's own value")
     if out.objective_value == base:
         return PropertyReport("sd-efficiency", True)
     rows = tuple(
         tuple(out.witness[j * m + x] for x in range(m)) for j in range(n)
     )
     Q = FractionalAssignment(rows)
-    assert validate_assignment(Q, instance) is None
-    assert Q != P
+    if validate_assignment(Q, instance) is not None or Q == P:
+        raise SoundnessError("the dominating witness is not another valid assignment")
     for j in range(n):
-        assert sd_compare(instance.orders[j], Q.row(j), P.row(j)).p_dominates_q
+        if not sd_compare(instance.orders[j], Q.row(j), P.row(j)).p_dominates_q:
+            raise SoundnessError(f"the witness does not sd-dominate P for agent {j}")
     return PropertyReport("sd-efficiency", False, witness=Q)
 
 
@@ -314,13 +324,14 @@ def _lottery_report(
     cons = []
     for j in range(instance.n):
         for x in range(instance.m):
-            row = [1 if a.bundles[j] == x else 0 for a in assignments]
-            cons.append(constraint(row, EQ, P.entry(j, x)))
-    cons.append(constraint([1] * nv, EQ, 1))
+            cols = [k for k, a in enumerate(assignments) if a.bundles[j] == x]
+            cons.append(Constraint(_unit_row(nv, cols), EQ, P.entry(j, x)))
+    cons.append(Constraint((ONE,) * nv, EQ, ONE))
     out = feasibility(LinearProgram(nv, tuple(cons), None, nonneg=True))
     if out.optimal:
         lottery = Lottery(tuple((w, a) for w, a in zip(out.witness, assignments) if w > 0))
-        assert lottery.expectation(instance) == P
+        if lottery.expectation(instance) != P:
+            raise SoundnessError("the lottery's expectation is not P")
         return PropertyReport(prop, True, witness=lottery)
     return PropertyReport(prop, False, witness=FarkasWitness(out.certificate))
 

@@ -28,7 +28,7 @@ from .axioms import (
     check_upper_invariance,
     sd_compare,
 )
-from .errors import GuardViolation, MtraError, ParseError
+from .errors import GuardViolation, MtraError, ParseError, SoundnessError
 from .fixtures import fixture_names, replay_all
 from .mechanisms import MrpExact, MrpMonteCarlo, MrpSingle, mgd, mgd_decompose, mps, mrp
 from .model import Instance
@@ -252,7 +252,8 @@ def cmd_decompose(args) -> int:
     tiebreak = _tiebreak_for(args, instance, file_tb)
     lottery = mgd_decompose(instance, tiebreak)
     expected = mgd(instance, tiebreak)
-    assert lottery.expectation(instance) == expected
+    if lottery.expectation(instance) != expected:
+        raise SoundnessError("the mgd lottery's expectation is not the mgd assignment")
     sys.stdout.write(
         io.serialize_lottery(instance, lottery, {"mechanism": "mgd", "orders": len(lottery.entries)})
     )

@@ -64,3 +64,10 @@ class InstanceTooLargeToDecide(GuardViolation):
 
 class MisreportSpaceTooLarge(GuardViolation):
     """A misreport space cannot be enumerated at this instance size."""
+
+
+class SoundnessError(AssertionError):
+    """An internal result failed its own verification (an LP witness or
+    certificate, a mechanism invariant).  This signals a defect in mtra,
+    not bad input, so it is deliberately not an :class:`MtraError`; it is
+    raised explicitly and therefore still fires under ``python -O``."""

@@ -18,6 +18,7 @@ from .model import (
     FractionalAssignment,
     Instance,
     Lottery,
+    _parse_list,
     _resolve_bundle,
     build_instance,
     validate_assignment,
@@ -62,7 +63,8 @@ def parse_instance(text: str) -> tuple[Instance, object]:
         if not isinstance(raw, Sequence) or len(raw) != instance.n:
             raise ParseError("tiebreak must list one bundle order per agent")
         tiebreak = [
-            [_resolve_bundle(instance, name) for name in agent_tb] for agent_tb in raw
+            [_resolve_bundle(instance, name) for name in _parse_list(agent_tb, "a tiebreak entry")]
+            for agent_tb in raw
         ]
         for tb in tiebreak:
             if sorted(tb) != list(range(instance.m)):
@@ -128,7 +130,7 @@ def parse_tiebreak(text: str, instance: Instance):
         raise ParseError("tiebreak file must rank bundles for every agent")
     out = []
     for agent_tb in doc:
-        ranked = [_resolve_bundle(instance, name) for name in agent_tb]
+        ranked = [_resolve_bundle(instance, name) for name in _parse_list(agent_tb, "a tiebreak entry")]
         if sorted(ranked) != list(range(instance.m)):
             raise ParseError("tiebreak must rank every bundle exactly once")
         out.append(ranked)

@@ -1,16 +1,37 @@
-"""Exact rational linear programming (dense two-phase simplex).
+"""Exact rational linear programming.
 
-The public surface speaks :class:`fractions.Fraction`; internally the
-tableau is kept fraction-free by integer pivoting (Bareiss-style exact
-division), which is an order of magnitude faster in CPython than a
-Fraction tableau.  Bland's rule with a fixed variable order (declaration
-order) makes the solver cycle-free and fully deterministic.
+The public surface speaks :class:`fractions.Fraction`; the work is done
+in integers.  :func:`solve` runs in four steps:
 
-Every returned witness is re-checked against the original constraints
-before the outcome is handed back; an infeasible outcome carries a
-Farkas certificate that is likewise verified.  Problem sizes in this
-package are a few dozen rows by a few hundred columns, so no sparse
-machinery is used.
+1. Each constraint is scaled once to integers by the lcm of its
+   denominators.
+2. For ``nonneg`` programs, an exact presolve (Andersen & Andersen,
+   "Presolving in linear programming", Math. Programming 71, 1995)
+   removes what x >= 0 already decides.  An equality with right-hand
+   side 0 whose coefficients on the remaining columns share one sign
+   fixes those columns at 0, so the row and the columns go; this repeats
+   until nothing changes.  A ``>=`` row with right-hand side <= 0 and
+   nonnegative coefficients, or a ``<=`` row with right-hand side >= 0
+   and nonpositive ones, is implied and dropped.
+3. A dense two-phase simplex solves the reduced program on a
+   fraction-free integer tableau (Bareiss-style exact division), which
+   is an order of magnitude faster in CPython than a Fraction tableau.
+   Pricing is Dantzig's largest coefficient, and a ratio-test tie lets
+   an artificial leave first; after ``DEGENERATE_LIMIT`` consecutive
+   degenerate pivots it switches to Bland's rule until a pivot makes
+   progress, so the solver is cycle-free and fully deterministic.
+   Artificial columns are deleted once phase 1 ends.
+4. The outcome is lifted back to the original program and verified
+   there, in integers: a witness as numerators over the tableau
+   determinant against the integer-scaled constraints; an infeasible
+   outcome's Farkas certificate (multiplier 0 on each dropped row, and
+   on each fixing row, latest first, the multiplier that brings the
+   column sums of the columns it fixed to <= 0) against the whole
+   system.  A failed check raises :class:`~mtra.errors.SoundnessError`,
+   which ``python -O`` does not strip.
+
+Programs in this package are a few hundred rows by a few hundred
+columns, so the tableau stays dense.
 """
 
 from __future__ import annotations
@@ -18,12 +39,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
+
+from .errors import SoundnessError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 LE, EQ, GE = "<=", "=", ">="
+
+# consecutive degenerate Dantzig pivots before pricing falls back to Bland
+DEGENERATE_LIMIT = 50
 
 
 @dataclass(frozen=True)
@@ -73,22 +100,56 @@ class LpOutcome:
 
 
 def _scaled_int_row(fracs: Sequence[Fraction]) -> tuple[list[int], int]:
-    scale = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [int(f * scale) for f in fracs], scale
+    ratios = [f.as_integer_ratio() for f in fracs]
+    if all(d == 1 for _, d in ratios):
+        return [v for v, _ in ratios], 1
+    scale = math.lcm(*(d for _, d in ratios))
+    return [v * (scale // d) for v, d in ratios], scale
+
+
+class _IntSystem:
+    """A program scaled to integers once: constraint i reads
+    ``rows[i] . x  rels[i]  rhs[i]`` after multiplication by
+    ``scales[i] > 0``; the objective is ``objective / obj_scale``."""
+
+    def __init__(self, lp: LinearProgram):
+        self.nonneg = lp.nonneg
+        self.rows: list[list[int]] = []
+        self.rels = [c.rel for c in lp.constraints]
+        self.rhs: list[int] = []
+        self.scales: list[int] = []
+        for c in lp.constraints:
+            ints, k = _scaled_int_row(c.coeffs + (c.rhs,))
+            self.rhs.append(ints.pop())
+            self.rows.append(ints)
+            self.scales.append(k)
+        objective = lp.objective if lp.objective is not None else (ZERO,) * lp.num_vars
+        self.objective, self.obj_scale = _scaled_int_row(objective)
+
+
+class _Raw(NamedTuple):
+    """A simplex result before verification: the witness as integer
+    numerators over ``det``, or Farkas multipliers on the integer rows."""
+
+    status: str
+    nums: list[int] | None = None
+    det: int = 1
+    y: list[int] | None = None
 
 
 class _IntTableau:
     """Integer simplex tableau: true values are entries divided by det.
 
-    The last two rows are the phase-2 and phase-1 objective rows (c - z
-    form, scaled like everything else); they are pivoted alongside the
+    The rows after the constraints are objective rows (c - z form,
+    scaled like everything else); they are pivoted alongside the
     constraints so reduced costs never need re-pricing.
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int], ncols: int):
+    def __init__(self, rows: list[list[int]], basis: list[int], ncols: int, art_start: int):
         self.rows = rows
         self.basis = basis  # per constraint row
         self.ncols = ncols
+        self.art_start = art_start  # columns from here on are artificial
         self.det = 1
 
     @property
@@ -105,163 +166,250 @@ class _IntTableau:
             prow = rows[r] = [-v for v in prow]
             piv = -piv
         det = self.det
-        for i, row in enumerate(rows):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                rows[i] = [(piv * a - f * b) // det for a, b in zip(row, prow)]
-            elif piv != det:
-                rows[i] = [(piv * a) // det for a in row]
+        if piv == det:
+            # (det * a - f * b) / det: entries where the pivot row is zero
+            # keep their value, and rows with f = 0 keep every value
+            nonzero = [k for k, b in enumerate(prow) if b]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    for k in nonzero:
+                        row[k] -= f * prow[k] // det
+        else:
+            for i, row in enumerate(rows):
+                if i == r:
+                    continue
+                f = row[c]
+                if f:
+                    rows[i] = [(piv * a - f * b) // det for a, b in zip(row, prow)]
+                else:
+                    rows[i] = [(piv * a) // det for a in row]
         self.det = piv
         self.basis[r] = c
 
     def run(self, objective_row: int) -> str:
-        """Bland steps driven by the given objective row; 'optimal' or
-        'unbounded'."""
+        """Simplex steps driven by the given objective row; 'optimal' or
+        'unbounded'.
+
+        Dantzig pricing, with ratio-test ties broken in favour of an
+        artificial leaving the basis, then by the smallest basis index.
+        Once a run of degenerate pivots reaches DEGENERATE_LIMIT, Bland's
+        rule (smallest entering column, smallest leaving index) takes
+        over until a pivot makes progress, so no basis repeats."""
         rows = self.rows
         ncols = self.ncols
+        basis = self.basis
+        art = self.art_start
+        degenerate = 0
         while True:
             obj = rows[objective_row]
-            enter = -1
-            for c in range(ncols):
-                if obj[c] > 0:
-                    enter = c
-                    break
-            if enter < 0:
-                return "optimal"
+            bland = degenerate >= DEGENERATE_LIMIT
+            if bland:
+                enter = next((c for c in range(ncols) if obj[c] > 0), -1)
+                if enter < 0:
+                    return "optimal"
+            else:
+                best = max(obj[:ncols], default=0)
+                if best <= 0:
+                    return "optimal"
+                enter = obj.index(best)
             leave = -1
             best_num = best_den = 0
-            for i in range(self.m):
+            for i in range(len(basis)):
                 a = rows[i][enter]
                 if a > 0:
                     num = rows[i][ncols]
-                    if (
-                        leave < 0
-                        or num * best_den < best_num * a
-                        or (num * best_den == best_num * a and self.basis[i] < self.basis[leave])
-                    ):
+                    if leave < 0 or num * best_den < best_num * a:
                         best_num, best_den, leave = num, a, i
+                    elif num * best_den == best_num * a:
+                        b, held = basis[i], basis[leave]
+                        if bland or (b >= art) == (held >= art):
+                            better = b < held
+                        else:
+                            better = b >= art
+                        if better:
+                            leave = i
             if leave < 0:
                 return "unbounded"
+            degenerate = degenerate + 1 if best_num == 0 else 0
             self.pivot(leave, enter)
 
-    def value(self, row: int) -> Fraction:
-        return Fraction(self.rows[row][self.ncols], self.det)
 
-
-def solve(lp: LinearProgram) -> LpOutcome:
-    """Exact optimum (or feasibility when no objective is given)."""
-    n = lp.num_vars
-    split = not lp.nonneg
+def _simplex(
+    rows: Sequence[Sequence[int]],
+    rels: Sequence[str],
+    rhs: Sequence[int],
+    objective: Sequence[int],
+    split: bool,
+) -> _Raw:
+    """Two-phase simplex on integer constraints over nonnegative
+    variables, or free ones when ``split`` (each as a difference of two
+    nonnegative columns).  The result is not yet verified."""
+    n = len(objective)
     base = 2 * n if split else n
-
-    def expand(coeffs: Sequence[Fraction]) -> list[Fraction]:
-        if not split:
-            return list(coeffs)
-        return list(coeffs) + [-v for v in coeffs]
-
-    norm_rows: list[list[Fraction]] = []
-    rels: list[str] = []
-    rhs: list[Fraction] = []
-    for c in lp.constraints:
-        coeffs = expand(c.coeffs)
-        rel, b = c.rel, c.rhs
-        if b < 0:
-            coeffs = [-v for v in coeffs]
-            b = -b
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        norm_rows.append(coeffs)
-        rels.append(rel)
-        rhs.append(b)
-
-    m = len(norm_rows)
+    m = len(rows)
     n_slack = sum(1 for r in rels if r != EQ)
-    ncols = base + n_slack + m
-    rows: list[list[int]] = []
-    basis: list[int] = []
-    identity_col: list[int] = []
-    row_scale: list[int] = []
+    art_start = base + n_slack
+    ncols = art_start + m
+    tab_rows: list[list[int]] = []
+    signs: list[int] = []
     slack_i = 0
     for i in range(m):
-        scaled, k = _scaled_int_row(norm_rows[i] + [rhs[i]])
-        row = scaled[:-1] + [0] * (n_slack + m) + [scaled[-1]]
-        if rels[i] != EQ:
-            row[base + slack_i] = k if rels[i] == LE else -k
+        coeffs, rel, b = list(rows[i]), rels[i], rhs[i]
+        if split:
+            coeffs += [-a for a in coeffs]
+        sign = -1 if b < 0 else 1
+        if sign < 0:
+            coeffs = [-a for a in coeffs]
+            b = -b
+            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+        row = coeffs + [0] * (n_slack + m) + [b]
+        if rel != EQ:
+            row[base + slack_i] = 1 if rel == LE else -1
             slack_i += 1
-        art = base + n_slack + i
-        row[art] = 1  # artificial added after scaling so its coeff stays 1
-        rows.append(row)
-        basis.append(art)
-        identity_col.append(art)
-        row_scale.append(k)
+        row[art_start + i] = 1
+        tab_rows.append(row)
+        signs.append(sign)
 
     # phase-2 objective row (c - z; artificials cost 0, so initially just c)
-    objective = list(lp.objective) if lp.objective is not None else [ZERO] * n
-    obj_scaled, _ = _scaled_int_row(expand(objective))
-    rows.append(obj_scaled + [0] * (n_slack + m) + [0])
+    obj2 = list(objective) + ([-c for c in objective] if split else [])
+    tab_rows.append(obj2 + [0] * (n_slack + m + 1))
     # phase-1 objective row: z - c for "minimize artificial mass", which
     # initially is the column sum of the constraint rows with artificial
     # entries zeroed
-    phase1 = [0] * (ncols + 1)
-    for i in range(m):
-        for j, v in enumerate(rows[i]):
-            phase1[j] += v
-    for i in range(m):
-        phase1[identity_col[i]] = 0
-    rows.append(phase1)
+    phase1 = [sum(col) for col in zip(*tab_rows[:m])] if m else [0] * (ncols + 1)
+    phase1[art_start:ncols] = [0] * m
+    tab_rows.append(phase1)
 
-    tab = _IntTableau(rows, basis, ncols)
-    obj2_row, obj1_row = m, m + 1
-
-    status = tab.run(obj1_row)
-    assert status == "optimal", "phase 1 is bounded by construction"
-    if tab.rows[obj1_row][ncols] != 0:
+    tab = _IntTableau(tab_rows, list(range(art_start, ncols)), ncols, art_start)
+    if tab.run(m + 1) != "optimal":
+        raise SoundnessError("phase 1 is bounded by construction")
+    phase1 = tab.rows[m + 1]
+    if phase1[ncols] != 0:
         # Phase 1 keeps the z-c row of "minimize artificial mass": at the
         # artificial column of row i it now holds y_i - 1 (times det) with
-        # y the dual prices of the row-scaled system; undoing the scaling
-        # yields the Farkas certificate: y^T A <= 0 columnwise, y^T b > 0.
-        y = tuple(
-            row_scale[i]
-            * (Fraction(tab.rows[obj1_row][identity_col[i]], tab.det) + 1)
-            for i in range(m)
-        )
-        cert = _recondition_certificate(y, lp, norm_rows, rels, rhs)
-        return LpOutcome(status="infeasible", certificate=cert)
+        # y the dual prices of the sign-normalized integer rows; det > 0
+        # is dropped and the row signs are undone.
+        y = [(phase1[art_start + i] + tab.det) * signs[i] for i in range(m)]
+        return _Raw("infeasible", y=y)
+    del tab.rows[m + 1]
 
     # drive residual zero-value artificials out of the basis
-    art_start = base + n_slack
     drop: list[int] = []
     for i in range(m):
         if tab.basis[i] >= art_start:
-            target = next((c for c in range(art_start) if tab.rows[i][c] != 0), None)
+            row = tab.rows[i]
+            target = next((c for c in range(art_start) if row[c] != 0), None)
             if target is None:
                 drop.append(i)  # redundant constraint
             else:
                 tab.pivot(i, target)
-    for i in sorted(drop, reverse=True):
+    for i in reversed(drop):
         del tab.rows[i]
         del tab.basis[i]
-    # forbid artificial columns from re-entering
+    # artificial columns never re-enter: delete them
     for r in tab.rows:
-        for c in range(art_start, ncols):
-            r[c] = 0
-    obj2_row = tab.m
-    obj1_row = tab.m + 1
+        del r[art_start:ncols]
+    tab.ncols = art_start
 
-    status = tab.run(obj2_row)
-    if status == "unbounded":
-        return LpOutcome(status="unbounded")
-    values = [ZERO] * ncols
+    if tab.run(tab.m) == "unbounded":
+        return _Raw("unbounded")
+    values = [0] * base
     for i, b in enumerate(tab.basis):
-        values[b] = Fraction(tab.rows[i][ncols], tab.det)
-    if split:
-        witness = tuple(values[k] - values[n + k] for k in range(n))
+        if b < base:
+            values[b] = tab.rows[i][art_start]
+    nums = [values[k] - values[n + k] for k in range(n)] if split else values
+    return _Raw("optimal", nums=nums, det=tab.det)
+
+
+def _presolved_simplex(system: _IntSystem) -> _Raw:
+    """Presolve a nonnegative program (module docstring, step 2), run the
+    simplex on what is left and lift the result back to ``system``."""
+    rows, rels, rhs = system.rows, system.rels, system.rhs
+    n = len(system.objective)
+    support = [[j for j, a in enumerate(row) if a] for row in rows]
+    live = [True] * n
+    active = list(range(len(rows)))
+    fixings: list[tuple[int, list[int]]] = []  # (row, columns it fixed)
+    changed = True
+    while changed:
+        changed = False
+        keep = []
+        for i in active:
+            row, rel, b = rows[i], rels[i], rhs[i]
+            cols = [j for j in support[i] if live[j]]
+            pos = any(row[j] > 0 for j in cols)
+            neg = any(row[j] < 0 for j in cols)
+            if rel == EQ and b == 0 and not (pos and neg):
+                for j in cols:
+                    live[j] = False
+                fixings.append((i, cols))
+                changed = changed or bool(cols)
+            elif not (rel == GE and b <= 0 and not neg or rel == LE and b >= 0 and not pos):
+                keep.append(i)
+        active = keep
+    if len(active) == len(rows):
+        return _simplex(rows, rels, rhs, system.objective, split=False)
+
+    cols = [j for j in range(n) if live[j]]
+    raw = _simplex(
+        [[rows[i][j] for j in cols] for i in active],
+        [rels[i] for i in active],
+        [rhs[i] for i in active],
+        [system.objective[j] for j in cols],
+        split=False,
+    )
+    if raw.status == "optimal":
+        nums = [0] * n
+        for k, j in enumerate(cols):
+            nums[j] = raw.nums[k]
+        return raw._replace(nums=nums)
+    if raw.status == "infeasible":
+        y = [0] * len(rows)
+        colsum = [0] * n
+        for k, i in enumerate(active):
+            y[i] = raw.y[k]
+            if y[i]:
+                for j in support[i]:
+                    colsum[j] += y[i] * rows[i][j]
+        for i, fixed in reversed(fixings):
+            row = rows[i]
+            if not fixed:
+                continue
+            if row[fixed[0]] > 0:
+                y[i] = min(-colsum[j] // row[j] for j in fixed)
+            else:
+                y[i] = max(-(colsum[j] // row[j]) for j in fixed)
+            for j in support[i]:
+                colsum[j] += y[i] * row[j]
+        return raw._replace(y=y)
+    return raw
+
+
+def _verified(system: _IntSystem, raw: _Raw) -> LpOutcome:
+    """Check a raw result against the original program and convert it."""
+    if raw.status == "optimal":
+        _verify_witness(system, raw.nums, raw.det)
+        witness = tuple(Fraction(v, raw.det) for v in raw.nums)
+        value = Fraction(sum(map(mul, system.objective, raw.nums)), system.obj_scale * raw.det)
+        return LpOutcome("optimal", witness=witness, objective_value=value)
+    if raw.status == "infeasible":
+        _verify_certificate(system, raw.y)
+        # multipliers of the unscaled rows, reduced to coprime integers
+        cert = [v * k for v, k in zip(raw.y, system.scales)]
+        g = math.gcd(*cert)
+        return LpOutcome("infeasible", certificate=tuple(Fraction(v // g) for v in cert))
+    return LpOutcome(raw.status)
+
+
+def solve(lp: LinearProgram) -> LpOutcome:
+    """Exact optimum (or feasibility when no objective is given)."""
+    system = _IntSystem(lp)
+    if lp.nonneg:
+        raw = _presolved_simplex(system)
     else:
-        witness = tuple(values[:n])
-    obj_val = sum((c * v for c, v in zip(objective, witness)), ZERO)
-    _verify_witness(lp, witness)
-    return LpOutcome(status="optimal", witness=witness, objective_value=obj_val)
+        raw = _simplex(system.rows, system.rels, system.rhs, system.objective, split=True)
+    return _verified(system, raw)
 
 
 def feasibility(lp: LinearProgram) -> LpOutcome:
@@ -269,36 +417,30 @@ def feasibility(lp: LinearProgram) -> LpOutcome:
     return solve(LinearProgram(lp.num_vars, lp.constraints, None, nonneg=lp.nonneg))
 
 
-def _verify_witness(lp: LinearProgram, witness: Sequence[Fraction]) -> None:
-    for c in lp.constraints:
-        lhs = sum((a * v for a, v in zip(c.coeffs, witness)), ZERO)
-        ok = lhs <= c.rhs if c.rel == LE else lhs >= c.rhs if c.rel == GE else lhs == c.rhs
-        assert ok, f"witness violates {c}"
-    if lp.nonneg:
-        assert all(v >= 0 for v in witness), "witness violates nonnegativity"
+def _verify_witness(system: _IntSystem, nums: Sequence[int], det: int) -> None:
+    """The point nums / det (det > 0) satisfies every original constraint."""
+    for i, (row, rel, b) in enumerate(zip(system.rows, system.rels, system.rhs)):
+        lhs = sum(map(mul, row, nums))
+        b *= det
+        ok = lhs <= b if rel == LE else lhs >= b if rel == GE else lhs == b
+        if not ok:
+            raise SoundnessError(f"witness violates constraint {i}")
+    if system.nonneg and any(v < 0 for v in nums):
+        raise SoundnessError("witness violates nonnegativity")
 
 
-def _recondition_certificate(
-    y: Sequence[Fraction],
-    lp: LinearProgram,
-    norm_rows: Sequence[Sequence[Fraction]],
-    rels: Sequence[str],
-    rhs: Sequence[Fraction],
-) -> tuple[Fraction, ...]:
-    """Verify the Farkas certificate on the normalized system, then map
-    it back to the original constraint order (sign-corrected for rows
-    negated during normalization)."""
-    for j in range(len(norm_rows[0]) if norm_rows else 0):
-        col = sum((y[i] * norm_rows[i][j] for i in range(len(norm_rows))), ZERO)
-        assert col <= 0, "certificate fails on a structural column"
-    for i, rel in enumerate(rels):
-        if rel == LE:
-            assert y[i] <= 0, "certificate sign clash on a slack column"
-        elif rel == GE:
-            assert y[i] >= 0, "certificate sign clash on a surplus column"
-    total = sum((y[i] * rhs[i] for i in range(len(norm_rows))), ZERO)
-    assert total > 0, "certificate does not separate"
-    out = []
-    for i, c in enumerate(lp.constraints):
-        out.append(-y[i] if c.rhs < 0 else y[i])
-    return tuple(out)
+def _verify_certificate(system: _IntSystem, y: Sequence[int]) -> None:
+    """Farkas: y^T A <= 0 on nonnegative columns (= 0 on free ones), each
+    multiplier signed to its relation, and y^T b > 0, so no x satisfies
+    the original constraints."""
+    if len(y) != len(system.rows):
+        raise SoundnessError("certificate has the wrong length")
+    for j, col in enumerate(zip(*system.rows)):
+        total = sum(map(mul, y, col))
+        if total > 0 or (total < 0 and not system.nonneg):
+            raise SoundnessError(f"certificate fails on column {j}")
+    for i, rel in enumerate(system.rels):
+        if rel == LE and y[i] > 0 or rel == GE and y[i] < 0:
+            raise SoundnessError(f"certificate sign clash on constraint {i}")
+    if sum(map(mul, y, system.rhs)) <= 0:
+        raise SoundnessError("certificate does not separate")

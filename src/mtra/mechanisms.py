@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import preferences as prefs
-from .errors import DimensionMismatch, MtraError, TooManyAgentsForExact
+from .errors import DimensionMismatch, MtraError, SoundnessError, TooManyAgentsForExact
 from .model import (
     ONE,
     ZERO,
@@ -212,7 +212,8 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
             (supply[o] / consumers[o] for o in alive if consumers[o]),
             default=None,
         )
-        assert step is not None and step > 0, "every agent eats until the clock hits 1"
+        if step is None or step <= 0:
+            raise SoundnessError("every agent eats until the clock hits 1")
         for j, x in enumerate(eaten):
             rows[j][x] += step
         exhausted = []
@@ -222,7 +223,8 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
                 if supply[o] == 0:
                     exhausted.append(o)
                     alive.remove(o)
-        assert exhausted, "each round must exhaust at least one item"
+        if not exhausted:
+            raise SoundnessError("each round must exhaust at least one item")
         clock += step
         rounds.append(MpsRound(clock - step, clock, eaten, tuple(exhausted)))
         # conservation: per type, remaining supply equals n * (1 - clock)
@@ -231,8 +233,10 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
                 (supply[instance.item_id(t, i)] for i in range(n) if instance.item_id(t, i) in alive),
                 ZERO,
             )
-            assert left == n * (1 - clock)
-    assert clock == 1
+            if left != n * (1 - clock):
+                raise SoundnessError(f"type {t} supply is not conserved")
+    if clock != 1:
+        raise SoundnessError("the eating clock must end at 1")
     return FractionalAssignment(tuple(tuple(r) for r in rows)), MpsTrace(tuple(rounds))
 
 
@@ -261,7 +265,8 @@ def mgd(instance: Instance, tiebreak: Tiebreak = None) -> FractionalAssignment:
         group = groups[tuple(sorts[j])]
         share = Fraction(1, len(group))
         for member in group:
-            assert rows[member][top] == 0, "a group never revisits a bundle"
+            if rows[member][top] != 0:
+                raise SoundnessError("a group never revisits a bundle")
             rows[member][top] = share
         for o in instance.bundle_items[top]:
             supply[o] -= 1

@@ -213,7 +213,7 @@ def _parse_preference(shell: Instance, raw: Mapping) -> Preference:
         raise ParseError("preference entry lacks a 'kind'") from exc
     if kind == "partial":
         pairs = []
-        for edge in raw.get("edges", ()):
+        for edge in _parse_list(raw.get("edges", ()), "'edges'"):
             try:
                 better, worse = edge
             except (TypeError, ValueError) as exc:
@@ -223,6 +223,12 @@ def _parse_preference(shell: Instance, raw: Mapping) -> Preference:
     if kind == "cpnet":
         return _parse_cpnet(shell, raw)
     raise ParseError(f"unknown preference kind {kind!r}")
+
+
+def _parse_list(value, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{what} must be a list (got {value!r})")
+    return value
 
 
 def _resolve_bundle(instance: Instance, name: str) -> int:
@@ -240,7 +246,7 @@ def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
         for ii, it in enumerate(t.items)
     }
     parents: dict[int, list[int]] = {i: [] for i in range(shell.p)}
-    for edge in raw.get("dependency", ()):
+    for edge in _parse_list(raw.get("dependency", ()), "'dependency'"):
         try:
             parent, child = edge
         except (TypeError, ValueError) as exc:
@@ -262,7 +268,8 @@ def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
         table: dict[tuple[int, ...], tuple[int, ...]] = {}
         for key, ordered in rows.items():
             table[_parse_parent_key(key, parent_list, item_index)] = tuple(
-                _resolve_item(item_index, ti, it) for it in ordered
+                _resolve_item(item_index, ti, it)
+                for it in _parse_list(ordered, f"CPT row {key!r} of type {tname!r}")
             )
         tables[ti] = table
     return prefs.CPNet.from_tables(shell.sizes, {k: tuple(sorted(v)) for k, v in parents.items()}, tables)

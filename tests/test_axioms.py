@@ -25,6 +25,7 @@ from mtra.model import (
     DiscreteAssignment,
     FractionalAssignment,
     Instance,
+    all_discrete_assignments,
     build_instance,
     from_discrete,
 )
@@ -317,8 +318,17 @@ def test_ordinal_fairness_alternative_outcome():
 
 
 def test_decomposability_dependent_pair(dependent_pair):
-    report = check_decomposability(dependent_pair, fixtures.assignment_4())
+    P = fixtures.assignment_4()
+    report = check_decomposability(dependent_pair, P)
     assert not report.passed and report.witness.certificate is not None
+    # the LP presolve removes most columns (P's zero entries fix them), so
+    # check the lifted certificate on every one of the (n!)^p columns
+    cert = report.witness.certificate
+    n, m = dependent_pair.n, dependent_pair.m
+    assert len(cert) == n * m + 1
+    for a in all_discrete_assignments(dependent_pair):
+        assert sum(cert[j * m + a.bundles[j]] for j in range(n)) + cert[-1] <= 0
+    assert sum(cert[j * m + x] * P.entry(j, x) for j in range(n) for x in range(m)) + cert[-1] > 0
 
 
 def test_decomposability_mrp(mixed_pair):

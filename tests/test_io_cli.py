@@ -260,15 +260,26 @@ def test_cli_parse_error_exit2(workdir, capsys):
         (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc["preferences"][0].update(cpt=[1, 2])),
         (["run", "{inst}", "--mechanism", "mps"],
          lambda doc: doc["preferences"][0]["cpt"].update(B=["1B", "2B"])),
+        (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc["preferences"][1].update(edges=5)),
+        (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc["preferences"][0].update(dependency=5)),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc["preferences"][0]["cpt"]["F"].update({"1F": 5})),
+        (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc.update(tiebreak=[5, 5])),
+        (["run", "{inst}", "--mechanism", "mps", "--tiebreak", "{tb56}"], None),
     ],
-    ids=["mc-zero", "mc-negative", "sampled-not-int", "sampled-zero", "cpt-list", "cpt-rows-list"],
+    ids=[
+        "mc-zero", "mc-negative", "sampled-not-int", "sampled-zero", "cpt-list", "cpt-rows-list",
+        "edges-number", "dependency-number", "cpt-row-number", "tiebreak-entry-number",
+        "tiebreak-file-entry-number",
+    ],
 )
 def test_cli_bad_input_exit2(workdir, capsys, argv, patch):
     doc = json.loads((workdir / "mixed_pair.json").read_text())
     if patch is not None:
         patch(doc)
     (workdir / "case.json").write_text(json.dumps(doc))
-    paths = {"inst": str(workdir / "case.json"), "a1": str(workdir / "a1.json")}
+    (workdir / "tb56.json").write_text("[5, 6]")
+    paths = {"inst": str(workdir / "case.json"), "a1": str(workdir / "a1.json"), "tb56": str(workdir / "tb56.json")}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err

@@ -1,9 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from mtra import lp as lp_module
 from mtra.lp import LinearProgram, constraint, feasibility, solve
 
 F = Fraction
@@ -201,3 +206,185 @@ def test_arity_validation():
         LinearProgram(2, (constraint([1], "<=", 1),))
     with pytest.raises(ValueError):
         LinearProgram(1, (constraint([1], "<>", 1),))
+
+
+# -- presolve -----------------------------------------------------------------
+
+
+def _plain(prog):
+    """The same simplex on the whole program, without presolve: the
+    reference the presolved path must agree with."""
+    system = lp_module._IntSystem(prog)
+    raw = lp_module._simplex(
+        system.rows, system.rels, system.rhs, system.objective, split=not prog.nonneg
+    )
+    return lp_module._verified(system, raw)
+
+
+def _planted_lp(rng):
+    """A random nonnegative LP with rows the presolve acts on: one-sign
+    zero-rhs equalities, some one-sign only after an earlier row fixed
+    their mixed-sign columns, implied >=/<= rows, rows that become
+    contradictory once their columns are fixed, and plain random rows."""
+    n = rng.randint(3, 8)
+    cols = list(range(n))
+    cons = []
+
+    def row(support, lo, hi):
+        coeffs = [0] * n
+        for j in support:
+            coeffs[j] = rng.choice([v for v in range(lo, hi + 1) if v]) if lo < hi else lo
+        return coeffs
+
+    fixed = rng.sample(cols, rng.randint(0, 2))
+    if fixed:
+        sign = rng.choice([1, -1])
+        cons.append(constraint([sign * v for v in row(fixed, 1, 3)], "=", 0))
+        # mixed signs only on already fixed columns: one-sign after the fix
+        rest = [j for j in cols if j not in fixed]
+        later = rng.sample(rest, rng.randint(0, min(2, len(rest))))
+        coeffs = row(later, 1, 3)
+        for j in fixed:
+            coeffs[j] = -rng.randint(1, 3)
+        cons.insert(0, constraint(coeffs, "=", 0))  # listed before its enabler
+        fixed += later
+    for _ in range(rng.randint(0, 2)):
+        support = rng.sample(cols, rng.randint(1, n))
+        if rng.random() < 0.5:
+            cons.append(constraint(row(support, 0, 3), ">=", -rng.randint(0, 3)))
+        else:
+            cons.append(constraint(row(support, -3, 0), "<=", rng.randint(0, 3)))
+    if fixed and rng.random() < 0.3:
+        # infeasible only because presolve fixes its support
+        cons.append(constraint(row(rng.sample(fixed, 1), 1, 2), ">=", rng.randint(1, 3)))
+    for _ in range(rng.randint(1, 4)):
+        support = rng.sample(cols, rng.randint(1, n))
+        coeffs = [F(v, rng.randint(1, 3)) for v in row(support, -3, 3)]
+        cons.append(constraint(coeffs, rng.choice(["<=", ">=", "="]), F(rng.randint(-4, 6), rng.randint(1, 2))))
+    cons.append(constraint([1] * n, "<=", rng.randint(3, 9)))
+    rng.shuffle(cons)
+    objective = tuple(F(rng.randint(-3, 3)) for _ in range(n)) if rng.random() < 0.8 else None
+    return LinearProgram(n, tuple(cons), objective, nonneg=True)
+
+
+def _planted_lps(count, seed):
+    rng = random.Random(seed)
+    return [_planted_lp(rng) for _ in range(count)]
+
+
+def _certifies(prog, cert):
+    """Independent Fraction check of a Farkas certificate on the whole
+    system, fixed columns included."""
+    for j in range(prog.num_vars):
+        if sum(y * c.coeffs[j] for y, c in zip(cert, prog.constraints)) > 0:
+            return False
+    for y, c in zip(cert, prog.constraints):
+        if (c.rel == "<=" and y > 0) or (c.rel == ">=" and y < 0):
+            return False
+    return sum(y * c.rhs for y, c in zip(cert, prog.constraints)) > 0
+
+
+def test_presolve_matches_plain_simplex():
+    statuses = set()
+    for prog in _planted_lps(300, 11):
+        out, ref = solve(prog), _plain(prog)
+        assert out.status == ref.status
+        statuses.add(out.status)
+        if out.optimal:
+            assert out.objective_value == ref.objective_value
+        if out.status == "infeasible":
+            assert _certifies(prog, out.certificate) and _certifies(prog, ref.certificate)
+    assert statuses == {"optimal", "infeasible"}
+
+
+def test_presolve_fixes_chained_rows():
+    # row 0 is mixed-sign until row 1 fixes x0; then it fixes x1 and x2,
+    # and the >= row on x2 makes the program infeasible
+    prog = LinearProgram(
+        4,
+        (
+            constraint([-1, 1, 2, 0], "=", 0),
+            constraint([3, 0, 0, 0], "=", 0),
+            constraint([0, 0, 1, 1], ">=", 1),
+            constraint([0, 0, 1, 0], ">=", F(1, 2)),
+            constraint([0, 1, 0, -1], "<=", 0),
+        ),
+        (F(1), F(1), F(1), F(-1)),
+        nonneg=True,
+    )
+    out = solve(prog)
+    assert out.status == "infeasible" and _certifies(prog, out.certificate)
+    assert out.certificate[4] == 0  # the implied row is not used
+    relaxed = LinearProgram(4, prog.constraints[:3] + prog.constraints[4:], prog.objective, nonneg=True)
+    out = solve(relaxed)
+    assert out.optimal and out.witness == (0, 0, 0, 1) and out.objective_value == -1
+
+
+def test_presolve_matches_highs():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    for prog in _planted_lps(150, 12):
+        out = solve(prog)
+        objective = prog.objective or (F(0),) * prog.num_vars
+        a_ub, b_ub, a_eq, b_eq = [], [], [], []
+        for c in prog.constraints:
+            coeffs = [float(v) for v in c.coeffs]
+            if c.rel == "=":
+                a_eq.append(coeffs)
+                b_eq.append(float(c.rhs))
+            else:
+                sign = 1 if c.rel == "<=" else -1
+                a_ub.append([sign * v for v in coeffs])
+                b_ub.append(sign * float(c.rhs))
+        res = scipy_optimize.linprog(
+            [-float(v) for v in objective],
+            A_ub=a_ub or None,
+            b_ub=b_ub or None,
+            A_eq=a_eq or None,
+            b_eq=b_eq or None,
+            bounds=(0, None),
+            method="highs",
+        )
+        assert {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status] == out.status
+        if out.optimal:
+            assert -res.fun == pytest.approx(float(out.objective_value), abs=1e-7)
+
+
+_TAMPER = """
+import sys
+from mtra import lp
+from mtra.errors import MtraError, SoundnessError
+
+if __debug__ or issubclass(SoundnessError, MtraError):
+    sys.exit("expected python -O and a SoundnessError outside MtraError")
+real = lp._simplex
+
+
+def tampered(*args, **kwargs):
+    raw = real(*args, **kwargs)
+    if raw.nums is not None:
+        return raw._replace(nums=[v + raw.det for v in raw.nums])
+    return raw._replace(y=[-v for v in raw.y])
+
+
+lp._simplex = tampered
+feasible = lp.LinearProgram(2, (lp.constraint([1, 1], "<=", 2),), (1, 1), nonneg=True)
+infeasible = lp.LinearProgram(1, (lp.constraint([1], ">=", 1), lp.constraint([1], "<=", 0)), nonneg=True)
+for prog in (feasible, infeasible):
+    try:
+        lp.solve(prog)
+    except SoundnessError as exc:
+        print("caught:", exc)
+    else:
+        print("missed")
+"""
+
+
+def test_soundness_checks_survive_python_O():
+    src = str(Path(lp_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPER], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines == ["caught: witness violates constraint 0", "caught: certificate sign clash on constraint 0"]
