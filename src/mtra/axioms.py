@@ -8,6 +8,7 @@ certificate, ...).  All arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,19 +49,17 @@ class SdVerdict:
 
 
 def ucs_sums(order: prefs.PartialOrder, row: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Per bundle, the total share the row puts on its upper contour set."""
-    out = []
-    for x in range(order.m):
-        mask = order.ucs_mask(x)
-        total = ZERO
-        y = 0
-        while mask:
-            if mask & 1:
-                total += row[y]
-            mask >>= 1
-            y += 1
-        out.append(total)
-    return tuple(out)
+    """Per bundle, the total share the row puts on its upper contour set.
+
+    The row is scaled to integers by the lcm of its denominators, so the
+    contour sums are integer additions and each result is one Fraction.
+    """
+    den = math.lcm(*(v.denominator for v in row))
+    held = [(1 << y, v.numerator * (den // v.denominator)) for y, v in enumerate(row) if v]
+    return tuple(
+        Fraction(sum(v for bit, v in held if mask & bit), den)
+        for mask in map(order.ucs_mask, range(order.m))
+    )
 
 
 def sd_compare(

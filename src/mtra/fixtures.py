@@ -190,12 +190,6 @@ def assignment_3() -> FractionalAssignment:
     )
 
 
-def assignment_4() -> FractionalAssignment:
-    return FractionalAssignment.from_rows(
-        [["0", "1/2", "1/2", "0"], ["1/2", "0", "0", "1/2"]]
-    )
-
-
 def assignment_5() -> FractionalAssignment:
     return FractionalAssignment.from_rows([["1/3"] * 3] * 3)
 
@@ -341,13 +335,13 @@ def _dependent_pair_eating_check() -> ReplayResult:
     )
     ok = inst.orders[0] == chain1 and inst.orders[1] == chain2
     out, _ = mps(inst)
-    return _check("dependent-pair-eating", ok and out == assignment_4())
+    return _check("dependent-pair-eating", ok and out == assignment_3())
 
 
 def _dependent_pair_lottery_check() -> ReplayResult:
     inst = dependent_pair()
-    report = check_decomposability(inst, assignment_4())
-    expost = check_ex_post_efficiency(inst, assignment_4())
+    report = check_decomposability(inst, assignment_3())
+    expost = check_ex_post_efficiency(inst, assignment_3())
     return _check(
         "dependent-pair-indecomposable",
         not report.passed and report.witness is not None and not expost.passed,

@@ -18,8 +18,10 @@ scanned exhaustively per candidate:
 * the manipulator misreports only her B-rows, keeping the F-order.
 
 Candidate profiles are visited in a seed-fixed shuffled order; for each,
-every B-row misreport is tried.  Every reported hit is re-verified
-through the public mechanism and dominance APIs.
+every B-row misreport is run through the public eating mechanism
+:func:`mps`, and the manipulator's upper-contour sums are compared with
+truth-telling's through :func:`ucs_sums`.  Every reported hit is checked
+once more with :func:`sd_compare`.
 """
 
 from __future__ import annotations
@@ -32,13 +34,11 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import preferences as prefs
-from .axioms import sd_compare
+from .axioms import sd_compare, ucs_sums
+from .errors import SoundnessError
 from .mechanisms import mps
 from .model import Instance
 from .spaces import square_types
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _ORDERS3 = tuple(itertools.permutations(range(3)))
 _IDENT = (0, 1, 2)
@@ -55,38 +55,6 @@ def shared_fb_net(f_order: Sequence[int], b_rows: Sequence[Sequence[int]]) -> pr
             tuple(((k,), tuple(b_rows[k])) for k in range(3)),
         ),
     )
-
-
-def _fast_mps_rows(agents: Sequence[tuple[Sequence[int], Sequence[Sequence[int]]]]):
-    """Share vectors of the eating mechanism for F->B CP-nets (3 agents).
-
-    A bundle is (f, b); tops are computed straight from the tables, which
-    matches the general mechanism on CP-net profiles where the first
-    available bundle of any topological sort is the unique best one.
-    """
-    supply = [ONE] * 6  # items: F0 F1 F2 B0 B1 B2
-    rows = [dict() for _ in agents]
-    remaining = 6
-    while remaining:
-        eaten = []
-        for f_order, b_rows in agents:
-            f = next(i for i in f_order if supply[i] > 0)
-            b = next(i for i in b_rows[f] if supply[3 + i] > 0)
-            eaten.append((f, b))
-        cons = [0] * 6
-        for f, b in eaten:
-            cons[f] += 1
-            cons[3 + b] += 1
-        step = min(supply[o] / cons[o] for o in range(6) if cons[o])
-        for j, (f, b) in enumerate(eaten):
-            key = f * 3 + b
-            rows[j][key] = rows[j].get(key, ZERO) + step
-        for o in range(6):
-            if cons[o]:
-                supply[o] -= step * cons[o]
-                if supply[o] == 0:
-                    remaining -= 1
-    return [tuple(r.get(x, ZERO) for x in range(9)) for r in rows]
 
 
 @dataclass(frozen=True)
@@ -134,8 +102,9 @@ def search_cpt_manipulations(
     Stops when ``max_hits`` hits are collected (all matching
     ``require_pattern`` if given: a pair of sorted positive share
     multisets for truth and lie), the time budget runs out, or the
-    candidate space is exhausted.  Hits are re-verified with the general
-    mechanism before being returned.
+    candidate space is exhausted.  Every misreport is evaluated with the
+    public :func:`mps`; a hit found by comparing :func:`ucs_sums` is
+    checked with :func:`sd_compare` before it is returned.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     hits: list[ManipulationHit] = []
@@ -146,27 +115,24 @@ def search_cpt_manipulations(
         if max_profiles is not None and scanned >= max_profiles:
             break
         scanned += 1
-        truth_tables = (_IDENT, (_IDENT, b2, b3))
-        twin_tables = (f23, bb)
-        rows = _fast_mps_rows((truth_tables, twin_tables, twin_tables))
-        truth_row = rows[0]
-        net1 = shared_fb_net(*truth_tables)
-        order1 = prefs.induce_order(net1)
-        ucs_masks = [order1.ucs_mask(x) for x in range(9)]
-        truth_sums = _mask_sums(truth_row, ucs_masks)
+        truth_b = (_IDENT, b2, b3)
+        twins = shared_fb_net(f23, bb)
+        instance = Instance(square_types(3, 2), (shared_fb_net(_IDENT, truth_b), twins, twins))
+        truth_row = mps(instance)[0].row(0)
+        order = instance.orders[0]
+        truth_sums = ucs_sums(order, truth_row)
         for mrows in itertools.product(_ORDERS3, repeat=3):
-            if mrows == truth_tables[1]:
+            if mrows == truth_b:
                 continue
-            lie_row = _fast_mps_rows(
-                ((_IDENT, mrows), twin_tables, twin_tables)
-            )[0]
+            misreport = shared_fb_net(_IDENT, mrows)
+            lie_row = mps(instance.with_preference(0, misreport))[0].row(0)
             if lie_row == truth_row:
                 continue
-            lie_sums = _mask_sums(lie_row, ucs_masks)
+            lie_sums = ucs_sums(order, lie_row)
             if all(a >= b for a, b in zip(lie_sums, truth_sums)):
-                hit = _verify_hit(truth_tables, twin_tables, mrows)
-                if hit is None:
-                    continue
+                if not sd_compare(order, lie_row, truth_row).p_dominates_q:
+                    raise SoundnessError("sd_compare disagrees with the upper-contour sums")
+                hit = ManipulationHit(instance, misreport, 0, truth_row, lie_row)
                 if require_pattern is not None:
                     want_truth, want_lie = require_pattern
                     if (
@@ -179,41 +145,6 @@ def search_cpt_manipulations(
                     return hits
                 break
     return hits
-
-
-def _mask_sums(row: Sequence[Fraction], masks: Sequence[int]) -> list[Fraction]:
-    out = []
-    for mask in masks:
-        total = ZERO
-        y = 0
-        while mask:
-            if mask & 1:
-                total += row[y]
-            mask >>= 1
-            y += 1
-        out.append(total)
-    return out
-
-
-def _verify_hit(truth_tables, twin_tables, mrows) -> ManipulationHit | None:
-    """Re-run the hit through the public mechanism and dominance APIs."""
-    net1 = shared_fb_net(*truth_tables)
-    twins = shared_fb_net(*twin_tables)
-    mis = shared_fb_net(_IDENT, mrows)
-    instance = Instance(square_types(3, 2), (net1, twins, twins))
-    truth, _ = mps(instance)
-    lied, _ = mps(instance.with_preference(0, mis))
-    order1 = instance.orders[0]
-    verdict = sd_compare(order1, lied.row(0), truth.row(0))
-    if not verdict.p_dominates_q or lied.row(0) == truth.row(0):
-        return None
-    return ManipulationHit(
-        instance=instance,
-        misreport=mis,
-        agent=0,
-        truthful_row=truth.row(0),
-        manipulated_row=lied.row(0),
-    )
 
 
 KNOWN_SHARE_PATTERN = (

@@ -191,16 +191,21 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
     sort; the round length is the smallest supply/consumers ratio among
     the items actually being consumed, and the whole argmin set is
     removed at once.  Items nobody is eating impose no bound.
+
+    Supplies, shares and the clock are integer numerators over one
+    common denominator, refined whenever a round length is not a whole
+    number of its units; the returned shares and round times are the
+    only Fractions built.
     """
     sorts = resolve_sorts(instance, tiebreak)
     n, p = instance.n, instance.p
-    supply: list[Fraction] = [ONE] * (n * p)
-    alive = set(range(n * p))
-    rows = [[ZERO] * instance.m for _ in range(n)]
-    rounds: list[MpsRound] = []
-    clock = ZERO
-    while alive:
-        # an item's supply hits zero exactly when it leaves `alive`
+    den = 1
+    supply = [1] * (n * p)
+    rows = [[0] * instance.m for _ in range(n)]
+    rounds: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
+    clock = 0
+    remaining = n * p
+    while remaining:
         eaten = tuple(
             prefs.ext(sorts[j], instance.bundle_items, supply) for j in range(n)
         )
@@ -208,36 +213,48 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
         for x in eaten:
             for o in instance.bundle_items[x]:
                 consumers[o] += 1
-        step = min(
-            (supply[o] / consumers[o] for o in alive if consumers[o]),
-            default=None,
-        )
-        if step is None or step <= 0:
+        eating = [o for o in range(n * p) if consumers[o]]
+        if not eating:
+            raise SoundnessError("every agent eats until the clock hits 1")
+        s, c = supply[eating[0]], consumers[eating[0]]
+        for o in eating[1:]:
+            if supply[o] * c < s * consumers[o]:
+                s, c = supply[o], consumers[o]
+        if s % c:
+            k = c // math.gcd(s, c)
+            den, s, clock = den * k, s * k, clock * k
+            supply = [v * k for v in supply]
+            rows = [[v * k for v in row] for row in rows]
+        step = s // c
+        if step <= 0:
             raise SoundnessError("every agent eats until the clock hits 1")
         for j, x in enumerate(eaten):
             rows[j][x] += step
         exhausted = []
-        for o in list(alive):
-            if consumers[o]:
-                supply[o] -= step * consumers[o]
-                if supply[o] == 0:
-                    exhausted.append(o)
-                    alive.remove(o)
+        for o in eating:
+            supply[o] -= step * consumers[o]
+            if supply[o] == 0:
+                exhausted.append(o)
         if not exhausted:
             raise SoundnessError("each round must exhaust at least one item")
+        remaining -= len(exhausted)
         clock += step
-        rounds.append(MpsRound(clock - step, clock, eaten, tuple(exhausted)))
+        rounds.append((clock, den, eaten, tuple(exhausted)))
         # conservation: per type, remaining supply equals n * (1 - clock)
         for t in range(p):
-            left = sum(
-                (supply[instance.item_id(t, i)] for i in range(n) if instance.item_id(t, i) in alive),
-                ZERO,
-            )
-            if left != n * (1 - clock):
+            if sum(supply[t * n : (t + 1) * n]) != n * (den - clock):
                 raise SoundnessError(f"type {t} supply is not conserved")
-    if clock != 1:
+    if clock != den:
         raise SoundnessError("the eating clock must end at 1")
-    return FractionalAssignment(tuple(tuple(r) for r in rows)), MpsTrace(tuple(rounds))
+    shares = tuple(tuple(Fraction(v, den) if v else ZERO for v in row) for row in rows)
+    ends = [Fraction(c, d) for c, d, _, _ in rounds]
+    trace = MpsTrace(
+        tuple(
+            MpsRound(start, end, e, x)
+            for start, end, (_, _, e, x) in zip((ZERO, *ends), ends, rounds)
+        )
+    )
+    return FractionalAssignment(shares), trace
 
 
 # -- MGD -----------------------------------------------------------------

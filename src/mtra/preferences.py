@@ -23,6 +23,7 @@ from .errors import (
     IncompleteCPT,
     InconsistentOrder,
     NothingAvailable,
+    SoundnessError,
     UniverseMismatch,
 )
 
@@ -435,7 +436,8 @@ def top_cpnet(cpnet: CPNet, remaining: Sequence[Iterable[int]]) -> tuple[int, ..
         raise NothingAvailable("a type has no remaining items")
     chosen: dict[int, int] = {}
     order = dependency_order(cpnet.parents)
-    assert order is not None  # construction rejects cyclic nets
+    if order is None:
+        raise SoundnessError("construction rejects cyclic nets")
     for i in order:
         key = tuple(chosen[q] for q in cpnet.parents[i])
         row = cpnet.row(i, key)

@@ -318,7 +318,7 @@ def test_ordinal_fairness_alternative_outcome():
 
 
 def test_decomposability_dependent_pair(dependent_pair):
-    P = fixtures.assignment_4()
+    P = fixtures.assignment_3()
     report = check_decomposability(dependent_pair, P)
     assert not report.passed and report.witness.certificate is not None
     # the LP presolve removes most columns (P's zero entries fix them), so
@@ -373,7 +373,7 @@ def test_ex_post_mrp_passes(mixed_pair):
 
 
 def test_ex_post_fails_for_dependent_pair(dependent_pair):
-    assert not check_ex_post_efficiency(dependent_pair, fixtures.assignment_4()).passed
+    assert not check_ex_post_efficiency(dependent_pair, fixtures.assignment_3()).passed
 
 
 def test_ex_post_fails_for_dominated_mixture():
@@ -477,6 +477,42 @@ def test_ucs_sums_match_direct_computation(mixed_pair):
     row = fixtures.assignment_1().row(0)
     sums = ucs_sums(mixed_pair.orders[0], row)
     assert sums == (F(1, 2), F(1), F(1), F(1))
+
+
+def fraction_ucs_sums(order, row):
+    """Reference contour sums in Fraction arithmetic (the former `ucs_sums`)."""
+    out = []
+    for x in range(order.m):
+        mask = order.ucs_mask(x)
+        total = F(0)
+        y = 0
+        while mask:
+            if mask & 1:
+                total += row[y]
+            mask >>= 1
+            y += 1
+        out.append(total)
+    return tuple(out)
+
+
+def test_ucs_sums_match_fraction_reference():
+    rng = random.Random(79)
+    for _ in range(200):
+        m = rng.choice([1, 2, 4, 9, 16, 27])
+        order = spaces.random_partial_order(rng, m)
+        kind = rng.choice(["mixed", "int", "zero"])
+        if kind == "zero":
+            row = [rng.choice([0, F(0)]) for _ in range(m)]
+        elif kind == "int":
+            row = [rng.choice([0, 1, 2, -1]) for _ in range(m)]
+        else:
+            row = [
+                rng.choice([0, F(0), 1, F(rng.randint(-9, 9), rng.randint(1, 60))])
+                for _ in range(m)
+            ]
+        got = ucs_sums(order, row)
+        assert got == fraction_ucs_sums(order, row)
+        assert all(type(v) is Fraction for v in got)
 
 
 def test_mgd_lottery_outcomes_are_efficient():

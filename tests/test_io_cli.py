@@ -88,7 +88,7 @@ def workdir(tmp_path, mixed_pair, dependent_pair, opposed_trio):
         "a1.json": io.serialize_assignment(mixed_pair, fixtures.assignment_1()),
         "a2.json": io.serialize_assignment(mixed_pair, fixtures.assignment_2()),
         "a3.json": io.serialize_assignment(mixed_pair, fixtures.assignment_3()),
-        "a4.json": io.serialize_assignment(dependent_pair, fixtures.assignment_4()),
+        "a4.json": io.serialize_assignment(dependent_pair, fixtures.assignment_3()),
         "a5.json": io.serialize_assignment(opposed_trio, fixtures.assignment_5()),
     }
     for name, text in files.items():

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import random
@@ -388,3 +389,15 @@ def test_soundness_checks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines == ["caught: witness violates constraint 0", "caught: certificate sign clash on constraint 0"]
+
+
+def test_no_assert_statements_in_src():
+    # Soundness checks must raise explicitly, since python -O strips asserts.
+    package = Path(lp_module.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,11 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from mtra import fixtures, spaces
-from mtra.errors import MtraError, TooManyAgentsForExact
+from mtra import fixtures, manipulation, spaces
+from mtra import preferences as prefs
+from mtra.errors import MtraError, SoundnessError, TooManyAgentsForExact
 from mtra.mechanisms import (
+    MpsRound,
+    MpsTrace,
     MrpExact,
     MrpMonteCarlo,
     MrpSingle,
@@ -16,7 +20,7 @@ from mtra.mechanisms import (
     resolve_sorts,
     serial_dictatorship,
 )
-from mtra.model import FractionalAssignment, Instance, build_instance, validate_assignment
+from mtra.model import ONE, ZERO, FractionalAssignment, Instance, build_instance, validate_assignment
 
 F = Fraction
 
@@ -97,7 +101,7 @@ def test_mps_two_sorts(mixed_pair):
 
 def test_mps_dependent_pair(dependent_pair):
     out, _ = mps(dependent_pair)
-    assert out == fixtures.assignment_4()
+    assert out == fixtures.assignment_3()
 
 
 def test_mps_always_valid_with_full_clock():
@@ -135,6 +139,86 @@ def test_mps_trace_consumes_in_item_order_on_independent_profiles():
                             assert trace.exhaustion_time(prev) <= r.start
                         consumed.append(item)
                 assert [rank[i] for i in consumed] == sorted(rank[i] for i in consumed)
+
+
+def fraction_mps(instance, tiebreak=None):
+    """Reference eating rule in Fraction arithmetic (the former `mps`)."""
+    sorts = resolve_sorts(instance, tiebreak)
+    n, p = instance.n, instance.p
+    supply = [ONE] * (n * p)
+    alive = set(range(n * p))
+    rows = [[ZERO] * instance.m for _ in range(n)]
+    rounds = []
+    clock = ZERO
+    while alive:
+        eaten = tuple(
+            prefs.ext(sorts[j], instance.bundle_items, supply) for j in range(n)
+        )
+        consumers = [0] * (n * p)
+        for x in eaten:
+            for o in instance.bundle_items[x]:
+                consumers[o] += 1
+        step = min(
+            (supply[o] / consumers[o] for o in alive if consumers[o]),
+            default=None,
+        )
+        if step is None or step <= 0:
+            raise SoundnessError("every agent eats until the clock hits 1")
+        for j, x in enumerate(eaten):
+            rows[j][x] += step
+        exhausted = []
+        for o in list(alive):
+            if consumers[o]:
+                supply[o] -= step * consumers[o]
+                if supply[o] == 0:
+                    exhausted.append(o)
+                    alive.remove(o)
+        if not exhausted:
+            raise SoundnessError("each round must exhaust at least one item")
+        clock += step
+        rounds.append(MpsRound(clock - step, clock, eaten, tuple(exhausted)))
+        for t in range(p):
+            left = sum(
+                (supply[instance.item_id(t, i)] for i in range(n) if instance.item_id(t, i) in alive),
+                ZERO,
+            )
+            if left != n * (1 - clock):
+                raise SoundnessError(f"type {t} supply is not conserved")
+    if clock != 1:
+        raise SoundnessError("the eating clock must end at 1")
+    return FractionalAssignment(tuple(tuple(r) for r in rows)), MpsTrace(tuple(rounds))
+
+
+def _differential_profiles():
+    """(instance, tiebreak) pairs on which `mps` must equal `fraction_mps`."""
+    # the F->B 3x3 profiles the CPT manipulation search runs on
+    rng = random.Random(71)
+    orders = list(itertools.permutations(range(3)))
+    for _ in range(40):
+        tables = [(rng.choice(orders), tuple(rng.choice(orders) for _ in range(3))) for _ in range(3)]
+        yield Instance(
+            spaces.square_types(3, 2),
+            tuple(manipulation.shared_fb_net(f, b) for f, b in tables),
+        ), None
+    rng = random.Random(73)
+    sizes = [(2, 1), (4, 1), (6, 1), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3), (4, 3)]
+    for n, p in sizes:
+        for kind in ("general", "cpnet", "independent"):
+            for _ in range(3):
+                inst = spaces.random_profile(rng, n, p, kind)
+                shared = list(range(inst.m))
+                rng.shuffle(shared)
+                per_agent = [rng.sample(range(inst.m), inst.m) for _ in range(n)]
+                for tiebreak in (*spaces.sweep_tiebreaks(inst.m), shared, per_agent):
+                    yield inst, tiebreak
+
+
+def test_mps_matches_fraction_reference():
+    for inst, tiebreak in _differential_profiles():
+        out, trace = mps(inst, tiebreak)
+        assert (out, trace) == fraction_mps(inst, tiebreak)
+        assert all(type(v) is Fraction for row in out.rows for v in row)
+        assert all(type(r.start) is type(r.end) is Fraction for r in trace.rounds)
 
 
 def test_mgd_twins(mixed_pair):

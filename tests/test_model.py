@@ -89,7 +89,7 @@ def test_enumerate_bundles_orders(mixed_pair):
 
 def test_validate_assignment(mixed_pair):
     assert validate_assignment(fixtures.assignment_2(), mixed_pair) is None
-    assert validate_assignment(fixtures.assignment_4(), mixed_pair) is None
+    assert validate_assignment(fixtures.assignment_3(), mixed_pair) is None
     zero = FractionalAssignment.from_rows([[0] * 4] * 2)
     violation = validate_assignment(zero, mixed_pair)
     assert violation.kind == "row-sum" and violation.subject == "agent 0"
