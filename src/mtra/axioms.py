@@ -66,16 +66,27 @@ def sd_compare(
     order: prefs.PartialOrder, p_row: Sequence[Fraction], q_row: Sequence[Fraction]
 ) -> SdVerdict:
     """Stochastic dominance: p dominates q iff p's upper-contour share is
-    at least q's at every bundle."""
+    at least q's at every bundle.
+
+    Both rows are scaled to integers by the lcm of their denominators;
+    each slack is the sum of the integer differences over one contour
+    mask, both verdicts are read off the signs, and one slack Fraction is
+    built per distinct nonzero sum (ZERO for a zero slack).
+    """
     if len(p_row) != order.m or len(q_row) != order.m:
         raise UniverseMismatch("allocation rows do not match the bundle universe")
-    sp = ucs_sums(order, p_row)
-    sq = ucs_sums(order, q_row)
-    slack = tuple(a - b for a, b in zip(sp, sq))
+    den = math.lcm(*(v.denominator for v in p_row), *(v.denominator for v in q_row))
+    held = []
+    for y, (a, b) in enumerate(zip(p_row, q_row)):
+        d = a.numerator * (den // a.denominator) - b.numerator * (den // b.denominator)
+        if d:
+            held.append((1 << y, d))
+    sums = [sum(d for bit, d in held if mask & bit) for mask in map(order.ucs_mask, range(order.m))]
+    slack = {v: Fraction(v, den) if v else ZERO for v in set(sums)}
     return SdVerdict(
-        p_dominates_q=all(v >= 0 for v in slack),
-        q_dominates_p=all(v <= 0 for v in slack),
-        slack=slack,
+        p_dominates_q=all(v >= 0 for v in sums),
+        q_dominates_p=all(v <= 0 for v in sums),
+        slack=tuple(slack[v] for v in sums),
     )
 
 

@@ -151,6 +151,8 @@ def cmd_check(args) -> int:
         if args.property == "all"
         else [p.strip() for p in args.property.split(",") if p.strip()]
     )
+    if not wanted:
+        raise ParseError(f"--property {args.property!r} names no property")
     seed = args.seed if args.seed is not None else _default_seed()
     tiebreaks = [file_tb] if file_tb is not None else [None]
     reports: list[PropertyReport] = []

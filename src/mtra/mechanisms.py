@@ -35,12 +35,14 @@ Tiebreak = Sequence[int] | Sequence[Sequence[int]] | None
 
 
 def resolve_sorts(instance: Instance, tiebreak: Tiebreak = None) -> tuple[tuple[int, ...], ...]:
-    """Per-agent linear orders used by every mechanism."""
+    """Per-agent linear orders used by every mechanism.
+
+    Each comes from :meth:`Instance.sort`, so an instance sorts an agent
+    under a given tie-break once, and an instance made by
+    :meth:`Instance.with_preference` reuses the other agents' sorts.
+    """
     breaks = _per_agent_tiebreaks(instance, tiebreak)
-    return tuple(
-        prefs.topological_sort(order, tb)
-        for order, tb in zip(instance.orders, breaks)
-    )
+    return tuple(instance.sort(j, tb) for j, tb in enumerate(breaks))
 
 
 def _per_agent_tiebreaks(instance: Instance, tiebreak: Tiebreak) -> list[Sequence[int]]:
@@ -63,13 +65,14 @@ def serial_dictatorship(
     priority: Sequence[int],
 ) -> DiscreteAssignment:
     """Agents pick their first available bundle in priority order."""
-    supply = [1] * (instance.n * instance.p)
+    bundle_items, item_bundles = instance.bundle_items, instance.item_bundles
+    available = (1 << instance.m) - 1
     chosen: dict[int, int] = {}
     for j in priority:
-        x = prefs.ext(sorts[j], instance.bundle_items, supply)
+        x = prefs.ext(sorts[j], available)
         chosen[j] = x
-        for o in instance.bundle_items[x]:
-            supply[o] -= 1
+        for o in bundle_items[x]:
+            available &= ~item_bundles[o]
     return DiscreteAssignment(tuple(chosen[j] for j in range(instance.n)))
 
 
@@ -120,6 +123,10 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
     sorts = resolve_sorts(instance, tiebreak)
     n = instance.n
     if isinstance(mode, MrpSingle):
+        if sorted(mode.priority) != list(range(n)):
+            raise DimensionMismatch(
+                f"priority {mode.priority!r} is not an order of the {n} agents"
+            )
         disc = serial_dictatorship(instance, sorts, mode.priority)
         return MrpResult(from_discrete(instance, disc), Lottery(((ONE, disc),)), mode)
     if isinstance(mode, MrpExact):
@@ -136,9 +143,7 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
             for j, x in enumerate(disc.bundles):
                 counts[j][x] += 1
             total += 1
-        rows = tuple(
-            tuple(Fraction(c, total) for c in row) for row in counts
-        )
+        rows = _shares(counts, total)
         lottery = Lottery(
             tuple(
                 (Fraction(w, total), DiscreteAssignment(b))
@@ -155,11 +160,16 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
             disc = serial_dictatorship(instance, sorts, priority)
             for j, x in enumerate(disc.bundles):
                 counts[j][x] += 1
-        rows = tuple(
-            tuple(Fraction(c, mode.samples) for c in row) for row in counts
-        )
+        rows = _shares(counts, mode.samples)
         return MrpResult(FractionalAssignment(rows), None, mode)
     raise TypeError(f"unknown MRP mode {mode!r}")
+
+
+def _shares(counts: list[list[int]], total: int) -> tuple[tuple[Fraction, ...], ...]:
+    """``counts`` over ``total``: one Fraction per distinct nonzero count,
+    ZERO for the zeros (the MRP averages and the MPS shares)."""
+    share = {c: Fraction(c, total) if c else ZERO for row in counts for c in set(row)}
+    return tuple(tuple(share[c] for c in row) for row in counts)
 
 
 # -- MPS -----------------------------------------------------------------
@@ -195,10 +205,13 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
     Supplies, shares and the clock are integer numerators over one
     common denominator, refined whenever a round length is not a whole
     number of its units; the returned shares and round times are the
-    only Fractions built.
+    only Fractions built.  The bundles still available are a bitmask,
+    from which an exhausted item's bundles are cleared.
     """
     sorts = resolve_sorts(instance, tiebreak)
     n, p = instance.n, instance.p
+    bundle_items, item_bundles = instance.bundle_items, instance.item_bundles
+    available = (1 << instance.m) - 1
     den = 1
     supply = [1] * (n * p)
     rows = [[0] * instance.m for _ in range(n)]
@@ -206,12 +219,10 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
     clock = 0
     remaining = n * p
     while remaining:
-        eaten = tuple(
-            prefs.ext(sorts[j], instance.bundle_items, supply) for j in range(n)
-        )
+        eaten = tuple(prefs.ext(sorts[j], available) for j in range(n))
         consumers = [0] * (n * p)
         for x in eaten:
-            for o in instance.bundle_items[x]:
+            for o in bundle_items[x]:
                 consumers[o] += 1
         eating = [o for o in range(n * p) if consumers[o]]
         if not eating:
@@ -235,6 +246,7 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
             supply[o] -= step * consumers[o]
             if supply[o] == 0:
                 exhausted.append(o)
+                available &= ~item_bundles[o]
         if not exhausted:
             raise SoundnessError("each round must exhaust at least one item")
         remaining -= len(exhausted)
@@ -246,7 +258,7 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
                 raise SoundnessError(f"type {t} supply is not conserved")
     if clock != den:
         raise SoundnessError("the eating clock must end at 1")
-    shares = tuple(tuple(Fraction(v, den) if v else ZERO for v in row) for row in rows)
+    shares = _shares(rows, den)
     ends = [Fraction(c, d) for c, d, _, _ in rounds]
     trace = MpsTrace(
         tuple(
@@ -275,18 +287,19 @@ def mgd(instance: Instance, tiebreak: Tiebreak = None) -> FractionalAssignment:
     sorts = resolve_sorts(instance, tiebreak)
     n = instance.n
     groups = _groups(sorts)
-    supply = [1] * (n * instance.p)
+    bundle_items, item_bundles = instance.bundle_items, instance.item_bundles
+    available = (1 << instance.m) - 1
     rows = [[ZERO] * instance.m for _ in range(n)]
     for j in range(n):
-        top = prefs.ext(sorts[j], instance.bundle_items, supply)
+        top = prefs.ext(sorts[j], available)
         group = groups[tuple(sorts[j])]
         share = Fraction(1, len(group))
         for member in group:
             if rows[member][top] != 0:
                 raise SoundnessError("a group never revisits a bundle")
             rows[member][top] = share
-        for o in instance.bundle_items[top]:
-            supply[o] -= 1
+        for o in bundle_items[top]:
+            available &= ~item_bundles[o]
     return FractionalAssignment(tuple(tuple(r) for r in rows))
 
 

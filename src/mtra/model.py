@@ -72,16 +72,19 @@ class Instance:
                     raise DuplicateItemName(f"item name {it!r} reused")
                 item_names.add(it)
         for j, pref in enumerate(self.preferences):
-            if isinstance(pref, prefs.PartialOrder):
-                if pref.m != self.m:
-                    raise ParseError(
-                        f"agent {j} order ranges over {pref.m} bundles, expected {self.m}"
-                    )
-            elif isinstance(pref, prefs.CPNet):
-                if pref.sizes != self.sizes:
-                    raise ParseError(f"agent {j} CP-net does not match the type sizes")
-            else:
-                raise ParseError(f"agent {j} preference has unsupported type")
+            self._check_preference(j, pref)
+
+    def _check_preference(self, j: int, pref: Preference) -> None:
+        if isinstance(pref, prefs.PartialOrder):
+            if pref.m != self.m:
+                raise ParseError(
+                    f"agent {j} order ranges over {pref.m} bundles, expected {self.m}"
+                )
+        elif isinstance(pref, prefs.CPNet):
+            if pref.sizes != self.sizes:
+                raise ParseError(f"agent {j} CP-net does not match the type sizes")
+        else:
+            raise ParseError(f"agent {j} preference has unsupported type")
 
     # -- structure -------------------------------------------------------
 
@@ -127,6 +130,15 @@ class Instance:
         )
 
     @cached_property
+    def item_bundles(self) -> tuple[int, ...]:
+        """Per flat item id, the bitmask of the bundles that contain it."""
+        masks = [0] * len(self.item_names)
+        for x, items in enumerate(self.bundle_items):
+            for o in items:
+                masks[o] |= 1 << x
+        return tuple(masks)
+
+    @cached_property
     def bundle_names(self) -> tuple[str, ...]:
         return tuple(
             "".join(self.types[t].items[coord] for t, coord in enumerate(b))
@@ -141,6 +153,21 @@ class Instance:
     def orders(self) -> tuple[prefs.PartialOrder, ...]:
         """Per-agent partial order (CP-nets induced on demand, cached)."""
         return tuple(prefs.as_order(p) for p in self.preferences)
+
+    @cached_property
+    def _sorts(self) -> tuple[dict[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per agent, the topological sorts made so far, keyed by tie-break."""
+        return tuple({} for _ in range(self.n))
+
+    def sort(self, agent: int, tiebreak: Sequence[int]) -> tuple[int, ...]:
+        """The agent's topological sort under ``tiebreak``; each (agent,
+        tie-break) pair is sorted at most once per instance."""
+        key = tuple(tiebreak)
+        done = self._sorts[agent]
+        out = done.get(key)
+        if out is None:
+            out = done[key] = prefs.topological_sort(self.orders[agent], key)
+        return out
 
     def cpnet(self, agent: int) -> prefs.CPNet | None:
         p = self.preferences[agent]
@@ -157,10 +184,45 @@ class Instance:
         )
 
     def with_preference(self, agent: int, preference: Preference) -> "Instance":
-        """Copy of the instance with one agent's preference replaced."""
-        new = list(self.preferences)
-        new[agent] = preference
-        return Instance(self.types, tuple(new))
+        """Copy of the instance with one agent's preference replaced.
+
+        The copy takes over what this instance has already computed of the
+        structure (sizes, bundles, item and bundle names, ``item_bundles``)
+        and of the other agents' orders and sorts; only ``agent``'s order
+        and sorts are computed again.  This instance's caches are left as
+        they are.
+        """
+        if not 0 <= agent < self.n:
+            raise DimensionMismatch(f"agent {agent} is not one of the {self.n} agents")
+        new_prefs = list(self.preferences)
+        new_prefs[agent] = preference
+        # the types and the agent count are this instance's, so only the
+        # new preference needs the checks of __post_init__
+        new = object.__new__(Instance)
+        object.__setattr__(new, "types", self.types)
+        object.__setattr__(new, "preferences", tuple(new_prefs))
+        done = self.__dict__
+        carried = new.__dict__
+        for name in _STRUCTURE:
+            if name in done:
+                carried[name] = done[name]
+        new._check_preference(agent, preference)
+        if "orders" in done:
+            orders = list(done["orders"])
+            orders[agent] = prefs.as_order(preference)
+            carried["orders"] = tuple(orders)
+        if "_sorts" in done:
+            carried["_sorts"] = tuple(
+                {} if k == agent else dict(sorts) for k, sorts in enumerate(done["_sorts"])
+            )
+        return new
+
+
+# Cached properties that depend on the types alone.
+_STRUCTURE = (
+    "sizes", "m", "item_names", "bundles", "bundle_items", "item_bundles",
+    "bundle_names", "bundle_by_name",
+)
 
 
 def enumerate_bundles(instance: Instance) -> tuple[tuple[int, ...], ...]:

@@ -249,14 +249,11 @@ def is_linear_extension(order: PartialOrder, linear: Sequence[int]) -> bool:
     return seen == (1 << order.m) - 1
 
 
-def ext(
-    linear: Sequence[int],
-    bundle_items: Sequence[tuple[int, ...]],
-    supply: Sequence,
-) -> int:
-    """First bundle in ``linear`` whose items all have supply > 0."""
+def ext(linear: Sequence[int], available: int) -> int:
+    """First bundle in ``linear`` whose bit is set in ``available``, the
+    bitmask of the bundles whose items all still have supply."""
     for x in linear:
-        if all(supply[o] > 0 for o in bundle_items[x]):
+        if available >> x & 1:
             return x
     raise NothingAvailable("no bundle in the order is fully available")
 

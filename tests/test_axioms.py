@@ -515,6 +515,51 @@ def test_ucs_sums_match_fraction_reference():
         assert all(type(v) is Fraction for v in got)
 
 
+def subtract_sd_compare(order, p_row, q_row):
+    """Reference dominance test: two `ucs_sums` calls and a Fraction
+    subtraction per bundle (the former `sd_compare`)."""
+    slack = tuple(a - b for a, b in zip(ucs_sums(order, p_row), ucs_sums(order, q_row)))
+    return all(v >= 0 for v in slack), all(v <= 0 for v in slack), slack
+
+
+def test_sd_compare_matches_subtract_reference():
+    rng = random.Random(89)
+
+    def entry():
+        return rng.choice([0, F(0), 1, -1, 2, F(rng.randint(-9, 9), rng.randint(1, 60))])
+
+    kinds = {"zero": 0, "dominated": 0, "equal": 0}
+    for _ in range(400):
+        m = rng.choice([1, 2, 4, 9, 16, 27])
+        order = spaces.random_partial_order(rng, m)
+        kind = rng.choice(["mixed", "zero", "equal", "shifted"])
+        p_row = [entry() for _ in range(m)]
+        if kind == "zero":
+            p_row, q_row = [F(0)] * m, [rng.choice([0, F(0)]) for _ in range(m)]
+        elif kind == "equal":
+            q_row = list(p_row)
+        elif kind == "shifted":
+            # move share down the order, so p dominates q (or the reverse)
+            q_row = list(p_row)
+            x = rng.randrange(m)
+            below = [y for y in range(m) if order.prefers(x, y)]
+            if below:
+                amount = F(rng.randint(1, 5), rng.randint(1, 7))
+                q_row[x] -= amount
+                q_row[rng.choice(below)] += amount
+        else:
+            q_row = [entry() for _ in range(m)]
+        verdict = sd_compare(order, p_row, q_row)
+        want = subtract_sd_compare(order, p_row, q_row)
+        assert (verdict.p_dominates_q, verdict.q_dominates_p, verdict.slack) == want
+        assert all(type(v) is Fraction for v in verdict.slack)
+        kinds["zero"] += all(v == 0 for v in want[2])
+        kinds["dominated"] += want[0] != want[1]
+        kinds["equal"] += p_row == q_row
+    # every verdict combination is exercised
+    assert all(count >= 20 for count in kinds.values()), kinds
+
+
 def test_mgd_lottery_outcomes_are_efficient():
     rng = random.Random(67)
     for _ in range(10):

@@ -266,11 +266,13 @@ def test_cli_parse_error_exit2(workdir, capsys):
          lambda doc: doc["preferences"][0]["cpt"]["F"].update({"1F": 5})),
         (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc.update(tiebreak=[5, 5])),
         (["run", "{inst}", "--mechanism", "mps", "--tiebreak", "{tb56}"], None),
+        (["check", "{inst}", "{a1}", "--property", ""], None),
+        (["check", "{inst}", "{a1}", "--property", ","], None),
     ],
     ids=[
         "mc-zero", "mc-negative", "sampled-not-int", "sampled-zero", "cpt-list", "cpt-rows-list",
         "edges-number", "dependency-number", "cpt-row-number", "tiebreak-entry-number",
-        "tiebreak-file-entry-number",
+        "tiebreak-file-entry-number", "property-empty", "property-comma",
     ],
 )
 def test_cli_bad_input_exit2(workdir, capsys, argv, patch):

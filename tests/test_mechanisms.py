@@ -6,7 +6,7 @@ import pytest
 
 from mtra import fixtures, manipulation, spaces
 from mtra import preferences as prefs
-from mtra.errors import MtraError, SoundnessError, TooManyAgentsForExact
+from mtra.errors import DimensionMismatch, MtraError, NothingAvailable, SoundnessError, TooManyAgentsForExact
 from mtra.mechanisms import (
     MpsRound,
     MpsTrace,
@@ -78,6 +78,13 @@ def test_mrp_monte_carlo_reproducible(mixed_pair):
             MrpMonteCarlo(samples)
 
 
+def test_mrp_single_rejects_bad_priority(three_chains):
+    # a repeated agent, a missing agent and an agent that does not exist
+    for priority in ((0, 0, 1), (0, 1), (0, 1, 2, 3)):
+        with pytest.raises(DimensionMismatch):
+            mrp(three_chains, MrpSingle(priority))
+
+
 def test_mrp_exact_guard():
     inst = build_instance(
         {
@@ -141,9 +148,56 @@ def test_mps_trace_consumes_in_item_order_on_independent_profiles():
                 assert [rank[i] for i in consumed] == sorted(rank[i] for i in consumed)
 
 
+def supply_ext(linear, bundle_items, supply):
+    """Reference `ext` over item supplies: the first bundle of ``linear``
+    whose items all have supply > 0 (the former `prefs.ext`)."""
+    for x in linear:
+        if all(supply[o] > 0 for o in bundle_items[x]):
+            return x
+    raise NothingAvailable("no bundle in the order is fully available")
+
+
+def fresh_sorts(instance, tiebreak=None):
+    """Every agent's sort made from scratch, bypassing the instance's cache."""
+    if tiebreak is None:
+        breaks = [range(instance.m)] * instance.n
+    elif isinstance(list(tiebreak)[0], int):
+        breaks = [tiebreak] * instance.n
+    else:
+        breaks = tiebreak
+    return tuple(prefs.topological_sort(o, tb) for o, tb in zip(instance.orders, breaks))
+
+
+def supply_serial_dictatorship(instance, sorts, priority):
+    """Reference serial dictatorship over item supplies."""
+    supply = [1] * (instance.n * instance.p)
+    chosen = {}
+    for j in priority:
+        x = supply_ext(sorts[j], instance.bundle_items, supply)
+        chosen[j] = x
+        for o in instance.bundle_items[x]:
+            supply[o] -= 1
+    return tuple(chosen[j] for j in range(instance.n))
+
+
+def supply_mgd(instance, sorts):
+    """Reference general dictatorship over item supplies."""
+    supply = [1] * (instance.n * instance.p)
+    rows = [[ZERO] * instance.m for _ in range(instance.n)]
+    for j in range(instance.n):
+        top = supply_ext(sorts[j], instance.bundle_items, supply)
+        group = [k for k in range(instance.n) if sorts[k] == sorts[j]]
+        for member in group:
+            rows[member][top] = F(1, len(group))
+        for o in instance.bundle_items[top]:
+            supply[o] -= 1
+    return FractionalAssignment(tuple(tuple(r) for r in rows))
+
+
 def fraction_mps(instance, tiebreak=None):
-    """Reference eating rule in Fraction arithmetic (the former `mps`)."""
-    sorts = resolve_sorts(instance, tiebreak)
+    """Reference eating rule in Fraction arithmetic over item supplies
+    (the former `mps`)."""
+    sorts = fresh_sorts(instance, tiebreak)
     n, p = instance.n, instance.p
     supply = [ONE] * (n * p)
     alive = set(range(n * p))
@@ -152,7 +206,7 @@ def fraction_mps(instance, tiebreak=None):
     clock = ZERO
     while alive:
         eaten = tuple(
-            prefs.ext(sorts[j], instance.bundle_items, supply) for j in range(n)
+            supply_ext(sorts[j], instance.bundle_items, supply) for j in range(n)
         )
         consumers = [0] * (n * p)
         for x in eaten:
@@ -219,6 +273,18 @@ def test_mps_matches_fraction_reference():
         assert (out, trace) == fraction_mps(inst, tiebreak)
         assert all(type(v) is Fraction for row in out.rows for v in row)
         assert all(type(r.start) is type(r.end) is Fraction for r in trace.rounds)
+
+
+def test_serial_dictatorship_and_mgd_match_supply_references():
+    rng = random.Random(83)
+    for inst, tiebreak in _differential_profiles():
+        sorts = fresh_sorts(inst, tiebreak)
+        assert resolve_sorts(inst, tiebreak) == sorts
+        priorities = [tuple(range(inst.n)), tuple(reversed(range(inst.n))), tuple(rng.sample(range(inst.n), inst.n))]
+        for priority in priorities:
+            got = serial_dictatorship(inst, sorts, priority).bundles
+            assert got == supply_serial_dictatorship(inst, sorts, priority)
+        assert mgd(inst, tiebreak) == supply_mgd(inst, sorts)
 
 
 def test_mgd_twins(mixed_pair):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mtra import fixtures, spaces
+from mtra import preferences as prefs
 from mtra.errors import (
     DimensionMismatch,
     DuplicateItemName,
@@ -21,6 +22,7 @@ from mtra.model import (
     from_discrete,
     validate_assignment,
 )
+from mtra.mechanisms import resolve_sorts
 
 
 def test_build_mixed_pair(mixed_pair):
@@ -155,6 +157,81 @@ def test_with_preference_replaces_one_agent(mixed_pair):
     assert swapped.preferences[0] == mixed_pair.preferences[1]
     assert swapped.preferences[1] == mixed_pair.preferences[1]
     assert mixed_pair.preferences[0] != mixed_pair.preferences[1]
+
+
+STRUCTURE = ("sizes", "m", "item_names", "bundles", "bundle_items", "item_bundles", "bundle_names", "bundle_by_name")
+
+
+def test_item_bundles_lists_the_bundles_of_each_item():
+    rng = random.Random(31)
+    for n, p in [(1, 1), (3, 1), (2, 2), (3, 2), (2, 3)]:
+        inst = spaces.random_profile(rng, n, p, "general")
+        for o, mask in enumerate(inst.item_bundles):
+            assert mask == sum(1 << x for x, items in enumerate(inst.bundle_items) if o in items)
+
+
+def _carry_over_tiebreaks(rng, inst):
+    shared = rng.sample(range(inst.m), inst.m)
+    per_agent = [rng.sample(range(inst.m), inst.m) for _ in range(inst.n)]
+    return (*spaces.sweep_tiebreaks(inst.m), shared, per_agent)
+
+
+def test_with_preference_matches_a_fresh_instance():
+    rng = random.Random(37)
+    for n, p in [(2, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3)]:
+        for kind in ("general", "cpnet", "independent"):
+            source = spaces.random_profile(rng, n, p, kind)
+            other = spaces.random_profile(rng, n, p, kind)
+            tiebreaks = _carry_over_tiebreaks(rng, source)
+            for warm in (True, False):
+                src = Instance(source.types, source.preferences)
+                if warm:
+                    for name in STRUCTURE:
+                        getattr(src, name)
+                    for tb in tiebreaks:
+                        resolve_sorts(src, tb)
+                before = {name: src.__dict__.get(name) for name in ("orders", *STRUCTURE)}
+                sorts_before = [dict(d) for d in src.__dict__.get("_sorts", ())]
+                j = rng.randrange(n)
+                derived = src.with_preference(j, other.preferences[j])
+                new_prefs = list(source.preferences)
+                new_prefs[j] = other.preferences[j]
+                fresh = Instance(source.types, tuple(new_prefs))
+                assert derived == fresh
+                assert derived.orders == fresh.orders
+                for name in STRUCTURE:
+                    assert getattr(derived, name) == getattr(fresh, name), name
+                # the last tie-break is one the source has never sorted under
+                for tb in (*tiebreaks, rng.sample(range(n**p), n**p)):
+                    assert resolve_sorts(derived, tb) == resolve_sorts(fresh, tb)
+                # the source's caches are neither replaced nor extended
+                assert {name: src.__dict__.get(name) for name in ("orders", *STRUCTURE)} == before
+                assert [dict(d) for d in src.__dict__.get("_sorts", ())] == sorts_before
+
+
+def test_sorts_are_made_once_per_agent_and_tiebreak(monkeypatch):
+    calls = []
+    real = prefs.topological_sort
+
+    def counting(order, tiebreak):
+        calls.append(tiebreak)
+        return real(order, tiebreak)
+
+    monkeypatch.setattr(prefs, "topological_sort", counting)
+    inst = spaces.random_profile(random.Random(41), 3, 2, "cpnet")
+    for tb in spaces.sweep_tiebreaks(inst.m) * 2:
+        resolve_sorts(inst, tb)
+    assert len(calls) == 2 * inst.n
+    derived = inst.with_preference(1, inst.preferences[0])
+    for tb in spaces.sweep_tiebreaks(inst.m) * 2:
+        resolve_sorts(derived, tb)
+    assert len(calls) == 2 * inst.n + 2
+
+
+def test_with_preference_rejects_bad_agent(mixed_pair):
+    for agent in (-1, mixed_pair.n):
+        with pytest.raises(DimensionMismatch):
+            mixed_pair.with_preference(agent, mixed_pair.preferences[0])
 
 
 def test_instance_requires_matching_preference_universe(mixed_pair):

@@ -144,20 +144,26 @@ def test_topological_sort_rejects_bad_tiebreak():
 # -- ext ----------------------------------------------------------------------
 
 
+def available_mask(bundle_items, supply):
+    """Bitmask of the bundles whose items all have supply > 0."""
+    return sum(1 << x for x, items in enumerate(bundle_items) if all(supply[o] > 0 for o in items))
+
+
 def test_ext_examples(mixed_pair):
     tb_a = tuple(bundle_ids(mixed_pair, ["2F1B", "1F1B", "2F2B", "1F2B"]))
     sort_a = prefs.topological_sort(mixed_pair.orders[1], tb_a)
+    items = mixed_pair.bundle_items
     # 1B exhausted: first two bundles of the sort are unavailable
-    assert mixed_pair.bundle_names[prefs.ext(sort_a, mixed_pair.bundle_items, [1, 1, 0, 1])] == "2F2B"
+    assert mixed_pair.bundle_names[prefs.ext(sort_a, available_mask(items, [1, 1, 0, 1]))] == "2F2B"
     chain = prefs.topological_sort(mixed_pair.orders[0], range(4))
-    assert mixed_pair.bundle_names[prefs.ext(chain, mixed_pair.bundle_items, [1, 1, 1, 1])] == "1F1B"
-    assert mixed_pair.bundle_names[prefs.ext(chain, mixed_pair.bundle_items, [0, 1, 1, 0])] == "2F1B"
+    assert mixed_pair.bundle_names[prefs.ext(chain, available_mask(items, [1, 1, 1, 1]))] == "1F1B"
+    assert mixed_pair.bundle_names[prefs.ext(chain, available_mask(items, [0, 1, 1, 0]))] == "2F1B"
 
 
 def test_ext_nothing_available(mixed_pair):
     chain = prefs.topological_sort(mixed_pair.orders[0], range(4))
     with pytest.raises(NothingAvailable):
-        prefs.ext(chain, mixed_pair.bundle_items, [0, 1, 0, 0])
+        prefs.ext(chain, available_mask(mixed_pair.bundle_items, [0, 1, 0, 0]))
 
 
 # -- top_cpnet ----------------------------------------------------------------
@@ -214,7 +220,7 @@ def test_ext_equals_top_for_cpnet_orders():
                 for i in items:
                     supply[t * n + i] = 1
             top = prefs.top_cpnet(net, remaining)
-            ext_bundle = prefs.ext(sort, bundle_items, supply)
+            ext_bundle = prefs.ext(sort, available_mask(bundle_items, supply))
             assert prefs.bundle_tuple(ext_bundle, (n,) * p) == top
 
 
