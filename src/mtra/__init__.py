@@ -33,6 +33,7 @@ from .mechanisms import (
     mgd_decompose,
     mps,
     mrp,
+    mrp_decompose,
     serial_dictatorship,
 )
 from .model import (

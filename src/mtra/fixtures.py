@@ -28,7 +28,7 @@ from .axioms import (
     improvable_tuples,
     sd_compare,
 )
-from .mechanisms import MrpExact, mgd, mgd_decompose, mps, mrp
+from .mechanisms import MrpExact, mgd, mgd_decompose, mps, mrp, mrp_decompose
 from .model import FractionalAssignment, Instance, build_instance
 
 F = Fraction
@@ -287,7 +287,7 @@ def _priority_exact_check() -> ReplayResult:
     inst = mixed_pair()
     result = mrp(inst, MrpExact(), sort_a(inst))
     ok = result.assignment == assignment_1()
-    ok = ok and result.lottery.expectation(inst) == result.assignment
+    ok = ok and mrp_decompose(inst, sort_a(inst)).expectation(inst) == result.assignment
     return _check("priority-exact-average", ok)
 
 

@@ -20,7 +20,6 @@ from typing import Sequence
 from . import preferences as prefs
 from .errors import DimensionMismatch, MtraError, SoundnessError, TooManyAgentsForExact
 from .model import (
-    ONE,
     ZERO,
     DiscreteAssignment,
     FractionalAssignment,
@@ -108,17 +107,19 @@ MrpMode = MrpSingle | MrpExact | MrpMonteCarlo
 
 @dataclass(frozen=True)
 class MrpResult:
+    """An MRP assignment and the mode that produced it.  The exact mode's
+    lottery over serial-dictatorship outcomes comes from
+    :func:`mrp_decompose`."""
+
     assignment: FractionalAssignment
-    lottery: Lottery | None
     mode: MrpMode
 
 
 def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = None) -> MrpResult:
     """Random priority over topological sorts.
 
-    Exact mode enumerates priority orders lexicographically and returns
-    the uniform lottery over the serial-dictatorship outcomes as the
-    decomposition witness.
+    Exact mode counts how many of the n! priority orders produce each
+    serial-dictatorship outcome and averages them; it builds no lottery.
     """
     sorts = resolve_sorts(instance, tiebreak)
     n = instance.n
@@ -128,29 +129,14 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
                 f"priority {mode.priority!r} is not an order of the {n} agents"
             )
         disc = serial_dictatorship(instance, sorts, mode.priority)
-        return MrpResult(from_discrete(instance, disc), Lottery(((ONE, disc),)), mode)
+        return MrpResult(from_discrete(instance, disc), mode)
     if isinstance(mode, MrpExact):
-        if n > EXACT_AGENT_LIMIT:
-            raise TooManyAgentsForExact(
-                f"exact expectation enumerates {n}! priority orders; limit is {EXACT_AGENT_LIMIT}"
-            )
+        outcomes = _priority_outcomes(instance, sorts)
         counts = [[0] * instance.m for _ in range(n)]
-        outcome_weight: dict[tuple[int, ...], int] = {}
-        total = 0
-        for priority in itertools.permutations(range(n)):
-            disc = serial_dictatorship(instance, sorts, priority)
-            outcome_weight[disc.bundles] = outcome_weight.get(disc.bundles, 0) + 1
-            for j, x in enumerate(disc.bundles):
-                counts[j][x] += 1
-            total += 1
-        rows = _shares(counts, total)
-        lottery = Lottery(
-            tuple(
-                (Fraction(w, total), DiscreteAssignment(b))
-                for b, w in outcome_weight.items()
-            )
-        )
-        return MrpResult(FractionalAssignment(rows), lottery, mode)
+        for bundles, weight in outcomes.items():
+            for j, x in enumerate(bundles):
+                counts[j][x] += weight
+        return MrpResult(FractionalAssignment(_shares(counts, math.factorial(n))), mode)
     if isinstance(mode, MrpMonteCarlo):
         rng = random.Random(mode.seed)
         counts = [[0] * instance.m for _ in range(n)]
@@ -161,8 +147,37 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
             for j, x in enumerate(disc.bundles):
                 counts[j][x] += 1
         rows = _shares(counts, mode.samples)
-        return MrpResult(FractionalAssignment(rows), None, mode)
+        return MrpResult(FractionalAssignment(rows), mode)
     raise TypeError(f"unknown MRP mode {mode!r}")
+
+
+def mrp_decompose(instance: Instance, tiebreak: Tiebreak = None) -> Lottery:
+    """Lottery witness for exact MRP: each serial-dictatorship outcome with
+    the share of the n! priority orders that produce it, in the order
+    the lexicographic enumeration first meets them."""
+    total = math.factorial(instance.n)
+    outcomes = _priority_outcomes(instance, resolve_sorts(instance, tiebreak))
+    return Lottery(
+        tuple((Fraction(w, total), DiscreteAssignment(b)) for b, w in outcomes.items())
+    )
+
+
+def _priority_outcomes(
+    instance: Instance, sorts: Sequence[Sequence[int]]
+) -> dict[tuple[int, ...], int]:
+    """Serial-dictatorship outcome -> number of priority orders producing
+    it, enumerating all n! orders lexicographically (at most
+    ``EXACT_AGENT_LIMIT`` agents)."""
+    n = instance.n
+    if n > EXACT_AGENT_LIMIT:
+        raise TooManyAgentsForExact(
+            f"exact expectation enumerates {n}! priority orders; limit is {EXACT_AGENT_LIMIT}"
+        )
+    outcomes: dict[tuple[int, ...], int] = {}
+    for priority in itertools.permutations(range(n)):
+        bundles = serial_dictatorship(instance, sorts, priority).bundles
+        outcomes[bundles] = outcomes.get(bundles, 0) + 1
+    return outcomes
 
 
 def _shares(counts: list[list[int]], total: int) -> tuple[tuple[Fraction, ...], ...]:

@@ -2,9 +2,9 @@
 and random profile generation for property sweeps.
 
 Exhaustive spaces carry explicit size guards; anything bigger must be
-probed through an explicit or sampled space, and every space exposes a
-``describe()`` string so property reports can record what was actually
-checked.
+probed through a sampled misreport space or an explicit transform list,
+and every space exposes a ``describe()`` string so property reports can
+record what was actually checked.
 """
 
 from __future__ import annotations
@@ -129,6 +129,44 @@ def cpnet_order_representatives(
     return tuple(by_order.items())
 
 
+def _relation_key(order: prefs.PartialOrder, u: int) -> int:
+    """The relation restricted to the bundle mask ``u`` as one int:
+    ``above[y] & u`` for each y in u, ascending, ``m`` bits each.  Two
+    orders get the same key for the same u exactly when
+    ``restricted_equal(.., u)`` holds."""
+    key = 0
+    for y in prefs._bits(u):
+        key = (key << order.m) | (order.above[y] & u)
+    return key
+
+
+@lru_cache(maxsize=32)
+def cpnet_transform_index(
+    sizes: tuple[int, ...],
+) -> tuple[tuple[tuple[int, ...], dict[int, tuple[int, ...]]], ...]:
+    """Per pivot x, the representatives of
+    :func:`cpnet_order_representatives` by upper contour set and relation.
+
+    Entry x is ``(masks, by_key)``: the distinct upper contour sets u the
+    representatives have at x, and a map from
+    ``_relation_key(order, u) << m | u`` to the indices (ascending) of the
+    representatives with upper contour set u at x and that relation on u.
+    """
+    reps = cpnet_order_representatives(sizes)
+    ids = list(range(len(reps)))  # one int object per index, shared by all pivots
+    m = reps[0][0].m
+    index = []
+    for pivot in range(m):
+        masks: dict[int, None] = {}
+        by_key: dict[int, list[int]] = {}
+        for i, (order, _) in zip(ids, reps):
+            u = order.ucs_mask(pivot)
+            masks[u] = None
+            by_key.setdefault((_relation_key(order, u) << m) | u, []).append(i)
+        index.append((tuple(masks), {k: tuple(v) for k, v in by_key.items()}))
+    return tuple(index)
+
+
 # -- misreport spaces ------------------------------------------------------
 
 
@@ -157,15 +195,6 @@ class LinearOrderMisreports(MisreportSpace):
 
     def describe(self) -> str:
         return "all linear orders over bundles"
-
-
-@dataclass(frozen=True)
-class PartialOrderMisreports(MisreportSpace):
-    def for_agent(self, instance: Instance, agent: int) -> Iterable[Preference]:
-        return all_partial_orders(instance.m)
-
-    def describe(self) -> str:
-        return "all partial orders over bundles"
 
 
 @dataclass(frozen=True)
@@ -206,19 +235,6 @@ class IndependentCpNetMisreports(MisreportSpace):
 
 
 @dataclass(frozen=True)
-class ExplicitMisreports(MisreportSpace):
-    """A fixed list of reports, the escape hatch for large universes."""
-
-    reports: tuple[Preference, ...]
-
-    def for_agent(self, instance: Instance, agent: int) -> Iterable[Preference]:
-        return self.reports
-
-    def describe(self) -> str:
-        return f"explicit list of {len(self.reports)} reports"
-
-
-@dataclass(frozen=True)
 class SampledLinearOrderMisreports(MisreportSpace):
     """Seed-deterministic sample of linear orders over the bundles."""
 
@@ -244,8 +260,10 @@ class SampledLinearOrderMisreports(MisreportSpace):
 class TransformSource:
     """Yields candidate (agent, preference, pivot) transformations.
 
-    Candidates are *not* assumed valid; the invariance checker validates
-    each against the formal definition before using it.
+    Candidates are never trusted.  Whether a source yields only valid
+    ones (``CpNetTransforms``) or may yield any (``ExplicitTransforms``),
+    the invariance checker validates each against the formal definition
+    (:func:`preferences.is_uit`) before using it.
     """
 
     def candidates(
@@ -300,17 +318,39 @@ class DeletionTransforms(TransformSource):
 
 @dataclass(frozen=True)
 class CpNetTransforms(TransformSource):
-    """Candidate CP-net reports over every acyclic dependency graph,
-    one representative per distinct induced order."""
+    """The valid upper invariant transformations into CP-net reports over
+    every acyclic dependency graph, one representative per distinct
+    induced order.
+
+    For agent j at pivot x, a representative with upper contour set u
+    at x is valid exactly when u is a subset of the truth's upper
+    contour set ``ucs_old``, every bundle of ``ucs_old`` outside u has
+    zero share in ``assignment.row(j)``, and the two relations agree on
+    u.  :func:`cpnet_transform_index` turns that into one dict lookup per
+    admissible u.  The hits come sorted by (representative index, pivot)
+    and skip the truth's own order, the order a scan over every pair
+    would meet them in; the checker still re-validates each one.
+    """
 
     def candidates(self, instance, assignment):
         reps = cpnet_order_representatives(instance.sizes)
+        index = cpnet_transform_index(instance.sizes)
         for j in range(instance.n):
             truth = instance.orders[j]
-            for order, net in reps:
-                if order == truth:
-                    continue
-                for pivot in range(instance.m):
+            positive = sum(1 << y for y, v in enumerate(assignment.row(j)) if v)
+            hits = []
+            for pivot, (masks, by_key) in enumerate(index):
+                u_old = truth.ucs_mask(pivot)
+                keep = u_old & positive  # no positive-share bundle may go
+                for u in masks:
+                    if u & ~u_old or keep & ~u:
+                        continue
+                    key = (_relation_key(truth, u) << truth.m) | u
+                    hits.extend((i, pivot) for i in by_key.get(key, ()))
+            hits.sort()
+            for i, pivot in hits:
+                order, net = reps[i]
+                if order != truth:
                     yield j, net, pivot
 
     def describe(self) -> str:

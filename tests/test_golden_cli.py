@@ -1,0 +1,82 @@
+"""Recorded CLI output: the mechanism-level checks, exact MRP and
+replay-paper must keep printing the same bytes with the same exit codes.
+
+The recordings are in ``golden_cli.json``.  After an intended output
+change, re-record them with ``PYTHONPATH=src python tests/test_golden_cli.py``.
+"""
+
+import contextlib
+import io as stdio
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from mtra import fixtures, io, spaces
+from mtra.axioms import mechanism_callable
+from mtra.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+FIXTURE_INSTANCES = (
+    "mixed_pair",
+    "partial_twins",
+    "dependent_pair",
+    "blank_vs_chain",
+    "three_chains",
+    "opposed_trio",
+    "solo",
+    "chain_twins",
+)
+# seeded CP-net profiles, so the CP-net transforms meet more than (2,2)
+RANDOM_CPNET = ((2, 2, 1), (2, 2, 2), (3, 1, 3), (3, 2, 4))
+PROPERTIES = "upper-invariance,sd-strategyproofness,weak-sd-strategyproofness"
+
+
+def _instances():
+    for name in FIXTURE_INSTANCES:
+        yield name, getattr(fixtures, name)()
+    for n, p, seed in RANDOM_CPNET:
+        yield f"cpnet-{n}x{p}-s{seed}", spaces.random_profile(random.Random(seed), n, p, "cpnet")
+
+
+def write_inputs(directory: Path) -> list[list[str]]:
+    """Write the instance and assignment files; return the commands, whose
+    file arguments are names relative to ``directory``."""
+    commands = []
+    for name, inst in _instances():
+        (directory / f"{name}.json").write_text(io.serialize_instance(inst))
+        commands.append(["run", f"{name}.json", "--mechanism", "mrp", "--mode", "exact", "--seed", "0"])
+        for mech in ("mrp", "mps", "mgd"):
+            out = f"{name}-{mech}.json"
+            (directory / out).write_text(io.serialize_assignment(inst, mechanism_callable(mech)(inst, None)))
+            for misreports in ("linear", "cpnet"):
+                commands.append(
+                    ["check", f"{name}.json", out, "--property", PROPERTIES,
+                     "--mechanism", mech, "--misreports", misreports, "--seed", "0"]
+                )
+    commands.append(["replay-paper"])
+    return commands
+
+
+def run(directory: Path, argv: list[str]) -> dict:
+    out = stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stdio.StringIO()):
+        code = main([str(directory / a) if a.endswith(".json") else a for a in argv])
+    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
+def test_cli_output_matches_recording(tmp_path):
+    recorded = json.loads(GOLDEN.read_text())
+    commands = write_inputs(tmp_path)
+    assert [r["argv"] for r in recorded] == commands
+    for want in recorded:
+        assert run(tmp_path, want["argv"]) == want
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        records = [run(directory, argv) for argv in write_inputs(directory)]
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"recorded {len(records)} commands", file=sys.stderr)

@@ -17,10 +17,20 @@ from mtra.mechanisms import (
     mgd_decompose,
     mps,
     mrp,
+    mrp_decompose,
     resolve_sorts,
     serial_dictatorship,
 )
-from mtra.model import ONE, ZERO, FractionalAssignment, Instance, build_instance, validate_assignment
+from mtra.model import (
+    ONE,
+    ZERO,
+    DiscreteAssignment,
+    FractionalAssignment,
+    Instance,
+    Lottery,
+    build_instance,
+    validate_assignment,
+)
 
 F = Fraction
 
@@ -47,7 +57,8 @@ def test_serial_dictatorship_three_chains(three_chains):
 def test_mrp_exact_mixed_pair(mixed_pair):
     result = mrp(mixed_pair, MrpExact(), fixtures.sort_a(mixed_pair))
     assert result.assignment == fixtures.assignment_1()
-    assert result.lottery.expectation(mixed_pair) == result.assignment
+    lottery = mrp_decompose(mixed_pair, fixtures.sort_a(mixed_pair))
+    assert lottery.expectation(mixed_pair) == result.assignment
 
 
 def test_mrp_exact_blank_vs_chain(blank_vs_chain):
@@ -95,6 +106,8 @@ def test_mrp_exact_guard():
     )
     with pytest.raises(TooManyAgentsForExact):
         mrp(inst, MrpExact())
+    with pytest.raises(TooManyAgentsForExact):
+        mrp_decompose(inst)
 
 
 def test_mps_two_sorts(mixed_pair):
@@ -273,6 +286,38 @@ def test_mps_matches_fraction_reference():
         assert (out, trace) == fraction_mps(inst, tiebreak)
         assert all(type(v) is Fraction for row in out.rows for v in row)
         assert all(type(r.start) is type(r.end) is Fraction for r in trace.rounds)
+
+
+def eager_mrp(instance, tiebreak=None):
+    """The former exact ``mrp`` body, which built the lottery on every
+    call: the reference for ``mrp`` and ``mrp_decompose``."""
+    sorts = resolve_sorts(instance, tiebreak)
+    counts = [[0] * instance.m for _ in range(instance.n)]
+    outcome_weight = {}
+    total = 0
+    for priority in itertools.permutations(range(instance.n)):
+        disc = serial_dictatorship(instance, sorts, priority)
+        outcome_weight[disc.bundles] = outcome_weight.get(disc.bundles, 0) + 1
+        for j, x in enumerate(disc.bundles):
+            counts[j][x] += 1
+        total += 1
+    rows = tuple(tuple(Fraction(c, total) for c in row) for row in counts)
+    lottery = Lottery(
+        tuple((Fraction(w, total), DiscreteAssignment(b)) for b, w in outcome_weight.items())
+    )
+    return FractionalAssignment(rows), lottery
+
+
+def test_mrp_decompose_matches_eager_lottery():
+    checked = 0
+    for inst, tiebreak in _differential_profiles():
+        if inst.n > 4:
+            continue
+        assignment, lottery = eager_mrp(inst, tiebreak)
+        assert mrp_decompose(inst, tiebreak) == lottery
+        assert mrp(inst, MrpExact(), tiebreak).assignment == assignment
+        checked += 1
+    assert checked == 40 + 8 * 3 * 3 * 4
 
 
 def test_serial_dictatorship_and_mgd_match_supply_references():

@@ -4,6 +4,7 @@ import pytest
 
 from mtra import spaces
 from mtra import preferences as prefs
+from mtra.axioms import check_upper_invariance, mechanism_callable
 from mtra.errors import MisreportSpaceTooLarge
 
 
@@ -46,6 +47,50 @@ def test_order_representatives_cover_all_orders():
     reps = spaces.cpnet_order_representatives((2, 2))
     orders = {prefs.induce_order(net) for net in spaces.all_cpnets((2, 2))}
     assert {o for o, _ in reps} == orders
+
+
+class ScanCpNetTransforms(spaces.TransformSource):
+    """Reference for the indexed ``CpNetTransforms``: every pair of a
+    representative (other than the truth's own order) and a pivot, left
+    to the checker to validate."""
+
+    def candidates(self, instance, assignment):
+        reps = spaces.cpnet_order_representatives(instance.sizes)
+        for j in range(instance.n):
+            truth = instance.orders[j]
+            for order, net in reps:
+                if order == truth:
+                    continue
+                for pivot in range(instance.m):
+                    yield j, net, pivot
+
+    def describe(self):
+        return spaces.CpNetTransforms().describe()
+
+
+def valid_scan_triples(instance, assignment):
+    for j, net, pivot in ScanCpNetTransforms().candidates(instance, assignment):
+        if prefs.is_uit(instance.orders[j], prefs.as_order(net), pivot, assignment.row(j))[0]:
+            yield j, net, pivot
+
+
+def test_cpnet_transforms_match_the_scan():
+    rng = random.Random(37)
+    triples = failures = 0
+    for n, p, per_kind in ((2, 1, 3), (3, 1, 3), (2, 2, 3), (3, 2, 1)):
+        for kind in ("general", "cpnet"):
+            for _ in range(per_kind):
+                inst = spaces.random_profile(rng, n, p, kind)
+                for mech in ("mps", "mrp", "mgd"):
+                    for tb in spaces.sweep_tiebreaks(inst.m):
+                        out = mechanism_callable(mech)(inst, tb)
+                        want = list(valid_scan_triples(inst, out))
+                        assert list(spaces.CpNetTransforms().candidates(inst, out)) == want
+                        triples += len(want)
+                        report = check_upper_invariance(mech, inst, spaces.CpNetTransforms(), [tb])
+                        assert report == check_upper_invariance(mech, inst, ScanCpNetTransforms(), [tb])
+                        failures += not report.passed
+    assert triples > 10_000 and failures > 10
 
 
 def test_random_profiles_are_valid():
