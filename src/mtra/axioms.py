@@ -410,15 +410,15 @@ def check_strategyproofness(
         truth = fn(instance, tb)
         for j in range(instance.n):
             order = instance.orders[j]
-            seen: dict[prefs.PartialOrder, FractionalAssignment] = {}
+            # an order already judged gets the same verdict again; the
+            # truth's own order cannot manipulate
+            judged = {order}
             for report in misreports.for_agent(instance, j):
                 rep_order = prefs.as_order(report)
-                if rep_order == order:
-                    continue  # a truthful report cannot manipulate
-                lied = seen.get(rep_order)
-                if lied is None:
-                    lied = fn(instance.with_preference(j, report), tb)
-                    seen[rep_order] = lied
+                if rep_order in judged:
+                    continue
+                judged.add(rep_order)
+                lied = fn(instance.with_preference(j, report), tb)
                 if strength == "sd":
                     if not sd_compare(order, truth.row(j), lied.row(j)).p_dominates_q:
                         return PropertyReport(

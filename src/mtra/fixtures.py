@@ -201,6 +201,8 @@ def assignment_6() -> FractionalAssignment:
 
 
 # -- replay suite ------------------------------------------------------------
+# Each check returns whether its facts hold; its name and detail string are
+# stated only in REPLAY_CHECKS, and the acceptance criteria read the verdicts.
 
 
 @dataclass(frozen=True)
@@ -210,31 +212,27 @@ class ReplayResult:
     detail: str = ""
 
 
-def _check(name: str, ok: bool, detail: str = "") -> ReplayResult:
-    return ReplayResult(name, bool(ok), detail)
-
-
-def _induced_order_check() -> ReplayResult:
+def _induced_order_check() -> bool:
     inst = mixed_pair()
     chain = prefs.PartialOrder.from_chain(
         [inst.bundle_by_name[b] for b in ["1F1B", "1F2B", "2F2B", "2F1B"]]
     )
-    return _check("induced-order-linear-chain", inst.orders[0] == chain)
+    return inst.orders[0] == chain
 
 
-def _preference_graph_check() -> ReplayResult:
+def _preference_graph_check() -> bool:
     inst = mixed_pair()
     graph = prefs.preference_graph(inst.orders[1])
     bn = inst.bundle_by_name
     want = {(bn["1F1B"], bn["1F2B"]), (bn["2F1B"], bn["1F2B"]), (bn["2F2B"], bn["1F2B"])}
-    return _check("bottom-bundle-preference-graph", set(graph.edges) == want)
+    return set(graph.edges) == want
 
 
-def _upper_contour_check() -> ReplayResult:
+def _upper_contour_check() -> bool:
     inst = mixed_pair()
     bn = inst.bundle_by_name
     o1, o2 = inst.orders
-    ok = (
+    return (
         o1.upper_contour_set(bn["1F1B"]) == {bn["1F1B"]}
         and o1.upper_contour_set(bn["1F2B"]) == {bn["1F1B"], bn["1F2B"]}
         and o1.upper_contour_set(bn["2F2B"]) == {bn["1F1B"], bn["1F2B"], bn["2F2B"]}
@@ -242,10 +240,9 @@ def _upper_contour_check() -> ReplayResult:
         and o2.upper_contour_set(bn["2F1B"]) == {bn["2F1B"]}
         and o2.upper_contour_set(bn["1F2B"]) == set(range(4))
     )
-    return _check("upper-contour-sets", ok)
 
 
-def _dominance_table_check() -> ReplayResult:
+def _dominance_table_check() -> bool:
     inst = mixed_pair()
     bn = inst.bundle_by_name
     a1, a2, a3 = assignment_1(), assignment_2(), assignment_3()
@@ -256,76 +253,61 @@ def _dominance_table_check() -> ReplayResult:
     ok = ok and not v.p_dominates_q and v.slack[bn["2F1B"]] < 0
     ok = ok and sd_compare(inst.orders[0], a1.row(0), a2.row(0)).p_dominates_q
     w = sd_compare(inst.orders[1], a1.row(1), a2.row(1))
-    ok = ok and not w.p_dominates_q and not w.q_dominates_p and w.slack[bn["1F1B"]] < 0
-    return _check(
-        "dominance-table",
-        ok,
-        "(2)sd(3); (2) vs (1) incomparable for agent 2, (1)sd(2) for agent 1",
-    )
+    ok = ok and not w.p_dominates_q and not w.q_dominates_p
+    return ok and w.slack[bn["1F1B"]] < 0 and w.slack[bn["2F1B"]] > 0
 
 
-def _topological_sorts_check() -> ReplayResult:
+def _topological_sorts_check() -> bool:
     inst = mixed_pair()
     got_a = prefs.topological_sort(inst.orders[1], sort_a(inst))
     got_b = prefs.topological_sort(inst.orders[1], sort_b(inst))
-    return _check(
-        "two-topological-sorts",
-        got_a == tuple(sort_a(inst)) and got_b == tuple(sort_b(inst)),
-    )
+    return got_a == tuple(sort_a(inst)) and got_b == tuple(sort_b(inst))
 
 
-def _eating_two_sorts_check() -> ReplayResult:
+def _eating_two_sorts_check() -> bool:
     inst = mixed_pair()
     first, _ = mps(inst, sort_a(inst))
     second, _ = mps(inst, sort_b(inst))
-    return _check(
-        "eating-two-sorts", first == assignment_1() and second == assignment_2()
-    )
+    return first == assignment_1() and second == assignment_2()
 
 
-def _priority_exact_check() -> ReplayResult:
+def _priority_exact_check() -> bool:
     inst = mixed_pair()
     result = mrp(inst, MrpExact(), sort_a(inst))
-    ok = result.assignment == assignment_1()
-    ok = ok and mrp_decompose(inst, sort_a(inst)).expectation(inst) == result.assignment
-    return _check("priority-exact-average", ok)
+    lottery = mrp_decompose(inst, sort_a(inst))
+    return (
+        result.assignment == assignment_1()
+        and len(lottery.entries) == 2
+        and lottery.expectation(inst) == result.assignment
+    )
 
 
-def _group_sharing_check() -> ReplayResult:
+def _halves(inst: Instance, a: str, b: str) -> FractionalAssignment:
+    """Every agent gets half of bundle ``a`` and half of bundle ``b``."""
+    pair = (inst.bundle_by_name[a], inst.bundle_by_name[b])
+    row = [F(1, 2) if x in pair else F(0) for x in range(inst.m)]
+    return FractionalAssignment.from_rows([row] * inst.n)
+
+
+def _group_sharing_check() -> bool:
     inst = partial_twins()
-    bn = inst.bundle_by_name
-    first = mgd(inst, sort_a(inst))
-    second = mgd(inst, sort_b(inst))
-    half = F(1, 2)
-    want_first = FractionalAssignment.from_rows(
-        [
-            {bn["2F1B"]: half, bn["1F2B"]: half}.get(x, F(0))
-            for x in range(4)
-        ]
-        for _ in range(2)
+    return (
+        mgd(inst, sort_a(inst)) == _halves(inst, "2F1B", "1F2B")
+        and mgd(inst, sort_b(inst)) == _halves(inst, "1F1B", "2F2B")
     )
-    want_second = FractionalAssignment.from_rows(
-        [
-            {bn["1F1B"]: half, bn["2F2B"]: half}.get(x, F(0))
-            for x in range(4)
-        ]
-        for _ in range(2)
-    )
-    return _check("group-sharing-two-sorts", first == want_first and second == want_second)
 
 
-def _group_lottery_check() -> ReplayResult:
+def _group_lottery_check() -> bool:
     inst = partial_twins()
     lottery = mgd_decompose(inst, sort_a(inst))
-    ok = (
+    return (
         len(lottery.entries) == 2
         and all(prob == F(1, 2) for prob, _ in lottery.entries)
         and lottery.expectation(inst) == mgd(inst, sort_a(inst))
     )
-    return _check("group-sharing-lottery", ok)
 
 
-def _dependent_pair_eating_check() -> ReplayResult:
+def _dependent_pair_eating_check() -> bool:
     inst = dependent_pair()
     chain1 = prefs.PartialOrder.from_chain(
         [inst.bundle_by_name[b] for b in ["1F2B", "1F1B", "2F1B", "2F2B"]]
@@ -333,75 +315,63 @@ def _dependent_pair_eating_check() -> ReplayResult:
     chain2 = prefs.PartialOrder.from_chain(
         [inst.bundle_by_name[b] for b in ["1F1B", "1F2B", "2F2B", "2F1B"]]
     )
-    ok = inst.orders[0] == chain1 and inst.orders[1] == chain2
     out, _ = mps(inst)
-    return _check("dependent-pair-eating", ok and out == assignment_3())
+    return inst.orders[0] == chain1 and inst.orders[1] == chain2 and out == assignment_3()
 
 
-def _dependent_pair_lottery_check() -> ReplayResult:
+def _dependent_pair_lottery_check() -> bool:
     inst = dependent_pair()
     report = check_decomposability(inst, assignment_3())
     expost = check_ex_post_efficiency(inst, assignment_3())
-    return _check(
-        "dependent-pair-indecomposable",
-        not report.passed and report.witness is not None and not expost.passed,
+    return (
+        not report.passed
+        and report.witness is not None
+        and report.witness.certificate is not None
+        and not expost.passed
     )
 
 
-def _blank_vs_chain_priority_check() -> ReplayResult:
+def _blank_vs_chain_priority_check() -> bool:
     inst = blank_vs_chain()
     truth = mrp(inst, MrpExact()).assignment
     half = FractionalAssignment.from_rows([["1/2", "1/2"]] * 2)
     lie_pref = prefs.PartialOrder.from_pairs(2, [(1, 0)])
     lied = mrp(inst.with_preference(0, lie_pref), MrpExact()).assignment
     swapped = FractionalAssignment.from_rows([["0", "1"], ["1", "0"]])
-    return _check("blank-vs-chain-priority", truth == half and lied == swapped)
+    return truth == half and lied == swapped
 
 
-def _blank_vs_chain_transformation_check() -> ReplayResult:
+def _blank_vs_chain_transformation_check() -> bool:
     inst = blank_vs_chain()
     truth = mrp(inst, MrpExact()).assignment
     lie_pref = prefs.PartialOrder.from_pairs(2, [(1, 0)])
     ok_pivot2, z = prefs.is_uit(inst.orders[0], lie_pref, 1, truth.row(0))
     not_pivot1, _ = prefs.is_uit(inst.orders[0], lie_pref, 0, truth.row(0))
-    return _check(
-        "blank-vs-chain-transformation",
-        ok_pivot2 and z == frozenset() and not not_pivot1,
-        "valid at the reported pivot with empty removal set",
-    )
+    return ok_pivot2 and z == frozenset() and not not_pivot1
 
 
-def _blank_vs_chain_invariance_check() -> ReplayResult:
+def _blank_vs_chain_invariance_check() -> bool:
     inst = blank_vs_chain()
     sp = check_strategyproofness(
         "mrp", inst, spaces.LinearOrderMisreports(), "sd", tiebreaks=[None]
     )
-    lie_pref = prefs.PartialOrder.from_pairs(2, [(1, 0)])
-    ui = check_upper_invariance(
-        "mrp", inst, spaces.ExplicitTransforms(((0, lie_pref, 1),)), tiebreaks=[None]
-    )
-    ui_mps = check_upper_invariance(
-        "mps", inst, spaces.ExplicitTransforms(((0, lie_pref, 1),)), tiebreaks=[None]
-    )
-    return _check(
-        "blank-vs-chain-invariance-failures",
-        not sp.passed and not ui.passed and not ui_mps.passed,
-    )
+    lie = spaces.ExplicitTransforms(((0, prefs.PartialOrder.from_pairs(2, [(1, 0)]), 1),))
+    ui = check_upper_invariance("mrp", inst, lie, tiebreaks=[None])
+    ui_mps = check_upper_invariance("mps", inst, lie, tiebreaks=[None])
+    return not sp.passed and not ui.passed and not ui_mps.passed
 
 
-def _worst_first_eating_check() -> ReplayResult:
+def _worst_first_eating_check() -> bool:
     inst = blank_vs_chain()
     tb = [[1, 0], [0, 1]]  # agent 1 sorted worst-first, agent 2 canonical
     out, _ = mps(inst, tb)
     swapped = FractionalAssignment.from_rows([["0", "1"], ["1", "0"]])
     of = check_ordinal_fairness(inst, out)
     ef = check_envy(inst, out, "strong")
-    return _check(
-        "worst-first-eating-unfair", out == swapped and not of.passed and not ef.passed
-    )
+    return out == swapped and not of.passed and not ef.passed
 
 
-def _three_chains_dictatorship_check() -> ReplayResult:
+def _three_chains_dictatorship_check() -> bool:
     inst = three_chains()
     out = mgd(inst)
     want = FractionalAssignment.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
@@ -414,16 +384,16 @@ def _three_chains_dictatorship_check() -> ReplayResult:
         and of.witness.agent == 0
         and of.witness.other == 1
     )
-    return _check("three-chains-dictatorship", out == want and not weak.passed and of_at)
+    return out == want and not weak.passed and of_at
 
 
-def _three_chains_manipulation_check() -> ReplayResult:
+def _three_chains_manipulation_check() -> bool:
     inst = three_chains()
     sp = check_strategyproofness(
         "mgd", inst, spaces.LinearOrderMisreports(), "weak", tiebreaks=[None]
     )
     if sp.passed:
-        return _check("three-chains-manipulation", False)
+        return False
     w = sp.witness
     gained = w.manipulated.row(w.agent)
     ok = w.agent == 2 and gained == (F(1, 2), F(1, 2), F(0))
@@ -433,10 +403,10 @@ def _three_chains_manipulation_check() -> ReplayResult:
         spaces.ExplicitTransforms(((2, inst.preferences[0], inst.bundle_by_name["2F"]),)),
         tiebreaks=[None],
     )
-    return _check("three-chains-manipulation", ok and not ui.passed)
+    return ok and not ui.passed
 
 
-def _opposed_trio_check() -> ReplayResult:
+def _opposed_trio_check() -> bool:
     inst = opposed_trio()
     uniform = assignment_5()
     better = assignment_6()
@@ -446,13 +416,10 @@ def _opposed_trio_check() -> ReplayResult:
         sd_compare(inst.orders[j], better.row(j), uniform.row(j)).p_dominates_q
         for j in range(3)
     )
-    return _check(
-        "opposed-trio-envy-vs-efficiency",
-        envy.passed and not eff.passed and dominates,
-    )
+    return envy.passed and not eff.passed and dominates
 
 
-def _improvable_pairs_check() -> ReplayResult:
+def _improvable_pairs_check() -> bool:
     inst = mixed_pair()
     bn = inst.bundle_by_name
     pairs = {(t.better, t.worse) for t in improvable_tuples(inst, assignment_3())}
@@ -465,73 +432,66 @@ def _improvable_pairs_check() -> ReplayResult:
     better_than = [[a for a, b in pairs if b == x] for x in range(inst.m)]
     acyclic = prefs.dependency_order(better_than) is not None
     cycle = find_generalized_cycle(inst, assignment_3())
-    return _check(
-        "improvable-pairs-cycle",
-        pairs == want and acyclic and cycle is not None,
-        "pair relation acyclic yet a generalized cycle exists",
-    )
+    return pairs == want and acyclic and cycle is not None
 
 
-def _ordinal_fairness_gap_check() -> ReplayResult:
+def _ordinal_fairness_gap_check() -> bool:
     inst = chain_twins()
-    half = F(1, 2)
-    bn = inst.bundle_by_name
-    P = FractionalAssignment.from_rows(
-        [
-            [
-                {bn["1F2B"]: half, bn["2F1B"]: half}.get(x, F(0))
-                for x in range(4)
-            ]
-        ]
-        * 2
-    )
-    fair = check_ordinal_fairness(inst, P)
+    P = _halves(inst, "1F2B", "2F1B")
     eating, _ = mps(inst)
-    return _check(
-        "ordinal-fairness-gap",
-        fair.passed and P != eating,
-    )
+    return check_ordinal_fairness(inst, P).passed and P != eating
 
 
-def _solo_sanity() -> ReplayResult:
+def _solo_sanity() -> bool:
     inst = solo()
     one = FractionalAssignment.from_rows([[1]])
-    ok = (
+    return (
         mrp(inst, MrpExact()).assignment == one
         and mps(inst)[0] == one
         and mgd(inst) == one
     )
-    return _check("solo-instance", ok)
 
 
-REPLAY_CHECKS: tuple[tuple[str, Callable[[], ReplayResult]], ...] = (
-    ("induced-order-linear-chain", _induced_order_check),
-    ("bottom-bundle-preference-graph", _preference_graph_check),
-    ("upper-contour-sets", _upper_contour_check),
-    ("dominance-table", _dominance_table_check),
-    ("two-topological-sorts", _topological_sorts_check),
-    ("eating-two-sorts", _eating_two_sorts_check),
-    ("priority-exact-average", _priority_exact_check),
-    ("group-sharing-two-sorts", _group_sharing_check),
-    ("group-sharing-lottery", _group_lottery_check),
-    ("dependent-pair-eating", _dependent_pair_eating_check),
-    ("dependent-pair-indecomposable", _dependent_pair_lottery_check),
-    ("blank-vs-chain-priority", _blank_vs_chain_priority_check),
-    ("blank-vs-chain-transformation", _blank_vs_chain_transformation_check),
-    ("blank-vs-chain-invariance-failures", _blank_vs_chain_invariance_check),
-    ("worst-first-eating-unfair", _worst_first_eating_check),
-    ("three-chains-dictatorship", _three_chains_dictatorship_check),
-    ("three-chains-manipulation", _three_chains_manipulation_check),
-    ("opposed-trio-envy-vs-efficiency", _opposed_trio_check),
-    ("improvable-pairs-cycle", _improvable_pairs_check),
-    ("ordinal-fairness-gap", _ordinal_fairness_gap_check),
-    ("solo-instance", _solo_sanity),
+REPLAY_CHECKS: tuple[tuple[str, Callable[[], bool], str], ...] = (
+    ("induced-order-linear-chain", _induced_order_check, ""),
+    ("bottom-bundle-preference-graph", _preference_graph_check, ""),
+    ("upper-contour-sets", _upper_contour_check, ""),
+    (
+        "dominance-table",
+        _dominance_table_check,
+        "(2)sd(3); (2) vs (1) incomparable for agent 2, (1)sd(2) for agent 1",
+    ),
+    ("two-topological-sorts", _topological_sorts_check, ""),
+    ("eating-two-sorts", _eating_two_sorts_check, ""),
+    ("priority-exact-average", _priority_exact_check, ""),
+    ("group-sharing-two-sorts", _group_sharing_check, ""),
+    ("group-sharing-lottery", _group_lottery_check, ""),
+    ("dependent-pair-eating", _dependent_pair_eating_check, ""),
+    ("dependent-pair-indecomposable", _dependent_pair_lottery_check, ""),
+    ("blank-vs-chain-priority", _blank_vs_chain_priority_check, ""),
+    (
+        "blank-vs-chain-transformation",
+        _blank_vs_chain_transformation_check,
+        "valid at the reported pivot with empty removal set",
+    ),
+    ("blank-vs-chain-invariance-failures", _blank_vs_chain_invariance_check, ""),
+    ("worst-first-eating-unfair", _worst_first_eating_check, ""),
+    ("three-chains-dictatorship", _three_chains_dictatorship_check, ""),
+    ("three-chains-manipulation", _three_chains_manipulation_check, ""),
+    ("opposed-trio-envy-vs-efficiency", _opposed_trio_check, ""),
+    (
+        "improvable-pairs-cycle",
+        _improvable_pairs_check,
+        "pair relation acyclic yet a generalized cycle exists",
+    ),
+    ("ordinal-fairness-gap", _ordinal_fairness_gap_check, ""),
+    ("solo-instance", _solo_sanity, ""),
 )
 
 
 def replay_all() -> list[ReplayResult]:
-    return [fn() for _, fn in REPLAY_CHECKS]
+    return [ReplayResult(name, bool(fn()), detail) for name, fn, detail in REPLAY_CHECKS]
 
 
 def fixture_names() -> list[str]:
-    return [name for name, _ in REPLAY_CHECKS]
+    return [name for name, _, _ in REPLAY_CHECKS]

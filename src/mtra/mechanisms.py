@@ -15,18 +15,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import preferences as prefs
 from .errors import DimensionMismatch, MtraError, SoundnessError, TooManyAgentsForExact
-from .model import (
-    ZERO,
-    DiscreteAssignment,
-    FractionalAssignment,
-    Instance,
-    Lottery,
-    from_discrete,
-)
+from .model import ZERO, DiscreteAssignment, FractionalAssignment, Instance, Lottery
 
 EXACT_AGENT_LIMIT = 8
 
@@ -66,13 +59,32 @@ def serial_dictatorship(
     """Agents pick their first available bundle in priority order."""
     bundle_items, item_bundles = instance.bundle_items, instance.item_bundles
     available = (1 << instance.m) - 1
-    chosen: dict[int, int] = {}
+    chosen = [0] * instance.n
     for j in priority:
         x = prefs.ext(sorts[j], available)
         chosen[j] = x
         for o in bundle_items[x]:
             available &= ~item_bundles[o]
-    return DiscreteAssignment(tuple(chosen[j] for j in range(instance.n)))
+    return DiscreteAssignment(tuple(chosen))
+
+
+def _tally(
+    instance: Instance, sorts: Sequence[Sequence[int]], priorities: Iterable[Sequence[int]]
+) -> dict[tuple[int, ...], int]:
+    """Serial-dictatorship outcome -> number of ``priorities`` producing it,
+    in the order the outcomes are first met."""
+    outcomes: dict[tuple[int, ...], int] = {}
+    for priority in priorities:
+        bundles = serial_dictatorship(instance, sorts, priority).bundles
+        outcomes[bundles] = outcomes.get(bundles, 0) + 1
+    return outcomes
+
+
+def _lottery(outcomes: dict[tuple[int, ...], int], total: int) -> Lottery:
+    """Each tallied outcome with its share of the ``total`` priorities."""
+    return Lottery(
+        tuple((Fraction(w, total), DiscreteAssignment(b)) for b, w in outcomes.items())
+    )
 
 
 # -- MRP -----------------------------------------------------------------
@@ -118,8 +130,9 @@ class MrpResult:
 def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = None) -> MrpResult:
     """Random priority over topological sorts.
 
-    Exact mode counts how many of the n! priority orders produce each
-    serial-dictatorship outcome and averages them; it builds no lottery.
+    Every mode counts how many of its priority orders (the one given, all
+    n!, or the sampled ones) produce each serial-dictatorship outcome and
+    averages them; none builds a lottery.
     """
     sorts = resolve_sorts(instance, tiebreak)
     n = instance.n
@@ -128,38 +141,34 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
             raise DimensionMismatch(
                 f"priority {mode.priority!r} is not an order of the {n} agents"
             )
-        disc = serial_dictatorship(instance, sorts, mode.priority)
-        return MrpResult(from_discrete(instance, disc), mode)
-    if isinstance(mode, MrpExact):
-        outcomes = _priority_outcomes(instance, sorts)
-        counts = [[0] * instance.m for _ in range(n)]
-        for bundles, weight in outcomes.items():
-            for j, x in enumerate(bundles):
-                counts[j][x] += weight
-        return MrpResult(FractionalAssignment(_shares(counts, math.factorial(n))), mode)
-    if isinstance(mode, MrpMonteCarlo):
-        rng = random.Random(mode.seed)
-        counts = [[0] * instance.m for _ in range(n)]
-        for _ in range(mode.samples):
-            priority = list(range(n))
-            rng.shuffle(priority)
-            disc = serial_dictatorship(instance, sorts, priority)
-            for j, x in enumerate(disc.bundles):
-                counts[j][x] += 1
-        rows = _shares(counts, mode.samples)
-        return MrpResult(FractionalAssignment(rows), mode)
-    raise TypeError(f"unknown MRP mode {mode!r}")
+        outcomes, total = _tally(instance, sorts, [mode.priority]), 1
+    elif isinstance(mode, MrpExact):
+        outcomes, total = _priority_outcomes(instance, sorts), math.factorial(n)
+    elif isinstance(mode, MrpMonteCarlo):
+        shuffled = _shuffled(random.Random(mode.seed), n, mode.samples)
+        outcomes, total = _tally(instance, sorts, shuffled), mode.samples
+    else:
+        raise TypeError(f"unknown MRP mode {mode!r}")
+    counts = [[0] * instance.m for _ in range(n)]
+    for bundles, weight in outcomes.items():
+        for j, x in enumerate(bundles):
+            counts[j][x] += weight
+    return MrpResult(FractionalAssignment(_shares(counts, total)), mode)
+
+
+def _shuffled(rng: random.Random, n: int, samples: int) -> Iterator[list[int]]:
+    for _ in range(samples):
+        priority = list(range(n))
+        rng.shuffle(priority)
+        yield priority
 
 
 def mrp_decompose(instance: Instance, tiebreak: Tiebreak = None) -> Lottery:
     """Lottery witness for exact MRP: each serial-dictatorship outcome with
     the share of the n! priority orders that produce it, in the order
     the lexicographic enumeration first meets them."""
-    total = math.factorial(instance.n)
     outcomes = _priority_outcomes(instance, resolve_sorts(instance, tiebreak))
-    return Lottery(
-        tuple((Fraction(w, total), DiscreteAssignment(b)) for b, w in outcomes.items())
-    )
+    return _lottery(outcomes, math.factorial(instance.n))
 
 
 def _priority_outcomes(
@@ -173,11 +182,7 @@ def _priority_outcomes(
         raise TooManyAgentsForExact(
             f"exact expectation enumerates {n}! priority orders; limit is {EXACT_AGENT_LIMIT}"
         )
-    outcomes: dict[tuple[int, ...], int] = {}
-    for priority in itertools.permutations(range(n)):
-        bundles = serial_dictatorship(instance, sorts, priority).bundles
-        outcomes[bundles] = outcomes.get(bundles, 0) + 1
-    return outcomes
+    return _tally(instance, sorts, itertools.permutations(range(n)))
 
 
 def _shares(counts: list[list[int]], total: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -323,26 +328,15 @@ def mgd_decompose(instance: Instance, tiebreak: Tiebreak = None) -> Lottery:
     group through the group's priority positions, lcm-many times, and
     average the serial dictatorship outcomes uniformly."""
     sorts = resolve_sorts(instance, tiebreak)
-    n = instance.n
-    groups = _groups(sorts)
-    group_list = list(groups.values())
-    k = math.lcm(*(len(g) for g in group_list))
-    outcome_weight: dict[tuple[int, ...], int] = {}
-    for u in range(1, k + 1):
-        priority = [0] * n
-        for members in group_list:
-            size = len(members)
-            for m_pos, agent in enumerate(members, start=1):
-                w = ((m_pos + u - 2) % size) + 1
+    groups = _groups(sorts).values()
+    k = math.lcm(*(len(g) for g in groups))
+    rotations = []
+    for u in range(k):
+        priority = [0] * instance.n
+        for members in groups:
+            for pos, agent in enumerate(members):
                 # the slot originally held by `agent` is taken by the
-                # w-th member of the same group
-                priority[agent] = members[w - 1]
-        order = [priority[j] for j in range(n)]
-        disc = serial_dictatorship(instance, sorts, order)
-        outcome_weight[disc.bundles] = outcome_weight.get(disc.bundles, 0) + 1
-    return Lottery(
-        tuple(
-            (Fraction(w, k), DiscreteAssignment(b))
-            for b, w in outcome_weight.items()
-        )
-    )
+                # member u places after it in the same group
+                priority[agent] = members[(pos + u) % len(members)]
+        rotations.append(priority)
+    return _lottery(_tally(instance, sorts, rotations), k)

@@ -56,6 +56,8 @@ class Instance:
         n = len(self.preferences)
         if n == 0:
             raise MissingPreference("an instance needs at least one agent")
+        if not self.types:
+            raise ParseError("an instance needs at least one type")
         names: set[str] = set()
         for t in self.types:
             if t.name in names:
@@ -71,6 +73,9 @@ class Instance:
                 if it in item_names:
                     raise DuplicateItemName(f"item name {it!r} reused")
                 item_names.add(it)
+        if len(self.bundle_by_name) != self.m:
+            name = next(b for x, b in enumerate(self.bundle_names) if self.bundle_by_name[b] != x)
+            raise DuplicateItemName(f"bundle name {name!r} names two bundles")
         for j, pref in enumerate(self.preferences):
             self._check_preference(j, pref)
 

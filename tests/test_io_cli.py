@@ -201,6 +201,13 @@ def test_cli_replay(capsys):
     assert out.count("PASS") == len(listed)
 
 
+def test_replay_names_are_unique():
+    """A repeated name would let a passing check hide a failing one in the
+    name -> verdict dict the acceptance criteria read."""
+    names = fixtures.fixture_names()
+    assert len(set(names)) == len(names)
+
+
 def test_cli_check_mechanism_properties(workdir, capsys, tmp_path, three_chains):
     (tmp_path / "chains.json").write_text(io.serialize_instance(three_chains))
     from mtra.mechanisms import mgd
@@ -248,6 +255,11 @@ def test_cli_parse_error_exit2(workdir, capsys):
     assert main(["check", str(workdir / "mixed_pair.json"), str(bad)]) == 2
 
 
+BLANK = [{"kind": "partial", "edges": []}] * 2
+# a + bc and ab + c are both named "abc"
+ABC = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "bc"]}]
+
+
 @pytest.mark.parametrize(
     "argv, patch",
     [
@@ -268,11 +280,14 @@ def test_cli_parse_error_exit2(workdir, capsys):
         (["run", "{inst}", "--mechanism", "mps", "--tiebreak", "{tb56}"], None),
         (["check", "{inst}", "{a1}", "--property", ""], None),
         (["check", "{inst}", "{a1}", "--property", ","], None),
+        (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc.update(types=[], preferences=BLANK)),
+        (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc.update(types=ABC, preferences=BLANK)),
     ],
     ids=[
         "mc-zero", "mc-negative", "sampled-not-int", "sampled-zero", "cpt-list", "cpt-rows-list",
         "edges-number", "dependency-number", "cpt-row-number", "tiebreak-entry-number",
-        "tiebreak-file-entry-number", "property-empty", "property-comma",
+        "tiebreak-file-entry-number", "property-empty", "property-comma", "no-types",
+        "bundle-name-collision",
     ],
 )
 def test_cli_bad_input_exit2(workdir, capsys, argv, patch):

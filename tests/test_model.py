@@ -9,6 +9,7 @@ from mtra.errors import (
     DimensionMismatch,
     DuplicateItemName,
     MissingPreference,
+    ParseError,
     TypeSizeMismatch,
 )
 from mtra.model import (
@@ -59,6 +60,28 @@ def test_duplicate_item_name():
                 ],
                 "preferences": [{"kind": "partial", "edges": []}] * 2,
             }
+        )
+
+
+def test_bundle_names_must_be_distinct():
+    # a + bc and ab + c would both be named "abc"
+    with pytest.raises(DuplicateItemName, match="'abc'"):
+        build_instance(
+            {
+                "agents": 2,
+                "types": [
+                    {"name": "F", "items": ["a", "ab"]},
+                    {"name": "B", "items": ["c", "bc"]},
+                ],
+                "preferences": [{"kind": "partial", "edges": []}] * 2,
+            }
+        )
+
+
+def test_instance_needs_a_type():
+    with pytest.raises(ParseError):
+        build_instance(
+            {"agents": 2, "types": [], "preferences": [{"kind": "partial", "edges": []}] * 2}
         )
 
 
@@ -235,7 +258,6 @@ def test_with_preference_rejects_bad_agent(mixed_pair):
 
 
 def test_instance_requires_matching_preference_universe(mixed_pair):
-    from mtra.errors import ParseError
     from mtra.preferences import PartialOrder
 
     with pytest.raises(ParseError):
