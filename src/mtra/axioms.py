@@ -18,7 +18,7 @@ from . import preferences as prefs
 from . import spaces
 from .errors import InstanceTooLargeToDecide, SoundnessError, UniverseMismatch
 from .lp import EQ, GE, Constraint, LinearProgram, feasibility, solve
-from .mechanisms import MrpExact, Tiebreak, mgd, mps, mrp
+from .mechanisms import MrpExact, Tiebreak, mgd, mps, mrp, mrp_turns
 from .model import (
     ONE,
     ZERO,
@@ -48,18 +48,31 @@ class SdVerdict:
     slack: tuple[Fraction, ...]
 
 
+def _numerators(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row as integer numerators over the lcm of its denominators."""
+    den = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row], den
+
+
+def _ucs_masks(order: prefs.PartialOrder) -> list[int]:
+    return [order.ucs_mask(x) for x in range(order.m)]
+
+
+def _contour_sums(masks: Sequence[int], values: Sequence[int]) -> list[int]:
+    """Per upper contour mask, the sum of the integer ``values`` over the
+    bundles in it."""
+    held = [(1 << y, v) for y, v in enumerate(values) if v]
+    return [sum(v for bit, v in held if mask & bit) for mask in masks]
+
+
 def ucs_sums(order: prefs.PartialOrder, row: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Per bundle, the total share the row puts on its upper contour set.
 
     The row is scaled to integers by the lcm of its denominators, so the
     contour sums are integer additions and each result is one Fraction.
     """
-    den = math.lcm(*(v.denominator for v in row))
-    held = [(1 << y, v.numerator * (den // v.denominator)) for y, v in enumerate(row) if v]
-    return tuple(
-        Fraction(sum(v for bit, v in held if mask & bit), den)
-        for mask in map(order.ucs_mask, range(order.m))
-    )
+    nums, den = _numerators(row)
+    return tuple(Fraction(v, den) for v in _contour_sums(_ucs_masks(order), nums))
 
 
 def sd_compare(
@@ -76,12 +89,11 @@ def sd_compare(
     if len(p_row) != order.m or len(q_row) != order.m:
         raise UniverseMismatch("allocation rows do not match the bundle universe")
     den = math.lcm(*(v.denominator for v in p_row), *(v.denominator for v in q_row))
-    held = []
-    for y, (a, b) in enumerate(zip(p_row, q_row)):
-        d = a.numerator * (den // a.denominator) - b.numerator * (den // b.denominator)
-        if d:
-            held.append((1 << y, d))
-    sums = [sum(d for bit, d in held if mask & bit) for mask in map(order.ucs_mask, range(order.m))]
+    diffs = [
+        a.numerator * (den // a.denominator) - b.numerator * (den // b.denominator)
+        for a, b in zip(p_row, q_row)
+    ]
+    sums = _contour_sums(_ucs_masks(order), diffs)
     slack = {v: Fraction(v, den) if v else ZERO for v in set(sums)}
     return SdVerdict(
         p_dominates_q=all(v >= 0 for v in sums),
@@ -400,7 +412,17 @@ def check_strategyproofness(
 ) -> PropertyReport:
     """sd: truth-telling sd-dominates every misreport.
     weak: no misreport sd-dominates truth-telling unless it leaves the
-    agent's own row unchanged."""
+    agent's own row unchanged.
+
+    Each misreport is judged by one integer comparison: the upper
+    contour sums of the agent's row under it, as numerators over the
+    row's own denominator, against the truthful sums, worked out once
+    per agent.  For ``mrp`` the row is read off the truth's turn tables
+    (:func:`mrp_turns`) with the misreport's sort, so nothing is re-run;
+    ``mps`` and ``mgd`` re-run on the one-agent copy.  A misreport order
+    already judged is skipped, and the first failing misreport is re-run
+    through the mechanism for the witness.
+    """
     name = ("sd" if strength == "sd" else "weak-sd") + "-strategyproofness"
     fn = mechanism_callable(mechanism)
     detail = f"{mechanism} against {misreports.describe()}"
@@ -408,8 +430,12 @@ def check_strategyproofness(
         tiebreaks = _default_tiebreaks(instance)
     for tb in tiebreaks:
         truth = fn(instance, tb)
+        lied_row = _lied_row(mechanism, instance, tb)
         for j in range(instance.n):
             order = instance.orders[j]
+            masks = _ucs_masks(order)
+            truth_nums, truth_den = _numerators(truth.row(j))
+            truth_sums = _contour_sums(masks, truth_nums)
             # an order already judged gets the same verdict again; the
             # truth's own order cannot manipulate
             judged = {order}
@@ -418,25 +444,50 @@ def check_strategyproofness(
                 if rep_order in judged:
                     continue
                 judged.add(rep_order)
-                lied = fn(instance.with_preference(j, report), tb)
+                nums, den = lied_row(j, report, rep_order)
+                sums = _contour_sums(masks, nums)
                 if strength == "sd":
-                    if not sd_compare(order, truth.row(j), lied.row(j)).p_dominates_q:
-                        return PropertyReport(
-                            name,
-                            False,
-                            witness=ManipulationWitness(j, report, truth, lied, tb),
-                            detail=detail,
-                        )
+                    manipulated = any(v * truth_den > t * den for v, t in zip(sums, truth_sums))
                 else:
-                    verdict = sd_compare(order, lied.row(j), truth.row(j))
-                    if verdict.p_dominates_q and lied.row(j) != truth.row(j):
-                        return PropertyReport(
-                            name,
-                            False,
-                            witness=ManipulationWitness(j, report, truth, lied, tb),
-                            detail=detail,
-                        )
+                    manipulated = all(
+                        v * truth_den >= t * den for v, t in zip(sums, truth_sums)
+                    ) and any(v * truth_den != t * den for v, t in zip(nums, truth_nums))
+                if manipulated:
+                    lied = fn(instance.with_preference(j, report), tb)
+                    return PropertyReport(
+                        name,
+                        False,
+                        witness=ManipulationWitness(j, report, truth, lied, tb),
+                        detail=detail,
+                    )
     return PropertyReport(name, True, detail=detail)
+
+
+def _lied_row(
+    mechanism: str, instance: Instance, tiebreak: object
+) -> Callable[[int, Preference, prefs.PartialOrder], tuple[list[int], int]]:
+    """(agent, report, the report's order) -> the agent's row when it
+    alone reports ``report``, as integer numerators and a denominator.
+
+    For ``mrp`` each report order is sorted once per agent tie-break:
+    agents that share a tie-break share the sorts of the orders they
+    both try."""
+    if mechanism == "mrp":
+        turns = mrp_turns(instance, tiebreak)  # type: ignore[arg-type]
+        sorts: dict[tuple[prefs.PartialOrder, tuple[int, ...]], tuple[int, ...]] = {}
+
+        def row(j: int, report: Preference, order: prefs.PartialOrder) -> tuple[list[int], int]:
+            key = (order, turns.tiebreaks[j])
+            sort = sorts.get(key)
+            if sort is None:
+                sort = sorts[key] = prefs.topological_sort(order, key[1])
+            return turns.counts(j, sort), turns.total
+
+        return row
+    fn = mechanism_callable(mechanism)
+    return lambda j, report, order: _numerators(
+        fn(instance.with_preference(j, report), tiebreak).row(j)  # type: ignore[arg-type]
+    )
 
 
 def check_upper_invariance(

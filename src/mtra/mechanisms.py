@@ -21,7 +21,14 @@ from . import preferences as prefs
 from .errors import DimensionMismatch, MtraError, SoundnessError, TooManyAgentsForExact
 from .model import ZERO, DiscreteAssignment, FractionalAssignment, Instance, Lottery
 
+# ``mrp_decompose`` lists the outcomes of all n! priority orders.
 EXACT_AGENT_LIMIT = 8
+# Exact ``mrp`` refuses an instance whose pass over (agents served,
+# bundles available) states would take more than this many turns, a
+# turn being one state with one unserved agent picking next.  The pass
+# spends time and memory per turn.  Computing random-priority shares is
+# #P-hard in general, so this is a fixed budget, not a setting.
+EXACT_TURN_LIMIT = 1_000_000
 
 Tiebreak = Sequence[int] | Sequence[Sequence[int]] | None
 
@@ -37,7 +44,7 @@ def resolve_sorts(instance: Instance, tiebreak: Tiebreak = None) -> tuple[tuple[
     return tuple(instance.sort(j, tb) for j, tb in enumerate(breaks))
 
 
-def _per_agent_tiebreaks(instance: Instance, tiebreak: Tiebreak) -> list[Sequence[int]]:
+def _per_agent_tiebreaks(instance: Instance, tiebreak: Tiebreak) -> list[tuple[int, ...]]:
     canonical = tuple(range(instance.m))
     if tiebreak is None:
         return [canonical] * instance.n
@@ -57,14 +64,13 @@ def serial_dictatorship(
     priority: Sequence[int],
 ) -> DiscreteAssignment:
     """Agents pick their first available bundle in priority order."""
-    bundle_items, item_bundles = instance.bundle_items, instance.item_bundles
+    conflicts = instance.conflicts
     available = (1 << instance.m) - 1
     chosen = [0] * instance.n
     for j in priority:
         x = prefs.ext(sorts[j], available)
         chosen[j] = x
-        for o in bundle_items[x]:
-            available &= ~item_bundles[o]
+        available &= ~conflicts[x]
     return DiscreteAssignment(tuple(chosen))
 
 
@@ -99,7 +105,10 @@ class MrpSingle:
 
 @dataclass(frozen=True)
 class MrpExact:
-    """Average over all n! priority orders (n <= 8)."""
+    """Average over all n! priority orders, counted by one pass over
+    (agents served, bundles available) states (:func:`mrp_turns`); an
+    instance whose pass needs more than ``EXACT_TURN_LIMIT`` turns is
+    refused."""
 
 
 @dataclass(frozen=True)
@@ -130,10 +139,15 @@ class MrpResult:
 def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = None) -> MrpResult:
     """Random priority over topological sorts.
 
-    Every mode counts how many of its priority orders (the one given, all
-    n!, or the sampled ones) produce each serial-dictatorship outcome and
-    averages them; none builds a lottery.
+    Single and Monte-Carlo modes count how many of their priority orders
+    (the one given, or the sampled ones) produce each serial-dictatorship
+    outcome and average them.  Exact mode takes the rows that
+    :func:`mrp_turns` counts over all n! orders without running them;
+    no mode builds a lottery.
     """
+    if isinstance(mode, MrpExact):
+        turns = mrp_turns(instance, tiebreak)
+        return MrpResult(FractionalAssignment(_shares(turns.rows, turns.total)), mode)
     sorts = resolve_sorts(instance, tiebreak)
     n = instance.n
     if isinstance(mode, MrpSingle):
@@ -142,8 +156,6 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
                 f"priority {mode.priority!r} is not an order of the {n} agents"
             )
         outcomes, total = _tally(instance, sorts, [mode.priority]), 1
-    elif isinstance(mode, MrpExact):
-        outcomes, total = _priority_outcomes(instance, sorts), math.factorial(n)
     elif isinstance(mode, MrpMonteCarlo):
         shuffled = _shuffled(random.Random(mode.seed), n, mode.samples)
         outcomes, total = _tally(instance, sorts, shuffled), mode.samples
@@ -154,6 +166,99 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
         for j, x in enumerate(bundles):
             counts[j][x] += weight
     return MrpResult(FractionalAssignment(_shares(counts, total)), mode)
+
+
+@dataclass(frozen=True, eq=False)
+class MrpTurns:
+    """Where each agent's turn falls over the n! priority orders.
+
+    ``tables[j]`` maps the bitmask of the bundles still available when
+    agent j picks to the number of priority orders that leave exactly
+    those bundles to j.  Only the agents before j pick, so the table
+    depends on the other agents' sorts alone, and :meth:`counts` reads
+    j's row off it for any sort of j's own: a misreport's order sorted
+    under ``tiebreaks[j]``, say.  ``rows`` are the truthful rows; all
+    rows are numerators over ``total`` = n!.
+    """
+
+    m: int
+    total: int
+    tiebreaks: tuple[tuple[int, ...], ...]
+    tables: tuple[dict[int, int], ...]
+    rows: tuple[list[int], ...]
+
+    def counts(self, agent: int, sort: Sequence[int]) -> list[int]:
+        """The agent's row when it picks by ``sort``, as numerators over
+        ``total``."""
+        row = [0] * self.m
+        for available, orders in self.tables[agent].items():
+            row[prefs.ext(sort, available)] += orders
+        return row
+
+
+def mrp_turns(instance: Instance, tiebreak: Tiebreak = None) -> MrpTurns:
+    """The turn tables of exact MRP, from one forward pass.
+
+    Layer k of the pass holds the states (agents served, bundles
+    available) that k-agent prefixes of priority orders reach, each with
+    the number of prefixes reaching it.  An unserved agent j extends
+    each of them by (n-k-1)! orders, all of which give j its turn at the
+    state's available bundles; its pick there, worked out once per (j,
+    available), leads to the next layer.  A layer of s states at depth
+    k takes s * (n-k) turns; ``TooManyAgentsForExact`` is raised before
+    the first layer that would take the pass past ``EXACT_TURN_LIMIT``
+    turns.
+    """
+    breaks = tuple(_per_agent_tiebreaks(instance, tiebreak))
+    sorts = [instance.sort(j, tb) for j, tb in enumerate(breaks)]
+    n, m = instance.n, instance.m
+    conflicts = instance.conflicts
+    agents = (1 << n) - 1
+    # per agent, available -> orders * m + pick: the number of orders
+    # that give the agent its turn there, and the bundle it picks
+    turns: list[dict[int, int]] = [{} for _ in range(n)]
+    layer = {((1 << m) - 1) << n: 1}  # available << n | served -> prefixes
+    taken = 0
+    weight = math.factorial(n)
+    for k in range(n):
+        taken += len(layer) * (n - k)
+        if taken > EXACT_TURN_LIMIT:
+            raise TooManyAgentsForExact(
+                f"exact MRP would take {taken} turns over (served, available)"
+                f" states by depth {k}; the budget is {EXACT_TURN_LIMIT}"
+            )
+        weight //= n - k  # (n-k-1)! orders extend a prefix and its next agent
+        last = k == n - 1
+        nxt: dict[int, int] = {}
+        for key, count in layer.items():
+            available = key >> n
+            served = key & agents
+            added = count * weight * m  # the orders per next agent, past the pick
+            rest = agents & ~served
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                j = bit.bit_length() - 1
+                table = turns[j]
+                turn = table.get(available)
+                if turn is None:
+                    turn = prefs.ext(sorts[j], available)
+                table[available] = turn + added
+                if not last:
+                    successor = ((available & ~conflicts[turn % m]) << n) | served | bit
+                    nxt[successor] = nxt.get(successor, 0) + count
+        layer = nxt
+    total = math.factorial(n)
+    tables, rows = [], []
+    for table in turns:
+        row = [0] * m
+        for turn in table.values():
+            row[turn % m] += turn // m
+        if sum(row) != total:
+            raise SoundnessError("every agent takes one turn in each priority order")
+        tables.append({available: turn // m for available, turn in table.items()})
+        rows.append(row)
+    return MrpTurns(m, total, breaks, tuple(tables), tuple(rows))
 
 
 def _shuffled(rng: random.Random, n: int, samples: int) -> Iterator[list[int]]:
@@ -180,7 +285,7 @@ def _priority_outcomes(
     n = instance.n
     if n > EXACT_AGENT_LIMIT:
         raise TooManyAgentsForExact(
-            f"exact expectation enumerates {n}! priority orders; limit is {EXACT_AGENT_LIMIT}"
+            f"the exact lottery enumerates {n}! priority orders; limit is {EXACT_AGENT_LIMIT}"
         )
     return _tally(instance, sorts, itertools.permutations(range(n)))
 
@@ -307,7 +412,7 @@ def mgd(instance: Instance, tiebreak: Tiebreak = None) -> FractionalAssignment:
     sorts = resolve_sorts(instance, tiebreak)
     n = instance.n
     groups = _groups(sorts)
-    bundle_items, item_bundles = instance.bundle_items, instance.item_bundles
+    conflicts = instance.conflicts
     available = (1 << instance.m) - 1
     rows = [[ZERO] * instance.m for _ in range(n)]
     for j in range(n):
@@ -318,8 +423,7 @@ def mgd(instance: Instance, tiebreak: Tiebreak = None) -> FractionalAssignment:
             if rows[member][top] != 0:
                 raise SoundnessError("a group never revisits a bundle")
             rows[member][top] = share
-        for o in bundle_items[top]:
-            available &= ~item_bundles[o]
+        available &= ~conflicts[top]
     return FractionalAssignment(tuple(tuple(r) for r in rows))
 
 

@@ -144,6 +144,18 @@ class Instance:
         return tuple(masks)
 
     @cached_property
+    def conflicts(self) -> tuple[int, ...]:
+        """Per bundle, the bitmask of the bundles that share an item with
+        it, itself included: what picking it takes off the table."""
+        out = []
+        for items in self.bundle_items:
+            mask = 0
+            for o in items:
+                mask |= self.item_bundles[o]
+            out.append(mask)
+        return tuple(out)
+
+    @cached_property
     def bundle_names(self) -> tuple[str, ...]:
         return tuple(
             "".join(self.types[t].items[coord] for t, coord in enumerate(b))
@@ -226,7 +238,7 @@ class Instance:
 # Cached properties that depend on the types alone.
 _STRUCTURE = (
     "sizes", "m", "item_names", "bundles", "bundle_items", "item_bundles",
-    "bundle_names", "bundle_by_name",
+    "conflicts", "bundle_names", "bundle_by_name",
 )
 
 
@@ -347,23 +359,39 @@ def _parse_parent_key(
     parent_list: Sequence[int],
     item_index: Mapping[str, tuple[int, int]],
 ) -> tuple[int, ...]:
+    """A CPT row key: one item name per parent type, run together in any
+    order.  Every way of splitting the key into such names is tried, so
+    an item name that prefixes another cannot hide the right reading;
+    a key with no reading, or with two, is refused."""
     if not parent_list:
         if key not in ("", "-"):
             raise ParseError(f"parentless CPT row must use key '' (got {key!r})")
         return ()
-    found: dict[int, int] = {}
-    rest = str(key)
-    while rest:
-        for name, (ti, ii) in item_index.items():
-            if rest.startswith(name) and ti in parent_list and ti not in found:
-                found[ti] = ii
-                rest = rest[len(name):]
-                break
-        else:
-            raise ParseError(f"cannot resolve CPT key {key!r}")
-    if set(found) != set(parent_list):
-        raise ParseError(f"CPT key {key!r} does not cover the parent types")
-    return tuple(found[t] for t in sorted(parent_list))
+    key = str(key)
+    names = [(name, ti, ii) for name, (ti, ii) in item_index.items() if ti in parent_list]
+    readings: dict[tuple[int, ...], str] = {}
+    short = False  # some split uses up the key but misses a parent type
+
+    def split(rest: str, found: dict[int, int], used: tuple[str, ...]) -> None:
+        nonlocal short
+        if not rest:
+            if len(found) == len(parent_list):
+                readings.setdefault(tuple(found[t] for t in sorted(parent_list)), "+".join(used))
+            else:
+                short = True
+            return
+        for name, ti, ii in names:
+            if ti not in found and rest.startswith(name):
+                split(rest[len(name):], {**found, ti: ii}, (*used, name))
+
+    split(key, {}, ())
+    if len(readings) > 1:
+        raise ParseError(f"CPT key {key!r} is ambiguous: {' or '.join(readings.values())}")
+    if not readings:
+        if short:
+            raise ParseError(f"CPT key {key!r} does not cover the parent types")
+        raise ParseError(f"cannot resolve CPT key {key!r}")
+    return next(iter(readings))
 
 
 def _resolve_item(

@@ -223,20 +223,35 @@ def topological_sort(order: PartialOrder, tiebreak: Sequence[int]) -> tuple[int,
     Repeatedly emits the tiebreak-least source among the bundles whose
     remaining strictly-better set is empty.  ``tiebreak`` must be a
     permutation of the universe.
+
+    One pass over a mask of tie-break ranks, lowest first: a bundle
+    with nothing better left is emitted, one with something better left
+    is parked on one of those better bundles (of the lowest- and the
+    highest-numbered, the one with more bundles above it, so usually the
+    later to go) and comes back to the mask when that bundle is emitted.
+    No emitted bundle is looked at again.
     """
     m = order.m
     if sorted(tiebreak) != list(range(m)):
         raise InconsistentOrder("tiebreak is not a permutation of the universe")
+    above = order.above
+    pending = (1 << m) - 1  # tie-break ranks, neither emitted nor parked
+    parked = [0] * m  # per bundle, the ranks waiting for it
     emitted = 0
     result = []
-    for _ in range(m):
-        for x in tiebreak:
-            if emitted & (1 << x):
-                continue
-            if order.above[x] & ~emitted == 0:
-                result.append(x)
-                emitted |= 1 << x
-                break
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        x = tiebreak[low.bit_length() - 1]
+        rest = above[x] & ~emitted
+        if rest:
+            hi = rest.bit_length() - 1
+            lo = (rest & -rest).bit_length() - 1
+            parked[hi if above[hi].bit_count() >= above[lo].bit_count() else lo] |= low
+        else:
+            result.append(x)
+            emitted |= 1 << x
+            pending |= parked[x]
     return tuple(result)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from mtra import fixtures
+from mtra.model import build_instance
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +27,23 @@ def three_chains():
 @pytest.fixture(scope="session")
 def opposed_trio():
     return fixtures.opposed_trio()
+
+
+@pytest.fixture(scope="session")
+def own_items_first():
+    """150 agents over one type, agent j ranking item j above all the
+    others.  Every agent gets its own item in every priority order, so
+    each set of served agents is one state of the exact-MRP pass: its
+    depth k holds C(150, k) states taking C(150, k) * (150 - k) turns,
+    and depths 0 to 2 need 150 + 22 350 + 1 653 900 = 1 676 400."""
+    items = [f"{i}F" for i in range(1, 151)]
+    return build_instance(
+        {
+            "agents": 150,
+            "types": [{"name": "F", "items": items}],
+            "preferences": [
+                {"kind": "partial", "edges": [[own, x] for x in items if x != own]}
+                for own in items
+            ],
+        }
+    )

@@ -6,6 +6,8 @@ import pytest
 from mtra import fixtures, spaces
 from mtra import preferences as prefs
 from mtra.axioms import (
+    ManipulationWitness,
+    PropertyReport,
     check_decomposability,
     check_envy,
     check_ete,
@@ -16,6 +18,7 @@ from mtra.axioms import (
     check_upper_invariance,
     find_generalized_cycle,
     improvable_tuples,
+    mechanism_callable,
     sd_compare,
     ucs_sums,
 )
@@ -421,6 +424,68 @@ def test_mgd_weak_sp_fails_three_chains(three_chains):
     )
     assert not report.passed
     assert report.witness.agent == 2
+
+
+def rerun_strategyproofness(mechanism, instance, misreports, strength="sd", tiebreaks=None):
+    """The former `check_strategyproofness` body, which re-runs the
+    mechanism on every misreport and compares rows with `sd_compare`:
+    the reference for the turn-table and integer-comparison paths."""
+    name = ("sd" if strength == "sd" else "weak-sd") + "-strategyproofness"
+    fn = mechanism_callable(mechanism)
+    detail = f"{mechanism} against {misreports.describe()}"
+    if tiebreaks is None:
+        tiebreaks = spaces.sweep_tiebreaks(instance.m)
+    for tb in tiebreaks:
+        truth = fn(instance, tb)
+        for j in range(instance.n):
+            order = instance.orders[j]
+            judged = {order}
+            for report in misreports.for_agent(instance, j):
+                rep_order = prefs.as_order(report)
+                if rep_order in judged:
+                    continue
+                judged.add(rep_order)
+                lied = fn(instance.with_preference(j, report), tb)
+                if strength == "sd":
+                    manipulated = not sd_compare(order, truth.row(j), lied.row(j)).p_dominates_q
+                else:
+                    verdict = sd_compare(order, lied.row(j), truth.row(j))
+                    manipulated = verdict.p_dominates_q and lied.row(j) != truth.row(j)
+                if manipulated:
+                    witness = ManipulationWitness(j, report, truth, lied, tb)
+                    return PropertyReport(name, False, witness=witness, detail=detail)
+    return PropertyReport(name, True, detail=detail)
+
+
+def test_strategyproofness_matches_rerun_reference(blank_vs_chain, three_chains):
+    rng = random.Random(61)
+    cases = [
+        (blank_vs_chain, spaces.LinearOrderMisreports()),
+        (three_chains, spaces.LinearOrderMisreports()),
+    ]
+    for n, p, kind in ((2, 1, "general"), (4, 1, "general"), (2, 2, "general"), (2, 2, "cpnet")):
+        cases.append((spaces.random_profile(rng, n, p, kind), spaces.LinearOrderMisreports()))
+    for n, p, kind in ((3, 2, "general"), (2, 3, "cpnet"), (4, 2, "cpnet")):
+        cases.append((spaces.random_profile(rng, n, p, kind), spaces.SampledLinearOrderMisreports(40, seed=n)))
+    for n, p, kind in ((2, 2, "cpnet"), (2, 2, "independent"), (2, 3, "cpnet")):
+        cases.append((spaces.random_profile(rng, n, p, kind), spaces.CpNetMisreports("all")))
+    for n, p, kind in ((3, 2, "cpnet"), (3, 2, "general"), (2, 3, "independent")):
+        cases.append((spaces.random_profile(rng, n, p, kind), spaces.IndependentCpNetMisreports()))
+    failed = {}
+    for inst, space in cases:
+        for mechanism in ("mrp", "mps", "mgd"):
+            for strength in ("sd", "weak"):
+                want = rerun_strategyproofness(mechanism, inst, space, strength)
+                assert check_strategyproofness(mechanism, inst, space, strength) == want
+                failed[mechanism, strength] = failed.get((mechanism, strength), 0) + (not want.passed)
+    # the failing branch is compared too: every pair fails somewhere but
+    # mrp under weak strategyproofness, which none of these cases breaks
+    assert all(failed[key] for key in failed if key != ("mrp", "weak")), failed
+    # the misreport space the truthfulness benchmark times, on one profile
+    inst = spaces.random_profile(rng, 3, 2, "cpnet")
+    space = spaces.CpNetMisreports("all")
+    want = rerun_strategyproofness("mrp", inst, space, "sd", tiebreaks=[None])
+    assert check_strategyproofness("mrp", inst, space, "sd", tiebreaks=[None]) == want
 
 
 def test_misreport_space_guard():

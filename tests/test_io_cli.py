@@ -5,7 +5,7 @@ import pytest
 
 from mtra import fixtures, io, spaces
 from mtra.cli import main
-from mtra.model import FractionalAssignment
+from mtra.model import FractionalAssignment, validate_assignment
 
 
 def test_instance_round_trip_fixture(mixed_pair):
@@ -302,19 +302,48 @@ def test_cli_bad_input_exit2(workdir, capsys, argv, patch):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
-def test_cli_guard_exit3(tmp_path, capsys):
-    from mtra.model import build_instance
-
-    inst = build_instance(
-        {
-            "agents": 9,
-            "types": [{"name": "F", "items": [f"{i}F" for i in range(1, 10)]}],
-            "preferences": [{"kind": "partial", "edges": []}] * 9,
-        }
-    )
+def test_cli_guard_exit3(tmp_path, capsys, own_items_first):
     path = tmp_path / "big.json"
-    path.write_text(io.serialize_instance(inst))
+    path.write_text(io.serialize_instance(own_items_first))
     assert main(["run", str(path), "--mechanism", "mrp", "--mode", "exact"]) == 3
+    assert "would take 1676400 turns" in capsys.readouterr().err
+
+
+def test_cli_exact_mrp_twelve_agents(tmp_path, capsys):
+    # 100 485 (served, available) states, 414 275 turns
+    inst = spaces.random_profile(random.Random(1), 12, 2, "cpnet")
+    path = tmp_path / "twelve.json"
+    path.write_text(io.serialize_instance(inst))
+    assert main(["run", str(path), "--mechanism", "mrp", "--mode", "exact"]) == 0
+    out = io.parse_assignment(capsys.readouterr().out, inst)
+    assert validate_assignment(out, inst) is None
+    # each share is a count of the 12! priority orders over 12!
+    assert all(479001600 % v.denominator == 0 for row in out.rows for v in row)
+
+
+def test_cli_cpt_keys_with_prefixed_item_names(tmp_path, capsys):
+    def run(types, rows):
+        cpt = {t["name"]: {"": t["items"]} for t in types if t["name"] != "B"}
+        cpt["B"] = rows
+        parents = [t["name"] for t in types if t["name"] != "B"]
+        net = {"kind": "cpnet", "dependency": [[q, "B"] for q in parents], "cpt": cpt}
+        path = tmp_path / "prefixed.json"
+        path.write_text(json.dumps({"agents": 2, "types": types, "preferences": [net, net]}))
+        return main(["run", str(path), "--mechanism", "mps"])
+
+    # "a" prefixes "ab", and the key "ab" reads only as ab
+    types = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "d"]}]
+    assert run(types, {"a": ["c", "d"], "ab": ["d", "c"]}) == 0
+    capsys.readouterr()
+    # "abc" reads as a + bc and as ab + c
+    types = [
+        {"name": "F", "items": ["a", "ab"]},
+        {"name": "B", "items": ["x", "y"]},
+        {"name": "D", "items": ["c", "bc"]},
+    ]
+    assert run(types, {"ac": ["x", "y"], "abc": ["y", "x"], "abbc": ["y", "x"]}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "a+bc or ab+c" in err
 
 
 def test_cli_unknown_property(workdir):

@@ -8,6 +8,7 @@ from mtra import fixtures, manipulation, spaces
 from mtra import preferences as prefs
 from mtra.errors import DimensionMismatch, MtraError, NothingAvailable, SoundnessError, TooManyAgentsForExact
 from mtra.mechanisms import (
+    EXACT_TURN_LIMIT,
     MpsRound,
     MpsTrace,
     MrpExact,
@@ -96,7 +97,12 @@ def test_mrp_single_rejects_bad_priority(three_chains):
             mrp(three_chains, MrpSingle(priority))
 
 
-def test_mrp_exact_guard():
+def test_mrp_exact_guard(own_items_first):
+    # the exact pass refuses before depth 2, whose turns take it past the budget
+    with pytest.raises(TooManyAgentsForExact, match=r"would take 1676400 turns .* by depth 2"):
+        mrp(own_items_first, MrpExact())
+    assert 1676400 > EXACT_TURN_LIMIT
+    # the lottery still enumerates n! orders, so it keeps the agent guard
     inst = build_instance(
         {
             "agents": 9,
@@ -104,8 +110,6 @@ def test_mrp_exact_guard():
             "preferences": [{"kind": "partial", "edges": []}] * 9,
         }
     )
-    with pytest.raises(TooManyAgentsForExact):
-        mrp(inst, MrpExact())
     with pytest.raises(TooManyAgentsForExact):
         mrp_decompose(inst)
 
@@ -318,6 +322,27 @@ def test_mrp_decompose_matches_eager_lottery():
         assert mrp(inst, MrpExact(), tiebreak).assignment == assignment
         checked += 1
     assert checked == 40 + 8 * 3 * 3 * 4
+
+
+def test_mrp_exact_matches_eager_reference():
+    # the turn-table pass against the enumeration of all n! orders, on
+    # general, CP-net and independent profiles under canonical, reversed,
+    # shared and per-agent tie-breaks; at 8 agents, where one reference
+    # run takes about half a second, each profile gets one of them in turn
+    rng = random.Random(89)
+    checked = 0
+    for n, p in ((2, 1), (5, 1), (3, 2), (5, 2), (6, 2), (7, 2), (3, 3), (4, 3), (5, 3), (8, 1), (8, 2)):
+        for i, kind in enumerate(("general", "cpnet", "independent")):
+            inst = spaces.random_profile(rng, n, p, kind)
+            shared = rng.sample(range(inst.m), inst.m)
+            per_agent = [rng.sample(range(inst.m), inst.m) for _ in range(n)]
+            tiebreaks = [None, tuple(reversed(range(inst.m))), shared, per_agent]
+            if n == 8:
+                tiebreaks = tiebreaks[i + p - 1 : i + p]
+            for tiebreak in tiebreaks:
+                assert mrp(inst, MrpExact(), tiebreak).assignment == eager_mrp(inst, tiebreak)[0]
+                checked += 1
+    assert checked == 9 * 3 * 4 + 2 * 3
 
 
 def test_serial_dictatorship_and_mgd_match_supply_references():

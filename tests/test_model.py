@@ -78,6 +78,45 @@ def test_bundle_names_must_be_distinct():
         )
 
 
+def _prefix_cpnet(types, parents, rows):
+    """Two agents sharing one CP-net in which type B depends on
+    ``parents``; every other type prefers its first item."""
+    cpt = {t["name"]: {"": t["items"]} for t in types if t["name"] != "B"}
+    cpt["B"] = rows
+    net = {"kind": "cpnet", "dependency": [[q, "B"] for q in parents], "cpt": cpt}
+    return {"agents": 2, "types": types, "preferences": [net, net]}
+
+
+def test_cpt_key_with_a_prefixed_item_name():
+    # "a" prefixes "ab": the key "ab" must still be read as the item ab
+    types = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "d"]}]
+    inst = build_instance(_prefix_cpnet(types, ["F"], {"a": ["c", "d"], "ab": ["d", "c"]}))
+    net = inst.preferences[0]
+    assert net.row(1, (0,)) == (0, 1) and net.row(1, (1,)) == (1, 0)
+    # two parents, names in either order: "bca" is bc + a, "cab" is
+    # c + ab and "abbc" is ab + bc
+    types = [
+        {"name": "F", "items": ["a", "ab"]},
+        {"name": "B", "items": ["x", "y"]},
+        {"name": "D", "items": ["c", "bc"]},
+    ]
+    rows = {"ac": ["x", "y"], "bca": ["y", "x"], "cab": ["x", "y"], "abbc": ["y", "x"]}
+    net = build_instance(_prefix_cpnet(types, ["F", "D"], rows)).preferences[0]
+    assert [net.row(1, key) for key in ((0, 0), (0, 1), (1, 0), (1, 1))] == [(0, 1), (1, 0), (0, 1), (1, 0)]
+
+
+def test_ambiguous_cpt_key_names_both_readings():
+    # "abc" is a + bc and ab + c
+    types = [
+        {"name": "F", "items": ["a", "ab"]},
+        {"name": "B", "items": ["x", "y"]},
+        {"name": "D", "items": ["c", "bc"]},
+    ]
+    rows = {"ac": ["x", "y"], "abc": ["y", "x"], "abbc": ["y", "x"]}
+    with pytest.raises(ParseError, match=r"'abc' is ambiguous: a\+bc or ab\+c"):
+        build_instance(_prefix_cpnet(types, ["F", "D"], rows))
+
+
 def test_instance_needs_a_type():
     with pytest.raises(ParseError):
         build_instance(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mtra import spaces
 from mtra import preferences as prefs
 from mtra.errors import InconsistentOrder, NothingAvailable
-from mtra.mechanisms import MrpExact, mrp
+from mtra.mechanisms import MrpExact, mrp, resolve_sorts
 
 
 def bundle_ids(inst, names):
@@ -134,6 +134,59 @@ def test_topological_sort_is_linear_extension_and_deterministic():
         out = prefs.topological_sort(order, tiebreak)
         assert prefs.is_linear_extension(order, out)
         assert out == prefs.topological_sort(order, tiebreak)
+
+
+def scan_topological_sort(order, tiebreak):
+    """The former `topological_sort` body, which scans the tie-break from
+    its start for every position: the reference for the one-pass sort."""
+    emitted = 0
+    result = []
+    for _ in range(order.m):
+        for x in tiebreak:
+            if emitted & (1 << x):
+                continue
+            if order.above[x] & ~emitted == 0:
+                result.append(x)
+                emitted |= 1 << x
+                break
+    return tuple(result)
+
+
+def test_topological_sort_matches_scan_reference():
+    rng = random.Random(17)
+    checked = 0
+    for m in (1, 2, 4, 9, 16, 27, 64, 125):
+        orders = [spaces.random_partial_order(rng, m) for _ in range(4)]
+        chain = rng.sample(range(m), m)
+        orders += [
+            prefs.PartialOrder.empty(m),
+            prefs.PartialOrder.from_chain(range(m)),
+            prefs.PartialOrder.from_chain(range(m - 1, -1, -1)),
+            prefs.PartialOrder.from_chain(chain),
+        ]
+        for order in orders:
+            # canonical, reversed and one shared shuffled tie-break
+            for tiebreak in (range(m), range(m - 1, -1, -1), rng.sample(range(m), m)):
+                tiebreak = tuple(tiebreak)
+                assert prefs.topological_sort(order, tiebreak) == scan_topological_sort(order, tiebreak)
+                checked += 1
+    # per-agent tie-breaks, through the mechanisms' sorts, on CP-net and
+    # general profiles up to 125 bundles
+    for n, p in ((3, 2), (4, 2), (8, 2), (4, 3), (5, 3)):
+        for kind in ("general", "cpnet", "independent"):
+            inst = spaces.random_profile(rng, n, p, kind)
+            shared = rng.sample(range(inst.m), inst.m)
+            per_agent = [rng.sample(range(inst.m), inst.m) for _ in range(n)]
+            for tiebreak in (None, shared, per_agent):
+                breaks = (
+                    [range(inst.m)] * n if tiebreak is None
+                    else [shared] * n if tiebreak is shared
+                    else per_agent
+                )
+                want = tuple(scan_topological_sort(o, tb) for o, tb in zip(inst.orders, breaks))
+                assert resolve_sorts(inst, tiebreak) == want
+                checked += 1
+    assert checked == 8 * 8 * 3 + 5 * 3 * 3
 
 
 def test_topological_sort_rejects_bad_tiebreak():
