@@ -43,7 +43,6 @@ from .model import (
     Lottery,
     TypeDef,
     build_instance,
-    enumerate_bundles,
     from_discrete,
     validate_assignment,
 )
@@ -57,7 +56,6 @@ from .preferences import (
     preference_graph,
     top_cpnet,
     topological_sort,
-    upper_contour_set,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

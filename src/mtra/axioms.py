@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import preferences as prefs
@@ -366,21 +365,25 @@ def check_decomposability(instance: Instance, P: FractionalAssignment) -> Proper
     return _lottery_report("decomposability", instance, P, all_discrete_assignments(instance))
 
 
-@lru_cache(maxsize=100_000)
-def _discrete_sd_efficient_cached(instance: Instance, bundles: tuple[int, ...]) -> bool:
-    P = from_discrete(instance, DiscreteAssignment(bundles))
-    # absence of a generalized cycle certifies efficiency outright;
-    # otherwise fall back to the complete LP oracle
-    if find_generalized_cycle(instance, P) is None:
-        return True
-    return check_sd_efficiency(instance, P).passed
+def _discrete_sd_efficient(instance: Instance, bundles: tuple[int, ...]) -> bool:
+    """Is the discrete assignment sd-efficient?  Each verdict is kept on
+    the instance, which is asked about the same assignments again."""
+    done = instance._sd_efficient
+    if bundles not in done:
+        P = from_discrete(instance, DiscreteAssignment(bundles))
+        # absence of a generalized cycle certifies efficiency outright;
+        # otherwise fall back to the complete LP oracle
+        done[bundles] = (
+            find_generalized_cycle(instance, P) is None or check_sd_efficiency(instance, P).passed
+        )
+    return done[bundles]
 
 
 def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> PropertyReport:
     """Is P a mixture of *sd-efficient* discrete assignments?"""
     _decomposition_guard(instance)
     efficient = [
-        a for a in all_discrete_assignments(instance) if _discrete_sd_efficient_cached(instance, a.bundles)
+        a for a in all_discrete_assignments(instance) if _discrete_sd_efficient(instance, a.bundles)
     ]
     return _lottery_report("ex-post-efficiency", instance, P, efficient)
 
@@ -419,9 +422,11 @@ def check_strategyproofness(
     row's own denominator, against the truthful sums, worked out once
     per agent.  For ``mrp`` the row is read off the truth's turn tables
     (:func:`mrp_turns`) with the misreport's sort, so nothing is re-run;
-    ``mps`` and ``mgd`` re-run on the one-agent copy.  A misreport order
-    already judged is skipped, and the first failing misreport is re-run
-    through the mechanism for the witness.
+    a misreport order keeps its sorts, so it is sorted once per
+    tie-break, not once per check.  ``mps`` and ``mgd`` re-run on the
+    one-agent copy.  A misreport order already judged is skipped, and
+    the first failing misreport is re-run through the mechanism for the
+    witness.
     """
     name = ("sd" if strength == "sd" else "weak-sd") + "-strategyproofness"
     fn = mechanism_callable(mechanism)
@@ -469,21 +474,16 @@ def _lied_row(
     """(agent, report, the report's order) -> the agent's row when it
     alone reports ``report``, as integer numerators and a denominator.
 
-    For ``mrp`` each report order is sorted once per agent tie-break:
-    agents that share a tie-break share the sorts of the orders they
-    both try."""
+    For ``mrp`` the row is read off the truth's turn tables with the
+    report order's sort under the agent's tie-break.  The order keeps
+    its sorts (:meth:`~mtra.preferences.PartialOrder.sort`), so an order
+    tried again, by another agent or in a later check, is not sorted
+    again."""
     if mechanism == "mrp":
         turns = mrp_turns(instance, tiebreak)  # type: ignore[arg-type]
-        sorts: dict[tuple[prefs.PartialOrder, tuple[int, ...]], tuple[int, ...]] = {}
-
-        def row(j: int, report: Preference, order: prefs.PartialOrder) -> tuple[list[int], int]:
-            key = (order, turns.tiebreaks[j])
-            sort = sorts.get(key)
-            if sort is None:
-                sort = sorts[key] = prefs.topological_sort(order, key[1])
-            return turns.counts(j, sort), turns.total
-
-        return row
+        return lambda j, report, order: (
+            turns.counts(j, order.sort(turns.tiebreaks[j])), turns.total
+        )
     fn = mechanism_callable(mechanism)
     return lambda j, report, order: _numerators(
         fn(instance.with_preference(j, report), tiebreak).row(j)  # type: ignore[arg-type]

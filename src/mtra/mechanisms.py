@@ -36,12 +36,13 @@ Tiebreak = Sequence[int] | Sequence[Sequence[int]] | None
 def resolve_sorts(instance: Instance, tiebreak: Tiebreak = None) -> tuple[tuple[int, ...], ...]:
     """Per-agent linear orders used by every mechanism.
 
-    Each comes from :meth:`Instance.sort`, so an instance sorts an agent
-    under a given tie-break once, and an instance made by
-    :meth:`Instance.with_preference` reuses the other agents' sorts.
+    Each comes from :meth:`~mtra.preferences.PartialOrder.sort`, so an
+    order is sorted under a given tie-break once, and an instance made
+    by :meth:`Instance.with_preference` shares the other agents' sorts
+    through their order objects.
     """
     breaks = _per_agent_tiebreaks(instance, tiebreak)
-    return tuple(instance.sort(j, tb) for j, tb in enumerate(breaks))
+    return tuple(instance.orders[j].sort(tb) for j, tb in enumerate(breaks))
 
 
 def _per_agent_tiebreaks(instance: Instance, tiebreak: Tiebreak) -> list[tuple[int, ...]]:
@@ -210,7 +211,7 @@ def mrp_turns(instance: Instance, tiebreak: Tiebreak = None) -> MrpTurns:
     turns.
     """
     breaks = tuple(_per_agent_tiebreaks(instance, tiebreak))
-    sorts = [instance.sort(j, tb) for j, tb in enumerate(breaks)]
+    sorts = [instance.orders[j].sort(tb) for j, tb in enumerate(breaks)]
     n, m = instance.n, instance.m
     conflicts = instance.conflicts
     agents = (1 << n) - 1

@@ -3,7 +3,7 @@
 An instance is square: ``n`` agents, ``p`` item types with exactly ``n``
 items each, one unit of supply per item.  Every agent receives one item
 of each type, so the allocation objects live over the ``n**p`` bundles
-enumerated by :func:`enumerate_bundles`.
+enumerated by :attr:`Instance.bundles`.
 
 All shares are exact rationals (:class:`fractions.Fraction`); no routine
 in this package ever rounds.
@@ -12,6 +12,7 @@ in this package ever rounds.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -107,10 +108,7 @@ class Instance:
 
     @cached_property
     def m(self) -> int:
-        out = 1
-        for s in self.sizes:
-            out *= s
-        return out
+        return math.prod(self.sizes)
 
     @cached_property
     def item_names(self) -> tuple[str, ...]:
@@ -122,6 +120,11 @@ class Instance:
 
     @cached_property
     def bundles(self) -> tuple[tuple[int, ...], ...]:
+        """All bundles in canonical lexicographic order.
+
+        The order is the global tie-break reference: type order first,
+        item declaration order within a type.
+        """
         return tuple(
             itertools.product(*(range(s) for s in self.sizes))
         )
@@ -172,19 +175,10 @@ class Instance:
         return tuple(prefs.as_order(p) for p in self.preferences)
 
     @cached_property
-    def _sorts(self) -> tuple[dict[tuple[int, ...], tuple[int, ...]], ...]:
-        """Per agent, the topological sorts made so far, keyed by tie-break."""
-        return tuple({} for _ in range(self.n))
-
-    def sort(self, agent: int, tiebreak: Sequence[int]) -> tuple[int, ...]:
-        """The agent's topological sort under ``tiebreak``; each (agent,
-        tie-break) pair is sorted at most once per instance."""
-        key = tuple(tiebreak)
-        done = self._sorts[agent]
-        out = done.get(key)
-        if out is None:
-            out = done[key] = prefs.topological_sort(self.orders[agent], key)
-        return out
+    def _sd_efficient(self) -> dict[tuple[int, ...], bool]:
+        """The sd-efficiency verdicts on discrete assignments made so far,
+        keyed by their bundles."""
+        return {}
 
     def cpnet(self, agent: int) -> prefs.CPNet | None:
         p = self.preferences[agent]
@@ -205,9 +199,10 @@ class Instance:
 
         The copy takes over what this instance has already computed of the
         structure (sizes, bundles, item and bundle names, ``item_bundles``)
-        and of the other agents' orders and sorts; only ``agent``'s order
-        and sorts are computed again.  This instance's caches are left as
-        they are.
+        and the other agents' orders, which keep their sorts; only
+        ``agent``'s order is looked up again.  The sd-efficiency verdicts
+        depend on every agent's preference, so the copy starts without
+        them.  This instance's caches are left as they are.
         """
         if not 0 <= agent < self.n:
             raise DimensionMismatch(f"agent {agent} is not one of the {self.n} agents")
@@ -228,10 +223,6 @@ class Instance:
             orders = list(done["orders"])
             orders[agent] = prefs.as_order(preference)
             carried["orders"] = tuple(orders)
-        if "_sorts" in done:
-            carried["_sorts"] = tuple(
-                {} if k == agent else dict(sorts) for k, sorts in enumerate(done["_sorts"])
-            )
         return new
 
 
@@ -242,24 +233,17 @@ _STRUCTURE = (
 )
 
 
-def enumerate_bundles(instance: Instance) -> tuple[tuple[int, ...], ...]:
-    """All bundles in canonical lexicographic order.
-
-    The order is the global tie-break reference: type order first, item
-    declaration order within a type.
-    """
-    return instance.bundles
-
-
 def build_instance(spec: Mapping) -> Instance:
     """Validate a parsed instance description (the dict form of the file
     format documented in :mod:`mtra.io`) into an :class:`Instance`."""
     try:
-        agents = int(spec["agents"])
+        agents = spec["agents"]
         raw_types = list(spec["types"])
         raw_prefs = list(spec["preferences"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"instance description is malformed: {exc}") from exc
+    if not isinstance(agents, int) or isinstance(agents, bool):
+        raise ParseError(f"agent count must be an integer (got {agents!r})")
     if agents <= 0:
         raise ParseError("agent count must be positive")
     if len(raw_prefs) != agents:
@@ -269,20 +253,15 @@ def build_instance(spec: Mapping) -> Instance:
     types = []
     for t in raw_types:
         try:
-            types.append(TypeDef(str(t["name"]), tuple(str(i) for i in t["items"])))
+            items = _parse_list(t["items"], "'items'")
+            types.append(TypeDef(str(t["name"]), tuple(str(i) for i in items)))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"type description is malformed: {exc}") from exc
     # Construct a preference-less shell first so name resolution can use it.
-    shell = Instance(tuple(types), (prefs.PartialOrder.empty(_bundle_count(types)),) * agents)
+    m = math.prod(len(t.items) for t in types)
+    shell = Instance(tuple(types), (prefs.PartialOrder.empty(m),) * agents)
     parsed = tuple(_parse_preference(shell, q) for q in raw_prefs)
     return Instance(tuple(types), parsed)
-
-
-def _bundle_count(types: Sequence[TypeDef]) -> int:
-    out = 1
-    for t in types:
-        out *= len(t.items)
-    return out
 
 
 def _parse_preference(shell: Instance, raw: Mapping) -> Preference:
@@ -330,7 +309,7 @@ def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
             parent, child = edge
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad dependency edge {edge!r}") from exc
-        if parent not in type_index or child not in type_index:
+        if any(not isinstance(name, str) or name not in type_index for name in (parent, child)):
             raise ParseError(f"dependency edge {edge!r} names unknown types")
         parents[type_index[child]].append(type_index[parent])
     tables: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -140,6 +140,20 @@ class PartialOrder:
     def upper_contour_set(self, x: int) -> frozenset[int]:
         return frozenset(_bits(self.ucs_mask(x)))
 
+    @cached_property
+    def _sorts(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The topological sorts made so far, keyed by tie-break."""
+        return {}
+
+    def sort(self, tiebreak: Sequence[int]) -> tuple[int, ...]:
+        """:func:`topological_sort` of this order under ``tiebreak``, made
+        at most once per order and tie-break."""
+        key = tuple(tiebreak)
+        out = self._sorts.get(key)
+        if out is None:
+            out = self._sorts[key] = topological_sort(self, key)
+        return out
+
     def downset_size(self, y: int) -> int:
         """Number of bundles whose upper contour set contains ``y``."""
         bit = 1 << y
@@ -211,10 +225,6 @@ def _down_mask(order: PartialOrder, x: int) -> int:
         if order.above[z] & bit:
             mask |= 1 << z
     return mask
-
-
-def upper_contour_set(order: PartialOrder, x: int) -> frozenset[int]:
-    return order.upper_contour_set(x)
 
 
 def topological_sort(order: PartialOrder, tiebreak: Sequence[int]) -> tuple[int, ...]:

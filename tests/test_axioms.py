@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mtra import fixtures, spaces
+from mtra import axioms, fixtures, spaces
 from mtra import preferences as prefs
 from mtra.axioms import (
     ManipulationWitness,
@@ -377,6 +377,23 @@ def test_ex_post_mrp_passes(mixed_pair):
 
 def test_ex_post_fails_for_dependent_pair(dependent_pair):
     assert not check_ex_post_efficiency(dependent_pair, fixtures.assignment_3()).passed
+
+
+def test_ex_post_efficiency_decides_each_assignment_once(monkeypatch):
+    calls = []
+    real = axioms.find_generalized_cycle
+
+    def counting(instance, P):
+        calls.append(P)
+        return real(instance, P)
+
+    monkeypatch.setattr(axioms, "find_generalized_cycle", counting)
+    inst = spaces.random_profile(random.Random(53), 3, 2, "general")
+    P = mps(inst)[0]
+    first = check_ex_post_efficiency(inst, P)
+    assert len(calls) == len(all_discrete_assignments(inst))
+    assert check_ex_post_efficiency(inst, P) == first
+    assert len(calls) == len(all_discrete_assignments(inst))
 
 
 def test_ex_post_fails_for_dominated_mixture():

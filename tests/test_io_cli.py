@@ -282,12 +282,23 @@ ABC = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "bc"]}]
         (["check", "{inst}", "{a1}", "--property", ","], None),
         (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc.update(types=[], preferences=BLANK)),
         (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc.update(types=ABC, preferences=BLANK)),
+        (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc.update(agents=float("inf"))),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc["preferences"][0].update(dependency=[[["F"], "B"]])),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc["preferences"][0].update(dependency=[[{"x": 1}, "B"]])),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc.update(types=[{"name": "F", "items": "ab"}], preferences=BLANK)),
+        (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc.update(agents=2.9)),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc.update(agents=True, types=[{"name": "F", "items": ["1F"]}], preferences=BLANK[:1])),
     ],
     ids=[
         "mc-zero", "mc-negative", "sampled-not-int", "sampled-zero", "cpt-list", "cpt-rows-list",
         "edges-number", "dependency-number", "cpt-row-number", "tiebreak-entry-number",
         "tiebreak-file-entry-number", "property-empty", "property-comma", "no-types",
-        "bundle-name-collision",
+        "bundle-name-collision", "agents-overflow", "dependency-parent-list",
+        "dependency-parent-object", "items-string", "agents-float", "agents-bool",
     ],
 )
 def test_cli_bad_input_exit2(workdir, capsys, argv, patch):

@@ -401,3 +401,34 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_process_cache_keyed_by_an_instance():
+    # A process-wide cache keyed by an instance keeps every instance it has
+    # seen alive; a memo on an instance goes with it.
+    package = Path(lp_module.__file__).resolve().parent
+
+    def is_cache(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        return name in ("lru_cache", "cache")
+
+    def names_instance(annotation):
+        return any(
+            isinstance(node, ast.Name) and node.id == "Instance"
+            or isinstance(node, ast.Constant) and "Instance" in str(node.value)
+            for node in ast.walk(annotation)
+        )
+
+    found = [
+        f"{path.name}:{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and any(is_cache(d) for d in node.decorator_list)
+        and any(
+            arg.annotation is not None and names_instance(arg.annotation)
+            for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        )
+    ]
+    assert found == []

@@ -19,11 +19,11 @@ from mtra.model import (
     Lottery,
     all_discrete_assignments,
     build_instance,
-    enumerate_bundles,
     from_discrete,
     validate_assignment,
 )
-from mtra.mechanisms import resolve_sorts
+from mtra.axioms import check_ex_post_efficiency, check_strategyproofness
+from mtra.mechanisms import mps, resolve_sorts
 
 
 def test_build_mixed_pair(mixed_pair):
@@ -137,7 +137,7 @@ def test_missing_preference():
 
 def test_enumerate_bundles_orders(mixed_pair):
     assert [mixed_pair.bundle_names[i] for i in range(4)] == ["1F1B", "1F2B", "2F1B", "2F2B"]
-    assert enumerate_bundles(mixed_pair) == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert mixed_pair.bundles == ((0, 0), (0, 1), (1, 0), (1, 1))
     three = build_instance(
         {
             "agents": 3,
@@ -252,8 +252,13 @@ def test_with_preference_matches_a_fresh_instance():
                         getattr(src, name)
                     for tb in tiebreaks:
                         resolve_sorts(src, tb)
+                # ex-post efficiency on the small sizes only: (4,2) takes
+                # seconds, and (2,3) is past its p <= 2 guard
+                decidable = p <= 2 and n**p < 16
+                if warm and decidable:
+                    check_ex_post_efficiency(src, mps(src)[0])
+                    assert src._sd_efficient
                 before = {name: src.__dict__.get(name) for name in ("orders", *STRUCTURE)}
-                sorts_before = [dict(d) for d in src.__dict__.get("_sorts", ())]
                 j = rng.randrange(n)
                 derived = src.with_preference(j, other.preferences[j])
                 new_prefs = list(source.preferences)
@@ -268,10 +273,15 @@ def test_with_preference_matches_a_fresh_instance():
                     assert resolve_sorts(derived, tb) == resolve_sorts(fresh, tb)
                 # the source's caches are neither replaced nor extended
                 assert {name: src.__dict__.get(name) for name in ("orders", *STRUCTURE)} == before
-                assert [dict(d) for d in src.__dict__.get("_sorts", ())] == sorts_before
+                # sd-efficiency verdicts depend on every preference, so the
+                # copy starts without the source's
+                assert derived._sd_efficient == {}
+                if decidable:
+                    P = mps(fresh)[0]
+                    assert check_ex_post_efficiency(derived, P) == check_ex_post_efficiency(fresh, P)
 
 
-def test_sorts_are_made_once_per_agent_and_tiebreak(monkeypatch):
+def test_sorts_are_made_once_per_order_and_tiebreak(monkeypatch):
     calls = []
     real = prefs.topological_sort
 
@@ -280,14 +290,35 @@ def test_sorts_are_made_once_per_agent_and_tiebreak(monkeypatch):
         return real(order, tiebreak)
 
     monkeypatch.setattr(prefs, "topological_sort", counting)
-    inst = spaces.random_profile(random.Random(41), 3, 2, "cpnet")
+    cp = spaces.random_profile(random.Random(41), 3, 2, "cpnet")
+    # fresh order objects, so no sort made elsewhere in the process counts
+    inst = Instance(cp.types, tuple(prefs.PartialOrder(o.m, o.above) for o in cp.orders))
     for tb in spaces.sweep_tiebreaks(inst.m) * 2:
         resolve_sorts(inst, tb)
     assert len(calls) == 2 * inst.n
+    # agent 1 takes agent 0's order, which is already sorted
     derived = inst.with_preference(1, inst.preferences[0])
     for tb in spaces.sweep_tiebreaks(inst.m) * 2:
         resolve_sorts(derived, tb)
-    assert len(calls) == 2 * inst.n + 2
+    assert len(calls) == 2 * inst.n
+    # the CP-net misreports are the same orders for every (3,2) profile,
+    # so a second check sorts at most its own agents' orders
+    misreports = spaces.CpNetMisreports("all")
+    check_strategyproofness("mrp", cp, misreports, tiebreaks=[None])
+    other = spaces.random_profile(random.Random(43), 3, 2, "cpnet")
+    before = len(calls)
+    check_strategyproofness("mrp", other, misreports, tiebreaks=[None])
+    assert len(calls) - before <= other.n
+
+
+def test_order_sorts_are_kept_per_tiebreak():
+    rng = random.Random(47)
+    inst = spaces.random_profile(rng, 3, 2, "general")
+    canonical = tuple(range(inst.m))
+    for source in (prefs.PartialOrder.empty(inst.m), *inst.orders):
+        order = prefs.PartialOrder(source.m, source.above)
+        for tb in (canonical, canonical[::-1], tuple(rng.sample(canonical, inst.m)), canonical[::-1]):
+            assert order.sort(tb) == prefs.topological_sort(order, tb)
 
 
 def test_with_preference_rejects_bad_agent(mixed_pair):
