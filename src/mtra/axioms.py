@@ -275,20 +275,31 @@ def check_envy(
     instance: Instance, P: FractionalAssignment, strength: str = "strong"
 ) -> PropertyReport:
     """strong: everyone sd-prefers her own row to every other row.
-    weak: nobody sd-prefers another row unless the rows are equal."""
+    weak: nobody sd-prefers another row unless the rows are equal.
+
+    The rows are scaled once to integer numerators over one common
+    denominator; for each agent j the contour sums of every row under
+    j's order are worked out once, and each pair is judged by comparing
+    integers.  The first witness is the first (j, k) in agent order."""
     name = "sd-envy-freeness" if strength == "strong" else "weak-sd-envy-freeness"
-    for j in range(instance.n):
-        order = instance.orders[j]
-        for k in range(instance.n):
+    n, m = instance.n, instance.m
+    if any(len(P.row(k)) != m for k in range(n)):
+        raise UniverseMismatch("allocation rows do not match the bundle universe")
+    nums, _ = _numerators([v for k in range(n) for v in P.row(k)])
+    rows = [nums[k * m : (k + 1) * m] for k in range(n)]
+    for j in range(n):
+        masks = _ucs_masks(instance.orders[j])
+        sums = [_contour_sums(masks, row) for row in rows]
+        own = sums[j]
+        for k in range(n):
             if j == k:
                 continue
             if strength == "strong":
-                if not sd_compare(order, P.row(j), P.row(k)).p_dominates_q:
-                    return PropertyReport(name, False, witness=EnvyWitness(j, k))
+                envies = any(a < b for a, b in zip(own, sums[k]))
             else:
-                verdict = sd_compare(order, P.row(k), P.row(j))
-                if verdict.p_dominates_q and P.row(j) != P.row(k):
-                    return PropertyReport(name, False, witness=EnvyWitness(j, k))
+                envies = all(a <= b for a, b in zip(own, sums[k])) and rows[j] != rows[k]
+            if envies:
+                return PropertyReport(name, False, witness=EnvyWitness(j, k))
     return PropertyReport(name, True)
 
 
@@ -365,26 +376,52 @@ def check_decomposability(instance: Instance, P: FractionalAssignment) -> Proper
     return _lottery_report("decomposability", instance, P, all_discrete_assignments(instance))
 
 
-def _discrete_sd_efficient(instance: Instance, bundles: tuple[int, ...]) -> bool:
-    """Is the discrete assignment sd-efficient?  Each verdict is kept on
-    the instance, which is asked about the same assignments again."""
+def _cycle_free(instance: Instance, bundles: tuple[int, ...]) -> bool:
+    """Has the discrete assignment no generalized cycle?  Such an
+    assignment is sd-efficient outright.  The answer goes into the
+    instance's memo: ``True``, or ``None`` for a cyclic assignment whose
+    efficiency is not decided yet."""
     done = instance._sd_efficient
     if bundles not in done:
         P = from_discrete(instance, DiscreteAssignment(bundles))
-        # absence of a generalized cycle certifies efficiency outright;
-        # otherwise fall back to the complete LP oracle
-        done[bundles] = (
-            find_generalized_cycle(instance, P) is None or check_sd_efficiency(instance, P).passed
+        done[bundles] = True if find_generalized_cycle(instance, P) is None else None
+    return done[bundles] is True
+
+
+def _discrete_sd_efficient(instance: Instance, bundles: tuple[int, ...]) -> bool:
+    """Is the discrete assignment sd-efficient?  A cycle-free one is
+    (:func:`_cycle_free`); a cyclic one is decided by
+    :func:`check_sd_efficiency`, whose report replaces ``None`` in the
+    memo.  So each assignment is cycle-checked once and LP-decided at
+    most once per instance, which is asked about the same assignments
+    again."""
+    done = instance._sd_efficient
+    if not _cycle_free(instance, bundles) and done[bundles] is None:
+        done[bundles] = check_sd_efficiency(
+            instance, from_discrete(instance, DiscreteAssignment(bundles))
         )
-    return done[bundles]
+    return bool(done[bundles])
 
 
 def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> PropertyReport:
-    """Is P a mixture of *sd-efficient* discrete assignments?"""
+    """Is P a mixture of *sd-efficient* discrete assignments?
+
+    The lottery LP is first solved over the cycle-free assignments
+    alone.  If it is feasible, P passes, and every entry of its lottery
+    is efficient by the no-cycle lemma, with no LP optimum trusted.
+    Only if it is infeasible is each cyclic assignment decided by
+    :func:`check_sd_efficiency` and the LP solved over all the efficient
+    ones, whose Farkas certificate a failure carries.  The cycle-free
+    assignments are among the efficient ones, so the first LP passes
+    only where the second would.
+    """
     _decomposition_guard(instance)
-    efficient = [
-        a for a in all_discrete_assignments(instance) if _discrete_sd_efficient(instance, a.bundles)
-    ]
+    assignments = all_discrete_assignments(instance)
+    cycle_free = [a for a in assignments if _cycle_free(instance, a.bundles)]
+    report = _lottery_report("ex-post-efficiency", instance, P, cycle_free)
+    if report.passed:
+        return report
+    efficient = [a for a in assignments if _discrete_sd_efficient(instance, a.bundles)]
     return _lottery_report("ex-post-efficiency", instance, P, efficient)
 
 

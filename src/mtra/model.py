@@ -175,9 +175,11 @@ class Instance:
         return tuple(prefs.as_order(p) for p in self.preferences)
 
     @cached_property
-    def _sd_efficient(self) -> dict[tuple[int, ...], bool]:
-        """The sd-efficiency verdicts on discrete assignments made so far,
-        keyed by their bundles."""
+    def _sd_efficient(self) -> dict[tuple[int, ...], object]:
+        """What is known so far of the sd-efficiency of discrete
+        assignments, keyed by their bundles: ``True`` for one with no
+        generalized cycle, ``None`` for a cyclic one not yet decided, and
+        the ``check_sd_efficiency`` report once one is."""
         return {}
 
     def cpnet(self, agent: int) -> prefs.CPNet | None:
@@ -253,10 +255,12 @@ def build_instance(spec: Mapping) -> Instance:
     types = []
     for t in raw_types:
         try:
-            items = _parse_list(t["items"], "'items'")
-            types.append(TypeDef(str(t["name"]), tuple(str(i) for i in items)))
+            name, items = t["name"], _parse_list(t["items"], "'items'")
         except (KeyError, TypeError) as exc:
             raise ParseError(f"type description is malformed: {exc}") from exc
+        if not all(isinstance(s, str) for s in (name, *items)):
+            raise ParseError(f"type and item names must be strings (got {t!r})")
+        types.append(TypeDef(name, tuple(items)))
     # Construct a preference-less shell first so name resolution can use it.
     m = math.prod(len(t.items) for t in types)
     shell = Instance(tuple(types), (prefs.PartialOrder.empty(m),) * agents)
@@ -290,10 +294,10 @@ def _parse_list(value, what: str) -> list | tuple:
 
 
 def _resolve_bundle(instance: Instance, name: str) -> int:
-    try:
-        return instance.bundle_by_name[str(name)]
-    except KeyError:
-        raise ParseError(f"unknown bundle name {name!r}") from None
+    index = instance.bundle_by_name.get(name) if isinstance(name, str) else None
+    if index is None:
+        raise ParseError(f"unknown bundle name {name!r}")
+    return index
 
 
 def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:

@@ -284,6 +284,49 @@ def test_envy_uniform_identical_prefs():
     assert check_envy(inst, uniform, "strong").passed
 
 
+def pairwise_envy(instance, P, strength="strong"):
+    """Reference envy check (the former `check_envy`): one `sd_compare`
+    per ordered pair of agents."""
+    name = "sd-envy-freeness" if strength == "strong" else "weak-sd-envy-freeness"
+    for j in range(instance.n):
+        order = instance.orders[j]
+        for k in range(instance.n):
+            if j == k:
+                continue
+            if strength == "strong":
+                if not sd_compare(order, P.row(j), P.row(k)).p_dominates_q:
+                    return PropertyReport(name, False, witness=axioms.EnvyWitness(j, k))
+            else:
+                verdict = sd_compare(order, P.row(k), P.row(j))
+                if verdict.p_dominates_q and P.row(j) != P.row(k):
+                    return PropertyReport(name, False, witness=axioms.EnvyWitness(j, k))
+    return PropertyReport(name, True)
+
+
+def test_envy_matches_pairwise_reference():
+    rng = random.Random(109)
+    seen = set()
+    for _ in range(60):
+        n, p = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1)])
+        inst = spaces.random_profile(rng, n, p, rng.choice(["general", "cpnet", "independent"]))
+        tb = rng.choice(spaces.sweep_tiebreaks(inst.m))
+        outputs = [mechanism_callable(mech)(inst, tb) for mech in ("mrp", "mgd", "mps")]
+        # a random mixture of discrete assignments, so envy fails too
+        picks = rng.choices(all_discrete_assignments(inst), k=rng.randint(1, 3))
+        weights = [F(rng.randint(1, 5)) for _ in picks]
+        rows = [[F(0)] * inst.m for _ in range(inst.n)]
+        for w, disc in zip(weights, picks):
+            for j, x in enumerate(disc.bundles):
+                rows[j][x] += w / sum(weights)
+        outputs.append(FractionalAssignment(tuple(tuple(r) for r in rows)))
+        for P in outputs:
+            for strength in ("strong", "weak"):
+                got = check_envy(inst, P, strength)
+                assert got == pairwise_envy(inst, P, strength)
+                seen.add((strength, got.passed))
+    assert len(seen) == 4, seen
+
+
 def test_ete(three_chains):
     twins = Instance(
         three_chains.types, (three_chains.preferences[0], three_chains.preferences[0], three_chains.preferences[2])
@@ -379,15 +422,22 @@ def test_ex_post_fails_for_dependent_pair(dependent_pair):
     assert not check_ex_post_efficiency(dependent_pair, fixtures.assignment_3()).passed
 
 
-def test_ex_post_efficiency_decides_each_assignment_once(monkeypatch):
+def _record_calls(monkeypatch, name):
+    """Wrap ``axioms.<name>`` so each call's assignment is appended to the
+    returned list."""
     calls = []
-    real = axioms.find_generalized_cycle
+    real = getattr(axioms, name)
 
-    def counting(instance, P):
+    def recording(instance, P):
         calls.append(P)
         return real(instance, P)
 
-    monkeypatch.setattr(axioms, "find_generalized_cycle", counting)
+    monkeypatch.setattr(axioms, name, recording)
+    return calls
+
+
+def test_ex_post_efficiency_decides_each_assignment_once(monkeypatch):
+    calls = _record_calls(monkeypatch, "find_generalized_cycle")
     inst = spaces.random_profile(random.Random(53), 3, 2, "general")
     P = mps(inst)[0]
     first = check_ex_post_efficiency(inst, P)
@@ -396,7 +446,9 @@ def test_ex_post_efficiency_decides_each_assignment_once(monkeypatch):
     assert len(calls) == len(all_discrete_assignments(inst))
 
 
-def test_ex_post_fails_for_dominated_mixture():
+def _dominated_mixture():
+    """Opposed strict preferences over two items, and the uniform
+    assignment: a mixture of both discrete assignments, one dominated."""
     inst = build_instance(
         {
             "agents": 2,
@@ -407,9 +459,92 @@ def test_ex_post_fails_for_dominated_mixture():
             ],
         }
     )
-    uniform = FractionalAssignment.from_rows([["1/2", "1/2"]] * 2)
+    return inst, FractionalAssignment.from_rows([["1/2", "1/2"]] * 2)
+
+
+def test_ex_post_fails_for_dominated_mixture():
+    inst, uniform = _dominated_mixture()
     assert check_decomposability(inst, uniform).passed
     assert not check_ex_post_efficiency(inst, uniform).passed
+
+
+def all_columns_ex_post(instance, P):
+    """Reference ex-post check (the former `check_ex_post_efficiency`):
+    decide every discrete assignment, cycle-free or by the LP oracle,
+    and solve the lottery LP over all the efficient ones."""
+    axioms._decomposition_guard(instance)
+    efficient = [
+        a
+        for a in all_discrete_assignments(instance)
+        if find_generalized_cycle(instance, from_discrete(instance, a)) is None
+        or check_sd_efficiency(instance, from_discrete(instance, a)).passed
+    ]
+    return axioms._lottery_report("ex-post-efficiency", instance, P, efficient)
+
+
+def _ex_post_cases():
+    rng = random.Random(101)
+    for n, p in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
+        for kind in ("general", "cpnet", "independent"):
+            for _ in range(2):
+                inst = spaces.random_profile(rng, n, p, kind)
+                for tb in spaces.sweep_tiebreaks(inst.m):
+                    for mech in ("mrp", "mgd", "mps"):
+                        yield inst, mechanism_callable(mech)(inst, tb)
+    yield _dominated_mixture()
+
+
+def test_ex_post_matches_all_columns_reference():
+    verdicts = {True: 0, False: 0}
+    for inst, P in _ex_post_cases():
+        got = check_ex_post_efficiency(inst, P)
+        want = all_columns_ex_post(inst, P)
+        assert got.passed == want.passed
+        verdicts[got.passed] += 1
+        if not got.passed:
+            # the fallback solves the reference's program
+            assert got == want
+            continue
+        assert got.witness.expectation(inst) == P
+        for _, a in got.witness.entries:
+            assert find_generalized_cycle(inst, from_discrete(inst, a)) is None
+    assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
+
+
+def test_ex_post_falls_back_for_cyclic_efficient_assignments(monkeypatch):
+    # a discrete assignment is its own only lottery, so a cyclic one
+    # passes only through the fallback's LP verdicts
+    decided = _record_calls(monkeypatch, "check_sd_efficiency")
+    rng = random.Random(103)
+    fallbacks = 0
+    for n, p in ((2, 2), (3, 2)):
+        for kind in ("general", "cpnet", "independent") * 2:
+            inst = spaces.random_profile(rng, n, p, kind)
+            decided.clear()
+            for a in all_discrete_assignments(inst):
+                P = from_discrete(inst, a)
+                if find_generalized_cycle(inst, P) is None:
+                    continue
+                report = check_ex_post_efficiency(inst, P)
+                assert report.passed == check_sd_efficiency(inst, P).passed
+                if report.passed:
+                    fallbacks += 1
+                    assert report.witness.entries == ((1, a),)
+            # each cyclic assignment is LP-decided at most once per instance
+            assert len(set(decided)) == len(decided)
+    assert fallbacks > 0
+
+
+def test_ex_post_pass_runs_no_sd_efficiency_lp(monkeypatch):
+    calls = _record_calls(monkeypatch, "check_sd_efficiency")
+    inst = spaces.random_profile(random.Random(107), 3, 2, "general")
+    cyclic = [
+        a for a in all_discrete_assignments(inst)
+        if find_generalized_cycle(inst, from_discrete(inst, a)) is not None
+    ]
+    assert cyclic  # so the old program would have run an LP per cyclic one
+    report = check_ex_post_efficiency(inst, mrp(inst, MrpExact()).assignment)
+    assert report.passed and calls == []
 
 
 # -- strategyproofness / upper invariance --------------------------------------------

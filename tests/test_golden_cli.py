@@ -1,5 +1,6 @@
-"""Recorded CLI output: the mechanism-level checks, exact MRP and
-replay-paper must keep printing the same bytes with the same exit codes.
+"""Recorded CLI output: the mechanism-level checks, ex-post efficiency and
+decomposability of each mechanism's output, exact MRP and replay-paper must
+keep printing the same bytes with the same exit codes.
 
 The recordings are in ``golden_cli.json``.  After an intended output
 change, re-record them with ``PYTHONPATH=src python tests/test_golden_cli.py``.
@@ -31,6 +32,7 @@ FIXTURE_INSTANCES = (
 # seeded CP-net profiles, so the CP-net transforms meet more than (2,2)
 RANDOM_CPNET = ((2, 2, 1), (2, 2, 2), (3, 1, 3), (3, 2, 4))
 PROPERTIES = "upper-invariance,sd-strategyproofness,weak-sd-strategyproofness"
+LOTTERY_PROPERTIES = "ex-post-efficiency,decomposability"
 
 
 def _instances():
@@ -55,6 +57,7 @@ def write_inputs(directory: Path) -> list[list[str]]:
                     ["check", f"{name}.json", out, "--property", PROPERTIES,
                      "--mechanism", mech, "--misreports", misreports, "--seed", "0"]
                 )
+            commands.append(["check", f"{name}.json", out, "--property", LOTTERY_PROPERTIES])
     commands.append(["replay-paper"])
     return commands
 

@@ -292,6 +292,13 @@ ABC = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "bc"]}]
         (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc.update(agents=2.9)),
         (["run", "{inst}", "--mechanism", "mps"],
          lambda doc: doc.update(agents=True, types=[{"name": "F", "items": ["1F"]}], preferences=BLANK[:1])),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc.update(types=[{"name": "F", "items": [["1F"], "2F"]}, doc["types"][1]], preferences=BLANK)),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc.update(types=[{"name": 5, "items": [1, 2.5]}], preferences=BLANK)),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc.update(types=[{"name": "F", "items": ["1", "2"]}],
+                                preferences=[{"kind": "partial", "edges": [[1, 2]]}] * 2)),
     ],
     ids=[
         "mc-zero", "mc-negative", "sampled-not-int", "sampled-zero", "cpt-list", "cpt-rows-list",
@@ -299,6 +306,7 @@ ABC = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "bc"]}]
         "tiebreak-file-entry-number", "property-empty", "property-comma", "no-types",
         "bundle-name-collision", "agents-overflow", "dependency-parent-list",
         "dependency-parent-object", "items-string", "agents-float", "agents-bool",
+        "item-name-list", "type-name-number", "edge-name-number",
     ],
 )
 def test_cli_bad_input_exit2(workdir, capsys, argv, patch):
