@@ -8,7 +8,6 @@ certificate, ...).  All arithmetic is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -47,12 +46,6 @@ class SdVerdict:
     slack: tuple[Fraction, ...]
 
 
-def _numerators(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The row as integer numerators over the lcm of its denominators."""
-    den = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (den // v.denominator) for v in row], den
-
-
 def _ucs_masks(order: prefs.PartialOrder) -> list[int]:
     return [order.ucs_mask(x) for x in range(order.m)]
 
@@ -64,14 +57,19 @@ def _contour_sums(masks: Sequence[int], values: Sequence[int]) -> list[int]:
     return [sum(v for bit, v in held if mask & bit) for mask in masks]
 
 
+def _at_least(sums: Sequence[int], den: int, ref: Sequence[int], ref_den: int) -> bool:
+    """Is ``sums / den`` at least ``ref / ref_den`` entry by entry?"""
+    return all(v * ref_den >= t * den for v, t in zip(sums, ref))
+
+
 def ucs_sums(order: prefs.PartialOrder, row: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Per bundle, the total share the row puts on its upper contour set.
 
-    The row is scaled to integers by the lcm of its denominators, so the
-    contour sums are integer additions and each result is one Fraction.
+    The row is scaled to integers by :meth:`FractionalAssignment.from_rows`,
+    so the contour sums are integer additions and each result is one Fraction.
     """
-    nums, den = _numerators(row)
-    return tuple(Fraction(v, den) for v in _contour_sums(_ucs_masks(order), nums))
+    scaled = FractionalAssignment.from_rows([row])
+    return tuple(Fraction(v, scaled.den) for v in _contour_sums(_ucs_masks(order), scaled.nums[0]))
 
 
 def sd_compare(
@@ -80,20 +78,16 @@ def sd_compare(
     """Stochastic dominance: p dominates q iff p's upper-contour share is
     at least q's at every bundle.
 
-    Both rows are scaled to integers by the lcm of their denominators;
+    Both rows are scaled to integers by :meth:`FractionalAssignment.from_rows`;
     each slack is the sum of the integer differences over one contour
     mask, both verdicts are read off the signs, and one slack Fraction is
     built per distinct nonzero sum (ZERO for a zero slack).
     """
     if len(p_row) != order.m or len(q_row) != order.m:
         raise UniverseMismatch("allocation rows do not match the bundle universe")
-    den = math.lcm(*(v.denominator for v in p_row), *(v.denominator for v in q_row))
-    diffs = [
-        a.numerator * (den // a.denominator) - b.numerator * (den // b.denominator)
-        for a, b in zip(p_row, q_row)
-    ]
-    sums = _contour_sums(_ucs_masks(order), diffs)
-    slack = {v: Fraction(v, den) if v else ZERO for v in set(sums)}
+    both = FractionalAssignment.from_rows([p_row, q_row])
+    sums = _contour_sums(_ucs_masks(order), [a - b for a, b in zip(*both.nums)])
+    slack = {v: Fraction(v, both.den) if v else ZERO for v in set(sums)}
     return SdVerdict(
         p_dominates_q=all(v >= 0 for v in sums),
         q_dominates_p=all(v <= 0 for v in sums),
@@ -114,9 +108,8 @@ class ImprovableTuple:
 def improvable_tuples(instance: Instance, P: FractionalAssignment) -> tuple[ImprovableTuple, ...]:
     """All (x, x̂, j) with x preferred to x̂ by j and j holding share of x̂."""
     out = []
-    for j in range(instance.n):
+    for j, row in enumerate(P.nums):
         order = instance.orders[j]
-        row = P.row(j)
         for worse in range(instance.m):
             if row[worse] == 0:
                 continue
@@ -232,14 +225,12 @@ def check_sd_efficiency(instance: Instance, P: FractionalAssignment) -> Property
     for o in range(n * instance.p):
         holders = [x for x, items in enumerate(instance.bundle_items) if o in items]
         cons.append(Constraint(_unit_row(nv, (j * m + x for j in range(n) for x in holders)), EQ, ONE))
-    base = ZERO
+    masks = [_ucs_masks(order) for order in instance.orders]
+    sums = [_contour_sums(masks[j], P.nums[j]) for j in range(n)]
     depth_coeffs = [ZERO] * nv
     for j in range(n):
-        order = instance.orders[j]
-        sums = ucs_sums(order, P.row(j))
-        for x in range(m):
-            ucs = order.ucs_mask(x)
-            if sums[x] == 1:
+        for x, ucs in enumerate(masks[j]):
+            if sums[j][x] == P.den:
                 # Q's row sums to 1, so "ucs share >= 1" says Q puts
                 # nothing outside the contour set; written that way the
                 # LP presolve removes those columns
@@ -247,10 +238,10 @@ def check_sd_efficiency(instance: Instance, P: FractionalAssignment) -> Property
                 cons.append(Constraint(_unit_row(nv, outside), EQ, ZERO))
             else:
                 inside = (j * m + y for y in prefs._bits(ucs))
-                cons.append(Constraint(_unit_row(nv, inside), GE, sums[x]))
-            base += sums[x]
+                cons.append(Constraint(_unit_row(nv, inside), GE, Fraction(sums[j][x], P.den)))
         for y in range(m):
-            depth_coeffs[j * m + y] = Fraction(order.downset_size(y))
+            depth_coeffs[j * m + y] = Fraction(instance.orders[j].downset_size(y))
+    base = Fraction(sum(map(sum, sums)), P.den)
     lp = LinearProgram(nv, tuple(cons), tuple(depth_coeffs), nonneg=True)
     out = solve(lp)
     if not out.optimal:
@@ -259,14 +250,11 @@ def check_sd_efficiency(instance: Instance, P: FractionalAssignment) -> Property
         raise SoundnessError("the LP optimum lies below P's own value")
     if out.objective_value == base:
         return PropertyReport("sd-efficiency", True)
-    rows = tuple(
-        tuple(out.witness[j * m + x] for x in range(m)) for j in range(n)
-    )
-    Q = FractionalAssignment(rows)
+    Q = FractionalAssignment.from_rows(out.witness[j * m : (j + 1) * m] for j in range(n))
     if validate_assignment(Q, instance) is not None or Q == P:
         raise SoundnessError("the dominating witness is not another valid assignment")
     for j in range(n):
-        if not sd_compare(instance.orders[j], Q.row(j), P.row(j)).p_dominates_q:
+        if not _at_least(_contour_sums(masks[j], Q.nums[j]), Q.den, sums[j], P.den):
             raise SoundnessError(f"the witness does not sd-dominate P for agent {j}")
     return PropertyReport("sd-efficiency", False, witness=Q)
 
@@ -277,16 +265,16 @@ def check_envy(
     """strong: everyone sd-prefers her own row to every other row.
     weak: nobody sd-prefers another row unless the rows are equal.
 
-    The rows are scaled once to integer numerators over one common
-    denominator; for each agent j the contour sums of every row under
+    For each agent j the contour sums of every row of ``P.nums`` under
     j's order are worked out once, and each pair is judged by comparing
     integers.  The first witness is the first (j, k) in agent order."""
+    if strength not in ("strong", "weak"):
+        raise ValueError(f"unknown envy-freeness strength {strength!r}")
     name = "sd-envy-freeness" if strength == "strong" else "weak-sd-envy-freeness"
     n, m = instance.n, instance.m
-    if any(len(P.row(k)) != m for k in range(n)):
+    rows = P.nums
+    if any(len(rows[k]) != m for k in range(n)):
         raise UniverseMismatch("allocation rows do not match the bundle universe")
-    nums, _ = _numerators([v for k in range(n) for v in P.row(k)])
-    rows = [nums[k * m : (k + 1) * m] for k in range(n)]
     for j in range(n):
         masks = _ucs_masks(instance.orders[j])
         sums = [_contour_sums(masks, row) for row in rows]
@@ -307,7 +295,7 @@ def check_ete(instance: Instance, P: FractionalAssignment) -> PropertyReport:
     """Agents with identical preference relations get identical rows."""
     for j in range(instance.n):
         for k in range(j + 1, instance.n):
-            if instance.orders[j] == instance.orders[k] and P.row(j) != P.row(k):
+            if instance.orders[j] == instance.orders[k] and P.nums[j] != P.nums[k]:
                 return PropertyReport(
                     "equal-treatment-of-equals", False, witness=EnvyWitness(j, k)
                 )
@@ -317,9 +305,8 @@ def check_ete(instance: Instance, P: FractionalAssignment) -> PropertyReport:
 def check_ordinal_fairness(instance: Instance, P: FractionalAssignment) -> PropertyReport:
     """Wherever an agent holds positive share, her upper-contour sum is
     no larger than anyone else's at the same bundle."""
-    sums = [ucs_sums(instance.orders[j], P.row(j)) for j in range(instance.n)]
-    for j in range(instance.n):
-        row = P.row(j)
+    sums = [_contour_sums(_ucs_masks(instance.orders[j]), P.nums[j]) for j in range(instance.n)]
+    for j, row in enumerate(P.nums):
         for x in range(instance.m):
             if row[x] == 0:
                 continue
@@ -456,8 +443,8 @@ def check_strategyproofness(
 
     Each misreport is judged by one integer comparison: the upper
     contour sums of the agent's row under it, as numerators over the
-    row's own denominator, against the truthful sums, worked out once
-    per agent.  For ``mrp`` the row is read off the truth's turn tables
+    output's denominator, cross-multiplied with the truthful sums,
+    worked out once per agent.  Equal sums mean equal rows.  For ``mrp`` the row is read off the truth's turn tables
     (:func:`mrp_turns`) with the misreport's sort, so nothing is re-run;
     a misreport order keeps its sorts, so it is sorted once per
     tie-break, not once per check.  ``mps`` and ``mgd`` re-run on the
@@ -465,6 +452,8 @@ def check_strategyproofness(
     the first failing misreport is re-run through the mechanism for the
     witness.
     """
+    if strength not in ("sd", "weak"):
+        raise ValueError(f"unknown strategyproofness strength {strength!r}")
     name = ("sd" if strength == "sd" else "weak-sd") + "-strategyproofness"
     fn = mechanism_callable(mechanism)
     detail = f"{mechanism} against {misreports.describe()}"
@@ -476,8 +465,7 @@ def check_strategyproofness(
         for j in range(instance.n):
             order = instance.orders[j]
             masks = _ucs_masks(order)
-            truth_nums, truth_den = _numerators(truth.row(j))
-            truth_sums = _contour_sums(masks, truth_nums)
+            truth_sums, truth_den = _contour_sums(masks, truth.nums[j]), truth.den
             # an order already judged gets the same verdict again; the
             # truth's own order cannot manipulate
             judged = {order}
@@ -488,12 +476,9 @@ def check_strategyproofness(
                 judged.add(rep_order)
                 nums, den = lied_row(j, report, rep_order)
                 sums = _contour_sums(masks, nums)
-                if strength == "sd":
-                    manipulated = any(v * truth_den > t * den for v, t in zip(sums, truth_sums))
-                else:
-                    manipulated = all(
-                        v * truth_den >= t * den for v, t in zip(sums, truth_sums)
-                    ) and any(v * truth_den != t * den for v, t in zip(nums, truth_nums))
+                manipulated = not _at_least(truth_sums, truth_den, sums, den)
+                if strength == "weak":
+                    manipulated = manipulated and _at_least(sums, den, truth_sums, truth_den)
                 if manipulated:
                     lied = fn(instance.with_preference(j, report), tb)
                     return PropertyReport(
@@ -507,7 +492,7 @@ def check_strategyproofness(
 
 def _lied_row(
     mechanism: str, instance: Instance, tiebreak: object
-) -> Callable[[int, Preference, prefs.PartialOrder], tuple[list[int], int]]:
+) -> Callable[[int, Preference, prefs.PartialOrder], tuple[Sequence[int], int]]:
     """(agent, report, the report's order) -> the agent's row when it
     alone reports ``report``, as integer numerators and a denominator.
 
@@ -522,9 +507,12 @@ def _lied_row(
             turns.counts(j, order.sort(turns.tiebreaks[j])), turns.total
         )
     fn = mechanism_callable(mechanism)
-    return lambda j, report, order: _numerators(
-        fn(instance.with_preference(j, report), tiebreak).row(j)  # type: ignore[arg-type]
-    )
+
+    def rerun(j: int, report: Preference, order: prefs.PartialOrder) -> tuple[Sequence[int], int]:
+        lied = fn(instance.with_preference(j, report), tiebreak)  # type: ignore[arg-type]
+        return lied.nums[j], lied.den
+
+    return rerun
 
 
 def check_upper_invariance(
@@ -547,7 +535,7 @@ def check_upper_invariance(
             new = prefs.as_order(report)
             if new == old:
                 continue  # identical order, identical run
-            valid, _ = prefs.is_uit(old, new, pivot, truth.row(j))
+            valid, _ = prefs.is_uit(old, new, pivot, truth.nums[j])
             if not valid:
                 continue
             key = (j, new)
@@ -556,7 +544,7 @@ def check_upper_invariance(
                 lied = fn(instance.with_preference(j, report), tb)
                 seen[key] = lied
             for k in range(instance.n):
-                if lied.entry(k, pivot) != truth.entry(k, pivot):
+                if lied.nums[k][pivot] * truth.den != truth.nums[k][pivot] * lied.den:
                     return PropertyReport(
                         "upper-invariance",
                         False,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from . import io, spaces
@@ -31,7 +31,7 @@ from .axioms import (
 from .errors import GuardViolation, MtraError, ParseError, SoundnessError
 from .fixtures import fixture_names, replay_all
 from .mechanisms import MrpExact, MrpMonteCarlo, MrpSingle, mgd, mgd_decompose, mps, mrp
-from .model import Instance
+from .model import FractionalAssignment, Instance
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -220,11 +220,10 @@ def _jsonable(obj):
         return sorted((_jsonable(v) for v in obj), key=repr)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, FractionalAssignment):
+        return {"rows": _jsonable(obj.rows)}
     if is_dataclass(obj) and not isinstance(obj, type):
-        try:
-            return {k: _jsonable(v) for k, v in asdict(obj).items()}
-        except TypeError:
-            return repr(obj)
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     return repr(obj)
 
 

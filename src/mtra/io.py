@@ -32,7 +32,7 @@ def dumps(document: object) -> str:
 def _loads(text: str) -> object:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
 
 
@@ -169,8 +169,8 @@ def parse_assignment(text: str, instance: Instance) -> FractionalAssignment:
         values = [Fraction(0)] * instance.m
         for name, share in row.items():
             values[_resolve_bundle(instance, name)] = parse_frac(share)
-        rows.append(tuple(values))
-    P = FractionalAssignment(tuple(rows))
+        rows.append(values)
+    P = FractionalAssignment.from_rows(rows)
     violation = validate_assignment(P, instance)
     if violation is not None:
         raise ParseError(

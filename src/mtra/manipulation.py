@@ -19,9 +19,9 @@ scanned exhaustively per candidate:
 
 Candidate profiles are visited in a seed-fixed shuffled order; for each,
 every B-row misreport is run through the public eating mechanism
-:func:`mps`, and the manipulator's upper-contour sums are compared with
-truth-telling's through :func:`ucs_sums`.  Every reported hit is checked
-once more with :func:`sd_compare`.
+:func:`mps`, and the manipulator's upper-contour sums, as integers over
+each output's denominator, are compared with truth-telling's.  Every
+reported hit is checked once more with :func:`sd_compare`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import preferences as prefs
-from .axioms import sd_compare, ucs_sums
+from .axioms import _at_least, _contour_sums, _ucs_masks, sd_compare
 from .errors import SoundnessError
 from .mechanisms import mps
 from .model import Instance
@@ -103,10 +103,11 @@ def search_cpt_manipulations(
     ``require_pattern`` if given: a pair of sorted positive share
     multisets for truth and lie), the time budget runs out, or the
     candidate space is exhausted.  Every misreport is evaluated with the
-    public :func:`mps`; a hit found by comparing :func:`ucs_sums` is
+    public :func:`mps`; a hit found by comparing upper-contour sums is
     checked with :func:`sd_compare` before it is returned.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
+    nets = {rows: shared_fb_net(_IDENT, rows) for rows in itertools.product(_ORDERS3, repeat=3)}
     hits: list[ManipulationHit] = []
     scanned = 0
     for b2, b3, (f23, bb) in _candidate_profiles(seed):
@@ -117,22 +118,22 @@ def search_cpt_manipulations(
         scanned += 1
         truth_b = (_IDENT, b2, b3)
         twins = shared_fb_net(f23, bb)
-        instance = Instance(square_types(3, 2), (shared_fb_net(_IDENT, truth_b), twins, twins))
-        truth_row = mps(instance)[0].row(0)
+        instance = Instance(square_types(3, 2), (nets[truth_b], twins, twins))
+        truth = mps(instance)[0]
         order = instance.orders[0]
-        truth_sums = ucs_sums(order, truth_row)
-        for mrows in itertools.product(_ORDERS3, repeat=3):
+        masks = _ucs_masks(order)
+        truth_sums = _contour_sums(masks, truth.nums[0])
+        for mrows, misreport in nets.items():
             if mrows == truth_b:
                 continue
-            misreport = shared_fb_net(_IDENT, mrows)
-            lie_row = mps(instance.with_preference(0, misreport))[0].row(0)
-            if lie_row == truth_row:
-                continue
-            lie_sums = ucs_sums(order, lie_row)
-            if all(a >= b for a, b in zip(lie_sums, truth_sums)):
-                if not sd_compare(order, lie_row, truth_row).p_dominates_q:
+            lie = mps(instance.with_preference(0, misreport))[0]
+            lie_sums = _contour_sums(masks, lie.nums[0])
+            gains = _at_least(lie_sums, lie.den, truth_sums, truth.den)
+            # equal contour sums would mean the same row
+            if gains and not _at_least(truth_sums, truth.den, lie_sums, lie.den):
+                if not sd_compare(order, lie.row(0), truth.row(0)).p_dominates_q:
                     raise SoundnessError("sd_compare disagrees with the upper-contour sums")
-                hit = ManipulationHit(instance, misreport, 0, truth_row, lie_row)
+                hit = ManipulationHit(instance, misreport, 0, truth.row(0), lie.row(0))
                 if require_pattern is not None:
                     want_truth, want_lie = require_pattern
                     if (

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import preferences as prefs
 from .errors import DimensionMismatch, MtraError, SoundnessError, TooManyAgentsForExact
-from .model import ZERO, DiscreteAssignment, FractionalAssignment, Instance, Lottery
+from .model import ZERO, DiscreteAssignment, FractionalAssignment, Instance, Lottery, outcome_matrix
 
 # ``mrp_decompose`` lists the outcomes of all n! priority orders.
 EXACT_AGENT_LIMIT = 8
@@ -148,7 +148,7 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
     """
     if isinstance(mode, MrpExact):
         turns = mrp_turns(instance, tiebreak)
-        return MrpResult(FractionalAssignment(_shares(turns.rows, turns.total)), mode)
+        return MrpResult(FractionalAssignment(turns.rows, turns.total), mode)
     sorts = resolve_sorts(instance, tiebreak)
     n = instance.n
     if isinstance(mode, MrpSingle):
@@ -162,11 +162,7 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
         outcomes, total = _tally(instance, sorts, shuffled), mode.samples
     else:
         raise TypeError(f"unknown MRP mode {mode!r}")
-    counts = [[0] * instance.m for _ in range(n)]
-    for bundles, weight in outcomes.items():
-        for j, x in enumerate(bundles):
-            counts[j][x] += weight
-    return MrpResult(FractionalAssignment(_shares(counts, total)), mode)
+    return MrpResult(outcome_matrix(instance, outcomes.items(), total), mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +182,7 @@ class MrpTurns:
     total: int
     tiebreaks: tuple[tuple[int, ...], ...]
     tables: tuple[dict[int, int], ...]
-    rows: tuple[list[int], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def counts(self, agent: int, sort: Sequence[int]) -> list[int]:
         """The agent's row when it picks by ``sort``, as numerators over
@@ -258,7 +254,7 @@ def mrp_turns(instance: Instance, tiebreak: Tiebreak = None) -> MrpTurns:
         if sum(row) != total:
             raise SoundnessError("every agent takes one turn in each priority order")
         tables.append({available: turn // m for available, turn in table.items()})
-        rows.append(row)
+        rows.append(tuple(row))
     return MrpTurns(m, total, breaks, tuple(tables), tuple(rows))
 
 
@@ -289,13 +285,6 @@ def _priority_outcomes(
             f"the exact lottery enumerates {n}! priority orders; limit is {EXACT_AGENT_LIMIT}"
         )
     return _tally(instance, sorts, itertools.permutations(range(n)))
-
-
-def _shares(counts: list[list[int]], total: int) -> tuple[tuple[Fraction, ...], ...]:
-    """``counts`` over ``total``: one Fraction per distinct nonzero count,
-    ZERO for the zeros (the MRP averages and the MPS shares)."""
-    share = {c: Fraction(c, total) if c else ZERO for row in counts for c in set(row)}
-    return tuple(tuple(share[c] for c in row) for row in counts)
 
 
 # -- MPS -----------------------------------------------------------------
@@ -330,9 +319,10 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
 
     Supplies, shares and the clock are integer numerators over one
     common denominator, refined whenever a round length is not a whole
-    number of its units; the returned shares and round times are the
-    only Fractions built.  The bundles still available are a bitmask,
-    from which an exhausted item's bundles are cleared.
+    number of its units; the shares are returned in that form, and the
+    round times are the only Fractions built.  The bundles still
+    available are a bitmask, from which an exhausted item's bundles are
+    cleared.
     """
     sorts = resolve_sorts(instance, tiebreak)
     n, p = instance.n, instance.p
@@ -384,7 +374,6 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
                 raise SoundnessError(f"type {t} supply is not conserved")
     if clock != den:
         raise SoundnessError("the eating clock must end at 1")
-    shares = _shares(rows, den)
     ends = [Fraction(c, d) for c, d, _, _ in rounds]
     trace = MpsTrace(
         tuple(
@@ -392,7 +381,7 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
             for start, end, (_, _, e, x) in zip((ZERO, *ends), ends, rounds)
         )
     )
-    return FractionalAssignment(shares), trace
+    return FractionalAssignment(tuple(map(tuple, rows)), den), trace
 
 
 # -- MGD -----------------------------------------------------------------
@@ -409,23 +398,24 @@ def _groups(sorts: Sequence[Sequence[int]]) -> dict[tuple[int, ...], tuple[int, 
 def mgd(instance: Instance, tiebreak: Tiebreak = None) -> FractionalAssignment:
     """General dictatorship: each round agent j shares her first available
     bundle equally with everyone whose sort equals hers, then its items
-    are removed."""
+    are removed.  The shares are numerators over the lcm of the group
+    sizes."""
     sorts = resolve_sorts(instance, tiebreak)
     n = instance.n
     groups = _groups(sorts)
+    den = math.lcm(*(len(g) for g in groups.values()))
     conflicts = instance.conflicts
     available = (1 << instance.m) - 1
-    rows = [[ZERO] * instance.m for _ in range(n)]
+    rows = [[0] * instance.m for _ in range(n)]
     for j in range(n):
         top = prefs.ext(sorts[j], available)
         group = groups[tuple(sorts[j])]
-        share = Fraction(1, len(group))
         for member in group:
             if rows[member][top] != 0:
                 raise SoundnessError("a group never revisits a bundle")
-            rows[member][top] = share
+            rows[member][top] = den // len(group)
         available &= ~conflicts[top]
-    return FractionalAssignment(tuple(tuple(r) for r in rows))
+    return FractionalAssignment(tuple(map(tuple, rows)), den)
 
 
 def mgd_decompose(instance: Instance, tiebreak: Tiebreak = None) -> Lottery:

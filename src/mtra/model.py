@@ -5,8 +5,8 @@ items each, one unit of supply per item.  Every agent receives one item
 of each type, so the allocation objects live over the ``n**p`` bundles
 enumerated by :attr:`Instance.bundles`.
 
-All shares are exact rationals (:class:`fractions.Fraction`); no routine
-in this package ever rounds.
+All shares are exact: integer numerators over one common denominator
+(:class:`FractionalAssignment`); no routine in this package ever rounds.
 """
 
 from __future__ import annotations
@@ -400,21 +400,42 @@ def _as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class FractionalAssignment:
-    """An agents x bundles matrix of exact rational shares."""
+    """An agents x bundles matrix of exact shares: agent j's share of
+    bundle x is ``nums[j][x] / den``, kept in lowest terms, so equal
+    matrices are equal values.  Other shares go through :meth:`from_rows`."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    nums: tuple[tuple[int, ...], ...]
+    den: int = 1
+
+    def __post_init__(self) -> None:
+        # math.gcd takes integers only, so a Fraction entry raises here
+        g = math.gcd(self.den, *(v for row in self.nums for v in row))
+        if self.den < 1:
+            raise ValueError(f"denominator {self.den} is not positive")
+        if g > 1:
+            object.__setattr__(self, "nums", tuple(tuple(v // g for v in row) for row in self.nums))
+            object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "FractionalAssignment":
-        return cls(tuple(tuple(_as_fraction(v) for v in row) for row in rows))
+        """Fractions, ints or "num/den" strings, scaled by their lcm denominator."""
+        fracs = [[_as_fraction(v) for v in row] for row in rows]
+        den = math.lcm(*(v.denominator for row in fracs for v in row))
+        return cls(tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in fracs), den)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The shares as Fractions, one object per distinct numerator."""
+        share = {v: Fraction(v, self.den) for v in {v for row in self.nums for v in row}}
+        return tuple(tuple(share[v] for v in row) for row in self.nums)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.nums)
 
     @property
     def m(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.nums[0]) if self.nums else 0
 
     def row(self, agent: int) -> tuple[Fraction, ...]:
         return self.rows[agent]
@@ -440,24 +461,23 @@ def validate_assignment(
         raise DimensionMismatch(
             f"matrix is {P.n}x{P.m}, instance needs {instance.n}x{instance.m}"
         )
-    for j, row in enumerate(P.rows):
+    for j, row in enumerate(P.nums):
         for x, v in enumerate(row):
-            if v < 0 or v > 1:
+            if v < 0 or v > P.den:
                 return AssignmentViolation(
-                    "entry-range", f"agent {j} bundle {instance.bundle_names[x]}", v
+                    "entry-range", f"agent {j} bundle {instance.bundle_names[x]}", Fraction(v, P.den)
                 )
-    for j, row in enumerate(P.rows):
-        total = sum(row, ZERO)
-        if total != 1:
-            return AssignmentViolation("row-sum", f"agent {j}", total)
+    for j, row in enumerate(P.nums):
+        if sum(row) != P.den:
+            return AssignmentViolation("row-sum", f"agent {j}", Fraction(sum(row), P.den))
     for o, item in enumerate(instance.item_names):
-        total = ZERO
-        for j in range(instance.n):
+        total = 0
+        for row in P.nums:
             for x, items in enumerate(instance.bundle_items):
                 if o in items:
-                    total += P.rows[j][x]
-        if total != 1:
-            return AssignmentViolation("item-marginal", item, total)
+                    total += row[x]
+        if total != P.den:
+            return AssignmentViolation("item-marginal", item, Fraction(total, P.den))
     return None
 
 
@@ -483,12 +503,16 @@ class DiscreteAssignment:
 def from_discrete(instance: Instance, assignment: DiscreteAssignment) -> FractionalAssignment:
     """0/1 matrix embedding of a discrete assignment."""
     assignment.validate(instance)
-    rows = []
-    for x in assignment.bundles:
-        row = [ZERO] * instance.m
-        row[x] = ONE
-        rows.append(tuple(row))
-    return FractionalAssignment(tuple(rows))
+    return outcome_matrix(instance, [(assignment.bundles, 1)], 1)
+
+
+def outcome_matrix(instance: Instance, outcomes: Iterable, den: int) -> FractionalAssignment:
+    """Each agent's bundle in each (bundles, integer weight) outcome, weighted by weight / ``den``."""
+    nums = [[0] * instance.m for _ in range(instance.n)]
+    for bundles, weight in outcomes:
+        for j, x in enumerate(bundles):
+            nums[j][x] += weight
+    return FractionalAssignment(tuple(map(tuple, nums)), den)
 
 
 @dataclass(frozen=True)
@@ -504,11 +528,9 @@ class Lottery:
             raise DimensionMismatch("lottery probabilities must sum to one")
 
     def expectation(self, instance: Instance) -> FractionalAssignment:
-        rows = [[ZERO] * instance.m for _ in range(instance.n)]
-        for prob, disc in self.entries:
-            for j, x in enumerate(disc.bundles):
-                rows[j][x] += prob
-        return FractionalAssignment(tuple(tuple(r) for r in rows))
+        den = math.lcm(*(prob.denominator for prob, _ in self.entries))
+        weights = ((disc.bundles, prob.numerator * (den // prob.denominator)) for prob, disc in self.entries)
+        return outcome_matrix(instance, weights, den)
 
 
 def all_discrete_assignments(instance: Instance) -> list[DiscreteAssignment]:

@@ -300,7 +300,7 @@ class DeletionTransforms(TransformSource):
     def candidates(self, instance, assignment):
         for j in range(instance.n):
             order = instance.orders[j]
-            row = assignment.row(j)
+            row = assignment.nums[j]
             zero = [y for y in range(instance.m) if row[y] == 0]
             for size in range(1, self.max_removed + 1):
                 for z in itertools.combinations(zero, size):
@@ -325,7 +325,7 @@ class CpNetTransforms(TransformSource):
     For agent j at pivot x, a representative with upper contour set u
     at x is valid exactly when u is a subset of the truth's upper
     contour set ``ucs_old``, every bundle of ``ucs_old`` outside u has
-    zero share in ``assignment.row(j)``, and the two relations agree on
+    zero share in ``assignment.nums[j]``, and the two relations agree on
     u.  :func:`cpnet_transform_index` turns that into one dict lookup per
     admissible u.  The hits come sorted by (representative index, pivot)
     and skip the truth's own order, the order a scan over every pair
@@ -337,7 +337,7 @@ class CpNetTransforms(TransformSource):
         index = cpnet_transform_index(instance.sizes)
         for j in range(instance.n):
             truth = instance.orders[j]
-            positive = sum(1 << y for y, v in enumerate(assignment.row(j)) if v)
+            positive = sum(1 << y for y, v in enumerate(assignment.nums[j]) if v)
             hits = []
             for pivot, (masks, by_key) in enumerate(index):
                 u_old = truth.ucs_mask(pivot)

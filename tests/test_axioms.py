@@ -223,7 +223,7 @@ def test_sd_efficiency_oracle_matches_per_cell_formulation():
         for disc in picks:
             for j, x in enumerate(disc.bundles):
                 rows[j][x] += Fraction(1, len(picks))
-        P = FractionalAssignment(tuple(tuple(r) for r in rows))
+        P = FractionalAssignment.from_rows(rows)
         aggregate = check_sd_efficiency(inst, P).passed
         per_cell = not _dominated_per_cell(inst, P)
         if aggregate != per_cell:
@@ -247,7 +247,7 @@ def test_no_cycle_implies_efficient_on_random_lotteries():
         for w, disc in zip(weights, picks):
             for j, x in enumerate(disc.bundles):
                 rows[j][x] += w
-        P = FractionalAssignment(tuple(tuple(r) for r in rows))
+        P = FractionalAssignment.from_rows(rows)
         if find_generalized_cycle(inst, P) is None:
             checked += 1
             assert check_sd_efficiency(inst, P).passed
@@ -270,6 +270,14 @@ def test_envy_weak_fails_three_chains(three_chains):
     report = check_envy(three_chains, mgd(three_chains), "weak")
     assert not report.passed
     assert (report.witness.agent, report.witness.other) == (1, 0)
+
+
+def test_unknown_strength_is_refused(three_chains):
+    P = mgd(three_chains)
+    with pytest.raises(ValueError, match="'Strong'"):
+        check_envy(three_chains, P, "Strong")
+    with pytest.raises(ValueError, match="'SD'"):
+        check_strategyproofness("mgd", three_chains, spaces.LinearOrderMisreports(), "SD", tiebreaks=[None])
 
 
 def test_envy_uniform_identical_prefs():
@@ -318,7 +326,7 @@ def test_envy_matches_pairwise_reference():
         for w, disc in zip(weights, picks):
             for j, x in enumerate(disc.bundles):
                 rows[j][x] += w / sum(weights)
-        outputs.append(FractionalAssignment(tuple(tuple(r) for r in rows)))
+        outputs.append(FractionalAssignment.from_rows(rows))
         for P in outputs:
             for strength in ("strong", "weak"):
                 got = check_envy(inst, P, strength)

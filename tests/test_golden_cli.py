@@ -1,5 +1,6 @@
-"""Recorded CLI output: the mechanism-level checks, ex-post efficiency and
-decomposability of each mechanism's output, exact MRP and replay-paper must
+"""Recorded CLI output: each mechanism's run, the MGD lottery, the
+mechanism-level checks, the assignment-level checks of each mechanism's
+output, the comparison of the MPS and MRP outputs, and replay-paper must
 keep printing the same bytes with the same exit codes.
 
 The recordings are in ``golden_cli.json``.  After an intended output
@@ -33,6 +34,9 @@ FIXTURE_INSTANCES = (
 RANDOM_CPNET = ((2, 2, 1), (2, 2, 2), (3, 1, 3), (3, 2, 4))
 PROPERTIES = "upper-invariance,sd-strategyproofness,weak-sd-strategyproofness"
 LOTTERY_PROPERTIES = "ex-post-efficiency,decomposability"
+ASSIGNMENT_PROPERTIES = (
+    "sd-efficiency,sd-envy-freeness,weak-sd-envy-freeness,equal-treatment-of-equals,ordinal-fairness"
+)
 
 
 def _instances():
@@ -58,6 +62,13 @@ def write_inputs(directory: Path) -> list[list[str]]:
                      "--mechanism", mech, "--misreports", misreports, "--seed", "0"]
                 )
             commands.append(["check", f"{name}.json", out, "--property", LOTTERY_PROPERTIES])
+        for mech in ("mps", "mgd"):
+            commands.append(["run", f"{name}.json", "--mechanism", mech, "--seed", "0"])
+        commands.append(["run", f"{name}.json", "--mechanism", "mrp", "--mode", "mc:8", "--seed", "3"])
+        commands.append(["decompose", f"{name}.json"])
+        commands.append(["compare", f"{name}.json", f"{name}-mps.json", f"{name}-mrp.json"])
+        for mech in ("mrp", "mps", "mgd"):
+            commands.append(["check", f"{name}.json", f"{name}-{mech}.json", "--property", ASSIGNMENT_PROPERTIES])
     commands.append(["replay-paper"])
     return commands
 

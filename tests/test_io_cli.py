@@ -299,6 +299,9 @@ ABC = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "bc"]}]
         (["run", "{inst}", "--mechanism", "mps"],
          lambda doc: doc.update(types=[{"name": "F", "items": ["1", "2"]}],
                                 preferences=[{"kind": "partial", "edges": [[1, 2]]}] * 2)),
+        (["run", "{deep}", "--mechanism", "mps"], None),
+        (["check", "{inst}", "{deep}", "--property", "sd-efficiency"], None),
+        (["run", "{inst}", "--mechanism", "mps", "--tiebreak", "{deep}"], None),
     ],
     ids=[
         "mc-zero", "mc-negative", "sampled-not-int", "sampled-zero", "cpt-list", "cpt-rows-list",
@@ -307,6 +310,7 @@ ABC = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "bc"]}]
         "bundle-name-collision", "agents-overflow", "dependency-parent-list",
         "dependency-parent-object", "items-string", "agents-float", "agents-bool",
         "item-name-list", "type-name-number", "edge-name-number",
+        "deep-instance", "deep-assignment", "deep-tiebreak",
     ],
 )
 def test_cli_bad_input_exit2(workdir, capsys, argv, patch):
@@ -315,7 +319,10 @@ def test_cli_bad_input_exit2(workdir, capsys, argv, patch):
         patch(doc)
     (workdir / "case.json").write_text(json.dumps(doc))
     (workdir / "tb56.json").write_text("[5, 6]")
-    paths = {"inst": str(workdir / "case.json"), "a1": str(workdir / "a1.json"), "tb56": str(workdir / "tb56.json")}
+    # nested past the JSON decoder's recursion limit
+    (workdir / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    paths = {"inst": str(workdir / "case.json"), "a1": str(workdir / "a1.json"), "tb56": str(workdir / "tb56.json"),
+             "deep": str(workdir / "deep.json")}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err

@@ -208,7 +208,7 @@ def supply_mgd(instance, sorts):
             rows[member][top] = F(1, len(group))
         for o in instance.bundle_items[top]:
             supply[o] -= 1
-    return FractionalAssignment(tuple(tuple(r) for r in rows))
+    return FractionalAssignment.from_rows(rows)
 
 
 def fraction_mps(instance, tiebreak=None):
@@ -257,7 +257,7 @@ def fraction_mps(instance, tiebreak=None):
                 raise SoundnessError(f"type {t} supply is not conserved")
     if clock != 1:
         raise SoundnessError("the eating clock must end at 1")
-    return FractionalAssignment(tuple(tuple(r) for r in rows)), MpsTrace(tuple(rounds))
+    return FractionalAssignment.from_rows(rows), MpsTrace(tuple(rounds))
 
 
 def _differential_profiles():
@@ -309,7 +309,7 @@ def eager_mrp(instance, tiebreak=None):
     lottery = Lottery(
         tuple((Fraction(w, total), DiscreteAssignment(b)) for b, w in outcome_weight.items())
     )
-    return FractionalAssignment(rows), lottery
+    return FractionalAssignment.from_rows(rows), lottery
 
 
 def test_mrp_decompose_matches_eager_lottery():

@@ -23,7 +23,8 @@ from mtra.model import (
     validate_assignment,
 )
 from mtra.axioms import check_ex_post_efficiency, check_strategyproofness
-from mtra.mechanisms import mps, resolve_sorts
+from mtra.io import parse_assignment, serialize_assignment
+from mtra.mechanisms import MrpExact, mgd, mgd_decompose, mps, mrp, mrp_decompose, resolve_sorts
 
 
 def test_build_mixed_pair(mixed_pair):
@@ -198,6 +199,36 @@ def test_lottery_invariants(mixed_pair):
         Lottery(((Fraction(1, 2), disc),))  # probabilities must sum to one
     with pytest.raises(DimensionMismatch):
         Lottery(((Fraction(0), disc), (Fraction(1), disc)))
+
+
+def test_equal_matrices_are_one_value():
+    """An assignment reached by different routes is one value: equal,
+    hash-equal, with the same integer form and the same Fraction rows."""
+    rng = random.Random(59)
+    for n, p in [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2)]:
+        for kind in ("general", "cpnet"):
+            inst = spaces.random_profile(rng, n, p, kind)
+            P = mps(inst)[0]
+            for a, b in [
+                (P, parse_assignment(serialize_assignment(inst, P), inst)),
+                (P, FractionalAssignment.from_rows(P.rows)),
+                (mgd(inst), mgd_decompose(inst).expectation(inst)),
+                (mrp(inst, MrpExact()).assignment, mrp_decompose(inst).expectation(inst)),
+            ]:
+                assert a == b and hash(a) == hash(b)
+                assert (a.nums, a.den) == (b.nums, b.den) and a.rows == b.rows
+
+
+def test_integer_form_is_reduced_and_checked():
+    half = FractionalAssignment(((2, 2),), 4)
+    assert half.nums == ((1, 1),) and half.den == 2
+    assert half.rows == ((Fraction(1, 2), Fraction(1, 2)),)
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            FractionalAssignment(((1,),), den)
+    # Fractions belong in from_rows; as numerators they would be misread
+    with pytest.raises(TypeError):
+        FractionalAssignment(((Fraction(1, 2), Fraction(1, 2)),))
 
 
 def test_from_discrete_rejects_item_reuse(mixed_pair):
