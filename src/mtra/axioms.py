@@ -128,21 +128,36 @@ def find_generalized_cycle(
     bundle holds an item that no remaining right bundle holds.  Pruning
     preserves every closed subset, so the fixpoint is nonempty exactly
     when some generalized cycle exists.
+
+    The pairs are kept as one bitmask of left bundles per right bundle,
+    read straight off ``P.nums`` and the orders' ``above`` rows.  An item
+    is on no right side when its bundle mask
+    (:attr:`~mtra.model.Instance.item_bundles`) misses every right
+    bundle; each such mask is a set of left bundles to delete.
     """
-    pairs = {(t.better, t.worse) for t in improvable_tuples(instance, P)}
-    while pairs:
-        right_items = {
-            o for _, worse in pairs for o in instance.bundle_items[worse]
-        }
-        keep = {
-            (better, worse)
-            for better, worse in pairs
-            if all(o in right_items for o in instance.bundle_items[better])
-        }
-        if keep == pairs:
-            return frozenset(pairs)
-        pairs = keep
-    return None
+    better = [0] * instance.m
+    for j, row in enumerate(P.nums):
+        above = instance.orders[j].above
+        for worse, v in enumerate(row):
+            if v:
+                better[worse] |= above[worse]
+    while True:
+        left = right = 0
+        for worse, mask in enumerate(better):
+            if mask:
+                left |= mask
+                right |= 1 << worse
+        if not right:
+            return None
+        stranded = 0
+        for bundles in instance.item_bundles:
+            if not bundles & right:
+                stranded |= bundles
+        if not left & stranded:
+            return frozenset(
+                (b, worse) for worse, mask in enumerate(better) for b in prefs._bits(mask)
+            )
+        better = [mask & ~stranded for mask in better]
 
 
 # -- property reports --------------------------------------------------------
@@ -213,9 +228,24 @@ def _unit_row(nv: int, cols: Iterable[int]) -> tuple[Fraction, ...]:
 def check_sd_efficiency(instance: Instance, P: FractionalAssignment) -> PropertyReport:
     """No assignment Q != P has weakly larger upper-contour sums everywhere.
 
-    Decided by one aggregate LP over candidate assignments Q that are
-    constrained to dominate P, maximizing the total upper-contour slack.
-    The optimum exceeds the baseline exactly when a dominating Q != P
+    A valid assignment with no generalized cycle passes at once: it is
+    sd-efficient by the no-cycle lemma.  Every other P, cyclic or not a
+    valid assignment, is decided by the exact LP
+    (:func:`_sd_efficiency_lp`), so a failure always carries the LP's
+    dominating witness.  A P of the wrong shape raises
+    :class:`~mtra.errors.DimensionMismatch`.
+    """
+    if validate_assignment(P, instance) is None and find_generalized_cycle(instance, P) is None:
+        return PropertyReport("sd-efficiency", True)
+    return _sd_efficiency_lp(instance, P)
+
+
+def _sd_efficiency_lp(instance: Instance, P: FractionalAssignment) -> PropertyReport:
+    """:func:`check_sd_efficiency` decided by the exact LP alone.
+
+    One aggregate LP over candidate assignments Q that are constrained
+    to dominate P, maximizing the total upper-contour slack.  The
+    optimum exceeds the baseline exactly when a dominating Q != P
     exists: upper-contour sums pin a row down uniquely, so equal sums at
     the optimum force Q = P.
     """
@@ -376,15 +406,15 @@ def _cycle_free(instance: Instance, bundles: tuple[int, ...]) -> bool:
 
 
 def _discrete_sd_efficient(instance: Instance, bundles: tuple[int, ...]) -> bool:
-    """Is the discrete assignment sd-efficient?  A cycle-free one is
-    (:func:`_cycle_free`); a cyclic one is decided by
-    :func:`check_sd_efficiency`, whose report replaces ``None`` in the
-    memo.  So each assignment is cycle-checked once and LP-decided at
-    most once per instance, which is asked about the same assignments
-    again."""
+    """Is the discrete assignment sd-efficient?  A cycle-free one is, by
+    the no-cycle lemma (:func:`_cycle_free`); a cyclic one is decided by
+    the exact LP, :func:`_sd_efficiency_lp`, whose report replaces
+    ``None`` in the memo.  So each assignment is cycle-checked once and
+    LP-decided at most once per instance, which is asked about the same
+    assignments again."""
     done = instance._sd_efficient
     if not _cycle_free(instance, bundles) and done[bundles] is None:
-        done[bundles] = check_sd_efficiency(
+        done[bundles] = _sd_efficiency_lp(
             instance, from_discrete(instance, DiscreteAssignment(bundles))
         )
     return bool(done[bundles])
@@ -396,11 +426,11 @@ def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> Pro
     The lottery LP is first solved over the cycle-free assignments
     alone.  If it is feasible, P passes, and every entry of its lottery
     is efficient by the no-cycle lemma, with no LP optimum trusted.
-    Only if it is infeasible is each cyclic assignment decided by
-    :func:`check_sd_efficiency` and the LP solved over all the efficient
-    ones, whose Farkas certificate a failure carries.  The cycle-free
-    assignments are among the efficient ones, so the first LP passes
-    only where the second would.
+    Only if it is infeasible is each cyclic assignment decided by the
+    exact LP of :func:`_sd_efficiency_lp`, and the lottery LP solved over
+    all the efficient ones, whose Farkas certificate a failure carries.
+    The cycle-free assignments are among the efficient ones, so the
+    first LP passes only where the second would.
     """
     _decomposition_guard(instance)
     assignments = all_discrete_assignments(instance)

@@ -179,7 +179,7 @@ class Instance:
         """What is known so far of the sd-efficiency of discrete
         assignments, keyed by their bundles: ``True`` for one with no
         generalized cycle, ``None`` for a cyclic one not yet decided, and
-        the ``check_sd_efficiency`` report once one is."""
+        the exact-LP sd-efficiency report once one is."""
         return {}
 
     def cpnet(self, agent: int) -> prefs.CPNet | None:

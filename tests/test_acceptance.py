@@ -17,6 +17,7 @@ import pytest
 
 from mtra import fixtures, manipulation, spaces
 from mtra.axioms import (
+    _sd_efficiency_lp,
     check_decomposability,
     check_envy,
     check_ete,
@@ -229,13 +230,7 @@ def sweep() -> SweepResults:
                     ).passed
                 record(se_cache[key], "mgd-lottery-outcome-efficiency", idx)
                 results.lottery_checks += 1
-            seen_assignments.extend(
-                [
-                    (eating, se_eating.passed),
-                    (sharing, se_sharing.passed),
-                    (priority, None),
-                ]
-            )
+            seen_assignments.extend([eating, sharing, priority])
         if cp:
             record(
                 check_upper_invariance(
@@ -256,16 +251,15 @@ def sweep() -> SweepResults:
                 "mps-weak-sp-independent",
                 idx,
             )
-        # criterion 11: no generalized cycle implies the oracle passes
-        for assignment, known_se in seen_assignments:
+        # criterion 11: no generalized cycle implies the exact LP passes;
+        # check_sd_efficiency itself answers such assignments by the lemma
+        lp_verdicts: dict = {}
+        for assignment in seen_assignments:
             cycle = find_generalized_cycle(inst, assignment)
             if cycle is None:
-                verdict = (
-                    known_se
-                    if known_se is not None
-                    else check_sd_efficiency(inst, assignment).passed
-                )
-                record(verdict, "cycle-free-but-inefficient", idx)
+                if assignment not in lp_verdicts:
+                    lp_verdicts[assignment] = _sd_efficiency_lp(inst, assignment).passed
+                record(lp_verdicts[assignment], "cycle-free-but-inefficient", idx)
                 results.cycle_free_efficient += 1
             else:
                 results.cycle_seen += 1

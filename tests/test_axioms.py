@@ -8,6 +8,7 @@ from mtra import preferences as prefs
 from mtra.axioms import (
     ManipulationWitness,
     PropertyReport,
+    _sd_efficiency_lp,
     check_decomposability,
     check_envy,
     check_ete,
@@ -22,12 +23,18 @@ from mtra.axioms import (
     sd_compare,
     ucs_sums,
 )
-from mtra.errors import InstanceTooLargeToDecide, MisreportSpaceTooLarge, UniverseMismatch
+from mtra.errors import (
+    DimensionMismatch,
+    InstanceTooLargeToDecide,
+    MisreportSpaceTooLarge,
+    UniverseMismatch,
+)
 from mtra.mechanisms import MrpExact, mgd, mgd_decompose, mps, mrp
 from mtra.model import (
     DiscreteAssignment,
     FractionalAssignment,
     Instance,
+    Lottery,
     all_discrete_assignments,
     build_instance,
     from_discrete,
@@ -233,7 +240,7 @@ def test_sd_efficiency_oracle_matches_per_cell_formulation():
 
 def test_no_cycle_implies_efficient_on_random_lotteries():
     # random mixtures of discrete assignments, screened by the cycle
-    # certificate, must pass the complete LP oracle
+    # certificate, must pass the exact LP, which does not consult it
     rng = random.Random(43)
     from mtra.model import all_discrete_assignments
 
@@ -250,8 +257,79 @@ def test_no_cycle_implies_efficient_on_random_lotteries():
         P = FractionalAssignment.from_rows(rows)
         if find_generalized_cycle(inst, P) is None:
             checked += 1
-            assert check_sd_efficiency(inst, P).passed
+            assert _sd_efficiency_lp(inst, P).passed
     assert checked > 0
+
+
+def reference_generalized_cycle(instance, P):
+    """The former `find_generalized_cycle`: the improvable pairs as a set
+    of tuples, pruned until every left item appears on some right side."""
+    pairs = {(t.better, t.worse) for t in improvable_tuples(instance, P)}
+    while pairs:
+        right_items = {o for _, worse in pairs for o in instance.bundle_items[worse]}
+        keep = {
+            (better, worse)
+            for better, worse in pairs
+            if all(o in right_items for o in instance.bundle_items[better])
+        }
+        if keep == pairs:
+            return frozenset(pairs)
+        pairs = keep
+    return None
+
+
+def _sd_efficiency_cases():
+    """On seeded profiles of every kind: each mechanism's output under
+    both sweep tie-breaks, random mixtures of discrete assignments, and
+    at (2,2) every discrete assignment."""
+    rng = random.Random(109)
+    for n, p in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (3, 3)):
+        for kind in ("general", "cpnet", "independent") * 2:
+            inst = spaces.random_profile(rng, n, p, kind)
+            for tb in spaces.sweep_tiebreaks(inst.m):
+                for mech in ("mps", "mgd", "mrp"):
+                    yield inst, mechanism_callable(mech)(inst, tb)
+            assignments = all_discrete_assignments(inst)
+            for _ in range(3):
+                picks = rng.sample(assignments, k=2)
+                weights = [rng.randint(1, 4) for _ in picks]
+                lottery = Lottery(tuple((F(w, sum(weights)), a) for w, a in zip(weights, picks)))
+                yield inst, lottery.expectation(inst)
+            if (n, p) == (2, 2):
+                for a in assignments:
+                    yield inst, from_discrete(inst, a)
+
+
+def test_sd_efficiency_matches_the_lp():
+    # the no-cycle lemma decides only valid cycle-free assignments, and
+    # on those the LP must agree; everything else is the LP's own report
+    seen = {"pass": 0, "fail": 0, "cyclic pass": 0}
+    for inst, P in _sd_efficiency_cases():
+        cycle = find_generalized_cycle(inst, P)
+        assert cycle == reference_generalized_cycle(inst, P)
+        report = check_sd_efficiency(inst, P)
+        assert report == _sd_efficiency_lp(inst, P)
+        seen["pass" if report.passed else "fail"] += 1
+        seen["cyclic pass"] += report.passed and cycle is not None
+    assert all(seen.values()), seen
+
+
+def test_sd_efficiency_refuses_wrong_shapes(mixed_pair):
+    # three agents, three bundles, one agent: none is a 2 x 4 matrix
+    quarters, thirds = [F(1, 4)] * 4, [F(1, 3)] * 3
+    for rows in ([quarters] * 3, [thirds] * 2, [quarters]):
+        with pytest.raises(DimensionMismatch):
+            check_sd_efficiency(mixed_pair, FractionalAssignment.from_rows(rows))
+
+
+def test_sd_efficiency_decides_invalid_rows_by_the_lp(mixed_pair):
+    # rows summing to 1/2 hold no generalized cycle, but the lemma is
+    # about valid assignments only: the LP finds one that dominates them
+    P = FractionalAssignment.from_rows([["1/2", 0, 0, 0], [0, 0, 0, "1/2"]])
+    assert find_generalized_cycle(mixed_pair, P) is None
+    bn = mixed_pair.bundle_by_name
+    Q = from_discrete(mixed_pair, DiscreteAssignment((bn["1F1B"], bn["2F2B"])))
+    assert check_sd_efficiency(mixed_pair, P) == PropertyReport("sd-efficiency", False, witness=Q)
 
 
 # -- envy / ete / ordinal fairness ------------------------------------------------
@@ -478,14 +556,14 @@ def test_ex_post_fails_for_dominated_mixture():
 
 def all_columns_ex_post(instance, P):
     """Reference ex-post check (the former `check_ex_post_efficiency`):
-    decide every discrete assignment, cycle-free or by the LP oracle,
+    decide every discrete assignment, cycle-free or by the exact LP,
     and solve the lottery LP over all the efficient ones."""
     axioms._decomposition_guard(instance)
     efficient = [
         a
         for a in all_discrete_assignments(instance)
         if find_generalized_cycle(instance, from_discrete(instance, a)) is None
-        or check_sd_efficiency(instance, from_discrete(instance, a)).passed
+        or _sd_efficiency_lp(instance, from_discrete(instance, a)).passed
     ]
     return axioms._lottery_report("ex-post-efficiency", instance, P, efficient)
 
@@ -522,7 +600,7 @@ def test_ex_post_matches_all_columns_reference():
 def test_ex_post_falls_back_for_cyclic_efficient_assignments(monkeypatch):
     # a discrete assignment is its own only lottery, so a cyclic one
     # passes only through the fallback's LP verdicts
-    decided = _record_calls(monkeypatch, "check_sd_efficiency")
+    decided = _record_calls(monkeypatch, "_sd_efficiency_lp")
     rng = random.Random(103)
     fallbacks = 0
     for n, p in ((2, 2), (3, 2)):
@@ -534,7 +612,7 @@ def test_ex_post_falls_back_for_cyclic_efficient_assignments(monkeypatch):
                 if find_generalized_cycle(inst, P) is None:
                     continue
                 report = check_ex_post_efficiency(inst, P)
-                assert report.passed == check_sd_efficiency(inst, P).passed
+                assert report.passed == _sd_efficiency_lp(inst, P).passed
                 if report.passed:
                     fallbacks += 1
                     assert report.witness.entries == ((1, a),)
@@ -544,7 +622,7 @@ def test_ex_post_falls_back_for_cyclic_efficient_assignments(monkeypatch):
 
 
 def test_ex_post_pass_runs_no_sd_efficiency_lp(monkeypatch):
-    calls = _record_calls(monkeypatch, "check_sd_efficiency")
+    calls = _record_calls(monkeypatch, "_sd_efficiency_lp")
     inst = spaces.random_profile(random.Random(107), 3, 2, "general")
     cyclic = [
         a for a in all_discrete_assignments(inst)
