@@ -8,6 +8,7 @@ certificate, ...).  All arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -18,7 +19,6 @@ from .errors import InstanceTooLargeToDecide, SoundnessError, UniverseMismatch
 from .lp import EQ, GE, Constraint, LinearProgram, feasibility, solve
 from .mechanisms import MrpExact, Tiebreak, mgd, mps, mrp, mrp_turns
 from .model import (
-    ONE,
     ZERO,
     DiscreteAssignment,
     FractionalAssignment,
@@ -27,6 +27,7 @@ from .model import (
     Preference,
     all_discrete_assignments,
     from_discrete,
+    require_shape,
     validate_assignment,
 )
 
@@ -216,13 +217,15 @@ class FarkasWitness:
 # -- assignment-level axioms --------------------------------------------------
 
 
-def _unit_row(nv: int, cols: Iterable[int]) -> tuple[Fraction, ...]:
-    """LP coefficients that are ONE at ``cols`` and ZERO elsewhere, made
-    from the shared constants rather than one Fraction per entry."""
-    row = [ZERO] * nv
+def _share_row(nv: int, cols: Iterable[int], rel: str, num: int, den: int = 1) -> Constraint:
+    """The LP row "the variables at ``cols`` sum to ``num / den``" in
+    lowest terms: coefficient den/g at ``cols`` and right-hand side
+    num/g, with g = gcd(num, den)."""
+    g = math.gcd(num, den)
+    row = [0] * nv
     for c in cols:
-        row[c] = ONE
-    return tuple(row)
+        row[c] = den // g
+    return Constraint(tuple(row), rel, num // g)
 
 
 def check_sd_efficiency(instance: Instance, P: FractionalAssignment) -> PropertyReport:
@@ -251,13 +254,12 @@ def _sd_efficiency_lp(instance: Instance, P: FractionalAssignment) -> PropertyRe
     """
     n, m = instance.n, instance.m
     nv = n * m
-    cons = [Constraint(_unit_row(nv, range(j * m, (j + 1) * m)), EQ, ONE) for j in range(n)]
-    for o in range(n * instance.p):
-        holders = [x for x, items in enumerate(instance.bundle_items) if o in items]
-        cons.append(Constraint(_unit_row(nv, (j * m + x for j in range(n) for x in holders)), EQ, ONE))
+    cons = [_share_row(nv, range(j * m, (j + 1) * m), EQ, 1) for j in range(n)]
+    for holders in instance.item_bundles:
+        cons.append(_share_row(nv, (j * m + x for j in range(n) for x in prefs._bits(holders)), EQ, 1))
     masks = [_ucs_masks(order) for order in instance.orders]
     sums = [_contour_sums(masks[j], P.nums[j]) for j in range(n)]
-    depth_coeffs = [ZERO] * nv
+    depth_coeffs = [0] * nv
     for j in range(n):
         for x, ucs in enumerate(masks[j]):
             if sums[j][x] == P.den:
@@ -265,22 +267,22 @@ def _sd_efficiency_lp(instance: Instance, P: FractionalAssignment) -> PropertyRe
                 # nothing outside the contour set; written that way the
                 # LP presolve removes those columns
                 outside = (j * m + y for y in range(m) if not ucs >> y & 1)
-                cons.append(Constraint(_unit_row(nv, outside), EQ, ZERO))
+                cons.append(_share_row(nv, outside, EQ, 0))
             else:
                 inside = (j * m + y for y in prefs._bits(ucs))
-                cons.append(Constraint(_unit_row(nv, inside), GE, Fraction(sums[j][x], P.den)))
+                cons.append(_share_row(nv, inside, GE, sums[j][x], P.den))
         for y in range(m):
-            depth_coeffs[j * m + y] = Fraction(instance.orders[j].downset_size(y))
-    base = Fraction(sum(map(sum, sums)), P.den)
-    lp = LinearProgram(nv, tuple(cons), tuple(depth_coeffs), nonneg=True)
-    out = solve(lp)
+            depth_coeffs[j * m + y] = instance.orders[j].downset_size(y)
+    out = solve(LinearProgram(nv, tuple(cons), tuple(depth_coeffs), nonneg=True))
     if not out.optimal:
         raise SoundnessError("P itself is feasible, so the LP cannot fail")
-    if out.objective_value < base:
+    # the optimum over det against P's own value, sum(sums) over P.den
+    gain = out.objective_value * P.den - sum(map(sum, sums)) * out.det
+    if gain < 0:
         raise SoundnessError("the LP optimum lies below P's own value")
-    if out.objective_value == base:
+    if gain == 0:
         return PropertyReport("sd-efficiency", True)
-    Q = FractionalAssignment.from_rows(out.witness[j * m : (j + 1) * m] for j in range(n))
+    Q = FractionalAssignment(tuple(out.witness[j * m : (j + 1) * m] for j in range(n)), out.det)
     if validate_assignment(Q, instance) is not None or Q == P:
         raise SoundnessError("the dominating witness is not another valid assignment")
     for j in range(n):
@@ -303,7 +305,7 @@ def check_envy(
     name = "sd-envy-freeness" if strength == "strong" else "weak-sd-envy-freeness"
     n, m = instance.n, instance.m
     rows = P.nums
-    if any(len(rows[k]) != m for k in range(n)):
+    if P.n != n or P.m != m:
         raise UniverseMismatch("allocation rows do not match the bundle universe")
     for j in range(n):
         masks = _ucs_masks(instance.orders[j])
@@ -323,6 +325,7 @@ def check_envy(
 
 def check_ete(instance: Instance, P: FractionalAssignment) -> PropertyReport:
     """Agents with identical preference relations get identical rows."""
+    require_shape(P, instance)
     for j in range(instance.n):
         for k in range(j + 1, instance.n):
             if instance.orders[j] == instance.orders[k] and P.nums[j] != P.nums[k]:
@@ -335,6 +338,7 @@ def check_ete(instance: Instance, P: FractionalAssignment) -> PropertyReport:
 def check_ordinal_fairness(instance: Instance, P: FractionalAssignment) -> PropertyReport:
     """Wherever an agent holds positive share, her upper-contour sum is
     no larger than anyone else's at the same bundle."""
+    require_shape(P, instance)
     sums = [_contour_sums(_ucs_masks(instance.orders[j]), P.nums[j]) for j in range(instance.n)]
     for j, row in enumerate(P.nums):
         for x in range(instance.m):
@@ -370,25 +374,35 @@ def _lottery_report(
     """Exact LP feasibility of P as a mixture of ``assignments``, reported
     as ``prop``."""
     nv = len(assignments)
-    cons = []
-    for j in range(instance.n):
-        for x in range(instance.m):
-            cols = [k for k, a in enumerate(assignments) if a.bundles[j] == x]
-            cons.append(Constraint(_unit_row(nv, cols), EQ, P.entry(j, x)))
-    cons.append(Constraint((ONE,) * nv, EQ, ONE))
+    # cols[j][x]: the assignments that give agent j bundle x
+    cols: list[list[list[int]]] = [[[] for _ in range(instance.m)] for _ in range(instance.n)]
+    for k, a in enumerate(assignments):
+        for j, x in enumerate(a.bundles):
+            cols[j][x].append(k)
+    cons = [
+        _share_row(nv, cols[j][x], EQ, v, P.den) for j, row in enumerate(P.nums) for x, v in enumerate(row)
+    ]
+    cons.append(_share_row(nv, range(nv), EQ, 1))
     out = feasibility(LinearProgram(nv, tuple(cons), None, nonneg=True))
     if out.optimal:
-        lottery = Lottery(tuple((w, a) for w, a in zip(out.witness, assignments) if w > 0))
+        weights = (Fraction(w, out.det) for w in out.witness)
+        lottery = Lottery(tuple((w, a) for w, a in zip(weights, assignments) if w > 0))
         if lottery.expectation(instance) != P:
             raise SoundnessError("the lottery's expectation is not P")
         return PropertyReport(prop, True, witness=lottery)
-    return PropertyReport(prop, False, witness=FarkasWitness(out.certificate))
+    # multipliers of the rows with unit coefficients: row (j, x) was
+    # scaled by P.den / gcd(v, P.den), the last row not at all
+    scales = [P.den // math.gcd(v, P.den) for row in P.nums for v in row] + [1]
+    cert = [y * k for y, k in zip(out.certificate, scales)]
+    g = math.gcd(*cert)
+    return PropertyReport(prop, False, witness=FarkasWitness(tuple(Fraction(v // g) for v in cert)))
 
 
 def check_decomposability(instance: Instance, P: FractionalAssignment) -> PropertyReport:
     """Is P a mixture of discrete assignments?  Exact LP feasibility over
     all (n!)^p of them; a pass carries the lottery, a fail the Farkas
     certificate of the matching equations."""
+    require_shape(P, instance)
     _decomposition_guard(instance)
     return _lottery_report("decomposability", instance, P, all_discrete_assignments(instance))
 
@@ -432,6 +446,7 @@ def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> Pro
     The cycle-free assignments are among the efficient ones, so the
     first LP passes only where the second would.
     """
+    require_shape(P, instance)
     _decomposition_guard(instance)
     assignments = all_discrete_assignments(instance)
     cycle_free = [a for a in assignments if _cycle_free(instance, a.bundles)]

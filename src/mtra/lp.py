@@ -1,11 +1,12 @@
-"""Exact rational linear programming.
+"""Exact linear programming over integer rows.
 
-The public surface speaks :class:`fractions.Fraction`; the work is done
-in integers.  :func:`solve` runs in four steps:
+A program is given in integers: every coefficient and right-hand side
+is an ``int``, and so is every number handed back (a witness as
+numerators over one positive denominator, a Farkas certificate as
+coprime multipliers).  A caller with rational rows scales each row to
+integers itself.  :func:`solve` runs in three steps:
 
-1. Each constraint is scaled once to integers by the lcm of its
-   denominators.
-2. For ``nonneg`` programs, an exact presolve (Andersen & Andersen,
+1. For ``nonneg`` programs, an exact presolve (Andersen & Andersen,
    "Presolving in linear programming", Math. Programming 71, 1995)
    removes what x >= 0 already decides.  An equality with right-hand
    side 0 whose coefficients on the remaining columns share one sign
@@ -13,7 +14,7 @@ in integers.  :func:`solve` runs in four steps:
    until nothing changes.  A ``>=`` row with right-hand side <= 0 and
    nonnegative coefficients, or a ``<=`` row with right-hand side >= 0
    and nonpositive ones, is implied and dropped.
-3. A dense two-phase simplex solves the reduced program on a
+2. A dense two-phase simplex solves the reduced program on a
    fraction-free integer tableau (Bareiss-style exact division), which
    is an order of magnitude faster in CPython than a Fraction tableau.
    Pricing is Dantzig's largest coefficient, and a ratio-test tie lets
@@ -21,14 +22,14 @@ in integers.  :func:`solve` runs in four steps:
    degenerate pivots it switches to Bland's rule until a pivot makes
    progress, so the solver is cycle-free and fully deterministic.
    Artificial columns are deleted once phase 1 ends.
-4. The outcome is lifted back to the original program and verified
+3. The outcome is lifted back to the original program and verified
    there, in integers: a witness as numerators over the tableau
-   determinant against the integer-scaled constraints; an infeasible
-   outcome's Farkas certificate (multiplier 0 on each dropped row, and
-   on each fixing row, latest first, the multiplier that brings the
-   column sums of the columns it fixed to <= 0) against the whole
-   system.  A failed check raises :class:`~mtra.errors.SoundnessError`,
-   which ``python -O`` does not strip.
+   determinant against the constraints; an infeasible outcome's Farkas
+   certificate (multiplier 0 on each dropped row, and on each fixing
+   row, latest first, the multiplier that brings the column sums of the
+   columns it fixed to <= 0) against the whole system.  A failed check
+   raises :class:`~mtra.errors.SoundnessError`, which ``python -O`` does
+   not strip.
 
 Programs in this package are a few hundred rows by a few hundred
 columns, so the tableau stays dense.
@@ -38,14 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import SoundnessError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -55,14 +52,14 @@ DEGENERATE_LIMIT = 50
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
     rel: str
-    rhs: Fraction
+    rhs: int
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x  subject to the constraints.
+    """maximize objective . x  subject to the constraints, all in integers.
 
     Variables are free unless ``nonneg`` is set; bounds can always be
     expressed as explicit constraints instead.
@@ -70,7 +67,7 @@ class LinearProgram:
 
     num_vars: int
     constraints: tuple[Constraint, ...]
-    objective: tuple[Fraction, ...] | None = None
+    objective: tuple[int, ...] | None = None
     nonneg: bool = False
 
     def __post_init__(self) -> None:
@@ -79,52 +76,32 @@ class LinearProgram:
                 raise ValueError("constraint arity does not match variable count")
             if c.rel not in (LE, EQ, GE):
                 raise ValueError(f"unknown relation {c.rel!r}")
-        if self.objective is not None and len(self.objective) != self.num_vars:
-            raise ValueError("objective arity does not match variable count")
-
-
-def constraint(coeffs: Iterable, rel: str, rhs) -> Constraint:
-    return Constraint(tuple(Fraction(v) for v in coeffs), rel, Fraction(rhs))
+            # the tableau divides exactly only on integers: a Fraction
+            # would be floored, not refused
+            if not {type(c.rhs), *map(type, c.coeffs)} <= {int}:
+                raise TypeError("constraint entries must be ints")
+        if self.objective is not None:
+            if len(self.objective) != self.num_vars:
+                raise ValueError("objective arity does not match variable count")
+            if not set(map(type, self.objective)) <= {int}:
+                raise TypeError("objective entries must be ints")
 
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """An exact, verified result.  An optimal point is ``witness[k] / det``
+    and its value ``objective_value / det``; an infeasible program has
+    coprime Farkas row multipliers in ``certificate``."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
-    witness: tuple[Fraction, ...] | None = None
-    objective_value: Fraction | None = None
-    certificate: tuple[Fraction, ...] | None = None  # Farkas row multipliers
+    witness: tuple[int, ...] | None = None
+    det: int = 1
+    objective_value: int | None = None
+    certificate: tuple[int, ...] | None = None
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
-
-
-def _scaled_int_row(fracs: Sequence[Fraction]) -> tuple[list[int], int]:
-    ratios = [f.as_integer_ratio() for f in fracs]
-    if all(d == 1 for _, d in ratios):
-        return [v for v, _ in ratios], 1
-    scale = math.lcm(*(d for _, d in ratios))
-    return [v * (scale // d) for v, d in ratios], scale
-
-
-class _IntSystem:
-    """A program scaled to integers once: constraint i reads
-    ``rows[i] . x  rels[i]  rhs[i]`` after multiplication by
-    ``scales[i] > 0``; the objective is ``objective / obj_scale``."""
-
-    def __init__(self, lp: LinearProgram):
-        self.nonneg = lp.nonneg
-        self.rows: list[list[int]] = []
-        self.rels = [c.rel for c in lp.constraints]
-        self.rhs: list[int] = []
-        self.scales: list[int] = []
-        for c in lp.constraints:
-            ints, k = _scaled_int_row(c.coeffs + (c.rhs,))
-            self.rhs.append(ints.pop())
-            self.rows.append(ints)
-            self.scales.append(k)
-        objective = lp.objective if lp.objective is not None else (ZERO,) * lp.num_vars
-        self.objective, self.obj_scale = _scaled_int_row(objective)
 
 
 class _Raw(NamedTuple):
@@ -235,27 +212,21 @@ class _IntTableau:
             self.pivot(leave, enter)
 
 
-def _simplex(
-    rows: Sequence[Sequence[int]],
-    rels: Sequence[str],
-    rhs: Sequence[int],
-    objective: Sequence[int],
-    split: bool,
-) -> _Raw:
+def _simplex(constraints: Sequence[Constraint], objective: Sequence[int], split: bool) -> _Raw:
     """Two-phase simplex on integer constraints over nonnegative
     variables, or free ones when ``split`` (each as a difference of two
     nonnegative columns).  The result is not yet verified."""
     n = len(objective)
     base = 2 * n if split else n
-    m = len(rows)
-    n_slack = sum(1 for r in rels if r != EQ)
+    m = len(constraints)
+    n_slack = sum(1 for c in constraints if c.rel != EQ)
     art_start = base + n_slack
     ncols = art_start + m
     tab_rows: list[list[int]] = []
     signs: list[int] = []
     slack_i = 0
-    for i in range(m):
-        coeffs, rel, b = list(rows[i]), rels[i], rhs[i]
+    for i, c in enumerate(constraints):
+        coeffs, rel, b = list(c.coeffs), c.rel, c.rhs
         if split:
             coeffs += [-a for a in coeffs]
         sign = -1 if b < 0 else 1
@@ -322,11 +293,12 @@ def _simplex(
     return _Raw("optimal", nums=nums, det=tab.det)
 
 
-def _presolved_simplex(system: _IntSystem) -> _Raw:
-    """Presolve a nonnegative program (module docstring, step 2), run the
-    simplex on what is left and lift the result back to ``system``."""
-    rows, rels, rhs = system.rows, system.rels, system.rhs
-    n = len(system.objective)
+def _presolved_simplex(lp: LinearProgram, objective: Sequence[int]) -> _Raw:
+    """Presolve a nonnegative program (module docstring, step 1), run the
+    simplex on what is left and lift the result back to ``lp``."""
+    cons = lp.constraints
+    rows = [c.coeffs for c in cons]
+    n = lp.num_vars
     support = [[j for j, a in enumerate(row) if a] for row in rows]
     live = [True] * n
     active = list(range(len(rows)))
@@ -336,7 +308,7 @@ def _presolved_simplex(system: _IntSystem) -> _Raw:
         changed = False
         keep = []
         for i in active:
-            row, rel, b = rows[i], rels[i], rhs[i]
+            row, rel, b = rows[i], cons[i].rel, cons[i].rhs
             cols = [j for j in support[i] if live[j]]
             pos = any(row[j] > 0 for j in cols)
             neg = any(row[j] < 0 for j in cols)
@@ -349,14 +321,12 @@ def _presolved_simplex(system: _IntSystem) -> _Raw:
                 keep.append(i)
         active = keep
     if len(active) == len(rows):
-        return _simplex(rows, rels, rhs, system.objective, split=False)
+        return _simplex(cons, objective, split=False)
 
     cols = [j for j in range(n) if live[j]]
     raw = _simplex(
-        [[rows[i][j] for j in cols] for i in active],
-        [rels[i] for i in active],
-        [rhs[i] for i in active],
-        [system.objective[j] for j in cols],
+        [Constraint(tuple(rows[i][j] for j in cols), cons[i].rel, cons[i].rhs) for i in active],
+        [objective[j] for j in cols],
         split=False,
     )
     if raw.status == "optimal":
@@ -386,30 +356,27 @@ def _presolved_simplex(system: _IntSystem) -> _Raw:
     return raw
 
 
-def _verified(system: _IntSystem, raw: _Raw) -> LpOutcome:
+def _verified(lp: LinearProgram, objective: Sequence[int], raw: _Raw) -> LpOutcome:
     """Check a raw result against the original program and convert it."""
     if raw.status == "optimal":
-        _verify_witness(system, raw.nums, raw.det)
-        witness = tuple(Fraction(v, raw.det) for v in raw.nums)
-        value = Fraction(sum(map(mul, system.objective, raw.nums)), system.obj_scale * raw.det)
-        return LpOutcome("optimal", witness=witness, objective_value=value)
+        _verify_witness(lp, raw.nums, raw.det)
+        value = sum(map(mul, objective, raw.nums))
+        return LpOutcome("optimal", witness=tuple(raw.nums), det=raw.det, objective_value=value)
     if raw.status == "infeasible":
-        _verify_certificate(system, raw.y)
-        # multipliers of the unscaled rows, reduced to coprime integers
-        cert = [v * k for v, k in zip(raw.y, system.scales)]
-        g = math.gcd(*cert)
-        return LpOutcome("infeasible", certificate=tuple(Fraction(v // g) for v in cert))
+        _verify_certificate(lp, raw.y)
+        g = math.gcd(*raw.y)
+        return LpOutcome("infeasible", certificate=tuple(v // g for v in raw.y))
     return LpOutcome(raw.status)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Exact optimum (or feasibility when no objective is given)."""
-    system = _IntSystem(lp)
+    objective = lp.objective or (0,) * lp.num_vars
     if lp.nonneg:
-        raw = _presolved_simplex(system)
+        raw = _presolved_simplex(lp, objective)
     else:
-        raw = _simplex(system.rows, system.rels, system.rhs, system.objective, split=True)
-    return _verified(system, raw)
+        raw = _simplex(lp.constraints, objective, split=True)
+    return _verified(lp, objective, raw)
 
 
 def feasibility(lp: LinearProgram) -> LpOutcome:
@@ -417,30 +384,31 @@ def feasibility(lp: LinearProgram) -> LpOutcome:
     return solve(LinearProgram(lp.num_vars, lp.constraints, None, nonneg=lp.nonneg))
 
 
-def _verify_witness(system: _IntSystem, nums: Sequence[int], det: int) -> None:
+def _verify_witness(lp: LinearProgram, nums: Sequence[int], det: int) -> None:
     """The point nums / det (det > 0) satisfies every original constraint."""
-    for i, (row, rel, b) in enumerate(zip(system.rows, system.rels, system.rhs)):
-        lhs = sum(map(mul, row, nums))
-        b *= det
-        ok = lhs <= b if rel == LE else lhs >= b if rel == GE else lhs == b
+    for i, c in enumerate(lp.constraints):
+        lhs = sum(map(mul, c.coeffs, nums))
+        b = c.rhs * det
+        ok = lhs <= b if c.rel == LE else lhs >= b if c.rel == GE else lhs == b
         if not ok:
             raise SoundnessError(f"witness violates constraint {i}")
-    if system.nonneg and any(v < 0 for v in nums):
+    if lp.nonneg and any(v < 0 for v in nums):
         raise SoundnessError("witness violates nonnegativity")
 
 
-def _verify_certificate(system: _IntSystem, y: Sequence[int]) -> None:
+def _verify_certificate(lp: LinearProgram, y: Sequence[int]) -> None:
     """Farkas: y^T A <= 0 on nonnegative columns (= 0 on free ones), each
     multiplier signed to its relation, and y^T b > 0, so no x satisfies
     the original constraints."""
-    if len(y) != len(system.rows):
+    cons = lp.constraints
+    if len(y) != len(cons):
         raise SoundnessError("certificate has the wrong length")
-    for j, col in enumerate(zip(*system.rows)):
+    for j, col in enumerate(zip(*(c.coeffs for c in cons))):
         total = sum(map(mul, y, col))
-        if total > 0 or (total < 0 and not system.nonneg):
+        if total > 0 or (total < 0 and not lp.nonneg):
             raise SoundnessError(f"certificate fails on column {j}")
-    for i, rel in enumerate(system.rels):
-        if rel == LE and y[i] > 0 or rel == GE and y[i] < 0:
+    for i, c in enumerate(cons):
+        if c.rel == LE and y[i] > 0 or c.rel == GE and y[i] < 0:
             raise SoundnessError(f"certificate sign clash on constraint {i}")
-    if sum(map(mul, y, system.rhs)) <= 0:
+    if sum(y[i] * c.rhs for i, c in enumerate(cons)) <= 0:
         raise SoundnessError("certificate does not separate")

@@ -30,7 +30,6 @@ from .errors import (
 Preference = Union[prefs.PartialOrder, prefs.CPNet]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -402,14 +401,20 @@ def _as_fraction(value) -> Fraction:
 class FractionalAssignment:
     """An agents x bundles matrix of exact shares: agent j's share of
     bundle x is ``nums[j][x] / den``, kept in lowest terms, so equal
-    matrices are equal values.  Other shares go through :meth:`from_rows`."""
+    matrices are equal values.  Other shares go through :meth:`from_rows`.
+    Every row has the same width."""
 
     nums: tuple[tuple[int, ...], ...]
     den: int = 1
 
     def __post_init__(self) -> None:
-        # math.gcd takes integers only, so a Fraction entry raises here
-        g = math.gcd(self.den, *(v for row in self.nums for v in row))
+        width = len(self.nums[0]) if self.nums else 0
+        g = self.den
+        for row in self.nums:
+            if len(row) != width:
+                raise DimensionMismatch("the rows of an assignment matrix differ in width")
+            # math.gcd takes integers only, so a Fraction entry raises here
+            g = math.gcd(g, *row)
         if self.den < 1:
             raise ValueError(f"denominator {self.den} is not positive")
         if g > 1:
@@ -453,14 +458,19 @@ class AssignmentViolation:
     actual: Fraction
 
 
-def validate_assignment(
-    P: FractionalAssignment, instance: Instance
-) -> AssignmentViolation | None:
-    """None iff row sums and per-item marginals are all exactly one."""
+def require_shape(P: FractionalAssignment, instance: Instance) -> None:
+    """Raise :class:`~mtra.errors.DimensionMismatch` unless P is n x m."""
     if P.n != instance.n or P.m != instance.m:
         raise DimensionMismatch(
             f"matrix is {P.n}x{P.m}, instance needs {instance.n}x{instance.m}"
         )
+
+
+def validate_assignment(
+    P: FractionalAssignment, instance: Instance
+) -> AssignmentViolation | None:
+    """None iff row sums and per-item marginals are all exactly one."""
+    require_shape(P, instance)
     for j, row in enumerate(P.nums):
         for x, v in enumerate(row):
             if v < 0 or v > P.den:
@@ -470,12 +480,8 @@ def validate_assignment(
     for j, row in enumerate(P.nums):
         if sum(row) != P.den:
             return AssignmentViolation("row-sum", f"agent {j}", Fraction(sum(row), P.den))
-    for o, item in enumerate(instance.item_names):
-        total = 0
-        for row in P.nums:
-            for x, items in enumerate(instance.bundle_items):
-                if o in items:
-                    total += row[x]
+    for item, holders in zip(instance.item_names, instance.item_bundles):
+        total = sum(row[x] for row in P.nums for x in prefs._bits(holders))
         if total != P.den:
             return AssignmentViolation("item-marginal", item, Fraction(total, P.den))
     return None

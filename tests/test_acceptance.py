@@ -29,7 +29,7 @@ from mtra.axioms import (
     find_generalized_cycle,
     sd_compare,
 )
-from mtra.lp import LinearProgram, constraint, solve
+from mtra.lp import Constraint, LinearProgram, solve
 from mtra.mechanisms import MrpExact, MrpSingle, mgd, mgd_decompose, mps, mrp
 from mtra.model import from_discrete
 
@@ -96,12 +96,12 @@ def test_criterion_06_envy_vs_efficiency(replayed):
         row = [0] * nv
         for x in range(m):
             row[j * m + x] = 1
-        cons.append(constraint(row, "=", 1))
+        cons.append(Constraint(tuple(row), "=", 1))
     for o in range(m):
         row = [0] * nv
         for j in range(n):
             row[j * m + o] = 1
-        cons.append(constraint(row, "=", 1))
+        cons.append(Constraint(tuple(row), "=", 1))
     for j in range(n):
         order = inst.orders[j]
         for k in range(n):
@@ -113,13 +113,13 @@ def test_criterion_06_envy_vs_efficiency(replayed):
                     if order.ucs_mask(x) >> y & 1:
                         row[j * m + y] += 1
                         row[k * m + y] -= 1
-                cons.append(constraint(row, ">=", 0))
+                cons.append(Constraint(tuple(row), ">=", 0))
     for var in range(nv):
         for sign in (1, -1):
-            objective = [F(0)] * nv
-            objective[var] = F(sign)
+            objective = [0] * nv
+            objective[var] = sign
             out = solve(LinearProgram(nv, tuple(cons), tuple(objective), nonneg=True))
-            assert out.status == "optimal" and out.witness[var] == F(1, 3)
+            assert out.status == "optimal" and F(out.witness[var], out.det) == F(1, 3)
     note("criterion-06", "strong-envy-free polytope is the uniform matrix only")
 
 

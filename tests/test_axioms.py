@@ -38,6 +38,7 @@ from mtra.model import (
     all_discrete_assignments,
     build_instance,
     from_discrete,
+    validate_assignment,
 )
 
 F = Fraction
@@ -175,7 +176,7 @@ def _dominated_per_cell(instance, P):
     # upper-contour slack can be made strictly positive while all stay
     # nonnegative
     from mtra.axioms import ucs_sums
-    from mtra.lp import LinearProgram, constraint, solve
+    from mtra.lp import Constraint, LinearProgram, solve
 
     n, m = instance.n, instance.m
     nv = n * m
@@ -184,33 +185,34 @@ def _dominated_per_cell(instance, P):
         row = [0] * nv
         for x in range(m):
             row[j * m + x] = 1
-        base_cons.append(constraint(row, "=", 1))
+        base_cons.append(Constraint(tuple(row), "=", 1))
     for o in range(n * instance.p):
         row = [0] * nv
         for j in range(n):
             for x, items in enumerate(instance.bundle_items):
                 if o in items:
                     row[j * m + x] = 1
-        base_cons.append(constraint(row, "=", 1))
+        base_cons.append(Constraint(tuple(row), "=", 1))
     sums = [ucs_sums(instance.orders[j], P.row(j)) for j in range(n)]
     for j in range(n):
         order = instance.orders[j]
         for x in range(m):
+            # the row times the denominator of its right-hand side
             row = [0] * nv
             for y in range(m):
                 if order.ucs_mask(x) >> y & 1:
-                    row[j * m + y] = 1
-            base_cons.append(constraint(row, ">=", sums[j][x]))
+                    row[j * m + y] = sums[j][x].denominator
+            base_cons.append(Constraint(tuple(row), ">=", sums[j][x].numerator))
     for j in range(n):
         order = instance.orders[j]
         for x in range(m):
-            objective = [Fraction(0)] * nv
+            objective = [0] * nv
             for y in range(m):
                 if order.ucs_mask(x) >> y & 1:
-                    objective[j * m + y] = Fraction(1)
+                    objective[j * m + y] = 1
             out = solve(LinearProgram(nv, tuple(base_cons), tuple(objective), nonneg=True))
             assert out.status == "optimal"
-            if out.objective_value > sums[j][x]:
+            if Fraction(out.objective_value, out.det) > sums[j][x]:
                 return True
     return False
 
@@ -320,6 +322,30 @@ def test_sd_efficiency_refuses_wrong_shapes(mixed_pair):
     for rows in ([quarters] * 3, [thirds] * 2, [quarters]):
         with pytest.raises(DimensionMismatch):
             check_sd_efficiency(mixed_pair, FractionalAssignment.from_rows(rows))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda inst, P: validate_assignment(P, inst),
+        check_sd_efficiency,
+        check_envy,
+        check_ete,
+        check_ordinal_fairness,
+        check_decomposability,
+        check_ex_post_efficiency,
+    ],
+    ids=["validate", "sd-efficiency", "envy", "ete", "ordinal-fairness", "decomposability", "ex-post"],
+)
+def test_checkers_refuse_wrong_shapes(mixed_pair, check):
+    # mixed_pair needs a 2 x 4 matrix; a ragged one is refused when it is
+    # built, the others by the checker before it reads P (check_envy
+    # reports the rows against the bundle universe)
+    ragged = ((1, 0, 0, 0), (0, 0, 1))
+    for nums in (ragged, ((1, 0, 0), (0, 0, 1)), ((1, 0, 0, 0),), ((1, 0, 0, 0),) * 3):
+        error = UniverseMismatch if check is check_envy and nums is not ragged else DimensionMismatch
+        with pytest.raises(error):
+            check(mixed_pair, FractionalAssignment(nums, 1))
 
 
 def test_sd_efficiency_decides_invalid_rows_by_the_lp(mixed_pair):
@@ -449,18 +475,43 @@ def test_ordinal_fairness_alternative_outcome():
 # -- decomposability / ex-post -----------------------------------------------------
 
 
+def _assert_separates(instance, P, cert):
+    """The Farkas certificate, as multipliers of the rows "the weights of
+    the assignments giving j bundle x sum to P.entry(j, x)" and "all
+    weights sum to 1", proves P no mixture of discrete assignments.
+    Checked on every one of the (n!)^p columns, so also on those the LP
+    presolve removed (P's zero entries fix them)."""
+    n, m = instance.n, instance.m
+    assert len(cert) == n * m + 1
+    for a in all_discrete_assignments(instance):
+        assert sum(cert[j * m + a.bundles[j]] for j in range(n)) + cert[-1] <= 0
+    assert sum(cert[j * m + x] * P.entry(j, x) for j in range(n) for x in range(m)) + cert[-1] > 0
+
+
 def test_decomposability_dependent_pair(dependent_pair):
     P = fixtures.assignment_3()
     report = check_decomposability(dependent_pair, P)
     assert not report.passed and report.witness.certificate is not None
-    # the LP presolve removes most columns (P's zero entries fix them), so
-    # check the lifted certificate on every one of the (n!)^p columns
-    cert = report.witness.certificate
-    n, m = dependent_pair.n, dependent_pair.m
-    assert len(cert) == n * m + 1
-    for a in all_discrete_assignments(dependent_pair):
-        assert sum(cert[j * m + a.bundles[j]] for j in range(n)) + cert[-1] <= 0
-    assert sum(cert[j * m + x] * P.entry(j, x) for j in range(n) for x in range(m)) + cert[-1] > 0
+    _assert_separates(dependent_pair, P, report.witness.certificate)
+
+
+def test_decomposability_certificates_of_eating_outputs():
+    # the LP row of entry (j, x) is scaled by that entry's denominator;
+    # the certificate must come back as multipliers of the rows with unit
+    # coefficients
+    fails = scaled = 0
+    for seed in range(40):
+        for n, p in ((2, 2), (3, 2)):
+            for kind in ("cpnet", "general", "independent"):
+                inst = spaces.random_profile(random.Random(seed), n, p, kind)
+                P = mps(inst)[0]
+                report = check_decomposability(inst, P)
+                if report.passed:
+                    continue
+                _assert_separates(inst, P, report.witness.certificate)
+                fails += 1
+                scaled += any(v.denominator > 1 for row in P.rows for v in row)
+    assert fails > 0 and scaled > 0
 
 
 def test_decomposability_mrp(mixed_pair):

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -10,17 +11,34 @@ from pathlib import Path
 import pytest
 
 from mtra import lp as lp_module
-from mtra.lp import LinearProgram, constraint, feasibility, solve
+from mtra.lp import Constraint, LinearProgram, feasibility, solve
 
 F = Fraction
 
 
+def constraint(coeffs, rel, rhs):
+    """A row with rational entries, scaled to integers by the lcm of
+    their denominators."""
+    fracs = [F(v) for v in (*coeffs, rhs)]
+    scale = math.lcm(*(v.denominator for v in fracs))
+    ints = [int(v * scale) for v in fracs]
+    return Constraint(tuple(ints[:-1]), rel, ints[-1])
+
+
+def point(out):
+    return tuple(F(v, out.det) for v in out.witness)
+
+
+def value(out):
+    return F(out.objective_value, out.det)
+
+
 def test_box_maximum():
-    lp = LinearProgram(1, (constraint([1], "<=", 1), constraint([1], ">=", 0)), (F(1),))
+    lp = LinearProgram(1, (constraint([1], "<=", 1), constraint([1], ">=", 0)), (1,))
     out = solve(lp)
     assert out.status == "optimal"
-    assert out.witness == (F(1),)
-    assert out.objective_value == 1
+    assert point(out) == (1,)
+    assert value(out) == 1
 
 
 def test_infeasible_with_certificate():
@@ -33,21 +51,22 @@ def test_infeasible_with_certificate():
 def test_empty_constraints_feasible():
     out = feasibility(LinearProgram(3, ()))
     assert out.status == "optimal"
-    assert out.witness == (F(0),) * 3
+    assert point(out) == (0,) * 3
 
 
 def test_unbounded():
-    assert solve(LinearProgram(1, (), (F(1),))).status == "unbounded"
+    assert solve(LinearProgram(1, (), (1,))).status == "unbounded"
 
 
 def test_free_variables():
-    lp = LinearProgram(1, (constraint([1], ">=", -5),), (F(-1),))
+    lp = LinearProgram(1, (constraint([1], ">=", -5),), (-1,))
     out = solve(lp)
-    assert out.witness == (F(-5),) and out.objective_value == 5
+    assert point(out) == (-5,) and value(out) == 5
 
 
 def test_blands_rule_survives_degeneracy():
-    # a classic cycling-prone instance; Bland terminates at 1/20
+    # a classic cycling-prone instance; Bland terminates at 1/20, which
+    # is 5 for the objective scaled by 100
     lp = LinearProgram(
         4,
         (
@@ -55,11 +74,11 @@ def test_blands_rule_survives_degeneracy():
             constraint([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
             constraint([0, 0, 1, 0], "<=", 1),
         ),
-        (F(3, 4), -150, F(1, 50), -6),
+        (75, -15000, 2, -600),
         nonneg=True,
     )
     out = solve(lp)
-    assert out.status == "optimal" and out.objective_value == F(1, 20)
+    assert out.status == "optimal" and value(out) == 5
 
 
 def test_determinism():
@@ -68,7 +87,7 @@ def test_determinism():
         constraint([rng.randint(-3, 3) for _ in range(4)], rng.choice(["<=", ">="]), rng.randint(0, 5))
         for _ in range(6)
     )
-    lp = LinearProgram(4, cons, tuple(F(rng.randint(-2, 2)) for _ in range(4)), nonneg=True)
+    lp = LinearProgram(4, cons, tuple(rng.randint(-2, 2) for _ in range(4)), nonneg=True)
     first = solve(lp)
     second = solve(lp)
     assert first == second
@@ -82,8 +101,8 @@ def _brute_force_2var(cons, obj):
         det = a[0] * b[1] - a[1] * b[0]
         if det == 0:
             continue
-        x = (c1.rhs * b[1] - a[1] * c2.rhs) / det
-        y = (a[0] * c2.rhs - c1.rhs * b[0]) / det
+        x = F(c1.rhs * b[1] - a[1] * c2.rhs, det)
+        y = F(a[0] * c2.rhs - c1.rhs * b[0], det)
         ok = True
         for c in cons:
             lhs = c.coeffs[0] * x + c.coeffs[1] * y
@@ -117,18 +136,18 @@ def test_random_2var_lps_match_vertex_enumeration():
             constraint([1, 0], ">=", -10),
             constraint([0, 1], ">=", -10),
         ]
-        obj = (F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))
+        obj = (rng.randint(-3, 3), rng.randint(-3, 3))
         out = solve(LinearProgram(2, tuple(cons), obj))
         feasible, best = _brute_force_2var(cons, obj)
         if out.status == "optimal":
-            assert feasible and out.objective_value == best
+            assert feasible and value(out) == best
         else:
             assert out.status == "infeasible" and not feasible
 
 
 def test_random_2var_fractional_coefficients():
-    # exercises the row-scaling paths: coefficients and bounds with
-    # denominators other than one
+    # rows with denominators other than one, scaled to integers by
+    # constraint(), and objectives scaled by their own lcm
     rng = random.Random(7)
     for _ in range(80):
         cons = [
@@ -146,10 +165,11 @@ def test_random_2var_fractional_coefficients():
             constraint([0, 1], ">=", -9),
         ]
         obj = (F(rng.randint(-3, 3), rng.randint(1, 2)), F(rng.randint(-3, 3), rng.randint(1, 2)))
-        out = solve(LinearProgram(2, tuple(cons), obj))
+        scale = math.lcm(obj[0].denominator, obj[1].denominator)
+        out = solve(LinearProgram(2, tuple(cons), tuple(int(v * scale) for v in obj)))
         feasible, best = _brute_force_2var(cons, obj)
         if out.status == "optimal":
-            assert feasible and out.objective_value == best
+            assert feasible and value(out) == best * scale
         else:
             assert out.status == "infeasible" and not feasible
 
@@ -166,7 +186,7 @@ def test_duality_spot_check():
             LinearProgram(
                 nv,
                 tuple(constraint(A[i], "<=", b[i]) for i in range(nc)),
-                tuple(F(v) for v in c),
+                tuple(c),
                 nonneg=True,
             )
         )
@@ -177,13 +197,13 @@ def test_duality_spot_check():
                     constraint([A[i][j] for i in range(nc)], ">=", c[j])
                     for j in range(nv)
                 ),
-                tuple(F(-v) for v in b),
+                tuple(-v for v in b),
                 nonneg=True,
             )
         )
         if primal.status == "optimal":
             assert dual.status == "optimal"
-            assert primal.objective_value == -dual.objective_value
+            assert value(primal) == -value(dual)
         else:
             assert primal.status == "unbounded" and dual.status == "infeasible"
 
@@ -215,11 +235,9 @@ def test_arity_validation():
 def _plain(prog):
     """The same simplex on the whole program, without presolve: the
     reference the presolved path must agree with."""
-    system = lp_module._IntSystem(prog)
-    raw = lp_module._simplex(
-        system.rows, system.rels, system.rhs, system.objective, split=not prog.nonneg
-    )
-    return lp_module._verified(system, raw)
+    objective = prog.objective or (0,) * prog.num_vars
+    raw = lp_module._simplex(prog.constraints, objective, split=not prog.nonneg)
+    return lp_module._verified(prog, objective, raw)
 
 
 def _planted_lp(rng):
@@ -264,7 +282,7 @@ def _planted_lp(rng):
         cons.append(constraint(coeffs, rng.choice(["<=", ">=", "="]), F(rng.randint(-4, 6), rng.randint(1, 2))))
     cons.append(constraint([1] * n, "<=", rng.randint(3, 9)))
     rng.shuffle(cons)
-    objective = tuple(F(rng.randint(-3, 3)) for _ in range(n)) if rng.random() < 0.8 else None
+    objective = tuple(rng.randint(-3, 3) for _ in range(n)) if rng.random() < 0.8 else None
     return LinearProgram(n, tuple(cons), objective, nonneg=True)
 
 
@@ -292,7 +310,7 @@ def test_presolve_matches_plain_simplex():
         assert out.status == ref.status
         statuses.add(out.status)
         if out.optimal:
-            assert out.objective_value == ref.objective_value
+            assert value(out) == value(ref)
         if out.status == "infeasible":
             assert _certifies(prog, out.certificate) and _certifies(prog, ref.certificate)
     assert statuses == {"optimal", "infeasible"}
@@ -310,7 +328,7 @@ def test_presolve_fixes_chained_rows():
             constraint([0, 0, 1, 0], ">=", F(1, 2)),
             constraint([0, 1, 0, -1], "<=", 0),
         ),
-        (F(1), F(1), F(1), F(-1)),
+        (1, 1, 1, -1),
         nonneg=True,
     )
     out = solve(prog)
@@ -318,14 +336,14 @@ def test_presolve_fixes_chained_rows():
     assert out.certificate[4] == 0  # the implied row is not used
     relaxed = LinearProgram(4, prog.constraints[:3] + prog.constraints[4:], prog.objective, nonneg=True)
     out = solve(relaxed)
-    assert out.optimal and out.witness == (0, 0, 0, 1) and out.objective_value == -1
+    assert out.optimal and point(out) == (0, 0, 0, 1) and value(out) == -1
 
 
 def test_presolve_matches_highs():
     scipy_optimize = pytest.importorskip("scipy.optimize")
     for prog in _planted_lps(150, 12):
         out = solve(prog)
-        objective = prog.objective or (F(0),) * prog.num_vars
+        objective = prog.objective or (0,) * prog.num_vars
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
         for c in prog.constraints:
             coeffs = [float(v) for v in c.coeffs]
@@ -347,7 +365,7 @@ def test_presolve_matches_highs():
         )
         assert {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status] == out.status
         if out.optimal:
-            assert -res.fun == pytest.approx(float(out.objective_value), abs=1e-7)
+            assert -res.fun == pytest.approx(float(value(out)), abs=1e-7)
 
 
 _TAMPER = """
@@ -368,8 +386,8 @@ def tampered(*args, **kwargs):
 
 
 lp._simplex = tampered
-feasible = lp.LinearProgram(2, (lp.constraint([1, 1], "<=", 2),), (1, 1), nonneg=True)
-infeasible = lp.LinearProgram(1, (lp.constraint([1], ">=", 1), lp.constraint([1], "<=", 0)), nonneg=True)
+feasible = lp.LinearProgram(2, (lp.Constraint((1, 1), "<=", 2),), (1, 1), nonneg=True)
+infeasible = lp.LinearProgram(1, (lp.Constraint((1,), ">=", 1), lp.Constraint((1,), "<=", 0)), nonneg=True)
 for prog in (feasible, infeasible):
     try:
         lp.solve(prog)
@@ -401,6 +419,33 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_lp_imports_nothing_from_fractions():
+    # the solver takes and returns integers only
+    tree = ast.parse(Path(lp_module.__file__).read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LinearProgram(1, (Constraint((F(1, 2),), "<=", 1),)),
+        lambda: LinearProgram(1, (Constraint((1,), "<=", F(1, 2)),)),
+        lambda: LinearProgram(1, (), (F(1),)),
+    ],
+    ids=["coefficient", "rhs", "objective"],
+)
+def test_linear_program_refuses_a_fraction(make):
+    # the integer tableau would floor a Fraction instead of using it
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_no_process_cache_keyed_by_an_instance():

@@ -23,7 +23,6 @@ from mtra.mechanisms import (
     serial_dictatorship,
 )
 from mtra.model import (
-    ONE,
     ZERO,
     DiscreteAssignment,
     FractionalAssignment,
@@ -216,7 +215,7 @@ def fraction_mps(instance, tiebreak=None):
     (the former `mps`)."""
     sorts = fresh_sorts(instance, tiebreak)
     n, p = instance.n, instance.p
-    supply = [ONE] * (n * p)
+    supply = [F(1)] * (n * p)
     alive = set(range(n * p))
     rows = [[ZERO] * instance.m for _ in range(n)]
     rounds = []
