@@ -17,7 +17,17 @@ from . import preferences as prefs
 from . import spaces
 from .errors import InstanceTooLargeToDecide, SoundnessError, UniverseMismatch
 from .lp import EQ, GE, Constraint, LinearProgram, feasibility, solve
-from .mechanisms import MrpExact, Tiebreak, mgd, mps, mrp, mrp_turns
+from .mechanisms import (
+    MrpExact,
+    Tiebreak,
+    _per_agent_tiebreaks,
+    _share,
+    mgd,
+    mps,
+    mps_reruns,
+    mrp,
+    mrp_turns,
+)
 from .model import (
     ZERO,
     DiscreteAssignment,
@@ -25,7 +35,6 @@ from .model import (
     Instance,
     Lottery,
     Preference,
-    all_discrete_assignments,
     from_discrete,
     require_shape,
     validate_assignment,
@@ -404,7 +413,7 @@ def check_decomposability(instance: Instance, P: FractionalAssignment) -> Proper
     certificate of the matching equations."""
     require_shape(P, instance)
     _decomposition_guard(instance)
-    return _lottery_report("decomposability", instance, P, all_discrete_assignments(instance))
+    return _lottery_report("decomposability", instance, P, instance._discrete_assignments)
 
 
 def _cycle_free(instance: Instance, bundles: tuple[int, ...]) -> bool:
@@ -448,7 +457,7 @@ def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> Pro
     """
     require_shape(P, instance)
     _decomposition_guard(instance)
-    assignments = all_discrete_assignments(instance)
+    assignments = instance._discrete_assignments
     cycle_free = [a for a in assignments if _cycle_free(instance, a.bundles)]
     report = _lottery_report("ex-post-efficiency", instance, P, cycle_free)
     if report.passed:
@@ -489,13 +498,14 @@ def check_strategyproofness(
     Each misreport is judged by one integer comparison: the upper
     contour sums of the agent's row under it, as numerators over the
     output's denominator, cross-multiplied with the truthful sums,
-    worked out once per agent.  Equal sums mean equal rows.  For ``mrp`` the row is read off the truth's turn tables
-    (:func:`mrp_turns`) with the misreport's sort, so nothing is re-run;
-    a misreport order keeps its sorts, so it is sorted once per
-    tie-break, not once per check.  ``mps`` and ``mgd`` re-run on the
-    one-agent copy.  A misreport order already judged is skipped, and
-    the first failing misreport is re-run through the mechanism for the
-    witness.
+    worked out once per agent.  Equal sums mean equal rows.  The liar's
+    row comes from :func:`_lied_row`, built once per tie-break with the
+    truth: no instance is copied per misreport, and a misreport order
+    keeps its sorts, so it is sorted once per tie-break, not once per
+    check.  A misreport order already judged is skipped.  The first
+    failing misreport is re-run through the public mechanism on the
+    one-agent copy for the witness, and that row must equal the one it
+    was judged by.
     """
     if strength not in ("sd", "weak"):
         raise ValueError(f"unknown strategyproofness strength {strength!r}")
@@ -505,8 +515,7 @@ def check_strategyproofness(
     if tiebreaks is None:
         tiebreaks = _default_tiebreaks(instance)
     for tb in tiebreaks:
-        truth = fn(instance, tb)
-        lied_row = _lied_row(mechanism, instance, tb)
+        truth, lied_row = _lied_row(mechanism, instance, tb)
         for j in range(instance.n):
             order = instance.orders[j]
             masks = _ucs_masks(order)
@@ -515,6 +524,7 @@ def check_strategyproofness(
             # truth's own order cannot manipulate
             judged = {order}
             for report in misreports.for_agent(instance, j):
+                instance._check_preference(j, report)
                 rep_order = prefs.as_order(report)
                 if rep_order in judged:
                     continue
@@ -526,6 +536,8 @@ def check_strategyproofness(
                     manipulated = manipulated and _at_least(sums, den, truth_sums, truth_den)
                 if manipulated:
                     lied = fn(instance.with_preference(j, report), tb)
+                    if any(v * den != w * lied.den for v, w in zip(lied.nums[j], nums)):
+                        raise SoundnessError(f"agent {j}'s row differs from the mechanism's on the re-run")
                     return PropertyReport(
                         name,
                         False,
@@ -535,29 +547,60 @@ def check_strategyproofness(
     return PropertyReport(name, True, detail=detail)
 
 
-def _lied_row(
+def _reruns(
     mechanism: str, instance: Instance, tiebreak: object
-) -> Callable[[int, Preference, prefs.PartialOrder], tuple[Sequence[int], int]]:
-    """(agent, report, the report's order) -> the agent's row when it
-    alone reports ``report``, as integer numerators and a denominator.
+) -> tuple[FractionalAssignment, Callable[[int, Preference, prefs.PartialOrder], FractionalAssignment]]:
+    """The truthful output under ``tiebreak``, and (agent, report, the
+    report's order) -> the output when that agent alone reports it.
 
-    For ``mrp`` the row is read off the truth's turn tables with the
+    ``mps`` resumes the truthful eating at the first round in which the
+    agent eats differently (:func:`mps_reruns`), and ``mgd`` shares out
+    by the truthful sorts with the agent's replaced, each with the
     report order's sort under the agent's tie-break.  The order keeps
     its sorts (:meth:`~mtra.preferences.PartialOrder.sort`), so an order
     tried again, by another agent or in a later check, is not sorted
-    again."""
+    again.  ``mrp`` runs on the one-agent copy."""
+    if mechanism == "mps":
+        reruns = mps_reruns(instance, tiebreak)  # type: ignore[arg-type]
+        return reruns.truth, lambda j, report, order: reruns.rerun(j, order.sort(reruns.tiebreaks[j]))
+    if mechanism == "mgd":
+        breaks = _per_agent_tiebreaks(instance, tiebreak)  # type: ignore[arg-type]
+        sorts = [order.sort(tb) for order, tb in zip(instance.orders, breaks)]
+
+        def share(j: int, report: Preference, order: prefs.PartialOrder) -> FractionalAssignment:
+            lied = list(sorts)
+            lied[j] = order.sort(breaks[j])
+            return _share(instance, lied)
+
+        return _share(instance, sorts), share
+    fn = mechanism_callable(mechanism)
+    return fn(instance, tiebreak), lambda j, report, order: fn(
+        instance.with_preference(j, report), tiebreak  # type: ignore[arg-type]
+    )
+
+
+def _lied_row(
+    mechanism: str, instance: Instance, tiebreak: object
+) -> tuple[FractionalAssignment, Callable[[int, Preference, prefs.PartialOrder], tuple[Sequence[int], int]]]:
+    """The truthful output under ``tiebreak``, and (agent, report, the
+    report's order) -> the agent's row when it alone reports ``report``,
+    as integer numerators and a denominator.
+
+    For ``mrp`` the row is read off the truth's turn tables with the
+    report order's sort under the agent's tie-break; for ``mps`` and
+    ``mgd`` it is the row of :func:`_reruns`' output."""
     if mechanism == "mrp":
         turns = mrp_turns(instance, tiebreak)  # type: ignore[arg-type]
-        return lambda j, report, order: (
+        return FractionalAssignment(turns.rows, turns.total), lambda j, report, order: (
             turns.counts(j, order.sort(turns.tiebreaks[j])), turns.total
         )
-    fn = mechanism_callable(mechanism)
+    truth, rerun = _reruns(mechanism, instance, tiebreak)
 
-    def rerun(j: int, report: Preference, order: prefs.PartialOrder) -> tuple[Sequence[int], int]:
-        lied = fn(instance.with_preference(j, report), tiebreak)  # type: ignore[arg-type]
+    def row(j: int, report: Preference, order: prefs.PartialOrder) -> tuple[Sequence[int], int]:
+        lied = rerun(j, report, order)
         return lied.nums[j], lied.den
 
-    return rerun
+    return truth, row
 
 
 def check_upper_invariance(
@@ -567,15 +610,22 @@ def check_upper_invariance(
     tiebreaks: Iterable[object] | None = None,
 ) -> PropertyReport:
     """The pivot column of the output must survive every valid upper
-    invariant transformation of any single agent's preference."""
+    invariant transformation of any single agent's preference.
+
+    The transformed output comes from :func:`_reruns`, so ``mps`` and
+    ``mgd`` copy no instance per transformation.  The first failing one
+    is re-run through the public mechanism on the one-agent copy for
+    the witness, and that output must equal the one it was judged by.
+    """
     fn = mechanism_callable(mechanism)
     detail = f"{mechanism} against {transforms.describe()}"
     if tiebreaks is None:
         tiebreaks = _default_tiebreaks(instance)
     for tb in tiebreaks:
-        truth = fn(instance, tb)
+        truth, rerun = _reruns(mechanism, instance, tb)
         seen: dict[tuple[int, prefs.PartialOrder], FractionalAssignment] = {}
         for j, report, pivot in transforms.candidates(instance, truth):
+            instance._check_preference(j, report)
             old = instance.orders[j]
             new = prefs.as_order(report)
             if new == old:
@@ -586,14 +636,16 @@ def check_upper_invariance(
             key = (j, new)
             lied = seen.get(key)
             if lied is None:
-                lied = fn(instance.with_preference(j, report), tb)
-                seen[key] = lied
+                lied = seen[key] = rerun(j, report, new)
             for k in range(instance.n):
                 if lied.nums[k][pivot] * truth.den != truth.nums[k][pivot] * lied.den:
+                    public = fn(instance.with_preference(j, report), tb)
+                    if public != lied:
+                        raise SoundnessError(f"agent {j}'s transformation re-runs to another output")
                     return PropertyReport(
                         "upper-invariance",
                         False,
-                        witness=InvarianceWitness(j, report, pivot, truth, lied, tb),
+                        witness=InvarianceWitness(j, report, pivot, truth, public, tb),
                         detail=detail,
                     )
     return PropertyReport("upper-invariance", True, detail=detail)

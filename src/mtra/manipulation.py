@@ -18,10 +18,12 @@ scanned exhaustively per candidate:
 * the manipulator misreports only her B-rows, keeping the F-order.
 
 Candidate profiles are visited in a seed-fixed shuffled order; for each,
-every B-row misreport is run through the public eating mechanism
-:func:`mps`, and the manipulator's upper-contour sums, as integers over
+the truthful eating is kept round by round (:func:`mps_reruns`), every
+B-row misreport resumes it where the manipulator first eats
+differently, and the manipulator's upper-contour sums, as integers over
 each output's denominator, are compared with truth-telling's.  Every
-reported hit is checked once more with :func:`sd_compare`.
+reported hit is re-run through the public eating mechanism :func:`mps`,
+which must agree, and checked once more with :func:`sd_compare`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Iterator, Sequence
 from . import preferences as prefs
 from .axioms import _at_least, _contour_sums, _ucs_masks, sd_compare
 from .errors import SoundnessError
-from .mechanisms import mps
+from .mechanisms import mps, mps_reruns
 from .model import Instance
 from .spaces import square_types
 
@@ -102,12 +104,14 @@ def search_cpt_manipulations(
     Stops when ``max_hits`` hits are collected (all matching
     ``require_pattern`` if given: a pair of sorted positive share
     multisets for truth and lie), the time budget runs out, or the
-    candidate space is exhausted.  Every misreport is evaluated with the
-    public :func:`mps`; a hit found by comparing upper-contour sums is
+    candidate space is exhausted.  Every misreport resumes the truthful
+    eating (:meth:`~mtra.mechanisms.MpsReruns.rerun`); a hit found by comparing
+    upper-contour sums is re-run through the public :func:`mps` and
     checked with :func:`sd_compare` before it is returned.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     nets = {rows: shared_fb_net(_IDENT, rows) for rows in itertools.product(_ORDERS3, repeat=3)}
+    orders = {rows: prefs.as_order(net) for rows, net in nets.items()}
     hits: list[ManipulationHit] = []
     scanned = 0
     for b2, b3, (f23, bb) in _candidate_profiles(seed):
@@ -119,18 +123,21 @@ def search_cpt_manipulations(
         truth_b = (_IDENT, b2, b3)
         twins = shared_fb_net(f23, bb)
         instance = Instance(square_types(3, 2), (nets[truth_b], twins, twins))
-        truth = mps(instance)[0]
+        reruns = mps_reruns(instance)
+        truth = reruns.truth
         order = instance.orders[0]
         masks = _ucs_masks(order)
         truth_sums = _contour_sums(masks, truth.nums[0])
         for mrows, misreport in nets.items():
             if mrows == truth_b:
                 continue
-            lie = mps(instance.with_preference(0, misreport))[0]
+            lie = reruns.rerun(0, orders[mrows].sort(reruns.tiebreaks[0]))
             lie_sums = _contour_sums(masks, lie.nums[0])
             gains = _at_least(lie_sums, lie.den, truth_sums, truth.den)
             # equal contour sums would mean the same row
             if gains and not _at_least(truth_sums, truth.den, lie_sums, lie.den):
+                if mps(instance.with_preference(0, misreport))[0] != lie:
+                    raise SoundnessError("the resumed eating differs from the public mps")
                 if not sd_compare(order, lie.row(0), truth.row(0)).p_dominates_q:
                     raise SoundnessError("sd_compare disagrees with the upper-contour sums")
                 hit = ManipulationHit(instance, misreport, 0, truth.row(0), lie.row(0))

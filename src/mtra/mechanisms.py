@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import preferences as prefs
 from .errors import DimensionMismatch, MtraError, SoundnessError, TooManyAgentsForExact
@@ -309,32 +309,47 @@ class MpsTrace:
         raise KeyError(item)
 
 
-def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssignment, MpsTrace]:
-    """Simultaneous eating at unit rate.
+class _Eating(NamedTuple):
+    """The integer state of the eating at the start of a round.
 
-    Every round each agent consumes the first available bundle of her
-    sort; the round length is the smallest supply/consumers ratio among
-    the items actually being consumed, and the whole argmin set is
-    removed at once.  Items nobody is eating impose no bound.
+    ``supply`` is per flat item and ``rows`` per agent and bundle, both
+    numerators over ``den``, as is the ``clock``; ``available`` is the
+    bitmask of the bundles whose items all have supply left, and
+    ``remaining`` counts those items."""
 
-    Supplies, shares and the clock are integer numerators over one
-    common denominator, refined whenever a round length is not a whole
-    number of its units; the shares are returned in that form, and the
-    round times are the only Fractions built.  The bundles still
-    available are a bitmask, from which an exhausted item's bundles are
-    cleared.
+    available: int
+    supply: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
+    clock: int
+    remaining: int
+
+
+def _start(instance: Instance) -> _Eating:
+    n, p, m = instance.n, instance.p, instance.m
+    return _Eating((1 << m) - 1, (1,) * (n * p), ((0,) * m,) * n, 1, 0, n * p)
+
+
+def _eat(
+    instance: Instance,
+    sorts: Sequence[Sequence[int]],
+    state: _Eating,
+    rounds: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] | None = None,
+    states: list[_Eating] | None = None,
+) -> FractionalAssignment:
+    """The eating of :func:`mps` by ``sorts`` from ``state`` to the end.
+
+    Each round appends (clock, den, eaten, exhausted) to ``rounds`` and
+    the state it started from to ``states``, when they are given.
     """
-    sorts = resolve_sorts(instance, tiebreak)
     n, p = instance.n, instance.p
     bundle_items, item_bundles = instance.bundle_items, instance.item_bundles
-    available = (1 << instance.m) - 1
-    den = 1
-    supply = [1] * (n * p)
-    rows = [[0] * instance.m for _ in range(n)]
-    rounds: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
-    clock = 0
-    remaining = n * p
+    available, den, clock, remaining = state.available, state.den, state.clock, state.remaining
+    supply = list(state.supply)
+    rows = [list(row) for row in state.rows]
     while remaining:
+        if states is not None:
+            states.append(_Eating(available, tuple(supply), tuple(map(tuple, rows)), den, clock, remaining))
         eaten = tuple(prefs.ext(sorts[j], available) for j in range(n))
         consumers = [0] * (n * p)
         for x in eaten:
@@ -367,13 +382,34 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
             raise SoundnessError("each round must exhaust at least one item")
         remaining -= len(exhausted)
         clock += step
-        rounds.append((clock, den, eaten, tuple(exhausted)))
+        if rounds is not None:
+            rounds.append((clock, den, eaten, tuple(exhausted)))
         # conservation: per type, remaining supply equals n * (1 - clock)
         for t in range(p):
             if sum(supply[t * n : (t + 1) * n]) != n * (den - clock):
                 raise SoundnessError(f"type {t} supply is not conserved")
     if clock != den:
         raise SoundnessError("the eating clock must end at 1")
+    return FractionalAssignment(tuple(map(tuple, rows)), den)
+
+
+def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssignment, MpsTrace]:
+    """Simultaneous eating at unit rate.
+
+    Every round each agent consumes the first available bundle of her
+    sort; the round length is the smallest supply/consumers ratio among
+    the items actually being consumed, and the whole argmin set is
+    removed at once.  Items nobody is eating impose no bound.
+
+    Supplies, shares and the clock are integer numerators over one
+    common denominator, refined whenever a round length is not a whole
+    number of its units; the shares are returned in that form, and the
+    round times are the only Fractions built.  The bundles still
+    available are a bitmask, from which an exhausted item's bundles are
+    cleared.
+    """
+    rounds: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
+    out = _eat(instance, resolve_sorts(instance, tiebreak), _start(instance), rounds)
     ends = [Fraction(c, d) for c, d, _, _ in rounds]
     trace = MpsTrace(
         tuple(
@@ -381,7 +417,49 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
             for start, end, (_, _, e, x) in zip((ZERO, *ends), ends, rounds)
         )
     )
-    return FractionalAssignment(tuple(map(tuple, rows)), den), trace
+    return out, trace
+
+
+@dataclass(frozen=True, eq=False)
+class MpsReruns:
+    """The truthful eating, kept round by round for one-agent re-runs.
+
+    ``rounds`` holds each truthful round's starting state and the
+    bundles the agents ate in it.  When agent j alone reports another
+    order, the eating is the truth's up to the first round in which j's
+    sort picks another bundle from that round's available ones, so
+    :meth:`rerun` resumes :func:`_eat` there.  ``truth`` is the
+    truthful output, and ``tiebreaks`` the per-agent tie-breaks its
+    sorts were made under.
+    """
+
+    instance: Instance
+    truth: FractionalAssignment
+    tiebreaks: tuple[tuple[int, ...], ...]
+    sorts: tuple[tuple[int, ...], ...]
+    rounds: tuple[tuple[_Eating, tuple[int, ...]], ...]
+
+    def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
+        """The output when ``agent`` eats by ``sort`` and the others by
+        their truthful sorts."""
+        for state, eaten in self.rounds:
+            if prefs.ext(sort, state.available) != eaten[agent]:
+                sorts = list(self.sorts)
+                sorts[agent] = sort
+                return _eat(self.instance, sorts, state)
+        return self.truth
+
+
+def mps_reruns(instance: Instance, tiebreak: Tiebreak = None) -> MpsReruns:
+    """Run :func:`mps` truthfully, keeping what :meth:`MpsReruns.rerun`
+    resumes from."""
+    breaks = tuple(_per_agent_tiebreaks(instance, tiebreak))
+    sorts = tuple(instance.orders[j].sort(tb) for j, tb in enumerate(breaks))
+    rounds: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
+    states: list[_Eating] = []
+    truth = _eat(instance, sorts, _start(instance), rounds, states)
+    kept = tuple((state, eaten) for state, (_, _, eaten, _) in zip(states, rounds))
+    return MpsReruns(instance, truth, breaks, sorts, kept)
 
 
 # -- MGD -----------------------------------------------------------------
@@ -400,7 +478,11 @@ def mgd(instance: Instance, tiebreak: Tiebreak = None) -> FractionalAssignment:
     bundle equally with everyone whose sort equals hers, then its items
     are removed.  The shares are numerators over the lcm of the group
     sizes."""
-    sorts = resolve_sorts(instance, tiebreak)
+    return _share(instance, resolve_sorts(instance, tiebreak))
+
+
+def _share(instance: Instance, sorts: Sequence[Sequence[int]]) -> FractionalAssignment:
+    """The :func:`mgd` output when agent j picks by ``sorts[j]``."""
     n = instance.n
     groups = _groups(sorts)
     den = math.lcm(*(len(g) for g in groups.values()))

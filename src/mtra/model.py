@@ -181,6 +181,11 @@ class Instance:
         the exact-LP sd-efficiency report once one is."""
         return {}
 
+    @cached_property
+    def _discrete_assignments(self) -> tuple["DiscreteAssignment", ...]:
+        """:func:`all_discrete_assignments`, built once per instance."""
+        return tuple(all_discrete_assignments(self))
+
     def cpnet(self, agent: int) -> prefs.CPNet | None:
         p = self.preferences[agent]
         return p if isinstance(p, prefs.CPNet) else None

@@ -6,6 +6,7 @@ import pytest
 from mtra import axioms, fixtures, spaces
 from mtra import preferences as prefs
 from mtra.axioms import (
+    InvarianceWitness,
     ManipulationWitness,
     PropertyReport,
     _sd_efficiency_lp,
@@ -27,6 +28,7 @@ from mtra.errors import (
     DimensionMismatch,
     InstanceTooLargeToDecide,
     MisreportSpaceTooLarge,
+    ParseError,
     UniverseMismatch,
 )
 from mtra.mechanisms import MrpExact, mgd, mgd_decompose, mps, mrp
@@ -770,11 +772,90 @@ def test_strategyproofness_matches_rerun_reference(blank_vs_chain, three_chains)
     # the failing branch is compared too: every pair fails somewhere but
     # mrp under weak strategyproofness, which none of these cases breaks
     assert all(failed[key] for key in failed if key != ("mrp", "weak")), failed
+    # one tie-break per agent
+    for n, p, kind in ((2, 2, "cpnet"), (2, 2, "independent"), (3, 2, "cpnet"), (3, 2, "general")):
+        inst = spaces.random_profile(rng, n, p, kind)
+        tiebreaks = [[rng.sample(range(inst.m), inst.m) for _ in range(n)]]
+        space = spaces.IndependentCpNetMisreports()
+        for mechanism in ("mrp", "mps", "mgd"):
+            want = rerun_strategyproofness(mechanism, inst, space, "weak", tiebreaks)
+            assert check_strategyproofness(mechanism, inst, space, "weak", tiebreaks) == want
     # the misreport space the truthfulness benchmark times, on one profile
     inst = spaces.random_profile(rng, 3, 2, "cpnet")
     space = spaces.CpNetMisreports("all")
     want = rerun_strategyproofness("mrp", inst, space, "sd", tiebreaks=[None])
     assert check_strategyproofness("mrp", inst, space, "sd", tiebreaks=[None]) == want
+
+
+def rerun_upper_invariance(mechanism, instance, transforms, tiebreaks=None):
+    """The former `check_upper_invariance` body, which re-runs the public
+    mechanism on the one-agent copy for every transformation: the
+    reference for the resumed `mps` and re-shared `mgd` paths."""
+    fn = mechanism_callable(mechanism)
+    detail = f"{mechanism} against {transforms.describe()}"
+    if tiebreaks is None:
+        tiebreaks = spaces.sweep_tiebreaks(instance.m)
+    for tb in tiebreaks:
+        truth = fn(instance, tb)
+        for j, report, pivot in transforms.candidates(instance, truth):
+            old = instance.orders[j]
+            new = prefs.as_order(report)
+            if new == old or not prefs.is_uit(old, new, pivot, truth.nums[j])[0]:
+                continue
+            lied = fn(instance.with_preference(j, report), tb)
+            if any(lied.entry(k, pivot) != truth.entry(k, pivot) for k in range(instance.n)):
+                witness = InvarianceWitness(j, report, pivot, truth, lied, tb)
+                return PropertyReport("upper-invariance", False, witness=witness, detail=detail)
+    return PropertyReport("upper-invariance", True, detail=detail)
+
+
+def test_upper_invariance_matches_rerun_reference(blank_vs_chain, three_chains):
+    rng = random.Random(67)
+    lie = prefs.PartialOrder.from_pairs(2, [(1, 0)])
+    cases = [
+        (blank_vs_chain, spaces.ExplicitTransforms(((0, lie, 1), (1, lie, 0)))),
+        (three_chains, spaces.DeletionTransforms()),
+    ]
+    for n, p in ((2, 2), (3, 1), (3, 2), (2, 3)):
+        cases.append((spaces.random_profile(rng, n, p, "cpnet"), spaces.CpNetTransforms()))
+        cases.append((spaces.random_profile(rng, n, p, "independent"), spaces.CpNetTransforms()))
+        cases.append((spaces.random_profile(rng, n, p, "general"), spaces.DeletionTransforms()))
+    failed = {}
+    for inst, transforms in cases:
+        per_agent = [rng.sample(range(inst.m), inst.m) for _ in range(inst.n)]
+        for mechanism in ("mrp", "mps", "mgd"):
+            for tiebreaks in (None, [per_agent]):
+                want = rerun_upper_invariance(mechanism, inst, transforms, tiebreaks)
+                assert check_upper_invariance(mechanism, inst, transforms, tiebreaks) == want
+                failed[mechanism] = failed.get(mechanism, 0) + (not want.passed)
+    assert all(failed.values()), failed
+
+
+class _WrongSizes(spaces.MisreportSpace, spaces.TransformSource):
+    """Yields CP-nets over other type sizes than the instance's: one over
+    as many bundles, one over more."""
+
+    def for_agent(self, instance, agent):
+        return (prefs.CPNet.independent([range(4)]), prefs.CPNet.independent([range(3), range(2)]))
+
+    def candidates(self, instance, assignment):
+        return ((0, net, 0) for net in self.for_agent(instance, 0))
+
+    def describe(self):
+        return "CP-nets of the wrong sizes"
+
+
+def test_misreports_of_the_wrong_sizes_are_refused():
+    inst = spaces.random_profile(random.Random(3), 2, 2, "cpnet")
+    for net in _WrongSizes().for_agent(inst, 0):
+        with pytest.raises(ParseError):
+            inst.with_preference(0, net)
+    for mechanism in ("mrp", "mps", "mgd"):
+        with pytest.raises(ParseError):
+            check_strategyproofness(mechanism, inst, _WrongSizes(), "weak", tiebreaks=[None])
+    for mechanism in ("mps", "mgd"):
+        with pytest.raises(ParseError):
+            check_upper_invariance(mechanism, inst, _WrongSizes(), tiebreaks=[None])
 
 
 def test_misreport_space_guard():

@@ -1,10 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mtra import fixtures, manipulation, spaces
+from mtra import mechanisms as mechanisms_module
 from mtra import preferences as prefs
 from mtra.errors import DimensionMismatch, MtraError, NothingAvailable, SoundnessError, TooManyAgentsForExact
 from mtra.mechanisms import (
@@ -14,9 +19,12 @@ from mtra.mechanisms import (
     MrpExact,
     MrpMonteCarlo,
     MrpSingle,
+    _per_agent_tiebreaks,
+    _share,
     mgd,
     mgd_decompose,
     mps,
+    mps_reruns,
     mrp,
     mrp_decompose,
     resolve_sorts,
@@ -445,3 +453,108 @@ def test_outputs_validate_everywhere():
         assert validate_assignment(mgd(inst), inst) is None
         assert validate_assignment(mrp(inst, MrpExact()).assignment, inst) is None
         assert validate_assignment(mps(inst)[0], inst) is None
+
+
+def _one_agent_cases():
+    """(instance, tiebreak, reports) on seeded profiles of the sweep's
+    sizes, under the canonical, reversed and a per-agent tie-break.  The
+    reports are linear orders, CP-nets and the profile's own
+    preferences, so some leave an agent's eating as it was."""
+    rng = random.Random(97)
+    for n, p in ((2, 2), (3, 1), (3, 2), (4, 2), (2, 3)):
+        for kind in ("general", "cpnet", "independent"):
+            for _ in range(2):
+                inst = spaces.random_profile(rng, n, p, kind)
+                per_agent = [rng.sample(range(inst.m), inst.m) for _ in range(n)]
+                reports = [prefs.PartialOrder.from_chain(rng.sample(range(inst.m), inst.m)) for _ in range(3)]
+                reports += [spaces.random_cpnet(rng, inst.sizes) for _ in range(3)]
+                reports += inst.preferences
+                for tiebreak in (*spaces.sweep_tiebreaks(inst.m), per_agent):
+                    yield inst, tiebreak, reports
+
+
+def test_mps_reruns_match_full_reruns():
+    # where each re-run resumed: the truth kept, round 0, or a later round
+    resumed = {"truth": 0, "start": 0, "later": 0}
+    for inst, tiebreak, reports in _one_agent_cases():
+        reruns = mps_reruns(inst, tiebreak)
+        assert reruns.truth == mps(inst, tiebreak)[0]
+        for j in range(inst.n):
+            for report in reports:
+                sort = prefs.as_order(report).sort(reruns.tiebreaks[j])
+                got = reruns.rerun(j, sort)
+                assert got == mps(inst.with_preference(j, report), tiebreak)[0]
+                first = next(
+                    (r for r, (state, eaten) in enumerate(reruns.rounds) if prefs.ext(sort, state.available) != eaten[j]),
+                    None,
+                )
+                if first is None:
+                    assert got is reruns.truth
+                resumed["truth" if first is None else "start" if first == 0 else "later"] += 1
+    assert all(resumed.values()), resumed
+
+
+def test_mgd_share_matches_full_reruns():
+    for inst, tiebreak, reports in _one_agent_cases():
+        breaks = _per_agent_tiebreaks(inst, tiebreak)
+        sorts = [order.sort(tb) for order, tb in zip(inst.orders, breaks)]
+        assert _share(inst, sorts) == mgd(inst, tiebreak)
+        for j in range(inst.n):
+            for report in reports:
+                lied = list(sorts)
+                lied[j] = prefs.as_order(report).sort(breaks[j])
+                assert _share(inst, lied) == mgd(inst.with_preference(j, report), tiebreak)
+
+
+_TAMPER = """
+import sys
+from dataclasses import replace
+from mtra import axioms, fixtures, mechanisms, spaces
+from mtra import preferences as prefs
+from mtra.errors import MtraError, SoundnessError
+from mtra.model import FractionalAssignment
+
+if __debug__ or issubclass(SoundnessError, MtraError):
+    sys.exit("expected python -O and a SoundnessError outside MtraError")
+inst = fixtures.blank_vs_chain()
+lie = prefs.PartialOrder.from_pairs(2, [(1, 0)])
+
+
+def caught(run):
+    try:
+        run()
+    except SoundnessError as exc:
+        print("caught:", exc)
+    else:
+        print("missed")
+
+
+# agent 0 eats bundle 1 instead of 0 from round 0, which now has one
+# unit of item 0 too many
+reruns = mechanisms.mps_reruns(inst)
+(state, eaten), *rest = reruns.rounds
+corrupt = replace(reruns, rounds=((state._replace(supply=(2, 1)), eaten), *rest))
+caught(lambda: corrupt.rerun(0, lie.sort(reruns.tiebreaks[0])))
+
+# a resumed re-run that hands back the agents' rows swapped
+real = mechanisms.MpsReruns.rerun
+mechanisms.MpsReruns.rerun = lambda self, j, sort: FractionalAssignment(
+    tuple(reversed(real(self, j, sort).nums)), real(self, j, sort).den
+)
+caught(lambda: axioms.check_strategyproofness("mps", inst, spaces.LinearOrderMisreports(), "sd", [None]))
+caught(lambda: axioms.check_upper_invariance("mps", inst, spaces.ExplicitTransforms(((0, lie, 1),)), [None]))
+"""
+
+
+def test_resumed_eating_checks_survive_python_O():
+    src = str(Path(mechanisms_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPER], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "caught: type 0 supply is not conserved",
+        "caught: agent 0's row differs from the mechanism's on the re-run",
+        "caught: agent 0's transformation re-runs to another output",
+    ]
