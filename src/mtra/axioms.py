@@ -11,23 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import preferences as prefs
 from . import spaces
 from .errors import InstanceTooLargeToDecide, SoundnessError, UniverseMismatch
 from .lp import EQ, GE, Constraint, LinearProgram, feasibility, solve
-from .mechanisms import (
-    MrpExact,
-    Tiebreak,
-    _per_agent_tiebreaks,
-    _share,
-    mgd,
-    mps,
-    mps_reruns,
-    mrp,
-    mrp_turns,
-)
+from .mechanisms import Tiebreak, reruns
 from .model import (
     ZERO,
     DiscreteAssignment,
@@ -469,27 +459,12 @@ def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> Pro
 # -- mechanism-level axioms ---------------------------------------------------
 
 
-def mechanism_callable(mechanism: str) -> Callable[[Instance, Tiebreak], FractionalAssignment]:
-    """Exact-expectation evaluation of a mechanism by id."""
-    if mechanism == "mrp":
-        return lambda inst, tb: mrp(inst, MrpExact(), tb).assignment
-    if mechanism == "mps":
-        return lambda inst, tb: mps(inst, tb)[0]
-    if mechanism == "mgd":
-        return lambda inst, tb: mgd(inst, tb)
-    raise ValueError(f"unknown mechanism {mechanism!r}")
-
-
-def _default_tiebreaks(instance: Instance) -> tuple[object, ...]:
-    return spaces.sweep_tiebreaks(instance.m)
-
-
 def check_strategyproofness(
     mechanism: str,
     instance: Instance,
     misreports: spaces.MisreportSpace,
     strength: str = "sd",
-    tiebreaks: Iterable[object] | None = None,
+    tiebreaks: Iterable[Tiebreak] | None = None,
 ) -> PropertyReport:
     """sd: truth-telling sd-dominates every misreport.
     weak: no misreport sd-dominates truth-telling unless it leaves the
@@ -499,23 +474,23 @@ def check_strategyproofness(
     contour sums of the agent's row under it, as numerators over the
     output's denominator, cross-multiplied with the truthful sums,
     worked out once per agent.  Equal sums mean equal rows.  The liar's
-    row comes from :func:`_lied_row`, built once per tie-break with the
-    truth: no instance is copied per misreport, and a misreport order
-    keeps its sorts, so it is sorted once per tie-break, not once per
-    check.  A misreport order already judged is skipped.  The first
-    failing misreport is re-run through the public mechanism on the
-    one-agent copy for the witness, and that row must equal the one it
-    was judged by.
+    row is read off :func:`~mtra.mechanisms.reruns`, made once per
+    tie-break with the truth: no instance is copied per misreport, and a
+    misreport order keeps its sorts, so it is sorted once per tie-break,
+    not once per check.  A misreport order already judged is skipped.
+    The first failing misreport is run from scratch on the one-agent
+    copy for the witness, and that row must equal the one it was judged
+    by.
     """
     if strength not in ("sd", "weak"):
         raise ValueError(f"unknown strategyproofness strength {strength!r}")
     name = ("sd" if strength == "sd" else "weak-sd") + "-strategyproofness"
-    fn = mechanism_callable(mechanism)
     detail = f"{mechanism} against {misreports.describe()}"
     if tiebreaks is None:
-        tiebreaks = _default_tiebreaks(instance)
+        tiebreaks = spaces.sweep_tiebreaks(instance.m)
     for tb in tiebreaks:
-        truth, lied_row = _lied_row(mechanism, instance, tb)
+        runs = reruns(mechanism, instance, tb)
+        truth = runs.truth
         for j in range(instance.n):
             order = instance.orders[j]
             masks = _ucs_masks(order)
@@ -529,13 +504,13 @@ def check_strategyproofness(
                 if rep_order in judged:
                     continue
                 judged.add(rep_order)
-                nums, den = lied_row(j, report, rep_order)
+                nums, den = runs.row(j, rep_order.sort(runs.tiebreaks[j]))
                 sums = _contour_sums(masks, nums)
                 manipulated = not _at_least(truth_sums, truth_den, sums, den)
                 if strength == "weak":
                     manipulated = manipulated and _at_least(sums, den, truth_sums, truth_den)
                 if manipulated:
-                    lied = fn(instance.with_preference(j, report), tb)
+                    lied = reruns(mechanism, instance.with_preference(j, report), tb).truth
                     if any(v * den != w * lied.den for v, w in zip(lied.nums[j], nums)):
                         raise SoundnessError(f"agent {j}'s row differs from the mechanism's on the re-run")
                     return PropertyReport(
@@ -547,82 +522,26 @@ def check_strategyproofness(
     return PropertyReport(name, True, detail=detail)
 
 
-def _reruns(
-    mechanism: str, instance: Instance, tiebreak: object
-) -> tuple[FractionalAssignment, Callable[[int, Preference, prefs.PartialOrder], FractionalAssignment]]:
-    """The truthful output under ``tiebreak``, and (agent, report, the
-    report's order) -> the output when that agent alone reports it.
-
-    ``mps`` resumes the truthful eating at the first round in which the
-    agent eats differently (:func:`mps_reruns`), and ``mgd`` shares out
-    by the truthful sorts with the agent's replaced, each with the
-    report order's sort under the agent's tie-break.  The order keeps
-    its sorts (:meth:`~mtra.preferences.PartialOrder.sort`), so an order
-    tried again, by another agent or in a later check, is not sorted
-    again.  ``mrp`` runs on the one-agent copy."""
-    if mechanism == "mps":
-        reruns = mps_reruns(instance, tiebreak)  # type: ignore[arg-type]
-        return reruns.truth, lambda j, report, order: reruns.rerun(j, order.sort(reruns.tiebreaks[j]))
-    if mechanism == "mgd":
-        breaks = _per_agent_tiebreaks(instance, tiebreak)  # type: ignore[arg-type]
-        sorts = [order.sort(tb) for order, tb in zip(instance.orders, breaks)]
-
-        def share(j: int, report: Preference, order: prefs.PartialOrder) -> FractionalAssignment:
-            lied = list(sorts)
-            lied[j] = order.sort(breaks[j])
-            return _share(instance, lied)
-
-        return _share(instance, sorts), share
-    fn = mechanism_callable(mechanism)
-    return fn(instance, tiebreak), lambda j, report, order: fn(
-        instance.with_preference(j, report), tiebreak  # type: ignore[arg-type]
-    )
-
-
-def _lied_row(
-    mechanism: str, instance: Instance, tiebreak: object
-) -> tuple[FractionalAssignment, Callable[[int, Preference, prefs.PartialOrder], tuple[Sequence[int], int]]]:
-    """The truthful output under ``tiebreak``, and (agent, report, the
-    report's order) -> the agent's row when it alone reports ``report``,
-    as integer numerators and a denominator.
-
-    For ``mrp`` the row is read off the truth's turn tables with the
-    report order's sort under the agent's tie-break; for ``mps`` and
-    ``mgd`` it is the row of :func:`_reruns`' output."""
-    if mechanism == "mrp":
-        turns = mrp_turns(instance, tiebreak)  # type: ignore[arg-type]
-        return FractionalAssignment(turns.rows, turns.total), lambda j, report, order: (
-            turns.counts(j, order.sort(turns.tiebreaks[j])), turns.total
-        )
-    truth, rerun = _reruns(mechanism, instance, tiebreak)
-
-    def row(j: int, report: Preference, order: prefs.PartialOrder) -> tuple[Sequence[int], int]:
-        lied = rerun(j, report, order)
-        return lied.nums[j], lied.den
-
-    return truth, row
-
-
 def check_upper_invariance(
     mechanism: str,
     instance: Instance,
     transforms: spaces.TransformSource,
-    tiebreaks: Iterable[object] | None = None,
+    tiebreaks: Iterable[Tiebreak] | None = None,
 ) -> PropertyReport:
     """The pivot column of the output must survive every valid upper
     invariant transformation of any single agent's preference.
 
-    The transformed output comes from :func:`_reruns`, so ``mps`` and
-    ``mgd`` copy no instance per transformation.  The first failing one
-    is re-run through the public mechanism on the one-agent copy for
-    the witness, and that output must equal the one it was judged by.
+    The transformed output comes from :func:`~mtra.mechanisms.reruns`,
+    so no instance is copied per transformation.  The first failing one
+    is run from scratch on the one-agent copy for the witness, and that
+    output must equal the one it was judged by.
     """
-    fn = mechanism_callable(mechanism)
     detail = f"{mechanism} against {transforms.describe()}"
     if tiebreaks is None:
-        tiebreaks = _default_tiebreaks(instance)
+        tiebreaks = spaces.sweep_tiebreaks(instance.m)
     for tb in tiebreaks:
-        truth, rerun = _reruns(mechanism, instance, tb)
+        runs = reruns(mechanism, instance, tb)
+        truth = runs.truth
         seen: dict[tuple[int, prefs.PartialOrder], FractionalAssignment] = {}
         for j, report, pivot in transforms.candidates(instance, truth):
             instance._check_preference(j, report)
@@ -636,16 +555,16 @@ def check_upper_invariance(
             key = (j, new)
             lied = seen.get(key)
             if lied is None:
-                lied = seen[key] = rerun(j, report, new)
+                lied = seen[key] = runs.rerun(j, new.sort(runs.tiebreaks[j]))
             for k in range(instance.n):
                 if lied.nums[k][pivot] * truth.den != truth.nums[k][pivot] * lied.den:
-                    public = fn(instance.with_preference(j, report), tb)
-                    if public != lied:
+                    fresh = reruns(mechanism, instance.with_preference(j, report), tb).truth
+                    if fresh != lied:
                         raise SoundnessError(f"agent {j}'s transformation re-runs to another output")
                     return PropertyReport(
                         "upper-invariance",
                         False,
-                        witness=InvarianceWitness(j, report, pivot, truth, public, tb),
+                        witness=InvarianceWitness(j, report, pivot, truth, fresh, tb),
                         detail=detail,
                     )
     return PropertyReport("upper-invariance", True, detail=detail)

@@ -31,9 +31,10 @@ EXACT_AGENT_LIMIT = 8
 EXACT_TURN_LIMIT = 1_000_000
 
 Tiebreak = Sequence[int] | Sequence[Sequence[int]] | None
+Sorts = tuple[tuple[int, ...], ...]
 
 
-def resolve_sorts(instance: Instance, tiebreak: Tiebreak = None) -> tuple[tuple[int, ...], ...]:
+def resolve_sorts(instance: Instance, tiebreak: Tiebreak = None) -> Sorts:
     """Per-agent linear orders used by every mechanism.
 
     Each comes from :meth:`~mtra.preferences.PartialOrder.sort`, so an
@@ -41,22 +42,69 @@ def resolve_sorts(instance: Instance, tiebreak: Tiebreak = None) -> tuple[tuple[
     by :meth:`Instance.with_preference` shares the other agents' sorts
     through their order objects.
     """
-    breaks = _per_agent_tiebreaks(instance, tiebreak)
-    return tuple(instance.orders[j].sort(tb) for j, tb in enumerate(breaks))
+    return _sorts(instance, tiebreak)[1]
 
 
-def _per_agent_tiebreaks(instance: Instance, tiebreak: Tiebreak) -> list[tuple[int, ...]]:
-    canonical = tuple(range(instance.m))
+def _sorts(instance: Instance, tiebreak: Tiebreak) -> tuple[Sorts, Sorts]:
+    """The per-agent tie-breaks ``tiebreak`` stands for, and each agent's
+    order sorted under its own."""
     if tiebreak is None:
-        return [canonical] * instance.n
-    first = list(tiebreak)[0] if len(tiebreak) else None
-    if isinstance(first, int) or first is None:
+        breaks = [tuple(range(instance.m))] * instance.n
+    elif len(tiebreak) == 0 or isinstance(tiebreak[0], int):
         if len(tiebreak) != instance.m:
             raise DimensionMismatch("tiebreak must rank every bundle")
-        return [tuple(tiebreak)] * instance.n  # type: ignore[arg-type]
-    if len(tiebreak) != instance.n:
+        breaks = [tuple(tiebreak)] * instance.n  # type: ignore[arg-type]
+    elif len(tiebreak) != instance.n:
         raise DimensionMismatch("per-agent tiebreak list must cover every agent")
-    return [tuple(tb) for tb in tiebreak]  # type: ignore[union-attr]
+    else:
+        breaks = [tuple(tb) for tb in tiebreak]  # type: ignore[union-attr]
+    return tuple(breaks), tuple(order.sort(tb) for order, tb in zip(instance.orders, breaks))
+
+
+@dataclass(frozen=True, eq=False)
+class _Reruns:
+    """A mechanism's truthful run under one tie-break, kept for re-runs in
+    which one agent alone picks by another sort: a misreport's order
+    sorted under the agent's entry of ``tiebreaks``, say.  ``truth`` is
+    the truthful output and ``sorts`` the agents' truthful sorts.  No
+    re-run builds an instance."""
+
+    instance: Instance
+    truth: FractionalAssignment
+    tiebreaks: Sorts
+    sorts: Sorts
+
+    def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
+        """The whole output when ``agent`` picks by ``sort`` and the others
+        by their truthful sorts."""
+        raise NotImplementedError
+
+    def row(self, agent: int, sort: Sequence[int]) -> tuple[Sequence[int], int]:
+        """The agent's row of :meth:`rerun`, as integer numerators and a
+        denominator."""
+        lied = self.rerun(agent, sort)
+        return lied.nums[agent], lied.den
+
+    def _swapped(self, agent: int, sort: Sequence[int]) -> list[Sequence[int]]:
+        sorts: list[Sequence[int]] = list(self.sorts)
+        sorts[agent] = sort
+        return sorts
+
+
+def reruns(
+    mechanism: str, instance: Instance, tiebreak: Tiebreak = None
+) -> MpsReruns | MgdReruns | MrpTurns:
+    """The exact truthful run of ``mechanism`` ("mps", "mgd" or "mrp")
+    under ``tiebreak``, kept for one-agent re-runs: :func:`mps_reruns`,
+    :class:`MgdReruns` or :func:`mrp_turns`."""
+    if mechanism == "mps":
+        return mps_reruns(instance, tiebreak)
+    if mechanism == "mrp":
+        return mrp_turns(instance, tiebreak)
+    if mechanism != "mgd":
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    breaks, sorts = _sorts(instance, tiebreak)
+    return MgdReruns(instance, _share(instance, sorts), breaks, sorts)
 
 
 def serial_dictatorship(
@@ -147,8 +195,7 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
     no mode builds a lottery.
     """
     if isinstance(mode, MrpExact):
-        turns = mrp_turns(instance, tiebreak)
-        return MrpResult(FractionalAssignment(turns.rows, turns.total), mode)
+        return MrpResult(mrp_turns(instance, tiebreak).truth, mode)
     sorts = resolve_sorts(instance, tiebreak)
     n = instance.n
     if isinstance(mode, MrpSingle):
@@ -166,35 +213,37 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
 
 
 @dataclass(frozen=True, eq=False)
-class MrpTurns:
+class MrpTurns(_Reruns):
     """Where each agent's turn falls over the n! priority orders.
 
     ``tables[j]`` maps the bitmask of the bundles still available when
     agent j picks to the number of priority orders that leave exactly
     those bundles to j.  Only the agents before j pick, so the table
-    depends on the other agents' sorts alone, and :meth:`counts` reads
-    j's row off it for any sort of j's own: a misreport's order sorted
-    under ``tiebreaks[j]``, say.  ``rows`` are the truthful rows; all
-    rows are numerators over ``total`` = n!.
+    depends on the other agents' sorts alone, and :meth:`row` reads j's
+    row off it for any sort of j's own, as numerators over ``total`` =
+    n!.  :meth:`rerun` makes a new pass with that sort swapped in.
     """
 
-    m: int
     total: int
-    tiebreaks: tuple[tuple[int, ...], ...]
     tables: tuple[dict[int, int], ...]
-    rows: tuple[tuple[int, ...], ...]
 
-    def counts(self, agent: int, sort: Sequence[int]) -> list[int]:
-        """The agent's row when it picks by ``sort``, as numerators over
-        ``total``."""
-        row = [0] * self.m
+    def row(self, agent: int, sort: Sequence[int]) -> tuple[list[int], int]:
+        row = [0] * self.instance.m
         for available, orders in self.tables[agent].items():
             row[prefs.ext(sort, available)] += orders
-        return row
+        return row, self.total
+
+    def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
+        return _turns(self.instance, self.tiebreaks, self._swapped(agent, sort)).truth
 
 
 def mrp_turns(instance: Instance, tiebreak: Tiebreak = None) -> MrpTurns:
-    """The turn tables of exact MRP, from one forward pass.
+    """The turn tables of exact MRP, from one forward pass (:func:`_turns`)."""
+    return _turns(instance, *_sorts(instance, tiebreak))
+
+
+def _turns(instance: Instance, breaks: Sorts, sorts: Sequence[Sequence[int]]) -> MrpTurns:
+    """The turn tables of exact MRP when agent j picks by ``sorts[j]``.
 
     Layer k of the pass holds the states (agents served, bundles
     available) that k-agent prefixes of priority orders reach, each with
@@ -206,8 +255,6 @@ def mrp_turns(instance: Instance, tiebreak: Tiebreak = None) -> MrpTurns:
     the first layer that would take the pass past ``EXACT_TURN_LIMIT``
     turns.
     """
-    breaks = tuple(_per_agent_tiebreaks(instance, tiebreak))
-    sorts = [instance.orders[j].sort(tb) for j, tb in enumerate(breaks)]
     n, m = instance.n, instance.m
     conflicts = instance.conflicts
     agents = (1 << n) - 1
@@ -255,7 +302,8 @@ def mrp_turns(instance: Instance, tiebreak: Tiebreak = None) -> MrpTurns:
             raise SoundnessError("every agent takes one turn in each priority order")
         tables.append({available: turn // m for available, turn in table.items()})
         rows.append(tuple(row))
-    return MrpTurns(m, total, breaks, tuple(tables), tuple(rows))
+    truth = FractionalAssignment(tuple(rows), total)
+    return MrpTurns(instance, truth, breaks, tuple(sorts), total, tuple(tables))
 
 
 def _shuffled(rng: random.Random, n: int, samples: int) -> Iterator[list[int]]:
@@ -421,40 +469,29 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
 
 
 @dataclass(frozen=True, eq=False)
-class MpsReruns:
+class MpsReruns(_Reruns):
     """The truthful eating, kept round by round for one-agent re-runs.
 
     ``rounds`` holds each truthful round's starting state and the
-    bundles the agents ate in it.  When agent j alone reports another
-    order, the eating is the truth's up to the first round in which j's
+    bundles the agents ate in it.  When agent j alone picks by another
+    sort, the eating is the truth's up to the first round in which that
     sort picks another bundle from that round's available ones, so
-    :meth:`rerun` resumes :func:`_eat` there.  ``truth`` is the
-    truthful output, and ``tiebreaks`` the per-agent tie-breaks its
-    sorts were made under.
+    :meth:`rerun` resumes :func:`_eat` there.
     """
 
-    instance: Instance
-    truth: FractionalAssignment
-    tiebreaks: tuple[tuple[int, ...], ...]
-    sorts: tuple[tuple[int, ...], ...]
     rounds: tuple[tuple[_Eating, tuple[int, ...]], ...]
 
     def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
-        """The output when ``agent`` eats by ``sort`` and the others by
-        their truthful sorts."""
         for state, eaten in self.rounds:
             if prefs.ext(sort, state.available) != eaten[agent]:
-                sorts = list(self.sorts)
-                sorts[agent] = sort
-                return _eat(self.instance, sorts, state)
+                return _eat(self.instance, self._swapped(agent, sort), state)
         return self.truth
 
 
 def mps_reruns(instance: Instance, tiebreak: Tiebreak = None) -> MpsReruns:
     """Run :func:`mps` truthfully, keeping what :meth:`MpsReruns.rerun`
     resumes from."""
-    breaks = tuple(_per_agent_tiebreaks(instance, tiebreak))
-    sorts = tuple(instance.orders[j].sort(tb) for j, tb in enumerate(breaks))
+    breaks, sorts = _sorts(instance, tiebreak)
     rounds: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
     states: list[_Eating] = []
     truth = _eat(instance, sorts, _start(instance), rounds, states)
@@ -479,6 +516,15 @@ def mgd(instance: Instance, tiebreak: Tiebreak = None) -> FractionalAssignment:
     are removed.  The shares are numerators over the lcm of the group
     sizes."""
     return _share(instance, resolve_sorts(instance, tiebreak))
+
+
+@dataclass(frozen=True, eq=False)
+class MgdReruns(_Reruns):
+    """The truthful :func:`mgd` sorts, from which :meth:`rerun` shares out
+    again with one agent's sort swapped."""
+
+    def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
+        return _share(self.instance, self._swapped(agent, sort))
 
 
 def _share(instance: Instance, sorts: Sequence[Sequence[int]]) -> FractionalAssignment:

@@ -80,6 +80,8 @@ class Instance:
             self._check_preference(j, pref)
 
     def _check_preference(self, j: int, pref: Preference) -> None:
+        if not 0 <= j < self.n:
+            raise DimensionMismatch(f"agent {j} is not one of the {self.n} agents")
         if isinstance(pref, prefs.PartialOrder):
             if pref.m != self.m:
                 raise ParseError(

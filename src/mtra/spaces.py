@@ -20,6 +20,8 @@ from .errors import MisreportSpaceTooLarge
 from .model import FractionalAssignment, Instance, Preference, TypeDef
 
 ENUMERATION_LIMIT = 200_000
+LINEAR_ORDER_LIMIT = 4
+DELETION_LIMIT = 2
 
 
 @lru_cache(maxsize=64)
@@ -182,12 +184,11 @@ class MisreportSpace:
 
 @dataclass(frozen=True)
 class LinearOrderMisreports(MisreportSpace):
-    """Every linear order over the bundles; exact only for tiny universes."""
-
-    limit: int = 4
+    """Every linear order over the bundles, for at most ``LINEAR_ORDER_LIMIT``
+    bundles."""
 
     def for_agent(self, instance: Instance, agent: int) -> Iterable[Preference]:
-        if instance.m > self.limit:
+        if instance.m > LINEAR_ORDER_LIMIT:
             raise MisreportSpaceTooLarge(
                 f"{instance.m}! linear orders exceed the exhaustive guard"
             )
@@ -288,21 +289,19 @@ class ExplicitTransforms(TransformSource):
 
 @dataclass(frozen=True)
 class DeletionTransforms(TransformSource):
-    """Delete up to ``max_removed`` zero-share bundles from the relation.
+    """Delete up to ``DELETION_LIMIT`` zero-share bundles from the relation.
 
     Dropping every pair that involves a removed bundle restricts the
     relation, which stays transitive, so the construction never invents
     relations the original order did not have.
     """
 
-    max_removed: int = 2
-
     def candidates(self, instance, assignment):
         for j in range(instance.n):
             order = instance.orders[j]
             row = assignment.nums[j]
             zero = [y for y in range(instance.m) if row[y] == 0]
-            for size in range(1, self.max_removed + 1):
+            for size in range(1, DELETION_LIMIT + 1):
                 for z in itertools.combinations(zero, size):
                     new = order.without_bundles(z)
                     if new == order:
@@ -313,7 +312,7 @@ class DeletionTransforms(TransformSource):
                         yield j, new, pivot
 
     def describe(self) -> str:
-        return f"deletion transforms, at most {self.max_removed} bundles removed"
+        return f"deletion transforms, at most {DELETION_LIMIT} bundles removed"
 
 
 @dataclass(frozen=True)

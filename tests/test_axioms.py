@@ -20,7 +20,6 @@ from mtra.axioms import (
     check_upper_invariance,
     find_generalized_cycle,
     improvable_tuples,
-    mechanism_callable,
     sd_compare,
     ucs_sums,
 )
@@ -44,6 +43,16 @@ from mtra.model import (
 )
 
 F = Fraction
+
+
+def run_mechanism(mechanism, instance, tiebreak):
+    """The public mechanism's exact output: what the references re-run,
+    bypassing :func:`mtra.mechanisms.reruns`."""
+    if mechanism == "mps":
+        return mps(instance, tiebreak)[0]
+    if mechanism == "mgd":
+        return mgd(instance, tiebreak)
+    return mrp(instance, MrpExact(), tiebreak).assignment
 
 
 # -- sd_compare ----------------------------------------------------------------
@@ -292,7 +301,7 @@ def _sd_efficiency_cases():
             inst = spaces.random_profile(rng, n, p, kind)
             for tb in spaces.sweep_tiebreaks(inst.m):
                 for mech in ("mps", "mgd", "mrp"):
-                    yield inst, mechanism_callable(mech)(inst, tb)
+                    yield inst, run_mechanism(mech, inst, tb)
             assignments = all_discrete_assignments(inst)
             for _ in range(3):
                 picks = rng.sample(assignments, k=2)
@@ -424,7 +433,7 @@ def test_envy_matches_pairwise_reference():
         n, p = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1)])
         inst = spaces.random_profile(rng, n, p, rng.choice(["general", "cpnet", "independent"]))
         tb = rng.choice(spaces.sweep_tiebreaks(inst.m))
-        outputs = [mechanism_callable(mech)(inst, tb) for mech in ("mrp", "mgd", "mps")]
+        outputs = [run_mechanism(mech, inst, tb) for mech in ("mrp", "mgd", "mps")]
         # a random mixture of discrete assignments, so envy fails too
         picks = rng.choices(all_discrete_assignments(inst), k=rng.randint(1, 3))
         weights = [F(rng.randint(1, 5)) for _ in picks]
@@ -629,7 +638,7 @@ def _ex_post_cases():
                 inst = spaces.random_profile(rng, n, p, kind)
                 for tb in spaces.sweep_tiebreaks(inst.m):
                     for mech in ("mrp", "mgd", "mps"):
-                        yield inst, mechanism_callable(mech)(inst, tb)
+                        yield inst, run_mechanism(mech, inst, tb)
     yield _dominated_mixture()
 
 
@@ -722,12 +731,11 @@ def rerun_strategyproofness(mechanism, instance, misreports, strength="sd", tieb
     mechanism on every misreport and compares rows with `sd_compare`:
     the reference for the turn-table and integer-comparison paths."""
     name = ("sd" if strength == "sd" else "weak-sd") + "-strategyproofness"
-    fn = mechanism_callable(mechanism)
     detail = f"{mechanism} against {misreports.describe()}"
     if tiebreaks is None:
         tiebreaks = spaces.sweep_tiebreaks(instance.m)
     for tb in tiebreaks:
-        truth = fn(instance, tb)
+        truth = run_mechanism(mechanism, instance, tb)
         for j in range(instance.n):
             order = instance.orders[j]
             judged = {order}
@@ -736,7 +744,7 @@ def rerun_strategyproofness(mechanism, instance, misreports, strength="sd", tieb
                 if rep_order in judged:
                     continue
                 judged.add(rep_order)
-                lied = fn(instance.with_preference(j, report), tb)
+                lied = run_mechanism(mechanism, instance.with_preference(j, report), tb)
                 if strength == "sd":
                     manipulated = not sd_compare(order, truth.row(j), lied.row(j)).p_dominates_q
                 else:
@@ -790,19 +798,18 @@ def test_strategyproofness_matches_rerun_reference(blank_vs_chain, three_chains)
 def rerun_upper_invariance(mechanism, instance, transforms, tiebreaks=None):
     """The former `check_upper_invariance` body, which re-runs the public
     mechanism on the one-agent copy for every transformation: the
-    reference for the resumed `mps` and re-shared `mgd` paths."""
-    fn = mechanism_callable(mechanism)
+    reference for the re-runs of `mechanisms.reruns`."""
     detail = f"{mechanism} against {transforms.describe()}"
     if tiebreaks is None:
         tiebreaks = spaces.sweep_tiebreaks(instance.m)
     for tb in tiebreaks:
-        truth = fn(instance, tb)
+        truth = run_mechanism(mechanism, instance, tb)
         for j, report, pivot in transforms.candidates(instance, truth):
             old = instance.orders[j]
             new = prefs.as_order(report)
             if new == old or not prefs.is_uit(old, new, pivot, truth.nums[j])[0]:
                 continue
-            lied = fn(instance.with_preference(j, report), tb)
+            lied = run_mechanism(mechanism, instance.with_preference(j, report), tb)
             if any(lied.entry(k, pivot) != truth.entry(k, pivot) for k in range(instance.n)):
                 witness = InvarianceWitness(j, report, pivot, truth, lied, tb)
                 return PropertyReport("upper-invariance", False, witness=witness, detail=detail)
@@ -877,6 +884,16 @@ def test_upper_invariance_fails_blank_vs_chain(blank_vs_chain):
     transforms = spaces.ExplicitTransforms(((0, lie, 1),))
     for mech in ("mrp", "mps"):
         assert not check_upper_invariance(mech, blank_vs_chain, transforms, tiebreaks=[None]).passed
+
+
+@pytest.mark.parametrize("mechanism", ["mps", "mgd", "mrp"])
+@pytest.mark.parametrize("agent", [-1, 2], ids=["-1", "n"])
+def test_transforms_of_no_agent_are_refused(blank_vs_chain, mechanism, agent):
+    assert blank_vs_chain.n == 2
+    lie = prefs.PartialOrder.from_pairs(2, [(1, 0)])
+    transforms = spaces.ExplicitTransforms(((agent, lie, 1),))
+    with pytest.raises(DimensionMismatch, match=f"agent {agent} is not one of the 2 agents"):
+        check_upper_invariance(mechanism, blank_vs_chain, transforms, tiebreaks=[None])
 
 
 def test_upper_invariance_identity_passes(blank_vs_chain):

@@ -16,8 +16,8 @@ import tempfile
 from pathlib import Path
 
 from mtra import fixtures, io, spaces
-from mtra.axioms import mechanism_callable
 from mtra.cli import main
+from mtra.mechanisms import reruns
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 FIXTURE_INSTANCES = (
@@ -55,7 +55,7 @@ def write_inputs(directory: Path) -> list[list[str]]:
         commands.append(["run", f"{name}.json", "--mechanism", "mrp", "--mode", "exact", "--seed", "0"])
         for mech in ("mrp", "mps", "mgd"):
             out = f"{name}-{mech}.json"
-            (directory / out).write_text(io.serialize_assignment(inst, mechanism_callable(mech)(inst, None)))
+            (directory / out).write_text(io.serialize_assignment(inst, reruns(mech, inst).truth))
             for misreports in ("linear", "cpnet"):
                 commands.append(
                     ["check", f"{name}.json", out, "--property", PROPERTIES,

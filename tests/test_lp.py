@@ -421,6 +421,21 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_checkers_import_no_private_mechanism_names():
+    # the checkers and the CPT search re-run mechanisms through the public
+    # interface of mechanisms.py, `reruns` above all
+    package = Path(lp_module.__file__).resolve().parent
+    found = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name in ("axioms.py", "manipulation.py")
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "mechanisms"), (0, "mtra.mechanisms"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def test_lp_imports_nothing_from_fractions():
     # the solver takes and returns integers only
     tree = ast.parse(Path(lp_module.__file__).read_text(encoding="utf-8"))

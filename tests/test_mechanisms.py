@@ -19,14 +19,12 @@ from mtra.mechanisms import (
     MrpExact,
     MrpMonteCarlo,
     MrpSingle,
-    _per_agent_tiebreaks,
-    _share,
     mgd,
     mgd_decompose,
     mps,
-    mps_reruns,
     mrp,
     mrp_decompose,
+    reruns,
     resolve_sorts,
     serial_dictatorship,
 )
@@ -473,37 +471,47 @@ def _one_agent_cases():
                     yield inst, tiebreak, reports
 
 
-def test_mps_reruns_match_full_reruns():
-    # where each re-run resumed: the truth kept, round 0, or a later round
+def public_run(mechanism, instance, tiebreak):
+    """The public mechanism's exact output, the reference for re-runs."""
+    if mechanism == "mps":
+        return mps(instance, tiebreak)[0]
+    if mechanism == "mgd":
+        return mgd(instance, tiebreak)
+    return mrp(instance, MrpExact(), tiebreak).assignment
+
+
+@pytest.mark.parametrize("mechanism", ["mps", "mgd", "mrp"])
+def test_reruns_match_public_runs(mechanism):
+    # where each mps re-run resumed: the truth kept, round 0, or a later round
     resumed = {"truth": 0, "start": 0, "later": 0}
     for inst, tiebreak, reports in _one_agent_cases():
-        reruns = mps_reruns(inst, tiebreak)
-        assert reruns.truth == mps(inst, tiebreak)[0]
+        runs = reruns(mechanism, inst, tiebreak)
+        assert runs.truth == public_run(mechanism, inst, tiebreak)
         for j in range(inst.n):
             for report in reports:
-                sort = prefs.as_order(report).sort(reruns.tiebreaks[j])
-                got = reruns.rerun(j, sort)
-                assert got == mps(inst.with_preference(j, report), tiebreak)[0]
+                sort = prefs.as_order(report).sort(runs.tiebreaks[j])
+                want = public_run(mechanism, inst.with_preference(j, report), tiebreak)
+                got = runs.rerun(j, sort)
+                assert got == want
+                nums, den = runs.row(j, sort)
+                assert len(nums) == inst.m
+                assert all(v * want.den == w * den for v, w in zip(nums, want.nums[j]))
+                if mechanism != "mps":
+                    continue
                 first = next(
-                    (r for r, (state, eaten) in enumerate(reruns.rounds) if prefs.ext(sort, state.available) != eaten[j]),
+                    (r for r, (state, eaten) in enumerate(runs.rounds) if prefs.ext(sort, state.available) != eaten[j]),
                     None,
                 )
                 if first is None:
-                    assert got is reruns.truth
+                    assert got is runs.truth
                 resumed["truth" if first is None else "start" if first == 0 else "later"] += 1
-    assert all(resumed.values()), resumed
+    if mechanism == "mps":
+        assert all(resumed.values()), resumed
 
 
-def test_mgd_share_matches_full_reruns():
-    for inst, tiebreak, reports in _one_agent_cases():
-        breaks = _per_agent_tiebreaks(inst, tiebreak)
-        sorts = [order.sort(tb) for order, tb in zip(inst.orders, breaks)]
-        assert _share(inst, sorts) == mgd(inst, tiebreak)
-        for j in range(inst.n):
-            for report in reports:
-                lied = list(sorts)
-                lied[j] = prefs.as_order(report).sort(breaks[j])
-                assert _share(inst, lied) == mgd(inst.with_preference(j, report), tiebreak)
+def test_reruns_refuse_an_unknown_mechanism(mixed_pair):
+    with pytest.raises(ValueError):
+        reruns("serial", mixed_pair)
 
 
 _TAMPER = """
