@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from . import preferences as prefs
 from . import spaces
-from .errors import InstanceTooLargeToDecide, SoundnessError, UniverseMismatch
+from .errors import DimensionMismatch, InstanceTooLargeToDecide, SoundnessError, UniverseMismatch
 from .lp import EQ, GE, Constraint, LinearProgram, feasibility, solve
 from .mechanisms import Tiebreak, reruns
 from .model import (
@@ -230,16 +230,86 @@ def _share_row(nv: int, cols: Iterable[int], rel: str, num: int, den: int = 1) -
 def check_sd_efficiency(instance: Instance, P: FractionalAssignment) -> PropertyReport:
     """No assignment Q != P has weakly larger upper-contour sums everywhere.
 
-    A valid assignment with no generalized cycle passes at once: it is
-    sd-efficient by the no-cycle lemma.  Every other P, cyclic or not a
-    valid assignment, is decided by the exact LP
-    (:func:`_sd_efficiency_lp`), so a failure always carries the LP's
-    dominating witness.  A P of the wrong shape raises
-    :class:`~mtra.errors.DimensionMismatch`.
+    Decided in this order:
+
+    1. the no-cycle lemma: a valid assignment with no generalized cycle
+       passes at once;
+    2. the trade LP (:func:`_cyclic_sd_efficiency`): a valid cyclic P
+       fails if share can be moved upward to a dominating Q;
+    3. the exact LP (:func:`_sd_efficiency_lp`) decides the rest, a
+       cyclic P that trade cannot improve or a P that is not a valid
+       assignment.
+
+    A failure carries a dominating witness re-checked exactly.  A P of
+    the wrong shape raises :class:`~mtra.errors.DimensionMismatch`.
     """
-    if validate_assignment(P, instance) is None and find_generalized_cycle(instance, P) is None:
+    if validate_assignment(P, instance) is not None:
+        return _sd_efficiency_lp(instance, P)
+    cycle = find_generalized_cycle(instance, P)
+    if cycle is None:
         return PropertyReport("sd-efficiency", True)
-    return _sd_efficiency_lp(instance, P)
+    return _cyclic_sd_efficiency(instance, P, cycle)
+
+
+def _dominated_report(
+    instance: Instance, P: FractionalAssignment, Q: FractionalAssignment
+) -> PropertyReport:
+    """The sd-efficiency failure of P with witness Q, once Q is checked
+    exactly to be another valid assignment that sd-dominates P for every
+    agent; :class:`~mtra.errors.SoundnessError` otherwise."""
+    if validate_assignment(Q, instance) is not None or Q == P:
+        raise SoundnessError("the dominating witness is not another valid assignment")
+    for j, order in enumerate(instance.orders):
+        masks = _ucs_masks(order)
+        if not _at_least(_contour_sums(masks, Q.nums[j]), Q.den, _contour_sums(masks, P.nums[j]), P.den):
+            raise SoundnessError(f"the witness does not sd-dominate P for agent {j}")
+    return PropertyReport("sd-efficiency", False, witness=Q)
+
+
+def _cyclic_sd_efficiency(
+    instance: Instance, P: FractionalAssignment, cycle: frozenset[tuple[int, int]]
+) -> PropertyReport:
+    """Decide a valid P whose generalized cycle (the fixpoint of
+    :func:`find_generalized_cycle`) is ``cycle``: by trade if it can, by
+    the exact LP if not.
+
+    The trade LP has one variable f >= 0 per improvable tuple whose pair
+    is in ``cycle``, agent j moving f from ``worse`` to ``better``; one
+    row per item, its net flow 0; and one row, sum f = 1.  A feasible f
+    changes P's rows by D, and Q = P + eps D with eps the largest step
+    that keeps Q >= 0.  Each move goes upward along a strict order, so
+    it lowers no upper-contour sum (Gale, "A theorem on flows in
+    networks", Pacific J. Math. 7, 1957): Q is another valid assignment
+    that dominates P, which :func:`_dominated_report` re-checks.  Under
+    linear orders trade finds a dominating Q whenever one exists; under
+    partial orders not every up-set is a contour set, so an infeasible
+    trade LP proves nothing and the exact LP decides.
+    """
+    trades = [t for t in improvable_tuples(instance, P) if (t.better, t.worse) in cycle]
+    cons = [
+        Constraint(tuple((holders >> t.better & 1) - (holders >> t.worse & 1) for t in trades), EQ, 0)
+        for holders in instance.item_bundles
+    ]
+    cons.append(Constraint((1,) * len(trades), EQ, 1))
+    out = solve(LinearProgram(len(trades), tuple(cons), None, nonneg=True))
+    if not out.optimal:
+        return _sd_efficiency_lp(instance, P)
+    # D is over the LP's det, which cancels out of Q
+    D = [[0] * instance.m for _ in range(instance.n)]
+    for t, f in zip(trades, out.witness):
+        D[t.agent][t.worse] -= f
+        D[t.agent][t.better] += f
+    # eps = (c / P.den) / (k / det): the share c = P.nums[j][x] is the
+    # first to reach 0 as D[j][x] = -k pulls it down
+    c = k = 0
+    for prow, drow in zip(P.nums, D):
+        for v, d in zip(prow, drow):
+            if d < 0 and (not k or v * k < c * -d):
+                c, k = v, -d
+    Q = FractionalAssignment(
+        tuple(tuple(v * k + c * d for v, d in zip(prow, drow)) for prow, drow in zip(P.nums, D)), P.den * k
+    )
+    return _dominated_report(instance, P, Q)
 
 
 def _sd_efficiency_lp(instance: Instance, P: FractionalAssignment) -> PropertyReport:
@@ -282,12 +352,7 @@ def _sd_efficiency_lp(instance: Instance, P: FractionalAssignment) -> PropertyRe
     if gain == 0:
         return PropertyReport("sd-efficiency", True)
     Q = FractionalAssignment(tuple(out.witness[j * m : (j + 1) * m] for j in range(n)), out.det)
-    if validate_assignment(Q, instance) is not None or Q == P:
-        raise SoundnessError("the dominating witness is not another valid assignment")
-    for j in range(n):
-        if not _at_least(_contour_sums(masks[j], Q.nums[j]), Q.den, sums[j], P.den):
-            raise SoundnessError(f"the witness does not sd-dominate P for agent {j}")
-    return PropertyReport("sd-efficiency", False, witness=Q)
+    return _dominated_report(instance, P, Q)
 
 
 def check_envy(
@@ -409,27 +474,28 @@ def check_decomposability(instance: Instance, P: FractionalAssignment) -> Proper
 def _cycle_free(instance: Instance, bundles: tuple[int, ...]) -> bool:
     """Has the discrete assignment no generalized cycle?  Such an
     assignment is sd-efficient outright.  The answer goes into the
-    instance's memo: ``True``, or ``None`` for a cyclic assignment whose
-    efficiency is not decided yet."""
+    instance's memo: ``True``, or for a cyclic assignment whose
+    efficiency is not decided yet, its generalized cycle."""
     done = instance._sd_efficient
     if bundles not in done:
         P = from_discrete(instance, DiscreteAssignment(bundles))
-        done[bundles] = True if find_generalized_cycle(instance, P) is None else None
+        cycle = find_generalized_cycle(instance, P)
+        done[bundles] = True if cycle is None else cycle
     return done[bundles] is True
 
 
 def _discrete_sd_efficient(instance: Instance, bundles: tuple[int, ...]) -> bool:
-    """Is the discrete assignment sd-efficient?  A cycle-free one is, by
-    the no-cycle lemma (:func:`_cycle_free`); a cyclic one is decided by
-    the exact LP, :func:`_sd_efficiency_lp`, whose report replaces
-    ``None`` in the memo.  So each assignment is cycle-checked once and
-    LP-decided at most once per instance, which is asked about the same
-    assignments again."""
+    """Is the discrete assignment sd-efficient?  Decided in the order of
+    :func:`check_sd_efficiency`: a cycle-free one is, by the no-cycle
+    lemma (:func:`_cycle_free`); a cyclic one is decided from its memoized
+    cycle by :func:`_cyclic_sd_efficiency`, the trade LP and then the
+    exact LP, whose report replaces the cycle in the memo.  So each
+    assignment is cycle-checked once and decided at most once per
+    instance, which is asked about the same assignments again."""
     done = instance._sd_efficient
-    if not _cycle_free(instance, bundles) and done[bundles] is None:
-        done[bundles] = _sd_efficiency_lp(
-            instance, from_discrete(instance, DiscreteAssignment(bundles))
-        )
+    if not _cycle_free(instance, bundles) and isinstance(done[bundles], frozenset):
+        P = from_discrete(instance, DiscreteAssignment(bundles))
+        done[bundles] = _cyclic_sd_efficiency(instance, P, done[bundles])
     return bool(done[bundles])
 
 
@@ -439,9 +505,10 @@ def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> Pro
     The lottery LP is first solved over the cycle-free assignments
     alone.  If it is feasible, P passes, and every entry of its lottery
     is efficient by the no-cycle lemma, with no LP optimum trusted.
-    Only if it is infeasible is each cyclic assignment decided by the
-    exact LP of :func:`_sd_efficiency_lp`, and the lottery LP solved over
-    all the efficient ones, whose Farkas certificate a failure carries.
+    Only if it is infeasible is each cyclic assignment decided, by the
+    trade LP and then the exact LP (:func:`_discrete_sd_efficient`), and
+    the lottery LP solved over all the efficient ones, whose Farkas
+    certificate a failure carries.
     The cycle-free assignments are among the efficient ones, so the
     first LP passes only where the second would.
     """
@@ -545,6 +612,8 @@ def check_upper_invariance(
         seen: dict[tuple[int, prefs.PartialOrder], FractionalAssignment] = {}
         for j, report, pivot in transforms.candidates(instance, truth):
             instance._check_preference(j, report)
+            if not 0 <= pivot < instance.m:
+                raise DimensionMismatch(f"pivot {pivot} is not one of the {instance.m} bundles")
             old = instance.orders[j]
             new = prefs.as_order(report)
             if new == old:

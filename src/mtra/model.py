@@ -179,8 +179,8 @@ class Instance:
     def _sd_efficient(self) -> dict[tuple[int, ...], object]:
         """What is known so far of the sd-efficiency of discrete
         assignments, keyed by their bundles: ``True`` for one with no
-        generalized cycle, ``None`` for a cyclic one not yet decided, and
-        the exact-LP sd-efficiency report once one is."""
+        generalized cycle, its cycle for a cyclic one not yet decided,
+        and its sd-efficiency report once one is."""
         return {}
 
     @cached_property

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -169,8 +173,12 @@ def test_sd_efficiency_fails_for_third_table(mixed_pair):
 
 
 def test_sd_efficiency_uniform_opposed_trio(opposed_trio):
-    report = check_sd_efficiency(opposed_trio, fixtures.assignment_5())
-    assert not report.passed and report.witness == fixtures.assignment_6()
+    # trade finds its own dominating assignment; the exact LP's unique
+    # optimum, the paper's assignment_6, is pinned in test_lp.py
+    uniform = fixtures.assignment_5()
+    report = check_sd_efficiency(opposed_trio, uniform)
+    assert not report.passed
+    assert_dominates(opposed_trio, report.witness, uniform)
 
 
 def test_sd_efficiency_serial_outcomes_pass(mixed_pair):
@@ -313,18 +321,150 @@ def _sd_efficiency_cases():
                     yield inst, from_discrete(inst, a)
 
 
-def test_sd_efficiency_matches_the_lp():
-    # the no-cycle lemma decides only valid cycle-free assignments, and
-    # on those the LP must agree; everything else is the LP's own report
-    seen = {"pass": 0, "fail": 0, "cyclic pass": 0}
+def assert_dominates(instance, Q, P):
+    """Q is another valid assignment that sd-dominates P for every agent,
+    checked with the public functions alone."""
+    assert validate_assignment(Q, instance) is None and Q != P
+    for j in range(instance.n):
+        assert sd_compare(instance.orders[j], Q.row(j), P.row(j)).p_dominates_q
+
+
+def test_sd_efficiency_matches_the_lp(monkeypatch):
+    # the verdict must be the LP's; a failure's witness may be trade's
+    # own dominating assignment, so it is re-verified, not compared
+    fallbacks = _record_calls(monkeypatch, "_sd_efficiency_lp")
+    seen = {"pass": 0, "fail": 0, "cyclic pass": 0, "trade fail": 0, "lp fallback": 0}
     for inst, P in _sd_efficiency_cases():
         cycle = find_generalized_cycle(inst, P)
         assert cycle == reference_generalized_cycle(inst, P)
+        fallbacks.clear()
         report = check_sd_efficiency(inst, P)
-        assert report == _sd_efficiency_lp(inst, P)
+        decided_by_lp = bool(fallbacks)
+        assert report.passed == _sd_efficiency_lp(inst, P).passed
+        assert report.detail == ""
+        if report.passed:
+            assert report.witness is None
+        else:
+            assert_dominates(inst, report.witness, P)
         seen["pass" if report.passed else "fail"] += 1
         seen["cyclic pass"] += report.passed and cycle is not None
+        if cycle is not None:
+            seen["lp fallback" if decided_by_lp else "trade fail"] += 1
+            # trade decides failures only
+            assert decided_by_lp or not report.passed
     assert all(seen.values()), seen
+
+
+def _linear_order_cases():
+    """Seeded profiles in which every agent has a linear order, at (2,2)
+    to (4,2): each mechanism's output under both sweep tie-breaks, and
+    random mixtures of discrete assignments."""
+    rng = random.Random(113)
+    for n in (2, 3, 4):
+        for _ in range(6 if n < 4 else 3):
+            chains = []
+            for _ in range(n):
+                perm = list(range(n * n))
+                rng.shuffle(perm)
+                chains.append(prefs.PartialOrder.from_chain(perm))
+            if rng.random() < 0.3:
+                chains[1] = chains[0]
+            inst = Instance(spaces.square_types(n, 2), tuple(chains))
+            for tb in spaces.sweep_tiebreaks(inst.m):
+                for mech in ("mps", "mgd", "mrp"):
+                    yield inst, run_mechanism(mech, inst, tb)
+            assignments = all_discrete_assignments(inst)
+            for _ in range(3):
+                picks = rng.sample(assignments, k=rng.randint(1, 3))
+                weights = [rng.randint(1, 4) for _ in picks]
+                lottery = Lottery(tuple((F(w, sum(weights)), a) for w, a in zip(weights, picks)))
+                yield inst, lottery.expectation(inst)
+
+
+def test_trade_is_exact_under_linear_orders(monkeypatch):
+    # under linear orders every up-set is a contour set, so a dominating
+    # change splits into upward moves (Gale's theorem): a cyclic P that
+    # trade cannot improve is efficient
+    fallbacks = _record_calls(monkeypatch, "_sd_efficiency_lp")
+    seen = {"trade fail": 0, "lp fallback": 0}
+    for inst, P in _linear_order_cases():
+        if find_generalized_cycle(inst, P) is None:
+            continue
+        fallbacks.clear()
+        report = check_sd_efficiency(inst, P)
+        if fallbacks:
+            assert report.passed
+            seen["lp fallback"] += 1
+        else:
+            assert not report.passed
+            assert_dominates(inst, report.witness, P)
+            seen["trade fail"] += 1
+    assert all(seen.values()), seen
+
+
+_TRADE_TAMPER = """
+import dataclasses
+import sys
+from mtra import axioms, fixtures
+from mtra.errors import MtraError, SoundnessError
+
+if __debug__ or issubclass(SoundnessError, MtraError):
+    sys.exit("expected python -O and a SoundnessError outside MtraError")
+real = axioms.solve
+for name, perturb in (
+    ("unbalanced", lambda flow: [2 * flow[0]] + flow[1:]),
+    ("reversed", lambda flow: [-f for f in flow]),
+):
+    def tampered(lp, perturb=perturb):
+        out = real(lp)
+        if lp.objective is None and out.optimal:
+            return dataclasses.replace(out, witness=tuple(perturb(list(out.witness))))
+        return out
+
+    axioms.solve = tampered
+    try:
+        axioms.check_sd_efficiency(fixtures.opposed_trio(), fixtures.assignment_5())
+    except SoundnessError as exc:
+        print(name, "caught:", exc)
+    else:
+        print(name, "missed")
+"""
+
+
+def test_trade_soundness_checks_survive_python_O():
+    # the trade flow is perturbed after the LP layer verified it: the
+    # assignment it builds must be refused, with asserts stripped
+    src = str(Path(axioms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TRADE_TAMPER], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "unbalanced caught: the dominating witness is not another valid assignment",
+        "reversed caught: the witness does not sd-dominate P for agent 0",
+    ]
+
+
+# the first two seeds at each size whose exact mrp output has a
+# generalized cycle; the exact LP took 0.9-48 s on each of them
+TRADE_DECIDED_MRP_SEEDS = {(5, 2): (0, 1), (6, 2): (0, 1), (4, 3): (0, 1)}
+
+
+@pytest.mark.parametrize("size", list(TRADE_DECIDED_MRP_SEEDS), ids=str)
+def test_trade_decides_cyclic_mrp_outputs_without_the_lp(monkeypatch, size):
+    def refuse(instance, P):
+        raise AssertionError("the exact LP was consulted")
+
+    monkeypatch.setattr(axioms, "_sd_efficiency_lp", refuse)
+    n, p = size
+    for seed in TRADE_DECIDED_MRP_SEEDS[size]:
+        inst = spaces.random_profile(random.Random(seed), n, p, "general")
+        P = mrp(inst, MrpExact()).assignment
+        assert find_generalized_cycle(inst, P) is not None
+        report = check_sd_efficiency(inst, P)
+        assert not report.passed
+        assert_dominates(inst, report.witness, P)
 
 
 def test_sd_efficiency_refuses_wrong_shapes(mixed_pair):
@@ -893,6 +1033,16 @@ def test_transforms_of_no_agent_are_refused(blank_vs_chain, mechanism, agent):
     lie = prefs.PartialOrder.from_pairs(2, [(1, 0)])
     transforms = spaces.ExplicitTransforms(((agent, lie, 1),))
     with pytest.raises(DimensionMismatch, match=f"agent {agent} is not one of the 2 agents"):
+        check_upper_invariance(mechanism, blank_vs_chain, transforms, tiebreaks=[None])
+
+
+@pytest.mark.parametrize("mechanism", ["mps", "mgd", "mrp"])
+@pytest.mark.parametrize("pivot", [-2, -1, 2], ids=["-2", "-1", "m"])
+def test_transforms_of_no_pivot_are_refused(blank_vs_chain, mechanism, pivot):
+    assert blank_vs_chain.m == 2
+    lie = prefs.PartialOrder.from_pairs(2, [(1, 0)])
+    transforms = spaces.ExplicitTransforms(((0, lie, pivot),))
+    with pytest.raises(DimensionMismatch, match=f"pivot {pivot} is not one of the 2 bundles"):
         check_upper_invariance(mechanism, blank_vs_chain, transforms, tiebreaks=[None])
 
 

@@ -212,10 +212,10 @@ def test_dominance_lp_on_reference_instance(opposed_trio):
     # the efficiency oracle's LP on the uniform matrix has a unique
     # optimum: the dominating assignment with value 19/3 over baseline 5
     from mtra import fixtures
-    from mtra.axioms import check_sd_efficiency, sd_compare
+    from mtra.axioms import _sd_efficiency_lp, sd_compare
 
     uniform = fixtures.assignment_5()
-    report = check_sd_efficiency(opposed_trio, uniform)
+    report = _sd_efficiency_lp(opposed_trio, uniform)
     assert not report.passed
     assert report.witness == fixtures.assignment_6()
     for j in range(3):
