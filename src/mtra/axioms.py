@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from . import preferences as prefs
 from . import spaces
 from .errors import DimensionMismatch, InstanceTooLargeToDecide, SoundnessError, UniverseMismatch
-from .lp import EQ, GE, Constraint, LinearProgram, feasibility, solve
+from .lp import EQ, GE, Constraint, LinearProgram, solve
 from .mechanisms import Tiebreak, reruns
 from .model import (
     ZERO,
@@ -291,7 +291,7 @@ def _cyclic_sd_efficiency(
         for holders in instance.item_bundles
     ]
     cons.append(Constraint((1,) * len(trades), EQ, 1))
-    out = solve(LinearProgram(len(trades), tuple(cons), None, nonneg=True))
+    out = solve(LinearProgram(len(trades), tuple(cons)))
     if not out.optimal:
         return _sd_efficiency_lp(instance, P)
     # D is over the LP's det, which cancels out of Q
@@ -342,7 +342,7 @@ def _sd_efficiency_lp(instance: Instance, P: FractionalAssignment) -> PropertyRe
                 cons.append(_share_row(nv, inside, GE, sums[j][x], P.den))
         for y in range(m):
             depth_coeffs[j * m + y] = instance.orders[j].downset_size(y)
-    out = solve(LinearProgram(nv, tuple(cons), tuple(depth_coeffs), nonneg=True))
+    out = solve(LinearProgram(nv, tuple(cons), tuple(depth_coeffs)))
     if not out.optimal:
         raise SoundnessError("P itself is feasible, so the LP cannot fail")
     # the optimum over det against P's own value, sum(sums) over P.den
@@ -447,7 +447,7 @@ def _lottery_report(
         _share_row(nv, cols[j][x], EQ, v, P.den) for j, row in enumerate(P.nums) for x, v in enumerate(row)
     ]
     cons.append(_share_row(nv, range(nv), EQ, 1))
-    out = feasibility(LinearProgram(nv, tuple(cons), None, nonneg=True))
+    out = solve(LinearProgram(nv, tuple(cons)))
     if out.optimal:
         weights = (Fraction(w, out.det) for w in out.witness)
         lottery = Lottery(tuple((w, a) for w, a in zip(weights, assignments) if w > 0))

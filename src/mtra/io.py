@@ -29,10 +29,16 @@ def dumps(document: object) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+# Python's int-string limit in digits; a larger decimal exponent spells
+# a number no literal can, and 10**e for a huge e takes minutes
+MAX_EXPONENT = 4300
+
+
 def _loads(text: str) -> object:
+    # a ValueError is bad JSON or an int literal past the digit limit
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
 
 
@@ -40,9 +46,20 @@ def frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def parse_frac(s: object) -> Fraction:
+def _show(v: Fraction) -> str:
     try:
-        return Fraction(str(s))
+        return str(v)
+    except ValueError:  # past the digit limit
+        return f"a {v.numerator.bit_length()}-bit numerator over a {v.denominator.bit_length()}-bit denominator"
+
+
+def parse_frac(s: object) -> Fraction:
+    text = str(s)
+    _, e, exponent = text.lower().partition("e")
+    try:
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise ValueError(f"exponent past {MAX_EXPONENT}")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}") from exc
 
@@ -174,7 +191,7 @@ def parse_assignment(text: str, instance: Instance) -> FractionalAssignment:
     violation = validate_assignment(P, instance)
     if violation is not None:
         raise ParseError(
-            f"assignment violates {violation.kind} at {violation.subject}: {violation.actual}"
+            f"assignment violates {violation.kind} at {violation.subject}: {_show(violation.actual)}"
         )
     return P
 

@@ -1,17 +1,19 @@
-"""Exact linear programming over integer rows.
+"""Exact linear programming over integer rows and nonnegative variables.
 
 A program is given in integers: every coefficient and right-hand side
 is an ``int``, and so is every number handed back (a witness as
 numerators over one positive denominator, a Farkas certificate as
 coprime multipliers).  A caller with rational rows scales each row to
-integers itself.  :func:`solve` runs in three steps:
+integers itself.  Every variable is nonnegative, x >= 0: each program
+this package builds asks for nonnegative shares, flows or lottery
+weights.  :func:`solve` runs in three steps:
 
-1. For ``nonneg`` programs, an exact presolve (Andersen & Andersen,
-   "Presolving in linear programming", Math. Programming 71, 1995)
-   removes what x >= 0 already decides.  An equality with right-hand
-   side 0 whose coefficients on the remaining columns share one sign
-   fixes those columns at 0, so the row and the columns go; this repeats
-   until nothing changes.  A ``>=`` row with right-hand side <= 0 and
+1. An exact presolve (Andersen & Andersen, "Presolving in linear
+   programming", Math. Programming 71, 1995) removes what x >= 0
+   already decides.  An equality with right-hand side 0 whose
+   coefficients on the remaining columns share one sign fixes those
+   columns at 0, so the row and the columns go; this repeats until
+   nothing changes.  A ``>=`` row with right-hand side <= 0 and
    nonnegative coefficients, or a ``<=`` row with right-hand side >= 0
    and nonpositive ones, is implied and dropped.
 2. A dense two-phase simplex solves the reduced program on a
@@ -59,16 +61,12 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x  subject to the constraints, all in integers.
-
-    Variables are free unless ``nonneg`` is set; bounds can always be
-    expressed as explicit constraints instead.
-    """
+    """maximize objective . x  subject to the constraints and x >= 0, all
+    in integers.  With no objective, :func:`solve` decides feasibility."""
 
     num_vars: int
     constraints: tuple[Constraint, ...]
     objective: tuple[int, ...] | None = None
-    nonneg: bool = False
 
     def __post_init__(self) -> None:
         for c in self.constraints:
@@ -128,10 +126,6 @@ class _IntTableau:
         self.ncols = ncols
         self.art_start = art_start  # columns from here on are artificial
         self.det = 1
-
-    @property
-    def m(self) -> int:
-        return len(self.basis)
 
     def pivot(self, r: int, c: int) -> None:
         rows = self.rows
@@ -212,23 +206,19 @@ class _IntTableau:
             self.pivot(leave, enter)
 
 
-def _simplex(constraints: Sequence[Constraint], objective: Sequence[int], split: bool) -> _Raw:
+def _simplex(constraints: Sequence[Constraint], objective: Sequence[int]) -> _Raw:
     """Two-phase simplex on integer constraints over nonnegative
-    variables, or free ones when ``split`` (each as a difference of two
-    nonnegative columns).  The result is not yet verified."""
+    variables.  The result is not yet verified."""
     n = len(objective)
-    base = 2 * n if split else n
     m = len(constraints)
     n_slack = sum(1 for c in constraints if c.rel != EQ)
-    art_start = base + n_slack
+    art_start = n + n_slack
     ncols = art_start + m
     tab_rows: list[list[int]] = []
     signs: list[int] = []
     slack_i = 0
     for i, c in enumerate(constraints):
         coeffs, rel, b = list(c.coeffs), c.rel, c.rhs
-        if split:
-            coeffs += [-a for a in coeffs]
         sign = -1 if b < 0 else 1
         if sign < 0:
             coeffs = [-a for a in coeffs]
@@ -236,15 +226,14 @@ def _simplex(constraints: Sequence[Constraint], objective: Sequence[int], split:
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
         row = coeffs + [0] * (n_slack + m) + [b]
         if rel != EQ:
-            row[base + slack_i] = 1 if rel == LE else -1
+            row[n + slack_i] = 1 if rel == LE else -1
             slack_i += 1
         row[art_start + i] = 1
         tab_rows.append(row)
         signs.append(sign)
 
     # phase-2 objective row (c - z; artificials cost 0, so initially just c)
-    obj2 = list(objective) + ([-c for c in objective] if split else [])
-    tab_rows.append(obj2 + [0] * (n_slack + m + 1))
+    tab_rows.append(list(objective) + [0] * (n_slack + m + 1))
     # phase-1 objective row: z - c for "minimize artificial mass", which
     # initially is the column sum of the constraint rows with artificial
     # entries zeroed
@@ -283,19 +272,18 @@ def _simplex(constraints: Sequence[Constraint], objective: Sequence[int], split:
         del r[art_start:ncols]
     tab.ncols = art_start
 
-    if tab.run(tab.m) == "unbounded":
+    if tab.run(len(tab.basis)) == "unbounded":
         return _Raw("unbounded")
-    values = [0] * base
+    nums = [0] * n
     for i, b in enumerate(tab.basis):
-        if b < base:
-            values[b] = tab.rows[i][art_start]
-    nums = [values[k] - values[n + k] for k in range(n)] if split else values
+        if b < n:
+            nums[b] = tab.rows[i][art_start]
     return _Raw("optimal", nums=nums, det=tab.det)
 
 
 def _presolved_simplex(lp: LinearProgram, objective: Sequence[int]) -> _Raw:
-    """Presolve a nonnegative program (module docstring, step 1), run the
-    simplex on what is left and lift the result back to ``lp``."""
+    """Presolve the program (module docstring, step 1), run the simplex
+    on what is left and lift the result back to ``lp``."""
     cons = lp.constraints
     rows = [c.coeffs for c in cons]
     n = lp.num_vars
@@ -321,14 +309,11 @@ def _presolved_simplex(lp: LinearProgram, objective: Sequence[int]) -> _Raw:
                 keep.append(i)
         active = keep
     if len(active) == len(rows):
-        return _simplex(cons, objective, split=False)
+        return _simplex(cons, objective)
 
     cols = [j for j in range(n) if live[j]]
-    raw = _simplex(
-        [Constraint(tuple(rows[i][j] for j in cols), cons[i].rel, cons[i].rhs) for i in active],
-        [objective[j] for j in cols],
-        split=False,
-    )
+    reduced = [Constraint(tuple(rows[i][j] for j in cols), cons[i].rel, cons[i].rhs) for i in active]
+    raw = _simplex(reduced, [objective[j] for j in cols])
     if raw.status == "optimal":
         nums = [0] * n
         for k, j in enumerate(cols):
@@ -372,40 +357,32 @@ def _verified(lp: LinearProgram, objective: Sequence[int], raw: _Raw) -> LpOutco
 def solve(lp: LinearProgram) -> LpOutcome:
     """Exact optimum (or feasibility when no objective is given)."""
     objective = lp.objective or (0,) * lp.num_vars
-    if lp.nonneg:
-        raw = _presolved_simplex(lp, objective)
-    else:
-        raw = _simplex(lp.constraints, objective, split=True)
-    return _verified(lp, objective, raw)
-
-
-def feasibility(lp: LinearProgram) -> LpOutcome:
-    """Feasibility query: any objective on the program is ignored."""
-    return solve(LinearProgram(lp.num_vars, lp.constraints, None, nonneg=lp.nonneg))
+    return _verified(lp, objective, _presolved_simplex(lp, objective))
 
 
 def _verify_witness(lp: LinearProgram, nums: Sequence[int], det: int) -> None:
-    """The point nums / det (det > 0) satisfies every original constraint."""
+    """The point nums / det (det > 0) is nonnegative and satisfies every
+    original constraint."""
     for i, c in enumerate(lp.constraints):
         lhs = sum(map(mul, c.coeffs, nums))
         b = c.rhs * det
         ok = lhs <= b if c.rel == LE else lhs >= b if c.rel == GE else lhs == b
         if not ok:
             raise SoundnessError(f"witness violates constraint {i}")
-    if lp.nonneg and any(v < 0 for v in nums):
+    if any(v < 0 for v in nums):
         raise SoundnessError("witness violates nonnegativity")
 
 
 def _verify_certificate(lp: LinearProgram, y: Sequence[int]) -> None:
-    """Farkas: y^T A <= 0 on nonnegative columns (= 0 on free ones), each
-    multiplier signed to its relation, and y^T b > 0, so no x satisfies
-    the original constraints."""
+    """Farkas: y^T A <= 0 on every column, each multiplier signed to its
+    relation, and y^T b > 0, so no x >= 0 satisfies the original
+    constraints."""
     cons = lp.constraints
     if len(y) != len(cons):
         raise SoundnessError("certificate has the wrong length")
     for j, col in enumerate(zip(*(c.coeffs for c in cons))):
         total = sum(map(mul, y, col))
-        if total > 0 or (total < 0 and not lp.nonneg):
+        if total > 0:
             raise SoundnessError(f"certificate fails on column {j}")
     for i, c in enumerate(cons):
         if c.rel == LE and y[i] > 0 or c.rel == GE and y[i] < 0:

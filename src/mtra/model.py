@@ -313,7 +313,8 @@ def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
         for ti, t in enumerate(shell.types)
         for ii, it in enumerate(t.items)
     }
-    parents: dict[int, list[int]] = {i: [] for i in range(shell.p)}
+    # the dependency graph is a set of edges: a repeated edge is read once
+    parents: dict[int, set[int]] = {i: set() for i in range(shell.p)}
     for edge in _parse_list(raw.get("dependency", ()), "'dependency'"):
         try:
             parent, child = edge
@@ -321,7 +322,7 @@ def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
             raise ParseError(f"bad dependency edge {edge!r}") from exc
         if any(not isinstance(name, str) or name not in type_index for name in (parent, child)):
             raise ParseError(f"dependency edge {edge!r} names unknown types")
-        parents[type_index[child]].append(type_index[parent])
+        parents[type_index[child]].add(type_index[parent])
     tables: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
     raw_cpt = raw.get("cpt", {})
     if not isinstance(raw_cpt, Mapping):

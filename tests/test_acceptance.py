@@ -118,7 +118,7 @@ def test_criterion_06_envy_vs_efficiency(replayed):
         for sign in (1, -1):
             objective = [0] * nv
             objective[var] = sign
-            out = solve(LinearProgram(nv, tuple(cons), tuple(objective), nonneg=True))
+            out = solve(LinearProgram(nv, tuple(cons), tuple(objective)))
             assert out.status == "optimal" and F(out.witness[var], out.det) == F(1, 3)
     note("criterion-06", "strong-envy-free polytope is the uniform matrix only")
 

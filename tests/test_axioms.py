@@ -229,7 +229,7 @@ def _dominated_per_cell(instance, P):
             for y in range(m):
                 if order.ucs_mask(x) >> y & 1:
                     objective[j * m + y] = 1
-            out = solve(LinearProgram(nv, tuple(base_cons), tuple(objective), nonneg=True))
+            out = solve(LinearProgram(nv, tuple(base_cons), tuple(objective)))
             assert out.status == "optimal"
             if Fraction(out.objective_value, out.det) > sums[j][x]:
                 return True

@@ -1,0 +1,220 @@
+"""Fuzz the document parsers and the command line.
+
+Each document is a valid one with a few values replaced, deleted or
+repeated, and argv is drawn from the CLI's own words.  Whatever comes in,
+the CLI exits 0, 1, 2 or 3 and prints no traceback; the library parsers
+return or raise an MtraError.  The runs are derandomized, so every run
+sees the same examples.
+"""
+
+import copy
+import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mtra import fixtures, io
+from mtra.cli import main
+from mtra.errors import MtraError
+from mtra.mechanisms import mgd_decompose
+from mtra.model import FractionalAssignment
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+
+WORDS = ["", "x", "F", "B", "1F", "2F", "1B", "2B", "1F1B", "2F2B", "partial", "cpnet", "1/2", "0/0", "-1/3", "1e9999"]
+KEYS = ["agents", "types", "preferences", "kind", "edges", "dependency", "cpt", "name", "items", "tiebreak",
+        "matrix", "entries", "probability", "assignment", "", "F", "B", "1F"]
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([0.5, float("inf")]), st.sampled_from(WORDS)
+)
+VALUES = st.recursive(
+    LEAVES, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(KEYS), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _paths(value, (*prefix, key))
+
+
+@st.composite
+def mutants(draw, bases):
+    """One of ``bases`` (JSON documents) with one or two values replaced,
+    deleted or repeated; as text."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        action = draw(st.sampled_from(["replace", "delete", "repeat"]))
+        if action == "replace":
+            parent[key] = draw(VALUES)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return json.dumps(doc)
+
+
+def _exit_code(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+BLANK_VS_CHAIN = fixtures.blank_vs_chain()
+MIXED_PAIR = fixtures.mixed_pair()
+UNIFORM = FractionalAssignment.from_rows([["1/2", "1/2"]] * 2)
+INSTANCES = [
+    json.loads(io.serialize_instance(inst)) for inst in (MIXED_PAIR, fixtures.dependent_pair(), BLANK_VS_CHAIN)
+]
+INSTANCES.append({**INSTANCES[0], "tiebreak": [fixtures.sort_a(MIXED_PAIR)] * 2})
+# (instance file, assignment document)
+ASSIGNMENTS = [
+    ("blank_vs_chain", json.loads(io.serialize_assignment(BLANK_VS_CHAIN, UNIFORM))),
+    ("mixed_pair", json.loads(io.serialize_assignment(MIXED_PAIR, fixtures.assignment_1()))),
+]
+LOTTERY = json.loads(io.serialize_lottery(MIXED_PAIR, mgd_decompose(MIXED_PAIR)))
+TIEBREAKS = [["2F1B", "1F1B", "2F2B", "1F2B"], [["2F1B", "1F1B", "2F2B", "1F2B"], ["1F1B", "2F2B", "2F1B", "1F2B"]]]
+
+
+def _shares(rows):
+    return json.dumps({"matrix": [dict(zip(("1F", "2F"), row)) for row in rows]})
+
+
+# reproducers of past crashes and hangs, all input errors
+HUGE = "1" + "0" * 5000  # past Python's 4300-digit int-string limit
+P, Q = 10**2999 + 1, 10**2999 + 3
+HUGE_AGENTS = '{"agents": ' + HUGE + ', "types": [], "preferences": []}'
+HUGE_SHARES = [
+    '{"matrix": [{"1F": ' + HUGE + ', "2F": "0"}, {"1F": "0", "2F": "1"}]}',
+    _shares([["1e9999", "0"], ["0", "1"]]),
+    _shares([["1e9999999", "0"], ["0", "1"]]),
+    # valid rows whose item marginal has a 6000-digit denominator
+    _shares([[f"1/{P}", f"{P - 1}/{P}"], [f"1/{Q}", f"{Q - 1}/{Q}"]]),
+]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, text in {
+        "mixed_pair": io.serialize_instance(MIXED_PAIR),
+        "blank_vs_chain": io.serialize_instance(BLANK_VS_CHAIN),
+        "a1": io.serialize_assignment(MIXED_PAIR, fixtures.assignment_1()),
+        "junk": "[1, 2",
+    }.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(text)
+    paths["case"] = root / "case.json"
+    paths["missing"] = root / "missing.json"
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _case(files, text):
+    with open(files["case"], "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return files["case"]
+
+
+@FUZZ
+@given(text=mutants(INSTANCES))
+@example(text=HUGE_AGENTS)
+@example(
+    text=json.dumps({**INSTANCES[1], "preferences": [
+        {**pref, "dependency": pref["dependency"] * 2} for pref in INSTANCES[1]["preferences"]
+    ]})
+)
+def test_fuzz_parse_instance(files, text):
+    _exit_code(["run", _case(files, text), "--mechanism", "mps"])
+
+
+@FUZZ
+@given(case=st.sampled_from(ASSIGNMENTS).flatmap(lambda base: st.tuples(st.just(base[0]), mutants([base[1]]))))
+@example(case=("blank_vs_chain", HUGE_SHARES[0]))
+@example(case=("blank_vs_chain", HUGE_SHARES[1]))
+@example(case=("blank_vs_chain", HUGE_SHARES[2]))
+@example(case=("blank_vs_chain", HUGE_SHARES[3]))
+def test_fuzz_parse_assignment(files, case):
+    instance, text = case
+    _exit_code(["check", files[instance], _case(files, text)])
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (HUGE_AGENTS, ["run", "{case}", "--mechanism", "mps"]),
+        *((text, ["check", "{blank_vs_chain}", "{case}", "--property", "sd-efficiency"]) for text in HUGE_SHARES),
+    ],
+    ids=["agents-digits", "share-digits", "share-exponent", "share-exponent-7-digits", "marginal-digits"],
+)
+def test_huge_numbers_exit2_quickly(files, text, argv):
+    _case(files, text)
+    start = time.perf_counter()
+    assert _exit_code([word.format(**files) for word in argv]) == 2
+    assert time.perf_counter() - start < 1
+
+
+@settings(FUZZ, max_examples=200)
+@given(text=mutants([LOTTERY]))
+def test_fuzz_parse_lottery(text):
+    try:
+        io.parse_lottery(text, MIXED_PAIR)
+    except MtraError:
+        pass
+
+
+@FUZZ
+@given(text=mutants(TIEBREAKS))
+def test_fuzz_parse_tiebreak(files, text):
+    _exit_code(["run", files["mixed_pair"], "--mechanism", "mps", "--tiebreak", _case(files, text)])
+
+
+COMMANDS = ["run", "check", "compare", "decompose", "replay-paper", "--help", "x"]
+FILES = ["{mixed_pair}", "{a1}", "{junk}", "{missing}"]
+OPTION_VALUES = {
+    "--mechanism": ["mrp", "mps", "mgd", "x"],
+    "--mode": ["exact", "sample", "mc:3", "mc:0", "mc:x"],
+    "--seed": ["7", "-1", "x"],
+    "--tiebreak": ["default", "{mixed_pair}", "{missing}"],
+    "--property": ["all", "sd-efficiency", "sd-strategyproofness", "upper-invariance", "decomposability,x", ","],
+    "--misreports": ["linear", "cpnet", "independent", "sampled:2", "sampled:0"],
+    "--agent": ["0", "5"],
+}
+OPTIONS = [("--list",)] + [(flag, value) for flag, values in OPTION_VALUES.items() for value in values]
+# the positionals of run, check and compare half the time, so that the
+# options get past the file arguments
+POSITIONALS = st.one_of(
+    st.sampled_from([FILES[:1], FILES[:2], [*FILES[:2], FILES[1]]]), st.lists(st.sampled_from(FILES), max_size=3)
+)
+ARGV = st.tuples(
+    st.sampled_from(COMMANDS),
+    POSITIONALS,
+    st.lists(st.sampled_from(OPTIONS), max_size=3),
+).map(lambda parts: [parts[0], *parts[1], *(word for option in parts[2] for word in option)])
+
+
+@settings(FUZZ, max_examples=150)
+@given(argv=ARGV)
+def test_fuzz_cli_argv(files, argv):
+    _exit_code([word.format(**files) for word in argv])

@@ -328,6 +328,14 @@ def test_cli_bad_input_exit2(workdir, capsys, argv, patch):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+def test_repeated_dependency_edge_is_read_once(dependent_pair):
+    doc = json.loads(io.serialize_instance(dependent_pair))
+    for pref in doc["preferences"]:
+        pref["dependency"] *= 2
+    parsed, _ = io.parse_instance(json.dumps(doc))
+    assert parsed == dependent_pair
+
+
 def test_cli_guard_exit3(tmp_path, capsys, own_items_first):
     path = tmp_path / "big.json"
     path.write_text(io.serialize_instance(own_items_first))

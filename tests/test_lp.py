@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from mtra import lp as lp_module
-from mtra.lp import Constraint, LinearProgram, feasibility, solve
+from mtra.errors import SoundnessError
+from mtra.lp import Constraint, LinearProgram, solve
 
 F = Fraction
 
@@ -43,13 +44,13 @@ def test_box_maximum():
 
 def test_infeasible_with_certificate():
     lp = LinearProgram(1, (constraint([1], ">=", 1), constraint([1], "<=", 0)))
-    out = feasibility(lp)
+    out = solve(lp)
     assert out.status == "infeasible"
     assert out.certificate is not None  # verified inside the solver
 
 
 def test_empty_constraints_feasible():
-    out = feasibility(LinearProgram(3, ()))
+    out = solve(LinearProgram(3, ()))
     assert out.status == "optimal"
     assert point(out) == (0,) * 3
 
@@ -58,10 +59,13 @@ def test_unbounded():
     assert solve(LinearProgram(1, (), (1,))).status == "unbounded"
 
 
-def test_free_variables():
+def test_variables_are_nonnegative():
+    # x >= -5 is implied by x >= 0, so minimizing x stops at 0
     lp = LinearProgram(1, (constraint([1], ">=", -5),), (-1,))
     out = solve(lp)
-    assert point(out) == (-5,) and value(out) == 5
+    assert point(out) == (0,) and value(out) == 0
+    with pytest.raises(SoundnessError, match="nonnegativity"):
+        lp_module._verified(lp, lp.objective, lp_module._Raw("optimal", nums=[-1]))
 
 
 def test_blands_rule_survives_degeneracy():
@@ -75,7 +79,6 @@ def test_blands_rule_survives_degeneracy():
             constraint([0, 0, 1, 0], "<=", 1),
         ),
         (75, -15000, 2, -600),
-        nonneg=True,
     )
     out = solve(lp)
     assert out.status == "optimal" and value(out) == 5
@@ -87,7 +90,7 @@ def test_determinism():
         constraint([rng.randint(-3, 3) for _ in range(4)], rng.choice(["<=", ">="]), rng.randint(0, 5))
         for _ in range(6)
     )
-    lp = LinearProgram(4, cons, tuple(rng.randint(-2, 2) for _ in range(4)), nonneg=True)
+    lp = LinearProgram(4, cons, tuple(rng.randint(-2, 2) for _ in range(4)))
     first = solve(lp)
     second = solve(lp)
     assert first == second
@@ -119,6 +122,18 @@ def _brute_force_2var(cons, obj):
     return feasible, best
 
 
+def _solve_shifted(cons, obj, bound):
+    """Solve a 2-variable program whose variables are bounded below by
+    -bound as one over x' = x + bound >= 0 (each row a.x rel b becomes
+    a.x' rel b + bound * sum(a)); returns the outcome and its value
+    shifted back to x."""
+    shifted = tuple(Constraint(c.coeffs, c.rel, c.rhs + bound * sum(c.coeffs)) for c in cons)
+    out = solve(LinearProgram(2, shifted, obj))
+    if not out.optimal:
+        return out, None
+    return out, value(out) - bound * sum(obj)
+
+
 def test_random_2var_lps_match_vertex_enumeration():
     rng = random.Random(42)
     for _ in range(120):
@@ -137,10 +152,10 @@ def test_random_2var_lps_match_vertex_enumeration():
             constraint([0, 1], ">=", -10),
         ]
         obj = (rng.randint(-3, 3), rng.randint(-3, 3))
-        out = solve(LinearProgram(2, tuple(cons), obj))
+        out, shifted_value = _solve_shifted(cons, obj, 10)
         feasible, best = _brute_force_2var(cons, obj)
         if out.status == "optimal":
-            assert feasible and value(out) == best
+            assert feasible and shifted_value == best
         else:
             assert out.status == "infeasible" and not feasible
 
@@ -166,10 +181,10 @@ def test_random_2var_fractional_coefficients():
         ]
         obj = (F(rng.randint(-3, 3), rng.randint(1, 2)), F(rng.randint(-3, 3), rng.randint(1, 2)))
         scale = math.lcm(obj[0].denominator, obj[1].denominator)
-        out = solve(LinearProgram(2, tuple(cons), tuple(int(v * scale) for v in obj)))
+        out, shifted_value = _solve_shifted(cons, tuple(int(v * scale) for v in obj), 9)
         feasible, best = _brute_force_2var(cons, obj)
         if out.status == "optimal":
-            assert feasible and value(out) == best * scale
+            assert feasible and shifted_value == best * scale
         else:
             assert out.status == "infeasible" and not feasible
 
@@ -187,7 +202,6 @@ def test_duality_spot_check():
                 nv,
                 tuple(constraint(A[i], "<=", b[i]) for i in range(nc)),
                 tuple(c),
-                nonneg=True,
             )
         )
         dual = solve(
@@ -198,7 +212,6 @@ def test_duality_spot_check():
                     for j in range(nv)
                 ),
                 tuple(-v for v in b),
-                nonneg=True,
             )
         )
         if primal.status == "optimal":
@@ -236,12 +249,12 @@ def _plain(prog):
     """The same simplex on the whole program, without presolve: the
     reference the presolved path must agree with."""
     objective = prog.objective or (0,) * prog.num_vars
-    raw = lp_module._simplex(prog.constraints, objective, split=not prog.nonneg)
+    raw = lp_module._simplex(prog.constraints, objective)
     return lp_module._verified(prog, objective, raw)
 
 
 def _planted_lp(rng):
-    """A random nonnegative LP with rows the presolve acts on: one-sign
+    """A random LP with rows the presolve acts on: one-sign
     zero-rhs equalities, some one-sign only after an earlier row fixed
     their mixed-sign columns, implied >=/<= rows, rows that become
     contradictory once their columns are fixed, and plain random rows."""
@@ -283,7 +296,7 @@ def _planted_lp(rng):
     cons.append(constraint([1] * n, "<=", rng.randint(3, 9)))
     rng.shuffle(cons)
     objective = tuple(rng.randint(-3, 3) for _ in range(n)) if rng.random() < 0.8 else None
-    return LinearProgram(n, tuple(cons), objective, nonneg=True)
+    return LinearProgram(n, tuple(cons), objective)
 
 
 def _planted_lps(count, seed):
@@ -329,12 +342,11 @@ def test_presolve_fixes_chained_rows():
             constraint([0, 1, 0, -1], "<=", 0),
         ),
         (1, 1, 1, -1),
-        nonneg=True,
     )
     out = solve(prog)
     assert out.status == "infeasible" and _certifies(prog, out.certificate)
     assert out.certificate[4] == 0  # the implied row is not used
-    relaxed = LinearProgram(4, prog.constraints[:3] + prog.constraints[4:], prog.objective, nonneg=True)
+    relaxed = LinearProgram(4, prog.constraints[:3] + prog.constraints[4:], prog.objective)
     out = solve(relaxed)
     assert out.optimal and point(out) == (0, 0, 0, 1) and value(out) == -1
 
@@ -386,8 +398,8 @@ def tampered(*args, **kwargs):
 
 
 lp._simplex = tampered
-feasible = lp.LinearProgram(2, (lp.Constraint((1, 1), "<=", 2),), (1, 1), nonneg=True)
-infeasible = lp.LinearProgram(1, (lp.Constraint((1,), ">=", 1), lp.Constraint((1,), "<=", 0)), nonneg=True)
+feasible = lp.LinearProgram(2, (lp.Constraint((1, 1), "<=", 2),), (1, 1))
+infeasible = lp.LinearProgram(1, (lp.Constraint((1,), ">=", 1), lp.Constraint((1,), "<=", 0)))
 for prog in (feasible, infeasible):
     try:
         lp.solve(prog)
