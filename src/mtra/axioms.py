@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import preferences as prefs
 from . import spaces
@@ -60,6 +60,35 @@ def _contour_sums(masks: Sequence[int], values: Sequence[int]) -> list[int]:
 def _at_least(sums: Sequence[int], den: int, ref: Sequence[int], ref_den: int) -> bool:
     """Is ``sums / den`` at least ``ref / ref_den`` entry by entry?"""
     return all(v * ref_den >= t * den for v, t in zip(sums, ref))
+
+
+def _manipulation_judge(
+    order: prefs.PartialOrder, truth: Sequence[int], truth_den: int, strength: str
+) -> Callable[[tuple[int, ...], int], bool]:
+    """The verdict on a row ``nums / den`` of the agent whose true order
+    is ``order`` and whose truthful row is ``truth / truth_den``: does
+    it manipulate?  Under "sd", truth-telling does not sd-dominate it;
+    under "weak", it sd-dominates truth-telling with other contour sums.
+
+    Each verdict is one integer comparison of upper contour sums, made
+    once per distinct ``(nums, den)``: many misreports give the agent
+    the same row."""
+    masks = _ucs_masks(order)
+    truth_sums = _contour_sums(masks, truth)
+    verdicts: dict[tuple[tuple[int, ...], int], bool] = {}
+
+    def manipulates(nums: tuple[int, ...], den: int) -> bool:
+        key = (nums, den)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            sums = _contour_sums(masks, nums)
+            verdict = not _at_least(truth_sums, truth_den, sums, den)
+            if strength == "weak":
+                verdict = verdict and _at_least(sums, den, truth_sums, truth_den)
+            verdicts[key] = verdict
+        return verdict
+
+    return manipulates
 
 
 def ucs_sums(order: prefs.PartialOrder, row: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -537,14 +566,15 @@ def check_strategyproofness(
     weak: no misreport sd-dominates truth-telling unless it leaves the
     agent's own row unchanged.
 
-    Each misreport is judged by one integer comparison: the upper
-    contour sums of the agent's row under it, as numerators over the
-    output's denominator, cross-multiplied with the truthful sums,
-    worked out once per agent.  Equal sums mean equal rows.  The liar's
-    row is read off :func:`~mtra.mechanisms.reruns`, made once per
-    tie-break with the truth: no instance is copied per misreport, and a
-    misreport order keeps its sorts, so it is sorted once per tie-break,
-    not once per check.  A misreport order already judged is skipped.
+    The liar's row is read off :func:`~mtra.mechanisms.reruns`, made
+    once per tie-break with the truth: no instance is copied per
+    misreport, and a misreport order keeps its sorts, so it is sorted
+    once per tie-break, not once per check.  A misreport order already
+    judged is skipped.  Many orders still give the agent the same row,
+    so each distinct row (numerators and denominator) is judged once
+    per agent and tie-break, by one integer comparison: its upper
+    contour sums cross-multiplied with the truthful sums.  Equal sums
+    mean equal rows.
     The first failing misreport is run from scratch on the one-agent
     copy for the witness, and that row must equal the one it was judged
     by.
@@ -560,8 +590,7 @@ def check_strategyproofness(
         truth = runs.truth
         for j in range(instance.n):
             order = instance.orders[j]
-            masks = _ucs_masks(order)
-            truth_sums, truth_den = _contour_sums(masks, truth.nums[j]), truth.den
+            manipulates = _manipulation_judge(order, truth.nums[j], truth.den, strength)
             # an order already judged gets the same verdict again; the
             # truth's own order cannot manipulate
             judged = {order}
@@ -572,11 +601,7 @@ def check_strategyproofness(
                     continue
                 judged.add(rep_order)
                 nums, den = runs.row(j, rep_order.sort(runs.tiebreaks[j]))
-                sums = _contour_sums(masks, nums)
-                manipulated = not _at_least(truth_sums, truth_den, sums, den)
-                if strength == "weak":
-                    manipulated = manipulated and _at_least(sums, den, truth_sums, truth_den)
-                if manipulated:
+                if manipulates(nums, den):
                     lied = reruns(mechanism, instance.with_preference(j, report), tb).truth
                     if any(v * den != w * lied.den for v, w in zip(lied.nums[j], nums)):
                         raise SoundnessError(f"agent {j}'s row differs from the mechanism's on the re-run")

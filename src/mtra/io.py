@@ -14,6 +14,8 @@ from typing import Mapping, Sequence
 from . import preferences as prefs
 from .errors import DimensionMismatch, ParseError
 from .model import (
+    _DIGIT_BOUND,
+    MAX_DIGITS,
     DiscreteAssignment,
     FractionalAssignment,
     Instance,
@@ -23,15 +25,11 @@ from .model import (
     build_instance,
     validate_assignment,
 )
+from .model import parse_fraction as parse_frac
 
 
 def dumps(document: object) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-# Python's int-string limit in digits; a larger decimal exponent spells
-# a number no literal can, and 10**e for a huge e takes minutes
-MAX_EXPONENT = 4300
 
 
 def _loads(text: str) -> object:
@@ -51,17 +49,6 @@ def _show(v: Fraction) -> str:
         return str(v)
     except ValueError:  # past the digit limit
         return f"a {v.numerator.bit_length()}-bit numerator over a {v.denominator.bit_length()}-bit denominator"
-
-
-def parse_frac(s: object) -> Fraction:
-    text = str(s)
-    _, e, exponent = text.lower().partition("e")
-    try:
-        if e and abs(int(exponent)) > MAX_EXPONENT:
-            raise ValueError(f"exponent past {MAX_EXPONENT}")
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {s!r}") from exc
 
 
 # -- instances ---------------------------------------------------------------
@@ -188,6 +175,8 @@ def parse_assignment(text: str, instance: Instance) -> FractionalAssignment:
             values[_resolve_bundle(instance, name)] = parse_frac(share)
         rows.append(values)
     P = FractionalAssignment.from_rows(rows)
+    if P.den >= _DIGIT_BOUND:
+        raise ParseError(f"the shares' common denominator has more than {MAX_DIGITS} digits")
     violation = validate_assignment(P, instance)
     if violation is not None:
         raise ParseError(

@@ -18,12 +18,14 @@ scanned exhaustively per candidate:
 * the manipulator misreports only her B-rows, keeping the F-order.
 
 Candidate profiles are visited in a seed-fixed shuffled order; for each,
-the truthful eating is kept round by round (:func:`mps_reruns`), every
-B-row misreport resumes it where the manipulator first eats
-differently, and the manipulator's upper-contour sums, as integers over
-each output's denominator, are compared with truth-telling's.  Every
-reported hit is re-run through the public eating mechanism :func:`mps`,
-which must agree, and checked once more with :func:`sd_compare`.
+the truthful eating is kept as the first path of a tree of eating
+rounds (:func:`mps_reruns`), every B-row misreport walks that tree and
+grows it only where the manipulator first eats differently, and each
+distinct row of the manipulator's has its upper-contour sums, as
+integers over the output's denominator, compared with truth-telling's
+once.  Every reported hit is re-run through the public eating mechanism
+:func:`mps`, which must agree, and checked once more with
+:func:`sd_compare`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import preferences as prefs
-from .axioms import _at_least, _contour_sums, _ucs_masks, sd_compare
+from .axioms import _manipulation_judge, sd_compare
 from .errors import SoundnessError
 from .mechanisms import mps, mps_reruns
 from .model import Instance
@@ -104,10 +106,11 @@ def search_cpt_manipulations(
     Stops when ``max_hits`` hits are collected (all matching
     ``require_pattern`` if given: a pair of sorted positive share
     multisets for truth and lie), the time budget runs out, or the
-    candidate space is exhausted.  Every misreport resumes the truthful
-    eating (:meth:`~mtra.mechanisms.MpsReruns.rerun`); a hit found by comparing
-    upper-contour sums is re-run through the public :func:`mps` and
-    checked with :func:`sd_compare` before it is returned.
+    candidate space is exhausted.  Every misreport re-runs the eating
+    from the truthful tree (:meth:`~mtra.mechanisms.MpsReruns.rerun`); a
+    hit found by comparing upper-contour sums is re-run through the
+    public :func:`mps` and checked with :func:`sd_compare` before it is
+    returned.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     nets = {rows: shared_fb_net(_IDENT, rows) for rows in itertools.product(_ORDERS3, repeat=3)}
@@ -126,16 +129,13 @@ def search_cpt_manipulations(
         reruns = mps_reruns(instance)
         truth = reruns.truth
         order = instance.orders[0]
-        masks = _ucs_masks(order)
-        truth_sums = _contour_sums(masks, truth.nums[0])
+        # a strict gain: a row that sd-dominates the truthful one
+        manipulates = _manipulation_judge(order, truth.nums[0], truth.den, "weak")
         for mrows, misreport in nets.items():
             if mrows == truth_b:
                 continue
             lie = reruns.rerun(0, orders[mrows].sort(reruns.tiebreaks[0]))
-            lie_sums = _contour_sums(masks, lie.nums[0])
-            gains = _at_least(lie_sums, lie.den, truth_sums, truth.den)
-            # equal contour sums would mean the same row
-            if gains and not _at_least(truth_sums, truth.den, lie_sums, lie.den):
+            if manipulates(lie.nums[0], lie.den):
                 if mps(instance.with_preference(0, misreport))[0] != lie:
                     raise SoundnessError("the resumed eating differs from the public mps")
                 if not sd_compare(order, lie.row(0), truth.row(0)).p_dominates_q:

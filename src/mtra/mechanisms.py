@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import preferences as prefs
 from .errors import DimensionMismatch, MtraError, SoundnessError, TooManyAgentsForExact
@@ -79,7 +79,7 @@ class _Reruns:
         by their truthful sorts."""
         raise NotImplementedError
 
-    def row(self, agent: int, sort: Sequence[int]) -> tuple[Sequence[int], int]:
+    def row(self, agent: int, sort: Sequence[int]) -> tuple[tuple[int, ...], int]:
         """The agent's row of :meth:`rerun`, as integer numerators and a
         denominator."""
         lied = self.rerun(agent, sort)
@@ -227,11 +227,11 @@ class MrpTurns(_Reruns):
     total: int
     tables: tuple[dict[int, int], ...]
 
-    def row(self, agent: int, sort: Sequence[int]) -> tuple[list[int], int]:
+    def row(self, agent: int, sort: Sequence[int]) -> tuple[tuple[int, ...], int]:
         row = [0] * self.instance.m
         for available, orders in self.tables[agent].items():
             row[prefs.ext(sort, available)] += orders
-        return row, self.total
+        return tuple(row), self.total
 
     def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
         return _turns(self.instance, self.tiebreaks, self._swapped(agent, sort)).truth
@@ -357,87 +357,104 @@ class MpsTrace:
         raise KeyError(item)
 
 
-class _Eating(NamedTuple):
-    """The integer state of the eating at the start of a round.
+# One round of the eating: the bundle each agent ate, the round's length
+# over its denominator, that denominator, the clock after the round over
+# it, and the items the round exhausted.
+Round = tuple[tuple[int, ...], int, int, int, tuple[int, ...]]
 
-    ``supply`` is per flat item and ``rows`` per agent and bundle, both
-    numerators over ``den``, as is the ``clock``; ``available`` is the
-    bitmask of the bundles whose items all have supply left, and
-    ``remaining`` counts those items."""
+
+@dataclass(eq=False, repr=False, slots=True)
+class _Node:
+    """A state of the eating at the start of a round, and a node of the
+    eating tree of :class:`MpsReruns`.
+
+    ``supply`` is per flat item, a numerator over ``den`` as the
+    ``clock`` is; ``available`` is the bitmask of the bundles whose
+    items all have supply left, ``remaining`` counts those items, and
+    ``history`` holds the rounds eaten so far, from which
+    :func:`_shares` works out the agents' shares.  ``children`` maps
+    (agent, pick) to the node after the round in which ``agent`` eats
+    ``pick`` and every other agent the first available bundle of its
+    truthful sort.  Once the eating is over, ``out`` holds its output
+    and ``remaining`` is 0.
+    """
 
     available: int
     supply: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
     den: int
     clock: int
     remaining: int
+    history: tuple[Round, ...]
+    out: FractionalAssignment | None = None
+    children: dict[tuple[int, int], _Node] = field(default_factory=dict)
 
 
-def _start(instance: Instance) -> _Eating:
-    n, p, m = instance.n, instance.p, instance.m
-    return _Eating((1 << m) - 1, (1,) * (n * p), ((0,) * m,) * n, 1, 0, n * p)
-
-
-def _eat(
+def _round(
     instance: Instance,
-    sorts: Sequence[Sequence[int]],
-    state: _Eating,
-    rounds: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] | None = None,
-    states: list[_Eating] | None = None,
-) -> FractionalAssignment:
-    """The eating of :func:`mps` by ``sorts`` from ``state`` to the end.
+    eaten: tuple[int, ...],
+    supply: list[int],
+    available: int,
+    den: int,
+    clock: int,
+    remaining: int,
+) -> tuple[int, int, Round]:
+    """One round of the eating of :func:`mps`, agent j eating bundle
+    ``eaten[j]`` from the state (``available``, ``supply``, ``den``,
+    ``clock``, ``remaining``) of a :class:`_Node`.
 
-    Each round appends (clock, den, eaten, exhausted) to ``rounds`` and
-    the state it started from to ``states``, when they are given.
+    ``supply`` is updated in place; the new ``available`` and
+    ``remaining`` are returned with the round.  Every soundness check
+    of the eating is made here.
     """
-    n, p = instance.n, instance.p
+    n = len(eaten)
+    p = len(supply) // n
     bundle_items, item_bundles = instance.bundle_items, instance.item_bundles
-    available, den, clock, remaining = state.available, state.den, state.clock, state.remaining
-    supply = list(state.supply)
-    rows = [list(row) for row in state.rows]
-    while remaining:
-        if states is not None:
-            states.append(_Eating(available, tuple(supply), tuple(map(tuple, rows)), den, clock, remaining))
-        eaten = tuple(prefs.ext(sorts[j], available) for j in range(n))
-        consumers = [0] * (n * p)
-        for x in eaten:
-            for o in bundle_items[x]:
-                consumers[o] += 1
-        eating = [o for o in range(n * p) if consumers[o]]
-        if not eating:
-            raise SoundnessError("every agent eats until the clock hits 1")
-        s, c = supply[eating[0]], consumers[eating[0]]
-        for o in eating[1:]:
-            if supply[o] * c < s * consumers[o]:
-                s, c = supply[o], consumers[o]
-        if s % c:
-            k = c // math.gcd(s, c)
-            den, s, clock = den * k, s * k, clock * k
-            supply = [v * k for v in supply]
-            rows = [[v * k for v in row] for row in rows]
-        step = s // c
-        if step <= 0:
-            raise SoundnessError("every agent eats until the clock hits 1")
-        for j, x in enumerate(eaten):
-            rows[j][x] += step
-        exhausted = []
-        for o in eating:
-            supply[o] -= step * consumers[o]
-            if supply[o] == 0:
-                exhausted.append(o)
-                available &= ~item_bundles[o]
-        if not exhausted:
-            raise SoundnessError("each round must exhaust at least one item")
-        remaining -= len(exhausted)
-        clock += step
-        if rounds is not None:
-            rounds.append((clock, den, eaten, tuple(exhausted)))
-        # conservation: per type, remaining supply equals n * (1 - clock)
-        for t in range(p):
-            if sum(supply[t * n : (t + 1) * n]) != n * (den - clock):
-                raise SoundnessError(f"type {t} supply is not conserved")
-    if clock != den:
+    consumers = [0] * (n * p)
+    for x in eaten:
+        for o in bundle_items[x]:
+            consumers[o] += 1
+    eating = [o for o, c in enumerate(consumers) if c]
+    if not eating:
+        raise SoundnessError("every agent eats until the clock hits 1")
+    s, c = supply[eating[0]], consumers[eating[0]]
+    for o in eating[1:]:
+        if supply[o] * c < s * consumers[o]:
+            s, c = supply[o], consumers[o]
+    if s % c:
+        k = c // math.gcd(s, c)
+        den, s, clock = den * k, s * k, clock * k
+        supply[:] = [v * k for v in supply]
+    step = s // c
+    if step <= 0:
+        raise SoundnessError("every agent eats until the clock hits 1")
+    exhausted = []
+    for o in eating:
+        supply[o] -= step * consumers[o]
+        if supply[o] == 0:
+            exhausted.append(o)
+            available &= ~item_bundles[o]
+    if not exhausted:
+        raise SoundnessError("each round must exhaust at least one item")
+    remaining -= len(exhausted)
+    clock += step
+    # conservation: per type, remaining supply equals n * (1 - clock)
+    for t in range(p):
+        if sum(supply[t * n : (t + 1) * n]) != n * (den - clock):
+            raise SoundnessError(f"type {t} supply is not conserved")
+    if not remaining and clock != den:
         raise SoundnessError("the eating clock must end at 1")
+    return available, remaining, (eaten, step, den, clock, tuple(exhausted))
+
+
+def _shares(instance: Instance, history: Sequence[Round]) -> FractionalAssignment:
+    """The agents' shares once the rounds of ``history`` are eaten, over
+    the last round's denominator, which every earlier one divides."""
+    den = history[-1][2]
+    rows = [[0] * instance.m for _ in range(instance.n)]
+    for eaten, step, d, _, _ in history:
+        step *= den // d
+        for row, x in zip(rows, eaten):
+            row[x] += step
     return FractionalAssignment(tuple(map(tuple, rows)), den)
 
 
@@ -449,54 +466,94 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
     the items actually being consumed, and the whole argmin set is
     removed at once.  Items nobody is eating impose no bound.
 
-    Supplies, shares and the clock are integer numerators over one
-    common denominator, refined whenever a round length is not a whole
-    number of its units; the shares are returned in that form, and the
-    round times are the only Fractions built.  The bundles still
-    available are a bitmask, from which an exhausted item's bundles are
-    cleared.
+    Supplies and the clock are integer numerators over one common
+    denominator, refined whenever a round length is not a whole number
+    of its units.  Each round (:func:`_round`) updates the same supply
+    list and keeps its length over its own denominator, and the shares
+    are added up once, over the last one; the round times are the only
+    Fractions built.  The bundles still available are a bitmask, from
+    which an exhausted item's bundles are cleared.
     """
-    rounds: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
-    out = _eat(instance, resolve_sorts(instance, tiebreak), _start(instance), rounds)
-    ends = [Fraction(c, d) for c, d, _, _ in rounds]
+    sorts = resolve_sorts(instance, tiebreak)
+    n, p, m = instance.n, instance.p, instance.m
+    ext = prefs.ext
+    available, den, clock, remaining = (1 << m) - 1, 1, 0, n * p
+    supply = [1] * (n * p)
+    rounds: list[Round] = []
+    while remaining:
+        eaten = tuple([ext(sort, available) for sort in sorts])
+        available, remaining, done = _round(instance, eaten, supply, available, den, clock, remaining)
+        rounds.append(done)
+        den, clock = done[2], done[3]
+    ends = [Fraction(clock, den) for _, _, den, clock, _ in rounds]
     trace = MpsTrace(
         tuple(
-            MpsRound(start, end, e, x)
-            for start, end, (_, _, e, x) in zip((ZERO, *ends), ends, rounds)
+            MpsRound(start, end, eaten, exhausted)
+            for start, end, (eaten, _, _, _, exhausted) in zip((ZERO, *ends), ends, rounds)
         )
     )
-    return out, trace
+    return _shares(instance, rounds), trace
+
+
+def _next(instance: Instance, node: _Node, eaten: tuple[int, ...]) -> _Node:
+    """The node after the round from ``node`` in which agent j eats
+    ``eaten[j]``."""
+    supply = list(node.supply)
+    available, remaining, done = _round(instance, eaten, supply, node.available, node.den, node.clock, node.remaining)
+    history = (*node.history, done)
+    out = None if remaining else _shares(instance, history)
+    return _Node(available, tuple(supply), done[2], done[3], remaining, history, out)
 
 
 @dataclass(frozen=True, eq=False)
 class MpsReruns(_Reruns):
-    """The truthful eating, kept round by round for one-agent re-runs.
+    """The truthful eating, grown into a tree of eating rounds by the
+    one-agent re-runs.
 
-    ``rounds`` holds each truthful round's starting state and the
-    bundles the agents ate in it.  When agent j alone picks by another
-    sort, the eating is the truth's up to the first round in which that
-    sort picks another bundle from that round's available ones, so
-    :meth:`rerun` resumes :func:`_eat` there.
+    The nodes from ``root`` are states at the start of a round.  The
+    truthful run's states make the first path, and its end holds
+    ``truth``.  When agent j alone picks by another sort, :meth:`rerun`
+    walks down from ``root``, taking at each node the child of j's pick
+    from that node's available bundles.  A round is run (:func:`_round`)
+    only the first time a (node, agent, pick) is reached, and its node is
+    kept, so each distinct one-agent eating is computed once, round by
+    round, and the same eating returns the same output object.
     """
 
-    rounds: tuple[tuple[_Eating, tuple[int, ...]], ...]
+    root: _Node
 
     def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
-        for state, eaten in self.rounds:
-            if prefs.ext(sort, state.available) != eaten[agent]:
-                return _eat(self.instance, self._swapped(agent, sort), state)
-        return self.truth
+        node = self.root
+        while node.out is None:
+            key = (agent, prefs.ext(sort, node.available))
+            child = node.children.get(key)
+            if child is None:
+                child = node.children[key] = self._grow(node, *key)
+            node = child
+        return node.out
+
+    def _grow(self, node: _Node, agent: int, pick: int) -> _Node:
+        """The child of ``node`` in which ``agent`` eats ``pick`` and the
+        others by their truthful sorts."""
+        eaten = [prefs.ext(sort, node.available) for sort in self.sorts]
+        eaten[agent] = pick
+        return _next(self.instance, node, tuple(eaten))
 
 
 def mps_reruns(instance: Instance, tiebreak: Tiebreak = None) -> MpsReruns:
-    """Run :func:`mps` truthfully, keeping what :meth:`MpsReruns.rerun`
-    resumes from."""
+    """Run :func:`mps` truthfully as the first path of the tree that
+    :meth:`MpsReruns.rerun` grows: each truthful state's child for every
+    agent's truthful pick is the next one."""
     breaks, sorts = _sorts(instance, tiebreak)
-    rounds: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
-    states: list[_Eating] = []
-    truth = _eat(instance, sorts, _start(instance), rounds, states)
-    kept = tuple((state, eaten) for state, (_, _, eaten, _) in zip(states, rounds))
-    return MpsReruns(instance, truth, breaks, sorts, kept)
+    n, p, m = instance.n, instance.p, instance.m
+    root = node = _Node((1 << m) - 1, (1,) * (n * p), 1, 0, n * p, ())
+    while node.out is None:
+        eaten = tuple([prefs.ext(sort, node.available) for sort in sorts])
+        child = _next(instance, node, eaten)
+        for j, x in enumerate(eaten):
+            node.children[j, x] = child
+        node = child
+    return MpsReruns(instance, node.out, breaks, sorts, root)
 
 
 # -- MGD -----------------------------------------------------------------

@@ -399,9 +399,36 @@ def _resolve_item(
 # -- assignments ---------------------------------------------------------
 
 
+# Python's int-string limit in digits.  A share with a longer numerator
+# or denominator could not be written out exactly, and a larger decimal
+# exponent spells a number no literal can: 10**e for a huge e takes
+# minutes.
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_DIGITS
+
+
+def parse_fraction(text: object) -> Fraction:
+    """The exact rational that ``str(text)`` spells ("num/den", an integer
+    or a decimal), with numerator and denominator of at most
+    ``MAX_DIGITS`` digits; :class:`~mtra.errors.ParseError` otherwise."""
+    s = str(text)
+    _, e, exponent = s.lower().partition("e")
+    try:
+        if e and abs(int(exponent)) > MAX_DIGITS:
+            raise ValueError(f"exponent past {MAX_DIGITS}")
+        v = Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {text!r}") from exc
+    if abs(v.numerator) >= _DIGIT_BOUND or v.denominator >= _DIGIT_BOUND:
+        raise ParseError(f"a rational has more than {MAX_DIGITS} digits in its numerator or denominator")
+    return v
+
+
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, (Fraction, int, str)):
+    if isinstance(value, (Fraction, int)):
         return Fraction(value)
+    if isinstance(value, str):
+        return parse_fraction(value)
     raise ParseError(f"share {value!r} is not an exact rational")
 
 
@@ -431,7 +458,8 @@ class FractionalAssignment:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "FractionalAssignment":
-        """Fractions, ints or "num/den" strings, scaled by their lcm denominator."""
+        """Fractions, ints or strings (:func:`parse_fraction`), scaled by
+        their lcm denominator."""
         fracs = [[_as_fraction(v) for v in row] for row in rows]
         den = math.lcm(*(v.denominator for row in fracs for v in row))
         return cls(tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in fracs), den)

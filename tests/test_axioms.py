@@ -928,11 +928,13 @@ def test_strategyproofness_matches_rerun_reference(blank_vs_chain, three_chains)
         for mechanism in ("mrp", "mps", "mgd"):
             want = rerun_strategyproofness(mechanism, inst, space, "weak", tiebreaks)
             assert check_strategyproofness(mechanism, inst, space, "weak", tiebreaks) == want
-    # the misreport space the truthfulness benchmark times, on one profile
+    # the misreport space and strengths the truthfulness benchmark times,
+    # on one profile
     inst = spaces.random_profile(rng, 3, 2, "cpnet")
     space = spaces.CpNetMisreports("all")
-    want = rerun_strategyproofness("mrp", inst, space, "sd", tiebreaks=[None])
-    assert check_strategyproofness("mrp", inst, space, "sd", tiebreaks=[None]) == want
+    for mechanism, strength in (("mrp", "sd"), ("mps", "weak"), ("mgd", "weak")):
+        want = rerun_strategyproofness(mechanism, inst, space, strength, tiebreaks=[None])
+        assert check_strategyproofness(mechanism, inst, space, strength, tiebreaks=[None]) == want
 
 
 def rerun_upper_invariance(mechanism, instance, transforms, tiebreaks=None):

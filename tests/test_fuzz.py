@@ -175,6 +175,15 @@ def test_huge_numbers_exit2_quickly(files, text, argv):
     assert time.perf_counter() - start < 1
 
 
+def test_witness_past_the_digit_limit_is_refused(files):
+    # valid rows whose shares' denominator, 10**4300, has one digit more
+    # than an int may be written with: every witness of them would crash
+    # the report
+    nines = "0." + "9" * 4300
+    _case(files, _shares([["1e-4300", nines], [nines, "1e-4300"]]))
+    assert _exit_code(["check", files["blank_vs_chain"], files["case"], "--property", "all"]) == 2
+
+
 @settings(FUZZ, max_examples=200)
 @given(text=mutants([LOTTERY]))
 def test_fuzz_parse_lottery(text):

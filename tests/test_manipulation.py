@@ -1,6 +1,11 @@
+import itertools
+
 from mtra import manipulation
+from mtra import preferences as prefs
 from mtra.axioms import sd_compare
 from mtra.mechanisms import mps
+from mtra.model import Instance
+from mtra.spaces import square_types
 
 
 def test_search_verifies_hits():
@@ -14,3 +19,42 @@ def test_search_verifies_hits():
     lied = mps(hit.instance.with_preference(hit.agent, hit.misreport))[0].row(hit.agent)
     assert (truth, lied) == (hit.truthful_row, hit.manipulated_row)
     assert sd_compare(hit.instance.orders[hit.agent], lied, truth).p_dominates_q
+
+
+def reference_search(seed, max_profiles):
+    """Every hit of the search's first ``max_profiles`` profiles, found by
+    running the public `mps` on every misreport and comparing rows with
+    `sd_compare`: the reference for the search's eating tree and its one
+    verdict per distinct row."""
+    ident = (0, 1, 2)
+    all_rows = list(itertools.product(itertools.permutations(range(3)), repeat=3))
+    hits = []
+    profiles = itertools.islice(manipulation._candidate_profiles(seed), max_profiles)
+    for b2, b3, (f23, bb) in profiles:
+        truth_b = (ident, b2, b3)
+        twins = manipulation.shared_fb_net(f23, bb)
+        instance = Instance(square_types(3, 2), (manipulation.shared_fb_net(ident, truth_b), twins, twins))
+        order = instance.orders[0]
+        truth = mps(instance)[0].row(0)
+        for rows in all_rows:
+            if rows == truth_b:
+                continue
+            misreport = manipulation.shared_fb_net(ident, rows)
+            lied = mps(instance.with_preference(0, misreport))[0].row(0)
+            if lied != truth and sd_compare(order, lied, truth).p_dominates_q:
+                hits.append(manipulation.ManipulationHit(instance, misreport, 0, truth, lied))
+                break
+    return hits
+
+
+def test_search_matches_public_mps_reference():
+    found = 0
+    # two seeds whose first three profiles hold a hit each
+    for seed in (3, 8):
+        hits = manipulation.search_cpt_manipulations(max_hits=1 << 30, seed=seed, max_profiles=3)
+        want = reference_search(seed, 3)
+        assert [(h.instance.preferences, h.misreport, h.truthful_row, h.manipulated_row) for h in hits] == [
+            (h.instance.preferences, h.misreport, h.truthful_row, h.manipulated_row) for h in want
+        ]
+        found += len(hits)
+    assert found == 2

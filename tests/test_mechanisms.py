@@ -28,6 +28,7 @@ from mtra.mechanisms import (
     resolve_sorts,
     serial_dictatorship,
 )
+from mtra.axioms import check_strategyproofness
 from mtra.model import (
     ZERO,
     DiscreteAssignment,
@@ -480,9 +481,19 @@ def public_run(mechanism, instance, tiebreak):
     return mrp(instance, MrpExact(), tiebreak).assignment
 
 
+def truthful_states(runs):
+    """The states on the truthful path of an `MpsReruns` tree, root first."""
+    node, states = runs.root, []
+    while node.out is None:
+        states.append(node)
+        node = node.children[0, prefs.ext(runs.sorts[0], node.available)]
+    assert node.out is runs.truth
+    return states
+
+
 @pytest.mark.parametrize("mechanism", ["mps", "mgd", "mrp"])
 def test_reruns_match_public_runs(mechanism):
-    # where each mps re-run resumed: the truth kept, round 0, or a later round
+    # where each mps re-run left the truthful path: never, at round 0, or later
     resumed = {"truth": 0, "start": 0, "later": 0}
     for inst, tiebreak, reports in _one_agent_cases():
         runs = reruns(mechanism, inst, tiebreak)
@@ -498,8 +509,14 @@ def test_reruns_match_public_runs(mechanism):
                 assert all(v * want.den == w * den for v, w in zip(nums, want.nums[j]))
                 if mechanism != "mps":
                     continue
+                # the same eating is the same node, so the same output object
+                assert runs.rerun(j, sort) is got
                 first = next(
-                    (r for r, (state, eaten) in enumerate(runs.rounds) if prefs.ext(sort, state.available) != eaten[j]),
+                    (
+                        r
+                        for r, state in enumerate(truthful_states(runs))
+                        if prefs.ext(sort, state.available) != prefs.ext(runs.sorts[j], state.available)
+                    ),
                     None,
                 )
                 if first is None:
@@ -514,9 +531,61 @@ def test_reruns_refuse_an_unknown_mechanism(mixed_pair):
         reruns("serial", mixed_pair)
 
 
+def _cpnet_profile_32():
+    """The seeded (3,2) CP-net profile of the tree tests, with every
+    agent's CP-net misreports of `CpNetMisreports("all")`."""
+    inst = spaces.random_profile(random.Random(5), 3, 2, "cpnet")
+    space = spaces.CpNetMisreports("all")
+    return inst, space
+
+
+def test_mps_tree_matches_public_mps_on_every_cpnet_sort():
+    inst, space = _cpnet_profile_32()
+    runs = mechanisms_module.mps_reruns(inst)
+    compared = 0
+    for j in range(inst.n):
+        seen = set()
+        for report in space.for_agent(inst, j):
+            sort = prefs.as_order(report).sort(runs.tiebreaks[j])
+            if sort in seen:
+                continue
+            seen.add(sort)
+            assert runs.rerun(j, sort) == mps(inst.with_preference(j, report))[0]
+            compared += 1
+    assert compared > 7000, compared
+
+
+def test_strategyproofness_runs_each_mps_round_once(monkeypatch):
+    inst, space = _cpnet_profile_32()
+    real_round, real_grow = mechanisms_module._round, mechanisms_module.MpsReruns._grow
+    rounds, grown = [], []
+
+    def counted_round(instance, *args):
+        if instance is inst:
+            rounds.append(args)
+        return real_round(instance, *args)
+
+    def counted_grow(self, node, agent, pick):
+        if self.instance is inst:
+            grown.append((node, agent, pick))
+        return real_grow(self, node, agent, pick)
+
+    monkeypatch.setattr(mechanisms_module, "_round", counted_round)
+    monkeypatch.setattr(mechanisms_module.MpsReruns, "_grow", counted_grow)
+    report = check_strategyproofness("mps", inst, space, "weak", tiebreaks=[None])
+    monkeypatch.undo()
+    assert report == check_strategyproofness("mps", inst, space, "weak", tiebreaks=[None])
+    # every round on the profile is a truthful one or grows the tree at
+    # a (node, agent, pick) not reached before; different nodes can hold
+    # equal states, so a node is told apart by its identity
+    assert len(rounds) == len(mps(inst)[1].rounds) + len(grown)
+    assert len({(id(node), agent, pick) for node, agent, pick in grown}) == len(grown)
+    misreports = sum(1 for j in range(inst.n) for _ in space.for_agent(inst, j))
+    assert len(rounds) * 10 < misreports, (len(rounds), misreports)
+
+
 _TAMPER = """
 import sys
-from dataclasses import replace
 from mtra import axioms, fixtures, mechanisms, spaces
 from mtra import preferences as prefs
 from mtra.errors import MtraError, SoundnessError
@@ -540,9 +609,18 @@ def caught(run):
 # agent 0 eats bundle 1 instead of 0 from round 0, which now has one
 # unit of item 0 too many
 reruns = mechanisms.mps_reruns(inst)
-(state, eaten), *rest = reruns.rounds
-corrupt = replace(reruns, rounds=((state._replace(supply=(2, 1)), eaten), *rest))
-caught(lambda: corrupt.rerun(0, lie.sort(reruns.tiebreaks[0])))
+reruns.root.supply = (2, 1)
+caught(lambda: reruns.rerun(0, lie.sort(reruns.tiebreaks[0])))
+
+# off the truthful path: agent 0 of three_chains eats bundle 2 first,
+# then 0 or 1; the state after round 0 gains one unit of item 0 once
+# the first walk has grown it, and the second walk takes another pick
+# from it
+chains = mechanisms.mps_reruns(fixtures.three_chains())
+chains.rerun(0, (2, 0, 1))
+node = chains.root.children[0, 2]
+node.supply = (node.supply[0] + node.den, *node.supply[1:])
+caught(lambda: chains.rerun(0, (2, 1, 0)))
 
 # a resumed re-run that hands back the agents' rows swapped
 real = mechanisms.MpsReruns.rerun
@@ -562,6 +640,7 @@ def test_resumed_eating_checks_survive_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
+        "caught: type 0 supply is not conserved",
         "caught: type 0 supply is not conserved",
         "caught: agent 0's row differs from the mechanism's on the re-run",
         "caught: agent 0's transformation re-runs to another output",

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from mtra.model import (
     all_discrete_assignments,
     build_instance,
     from_discrete,
+    parse_fraction,
     validate_assignment,
 )
 from mtra.axioms import check_ex_post_efficiency, check_strategyproofness
@@ -229,6 +231,24 @@ def test_integer_form_is_reduced_and_checked():
     # Fractions belong in from_rows; as numerators they would be misread
     with pytest.raises(TypeError):
         FractionalAssignment(((Fraction(1, 2), Fraction(1, 2)),))
+
+
+@pytest.mark.parametrize("share", ["1/0", "1e9999999", "x", "1e-4300", "0." + "9" * 4300])
+def test_from_rows_refuses_bad_strings_quickly(share):
+    # the guards of the file formats hold for the library too
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        FractionalAssignment.from_rows([[share, "0"], ["0", "1"]])
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_fraction_digit_limit():
+    # 10**4299 has 4300 digits, the most a numerator or denominator may have
+    assert parse_fraction("1e-4299") == Fraction(1, 10**4299)
+    assert parse_fraction("9" * 4300) == 10**4300 - 1
+    for text in ("1e-4300", "1" + "0" * 4300, "1e4300"):
+        with pytest.raises(ParseError):
+            parse_fraction(text)
 
 
 def test_from_discrete_rejects_item_reuse(mixed_pair):
