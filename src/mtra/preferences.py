@@ -14,6 +14,7 @@ Relations are stored as bitmask rows: ``above[x]`` has bit ``y`` set iff
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -45,23 +46,36 @@ def bundle_tuple(index: int, sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(coords))
 
 
-def _closure(above: list[int], m: int) -> list[int]:
-    # Warshall over bitmask columns: above[x] collects everything above x.
-    changed = True
-    while changed:
-        changed = False
-        for x in range(m):
-            acc = above[x]
-            extra = 0
-            rest = acc
-            while rest:
-                y = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                extra |= above[y]
-            if extra & ~acc:
-                above[x] = acc | extra
-                changed = True
-    return above
+def _closure(above: list[int], m: int) -> list[int] | None:
+    """Transitive closure of the relation, or None if it has a cycle.
+
+    One depth-first pass (Purdom): a bundle's closed row is its own row
+    OR'd with the closed rows of the bundles above it.  A bundle above
+    one on the current path closes a cycle."""
+    closed = list(above)
+    done = path = 0  # bundles with a final row; bundles on the path
+    for root in range(m):
+        stack = [root]
+        while stack:
+            x = stack[-1]
+            bit = 1 << x
+            if done & bit:
+                stack.pop()
+            elif path & bit:  # everything above x is done
+                stack.pop()
+                path ^= bit
+                done |= bit
+                rest = above[x]
+                while rest:
+                    y = (rest & -rest).bit_length() - 1
+                    closed[x] |= closed[y]
+                    rest &= ~closed[y] & (rest - 1)  # inside closed[y] already
+            else:
+                path |= bit
+                if above[x] & path:
+                    return None
+                stack.extend(_bits(above[x] & ~done))
+    return closed
 
 
 @dataclass(frozen=True)
@@ -69,31 +83,33 @@ class PartialOrder:
     """A strict partial order over ``m`` bundles.
 
     ``above[x]`` is the bitmask of bundles strictly preferred to ``x``.
-    The relation is stored transitively closed; construction asserts
-    irreflexivity and anti-symmetry (which closure would otherwise hide).
+    Construction checks that the relation is irreflexive and transitively
+    closed, without computing a closure.  Anti-symmetry follows: if x and
+    y were each above the other, closedness would put x above itself.
     """
 
     m: int
     above: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.above) != self.m:
+        m, above = self.m, self.above
+        if len(above) != m:
             raise InconsistentOrder("relation size does not match universe")
-        for x in range(self.m):
-            if self.above[x] >> self.m:
+        for x in range(m):
+            if above[x] >> m:
                 raise InconsistentOrder("relation mentions bundles outside universe")
-            if self.above[x] & (1 << x):
+            if above[x] & (1 << x):
                 raise InconsistentOrder("relation is not irreflexive")
-        closed = _closure(list(self.above), self.m)
-        if tuple(closed) != self.above:
-            raise InconsistentOrder("relation is not transitively closed")
-        for x in range(self.m):
-            rest = self.above[x]
+        # What is above a y whose row fits in x's is skipped.  A skipped z
+        # that breaks closedness at x breaks it at y too, and such a chain
+        # of ever smaller rows cannot repeat a bundle, so some row meets it.
+        for x in range(m):
+            row = rest = above[x]
             while rest:
                 y = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if self.above[y] & (1 << x):
-                    raise InconsistentOrder("relation is not anti-symmetric")
+                if above[y] & ~row:
+                    raise InconsistentOrder("relation is not transitively closed")
+                rest &= ~above[y] & (rest - 1)
 
     @classmethod
     def from_pairs(cls, m: int, pairs: Iterable[tuple[int, int]]) -> "PartialOrder":
@@ -106,11 +122,10 @@ class PartialOrder:
             if not (0 <= better < m and 0 <= worse < m):
                 raise InconsistentOrder(f"edge ({better},{worse}) outside universe")
             above[worse] |= 1 << better
-        above = _closure(above, m)
-        for x in range(m):
-            if above[x] & (1 << x):
-                raise InconsistentOrder("edge list induces a cycle")
-        return cls(m, tuple(above))
+        closed = _closure(above, m)
+        if closed is None:
+            raise InconsistentOrder("edge list induces a cycle")
+        return cls(m, tuple(closed))
 
     @classmethod
     def empty(cls, m: int) -> "PartialOrder":
@@ -208,23 +223,15 @@ class PreferenceGraph:
 
 def preference_graph(order: PartialOrder) -> PreferenceGraph:
     """Edges (x, y) with x > y and nothing strictly between."""
+    above = order.above
     edges = []
     for y in range(order.m):
-        for x in _bits(order.above[y]):
-            # z strictly between x and y: x > z and z > y
-            between = order.above[y] & _down_mask(order, x)
-            if not between:
-                edges.append((x, y))
+        # x is above some z above y exactly when x is in above[z]
+        between = 0
+        for z in _bits(above[y]):
+            between |= above[z]
+        edges.extend((x, y) for x in _bits(above[y] & ~between))
     return PreferenceGraph(order.m, tuple(sorted(edges)))
-
-
-def _down_mask(order: PartialOrder, x: int) -> int:
-    mask = 0
-    bit = 1 << x
-    for z in range(order.m):
-        if order.above[z] & bit:
-            mask |= 1 << z
-    return mask
 
 
 def topological_sort(order: PartialOrder, tiebreak: Sequence[int]) -> tuple[int, ...]:
@@ -407,6 +414,9 @@ def induce_order(cpnet: CPNet) -> PartialOrder:
 
     A flip fixes the parents of one type and swaps that type's item for a
     CPT-better one, with every other type held fixed at an arbitrary value.
+    Only the flips between adjacent entries of each CPT row are generated:
+    the others follow from them by transitivity.  The order is closed once
+    and cached by the net's value, so equal nets share it and its sorts.
     """
     return _induced_order_cached(cpnet)
 
@@ -421,29 +431,19 @@ def as_order(preference: PartialOrder | CPNet) -> PartialOrder:
 def _induced_order_cached(cpnet: CPNet) -> PartialOrder:
     sizes = cpnet.sizes
     p = len(sizes)
-    m = 1
-    for s in sizes:
-        m *= s
+    strides = [math.prod(sizes[q + 1 :]) for q in range(p)]  # mixed-radix place values
     pairs: list[tuple[int, int]] = []
-    for i in range(p):
-        others = [q for q in range(p) if q != i]
+    for i, parents in enumerate(cpnet.parents):
+        offsets = [0]  # index offsets of every assignment to the types outside i's row key
+        for q in range(p):
+            if q != i and q not in parents:
+                offsets = [o + v * strides[q] for o in offsets for v in range(sizes[q])]
         for key, row in cpnet.tables[i]:
-            parent_of = dict(zip(cpnet.parents[i], key))
-            free = [q for q in others if q not in parent_of]
-            for rest in itertools.product(*(range(sizes[q]) for q in free)):
-                coords = [0] * p
-                for q, v in parent_of.items():
-                    coords[q] = v
-                for q, v in zip(free, rest):
-                    coords[q] = v
-                for a in range(len(row)):
-                    for b in range(a + 1, len(row)):
-                        coords[i] = row[a]
-                        better = bundle_index(coords, sizes)
-                        coords[i] = row[b]
-                        worse = bundle_index(coords, sizes)
-                        pairs.append((better, worse))
-    return PartialOrder.from_pairs(m, pairs)
+            base = sum(v * strides[q] for q, v in zip(parents, key))
+            cells = [base + item * strides[i] for item in row]
+            for better, worse in zip(cells, cells[1:]):
+                pairs.extend((better + o, worse + o) for o in offsets)
+    return PartialOrder.from_pairs(math.prod(sizes), pairs)
 
 
 def top_cpnet(cpnet: CPNet, remaining: Sequence[Iterable[int]]) -> tuple[int, ...]:

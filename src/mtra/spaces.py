@@ -45,8 +45,8 @@ def all_partial_orders(m: int) -> tuple[prefs.PartialOrder, ...]:
         for better, worse in chosen:
             rel[worse] |= 1 << better
         # count each poset once: keep the closed subsets.  The closure of
-        # a cyclic relation is reflexive, so it never equals rel.
-        if prefs._closure(list(rel), m) == rel:
+        # a cyclic relation is None, so it never equals rel.
+        if prefs._closure(rel, m) == rel:
             out.append(prefs.PartialOrder(m, tuple(rel)))
     return tuple(out)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -90,6 +91,186 @@ def test_hasse_round_trip_random_orders():
     for _ in range(60):
         order = spaces.random_partial_order(rng, rng.choice([3, 4, 5]))
         assert prefs.preference_graph(order).transitive_closure() == order
+
+
+# -- one-pass closure, closedness check and induction against references ----
+
+
+def loop_closure(above, m):
+    """The former `_closure`: OR the rows of everything above a bundle into
+    its row until no row changes.  The reference for the one-pass closure;
+    its result is reflexive exactly where the relation has a cycle."""
+    above = list(above)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(m):
+            extra = 0
+            for y in prefs._bits(above[x]):
+                extra |= above[y]
+            if extra & ~above[x]:
+                above[x] |= extra
+                changed = True
+    return above
+
+
+def former_check(m, above):
+    """The former `PartialOrder` construction check: the message it raised,
+    or None for an accepted relation."""
+    if len(above) != m:
+        return "relation size does not match universe"
+    for x in range(m):
+        if above[x] >> m:
+            return "relation mentions bundles outside universe"
+        if above[x] & (1 << x):
+            return "relation is not irreflexive"
+    if loop_closure(above, m) != list(above):
+        return "relation is not transitively closed"
+    for x in range(m):
+        if any(above[y] >> x & 1 for y in prefs._bits(above[x])):
+            return "relation is not anti-symmetric"
+    return None
+
+
+def random_relation(rng, m, cyclic):
+    """Random relation on m bundles: a subrelation of a random linear order,
+    or, if ``cyclic``, any pairs, self-pairs included."""
+    perm = rng.sample(range(m), m)
+    density = rng.random() ** 2
+    above = [0] * m
+    for a in range(m):
+        for b in range(m) if cyclic else range(a + 1, m):
+            if rng.random() < density:
+                above[perm[b]] |= 1 << perm[a]
+    return above
+
+
+def test_closure_matches_loop_reference():
+    rng = random.Random(31)
+    cyclic_seen = 0
+    cases = [(m, rng.random() < 0.5) for m in range(1, 13) for _ in range(40)]
+    cases += [(125, False)] * 3 + [(125, True)] * 2
+    for m, cyclic in cases:
+        if m < 125:
+            rel = random_relation(rng, m, cyclic)
+        else:  # an order plus, if cyclic, one pair against a chain of its pairs
+            rel = random_relation(rng, m, False)
+            if cyclic:
+                worse = rng.choice([x for x in range(m) if rel[x]])
+                better = rng.choice(list(prefs._bits(loop_closure(rel, m)[worse])))
+                rel[better] |= 1 << worse
+        before = list(rel)
+        want = loop_closure(rel, m)
+        got = prefs._closure(rel, m)
+        assert rel == before
+        if any(want[x] >> x & 1 for x in range(m)):
+            assert got is None
+            cyclic_seen += 1
+        else:
+            assert got == want
+    assert 100 < cyclic_seen < len(cases) - 100
+
+
+def test_construction_check_matches_former_check():
+    """Closed, unclosed, reflexive and cyclic relations are accepted or
+    refused with the message the former closure-based check gave."""
+    rng = random.Random(37)
+    verdicts = set()
+    for _ in range(600):
+        m = rng.randint(1, 9)
+        rel = random_relation(rng, m, rng.random() < 0.3)
+        if rng.random() < 0.5 and prefs._closure(rel, m) is not None:
+            rel = prefs._closure(rel, m)
+            if rng.random() < 0.5:  # drop one implied pair
+                x = rng.randrange(m)
+                if rel[x]:
+                    rel[x] &= ~(1 << rng.choice(list(prefs._bits(rel[x]))))
+        want = former_check(m, rel)
+        verdicts.add(want)
+        if want is None:
+            assert prefs.PartialOrder(m, tuple(rel)).above == tuple(rel)
+        else:
+            with pytest.raises(InconsistentOrder) as exc:
+                prefs.PartialOrder(m, tuple(rel))
+            assert str(exc.value) == want
+    assert verdicts == {
+        None,
+        "relation is not irreflexive",
+        "relation is not transitively closed",
+    }
+
+
+def all_pairs_induced(net):
+    """The former induction: every CPT-sanctioned flip, not only adjacent
+    ones, from `bundle_index` per pair, closed by `loop_closure`."""
+    sizes, p = net.sizes, len(net.sizes)
+    m = math.prod(sizes)
+    above = [0] * m
+    for i in range(p):
+        for key, row in net.tables[i]:
+            parent_of = dict(zip(net.parents[i], key))
+            free = [q for q in range(p) if q != i and q not in parent_of]
+            for rest in itertools.product(*(range(sizes[q]) for q in free)):
+                coords = [0] * p
+                for q, v in list(parent_of.items()) + list(zip(free, rest)):
+                    coords[q] = v
+                for a, b in itertools.combinations(range(len(row)), 2):
+                    coords[i] = row[a]
+                    better = prefs.bundle_index(coords, sizes)
+                    coords[i] = row[b]
+                    above[prefs.bundle_index(coords, sizes)] |= 1 << better
+    return tuple(loop_closure(above, m))
+
+
+def test_induction_matches_all_pairs_reference():
+    nets = spaces.all_cpnets((3, 3)) + spaces.all_cpnets((2, 2, 2))
+    assert len(nets) == 3980
+    for net in nets:
+        assert prefs.induce_order(net).above == all_pairs_induced(net)
+    rng = random.Random(41)
+    for sizes in ((4, 3), (5, 5, 5)):
+        net = spaces.random_cpnet(rng, sizes)
+        assert prefs.induce_order(net).above == all_pairs_induced(net)
+
+
+def down_mask_graph(order):
+    """The former `preference_graph`: x covers y unless some bundle both
+    below x and above y lies between them."""
+    edges = []
+    for y in range(order.m):
+        for x in prefs._bits(order.above[y]):
+            below_x = sum(1 << z for z in range(order.m) if order.above[z] >> x & 1)
+            if not order.above[y] & below_x:
+                edges.append((x, y))
+    return tuple(sorted(edges))
+
+
+def test_preference_graph_matches_down_mask_reference():
+    rng = random.Random(43)
+    orders = [spaces.random_partial_order(rng, m) for m in (1, 2, 3, 5, 8, 12) for _ in range(10)]
+    orders += [spaces.random_partial_order(rng, 125) for _ in range(2)]
+    orders += [prefs.induce_order(spaces.random_cpnet(rng, (5, 5, 5))), prefs.PartialOrder.empty(4)]
+    for order in orders:
+        assert prefs.preference_graph(order).edges == down_mask_graph(order)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: prefs.PartialOrder(3, (0, 0)), "relation size does not match universe"),
+        (lambda: prefs.PartialOrder(2, (0b100, 0)), "relation mentions bundles outside universe"),
+        (lambda: prefs.PartialOrder(2, (0b01, 0)), "relation is not irreflexive"),
+        (lambda: prefs.PartialOrder(3, (0b010, 0b100, 0)), "relation is not transitively closed"),
+        (lambda: prefs.PartialOrder(2, (0b10, 0b01)), "relation is not transitively closed"),
+        (lambda: prefs.PartialOrder.from_pairs(3, [(0, 1), (1, 2), (2, 0)]), "edge list induces a cycle"),
+        (lambda: prefs.PartialOrder.from_pairs(2, [(0, 2)]), "edge (0,2) outside universe"),
+    ],
+    ids=["length", "outside", "reflexive", "unclosed", "two-cycle", "three-cycle", "edge-outside"],
+)
+def test_inconsistent_order_messages(build, message):
+    with pytest.raises(InconsistentOrder) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 # -- upper contour sets ------------------------------------------------------
