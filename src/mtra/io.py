@@ -66,14 +66,16 @@ def parse_instance(text: str) -> tuple[Instance, object]:
         raw = doc["tiebreak"]
         if not isinstance(raw, Sequence) or len(raw) != instance.n:
             raise ParseError("tiebreak must list one bundle order per agent")
-        tiebreak = [
-            [_resolve_bundle(instance, name) for name in _parse_list(agent_tb, "a tiebreak entry")]
-            for agent_tb in raw
-        ]
-        for tb in tiebreak:
-            if sorted(tb) != list(range(instance.m)):
-                raise ParseError("tiebreak must rank every bundle exactly once")
+        tiebreak = [_ranking(instance, agent_tb) for agent_tb in raw]
     return instance, tiebreak
+
+
+def _ranking(instance: Instance, agent_tb: object) -> list[int]:
+    """One agent's tiebreak: a list naming every bundle exactly once."""
+    ranked = [_resolve_bundle(instance, name) for name in _parse_list(agent_tb, "a tiebreak entry")]
+    if sorted(ranked) != list(range(instance.m)):
+        raise ParseError("tiebreak must rank every bundle exactly once")
+    return ranked
 
 
 def serialize_instance(instance: Instance, tiebreak=None) -> str:
@@ -132,13 +134,7 @@ def parse_tiebreak(text: str, instance: Instance):
         doc = [doc] * instance.n
     if len(doc) != instance.n:
         raise ParseError("tiebreak file must rank bundles for every agent")
-    out = []
-    for agent_tb in doc:
-        ranked = [_resolve_bundle(instance, name) for name in _parse_list(agent_tb, "a tiebreak entry")]
-        if sorted(ranked) != list(range(instance.m)):
-            raise ParseError("tiebreak must rank every bundle exactly once")
-        out.append(ranked)
-    return out
+    return [_ranking(instance, agent_tb) for agent_tb in doc]
 
 
 # -- assignments -------------------------------------------------------------

@@ -10,7 +10,6 @@ shared by all agents, or one sequence per agent.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -21,13 +20,13 @@ from . import preferences as prefs
 from .errors import DimensionMismatch, MtraError, SoundnessError, TooManyAgentsForExact
 from .model import ZERO, DiscreteAssignment, FractionalAssignment, Instance, Lottery, outcome_matrix
 
-# ``mrp_decompose`` lists the outcomes of all n! priority orders.
-EXACT_AGENT_LIMIT = 8
-# Exact ``mrp`` refuses an instance whose pass over (agents served,
-# bundles available) states would take more than this many turns, a
-# turn being one state with one unserved agent picking next.  The pass
-# spends time and memory per turn.  Computing random-priority shares is
-# #P-hard in general, so this is a fixed budget, not a setting.
+# Exact MRP refuses an instance whose pass over states of order prefixes
+# would take more than this many turns, a turn being one state with one
+# unserved agent picking next.  Both passes, the turn tables of
+# ``mrp_turns`` and the lottery of ``mrp_decompose``, spend time and
+# memory per turn and check it with ``_spend``.  Computing
+# random-priority shares is #P-hard in general, so this is a fixed
+# budget, not a setting.
 EXACT_TURN_LIMIT = 1_000_000
 
 Tiebreak = Sequence[int] | Sequence[Sequence[int]] | None
@@ -155,9 +154,9 @@ class MrpSingle:
 @dataclass(frozen=True)
 class MrpExact:
     """Average over all n! priority orders, counted by one pass over
-    (agents served, bundles available) states (:func:`mrp_turns`); an
-    instance whose pass needs more than ``EXACT_TURN_LIMIT`` turns is
-    refused."""
+    (agents served, bundles available) states (:func:`mrp_turns`).  Its
+    lottery, from :func:`mrp_decompose`, takes a pass over finer states.
+    Either pass is refused past ``EXACT_TURN_LIMIT`` turns."""
 
 
 @dataclass(frozen=True)
@@ -265,12 +264,7 @@ def _turns(instance: Instance, breaks: Sorts, sorts: Sequence[Sequence[int]]) ->
     taken = 0
     weight = math.factorial(n)
     for k in range(n):
-        taken += len(layer) * (n - k)
-        if taken > EXACT_TURN_LIMIT:
-            raise TooManyAgentsForExact(
-                f"exact MRP would take {taken} turns over (served, available)"
-                f" states by depth {k}; the budget is {EXACT_TURN_LIMIT}"
-            )
+        taken = _spend(taken, len(layer), n, k, "(served, available)")
         weight //= n - k  # (n-k-1)! orders extend a prefix and its next agent
         last = k == n - 1
         nxt: dict[int, int] = {}
@@ -313,26 +307,46 @@ def _shuffled(rng: random.Random, n: int, samples: int) -> Iterator[list[int]]:
         yield priority
 
 
+def _spend(taken: int, states: int, n: int, k: int, kind: str) -> int:
+    """``taken`` turns of an exact-MRP pass plus those of its layer of
+    ``states`` states at depth k; ``TooManyAgentsForExact`` is raised if
+    that is past ``EXACT_TURN_LIMIT``, before the layer is taken."""
+    taken += states * (n - k)
+    if taken > EXACT_TURN_LIMIT:
+        raise TooManyAgentsForExact(
+            f"exact MRP would take {taken} turns over {kind}"
+            f" states by depth {k}; the budget is {EXACT_TURN_LIMIT}"
+        )
+    return taken
+
+
 def mrp_decompose(instance: Instance, tiebreak: Tiebreak = None) -> Lottery:
     """Lottery witness for exact MRP: each serial-dictatorship outcome with
     the share of the n! priority orders that produce it, in the order
-    the lexicographic enumeration first meets them."""
-    outcomes = _priority_outcomes(instance, resolve_sorts(instance, tiebreak))
-    return _lottery(outcomes, math.factorial(instance.n))
+    the lexicographic enumeration of the orders first meets them.
 
-
-def _priority_outcomes(
-    instance: Instance, sorts: Sequence[Sequence[int]]
-) -> dict[tuple[int, ...], int]:
-    """Serial-dictatorship outcome -> number of priority orders producing
-    it, enumerating all n! orders lexicographically (at most
-    ``EXACT_AGENT_LIMIT`` agents)."""
-    n = instance.n
-    if n > EXACT_AGENT_LIMIT:
-        raise TooManyAgentsForExact(
-            f"the exact lottery enumerates {n}! priority orders; limit is {EXACT_AGENT_LIMIT}"
-        )
-    return _tally(instance, sorts, itertools.permutations(range(n)))
+    A forward pass like :func:`_turns`, over the states (bundles
+    available, bundle of each served agent) of order prefixes, each with
+    the number of prefixes reaching it; the last layer's states are the
+    outcomes.  Visiting each layer in insertion order and agents in
+    index order inserts a state first from its lexicographically least
+    prefix, hence the enumeration's order.
+    """
+    sorts = resolve_sorts(instance, tiebreak)
+    n, conflicts = instance.n, instance.conflicts
+    layer = {((1 << instance.m) - 1, (-1,) * n): 1}  # unserved agents hold -1
+    taken = 0
+    for k in range(n):
+        taken = _spend(taken, len(layer), n, k, "(available, bundles)")
+        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (available, chosen), count in layer.items():
+            for j, x in enumerate(chosen):
+                if x < 0:
+                    x = prefs.ext(sorts[j], available)
+                    successor = (available & ~conflicts[x], (*chosen[:j], x, *chosen[j + 1 :]))
+                    nxt[successor] = nxt.get(successor, 0) + count
+        layer = nxt
+    return _lottery({chosen: count for (_, chosen), count in layer.items()}, math.factorial(n))
 
 
 # -- MPS -----------------------------------------------------------------
@@ -389,24 +403,13 @@ class _Node:
     children: dict[tuple[int, int], _Node] = field(default_factory=dict)
 
 
-def _round(
-    instance: Instance,
-    eaten: tuple[int, ...],
-    supply: list[int],
-    available: int,
-    den: int,
-    clock: int,
-    remaining: int,
-) -> tuple[int, int, Round]:
-    """One round of the eating of :func:`mps`, agent j eating bundle
-    ``eaten[j]`` from the state (``available``, ``supply``, ``den``,
-    ``clock``, ``remaining``) of a :class:`_Node`.
-
-    ``supply`` is updated in place; the new ``available`` and
-    ``remaining`` are returned with the round.  Every soundness check
-    of the eating is made here.
-    """
+def _round(instance: Instance, node: _Node, eaten: tuple[int, ...]) -> _Node:
+    """The node after the round of the eating from ``node`` in which agent
+    j eats bundle ``eaten[j]``: the only place a round is eaten, so every
+    soundness check of the eating is made here."""
     n = len(eaten)
+    supply = list(node.supply)
+    den, clock, available = node.den, node.clock, node.available
     p = len(supply) // n
     bundle_items, item_bundles = instance.bundle_items, instance.item_bundles
     consumers = [0] * (n * p)
@@ -423,7 +426,7 @@ def _round(
     if s % c:
         k = c // math.gcd(s, c)
         den, s, clock = den * k, s * k, clock * k
-        supply[:] = [v * k for v in supply]
+        supply = [v * k for v in supply]
     step = s // c
     if step <= 0:
         raise SoundnessError("every agent eats until the clock hits 1")
@@ -435,7 +438,7 @@ def _round(
             available &= ~item_bundles[o]
     if not exhausted:
         raise SoundnessError("each round must exhaust at least one item")
-    remaining -= len(exhausted)
+    remaining = node.remaining - len(exhausted)
     clock += step
     # conservation: per type, remaining supply equals n * (1 - clock)
     for t in range(p):
@@ -443,7 +446,9 @@ def _round(
             raise SoundnessError(f"type {t} supply is not conserved")
     if not remaining and clock != den:
         raise SoundnessError("the eating clock must end at 1")
-    return available, remaining, (eaten, step, den, clock, tuple(exhausted))
+    history = (*node.history, (eaten, step, den, clock, tuple(exhausted)))
+    out = None if remaining else _shares(instance, history)
+    return _Node(available, tuple(supply), den, clock, remaining, history, out)
 
 
 def _shares(instance: Instance, history: Sequence[Round]) -> FractionalAssignment:
@@ -466,43 +471,20 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
     the items actually being consumed, and the whole argmin set is
     removed at once.  Items nobody is eating impose no bound.
 
-    Supplies and the clock are integer numerators over one common
-    denominator, refined whenever a round length is not a whole number
-    of its units.  Each round (:func:`_round`) updates the same supply
-    list and keeps its length over its own denominator, and the shares
-    are added up once, over the last one; the round times are the only
-    Fractions built.  The bundles still available are a bitmask, from
-    which an exhausted item's bundles are cleared.
+    This is the truthful path of :func:`mps_reruns`, whose loop is the
+    only one that drives the eating: the output is its last state's, and
+    the trace is read off that state's rounds.  The round times are the
+    only Fractions built.
     """
-    sorts = resolve_sorts(instance, tiebreak)
-    n, p, m = instance.n, instance.p, instance.m
-    ext = prefs.ext
-    available, den, clock, remaining = (1 << m) - 1, 1, 0, n * p
-    supply = [1] * (n * p)
-    rounds: list[Round] = []
-    while remaining:
-        eaten = tuple([ext(sort, available) for sort in sorts])
-        available, remaining, done = _round(instance, eaten, supply, available, den, clock, remaining)
-        rounds.append(done)
-        den, clock = done[2], done[3]
-    ends = [Fraction(clock, den) for _, _, den, clock, _ in rounds]
+    leaf = mps_reruns(instance, tiebreak).leaf
+    ends = [Fraction(clock, den) for _, _, den, clock, _ in leaf.history]
     trace = MpsTrace(
         tuple(
             MpsRound(start, end, eaten, exhausted)
-            for start, end, (eaten, _, _, _, exhausted) in zip((ZERO, *ends), ends, rounds)
+            for start, end, (eaten, _, _, _, exhausted) in zip((ZERO, *ends), ends, leaf.history)
         )
     )
-    return _shares(instance, rounds), trace
-
-
-def _next(instance: Instance, node: _Node, eaten: tuple[int, ...]) -> _Node:
-    """The node after the round from ``node`` in which agent j eats
-    ``eaten[j]``."""
-    supply = list(node.supply)
-    available, remaining, done = _round(instance, eaten, supply, node.available, node.den, node.clock, node.remaining)
-    history = (*node.history, done)
-    out = None if remaining else _shares(instance, history)
-    return _Node(available, tuple(supply), done[2], done[3], remaining, history, out)
+    return leaf.out, trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,16 +493,18 @@ class MpsReruns(_Reruns):
     one-agent re-runs.
 
     The nodes from ``root`` are states at the start of a round.  The
-    truthful run's states make the first path, and its end holds
-    ``truth``.  When agent j alone picks by another sort, :meth:`rerun`
-    walks down from ``root``, taking at each node the child of j's pick
-    from that node's available bundles.  A round is run (:func:`_round`)
-    only the first time a (node, agent, pick) is reached, and its node is
-    kept, so each distinct one-agent eating is computed once, round by
-    round, and the same eating returns the same output object.
+    truthful run's states make the first path, which ends at ``leaf``,
+    whose output is ``truth``.  When agent j alone picks by another
+    sort, :meth:`rerun` walks down from ``root``, taking at each node the
+    child of j's pick from that node's available bundles.  A round is run
+    (:func:`_round`) only the first time a (node, agent, pick) is
+    reached, and its node is kept, so each distinct one-agent eating is
+    computed once, round by round, and the same eating returns the same
+    output object.
     """
 
     root: _Node
+    leaf: _Node
 
     def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
         node = self.root
@@ -537,23 +521,30 @@ class MpsReruns(_Reruns):
         others by their truthful sorts."""
         eaten = [prefs.ext(sort, node.available) for sort in self.sorts]
         eaten[agent] = pick
-        return _next(self.instance, node, tuple(eaten))
+        return _round(self.instance, node, tuple(eaten))
 
 
 def mps_reruns(instance: Instance, tiebreak: Tiebreak = None) -> MpsReruns:
-    """Run :func:`mps` truthfully as the first path of the tree that
-    :meth:`MpsReruns.rerun` grows: each truthful state's child for every
-    agent's truthful pick is the next one."""
+    """The truthful eating of :func:`mps`, as the first path of the tree
+    that :meth:`MpsReruns.rerun` grows: each truthful state's child for
+    every agent's truthful pick is the next one.
+
+    Supplies and the clock are integer numerators over one common
+    denominator, refined whenever a round length is not a whole number
+    of its units.  Each state keeps the rounds eaten to reach it, and
+    the shares are added up once, at the end (:func:`_shares`).  The
+    bundles still available are a bitmask.
+    """
     breaks, sorts = _sorts(instance, tiebreak)
     n, p, m = instance.n, instance.p, instance.m
     root = node = _Node((1 << m) - 1, (1,) * (n * p), 1, 0, n * p, ())
     while node.out is None:
         eaten = tuple([prefs.ext(sort, node.available) for sort in sorts])
-        child = _next(instance, node, eaten)
+        child = _round(instance, node, eaten)
         for j, x in enumerate(eaten):
             node.children[j, x] = child
         node = child
-    return MpsReruns(instance, node.out, breaks, sorts, root)
+    return MpsReruns(instance, node.out, breaks, sorts, root, node)
 
 
 # -- MGD -----------------------------------------------------------------

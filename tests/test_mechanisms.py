@@ -104,20 +104,16 @@ def test_mrp_single_rejects_bad_priority(three_chains):
 
 
 def test_mrp_exact_guard(own_items_first):
-    # the exact pass refuses before depth 2, whose turns take it past the budget
-    with pytest.raises(TooManyAgentsForExact, match=r"would take 1676400 turns .* by depth 2"):
-        mrp(own_items_first, MrpExact())
+    # both exact passes refuse before depth 2, whose turns take them past the budget
+    for run in (lambda: mrp(own_items_first, MrpExact()), lambda: mrp_decompose(own_items_first)):
+        with pytest.raises(TooManyAgentsForExact, match=r"would take 1676400 turns .* by depth 2"):
+            run()
     assert 1676400 > EXACT_TURN_LIMIT
-    # the lottery still enumerates n! orders, so it keeps the agent guard
-    inst = build_instance(
-        {
-            "agents": 9,
-            "types": [{"name": "F", "items": [f"{i}F" for i in range(1, 10)]}],
-            "preferences": [{"kind": "partial", "edges": []}] * 9,
-        }
-    )
-    with pytest.raises(TooManyAgentsForExact):
-        mrp_decompose(inst)
+    # the budget counts states, not agents: nine agents fit
+    inst = spaces.random_profile(random.Random(0), 9, 1, "cpnet")
+    lottery = mrp_decompose(inst)
+    assert len(lottery.entries) == 171
+    assert lottery.expectation(inst) == mrp(inst, MrpExact()).assignment
 
 
 def test_mps_two_sorts(mixed_pair):
@@ -318,7 +314,31 @@ def eager_mrp(instance, tiebreak=None):
     return FractionalAssignment.from_rows(rows), lottery
 
 
-def test_mrp_decompose_matches_eager_lottery():
+@pytest.fixture(scope="module")
+def eager_cases():
+    """(instance, tiebreak, eager_mrp output) on seeded general, CP-net
+    and independent profiles up to (8,2), under canonical, reversed,
+    shared and per-agent tie-breaks; at 8 agents, where one reference
+    run takes about half a second, each profile gets one of them in
+    turn."""
+    rng = random.Random(89)
+    cases = []
+    for n, p in ((2, 1), (5, 1), (3, 2), (5, 2), (6, 2), (7, 2), (3, 3), (4, 3), (5, 3), (8, 1), (8, 2)):
+        for i, kind in enumerate(("general", "cpnet", "independent")):
+            inst = spaces.random_profile(rng, n, p, kind)
+            shared = rng.sample(range(inst.m), inst.m)
+            per_agent = [rng.sample(range(inst.m), inst.m) for _ in range(n)]
+            tiebreaks = [None, tuple(reversed(range(inst.m))), shared, per_agent]
+            if n == 8:
+                tiebreaks = tiebreaks[i + p - 1 : i + p]
+            cases += [(inst, tiebreak, eager_mrp(inst, tiebreak)) for tiebreak in tiebreaks]
+    assert len(cases) == 9 * 3 * 4 + 2 * 3
+    return cases
+
+
+def test_mrp_decompose_matches_eager_lottery(eager_cases):
+    # the same entries in the same order: the lottery pass meets each
+    # outcome first where the lexicographic enumeration does
     checked = 0
     for inst, tiebreak in _differential_profiles():
         if inst.n > 4:
@@ -328,27 +348,14 @@ def test_mrp_decompose_matches_eager_lottery():
         assert mrp(inst, MrpExact(), tiebreak).assignment == assignment
         checked += 1
     assert checked == 40 + 8 * 3 * 3 * 4
+    for inst, tiebreak, (_, lottery) in eager_cases:
+        assert mrp_decompose(inst, tiebreak) == lottery
 
 
-def test_mrp_exact_matches_eager_reference():
-    # the turn-table pass against the enumeration of all n! orders, on
-    # general, CP-net and independent profiles under canonical, reversed,
-    # shared and per-agent tie-breaks; at 8 agents, where one reference
-    # run takes about half a second, each profile gets one of them in turn
-    rng = random.Random(89)
-    checked = 0
-    for n, p in ((2, 1), (5, 1), (3, 2), (5, 2), (6, 2), (7, 2), (3, 3), (4, 3), (5, 3), (8, 1), (8, 2)):
-        for i, kind in enumerate(("general", "cpnet", "independent")):
-            inst = spaces.random_profile(rng, n, p, kind)
-            shared = rng.sample(range(inst.m), inst.m)
-            per_agent = [rng.sample(range(inst.m), inst.m) for _ in range(n)]
-            tiebreaks = [None, tuple(reversed(range(inst.m))), shared, per_agent]
-            if n == 8:
-                tiebreaks = tiebreaks[i + p - 1 : i + p]
-            for tiebreak in tiebreaks:
-                assert mrp(inst, MrpExact(), tiebreak).assignment == eager_mrp(inst, tiebreak)[0]
-                checked += 1
-    assert checked == 9 * 3 * 4 + 2 * 3
+def test_mrp_exact_matches_eager_reference(eager_cases):
+    # the turn-table pass against the enumeration of all n! orders
+    for inst, tiebreak, (assignment, _) in eager_cases:
+        assert mrp(inst, MrpExact(), tiebreak).assignment == assignment
 
 
 def test_serial_dictatorship_and_mgd_match_supply_references():
@@ -473,9 +480,11 @@ def _one_agent_cases():
 
 
 def public_run(mechanism, instance, tiebreak):
-    """The public mechanism's exact output, the reference for re-runs."""
+    """The mechanism's exact output from a reference independent of the
+    re-runs: `fraction_mps` for `mps`, whose public run is the re-run
+    tree's truthful path, and the public run for `mgd` and `mrp`."""
     if mechanism == "mps":
-        return mps(instance, tiebreak)[0]
+        return fraction_mps(instance, tiebreak)[0]
     if mechanism == "mgd":
         return mgd(instance, tiebreak)
     return mrp(instance, MrpExact(), tiebreak).assignment
