@@ -56,7 +56,7 @@ def write_inputs(directory: Path) -> list[list[str]]:
         for mech in ("mrp", "mps", "mgd"):
             out = f"{name}-{mech}.json"
             (directory / out).write_text(io.serialize_assignment(inst, reruns(mech, inst).truth))
-            for misreports in ("linear", "cpnet"):
+            for misreports in ("linear", "cpnet", "independent"):
                 commands.append(
                     ["check", f"{name}.json", out, "--property", PROPERTIES,
                      "--mechanism", mech, "--misreports", misreports, "--seed", "0"]
