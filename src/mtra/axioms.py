@@ -267,7 +267,8 @@ def check_sd_efficiency(instance: Instance, P: FractionalAssignment) -> Property
        fails if share can be moved upward to a dominating Q;
     3. the exact LP (:func:`_sd_efficiency_lp`) decides the rest, a
        cyclic P that trade cannot improve or a P that is not a valid
-       assignment.
+       assignment.  An invalid P that no valid assignment dominates,
+       one whose rows or contour sums no assignment can reach, passes.
 
     A failure carries a dominating witness re-checked exactly.  A P of
     the wrong shape raises :class:`~mtra.errors.DimensionMismatch`.
@@ -348,7 +349,9 @@ def _sd_efficiency_lp(instance: Instance, P: FractionalAssignment) -> PropertyRe
     to dominate P, maximizing the total upper-contour slack.  The
     optimum exceeds the baseline exactly when a dominating Q != P
     exists: upper-contour sums pin a row down uniquely, so equal sums at
-    the optimum force Q = P.
+    the optimum force Q = P.  A valid P is itself feasible, so only an
+    invalid one can leave the LP empty: no valid Q dominates it, and it
+    passes.
     """
     n, m = instance.n, instance.m
     nv = n * m
@@ -373,7 +376,10 @@ def _sd_efficiency_lp(instance: Instance, P: FractionalAssignment) -> PropertyRe
             depth_coeffs[j * m + y] = instance.orders[j].downset_size(y)
     out = solve(LinearProgram(nv, tuple(cons), tuple(depth_coeffs)))
     if not out.optimal:
-        raise SoundnessError("P itself is feasible, so the LP cannot fail")
+        # no valid assignment dominates P; a valid P is itself feasible
+        if validate_assignment(P, instance) is None:
+            raise SoundnessError("P itself is feasible, so the LP cannot fail")
+        return PropertyReport("sd-efficiency", True)
     # the optimum over det against P's own value, sum(sums) over P.den
     gain = out.objective_value * P.den - sum(map(sum, sums)) * out.det
     if gain < 0:

@@ -37,9 +37,11 @@ def resolve_sorts(instance: Instance, tiebreak: Tiebreak = None) -> Sorts:
     """Per-agent linear orders used by every mechanism.
 
     Each comes from :meth:`~mtra.preferences.PartialOrder.sort`, so an
-    order is sorted under a given tie-break once, and an instance made
-    by :meth:`Instance.with_preference` shares the other agents' sorts
-    through their order objects.
+    order is sorted under a given tie-break once.  An instance made by
+    :meth:`Instance.with_preference` holds the other agents' order
+    objects, a partial order being its own order and a CP-net's coming
+    from the :func:`~mtra.preferences.induce_order` cache, and so shares
+    their sorts.
     """
     return _sorts(instance, tiebreak)[1]
 

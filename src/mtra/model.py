@@ -203,42 +203,19 @@ class Instance:
         )
 
     def with_preference(self, agent: int, preference: Preference) -> "Instance":
-        """Copy of the instance with one agent's preference replaced.
+        """Copy of the instance with one agent's preference replaced, built
+        and checked like any instance.
 
-        The copy takes over what this instance has already computed of the
-        structure (sizes, bundles, item and bundle names, ``item_bundles``)
-        and the other agents' orders, which keep their sorts; only
-        ``agent``'s order is looked up again.  The sd-efficiency verdicts
-        depend on every agent's preference, so the copy starts without
-        them.  This instance's caches are left as they are.
+        The other agents keep their preference objects, so their orders,
+        and the sorts made on them, are shared with this instance: a
+        partial order is its own order, and a CP-net's comes from the
+        :func:`~mtra.preferences.induce_order` cache.
         """
         if not 0 <= agent < self.n:
             raise DimensionMismatch(f"agent {agent} is not one of the {self.n} agents")
         new_prefs = list(self.preferences)
         new_prefs[agent] = preference
-        # the types and the agent count are this instance's, so only the
-        # new preference needs the checks of __post_init__
-        new = object.__new__(Instance)
-        object.__setattr__(new, "types", self.types)
-        object.__setattr__(new, "preferences", tuple(new_prefs))
-        done = self.__dict__
-        carried = new.__dict__
-        for name in _STRUCTURE:
-            if name in done:
-                carried[name] = done[name]
-        new._check_preference(agent, preference)
-        if "orders" in done:
-            orders = list(done["orders"])
-            orders[agent] = prefs.as_order(preference)
-            carried["orders"] = tuple(orders)
-        return new
-
-
-# Cached properties that depend on the types alone.
-_STRUCTURE = (
-    "sizes", "m", "item_names", "bundles", "bundle_items", "item_bundles",
-    "conflicts", "bundle_names", "bundle_by_name",
-)
+        return Instance(self.types, tuple(new_prefs))
 
 
 def build_instance(spec: Mapping) -> Instance:

@@ -327,18 +327,23 @@ def is_uit(
 
 def dependency_order(parents: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     """Nodes ``0..len(parents)-1`` with each one after all of its
-    ``parents[i]`` (least ready node first), or None if the graph is cyclic."""
-    remaining = set(range(len(parents)))
-    out: list[int] = []
-    placed: set[int] = set()
-    while remaining:
-        ready = sorted(i for i in remaining if set(parents[i]) <= placed)
-        if not ready:
-            return None
-        out.append(ready[0])
-        placed.add(ready[0])
-        remaining.remove(ready[0])
-    return tuple(out)
+    ``parents[i]``, or None if the graph is cyclic or names a node outside
+    it.
+
+    Acyclicity is :func:`_closure`'s, over rows that are the parent
+    bitmasks; the nodes then come by ancestor count, ties by index.  An
+    ancestor of a node has fewer ancestors than the node."""
+    p = len(parents)
+    rows = [0] * p
+    for i, ps in enumerate(parents):
+        for q in ps:
+            if not 0 <= q < p:
+                return None
+            rows[i] |= 1 << q
+    closed = _closure(rows, p)
+    if closed is None:
+        return None
+    return tuple(sorted(range(p), key=lambda i: closed[i].bit_count()))
 
 
 @dataclass(frozen=True)

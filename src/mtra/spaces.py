@@ -10,6 +10,7 @@ record what was actually checked.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,26 +70,25 @@ def acyclic_dependency_graphs(p: int) -> tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def count_cpnets(sizes: Sequence[int], parents: Sequence[Sequence[int]]) -> int:
-    total = 1
-    for i, size in enumerate(sizes):
-        rows = 1
-        for q in parents[i]:
-            rows *= sizes[q]
-        orders = 1
-        for k in range(2, size + 1):
-            orders *= k
-        total *= orders**rows
-    return total
+    """How many CP-nets the graph has: one order of each type's items per
+    assignment to its parents."""
+    return math.prod(
+        math.factorial(size) ** math.prod(sizes[q] for q in parents[i]) for i, size in enumerate(sizes)
+    )
 
 
+@lru_cache(maxsize=32)
 def enumerate_cpnets(
     sizes: tuple[int, ...], parents: tuple[tuple[int, ...], ...]
-) -> Iterator[prefs.CPNet]:
-    """All CP-nets over a fixed dependency graph."""
-    if count_cpnets(sizes, parents) > ENUMERATION_LIMIT:
-        raise MisreportSpaceTooLarge(
-            f"{count_cpnets(sizes, parents)} CP-nets over graph {parents}"
-        )
+) -> tuple[prefs.CPNet, ...]:
+    """All CP-nets over a fixed dependency graph, built once per sizes and
+    graph.  Each type's table runs over the item orders of its rows,
+    the last row fastest, and the nets over the tables, the last type
+    fastest.  More than ``ENUMERATION_LIMIT`` nets raise
+    :class:`~mtra.errors.MisreportSpaceTooLarge` before any is built."""
+    count = count_cpnets(sizes, parents)
+    if count > ENUMERATION_LIMIT:
+        raise MisreportSpaceTooLarge(f"{count} CP-nets over graph {parents}")
     per_type: list[list[tuple]] = []
     for i, size in enumerate(sizes):
         keys = list(itertools.product(*(range(sizes[q]) for q in parents[i])))
@@ -98,8 +98,7 @@ def enumerate_cpnets(
             for combo in itertools.product(orders, repeat=len(keys))
         ]
         per_type.append(rows)
-    for combo in itertools.product(*per_type):
-        yield prefs.CPNet(sizes, parents, tuple(combo))
+    return tuple(prefs.CPNet(sizes, parents, combo) for combo in itertools.product(*per_type))
 
 
 @lru_cache(maxsize=32)
@@ -111,12 +110,9 @@ def all_cpnets(sizes: tuple[int, ...]) -> tuple[prefs.CPNet, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=32)
 def all_independent_cpnets(sizes: tuple[int, ...]) -> tuple[prefs.CPNet, ...]:
-    per_type = [list(itertools.permutations(range(s))) for s in sizes]
-    return tuple(
-        prefs.CPNet.independent(combo) for combo in itertools.product(*per_type)
-    )
+    """All CP-nets over the edgeless graph: one item order per type."""
+    return enumerate_cpnets(sizes, ((),) * len(sizes))
 
 
 @lru_cache(maxsize=32)
@@ -203,7 +199,8 @@ class CpNetMisreports(MisreportSpace):
     """All CP-nets over a fixed dependency graph.
 
     ``graph`` is "own" (the agent's declared graph), "all" (every acyclic
-    graph), or an explicit parents tuple.
+    graph), or an explicit parents tuple.  The nets are
+    :func:`enumerate_cpnets`', built once per type sizes and graph.
     """
 
     graph: object = "own"
@@ -220,7 +217,7 @@ class CpNetMisreports(MisreportSpace):
             parents = net.parents
         else:
             parents = tuple(tuple(g) for g in self.graph)  # type: ignore[arg-type]
-        return tuple(enumerate_cpnets(instance.sizes, parents))
+        return enumerate_cpnets(instance.sizes, parents)
 
     def describe(self) -> str:
         return f"CP-nets over dependency graph {self.graph!r}"
@@ -237,19 +234,21 @@ class IndependentCpNetMisreports(MisreportSpace):
 
 @dataclass(frozen=True)
 class SampledLinearOrderMisreports(MisreportSpace):
-    """Seed-deterministic sample of linear orders over the bundles."""
+    """Seed-deterministic sample of linear orders over the bundles.
+
+    The orders are drawn one at a time as the checker asks for them, so a
+    large ``samples`` costs nothing up front and a check that fails early
+    draws no more."""
 
     samples: int
     seed: int = 0
 
-    def for_agent(self, instance: Instance, agent: int) -> Iterable[Preference]:
+    def for_agent(self, instance: Instance, agent: int) -> Iterator[Preference]:
         rng = random.Random(f"{self.seed}:{instance.m}:{agent}")
-        out = []
         for _ in range(self.samples):
             perm = list(range(instance.m))
             rng.shuffle(perm)
-            out.append(prefs.PartialOrder.from_chain(perm))
-        return tuple(out)
+            yield prefs.PartialOrder.from_chain(perm)
 
     def describe(self) -> str:
         return f"{self.samples} sampled linear orders (seed {self.seed})"

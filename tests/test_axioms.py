@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +33,7 @@ from mtra.errors import (
     InstanceTooLargeToDecide,
     MisreportSpaceTooLarge,
     ParseError,
+    SoundnessError,
     UniverseMismatch,
 )
 from mtra.mechanisms import MrpExact, mgd, mgd_decompose, mps, mrp
@@ -508,6 +510,19 @@ def test_sd_efficiency_decides_invalid_rows_by_the_lp(mixed_pair):
     Q = from_discrete(mixed_pair, DiscreteAssignment((bn["1F1B"], bn["2F2B"])))
     assert check_sd_efficiency(mixed_pair, P) == PropertyReport("sd-efficiency", False, witness=Q)
 
+
+def test_sd_efficiency_passes_invalid_rows_no_assignment_dominates(mixed_pair, monkeypatch):
+    # these rows have contour sums past 1, which no valid assignment
+    # reaches: the domination LP is empty, and no Q dominates P
+    for rows in ([[1, 1, 0, 0], [0, 0, 0, 0]], [[2, 0, 0, 0], [0, 0, 0, 0]], [["3/2", 0, 0, 0], [0, 0, 0, "1/2"]]):
+        P = FractionalAssignment.from_rows(rows)
+        assert validate_assignment(P, mixed_pair) is not None
+        assert check_sd_efficiency(mixed_pair, P) == PropertyReport("sd-efficiency", True)
+    # a valid P is a feasible point of its own LP, so an empty LP there
+    # is a fault, not a verdict
+    monkeypatch.setattr(axioms, "solve", lambda program: SimpleNamespace(optimal=False))
+    with pytest.raises(SoundnessError, match="P itself is feasible"):
+        axioms._sd_efficiency_lp(mixed_pair, fixtures.assignment_1())
 
 # -- envy / ete / ordinal fairness ------------------------------------------------
 

@@ -5,6 +5,7 @@ import pytest
 
 from mtra import fixtures, io, spaces
 from mtra.cli import main
+from mtra.mechanisms import mps
 from mtra.model import FractionalAssignment, validate_assignment
 
 
@@ -342,6 +343,16 @@ def test_cli_guard_exit3(tmp_path, capsys, own_items_first):
     assert main(["run", str(path), "--mechanism", "mrp", "--mode", "exact"]) == 3
     assert "would take 1676400 turns" in capsys.readouterr().err
 
+
+def test_cli_independent_misreports_guard_exit3(tmp_path, capsys):
+    # (5,3) has 120**3 independent CP-nets, past the enumeration guard
+    inst = spaces.random_profile(random.Random(0), 5, 3, "independent")
+    (tmp_path / "big.json").write_text(io.serialize_instance(inst))
+    (tmp_path / "mps.json").write_text(io.serialize_assignment(inst, mps(inst)[0]))
+    argv = ["check", str(tmp_path / "big.json"), str(tmp_path / "mps.json"), "--mechanism", "mps",
+            "--property", "sd-strategyproofness", "--misreports", "independent"]
+    assert main(argv) == 3
+    assert "1728000 CP-nets" in capsys.readouterr().err
 
 def test_cli_exact_mrp_twelve_agents(tmp_path, capsys):
     # 100 485 (served, available) states, 414 275 turns

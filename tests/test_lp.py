@@ -433,6 +433,23 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_src_imports_only_the_standard_library():
+    # numpy, scipy and hypothesis are installed for the tests, so only this
+    # keeps them out of the runtime
+    package = Path(lp_module.__file__).resolve().parent
+    allowed = sys.stdlib_module_names | {"mtra"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # a relative import is mtra itself
+            found.extend(f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed)
+    assert found == []
+
 def test_checkers_import_no_private_mechanism_names():
     # the checkers and the CPT search re-run mechanisms through the public
     # interface of mechanisms.py, `reruns` above all

@@ -332,6 +332,21 @@ def test_with_preference_matches_a_fresh_instance():
                     assert check_ex_post_efficiency(derived, P) == check_ex_post_efficiency(fresh, P)
 
 
+def test_with_preference_shares_the_other_agents_orders():
+    # the copy is built from scratch, yet a CP-net's order comes from the
+    # induce_order cache, so the other agents keep their order objects and
+    # the sorts made on them
+    rng = random.Random(53)
+    for kind in ("cpnet", "independent", "general"):
+        src = spaces.random_profile(rng, 3, 2, kind)
+        other = spaces.random_profile(rng, 3, 2, kind)
+        for j in range(src.n):
+            derived = src.with_preference(j, other.preferences[j])
+            assert derived.orders[j] == prefs.as_order(other.preferences[j])
+            for k in range(src.n):
+                if k != j:
+                    assert derived.orders[k] is src.orders[k]
+
 def test_sorts_are_made_once_per_order_and_tiebreak(monkeypatch):
     calls = []
     real = prefs.topological_sort

@@ -59,6 +59,36 @@ def test_cyclic_dependency_rejected():
         )
 
 
+def _kahn_dependency_order(parents):
+    """The former ready-set loop: the least ready node first."""
+    remaining, placed, out = set(range(len(parents))), set(), []
+    while remaining:
+        ready = sorted(i for i in remaining if set(parents[i]) <= placed)
+        if not ready:
+            return None
+        out.append(ready[0])
+        placed.add(ready[0])
+        remaining.remove(ready[0])
+    return tuple(out)
+
+
+def test_dependency_order_matches_the_ready_set_loop():
+    # every graph on up to four nodes: the same acyclicity verdict, and
+    # an order with each node after its parents
+    for p in range(5):
+        edges = [(a, b) for a in range(p) for b in range(p)]
+        for mask in range(1 << len(edges)):
+            parents = [[a for k, (a, b) in enumerate(edges) if mask >> k & 1 and b == t] for t in range(p)]
+            order = prefs.dependency_order(parents)
+            assert (order is None) == (_kahn_dependency_order(parents) is None)
+            if order is not None:
+                assert sorted(order) == list(range(p))
+                assert all(order.index(q) < order.index(t) for t in range(p) for q in parents[t])
+    # a parent outside the graph is never placed
+    assert prefs.dependency_order([(), (2,)]) is None
+    assert prefs.dependency_order([(-1,)]) is None
+
+
 def test_incomplete_cpt_rejected():
     from mtra.errors import IncompleteCPT
 

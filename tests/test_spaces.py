@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -113,6 +114,46 @@ def test_sampled_misreports_deterministic():
     assert list(space.for_agent(inst, 0)) == list(space.for_agent(inst, 0))
     assert len(list(space.for_agent(inst, 1))) == 5
 
+
+def test_sampled_misreports_are_drawn_lazily():
+    inst = spaces.random_profile(random.Random(1), 3, 2, "general")
+    # the first of 10**12 orders comes without the rest being built
+    assert next(iter(spaces.SampledLinearOrderMisreports(10**12, seed=9).for_agent(inst, 0))).is_linear()
+    space = spaces.SampledLinearOrderMisreports(40, seed=9)
+    for agent in range(inst.n):
+        # the former eager loop, kept as the reference
+        rng = random.Random(f"9:{inst.m}:{agent}")
+        want = []
+        for _ in range(40):
+            perm = list(range(inst.m))
+            rng.shuffle(perm)
+            want.append(prefs.PartialOrder.from_chain(perm))
+        assert tuple(space.for_agent(inst, agent)) == tuple(want)
+
+
+def test_cpnet_misreports_are_built_once_per_graph():
+    inst = spaces.random_profile(random.Random(5), 3, 2, "cpnet")
+    for j, net in enumerate(inst.preferences):
+        for space in (spaces.CpNetMisreports(), spaces.CpNetMisreports(net.parents)):
+            nets = space.for_agent(inst, j)
+            assert space.for_agent(inst, j) is nets
+            assert nets == spaces.enumerate_cpnets(inst.sizes, net.parents)
+            assert len(nets) == spaces.count_cpnets(inst.sizes, net.parents)
+
+
+def test_independent_cpnets_are_the_edgeless_enumeration():
+    for sizes in ((3, 3), (2, 2, 2), (4,)):
+        # the former construction: one permutation per type, the last type fastest
+        per_type = [list(itertools.permutations(range(s))) for s in sizes]
+        want = tuple(prefs.CPNet.independent(combo) for combo in itertools.product(*per_type))
+        assert spaces.all_independent_cpnets(sizes) == want
+
+
+def test_independent_space_is_guarded():
+    inst = spaces.random_profile(random.Random(0), 5, 3, "independent")
+    assert spaces.count_cpnets(inst.sizes, ((),) * 3) == 120**3
+    with pytest.raises(MisreportSpaceTooLarge, match="1728000 CP-nets"):
+        spaces.IndependentCpNetMisreports().for_agent(inst, 0)
 
 def test_sweep_tiebreaks():
     assert spaces.sweep_tiebreaks(4) == (None, (3, 2, 1, 0))
