@@ -376,7 +376,6 @@ def _sd_efficiency_lp(instance: Instance, P: FractionalAssignment) -> PropertyRe
             depth_coeffs[j * m + y] = instance.orders[j].downset_size(y)
     out = solve(LinearProgram(nv, tuple(cons), tuple(depth_coeffs)))
     if not out.optimal:
-        # no valid assignment dominates P; a valid P is itself feasible
         if validate_assignment(P, instance) is None:
             raise SoundnessError("P itself is feasible, so the LP cannot fail")
         return PropertyReport("sd-efficiency", True)
