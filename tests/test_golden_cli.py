@@ -56,7 +56,7 @@ def write_inputs(directory: Path) -> list[list[str]]:
         for mech in ("mrp", "mps", "mgd"):
             out = f"{name}-{mech}.json"
             (directory / out).write_text(io.serialize_assignment(inst, reruns(mech, inst).truth))
-            for misreports in ("linear", "cpnet", "independent"):
+            for misreports in ("linear", "cpnet", "independent", "sampled:6"):
                 commands.append(
                     ["check", f"{name}.json", out, "--property", PROPERTIES,
                      "--mechanism", mech, "--misreports", misreports, "--seed", "0"]
@@ -65,6 +65,7 @@ def write_inputs(directory: Path) -> list[list[str]]:
         for mech in ("mps", "mgd"):
             commands.append(["run", f"{name}.json", "--mechanism", mech, "--seed", "0"])
         commands.append(["run", f"{name}.json", "--mechanism", "mrp", "--mode", "mc:8", "--seed", "3"])
+        commands.append(["run", f"{name}.json", "--mechanism", "mrp", "--mode", "sample", "--seed", "0"])
         commands.append(["decompose", f"{name}.json"])
         commands.append(["compare", f"{name}.json", f"{name}-mps.json", f"{name}-mrp.json"])
         for mech in ("mrp", "mps", "mgd"):

@@ -21,11 +21,13 @@ def test_search_verifies_hits():
     assert sd_compare(hit.instance.orders[hit.agent], lied, truth).p_dominates_q
 
 
-def reference_search(seed, max_profiles):
+def reference_search(seed, max_profiles, require_pattern=None):
     """Every hit of the search's first ``max_profiles`` profiles, found by
     running the public `mps` on every misreport and comparing rows with
     `sd_compare`: the reference for the search's eating tree and its one
-    verdict per distinct row."""
+    verdict per distinct row.  With ``require_pattern``, a manipulation
+    whose sorted positive shares do not match it is skipped and the
+    profile's later misreports are still tried."""
     ident = (0, 1, 2)
     all_rows = list(itertools.product(itertools.permutations(range(3)), repeat=3))
     hits = []
@@ -42,7 +44,12 @@ def reference_search(seed, max_profiles):
             misreport = manipulation.shared_fb_net(ident, rows)
             lied = mps(instance.with_preference(0, misreport))[0].row(0)
             if lied != truth and sd_compare(order, lied, truth).p_dominates_q:
-                hits.append(manipulation.ManipulationHit(instance, misreport, 0, truth, lied))
+                hit = manipulation.ManipulationHit(instance, misreport, 0, truth, lied)
+                if require_pattern is not None and (hit.truthful_shares, hit.manipulated_shares) != tuple(
+                    tuple(sorted(shares, reverse=True)) for shares in require_pattern
+                ):
+                    continue
+                hits.append(hit)
                 break
     return hits
 
@@ -53,6 +60,21 @@ def test_search_matches_public_mps_reference():
     for seed in (3, 8):
         hits = manipulation.search_cpt_manipulations(max_hits=1 << 30, seed=seed, max_profiles=3)
         want = reference_search(seed, 3)
+        assert [(h.instance.preferences, h.misreport, h.truthful_row, h.manipulated_row) for h in hits] == [
+            (h.instance.preferences, h.misreport, h.truthful_row, h.manipulated_row) for h in want
+        ]
+        found += len(hits)
+    assert found == 2
+
+
+def test_pattern_search_matches_public_mps_reference():
+    found = 0
+    # two seeds whose first five profiles hold one hit of the known pattern each
+    for seed in (3, 8):
+        hits = manipulation.search_cpt_manipulations(
+            max_hits=1 << 30, require_pattern=manipulation.KNOWN_SHARE_PATTERN, seed=seed, max_profiles=5
+        )
+        want = reference_search(seed, 5, manipulation.KNOWN_SHARE_PATTERN)
         assert [(h.instance.preferences, h.misreport, h.truthful_row, h.manipulated_row) for h in hits] == [
             (h.instance.preferences, h.misreport, h.truthful_row, h.manipulated_row) for h in want
         ]
