@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import preferences as prefs
 from . import spaces
 from .errors import DimensionMismatch, InstanceTooLargeToDecide, SoundnessError, UniverseMismatch
 from .lp import EQ, GE, Constraint, LinearProgram, solve
-from .mechanisms import Tiebreak, reruns
+from .mechanisms import MgdReruns, MpsReruns, MrpTurns, Tiebreak, reruns
 from .model import (
     ZERO,
     DiscreteAssignment,
@@ -60,35 +60,6 @@ def _contour_sums(masks: Sequence[int], values: Sequence[int]) -> list[int]:
 def _at_least(sums: Sequence[int], den: int, ref: Sequence[int], ref_den: int) -> bool:
     """Is ``sums / den`` at least ``ref / ref_den`` entry by entry?"""
     return all(v * ref_den >= t * den for v, t in zip(sums, ref))
-
-
-def _manipulation_judge(
-    order: prefs.PartialOrder, truth: Sequence[int], truth_den: int, strength: str
-) -> Callable[[tuple[int, ...], int], bool]:
-    """The verdict on a row ``nums / den`` of the agent whose true order
-    is ``order`` and whose truthful row is ``truth / truth_den``: does
-    it manipulate?  Under "sd", truth-telling does not sd-dominate it;
-    under "weak", it sd-dominates truth-telling with other contour sums.
-
-    Each verdict is one integer comparison of upper contour sums, made
-    once per distinct ``(nums, den)``: many misreports give the agent
-    the same row."""
-    masks = _ucs_masks(order)
-    truth_sums = _contour_sums(masks, truth)
-    verdicts: dict[tuple[tuple[int, ...], int], bool] = {}
-
-    def manipulates(nums: tuple[int, ...], den: int) -> bool:
-        key = (nums, den)
-        verdict = verdicts.get(key)
-        if verdict is None:
-            sums = _contour_sums(masks, nums)
-            verdict = not _at_least(truth_sums, truth_den, sums, den)
-            if strength == "weak":
-                verdict = verdict and _at_least(sums, den, truth_sums, truth_den)
-            verdicts[key] = verdict
-        return verdict
-
-    return manipulates
 
 
 def ucs_sums(order: prefs.PartialOrder, row: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -560,6 +531,62 @@ def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> Pro
 # -- mechanism-level axioms ---------------------------------------------------
 
 
+def manipulations(
+    mechanism: str,
+    runs: MpsReruns | MgdReruns | MrpTurns,
+    tiebreak: Tiebreak,
+    agent: int,
+    reports: Iterable[Preference],
+    strength: str = "sd",
+) -> Iterator[ManipulationWitness]:
+    """Each of ``reports`` by which ``agent`` manipulates ``mechanism``,
+    as a witness, in the order of ``reports``.  ``runs`` is the truthful
+    run under ``tiebreak``, from :func:`~mtra.mechanisms.reruns`.
+
+    Under "sd", a report manipulates if truth-telling does not
+    sd-dominate the agent's row; under "weak", if the row sd-dominates
+    truth-telling with other upper contour sums.  The liar's row is
+    read off ``runs`` by the report order's sort: no instance is copied
+    per report, and an order keeps its sorts, so it is sorted once per
+    tie-break.  A report sorted as the truth or as a report already
+    judged is skipped, since the same sort gives the same row.  Many
+    sorts still give the agent the same row, so each distinct row
+    (numerators and denominator) is judged once, by one integer
+    comparison: its upper contour sums cross-multiplied with the
+    truthful sums.  Equal sums mean equal rows.
+    A manipulating report is run from scratch on the one-agent copy for
+    the witness.  That output must give the row it was judged by, and
+    equal :meth:`runs.rerun <mtra.mechanisms.MpsReruns.rerun>` as a whole.
+    """
+    if strength not in ("sd", "weak"):
+        raise ValueError(f"unknown strategyproofness strength {strength!r}")
+    instance, truth, j = runs.instance, runs.truth, agent
+    masks = _ucs_masks(instance.orders[j])
+    truth_sums = _contour_sums(masks, truth.nums[j])
+    verdicts: dict[tuple[tuple[int, ...], int], bool] = {}
+    judged = {runs.sorts[j]}
+    for report in reports:
+        instance._check_preference(j, report)
+        sort = prefs.as_order(report).sort(runs.tiebreaks[j])
+        if sort in judged:
+            continue
+        judged.add(sort)
+        nums, den = key = runs.row(j, sort)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            sums = _contour_sums(masks, nums)
+            verdict = not _at_least(truth_sums, truth.den, sums, den)
+            if strength == "weak":
+                verdict = verdict and _at_least(sums, den, truth_sums, truth.den)
+            verdicts[key] = verdict
+        if verdict:
+            lied = reruns(mechanism, instance.with_preference(j, report), tiebreak).truth
+            judged_row = all(v * den == w * lied.den for v, w in zip(lied.nums[j], nums))
+            if not judged_row or lied != runs.rerun(j, sort):
+                raise SoundnessError(f"agent {j}'s row differs from the mechanism's on the re-run")
+            yield ManipulationWitness(j, report, truth, lied, tiebreak)
+
+
 def check_strategyproofness(
     mechanism: str,
     instance: Instance,
@@ -571,18 +598,10 @@ def check_strategyproofness(
     weak: no misreport sd-dominates truth-telling unless it leaves the
     agent's own row unchanged.
 
-    The liar's row is read off :func:`~mtra.mechanisms.reruns`, made
-    once per tie-break with the truth: no instance is copied per
-    misreport, and a misreport order keeps its sorts, so it is sorted
-    once per tie-break, not once per check.  A misreport order already
-    judged is skipped.  Many orders still give the agent the same row,
-    so each distinct row (numerators and denominator) is judged once
-    per agent and tie-break, by one integer comparison: its upper
-    contour sums cross-multiplied with the truthful sums.  Equal sums
-    mean equal rows.
-    The first failing misreport is run from scratch on the one-agent
-    copy for the witness, and that row must equal the one it was judged
-    by.
+    The mechanism runs once per tie-break, with the truth
+    (:func:`~mtra.mechanisms.reruns`), and each agent's misreports are
+    judged against that run by :func:`manipulations`.  The first
+    witness, by tie-break and then agent, fails the check.
     """
     if strength not in ("sd", "weak"):
         raise ValueError(f"unknown strategyproofness strength {strength!r}")
@@ -592,30 +611,11 @@ def check_strategyproofness(
         tiebreaks = spaces.sweep_tiebreaks(instance.m)
     for tb in tiebreaks:
         runs = reruns(mechanism, instance, tb)
-        truth = runs.truth
         for j in range(instance.n):
-            order = instance.orders[j]
-            manipulates = _manipulation_judge(order, truth.nums[j], truth.den, strength)
-            # an order already judged gets the same verdict again; the
-            # truth's own order cannot manipulate
-            judged = {order}
-            for report in misreports.for_agent(instance, j):
-                instance._check_preference(j, report)
-                rep_order = prefs.as_order(report)
-                if rep_order in judged:
-                    continue
-                judged.add(rep_order)
-                nums, den = runs.row(j, rep_order.sort(runs.tiebreaks[j]))
-                if manipulates(nums, den):
-                    lied = reruns(mechanism, instance.with_preference(j, report), tb).truth
-                    if any(v * den != w * lied.den for v, w in zip(lied.nums[j], nums)):
-                        raise SoundnessError(f"agent {j}'s row differs from the mechanism's on the re-run")
-                    return PropertyReport(
-                        name,
-                        False,
-                        witness=ManipulationWitness(j, report, truth, lied, tb),
-                        detail=detail,
-                    )
+            reports = misreports.for_agent(instance, j)
+            witness = next(manipulations(mechanism, runs, tb, j, reports, strength), None)
+            if witness is not None:
+                return PropertyReport(name, False, witness=witness, detail=detail)
     return PropertyReport(name, True, detail=detail)
 
 

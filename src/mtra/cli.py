@@ -28,9 +28,9 @@ from .axioms import (
     check_upper_invariance,
     sd_compare,
 )
-from .errors import GuardViolation, MtraError, ParseError, SoundnessError
+from .errors import GuardViolation, MisreportSpaceTooLarge, MtraError, ParseError, SoundnessError
 from .fixtures import fixture_names, replay_all
-from .mechanisms import MrpExact, MrpMonteCarlo, MrpSingle, mgd, mgd_decompose, mps, mrp
+from .mechanisms import MrpExact, MrpMonteCarlo, mgd, mgd_decompose, mps, mrp
 from .model import FractionalAssignment, Instance
 
 EXIT_OK = 0
@@ -100,21 +100,17 @@ def cmd_run(args) -> int:
     elif args.mechanism == "mgd":
         assignment = mgd(instance, tiebreak)
     else:
-        mode = _mrp_mode(args.mode, seed, instance)
+        mode = _mrp_mode(args.mode, seed)
         assignment = mrp(instance, mode, tiebreak).assignment
     sys.stdout.write(io.serialize_assignment(instance, assignment, meta))
     return EXIT_OK
 
 
-def _mrp_mode(mode: str, seed: int, instance: Instance):
+def _mrp_mode(mode: str, seed: int):
     if mode == "exact":
         return MrpExact()
     if mode == "sample":
-        import random
-
-        priority = list(range(instance.n))
-        random.Random(seed).shuffle(priority)
-        return MrpSingle(tuple(priority))
+        return MrpMonteCarlo(1, seed)
     if mode.startswith("mc:"):
         return MrpMonteCarlo(_count(mode, "monte-carlo mode"), seed)
     raise ParseError(f"unknown mode {mode!r}")
@@ -139,7 +135,10 @@ def _misreport_space(kind: str, seed: int):
     if kind == "independent":
         return spaces.IndependentCpNetMisreports()
     if kind.startswith("sampled:"):
-        return spaces.SampledLinearOrderMisreports(_count(kind, "misreport space"), seed)
+        k = _count(kind, "misreport space")
+        if k > spaces.ENUMERATION_LIMIT:
+            raise MisreportSpaceTooLarge(f"{k} sampled misreports exceed the {spaces.ENUMERATION_LIMIT} guard")
+        return spaces.SampledLinearOrderMisreports(k, seed)
     raise ParseError(f"unknown misreport space {kind!r}")
 
 
@@ -216,10 +215,6 @@ def _jsonable(obj):
         return io.frac_str(obj)
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted((_jsonable(v) for v in obj), key=repr)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, FractionalAssignment):
         return {"rows": _jsonable(obj.rows)}
     if is_dataclass(obj) and not isinstance(obj, type):

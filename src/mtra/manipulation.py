@@ -17,14 +17,13 @@ scanned exhaustively per candidate:
   times);
 * the manipulator misreports only her B-rows, keeping the F-order.
 
-Candidate profiles are visited in a seed-fixed shuffled order; for each,
-the truthful eating is kept as the first path of a tree of eating
-rounds (:func:`mps_reruns`), every B-row misreport walks that tree and
-grows it only where the manipulator first eats differently, and each
-distinct row of the manipulator's has its upper-contour sums, as
-integers over the output's denominator, compared with truth-telling's
-once.  Every reported hit is re-run through the public eating mechanism
-:func:`mps`, which must agree, and checked once more with
+Candidate profiles are visited in a seed-fixed shuffled order.  On each,
+the search is a weak sd-strategyproofness check of the eating mechanism
+against the manipulator's B-row misreports: the truthful eating is kept
+as the first path of a tree of eating rounds (:func:`mps_reruns`), and
+:func:`~mtra.axioms.manipulations` judges each misreport against it,
+each distinct row of the manipulator's once, and re-runs every
+manipulation from scratch.  Every hit is checked once more with
 :func:`sd_compare`.
 """
 
@@ -38,9 +37,9 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import preferences as prefs
-from .axioms import _manipulation_judge, sd_compare
+from .axioms import manipulations, sd_compare
 from .errors import SoundnessError
-from .mechanisms import mps, mps_reruns
+from .mechanisms import mps_reruns
 from .model import Instance
 from .spaces import square_types
 
@@ -106,15 +105,15 @@ def search_cpt_manipulations(
     Stops when ``max_hits`` hits are collected (all matching
     ``require_pattern`` if given: a pair of sorted positive share
     multisets for truth and lie), the time budget runs out, or the
-    candidate space is exhausted.  Every misreport re-runs the eating
-    from the truthful tree (:meth:`~mtra.mechanisms.MpsReruns.rerun`); a
-    hit found by comparing upper-contour sums is re-run through the
-    public :func:`mps` and checked with :func:`sd_compare` before it is
-    returned.
+    candidate space is exhausted.  A profile's misreports are judged by
+    :func:`~mtra.axioms.manipulations` against the truthful eating tree,
+    in the order of the B-rows; its first hit that matches the pattern
+    is kept, after :func:`sd_compare` has confirmed it.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     nets = {rows: shared_fb_net(_IDENT, rows) for rows in itertools.product(_ORDERS3, repeat=3)}
-    orders = {rows: prefs.as_order(net) for rows, net in nets.items()}
+    # the misreports, as induced orders, each mapped back to its net
+    misreports = {prefs.as_order(net): net for net in nets.values()}
     hits: list[ManipulationHit] = []
     scanned = 0
     for b2, b3, (f23, bb) in _candidate_profiles(seed):
@@ -123,35 +122,24 @@ def search_cpt_manipulations(
         if max_profiles is not None and scanned >= max_profiles:
             break
         scanned += 1
-        truth_b = (_IDENT, b2, b3)
         twins = shared_fb_net(f23, bb)
-        instance = Instance(square_types(3, 2), (nets[truth_b], twins, twins))
-        reruns = mps_reruns(instance)
-        truth = reruns.truth
-        order = instance.orders[0]
-        # a strict gain: a row that sd-dominates the truthful one
-        manipulates = _manipulation_judge(order, truth.nums[0], truth.den, "weak")
-        for mrows, misreport in nets.items():
-            if mrows == truth_b:
-                continue
-            lie = reruns.rerun(0, orders[mrows].sort(reruns.tiebreaks[0]))
-            if manipulates(lie.nums[0], lie.den):
-                if mps(instance.with_preference(0, misreport))[0] != lie:
-                    raise SoundnessError("the resumed eating differs from the public mps")
-                if not sd_compare(order, lie.row(0), truth.row(0)).p_dominates_q:
-                    raise SoundnessError("sd_compare disagrees with the upper-contour sums")
-                hit = ManipulationHit(instance, misreport, 0, truth.row(0), lie.row(0))
-                if require_pattern is not None:
-                    want_truth, want_lie = require_pattern
-                    if (
-                        hit.truthful_shares != tuple(sorted(want_truth, reverse=True))
-                        or hit.manipulated_shares != tuple(sorted(want_lie, reverse=True))
-                    ):
-                        continue
-                hits.append(hit)
-                if len(hits) >= max_hits:
-                    return hits
-                break
+        instance = Instance(square_types(3, 2), (nets[_IDENT, b2, b3], twins, twins))
+        for witness in manipulations("mps", mps_reruns(instance), None, 0, misreports, "weak"):
+            truth, lie = witness.truthful.row(0), witness.manipulated.row(0)
+            if not sd_compare(instance.orders[0], lie, truth).p_dominates_q:
+                raise SoundnessError("sd_compare disagrees with the upper-contour sums")
+            hit = ManipulationHit(instance, misreports[witness.misreport], 0, truth, lie)
+            if require_pattern is not None:
+                want_truth, want_lie = require_pattern
+                if (
+                    hit.truthful_shares != tuple(sorted(want_truth, reverse=True))
+                    or hit.manipulated_shares != tuple(sorted(want_lie, reverse=True))
+                ):
+                    continue
+            hits.append(hit)
+            if len(hits) >= max_hits:
+                return hits
+            break
     return hits
 
 

@@ -25,6 +25,7 @@ from mtra.axioms import (
     check_upper_invariance,
     find_generalized_cycle,
     improvable_tuples,
+    manipulations,
     sd_compare,
     ucs_sums,
 )
@@ -36,7 +37,7 @@ from mtra.errors import (
     SoundnessError,
     UniverseMismatch,
 )
-from mtra.mechanisms import MrpExact, mgd, mgd_decompose, mps, mrp
+from mtra.mechanisms import MrpExact, MrpTurns, mgd, mgd_decompose, mps, mrp, reruns
 from mtra.model import (
     DiscreteAssignment,
     FractionalAssignment,
@@ -950,6 +951,43 @@ def test_strategyproofness_matches_rerun_reference(blank_vs_chain, three_chains)
     for mechanism, strength in (("mrp", "sd"), ("mps", "weak"), ("mgd", "weak")):
         want = rerun_strategyproofness(mechanism, inst, space, strength, tiebreaks=[None])
         assert check_strategyproofness(mechanism, inst, space, strength, tiebreaks=[None]) == want
+
+
+def test_manipulations_yields_every_manipulation_in_report_order(three_chains, opposed_trio):
+    # each linear order is its own sort, so no report is skipped but the
+    # truth's sort, which gives the truthful row
+    space = spaces.LinearOrderMisreports()
+    found = 0
+    for inst in (three_chains, opposed_trio):
+        for mechanism, strength in (("mps", "sd"), ("mgd", "weak"), ("mrp", "sd"), ("mps", "weak")):
+            runs = reruns(mechanism, inst)
+            truth = run_mechanism(mechanism, inst, None)
+            for j in range(inst.n):
+                order = inst.orders[j]
+                reports = list(space.for_agent(inst, j))
+                want = []
+                for report in reports:
+                    lied = run_mechanism(mechanism, inst.with_preference(j, report), None)
+                    if strength == "sd":
+                        manipulated = not sd_compare(order, truth.row(j), lied.row(j)).p_dominates_q
+                    else:
+                        verdict = sd_compare(order, lied.row(j), truth.row(j))
+                        manipulated = verdict.p_dominates_q and lied.row(j) != truth.row(j)
+                    if manipulated:
+                        want.append(ManipulationWitness(j, report, truth, lied, None))
+                assert list(manipulations(mechanism, runs, None, j, reports, strength)) == want
+                # a report sorted as one already judged is skipped
+                assert list(manipulations(mechanism, runs, None, j, reports * 2, strength)) == want
+                found += len(want)
+    assert found > 10
+
+
+def test_manipulation_rerun_must_give_the_whole_output(blank_vs_chain, monkeypatch):
+    # exact MRP judges a row off its turn tables; a re-run pass that
+    # disagrees with the from-scratch run elsewhere is caught
+    monkeypatch.setattr(MrpTurns, "rerun", lambda self, agent, sort: self.truth)
+    with pytest.raises(SoundnessError, match="agent 0's row differs from the mechanism's on the re-run"):
+        check_strategyproofness("mrp", blank_vs_chain, spaces.LinearOrderMisreports(), "sd", tiebreaks=[None])
 
 
 def rerun_upper_invariance(mechanism, instance, transforms, tiebreaks=None):

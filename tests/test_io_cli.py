@@ -106,6 +106,22 @@ def test_cli_run_reproduces_reference_assignment(workdir, capsys, mixed_pair):
     assert io.parse_assignment(out, mixed_pair) == fixtures.assignment_1()
 
 
+def test_cli_run_tiebreak_default_ignores_the_file_tiebreak(workdir, capsys, mixed_pair):
+    doc = json.loads((workdir / "mixed_pair.json").read_text())
+    doc["tiebreak"] = [json.loads((workdir / "tbA.json").read_text())] * 2
+    (workdir / "with_tb.json").write_text(json.dumps(doc))
+
+    def run(path, *flags):
+        assert main(["run", str(workdir / path), "--mechanism", "mps", *flags]) == 0
+        return capsys.readouterr().out
+
+    canonical = run("mixed_pair.json")
+    # the file's tiebreak gives another assignment
+    assert io.parse_assignment(run("with_tb.json"), mixed_pair) == fixtures.assignment_1()
+    assert io.parse_assignment(canonical, mixed_pair) != fixtures.assignment_1()
+    assert run("with_tb.json", "--tiebreak", "default") == canonical
+
+
 def test_cli_run_byte_identical(workdir, capsys):
     args = ["run", str(workdir / "mixed_pair.json"), "--mechanism", "mrp", "--mode", "exact",
             "--tiebreak", str(workdir / "tbA.json"), "--seed", "5"]
@@ -303,6 +319,27 @@ ABC = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "bc"]}]
         (["run", "{deep}", "--mechanism", "mps"], None),
         (["check", "{inst}", "{deep}", "--property", "sd-efficiency"], None),
         (["run", "{inst}", "--mechanism", "mps", "--tiebreak", "{deep}"], None),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc["preferences"][0]["cpt"].update(F={"1F": ["1F", "2F"]})),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc["preferences"][0]["cpt"].update(B={"": ["1B", "2B"]})),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc["preferences"][0]["cpt"].update(B={"1F": ["1B", "2B"], "3F": ["2B", "1B"]})),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc["preferences"][0]["cpt"].update(Z={"": ["1B", "2B"]})),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc["preferences"][0]["cpt"].update(F={"": ["1B", "2B"]})),
+        (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc.update(types=[5, 6])),
+        (["run", "{inst}", "--mechanism", "mps"], lambda doc: doc.update(agents=0)),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc.update(types=[doc["types"][0], dict(doc["types"][1], name="F")])),
+        (["run", "{inst}", "--mechanism", "mps"],
+         lambda doc: doc.update(tiebreak=[["1F1B", "1F2B", "2F1B", "2F2B"]])),
+        (["run", "{inst}", "--mechanism", "mrp", "--mode", "bogus"], None),
+        (["check", "{inst}", "{a1}", "--property", "sd-strategyproofness", "--mechanism", "mps",
+          "--misreports", "bogus"], None),
+        (["compare", "{inst}", "{a1}", "{a1}", "--agent", "5"], None),
+        (["run", "{missing}", "--mechanism", "mps"], None),
     ],
     ids=[
         "mc-zero", "mc-negative", "sampled-not-int", "sampled-zero", "cpt-list", "cpt-rows-list",
@@ -312,6 +349,10 @@ ABC = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "bc"]}]
         "dependency-parent-object", "items-string", "agents-float", "agents-bool",
         "item-name-list", "type-name-number", "edge-name-number",
         "deep-instance", "deep-assignment", "deep-tiebreak",
+        "cpt-parentless-key", "cpt-key-misses-parents", "cpt-key-unresolvable", "cpt-unknown-type",
+        "cpt-item-wrong-type", "types-numbers", "agents-zero", "type-name-reused",
+        "tiebreak-one-list-two-agents", "mode-bogus", "misreports-bogus", "compare-agent-out-of-range",
+        "missing-file",
     ],
 )
 def test_cli_bad_input_exit2(workdir, capsys, argv, patch):
@@ -323,7 +364,7 @@ def test_cli_bad_input_exit2(workdir, capsys, argv, patch):
     # nested past the JSON decoder's recursion limit
     (workdir / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     paths = {"inst": str(workdir / "case.json"), "a1": str(workdir / "a1.json"), "tb56": str(workdir / "tb56.json"),
-             "deep": str(workdir / "deep.json")}
+             "deep": str(workdir / "deep.json"), "missing": str(workdir / "missing.json")}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
@@ -353,6 +394,17 @@ def test_cli_independent_misreports_guard_exit3(tmp_path, capsys):
             "--property", "sd-strategyproofness", "--misreports", "independent"]
     assert main(argv) == 3
     assert "1728000 CP-nets" in capsys.readouterr().err
+
+def test_cli_sampled_misreports_guard_exit3(workdir, capsys):
+    # refused before any order is drawn, upper invariance alone included
+    too_many = spaces.ENUMERATION_LIMIT + 1
+    argv = ["check", str(workdir / "mixed_pair.json"), str(workdir / "a1.json"), "--mechanism", "mrp"]
+    for prop in ("weak-sd-strategyproofness", "upper-invariance"):
+        assert main([*argv, "--property", prop, "--misreports", f"sampled:{too_many}"]) == 3
+        assert f"{too_many} sampled misreports" in capsys.readouterr().err
+    limit = f"sampled:{spaces.ENUMERATION_LIMIT}"
+    assert main([*argv, "--property", "upper-invariance", "--misreports", limit]) in (0, 1)
+
 
 def test_cli_exact_mrp_twelve_agents(tmp_path, capsys):
     # 100 485 (served, available) states, 414 275 turns

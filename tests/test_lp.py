@@ -450,6 +450,22 @@ def test_src_imports_only_the_standard_library():
             found.extend(f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed)
     assert found == []
 
+
+def test_src_imports_no_private_checker_or_mechanism_names():
+    # a private helper of axioms.py or mechanisms.py is used in its own module only
+    package = Path(lp_module.__file__).resolve().parent
+    modules = {(1, "axioms"), (1, "mechanisms"), (0, "mtra.axioms"), (0, "mtra.mechanisms")}
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in modules
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def test_checkers_import_no_private_mechanism_names():
     # the checkers and the CPT search re-run mechanisms through the public
     # interface of mechanisms.py, `reruns` above all
