@@ -24,6 +24,7 @@ from .axioms import (
     improvable_tuples,
     sd_compare,
 )
+from .io import build_instance
 from .mechanisms import (
     MpsTrace,
     MrpExact,
@@ -42,7 +43,6 @@ from .model import (
     Instance,
     Lottery,
     TypeDef,
-    build_instance,
     from_discrete,
     validate_assignment,
 )
@@ -58,5 +58,5 @@ from .preferences import (
     topological_sort,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and name != "io"]  # not the stdlib's io
 __version__ = "0.1.0"

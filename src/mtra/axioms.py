@@ -476,55 +476,32 @@ def check_decomposability(instance: Instance, P: FractionalAssignment) -> Proper
     return _lottery_report("decomposability", instance, P, instance._discrete_assignments)
 
 
-def _cycle_free(instance: Instance, bundles: tuple[int, ...]) -> bool:
-    """Has the discrete assignment no generalized cycle?  Such an
-    assignment is sd-efficient outright.  The answer goes into the
-    instance's memo: ``True``, or for a cyclic assignment whose
-    efficiency is not decided yet, its generalized cycle."""
-    done = instance._sd_efficient
-    if bundles not in done:
-        P = from_discrete(instance, DiscreteAssignment(bundles))
-        cycle = find_generalized_cycle(instance, P)
-        done[bundles] = True if cycle is None else cycle
-    return done[bundles] is True
-
-
-def _discrete_sd_efficient(instance: Instance, bundles: tuple[int, ...]) -> bool:
-    """Is the discrete assignment sd-efficient?  Decided in the order of
-    :func:`check_sd_efficiency`: a cycle-free one is, by the no-cycle
-    lemma (:func:`_cycle_free`); a cyclic one is decided from its memoized
-    cycle by :func:`_cyclic_sd_efficiency`, the trade LP and then the
-    exact LP, whose report replaces the cycle in the memo.  So each
-    assignment is cycle-checked once and decided at most once per
-    instance, which is asked about the same assignments again."""
-    done = instance._sd_efficient
-    if not _cycle_free(instance, bundles) and isinstance(done[bundles], frozenset):
-        P = from_discrete(instance, DiscreteAssignment(bundles))
-        done[bundles] = _cyclic_sd_efficiency(instance, P, done[bundles])
-    return bool(done[bundles])
-
-
 def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> PropertyReport:
     """Is P a mixture of *sd-efficient* discrete assignments?
 
-    The lottery LP is first solved over the cycle-free assignments
-    alone.  If it is feasible, P passes, and every entry of its lottery
-    is efficient by the no-cycle lemma, with no LP optimum trusted.
-    Only if it is infeasible is each cyclic assignment decided, by the
-    trade LP and then the exact LP (:func:`_discrete_sd_efficient`), and
-    the lottery LP solved over all the efficient ones, whose Farkas
-    certificate a failure carries.
-    The cycle-free assignments are among the efficient ones, so the
-    first LP passes only where the second would.
+    Each call finds every discrete assignment's generalized cycle once
+    and keeps no verdict.  The lottery LP is first solved over the
+    cycle-free assignments alone: if it is feasible, P passes, and every
+    entry of its lottery is efficient by the no-cycle lemma, with no LP
+    optimum trusted.  Only if it is infeasible is each cyclic assignment
+    decided from its cycle (:func:`_cyclic_sd_efficiency`: the trade LP,
+    then the exact LP), and the lottery LP solved over all the efficient
+    ones, whose Farkas certificate a failure carries.  The cycle-free
+    assignments are among the efficient ones, so the first LP passes
+    only where the second would.
     """
     require_shape(P, instance)
     _decomposition_guard(instance)
     assignments = instance._discrete_assignments
-    cycle_free = [a for a in assignments if _cycle_free(instance, a.bundles)]
+    cycles = {a: find_generalized_cycle(instance, from_discrete(instance, a)) for a in assignments}
+    cycle_free = [a for a, cycle in cycles.items() if cycle is None]
     report = _lottery_report("ex-post-efficiency", instance, P, cycle_free)
     if report.passed:
         return report
-    efficient = [a for a in assignments if _discrete_sd_efficient(instance, a.bundles)]
+    efficient = [
+        a for a, cycle in cycles.items()
+        if cycle is None or _cyclic_sd_efficiency(instance, from_discrete(instance, a), cycle).passed
+    ]
     return _lottery_report("ex-post-efficiency", instance, P, efficient)
 
 

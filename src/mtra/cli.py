@@ -112,7 +112,10 @@ def _mrp_mode(mode: str, seed: int):
     if mode == "sample":
         return MrpMonteCarlo(1, seed)
     if mode.startswith("mc:"):
-        return MrpMonteCarlo(_count(mode, "monte-carlo mode"), seed)
+        k = _count(mode, "monte-carlo mode")
+        if k > spaces.ENUMERATION_LIMIT:
+            raise GuardViolation(f"{k} monte-carlo samples exceed the {spaces.ENUMERATION_LIMIT} guard")
+        return MrpMonteCarlo(k, seed)
     raise ParseError(f"unknown mode {mode!r}")
 
 

@@ -28,8 +28,9 @@ from .axioms import (
     improvable_tuples,
     sd_compare,
 )
+from .io import build_instance
 from .mechanisms import MrpExact, mgd, mgd_decompose, mps, mrp, mrp_decompose
-from .model import FractionalAssignment, Instance, build_instance
+from .model import FractionalAssignment, Instance
 
 F = Fraction
 

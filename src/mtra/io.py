@@ -1,28 +1,29 @@
-"""File formats: instance documents, assignment matrices, lotteries.
+"""File formats: instance documents (:func:`build_instance` validates
+their dict form), tie-breaks, assignment matrices and lotteries.
 
-Both formats are JSON with exact rationals carried as "num/den" strings,
-so nothing is lost on the wire.  Serialization is canonical (sorted keys,
+All are JSON with exact rationals carried as "num/den" strings, so
+nothing is lost on the wire.  Serialization is canonical (sorted keys,
 fixed separators, trailing newline), which makes CLI output byte-stable.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import preferences as prefs
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, MissingPreference, ParseError
 from .model import (
-    _DIGIT_BOUND,
+    DIGIT_BOUND,
     MAX_DIGITS,
     DiscreteAssignment,
     FractionalAssignment,
     Instance,
     Lottery,
-    _parse_list,
-    _resolve_bundle,
-    build_instance,
+    Preference,
+    TypeDef,
     validate_assignment,
 )
 from .model import parse_fraction as parse_frac
@@ -52,6 +53,161 @@ def _show(v: Fraction) -> str:
 
 
 # -- instances ---------------------------------------------------------------
+
+
+def build_instance(spec: Mapping) -> Instance:
+    """Validate a parsed instance description (the dict form of the
+    document :func:`parse_instance` reads) into an :class:`Instance`."""
+    try:
+        agents = spec["agents"]
+        raw_types = list(spec["types"])
+        raw_prefs = list(spec["preferences"])
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"instance description is malformed: {exc}") from exc
+    if not isinstance(agents, int) or isinstance(agents, bool):
+        raise ParseError(f"agent count must be an integer (got {agents!r})")
+    if agents <= 0:
+        raise ParseError("agent count must be positive")
+    if len(raw_prefs) != agents:
+        raise MissingPreference(
+            f"{len(raw_prefs)} preferences declared for {agents} agents"
+        )
+    types = []
+    for t in raw_types:
+        try:
+            name, items = t["name"], _parse_list(t["items"], "'items'")
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"type description is malformed: {exc}") from exc
+        if not all(isinstance(s, str) for s in (name, *items)):
+            raise ParseError(f"type and item names must be strings (got {t!r})")
+        types.append(TypeDef(name, tuple(items)))
+    # Construct a preference-less shell first so name resolution can use it.
+    m = math.prod(len(t.items) for t in types)
+    shell = Instance(tuple(types), (prefs.PartialOrder.empty(m),) * agents)
+    parsed = tuple(_parse_preference(shell, q) for q in raw_prefs)
+    return Instance(tuple(types), parsed)
+
+
+def _parse_preference(shell: Instance, raw: Mapping) -> Preference:
+    try:
+        kind = raw["kind"]
+    except (KeyError, TypeError) as exc:
+        raise ParseError("preference entry lacks a 'kind'") from exc
+    if kind == "partial":
+        pairs = []
+        for edge in _parse_list(raw.get("edges", ()), "'edges'"):
+            try:
+                better, worse = edge
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"bad edge {edge!r}") from exc
+            pairs.append((_resolve_bundle(shell, better), _resolve_bundle(shell, worse)))
+        return prefs.PartialOrder.from_pairs(shell.m, pairs)
+    if kind == "cpnet":
+        return _parse_cpnet(shell, raw)
+    raise ParseError(f"unknown preference kind {kind!r}")
+
+
+def _parse_list(value, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{what} must be a list (got {value!r})")
+    return value
+
+
+def _resolve_bundle(instance: Instance, name: str) -> int:
+    index = instance.bundle_by_name.get(name) if isinstance(name, str) else None
+    if index is None:
+        raise ParseError(f"unknown bundle name {name!r}")
+    return index
+
+
+def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
+    type_index = {t.name: i for i, t in enumerate(shell.types)}
+    item_index = {
+        it: (ti, ii)
+        for ti, t in enumerate(shell.types)
+        for ii, it in enumerate(t.items)
+    }
+    # the dependency graph is a set of edges: a repeated edge is read once
+    parents: dict[int, set[int]] = {i: set() for i in range(shell.p)}
+    for edge in _parse_list(raw.get("dependency", ()), "'dependency'"):
+        try:
+            parent, child = edge
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad dependency edge {edge!r}") from exc
+        if any(not isinstance(name, str) or name not in type_index for name in (parent, child)):
+            raise ParseError(f"dependency edge {edge!r} names unknown types")
+        parents[type_index[child]].add(type_index[parent])
+    tables: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
+    raw_cpt = raw.get("cpt", {})
+    if not isinstance(raw_cpt, Mapping):
+        raise ParseError("'cpt' must be an object keyed by type name")
+    for tname, rows in raw_cpt.items():
+        if tname not in type_index:
+            raise ParseError(f"CPT names unknown type {tname!r}")
+        if not isinstance(rows, Mapping):
+            raise ParseError(f"CPT for type {tname!r} must be an object keyed by parent items")
+        ti = type_index[tname]
+        parent_list = sorted(parents[ti])
+        table: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for key, ordered in rows.items():
+            table[_parse_parent_key(key, parent_list, item_index)] = tuple(
+                _resolve_item(item_index, ti, it)
+                for it in _parse_list(ordered, f"CPT row {key!r} of type {tname!r}")
+            )
+        tables[ti] = table
+    return prefs.CPNet.from_tables(shell.sizes, {k: tuple(sorted(v)) for k, v in parents.items()}, tables)
+
+
+def _parse_parent_key(
+    key: str,
+    parent_list: Sequence[int],
+    item_index: Mapping[str, tuple[int, int]],
+) -> tuple[int, ...]:
+    """A CPT row key: one item name per parent type, run together in any
+    order.  Every way of splitting the key into such names is tried, so
+    an item name that prefixes another cannot hide the right reading;
+    a key with no reading, or with two, is refused."""
+    if not parent_list:
+        if key not in ("", "-"):
+            raise ParseError(f"parentless CPT row must use key '' (got {key!r})")
+        return ()
+    key = str(key)
+    names = [(name, ti, ii) for name, (ti, ii) in item_index.items() if ti in parent_list]
+    readings: dict[tuple[int, ...], str] = {}
+    short = False  # some split uses up the key but misses a parent type
+
+    def split(rest: str, found: dict[int, int], used: tuple[str, ...]) -> None:
+        nonlocal short
+        if not rest:
+            if len(found) == len(parent_list):
+                readings.setdefault(tuple(found[t] for t in sorted(parent_list)), "+".join(used))
+            else:
+                short = True
+            return
+        for name, ti, ii in names:
+            if ti not in found and rest.startswith(name):
+                split(rest[len(name):], {**found, ti: ii}, (*used, name))
+
+    split(key, {}, ())
+    if len(readings) > 1:
+        raise ParseError(f"CPT key {key!r} is ambiguous: {' or '.join(readings.values())}")
+    if not readings:
+        if short:
+            raise ParseError(f"CPT key {key!r} does not cover the parent types")
+        raise ParseError(f"cannot resolve CPT key {key!r}")
+    return next(iter(readings))
+
+
+def _resolve_item(
+    item_index: Mapping[str, tuple[int, int]], type_i: int, name: str
+) -> int:
+    try:
+        ti, ii = item_index[str(name)]
+    except KeyError:
+        raise ParseError(f"unknown item name {name!r}") from None
+    if ti != type_i:
+        raise ParseError(f"item {name!r} listed under the wrong type")
+    return ii
 
 
 def parse_instance(text: str) -> tuple[Instance, object]:
@@ -171,7 +327,7 @@ def parse_assignment(text: str, instance: Instance) -> FractionalAssignment:
             values[_resolve_bundle(instance, name)] = parse_frac(share)
         rows.append(values)
     P = FractionalAssignment.from_rows(rows)
-    if P.den >= _DIGIT_BOUND:
+    if P.den >= DIGIT_BOUND:
         raise ParseError(f"the shares' common denominator has more than {MAX_DIGITS} digits")
     violation = validate_assignment(P, instance)
     if violation is not None:

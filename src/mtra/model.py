@@ -7,6 +7,7 @@ enumerated by :attr:`Instance.bundles`.
 
 All shares are exact: integer numerators over one common denominator
 (:class:`FractionalAssignment`); no routine in this package ever rounds.
+Documents are read and written by :mod:`mtra.io`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Union
 
 from . import preferences as prefs
 from .errors import (
@@ -176,14 +177,6 @@ class Instance:
         return tuple(prefs.as_order(p) for p in self.preferences)
 
     @cached_property
-    def _sd_efficient(self) -> dict[tuple[int, ...], object]:
-        """What is known so far of the sd-efficiency of discrete
-        assignments, keyed by their bundles: ``True`` for one with no
-        generalized cycle, its cycle for a cyclic one not yet decided,
-        and its sd-efficiency report once one is."""
-        return {}
-
-    @cached_property
     def _discrete_assignments(self) -> tuple["DiscreteAssignment", ...]:
         """:func:`all_discrete_assignments`, built once per instance."""
         return tuple(all_discrete_assignments(self))
@@ -218,161 +211,6 @@ class Instance:
         return Instance(self.types, tuple(new_prefs))
 
 
-def build_instance(spec: Mapping) -> Instance:
-    """Validate a parsed instance description (the dict form of the file
-    format documented in :mod:`mtra.io`) into an :class:`Instance`."""
-    try:
-        agents = spec["agents"]
-        raw_types = list(spec["types"])
-        raw_prefs = list(spec["preferences"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"instance description is malformed: {exc}") from exc
-    if not isinstance(agents, int) or isinstance(agents, bool):
-        raise ParseError(f"agent count must be an integer (got {agents!r})")
-    if agents <= 0:
-        raise ParseError("agent count must be positive")
-    if len(raw_prefs) != agents:
-        raise MissingPreference(
-            f"{len(raw_prefs)} preferences declared for {agents} agents"
-        )
-    types = []
-    for t in raw_types:
-        try:
-            name, items = t["name"], _parse_list(t["items"], "'items'")
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"type description is malformed: {exc}") from exc
-        if not all(isinstance(s, str) for s in (name, *items)):
-            raise ParseError(f"type and item names must be strings (got {t!r})")
-        types.append(TypeDef(name, tuple(items)))
-    # Construct a preference-less shell first so name resolution can use it.
-    m = math.prod(len(t.items) for t in types)
-    shell = Instance(tuple(types), (prefs.PartialOrder.empty(m),) * agents)
-    parsed = tuple(_parse_preference(shell, q) for q in raw_prefs)
-    return Instance(tuple(types), parsed)
-
-
-def _parse_preference(shell: Instance, raw: Mapping) -> Preference:
-    try:
-        kind = raw["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError("preference entry lacks a 'kind'") from exc
-    if kind == "partial":
-        pairs = []
-        for edge in _parse_list(raw.get("edges", ()), "'edges'"):
-            try:
-                better, worse = edge
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad edge {edge!r}") from exc
-            pairs.append((_resolve_bundle(shell, better), _resolve_bundle(shell, worse)))
-        return prefs.PartialOrder.from_pairs(shell.m, pairs)
-    if kind == "cpnet":
-        return _parse_cpnet(shell, raw)
-    raise ParseError(f"unknown preference kind {kind!r}")
-
-
-def _parse_list(value, what: str) -> list | tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ParseError(f"{what} must be a list (got {value!r})")
-    return value
-
-
-def _resolve_bundle(instance: Instance, name: str) -> int:
-    index = instance.bundle_by_name.get(name) if isinstance(name, str) else None
-    if index is None:
-        raise ParseError(f"unknown bundle name {name!r}")
-    return index
-
-
-def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
-    type_index = {t.name: i for i, t in enumerate(shell.types)}
-    item_index = {
-        it: (ti, ii)
-        for ti, t in enumerate(shell.types)
-        for ii, it in enumerate(t.items)
-    }
-    # the dependency graph is a set of edges: a repeated edge is read once
-    parents: dict[int, set[int]] = {i: set() for i in range(shell.p)}
-    for edge in _parse_list(raw.get("dependency", ()), "'dependency'"):
-        try:
-            parent, child = edge
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad dependency edge {edge!r}") from exc
-        if any(not isinstance(name, str) or name not in type_index for name in (parent, child)):
-            raise ParseError(f"dependency edge {edge!r} names unknown types")
-        parents[type_index[child]].add(type_index[parent])
-    tables: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
-    raw_cpt = raw.get("cpt", {})
-    if not isinstance(raw_cpt, Mapping):
-        raise ParseError("'cpt' must be an object keyed by type name")
-    for tname, rows in raw_cpt.items():
-        if tname not in type_index:
-            raise ParseError(f"CPT names unknown type {tname!r}")
-        if not isinstance(rows, Mapping):
-            raise ParseError(f"CPT for type {tname!r} must be an object keyed by parent items")
-        ti = type_index[tname]
-        parent_list = sorted(parents[ti])
-        table: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for key, ordered in rows.items():
-            table[_parse_parent_key(key, parent_list, item_index)] = tuple(
-                _resolve_item(item_index, ti, it)
-                for it in _parse_list(ordered, f"CPT row {key!r} of type {tname!r}")
-            )
-        tables[ti] = table
-    return prefs.CPNet.from_tables(shell.sizes, {k: tuple(sorted(v)) for k, v in parents.items()}, tables)
-
-
-def _parse_parent_key(
-    key: str,
-    parent_list: Sequence[int],
-    item_index: Mapping[str, tuple[int, int]],
-) -> tuple[int, ...]:
-    """A CPT row key: one item name per parent type, run together in any
-    order.  Every way of splitting the key into such names is tried, so
-    an item name that prefixes another cannot hide the right reading;
-    a key with no reading, or with two, is refused."""
-    if not parent_list:
-        if key not in ("", "-"):
-            raise ParseError(f"parentless CPT row must use key '' (got {key!r})")
-        return ()
-    key = str(key)
-    names = [(name, ti, ii) for name, (ti, ii) in item_index.items() if ti in parent_list]
-    readings: dict[tuple[int, ...], str] = {}
-    short = False  # some split uses up the key but misses a parent type
-
-    def split(rest: str, found: dict[int, int], used: tuple[str, ...]) -> None:
-        nonlocal short
-        if not rest:
-            if len(found) == len(parent_list):
-                readings.setdefault(tuple(found[t] for t in sorted(parent_list)), "+".join(used))
-            else:
-                short = True
-            return
-        for name, ti, ii in names:
-            if ti not in found and rest.startswith(name):
-                split(rest[len(name):], {**found, ti: ii}, (*used, name))
-
-    split(key, {}, ())
-    if len(readings) > 1:
-        raise ParseError(f"CPT key {key!r} is ambiguous: {' or '.join(readings.values())}")
-    if not readings:
-        if short:
-            raise ParseError(f"CPT key {key!r} does not cover the parent types")
-        raise ParseError(f"cannot resolve CPT key {key!r}")
-    return next(iter(readings))
-
-
-def _resolve_item(
-    item_index: Mapping[str, tuple[int, int]], type_i: int, name: str
-) -> int:
-    try:
-        ti, ii = item_index[str(name)]
-    except KeyError:
-        raise ParseError(f"unknown item name {name!r}") from None
-    if ti != type_i:
-        raise ParseError(f"item {name!r} listed under the wrong type")
-    return ii
-
-
 # -- assignments ---------------------------------------------------------
 
 
@@ -381,7 +219,7 @@ def _resolve_item(
 # exponent spells a number no literal can: 10**e for a huge e takes
 # minutes.
 MAX_DIGITS = 4300
-_DIGIT_BOUND = 10**MAX_DIGITS
+DIGIT_BOUND = 10**MAX_DIGITS
 
 
 def parse_fraction(text: object) -> Fraction:
@@ -396,7 +234,7 @@ def parse_fraction(text: object) -> Fraction:
         v = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}") from exc
-    if abs(v.numerator) >= _DIGIT_BOUND or v.denominator >= _DIGIT_BOUND:
+    if abs(v.numerator) >= DIGIT_BOUND or v.denominator >= DIGIT_BOUND:
         raise ParseError(f"a rational has more than {MAX_DIGITS} digits in its numerator or denominator")
     return v
 

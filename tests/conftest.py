@@ -1,7 +1,7 @@
 import pytest
 
 from mtra import fixtures
-from mtra.model import build_instance
+from mtra.io import build_instance
 
 
 @pytest.fixture(scope="session")

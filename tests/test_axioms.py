@@ -37,6 +37,7 @@ from mtra.errors import (
     SoundnessError,
     UniverseMismatch,
 )
+from mtra.io import build_instance
 from mtra.mechanisms import MrpExact, MrpTurns, mgd, mgd_decompose, mps, mrp, reruns
 from mtra.model import (
     DiscreteAssignment,
@@ -44,7 +45,6 @@ from mtra.model import (
     Instance,
     Lottery,
     all_discrete_assignments,
-    build_instance,
     from_discrete,
     validate_assignment,
 )
@@ -746,8 +746,9 @@ def test_ex_post_efficiency_decides_each_assignment_once(monkeypatch):
     P = mps(inst)[0]
     first = check_ex_post_efficiency(inst, P)
     assert len(calls) == len(all_discrete_assignments(inst))
+    # no verdict is kept between calls, so the second call checks again
     assert check_ex_post_efficiency(inst, P) == first
-    assert len(calls) == len(all_discrete_assignments(inst))
+    assert len(calls) == 2 * len(all_discrete_assignments(inst))
 
 
 def _dominated_mixture():
@@ -824,18 +825,18 @@ def test_ex_post_falls_back_for_cyclic_efficient_assignments(monkeypatch):
     for n, p in ((2, 2), (3, 2)):
         for kind in ("general", "cpnet", "independent") * 2:
             inst = spaces.random_profile(rng, n, p, kind)
-            decided.clear()
             for a in all_discrete_assignments(inst):
                 P = from_discrete(inst, a)
                 if find_generalized_cycle(inst, P) is None:
                     continue
+                decided.clear()
                 report = check_ex_post_efficiency(inst, P)
+                # each cyclic assignment is LP-decided at most once per call
+                assert len(set(decided)) == len(decided)
                 assert report.passed == _sd_efficiency_lp(inst, P).passed
                 if report.passed:
                     fallbacks += 1
                     assert report.witness.entries == ((1, a),)
-            # each cyclic assignment is LP-decided at most once per instance
-            assert len(set(decided)) == len(decided)
     assert fallbacks > 0
 
 

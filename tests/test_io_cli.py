@@ -175,7 +175,7 @@ def test_cli_check_all(workdir, capsys, tmp_path):
     assert code == 1
     assert "PASS sd-efficiency" in out and "FAIL sd-envy-freeness" in out
     # a symmetric uniform assignment on identical chains passes everything
-    from mtra.model import build_instance
+    from mtra.io import build_instance
 
     inst = build_instance(
         {
@@ -404,6 +404,16 @@ def test_cli_sampled_misreports_guard_exit3(workdir, capsys):
         assert f"{too_many} sampled misreports" in capsys.readouterr().err
     limit = f"sampled:{spaces.ENUMERATION_LIMIT}"
     assert main([*argv, "--property", "upper-invariance", "--misreports", limit]) in (0, 1)
+
+
+def test_cli_monte_carlo_guard_exit3(workdir, capsys):
+    # refused before any sample is drawn, as sampled:K is
+    too_many = spaces.ENUMERATION_LIMIT + 1
+    argv = ["run", str(workdir / "mixed_pair.json"), "--mechanism", "mrp", "--mode"]
+    assert main([*argv, f"mc:{too_many}"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"{too_many} monte-carlo samples" in err
+    assert main([*argv, f"mc:{spaces.ENUMERATION_LIMIT}"]) == 0
 
 
 def test_cli_exact_mrp_twelve_agents(tmp_path, capsys):

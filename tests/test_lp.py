@@ -452,9 +452,11 @@ def test_src_imports_only_the_standard_library():
 
 
 def test_src_imports_no_private_checker_or_mechanism_names():
-    # a private helper of axioms.py or mechanisms.py is used in its own module only
+    # a private helper of axioms.py, mechanisms.py or model.py is used in
+    # its own module only
     package = Path(lp_module.__file__).resolve().parent
-    modules = {(1, "axioms"), (1, "mechanisms"), (0, "mtra.axioms"), (0, "mtra.mechanisms")}
+    modules = {(1, name) for name in ("axioms", "mechanisms", "model")}
+    modules |= {(0, "mtra." + name) for name in ("axioms", "mechanisms", "model")}
     found = [
         f"{path.name}:{node.lineno} {alias.name}"
         for path in sorted(package.glob("*.py"))

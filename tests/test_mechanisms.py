@@ -29,13 +29,13 @@ from mtra.mechanisms import (
     serial_dictatorship,
 )
 from mtra.axioms import check_strategyproofness
+from mtra.io import build_instance
 from mtra.model import (
     ZERO,
     DiscreteAssignment,
     FractionalAssignment,
     Instance,
     Lottery,
-    build_instance,
     validate_assignment,
 )
 
