@@ -34,6 +34,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import preferences as prefs
@@ -45,6 +46,8 @@ from .spaces import square_types
 
 _ORDERS3 = tuple(itertools.permutations(range(3)))
 _IDENT = (0, 1, 2)
+_TWINS_F = tuple(o for o in _ORDERS3 if o[0] == 0)
+_B_ROWS = tuple(itertools.product(_ORDERS3, repeat=3))
 _PARENTS = ((), (0,))
 
 
@@ -80,17 +83,31 @@ class ManipulationHit:
 
 
 def _candidate_profiles(seed: int) -> Iterator[tuple[tuple, tuple, tuple]]:
-    """(b2, b3, twins) combos in a seed-fixed shuffled order."""
-    twins_f = tuple(o for o in _ORDERS3 if o[0] == 0)
-    combos = [
-        (b2, b3, (f23, bb))
-        for b2 in _ORDERS3
-        for b3 in _ORDERS3
-        for f23 in twins_f
-        for bb in itertools.product(_ORDERS3, repeat=3)
-    ]
-    random.Random(seed).shuffle(combos)
-    return iter(combos)
+    """(b2, b3, (f23, bb)) combos in a seed-fixed shuffled order.
+
+    The combos are numbered as the nested loops over b2, b3, the twins'
+    F-order f23 (1F first) and their B-rows bb, the last fastest, would
+    list them: ``random.Random(seed)`` shuffles the numbers, and each is
+    decoded when it is reached.  A shuffle's swaps depend on the length
+    alone, so this is the order the shuffled list of combos would have,
+    without building the 15,552 combos.
+    """
+    numbers = list(range(len(_ORDERS3) ** 2 * len(_TWINS_F) * len(_B_ROWS)))
+    random.Random(seed).shuffle(numbers)
+    for number in numbers:
+        rest, bb = divmod(number, len(_B_ROWS))
+        rest, f23 = divmod(rest, len(_TWINS_F))
+        b2, b3 = divmod(rest, len(_ORDERS3))
+        yield _ORDERS3[b2], _ORDERS3[b3], (_TWINS_F[f23], _B_ROWS[bb])
+
+
+@lru_cache(maxsize=1)
+def _misreport_nets() -> tuple[dict, dict]:
+    """The manipulator's shared-F->B nets by B-rows, with F-order 1F>2F>3F,
+    and the same nets keyed by induced order, in the order of the B-rows:
+    built and checked once per process."""
+    nets = {rows: shared_fb_net(_IDENT, rows) for rows in _B_ROWS}
+    return nets, {prefs.as_order(net): net for net in nets.values()}
 
 
 def search_cpt_manipulations(
@@ -111,9 +128,8 @@ def search_cpt_manipulations(
     is kept, after :func:`sd_compare` has confirmed it.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    nets = {rows: shared_fb_net(_IDENT, rows) for rows in itertools.product(_ORDERS3, repeat=3)}
     # the misreports, as induced orders, each mapped back to its net
-    misreports = {prefs.as_order(net): net for net in nets.values()}
+    nets, misreports = _misreport_nets()
     hits: list[ManipulationHit] = []
     scanned = 0
     for b2, b3, (f23, bb) in _candidate_profiles(seed):

@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from . import preferences as prefs
@@ -39,9 +40,9 @@ def resolve_sorts(instance: Instance, tiebreak: Tiebreak = None) -> Sorts:
     Each comes from :meth:`~mtra.preferences.PartialOrder.sort`, so an
     order is sorted under a given tie-break once.  An instance made by
     :meth:`Instance.with_preference` holds the other agents' order
-    objects, a partial order being its own order and a CP-net's coming
-    from the :func:`~mtra.preferences.induce_order` cache, and so shares
-    their sorts.
+    objects, a partial order being its own order and a CP-net keeping
+    its own (:attr:`~mtra.preferences.CPNet.order`), and so shares their
+    sorts.
     """
     return _sorts(instance, tiebreak)[1]
 
@@ -571,10 +572,41 @@ def mgd(instance: Instance, tiebreak: Tiebreak = None) -> FractionalAssignment:
 @dataclass(frozen=True, eq=False)
 class MgdReruns(_Reruns):
     """The truthful :func:`mgd` sorts, from which :meth:`rerun` shares out
-    again with one agent's sort swapped."""
+    again with one agent's sort swapped, once per distinct one-agent run.
+
+    The agents pick in index order, so what agents 0..j-1 leave agent j,
+    ``available[j]``, comes from their truthful sorts alone, and the
+    picks after j's depend only on what is left.  The groups are the
+    truthful ones with j moved to its mates: the other agents whose
+    truthful sort is j's new one.  So the output is fixed by (j, j's
+    pick at ``available[j]``, mates), and :meth:`rerun` shares out once
+    per key: the same key returns the same output object.
+    """
+
+    @cached_property
+    def _outputs(self) -> dict[tuple[int, int, tuple[int, ...]], FractionalAssignment]:
+        """The re-run outputs made so far, keyed by (agent, pick, mates)."""
+        return {}
+
+    @cached_property
+    def available(self) -> tuple[int, ...]:
+        """Per agent, the bundles left at its turn of the truthful run."""
+        conflicts = self.instance.conflicts
+        left = (1 << self.instance.m) - 1
+        out = []
+        for sort in self.sorts:
+            out.append(left)
+            left &= ~conflicts[prefs.ext(sort, left)]
+        return tuple(out)
 
     def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
-        return _share(self.instance, self._swapped(agent, sort))
+        sort = tuple(sort)
+        mates = tuple(k for k, truthful in enumerate(self.sorts) if truthful == sort and k != agent)
+        key = (agent, prefs.ext(sort, self.available[agent]), mates)
+        out = self._outputs.get(key)
+        if out is None:
+            out = self._outputs[key] = _share(self.instance, self._swapped(agent, sort))
+        return out
 
 
 def _share(instance: Instance, sorts: Sequence[Sequence[int]]) -> FractionalAssignment:

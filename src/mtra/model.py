@@ -173,7 +173,7 @@ class Instance:
 
     @cached_property
     def orders(self) -> tuple[prefs.PartialOrder, ...]:
-        """Per-agent partial order (CP-nets induced on demand, cached)."""
+        """Per-agent partial order (a CP-net's is the one it keeps)."""
         return tuple(prefs.as_order(p) for p in self.preferences)
 
     @cached_property
@@ -201,8 +201,8 @@ class Instance:
 
         The other agents keep their preference objects, so their orders,
         and the sorts made on them, are shared with this instance: a
-        partial order is its own order, and a CP-net's comes from the
-        :func:`~mtra.preferences.induce_order` cache.
+        partial order is its own order, and a CP-net keeps its own
+        (:attr:`~mtra.preferences.CPNet.order`).
         """
         if not 0 <= agent < self.n:
             raise DimensionMismatch(f"agent {agent} is not one of the {self.n} agents")

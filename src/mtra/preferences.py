@@ -355,7 +355,8 @@ class CPNet:
     assignment to the parents (a tuple of item indices, ordered like
     ``parents[i]``) to a strict order over type ``i``'s items, stored as
     a sorted tuple of (parent assignment, item order) pairs so the whole
-    net is hashable.
+    net is hashable.  The net keeps the order it induces as
+    :attr:`order`, shared by all equal nets.
     """
 
     sizes: tuple[int, ...]
@@ -390,6 +391,14 @@ class CPNet:
     def is_independent(self) -> bool:
         return all(not pa for pa in self.parents)
 
+    @cached_property
+    def order(self) -> PartialOrder:
+        """The partial order this net induces (:func:`induce_order`), kept
+        on the net.  It comes from a cache keyed by the net's value, so
+        equal nets hold one order object, and share its sorts; the net's
+        tables are hashed only the first time a net is asked."""
+        return _induced_order_cached(self)
+
     @classmethod
     def independent(cls, orders: Sequence[Sequence[int]]) -> "CPNet":
         """CP-net with an edgeless dependency graph."""
@@ -421,23 +430,29 @@ def induce_order(cpnet: CPNet) -> PartialOrder:
     CPT-better one, with every other type held fixed at an arbitrary value.
     Only the flips between adjacent entries of each CPT row are generated:
     the others follow from them by transitivity.  The order is closed once
-    and cached by the net's value, so equal nets share it and its sorts.
+    per distinct net and kept on the net as :attr:`CPNet.order`, so equal
+    nets share it and its sorts.
     """
-    return _induced_order_cached(cpnet)
+    return cpnet.order
 
 
 def as_order(preference: PartialOrder | CPNet) -> PartialOrder:
     """The partial order a preference stands for: itself, or the order a
-    CP-net induces."""
-    return preference if isinstance(preference, PartialOrder) else induce_order(preference)
+    CP-net induces, read off :attr:`CPNet.order`."""
+    return preference if isinstance(preference, PartialOrder) else preference.order
 
 
 @lru_cache(maxsize=65536)
 def _induced_order_cached(cpnet: CPNet) -> PartialOrder:
+    """The order :func:`induce_order` describes, for the first of the equal
+    nets that asks.  Each adjacent flip is OR'd into the ``above`` row of
+    its worse bundle, the rows closed by :func:`_closure`, and the result
+    checked by :class:`PartialOrder`'s construction."""
     sizes = cpnet.sizes
     p = len(sizes)
+    m = math.prod(sizes)
     strides = [math.prod(sizes[q + 1 :]) for q in range(p)]  # mixed-radix place values
-    pairs: list[tuple[int, int]] = []
+    above = [0] * m
     for i, parents in enumerate(cpnet.parents):
         offsets = [0]  # index offsets of every assignment to the types outside i's row key
         for q in range(p):
@@ -447,8 +462,13 @@ def _induced_order_cached(cpnet: CPNet) -> PartialOrder:
             base = sum(v * strides[q] for q, v in zip(parents, key))
             cells = [base + item * strides[i] for item in row]
             for better, worse in zip(cells, cells[1:]):
-                pairs.extend((better + o, worse + o) for o in offsets)
-    return PartialOrder.from_pairs(math.prod(sizes), pairs)
+                bit = 1 << better
+                for o in offsets:
+                    above[worse + o] |= bit << o
+    closed = _closure(above, m)
+    if closed is None:
+        raise SoundnessError("an acyclic CP-net induces an acyclic order")
+    return PartialOrder(m, tuple(closed))
 
 
 def top_cpnet(cpnet: CPNet, remaining: Sequence[Iterable[int]]) -> tuple[int, ...]:

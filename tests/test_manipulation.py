@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from mtra import manipulation
 from mtra import preferences as prefs
@@ -80,3 +81,46 @@ def test_pattern_search_matches_public_mps_reference():
         ]
         found += len(hits)
     assert found == 2
+
+
+def built_and_shuffled(seed):
+    """The former candidate order: every combo built, then the list shuffled."""
+    orders = list(itertools.permutations(range(3)))
+    twins_f = [o for o in orders if o[0] == 0]
+    combos = [
+        (b2, b3, (f23, bb))
+        for b2 in orders
+        for b3 in orders
+        for f23 in twins_f
+        for bb in itertools.product(orders, repeat=3)
+    ]
+    random.Random(seed).shuffle(combos)
+    return combos
+
+
+def test_candidate_order_matches_the_shuffled_combo_list():
+    # the default seed, one of the tests above, and the first search seed
+    # of the benchmark's seed-0 truthfulness round 0
+    for seed in (2, 8, 591465043):
+        want = built_and_shuffled(seed)
+        assert len(want) == 15552
+        assert list(manipulation._candidate_profiles(seed)) == want
+
+
+def test_search_builds_its_misreport_nets_once(monkeypatch):
+    # a first search builds the nets, unless an earlier one did
+    manipulation.search_cpt_manipulations(max_hits=1 << 30, seed=3, max_profiles=1)
+    built = []
+    real = manipulation.shared_fb_net
+
+    def counted(f_order, b_rows):
+        built.append((f_order, b_rows))
+        return real(f_order, b_rows)
+
+    monkeypatch.setattr(manipulation, "shared_fb_net", counted)
+    manipulation.search_cpt_manipulations(max_hits=1 << 30, seed=3, max_profiles=2)
+    # only the twins' net of each profile is built
+    assert len(built) == 2
+    nets, misreports = manipulation._misreport_nets()
+    assert list(nets) == list(itertools.product(itertools.permutations(range(3)), repeat=3))
+    assert list(misreports.values()) == list(nets.values())

@@ -564,6 +564,40 @@ def test_mps_tree_matches_public_mps_on_every_cpnet_sort():
     assert compared > 7000, compared
 
 
+def _truthful_turns(inst, sorts):
+    """Per agent, the bundles left at its turn when every agent picks by
+    its truthful sort in index order."""
+    left, turns = (1 << inst.m) - 1, []
+    for sort in sorts:
+        turns.append(left)
+        left &= ~inst.conflicts[prefs.ext(sort, left)]
+    return turns
+
+
+def test_mgd_reruns_match_public_mgd_on_every_cpnet_sort():
+    inst, space = _cpnet_profile_32()
+    cases = [(inst, space)]
+    cases += [(fixture(), spaces.LinearOrderMisreports()) for fixture in (fixtures.three_chains, fixtures.opposed_trio)]
+    compared = joins = own = 0
+    for inst, space in cases:
+        runs = reruns("mgd", inst)
+        for j in range(inst.n):
+            seen = set()
+            for report in space.for_agent(inst, j):
+                sort = prefs.as_order(report).sort(runs.tiebreaks[j])
+                if sort in seen:
+                    continue
+                seen.add(sort)
+                got = runs.rerun(j, sort)
+                assert got == mgd(inst.with_preference(j, report))
+                # the same key is the same output object
+                assert runs.rerun(j, sort) is got
+                joins += any(runs.sorts[k] == sort for k in range(inst.n) if k != j)
+                own += sort == runs.sorts[j]
+                compared += 1
+    assert compared > 7000 and joins > 0 and own > 0, (compared, joins, own)
+
+
 def test_strategyproofness_runs_each_mps_round_once(monkeypatch):
     inst, space = _cpnet_profile_32()
     real_round, real_grow = mechanisms_module._round, mechanisms_module.MpsReruns._grow
@@ -591,6 +625,36 @@ def test_strategyproofness_runs_each_mps_round_once(monkeypatch):
     assert len({(id(node), agent, pick) for node, agent, pick in grown}) == len(grown)
     misreports = sum(1 for j in range(inst.n) for _ in space.for_agent(inst, j))
     assert len(rounds) * 10 < misreports, (len(rounds), misreports)
+
+
+def test_strategyproofness_shares_each_mgd_key_once(monkeypatch):
+    inst, space = _cpnet_profile_32()
+    real_share = mechanisms_module._share
+    shared = []
+
+    def counted_share(instance, sorts):
+        if instance is inst:
+            shared.append(tuple(map(tuple, sorts)))
+        return real_share(instance, sorts)
+
+    monkeypatch.setattr(mechanisms_module, "_share", counted_share)
+    report = check_strategyproofness("mgd", inst, space, "weak", tiebreaks=[None])
+    monkeypatch.undo()
+    assert report == check_strategyproofness("mgd", inst, space, "weak", tiebreaks=[None])
+    truth = resolve_sorts(inst)
+    assert shared[0] == truth
+    # every later share swaps one agent's sort, and no two of them have
+    # the same key: the agent, its pick from what the truthful run leaves
+    # it, and the other agents whose truthful sort it takes
+    turns = _truthful_turns(inst, truth)
+    keys = []
+    for sorts in shared[1:]:
+        (j,) = [k for k in range(inst.n) if sorts[k] != truth[k]]
+        mates = tuple(k for k in range(inst.n) if k != j and truth[k] == sorts[j])
+        keys.append((j, prefs.ext(sorts[j], turns[j]), mates))
+    assert len(set(keys)) == len(keys)
+    misreports = sum(1 for j in range(inst.n) for _ in space.for_agent(inst, j))
+    assert len(shared) * 100 < misreports, (len(shared), misreports)
 
 
 _TAMPER = """

@@ -263,6 +263,24 @@ def test_induction_matches_all_pairs_reference():
         assert prefs.induce_order(net).above == all_pairs_induced(net)
 
 
+def test_cpnets_keep_their_induced_order():
+    rng = random.Random(61)
+    for sizes in ((3, 3), (2, 2, 2)):
+        net = spaces.random_cpnet(rng, sizes)
+        assert net.order is prefs.induce_order(net) is prefs.as_order(net)
+        # an equal but distinct net holds the same order, so the same sorts
+        twin = prefs.CPNet(net.sizes, net.parents, tuple(tuple(table) for table in net.tables))
+        assert twin == net and twin is not net
+        assert twin.order is net.order
+        tiebreak = tuple(rng.sample(range(twin.order.m), twin.order.m))
+        assert twin.order.sort(tiebreak) is net.order.sort(tiebreak)
+    # a one-agent copy holds the same order objects
+    inst = spaces.random_profile(rng, 3, 2, "cpnet")
+    derived = inst.with_preference(0, inst.preferences[1])
+    assert derived.orders[0] is inst.orders[1] is inst.preferences[1].order
+    assert all(a is b for a, b in zip(derived.orders[1:], inst.orders[1:]))
+
+
 def down_mask_graph(order):
     """The former `preference_graph`: x covers y unless some bundle both
     below x and above y lies between them."""
