@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import preferences as prefs
-from .errors import DimensionMismatch, MtraError, SoundnessError, TooManyAgentsForExact
+from . import spaces
+from .errors import DimensionMismatch, InstanceTooLargeToDecide, MtraError, SoundnessError, TooManyAgentsForExact
 from .model import ZERO, DiscreteAssignment, FractionalAssignment, Instance, Lottery, outcome_matrix
 
 # Exact MRP refuses an instance whose pass over states of order prefixes
@@ -114,10 +116,15 @@ def serial_dictatorship(
     sorts: Sequence[Sequence[int]],
     priority: Sequence[int],
 ) -> DiscreteAssignment:
-    """Agents pick their first available bundle in priority order."""
+    """Agents pick their first available bundle in priority order: the
+    only loop in which agents pick one after another.  ``priority`` must
+    be an order of the n agents."""
+    n = instance.n
+    if sorted(priority) != list(range(n)):
+        raise DimensionMismatch(f"priority {priority!r} is not an order of the {n} agents")
     conflicts = instance.conflicts
     available = (1 << instance.m) - 1
-    chosen = [0] * instance.n
+    chosen = [0] * n
     for j in priority:
         x = prefs.ext(sorts[j], available)
         chosen[j] = x
@@ -125,20 +132,8 @@ def serial_dictatorship(
     return DiscreteAssignment(tuple(chosen))
 
 
-def _tally(
-    instance: Instance, sorts: Sequence[Sequence[int]], priorities: Iterable[Sequence[int]]
-) -> dict[tuple[int, ...], int]:
-    """Serial-dictatorship outcome -> number of ``priorities`` producing it,
-    in the order the outcomes are first met."""
-    outcomes: dict[tuple[int, ...], int] = {}
-    for priority in priorities:
-        bundles = serial_dictatorship(instance, sorts, priority).bundles
-        outcomes[bundles] = outcomes.get(bundles, 0) + 1
-    return outcomes
-
-
 def _lottery(outcomes: dict[tuple[int, ...], int], total: int) -> Lottery:
-    """Each tallied outcome with its share of the ``total`` priorities."""
+    """Each counted outcome with its share of the ``total`` priorities."""
     return Lottery(
         tuple((Fraction(w, total), DiscreteAssignment(b)) for b, w in outcomes.items())
     )
@@ -198,19 +193,14 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
     """
     if isinstance(mode, MrpExact):
         return MrpResult(mrp_turns(instance, tiebreak).truth, mode)
-    sorts = resolve_sorts(instance, tiebreak)
-    n = instance.n
     if isinstance(mode, MrpSingle):
-        if sorted(mode.priority) != list(range(n)):
-            raise DimensionMismatch(
-                f"priority {mode.priority!r} is not an order of the {n} agents"
-            )
-        outcomes, total = _tally(instance, sorts, [mode.priority]), 1
+        priorities, total = [mode.priority], 1
     elif isinstance(mode, MrpMonteCarlo):
-        shuffled = _shuffled(random.Random(mode.seed), n, mode.samples)
-        outcomes, total = _tally(instance, sorts, shuffled), mode.samples
+        priorities, total = _shuffled(random.Random(mode.seed), instance.n, mode.samples), mode.samples
     else:
         raise TypeError(f"unknown MRP mode {mode!r}")
+    sorts = resolve_sorts(instance, tiebreak)
+    outcomes = Counter(serial_dictatorship(instance, sorts, priority).bundles for priority in priorities)
     return MrpResult(outcome_matrix(instance, outcomes.items(), total), mode)
 
 
@@ -388,12 +378,12 @@ class _Node:
     ``supply`` is per flat item, a numerator over ``den`` as the
     ``clock`` is; ``available`` is the bitmask of the bundles whose
     items all have supply left, ``remaining`` counts those items, and
-    ``history`` holds the rounds eaten so far, from which
-    :func:`_shares` works out the agents' shares.  ``children`` maps
-    (agent, pick) to the node after the round in which ``agent`` eats
-    ``pick`` and every other agent the first available bundle of its
-    truthful sort.  Once the eating is over, ``out`` holds its output
-    and ``remaining`` is 0.
+    ``history`` holds the rounds eaten so far, whose bundles, weighted
+    by the rounds' lengths, :func:`~mtra.model.outcome_matrix` adds up
+    into the agents' shares.  ``children`` maps (agent, pick) to the
+    node after the round in which ``agent`` eats ``pick`` and every
+    other agent the first available bundle of its truthful sort.  Once
+    the eating is over, ``out`` holds its output and ``remaining`` is 0.
     """
 
     available: int
@@ -450,20 +440,10 @@ def _round(instance: Instance, node: _Node, eaten: tuple[int, ...]) -> _Node:
     if not remaining and clock != den:
         raise SoundnessError("the eating clock must end at 1")
     history = (*node.history, (eaten, step, den, clock, tuple(exhausted)))
-    out = None if remaining else _shares(instance, history)
+    # each round's length over the last round's denominator, which every earlier one divides
+    weighted = ((x, length * (den // d)) for x, length, d, _, _ in history)
+    out = None if remaining else outcome_matrix(instance, weighted, den)
     return _Node(available, tuple(supply), den, clock, remaining, history, out)
-
-
-def _shares(instance: Instance, history: Sequence[Round]) -> FractionalAssignment:
-    """The agents' shares once the rounds of ``history`` are eaten, over
-    the last round's denominator, which every earlier one divides."""
-    den = history[-1][2]
-    rows = [[0] * instance.m for _ in range(instance.n)]
-    for eaten, step, d, _, _ in history:
-        step *= den // d
-        for row, x in zip(rows, eaten):
-            row[x] += step
-    return FractionalAssignment(tuple(map(tuple, rows)), den)
 
 
 def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssignment, MpsTrace]:
@@ -535,7 +515,8 @@ def mps_reruns(instance: Instance, tiebreak: Tiebreak = None) -> MpsReruns:
     Supplies and the clock are integer numerators over one common
     denominator, refined whenever a round length is not a whole number
     of its units.  Each state keeps the rounds eaten to reach it, and
-    the shares are added up once, at the end (:func:`_shares`).  The
+    the shares are added up once, at the end, by
+    :func:`~mtra.model.outcome_matrix`.  The
     bundles still available are a bitmask.
     """
     breaks, sorts = _sorts(instance, tiebreak)
@@ -590,14 +571,13 @@ class MgdReruns(_Reruns):
 
     @cached_property
     def available(self) -> tuple[int, ...]:
-        """Per agent, the bundles left at its turn of the truthful run."""
+        """Per agent, the bundles left at its turn of the truthful run:
+        all of them less the conflicts of the earlier agents' picks."""
         conflicts = self.instance.conflicts
-        left = (1 << self.instance.m) - 1
-        out = []
-        for sort in self.sorts:
-            out.append(left)
-            left &= ~conflicts[prefs.ext(sort, left)]
-        return tuple(out)
+        left = [(1 << self.instance.m) - 1]
+        for x in serial_dictatorship(self.instance, self.sorts, range(self.instance.n)).bundles[:-1]:
+            left.append(left[-1] & ~conflicts[x])
+        return tuple(left)
 
     def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
         sort = tuple(sort)
@@ -610,38 +590,46 @@ class MgdReruns(_Reruns):
 
 
 def _share(instance: Instance, sorts: Sequence[Sequence[int]]) -> FractionalAssignment:
-    """The :func:`mgd` output when agent j picks by ``sorts[j]``."""
-    n = instance.n
+    """The :func:`mgd` output when agent j picks by ``sorts[j]``: each
+    agent's pick in the serial dictatorship in index order, shared
+    equally by its group."""
     groups = _groups(sorts)
     den = math.lcm(*(len(g) for g in groups.values()))
-    conflicts = instance.conflicts
-    available = (1 << instance.m) - 1
-    rows = [[0] * instance.m for _ in range(n)]
-    for j in range(n):
-        top = prefs.ext(sorts[j], available)
+    rows = [[0] * instance.m for _ in range(instance.n)]
+    for j, top in enumerate(serial_dictatorship(instance, sorts, range(instance.n)).bundles):
         group = groups[tuple(sorts[j])]
         for member in group:
             if rows[member][top] != 0:
                 raise SoundnessError("a group never revisits a bundle")
             rows[member][top] = den // len(group)
-        available &= ~conflicts[top]
     return FractionalAssignment(tuple(map(tuple, rows)), den)
 
 
 def mgd_decompose(instance: Instance, tiebreak: Tiebreak = None) -> Lottery:
     """Lottery witness for MGD: rotate members inside each equal-sort
     group through the group's priority positions, lcm-many times, and
-    average the serial dictatorship outcomes uniformly."""
+    average the serial-dictatorship outcomes uniformly.
+
+    The members of a group share a sort, so in each rotation slot i
+    picks the bundle agent i picks in the one dictatorship in index
+    order, whoever holds the slot: a rotation permutes those picks
+    within each group.  A lottery of more than
+    ``spaces.ENUMERATION_LIMIT`` rotations raises
+    ``InstanceTooLargeToDecide`` before any is built.
+    """
     sorts = resolve_sorts(instance, tiebreak)
     groups = _groups(sorts).values()
     k = math.lcm(*(len(g) for g in groups))
-    rotations = []
+    if k > spaces.ENUMERATION_LIMIT:
+        raise InstanceTooLargeToDecide(f"{k} mgd lottery rotations exceed the {spaces.ENUMERATION_LIMIT} guard")
+    picks = serial_dictatorship(instance, sorts, range(instance.n)).bundles
+    outcomes: Counter[tuple[int, ...]] = Counter()
     for u in range(k):
-        priority = [0] * instance.n
+        chosen = [0] * instance.n
         for members in groups:
             for pos, agent in enumerate(members):
-                # the slot originally held by `agent` is taken by the
-                # member u places after it in the same group
-                priority[agent] = members[(pos + u) % len(members)]
-        rotations.append(priority)
-    return _lottery(_tally(instance, sorts, rotations), k)
+                # the slot originally held by `agent`, and so its pick,
+                # goes to the member u places after it in the same group
+                chosen[members[(pos + u) % len(members)]] = picks[agent]
+        outcomes[tuple(chosen)] += 1
+    return _lottery(outcomes, k)

@@ -349,6 +349,8 @@ class DiscreteAssignment:
             raise DimensionMismatch("one bundle per agent required")
         used: set[int] = set()
         for x in self.bundles:
+            if not 0 <= x < instance.m:
+                raise DimensionMismatch(f"bundle {x} is not one of the {instance.m} bundles")
             for o in instance.bundle_items[x]:
                 if o in used:
                     raise DimensionMismatch(

@@ -1056,7 +1056,7 @@ def test_misreports_of_the_wrong_sizes_are_refused():
     for mechanism in ("mrp", "mps", "mgd"):
         with pytest.raises(ParseError):
             check_strategyproofness(mechanism, inst, _WrongSizes(), "weak", tiebreaks=[None])
-    for mechanism in ("mps", "mgd"):
+    for mechanism in ("mrp", "mps", "mgd"):
         with pytest.raises(ParseError):
             check_upper_invariance(mechanism, inst, _WrongSizes(), tiebreaks=[None])
 

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import time
 
 import pytest
 
@@ -414,6 +416,28 @@ def test_cli_monte_carlo_guard_exit3(workdir, capsys):
     out, err = capsys.readouterr()
     assert out == "" and f"{too_many} monte-carlo samples" in err
     assert main([*argv, f"mc:{spaces.ENUMERATION_LIMIT}"]) == 0
+
+
+def test_cli_decompose_guard_exit3(tmp_path, capsys):
+    # equal-sort groups of 2, 3, 5, 7, 11, 13 and 17 agents: the mgd lottery
+    # has 510 510 rotations, refused before any is built
+    sizes = (2, 3, 5, 7, 11, 13, 17)
+    items = [f"{i}F" for i in range(sum(sizes))]
+    # group g puts item g above item 0, which makes its sort its own
+    groups = [[[items[g], items[0]]] if g else [] for g, size in enumerate(sizes) for _ in range(size)]
+    doc = {
+        "agents": len(items),
+        "types": [{"name": "F", "items": items}],
+        "preferences": [{"kind": "partial", "edges": edges} for edges in groups],
+    }
+    path = tmp_path / "groups.json"
+    path.write_text(json.dumps(doc))
+    assert math.lcm(*sizes) > spaces.ENUMERATION_LIMIT
+    start = time.perf_counter()
+    assert main(["decompose", str(path)]) == 3
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and "510510 mgd lottery rotations" in err
 
 
 def test_cli_exact_mrp_twelve_agents(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -101,6 +102,14 @@ def test_mrp_single_rejects_bad_priority(three_chains):
     for priority in ((0, 0, 1), (0, 1), (0, 1, 2, 3)):
         with pytest.raises(DimensionMismatch):
             mrp(three_chains, MrpSingle(priority))
+
+
+@pytest.mark.parametrize("priority", [[0], [0, 0], [0, 2]], ids=["short", "repeated", "no-agent"])
+def test_serial_dictatorship_rejects_bad_priority(mixed_pair, priority):
+    # each would give one item twice, let one agent pick twice or pick for no agent
+    sorts = resolve_sorts(mixed_pair, fixtures.sort_a(mixed_pair))
+    with pytest.raises(DimensionMismatch, match=r"priority \[.*\] is not an order of the 2 agents"):
+        serial_dictatorship(mixed_pair, sorts, priority)
 
 
 def test_mrp_exact_guard(own_items_first):
@@ -427,6 +436,79 @@ def test_mgd_decompose_matches_mgd_on_random_profiles():
             assert mgd_decompose(inst, tiebreak).expectation(inst) == mgd(inst, tiebreak)
 
 
+def rotation_mgd_decompose(instance, tiebreak=None):
+    """The former ``mgd_decompose`` body, one serial dictatorship per
+    rotation of the members inside each equal-sort group: the reference
+    for the lottery read off one pick order."""
+    sorts = resolve_sorts(instance, tiebreak)
+    groups = {}
+    for j, sort in enumerate(sorts):
+        groups.setdefault(sort, []).append(j)
+    k = math.lcm(*map(len, groups.values()))
+    outcomes = {}
+    for u in range(k):
+        priority = [0] * instance.n
+        for members in groups.values():
+            for pos, agent in enumerate(members):
+                priority[agent] = members[(pos + u) % len(members)]
+        bundles = serial_dictatorship(instance, sorts, priority).bundles
+        outcomes[bundles] = outcomes.get(bundles, 0) + 1
+    return Lottery(tuple((F(w, k), DiscreteAssignment(b)) for b, w in outcomes.items()))
+
+
+def _mgd_group_cases():
+    """(instance, tiebreak) pairs: the fixtures, and seeded profiles in
+    which agents 0, {1, 3} and {2, 4, 5} report equal preferences, under
+    a shared tie-break and under per-agent ones equal within a group."""
+    for make in (
+        fixtures.mixed_pair, fixtures.partial_twins, fixtures.dependent_pair, fixtures.blank_vs_chain,
+        fixtures.three_chains, fixtures.opposed_trio, fixtures.solo, fixtures.chain_twins,
+    ):
+        inst = make()
+        tiebreaks = [None, list(reversed(range(inst.m)))]
+        if "2F1B" in inst.bundle_by_name:
+            tiebreaks += [fixtures.sort_a(inst), fixtures.sort_b(inst)]
+        for tiebreak in tiebreaks:
+            yield inst, tiebreak
+    rng = random.Random(29)
+    for p in (1, 2):
+        for kind in ("general", "cpnet"):
+            for _ in range(3):
+                base = spaces.random_profile(rng, 6, p, kind)
+                inst = Instance(base.types, tuple(base.preferences[g] for g in (0, 1, 2, 1, 2, 2)))
+                shared = rng.sample(range(inst.m), inst.m)
+                per_group = [rng.sample(range(inst.m), inst.m) for _ in range(3)]
+                for tiebreak in (None, shared, [per_group[g] for g in (0, 1, 2, 1, 2, 2)]):
+                    yield inst, tiebreak
+
+
+def test_mgd_decompose_matches_rotation_reference():
+    lcms = set()
+    for inst, tiebreak in _mgd_group_cases():
+        lottery = mgd_decompose(inst, tiebreak)
+        assert lottery == rotation_mgd_decompose(inst, tiebreak)
+        assert lottery.expectation(inst) == mgd(inst, tiebreak)
+        lcms.add(math.lcm(*(p.denominator for p, _ in lottery.entries)))
+    assert 6 in lcms and 2 in lcms, lcms
+
+
+def test_mgd_and_its_lottery_run_one_serial_dictatorship(monkeypatch):
+    real = mechanisms_module.serial_dictatorship
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mechanisms_module, "serial_dictatorship", counted)
+    for inst, tiebreak in _mgd_group_cases():
+        for run in (mgd, mgd_decompose):
+            calls.clear()
+            run(inst, tiebreak)
+            assert len(calls) == 1, (run.__name__, len(calls))
+            assert list(calls[0][2]) == list(range(inst.n))
+
+
 def test_equal_preferences_equal_rows():
     rng = random.Random(21)
     for _ in range(20):
@@ -581,6 +663,7 @@ def test_mgd_reruns_match_public_mgd_on_every_cpnet_sort():
     compared = joins = own = 0
     for inst, space in cases:
         runs = reruns("mgd", inst)
+        assert runs.available == tuple(_truthful_turns(inst, runs.sorts))
         for j in range(inst.n):
             seen = set()
             for report in space.for_agent(inst, j):

@@ -256,6 +256,13 @@ def test_from_discrete_rejects_item_reuse(mixed_pair):
         from_discrete(mixed_pair, DiscreteAssignment((bn["1F1B"], bn["1F2B"])))
 
 
+@pytest.mark.parametrize("bundles", [(-1, 0), (4, 0)], ids=["-1", "m"])
+def test_from_discrete_rejects_bundles_outside_the_instance(mixed_pair, bundles):
+    # -1 would wrap round to the last bundle, 4 is past the end
+    with pytest.raises(DimensionMismatch, match=r"bundle -?\d is not one of the 4 bundles"):
+        from_discrete(mixed_pair, DiscreteAssignment(bundles))
+
+
 def test_discrete_assignments_always_validate():
     rng = random.Random(1)
     for _ in range(25):
