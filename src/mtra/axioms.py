@@ -68,6 +68,8 @@ def ucs_sums(order: prefs.PartialOrder, row: Sequence[Fraction]) -> tuple[Fracti
     The row is scaled to integers by :meth:`FractionalAssignment.from_rows`,
     so the contour sums are integer additions and each result is one Fraction.
     """
+    if len(row) != order.m:
+        raise UniverseMismatch("allocation rows do not match the bundle universe")
     scaled = FractionalAssignment.from_rows([row])
     return tuple(Fraction(v, scaled.den) for v in _contour_sums(_ucs_masks(order), scaled.nums[0]))
 
@@ -564,6 +566,15 @@ def manipulations(
             yield ManipulationWitness(j, report, truth, lied, tiebreak)
 
 
+def _tiebreaks(instance: Instance, tiebreaks: Iterable[Tiebreak] | None) -> tuple[Tiebreak, ...]:
+    """The tie-breaks a mechanism-level check runs under, by default the
+    sweep's; none would run the mechanism not once and pass."""
+    tiebreaks = spaces.sweep_tiebreaks(instance.m) if tiebreaks is None else tuple(tiebreaks)
+    if not tiebreaks:
+        raise ValueError("a mechanism-level check needs at least one tie-break")
+    return tiebreaks
+
+
 def check_strategyproofness(
     mechanism: str,
     instance: Instance,
@@ -584,9 +595,7 @@ def check_strategyproofness(
         raise ValueError(f"unknown strategyproofness strength {strength!r}")
     name = ("sd" if strength == "sd" else "weak-sd") + "-strategyproofness"
     detail = f"{mechanism} against {misreports.describe()}"
-    if tiebreaks is None:
-        tiebreaks = spaces.sweep_tiebreaks(instance.m)
-    for tb in tiebreaks:
+    for tb in _tiebreaks(instance, tiebreaks):
         runs = reruns(mechanism, instance, tb)
         for j in range(instance.n):
             reports = misreports.for_agent(instance, j)
@@ -611,9 +620,7 @@ def check_upper_invariance(
     output must equal the one it was judged by.
     """
     detail = f"{mechanism} against {transforms.describe()}"
-    if tiebreaks is None:
-        tiebreaks = spaces.sweep_tiebreaks(instance.m)
-    for tb in tiebreaks:
+    for tb in _tiebreaks(instance, tiebreaks):
         runs = reruns(mechanism, instance, tb)
         truth = runs.truth
         seen: dict[tuple[int, prefs.PartialOrder], FractionalAssignment] = {}

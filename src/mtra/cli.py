@@ -28,7 +28,7 @@ from .axioms import (
     check_upper_invariance,
     sd_compare,
 )
-from .errors import GuardViolation, MisreportSpaceTooLarge, MtraError, ParseError, SoundnessError
+from .errors import GuardViolation, MtraError, ParseError, SoundnessError
 from .fixtures import fixture_names, replay_all
 from .mechanisms import MrpExact, MrpMonteCarlo, mgd, mgd_decompose, mps, mrp
 from .model import FractionalAssignment, Instance
@@ -112,10 +112,7 @@ def _mrp_mode(mode: str, seed: int):
     if mode == "sample":
         return MrpMonteCarlo(1, seed)
     if mode.startswith("mc:"):
-        k = _count(mode, "monte-carlo mode")
-        if k > spaces.ENUMERATION_LIMIT:
-            raise GuardViolation(f"{k} monte-carlo samples exceed the {spaces.ENUMERATION_LIMIT} guard")
-        return MrpMonteCarlo(k, seed)
+        return MrpMonteCarlo(_count(mode, "monte-carlo mode"), seed)
     raise ParseError(f"unknown mode {mode!r}")
 
 
@@ -138,10 +135,7 @@ def _misreport_space(kind: str, seed: int):
     if kind == "independent":
         return spaces.IndependentCpNetMisreports()
     if kind.startswith("sampled:"):
-        k = _count(kind, "misreport space")
-        if k > spaces.ENUMERATION_LIMIT:
-            raise MisreportSpaceTooLarge(f"{k} sampled misreports exceed the {spaces.ENUMERATION_LIMIT} guard")
-        return spaces.SampledLinearOrderMisreports(k, seed)
+        return spaces.SampledLinearOrderMisreports(_count(kind, "misreport space"), seed)
     raise ParseError(f"unknown misreport space {kind!r}")
 
 

@@ -20,7 +20,7 @@ scanned exhaustively per candidate:
 Candidate profiles are visited in a seed-fixed shuffled order.  On each,
 the search is a weak sd-strategyproofness check of the eating mechanism
 against the manipulator's B-row misreports: the truthful eating is kept
-as the first path of a tree of eating rounds (:func:`mps_reruns`), and
+as the first path of a tree of eating rounds (``reruns("mps", ...)``), and
 :func:`~mtra.axioms.manipulations` judges each misreport against it,
 each distinct row of the manipulator's once, and re-runs every
 manipulation from scratch.  Every hit is checked once more with
@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 from . import preferences as prefs
 from .axioms import manipulations, sd_compare
 from .errors import SoundnessError
-from .mechanisms import mps_reruns
+from .mechanisms import reruns
 from .model import Instance
 from .spaces import square_types
 
@@ -140,7 +140,7 @@ def search_cpt_manipulations(
         scanned += 1
         twins = shared_fb_net(f23, bb)
         instance = Instance(square_types(3, 2), (nets[_IDENT, b2, b3], twins, twins))
-        for witness in manipulations("mps", mps_reruns(instance), None, 0, misreports, "weak"):
+        for witness in manipulations("mps", reruns("mps", instance), None, 0, misreports, "weak"):
             truth, lie = witness.truthful.row(0), witness.manipulated.row(0)
             if not sd_compare(instance.orders[0], lie, truth).p_dominates_q:
                 raise SoundnessError("sd_compare disagrees with the upper-contour sums")

@@ -16,17 +16,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Hashable, Iterator, Sequence
 
 from . import preferences as prefs
 from . import spaces
-from .errors import DimensionMismatch, InstanceTooLargeToDecide, MtraError, SoundnessError, TooManyAgentsForExact
+from .errors import DimensionMismatch, GuardViolation, InstanceTooLargeToDecide, MtraError, SoundnessError
+from .errors import TooManyAgentsForExact
 from .model import ZERO, DiscreteAssignment, FractionalAssignment, Instance, Lottery, outcome_matrix
 
 # Exact MRP refuses an instance whose pass over states of order prefixes
 # would take more than this many turns, a turn being one state with one
 # unserved agent picking next.  Both passes, the turn tables of
-# ``mrp_turns`` and the lottery of ``mrp_decompose``, spend time and
+# ``_turns`` and the lottery of ``mrp_decompose``, spend time and
 # memory per turn and check it with ``_spend``.  Computing
 # random-priority shares is #P-hard in general, so this is a fixed
 # budget, not a setting.
@@ -34,6 +35,7 @@ EXACT_TURN_LIMIT = 1_000_000
 
 Tiebreak = Sequence[int] | Sequence[Sequence[int]] | None
 Sorts = tuple[tuple[int, ...], ...]
+Tables = tuple[dict[int, int], ...]  # per agent, bundles available -> priority orders
 
 
 def resolve_sorts(instance: Instance, tiebreak: Tiebreak = None) -> Sorts:
@@ -71,16 +73,31 @@ class _Reruns:
     which one agent alone picks by another sort: a misreport's order
     sorted under the agent's entry of ``tiebreaks``, say.  ``truth`` is
     the truthful output and ``sorts`` the agents' truthful sorts.  No
-    re-run builds an instance."""
+    re-run builds an instance.  Only :func:`reruns` makes one."""
 
     instance: Instance
     truth: FractionalAssignment
     tiebreaks: Sorts
     sorts: Sorts
 
+    @cached_property
+    def _outputs(self) -> dict[Hashable, FractionalAssignment]:
+        """The re-run outputs made so far, keyed by :meth:`_key`."""
+        return {}
+
     def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
         """The whole output when ``agent`` picks by ``sort`` and the others
-        by their truthful sorts."""
+        by their truthful sorts, made by :meth:`_run` once per :meth:`_key`."""
+        key = self._key(agent, sort)
+        out = self._outputs.get(key)
+        if out is None:
+            out = self._outputs[key] = self._run(agent, sort)
+        return out
+
+    def _key(self, agent: int, sort: Sequence[int]) -> Hashable:
+        raise NotImplementedError
+
+    def _run(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
         raise NotImplementedError
 
     def row(self, agent: int, sort: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -95,20 +112,22 @@ class _Reruns:
         return sorts
 
 
-def reruns(
-    mechanism: str, instance: Instance, tiebreak: Tiebreak = None
-) -> MpsReruns | MgdReruns | MrpTurns:
+def reruns(mechanism: str, instance: Instance, tiebreak: Tiebreak = None) -> MpsReruns | MgdReruns | MrpTurns:
     """The exact truthful run of ``mechanism`` ("mps", "mgd" or "mrp")
-    under ``tiebreak``, kept for one-agent re-runs: :func:`mps_reruns`,
-    :class:`MgdReruns` or :func:`mrp_turns`."""
-    if mechanism == "mps":
-        return mps_reruns(instance, tiebreak)
-    if mechanism == "mrp":
-        return mrp_turns(instance, tiebreak)
-    if mechanism != "mgd":
+    under ``tiebreak``, kept for one-agent re-runs: the only maker of an
+    :class:`MrpTurns`, :class:`MgdReruns` or :class:`MpsReruns`, whose
+    truthful eating is agent 0's :func:`_walk` by its own sort."""
+    if mechanism not in ("mps", "mgd", "mrp"):
         raise ValueError(f"unknown mechanism {mechanism!r}")
     breaks, sorts = _sorts(instance, tiebreak)
-    return MgdReruns(instance, _share(instance, sorts), breaks, sorts)
+    if mechanism == "mrp":
+        truth, tables = _turns(instance, sorts)
+        return MrpTurns(instance, truth, breaks, sorts, math.factorial(instance.n), tables)
+    if mechanism == "mgd":
+        return MgdReruns(instance, _share(instance, sorts), breaks, sorts)
+    root = _Node((1 << instance.m) - 1, (1,) * (instance.n * instance.p), 1, 0, ())
+    leaf = _walk(instance, sorts, root, 0, sorts[0])
+    return MpsReruns(instance, leaf.out, breaks, sorts, root, leaf)
 
 
 def serial_dictatorship(
@@ -134,9 +153,7 @@ def serial_dictatorship(
 
 def _lottery(outcomes: dict[tuple[int, ...], int], total: int) -> Lottery:
     """Each counted outcome with its share of the ``total`` priorities."""
-    return Lottery(
-        tuple((Fraction(w, total), DiscreteAssignment(b)) for b, w in outcomes.items())
-    )
+    return Lottery(tuple((Fraction(w, total), DiscreteAssignment(b)) for b, w in outcomes.items()))
 
 
 # -- MRP -----------------------------------------------------------------
@@ -152,14 +169,14 @@ class MrpSingle:
 @dataclass(frozen=True)
 class MrpExact:
     """Average over all n! priority orders, counted by one pass over
-    (agents served, bundles available) states (:func:`mrp_turns`).  Its
+    (agents served, bundles available) states (:func:`_turns`).  Its
     lottery, from :func:`mrp_decompose`, takes a pass over finer states.
     Either pass is refused past ``EXACT_TURN_LIMIT`` turns."""
 
 
 @dataclass(frozen=True)
 class MrpMonteCarlo:
-    """Empirical average over k sampled priority orders."""
+    """Empirical average over 1 to ``spaces.ENUMERATION_LIMIT`` sampled priority orders."""
 
     samples: int
     seed: int = 0
@@ -167,6 +184,8 @@ class MrpMonteCarlo:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise MtraError(f"monte-carlo mode needs at least one sample, got {self.samples}")
+        if self.samples > spaces.ENUMERATION_LIMIT:
+            raise GuardViolation(f"{self.samples} monte-carlo samples exceed the {spaces.ENUMERATION_LIMIT} guard")
 
 
 MrpMode = MrpSingle | MrpExact | MrpMonteCarlo
@@ -187,12 +206,12 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
 
     Single and Monte-Carlo modes count how many of their priority orders
     (the one given, or the sampled ones) produce each serial-dictatorship
-    outcome and average them.  Exact mode takes the rows that
-    :func:`mrp_turns` counts over all n! orders without running them;
-    no mode builds a lottery.
+    outcome and average them.  Exact mode takes the truthful output of
+    ``reruns("mrp", ...)``, the rows its :func:`_turns` pass counts over
+    all n! orders without running them; no mode builds a lottery.
     """
     if isinstance(mode, MrpExact):
-        return MrpResult(mrp_turns(instance, tiebreak).truth, mode)
+        return MrpResult(reruns("mrp", instance, tiebreak).truth, mode)
     if isinstance(mode, MrpSingle):
         priorities, total = [mode.priority], 1
     elif isinstance(mode, MrpMonteCarlo):
@@ -213,11 +232,12 @@ class MrpTurns(_Reruns):
     those bundles to j.  Only the agents before j pick, so the table
     depends on the other agents' sorts alone, and :meth:`row` reads j's
     row off it for any sort of j's own, as numerators over ``total`` =
-    n!.  :meth:`rerun` makes a new pass with that sort swapped in.
+    n!.  For the same reason j's picks at those states fix the whole
+    output, so :meth:`rerun` makes a new pass once per (j, those picks).
     """
 
     total: int
-    tables: tuple[dict[int, int], ...]
+    tables: Tables
 
     def row(self, agent: int, sort: Sequence[int]) -> tuple[tuple[int, ...], int]:
         row = [0] * self.instance.m
@@ -225,17 +245,15 @@ class MrpTurns(_Reruns):
             row[prefs.ext(sort, available)] += orders
         return tuple(row), self.total
 
-    def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
-        return _turns(self.instance, self.tiebreaks, self._swapped(agent, sort)).truth
+    def _key(self, agent: int, sort: Sequence[int]) -> Hashable:
+        return agent, tuple(prefs.ext(sort, available) for available in self.tables[agent])
+
+    def _run(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
+        return _turns(self.instance, self._swapped(agent, sort))[0]
 
 
-def mrp_turns(instance: Instance, tiebreak: Tiebreak = None) -> MrpTurns:
-    """The turn tables of exact MRP, from one forward pass (:func:`_turns`)."""
-    return _turns(instance, *_sorts(instance, tiebreak))
-
-
-def _turns(instance: Instance, breaks: Sorts, sorts: Sequence[Sequence[int]]) -> MrpTurns:
-    """The turn tables of exact MRP when agent j picks by ``sorts[j]``.
+def _turns(instance: Instance, sorts: Sequence[Sequence[int]]) -> tuple[FractionalAssignment, Tables]:
+    """The output and turn tables of exact MRP when agent j picks by ``sorts[j]``.
 
     Layer k of the pass holds the states (agents served, bundles
     available) that k-agent prefixes of priority orders reach, each with
@@ -250,12 +268,12 @@ def _turns(instance: Instance, breaks: Sorts, sorts: Sequence[Sequence[int]]) ->
     n, m = instance.n, instance.m
     conflicts = instance.conflicts
     agents = (1 << n) - 1
-    # per agent, available -> orders * m + pick: the number of orders
-    # that give the agent its turn there, and the bundle it picks
-    turns: list[dict[int, int]] = [{} for _ in range(n)]
+    # per agent: available -> its pick there, and available -> the orders that give it its turn there
+    picks: list[dict[int, int]] = [{} for _ in range(n)]
+    tables: list[dict[int, int]] = [{} for _ in range(n)]
     layer = {((1 << m) - 1) << n: 1}  # available << n | served -> prefixes
     taken = 0
-    weight = math.factorial(n)
+    weight = total = math.factorial(n)
     for k in range(n):
         taken = _spend(taken, len(layer), n, k, "(served, available)")
         weight //= n - k  # (n-k-1)! orders extend a prefix and its next agent
@@ -264,33 +282,31 @@ def _turns(instance: Instance, breaks: Sorts, sorts: Sequence[Sequence[int]]) ->
         for key, count in layer.items():
             available = key >> n
             served = key & agents
-            added = count * weight * m  # the orders per next agent, past the pick
+            added = count * weight  # the orders per next agent
             rest = agents & ~served
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 j = bit.bit_length() - 1
-                table = turns[j]
-                turn = table.get(available)
-                if turn is None:
-                    turn = prefs.ext(sorts[j], available)
-                table[available] = turn + added
+                chosen = picks[j]
+                pick = chosen.get(available)
+                if pick is None:
+                    pick = chosen[available] = prefs.ext(sorts[j], available)
+                table = tables[j]
+                table[available] = table.get(available, 0) + added
                 if not last:
-                    successor = ((available & ~conflicts[turn % m]) << n) | served | bit
+                    successor = ((available & ~conflicts[pick]) << n) | served | bit
                     nxt[successor] = nxt.get(successor, 0) + count
         layer = nxt
-    total = math.factorial(n)
-    tables, rows = [], []
-    for table in turns:
+    rows = []
+    for chosen, table in zip(picks, tables):
         row = [0] * m
-        for turn in table.values():
-            row[turn % m] += turn // m
+        for available, orders in table.items():
+            row[chosen[available]] += orders
         if sum(row) != total:
             raise SoundnessError("every agent takes one turn in each priority order")
-        tables.append({available: turn // m for available, turn in table.items()})
         rows.append(tuple(row))
-    truth = FractionalAssignment(tuple(rows), total)
-    return MrpTurns(instance, truth, breaks, tuple(sorts), total, tuple(tables))
+    return FractionalAssignment(tuple(rows), total), tuple(tables)
 
 
 def _shuffled(rng: random.Random, n: int, samples: int) -> Iterator[list[int]]:
@@ -377,29 +393,51 @@ class _Node:
 
     ``supply`` is per flat item, a numerator over ``den`` as the
     ``clock`` is; ``available`` is the bitmask of the bundles whose
-    items all have supply left, ``remaining`` counts those items, and
-    ``history`` holds the rounds eaten so far, whose bundles, weighted
-    by the rounds' lengths, :func:`~mtra.model.outcome_matrix` adds up
-    into the agents' shares.  ``children`` maps (agent, pick) to the
-    node after the round in which ``agent`` eats ``pick`` and every
-    other agent the first available bundle of its truthful sort.  Once
-    the eating is over, ``out`` holds its output and ``remaining`` is 0.
+    items all have supply left, and ``history`` holds the rounds eaten
+    so far, whose bundles, weighted by the rounds' lengths,
+    :func:`~mtra.model.outcome_matrix` adds up into the agents' shares.
+    ``children`` maps (agent, pick) to the node after the round in which
+    ``agent`` eats ``pick`` and every other agent the first available
+    bundle of its truthful sort.  Once the eating is over, ``out`` holds
+    its output and no bundle is available.
     """
 
     available: int
     supply: tuple[int, ...]
     den: int
     clock: int
-    remaining: int
     history: tuple[Round, ...]
     out: FractionalAssignment | None = None
     children: dict[tuple[int, int], _Node] = field(default_factory=dict)
 
 
+def _walk(instance: Instance, sorts: Sorts, node: _Node, agent: int, sort: Sequence[int]) -> _Node:
+    """The last state of the eating from ``node`` in which ``agent`` picks
+    by ``sort`` and every other agent by its truthful sort in ``sorts``.
+
+    The walk follows the child of ``agent``'s pick at each node, and
+    eats a round (:func:`_round`, called from here alone) only where it
+    is missing.  A round in which the agent picks truthfully is filed
+    under every agent's truthful pick, so all truthful walks meet.
+    """
+    while node.out is None:
+        pick = prefs.ext(sort, node.available)
+        child = node.children.get((agent, pick))
+        if child is None:
+            eaten = [prefs.ext(truthful, node.available) for truthful in sorts]
+            keys = tuple(enumerate(eaten)) if eaten[agent] == pick else ((agent, pick),)
+            eaten[agent] = pick
+            child = _round(instance, node, tuple(eaten))
+            node.children.update(dict.fromkeys(keys, child))
+        node = child
+    return node
+
+
 def _round(instance: Instance, node: _Node, eaten: tuple[int, ...]) -> _Node:
     """The node after the round of the eating from ``node`` in which agent
     j eats bundle ``eaten[j]``: the only place a round is eaten, so every
-    soundness check of the eating is made here."""
+    soundness check of the eating is made here.  Supply is conserved per
+    type, so the eating is over when no bundle is available."""
     n = len(eaten)
     supply = list(node.supply)
     den, clock, available = node.den, node.clock, node.available
@@ -431,19 +469,18 @@ def _round(instance: Instance, node: _Node, eaten: tuple[int, ...]) -> _Node:
             available &= ~item_bundles[o]
     if not exhausted:
         raise SoundnessError("each round must exhaust at least one item")
-    remaining = node.remaining - len(exhausted)
     clock += step
     # conservation: per type, remaining supply equals n * (1 - clock)
     for t in range(p):
         if sum(supply[t * n : (t + 1) * n]) != n * (den - clock):
             raise SoundnessError(f"type {t} supply is not conserved")
-    if not remaining and clock != den:
+    if not available and clock != den:
         raise SoundnessError("the eating clock must end at 1")
     history = (*node.history, (eaten, step, den, clock, tuple(exhausted)))
     # each round's length over the last round's denominator, which every earlier one divides
     weighted = ((x, length * (den // d)) for x, length, d, _, _ in history)
-    out = None if remaining else outcome_matrix(instance, weighted, den)
-    return _Node(available, tuple(supply), den, clock, remaining, history, out)
+    out = None if available else outcome_matrix(instance, weighted, den)
+    return _Node(available, tuple(supply), den, clock, history, out)
 
 
 def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssignment, MpsTrace]:
@@ -454,12 +491,12 @@ def mps(instance: Instance, tiebreak: Tiebreak = None) -> tuple[FractionalAssign
     the items actually being consumed, and the whole argmin set is
     removed at once.  Items nobody is eating impose no bound.
 
-    This is the truthful path of :func:`mps_reruns`, whose loop is the
-    only one that drives the eating: the output is its last state's, and
-    the trace is read off that state's rounds.  The round times are the
-    only Fractions built.
+    This is the truthful eating of ``reruns("mps", ...)``, made by
+    :func:`_walk`: the output is its last state's, and the trace is read
+    off that state's rounds.  The round times are the only Fractions
+    built.
     """
-    leaf = mps_reruns(instance, tiebreak).leaf
+    leaf = reruns("mps", instance, tiebreak).leaf
     ends = [Fraction(clock, den) for _, _, den, clock, _ in leaf.history]
     trace = MpsTrace(
         tuple(
@@ -475,60 +512,18 @@ class MpsReruns(_Reruns):
     """The truthful eating, grown into a tree of eating rounds by the
     one-agent re-runs.
 
-    The nodes from ``root`` are states at the start of a round.  The
-    truthful run's states make the first path, which ends at ``leaf``,
-    whose output is ``truth``.  When agent j alone picks by another
-    sort, :meth:`rerun` walks down from ``root``, taking at each node the
-    child of j's pick from that node's available bundles.  A round is run
-    (:func:`_round`) only the first time a (node, agent, pick) is
-    reached, and its node is kept, so each distinct one-agent eating is
-    computed once, round by round, and the same eating returns the same
-    output object.
+    The nodes from ``root`` are states at the start of a round; the
+    truthful eating ends at ``leaf``, whose output is ``truth``.
+    :meth:`rerun` is agent j's :func:`_walk` from ``root`` by its new
+    sort, so the same eating returns the same output object: the truth
+    itself if j never picks otherwise.
     """
 
     root: _Node
     leaf: _Node
 
     def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
-        node = self.root
-        while node.out is None:
-            key = (agent, prefs.ext(sort, node.available))
-            child = node.children.get(key)
-            if child is None:
-                child = node.children[key] = self._grow(node, *key)
-            node = child
-        return node.out
-
-    def _grow(self, node: _Node, agent: int, pick: int) -> _Node:
-        """The child of ``node`` in which ``agent`` eats ``pick`` and the
-        others by their truthful sorts."""
-        eaten = [prefs.ext(sort, node.available) for sort in self.sorts]
-        eaten[agent] = pick
-        return _round(self.instance, node, tuple(eaten))
-
-
-def mps_reruns(instance: Instance, tiebreak: Tiebreak = None) -> MpsReruns:
-    """The truthful eating of :func:`mps`, as the first path of the tree
-    that :meth:`MpsReruns.rerun` grows: each truthful state's child for
-    every agent's truthful pick is the next one.
-
-    Supplies and the clock are integer numerators over one common
-    denominator, refined whenever a round length is not a whole number
-    of its units.  Each state keeps the rounds eaten to reach it, and
-    the shares are added up once, at the end, by
-    :func:`~mtra.model.outcome_matrix`.  The
-    bundles still available are a bitmask.
-    """
-    breaks, sorts = _sorts(instance, tiebreak)
-    n, p, m = instance.n, instance.p, instance.m
-    root = node = _Node((1 << m) - 1, (1,) * (n * p), 1, 0, n * p, ())
-    while node.out is None:
-        eaten = tuple([prefs.ext(sort, node.available) for sort in sorts])
-        child = _round(instance, node, eaten)
-        for j, x in enumerate(eaten):
-            node.children[j, x] = child
-        node = child
-    return MpsReruns(instance, node.out, breaks, sorts, root, node)
+        return _walk(self.instance, self.sorts, self.root, agent, sort).out
 
 
 # -- MGD -----------------------------------------------------------------
@@ -565,11 +560,6 @@ class MgdReruns(_Reruns):
     """
 
     @cached_property
-    def _outputs(self) -> dict[tuple[int, int, tuple[int, ...]], FractionalAssignment]:
-        """The re-run outputs made so far, keyed by (agent, pick, mates)."""
-        return {}
-
-    @cached_property
     def available(self) -> tuple[int, ...]:
         """Per agent, the bundles left at its turn of the truthful run:
         all of them less the conflicts of the earlier agents' picks."""
@@ -579,14 +569,13 @@ class MgdReruns(_Reruns):
             left.append(left[-1] & ~conflicts[x])
         return tuple(left)
 
-    def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
+    def _key(self, agent: int, sort: Sequence[int]) -> Hashable:
         sort = tuple(sort)
         mates = tuple(k for k, truthful in enumerate(self.sorts) if truthful == sort and k != agent)
-        key = (agent, prefs.ext(sort, self.available[agent]), mates)
-        out = self._outputs.get(key)
-        if out is None:
-            out = self._outputs[key] = _share(self.instance, self._swapped(agent, sort))
-        return out
+        return agent, prefs.ext(sort, self.available[agent]), mates
+
+    def _run(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
+        return _share(self.instance, self._swapped(agent, sort))
 
 
 def _share(instance: Instance, sorts: Sequence[Sequence[int]]) -> FractionalAssignment:

@@ -387,6 +387,9 @@ class Lottery:
             raise DimensionMismatch("lottery probabilities must sum to one")
 
     def expectation(self, instance: Instance) -> FractionalAssignment:
+        """The weighted sum of the entries, each a discrete assignment of ``instance``."""
+        for _, disc in self.entries:
+            disc.validate(instance)
         den = math.lcm(*(prob.denominator for prob, _ in self.entries))
         weights = ((disc.bundles, prob.numerator * (den // prob.denominator)) for prob, disc in self.entries)
         return outcome_matrix(instance, weights, den)

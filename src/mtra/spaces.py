@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from . import preferences as prefs
-from .errors import MisreportSpaceTooLarge
+from .errors import MisreportSpaceTooLarge, MtraError
 from .model import FractionalAssignment, Instance, Preference, TypeDef
 
 ENUMERATION_LIMIT = 200_000
@@ -238,10 +238,16 @@ class SampledLinearOrderMisreports(MisreportSpace):
 
     The orders are drawn one at a time as the checker asks for them, so a
     large ``samples`` costs nothing up front and a check that fails early
-    draws no more."""
+    draws no more.  ``samples`` runs from 1 to ``ENUMERATION_LIMIT``."""
 
     samples: int
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise MtraError(f"a sampled misreport space needs at least one sample, got {self.samples}")
+        if self.samples > ENUMERATION_LIMIT:
+            raise MisreportSpaceTooLarge(f"{self.samples} sampled misreports exceed the {ENUMERATION_LIMIT} guard")
 
     def for_agent(self, instance: Instance, agent: int) -> Iterator[Preference]:
         rng = random.Random(f"{self.seed}:{instance.m}:{agent}")

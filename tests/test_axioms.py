@@ -115,6 +115,10 @@ def test_sd_compare_transitive():
 def test_sd_compare_universe_mismatch(mixed_pair):
     with pytest.raises(UniverseMismatch):
         sd_compare(mixed_pair.orders[0], (F(1),), (F(1),))
+    chain = prefs.PartialOrder.from_chain([0, 1, 2])
+    for row in ([F(1, 2), F(1, 2), 0, 5], [F(1, 2), F(1, 2)]):
+        with pytest.raises(UniverseMismatch):
+            ucs_sums(chain, row)
 
 
 # -- improvable tuples / generalized cycles -------------------------------------
@@ -1105,6 +1109,15 @@ def test_transforms_of_no_pivot_are_refused(blank_vs_chain, mechanism, pivot):
 def test_upper_invariance_identity_passes(blank_vs_chain):
     transforms = spaces.ExplicitTransforms(((0, blank_vs_chain.preferences[0], 1),))
     assert check_upper_invariance("mrp", blank_vs_chain, transforms, tiebreaks=[None]).passed
+
+
+@pytest.mark.parametrize("tiebreaks", [[], iter(())])
+def test_mechanism_checks_refuse_no_tiebreaks(mixed_pair, tiebreaks):
+    # no tie-break would run the mechanism not once and pass
+    with pytest.raises(ValueError, match="at least one tie-break"):
+        check_strategyproofness("mrp", mixed_pair, spaces.LinearOrderMisreports(), "sd", tiebreaks=tiebreaks)
+    with pytest.raises(ValueError, match="at least one tie-break"):
+        check_upper_invariance("mrp", mixed_pair, spaces.CpNetTransforms(), tiebreaks=tiebreaks)
 
 
 def test_deletion_transforms_generate_valid_candidates():

@@ -12,7 +12,14 @@ import pytest
 from mtra import fixtures, manipulation, spaces
 from mtra import mechanisms as mechanisms_module
 from mtra import preferences as prefs
-from mtra.errors import DimensionMismatch, MtraError, NothingAvailable, SoundnessError, TooManyAgentsForExact
+from mtra.errors import (
+    DimensionMismatch,
+    GuardViolation,
+    MtraError,
+    NothingAvailable,
+    SoundnessError,
+    TooManyAgentsForExact,
+)
 from mtra.mechanisms import (
     EXACT_TURN_LIMIT,
     MpsRound,
@@ -29,7 +36,7 @@ from mtra.mechanisms import (
     resolve_sorts,
     serial_dictatorship,
 )
-from mtra.axioms import check_strategyproofness
+from mtra.axioms import check_strategyproofness, check_upper_invariance
 from mtra.io import build_instance
 from mtra.model import (
     ZERO,
@@ -95,6 +102,13 @@ def test_mrp_monte_carlo_reproducible(mixed_pair):
     for samples in (0, -3):
         with pytest.raises(MtraError):
             MrpMonteCarlo(samples)
+
+
+def test_mrp_monte_carlo_is_guarded():
+    too_many = spaces.ENUMERATION_LIMIT + 1
+    with pytest.raises(GuardViolation, match=f"{too_many} monte-carlo samples"):
+        MrpMonteCarlo(too_many)
+    assert MrpMonteCarlo(spaces.ENUMERATION_LIMIT).samples == spaces.ENUMERATION_LIMIT
 
 
 def test_mrp_single_rejects_bad_priority(three_chains):
@@ -598,10 +612,10 @@ def test_reruns_match_public_runs(mechanism):
                 nums, den = runs.row(j, sort)
                 assert len(nums) == inst.m
                 assert all(v * want.den == w * den for v, w in zip(nums, want.nums[j]))
+                # the same key (for mps, the same eating) is the same output object
+                assert runs.rerun(j, sort) is got
                 if mechanism != "mps":
                     continue
-                # the same eating is the same node, so the same output object
-                assert runs.rerun(j, sort) is got
                 first = next(
                     (
                         r
@@ -615,6 +629,14 @@ def test_reruns_match_public_runs(mechanism):
                 resumed["truth" if first is None else "start" if first == 0 else "later"] += 1
     if mechanism == "mps":
         assert all(resumed.values()), resumed
+
+
+def test_mps_truthful_walks_end_at_the_truth():
+    for inst, tiebreak, _ in _one_agent_cases():
+        runs = reruns("mps", inst, tiebreak)
+        assert runs.leaf.out is runs.truth
+        for j in range(inst.n):
+            assert runs.rerun(j, runs.sorts[j]) is runs.truth
 
 
 def test_reruns_refuse_an_unknown_mechanism(mixed_pair):
@@ -632,7 +654,7 @@ def _cpnet_profile_32():
 
 def test_mps_tree_matches_public_mps_on_every_cpnet_sort():
     inst, space = _cpnet_profile_32()
-    runs = mechanisms_module.mps_reruns(inst)
+    runs = reruns("mps", inst)
     compared = 0
     for j in range(inst.n):
         seen = set()
@@ -683,31 +705,55 @@ def test_mgd_reruns_match_public_mgd_on_every_cpnet_sort():
 
 def test_strategyproofness_runs_each_mps_round_once(monkeypatch):
     inst, space = _cpnet_profile_32()
-    real_round, real_grow = mechanisms_module._round, mechanisms_module.MpsReruns._grow
-    rounds, grown = [], []
+    real_round = mechanisms_module._round
+    rounds = []
 
-    def counted_round(instance, *args):
+    def counted_round(instance, node, eaten):
         if instance is inst:
-            rounds.append(args)
-        return real_round(instance, *args)
-
-    def counted_grow(self, node, agent, pick):
-        if self.instance is inst:
-            grown.append((node, agent, pick))
-        return real_grow(self, node, agent, pick)
+            rounds.append((node, eaten))
+        return real_round(instance, node, eaten)
 
     monkeypatch.setattr(mechanisms_module, "_round", counted_round)
-    monkeypatch.setattr(mechanisms_module.MpsReruns, "_grow", counted_grow)
     report = check_strategyproofness("mps", inst, space, "weak", tiebreaks=[None])
     monkeypatch.undo()
     assert report == check_strategyproofness("mps", inst, space, "weak", tiebreaks=[None])
-    # every round on the profile is a truthful one or grows the tree at
-    # a (node, agent, pick) not reached before; different nodes can hold
-    # equal states, so a node is told apart by its identity
-    assert len(rounds) == len(mps(inst)[1].rounds) + len(grown)
-    assert len({(id(node), agent, pick) for node, agent, pick in grown}) == len(grown)
+    # no round on the profile is eaten twice from the same node; the
+    # nodes are kept by the tree, and different nodes can hold equal
+    # states, so a node is told apart by its identity
+    assert len({(id(node), eaten) for node, eaten in rounds}) == len(rounds)
     misreports = sum(1 for j in range(inst.n) for _ in space.for_agent(inst, j))
     assert len(rounds) * 10 < misreports, (len(rounds), misreports)
+
+
+def test_upper_invariance_makes_one_mrp_pass_per_key(monkeypatch):
+    inst, _ = _cpnet_profile_32()
+    real_turns, real_rerun = mechanisms_module._turns, mechanisms_module.MrpTurns.rerun
+    passes, asked = [], set()
+
+    def counted_turns(instance, sorts):
+        if instance is inst:
+            passes.append(tuple(map(tuple, sorts)))
+        return real_turns(instance, sorts)
+
+    def recorded_rerun(self, agent, sort):
+        asked.add((agent, tuple(prefs.ext(sort, available) for available in self.tables[agent])))
+        return real_rerun(self, agent, sort)
+
+    monkeypatch.setattr(mechanisms_module, "_turns", counted_turns)
+    monkeypatch.setattr(mechanisms_module.MrpTurns, "rerun", recorded_rerun)
+    report = check_upper_invariance("mrp", inst, spaces.CpNetTransforms(), tiebreaks=[None])
+    monkeypatch.undo()
+    assert report == check_upper_invariance("mrp", inst, spaces.CpNetTransforms(), tiebreaks=[None])
+    truth = reruns("mrp", inst)
+    assert passes[0] == truth.sorts
+    # every later pass swaps one agent's sort, and no two of them have
+    # the same key: the agent and its picks at the states of its turn table
+    keys = []
+    for sorts in passes[1:]:
+        (j,) = [k for k in range(inst.n) if sorts[k] != truth.sorts[k]]
+        keys.append((j, tuple(prefs.ext(sorts[j], available) for available in truth.tables[j])))
+    assert len(set(keys)) == len(keys) > 1, keys
+    assert set(keys) == asked
 
 
 def test_strategyproofness_shares_each_mgd_key_once(monkeypatch):
@@ -764,7 +810,7 @@ def caught(run):
 
 # agent 0 eats bundle 1 instead of 0 from round 0, which now has one
 # unit of item 0 too many
-reruns = mechanisms.mps_reruns(inst)
+reruns = mechanisms.reruns("mps", inst)
 reruns.root.supply = (2, 1)
 caught(lambda: reruns.rerun(0, lie.sort(reruns.tiebreaks[0])))
 
@@ -772,7 +818,7 @@ caught(lambda: reruns.rerun(0, lie.sort(reruns.tiebreaks[0])))
 # then 0 or 1; the state after round 0 gains one unit of item 0 once
 # the first walk has grown it, and the second walk takes another pick
 # from it
-chains = mechanisms.mps_reruns(fixtures.three_chains())
+chains = mechanisms.reruns("mps", fixtures.three_chains())
 chains.rerun(0, (2, 0, 1))
 node = chains.root.children[0, 2]
 node.supply = (node.supply[0] + node.den, *node.supply[1:])

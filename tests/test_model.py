@@ -202,6 +202,14 @@ def test_lottery_invariants(mixed_pair):
         Lottery(((Fraction(0), disc), (Fraction(1), disc)))
 
 
+@pytest.mark.parametrize("bundles", [(0,), (0, 3, 1)])
+def test_lottery_expectation_refuses_entries_of_another_instance(mixed_pair, bundles):
+    # one bundle too few would leave agent 1's row empty, one too many
+    # would index past the agents
+    with pytest.raises(DimensionMismatch):
+        Lottery(((1, DiscreteAssignment(bundles)),)).expectation(mixed_pair)
+
+
 def test_equal_matrices_are_one_value():
     """An assignment reached by different routes is one value: equal,
     hash-equal, with the same integer form and the same Fraction rows."""

@@ -6,7 +6,7 @@ import pytest
 from mtra import spaces
 from mtra import preferences as prefs
 from mtra.axioms import check_upper_invariance
-from mtra.errors import MisreportSpaceTooLarge
+from mtra.errors import MisreportSpaceTooLarge, MtraError
 from mtra.mechanisms import reruns
 
 
@@ -115,10 +115,26 @@ def test_sampled_misreports_deterministic():
     assert len(list(space.for_agent(inst, 1))) == 5
 
 
-def test_sampled_misreports_are_drawn_lazily():
+def test_sampled_misreports_refuse_counts_outside_the_budget():
+    # no sample would check nothing and pass; a passing check draws them all
+    for samples in (0, -3):
+        with pytest.raises(MtraError):
+            spaces.SampledLinearOrderMisreports(samples)
+    with pytest.raises(MisreportSpaceTooLarge, match=f"{spaces.ENUMERATION_LIMIT + 1} sampled misreports"):
+        spaces.SampledLinearOrderMisreports(spaces.ENUMERATION_LIMIT + 1)
+
+
+def test_sampled_misreports_are_drawn_lazily(monkeypatch):
     inst = spaces.random_profile(random.Random(1), 3, 2, "general")
-    # the first of 10**12 orders comes without the rest being built
-    assert next(iter(spaces.SampledLinearOrderMisreports(10**12, seed=9).for_agent(inst, 0))).is_linear()
+    # the first of the most orders allowed comes without the rest being built
+    real_from_chain, built = prefs.PartialOrder.from_chain, []
+    monkeypatch.setattr(
+        prefs.PartialOrder, "from_chain", classmethod(lambda cls, perm: built.append(perm) or real_from_chain(perm))
+    )
+    limit = spaces.SampledLinearOrderMisreports(spaces.ENUMERATION_LIMIT, seed=9)
+    assert next(iter(limit.for_agent(inst, 0))).is_linear()
+    assert len(built) == 1
+    monkeypatch.undo()
     space = spaces.SampledLinearOrderMisreports(40, seed=9)
     for agent in range(inst.n):
         # the former eager loop, kept as the reference
