@@ -29,7 +29,6 @@ from .mechanisms import (
     MpsTrace,
     MrpExact,
     MrpMonteCarlo,
-    MrpSingle,
     mgd,
     mgd_decompose,
     mps,
@@ -49,7 +48,6 @@ from .model import (
 from .preferences import (
     CPNet,
     PartialOrder,
-    PreferenceGraph,
     ext,
     induce_order,
     is_uit,

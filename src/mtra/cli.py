@@ -9,7 +9,6 @@ exact procedures).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -56,14 +55,6 @@ MECHANISM_PROPERTIES = (
 )
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("MTRA_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"MTRA_SEED must be an integer, got {raw!r}") from None
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -88,11 +79,10 @@ def _tiebreak_for(args, instance: Instance, file_tiebreak):
 def cmd_run(args) -> int:
     instance, file_tb = _load_instance(args.instance)
     tiebreak = _tiebreak_for(args, instance, file_tb)
-    seed = args.seed if args.seed is not None else _default_seed()
     meta = {
         "mechanism": args.mechanism,
         "mode": args.mode,
-        "seed": seed,
+        "seed": args.seed,
         "tiebreak": "explicit" if tiebreak is not None else "canonical",
     }
     if args.mechanism == "mps":
@@ -100,7 +90,7 @@ def cmd_run(args) -> int:
     elif args.mechanism == "mgd":
         assignment = mgd(instance, tiebreak)
     else:
-        mode = _mrp_mode(args.mode, seed)
+        mode = _mrp_mode(args.mode, args.seed)
         assignment = mrp(instance, mode, tiebreak).assignment
     sys.stdout.write(io.serialize_assignment(instance, assignment, meta))
     return EXIT_OK
@@ -117,14 +107,12 @@ def _mrp_mode(mode: str, seed: int):
 
 
 def _count(spec: str, what: str) -> int:
-    """The K of an ``mc:K`` or ``sampled:K`` argument: a positive integer."""
+    """The K of an ``mc:K`` or ``sampled:K`` argument, an integer; the
+    class it goes to refuses a K outside its budget."""
     try:
-        k = int(spec.split(":", 1)[1])
+        return int(spec.split(":", 1)[1])
     except ValueError:
-        k = 0
-    if k < 1:
-        raise ParseError(f"bad {what} {spec!r}: K must be a positive integer")
-    return k
+        raise ParseError(f"bad {what} {spec!r}: K must be an integer") from None
 
 
 def _misreport_space(kind: str, seed: int):
@@ -149,14 +137,13 @@ def cmd_check(args) -> int:
     )
     if not wanted:
         raise ParseError(f"--property {args.property!r} names no property")
-    seed = args.seed if args.seed is not None else _default_seed()
-    tiebreaks = [file_tb] if file_tb is not None else [None]
+    tiebreaks = [file_tb]
     reports: list[PropertyReport] = []
     for prop in wanted:
         if prop in MECHANISM_PROPERTIES:
             if not args.mechanism:
                 raise ParseError(f"property {prop} needs --mechanism")
-            space = _misreport_space(args.misreports, seed)
+            space = _misreport_space(args.misreports, args.seed)
             if prop == "upper-invariance":
                 reports.append(
                     check_upper_invariance(
@@ -282,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("instance")
     run.add_argument("--mechanism", choices=["mrp", "mps", "mgd"], required=True)
     run.add_argument("--mode", default="exact", help="mrp only: sample | exact | mc:K")
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--tiebreak", default=None, help="tiebreak file or 'default'")
     run.set_defaults(fn=cmd_run)
 
@@ -296,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="linear",
         help="linear | cpnet | independent | sampled:K",
     )
-    check.add_argument("--seed", type=int, default=None)
+    check.add_argument("--seed", type=int, default=0)
     check.set_defaults(fn=cmd_check)
 
     compare = sub.add_parser("compare", help="stochastic-dominance comparison")

@@ -223,10 +223,9 @@ def _induced_order_check() -> bool:
 
 def _preference_graph_check() -> bool:
     inst = mixed_pair()
-    graph = prefs.preference_graph(inst.orders[1])
     bn = inst.bundle_by_name
     want = {(bn["1F1B"], bn["1F2B"]), (bn["2F1B"], bn["1F2B"]), (bn["2F2B"], bn["1F2B"])}
-    return set(graph.edges) == want
+    return set(prefs.preference_graph(inst.orders[1])) == want
 
 
 def _upper_contour_check() -> bool:

@@ -254,11 +254,11 @@ def serialize_instance(instance: Instance, tiebreak=None) -> str:
 
 
 def _partial_doc(instance: Instance, order: prefs.PartialOrder) -> dict:
-    graph = prefs.preference_graph(order)
     return {
         "kind": "partial",
         "edges": [
-            [instance.bundle_names[a], instance.bundle_names[b]] for a, b in graph.edges
+            [instance.bundle_names[a], instance.bundle_names[b]]
+            for a, b in prefs.preference_graph(order)
         ],
     }
 

@@ -160,13 +160,6 @@ def _lottery(outcomes: dict[tuple[int, ...], int], total: int) -> Lottery:
 
 
 @dataclass(frozen=True)
-class MrpSingle:
-    """Run one fixed priority order."""
-
-    priority: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class MrpExact:
     """Average over all n! priority orders, counted by one pass over
     (agents served, bundles available) states (:func:`_turns`).  Its
@@ -188,7 +181,7 @@ class MrpMonteCarlo:
             raise GuardViolation(f"{self.samples} monte-carlo samples exceed the {spaces.ENUMERATION_LIMIT} guard")
 
 
-MrpMode = MrpSingle | MrpExact | MrpMonteCarlo
+MrpMode = MrpExact | MrpMonteCarlo
 
 
 @dataclass(frozen=True)
@@ -204,23 +197,21 @@ class MrpResult:
 def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = None) -> MrpResult:
     """Random priority over topological sorts.
 
-    Single and Monte-Carlo modes count how many of their priority orders
-    (the one given, or the sampled ones) produce each serial-dictatorship
-    outcome and average them.  Exact mode takes the truthful output of
-    ``reruns("mrp", ...)``, the rows its :func:`_turns` pass counts over
-    all n! orders without running them; no mode builds a lottery.
+    Monte-Carlo mode counts how many of its sampled priority orders
+    produce each serial-dictatorship outcome and averages them.  Exact
+    mode takes the truthful output of ``reruns("mrp", ...)``, the rows its
+    :func:`_turns` pass counts over all n! orders without running them;
+    no mode builds a lottery.  One fixed priority order is
+    :func:`serial_dictatorship`.
     """
     if isinstance(mode, MrpExact):
         return MrpResult(reruns("mrp", instance, tiebreak).truth, mode)
-    if isinstance(mode, MrpSingle):
-        priorities, total = [mode.priority], 1
-    elif isinstance(mode, MrpMonteCarlo):
-        priorities, total = _shuffled(random.Random(mode.seed), instance.n, mode.samples), mode.samples
-    else:
+    if not isinstance(mode, MrpMonteCarlo):
         raise TypeError(f"unknown MRP mode {mode!r}")
     sorts = resolve_sorts(instance, tiebreak)
+    priorities = _shuffled(random.Random(mode.seed), instance.n, mode.samples)
     outcomes = Counter(serial_dictatorship(instance, sorts, priority).bundles for priority in priorities)
-    return MrpResult(outcome_matrix(instance, outcomes.items(), total), mode)
+    return MrpResult(outcome_matrix(instance, outcomes.items(), mode.samples), mode)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,7 @@ from . import preferences as prefs
 from .errors import (
     DimensionMismatch,
     DuplicateItemName,
+    InstanceTooLargeToDecide,
     MissingPreference,
     ParseError,
     TypeSizeMismatch,
@@ -31,6 +32,10 @@ from .errors import (
 Preference = Union[prefs.PartialOrder, prefs.CPNet]
 
 ZERO = Fraction(0)
+
+# Bundle pairs (m**2) an instance may have.  Each preference relation and
+# ``Instance.conflicts`` hold m rows of m bits: 125 MB apiece at the budget.
+BUNDLE_PAIR_LIMIT = 10**9
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,10 @@ class Instance:
                 if it in item_names:
                     raise DuplicateItemName(f"item name {it!r} reused")
                 item_names.add(it)
+        if self.m**2 > BUNDLE_PAIR_LIMIT:
+            raise InstanceTooLargeToDecide(
+                f"{self.m} bundles make {self.m**2} bundle pairs, past the {BUNDLE_PAIR_LIMIT} budget"
+            )
         if len(self.bundle_by_name) != self.m:
             name = next(b for x, b in enumerate(self.bundle_names) if self.bundle_by_name[b] != x)
             raise DuplicateItemName(f"bundle name {name!r} names two bundles")

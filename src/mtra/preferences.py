@@ -210,19 +210,10 @@ def _bits(mask: int) -> Iterable[int]:
         mask &= mask - 1
 
 
-@dataclass(frozen=True)
-class PreferenceGraph:
-    """Covering-edge (Hasse) graph of a partial order."""
-
-    m: int
-    edges: tuple[tuple[int, int], ...]
-
-    def transitive_closure(self) -> PartialOrder:
-        return PartialOrder.from_pairs(self.m, self.edges)
-
-
-def preference_graph(order: PartialOrder) -> PreferenceGraph:
-    """Edges (x, y) with x > y and nothing strictly between."""
+def preference_graph(order: PartialOrder) -> tuple[tuple[int, int], ...]:
+    """The covering (Hasse) edges of ``order``, sorted: (x, y) with x > y
+    and nothing strictly between.  ``PartialOrder.from_pairs(order.m, ..)``
+    closes them back into ``order``."""
     above = order.above
     edges = []
     for y in range(order.m):
@@ -231,7 +222,7 @@ def preference_graph(order: PartialOrder) -> PreferenceGraph:
         for z in _bits(above[y]):
             between |= above[z]
         edges.extend((x, y) for x in _bits(above[y] & ~between))
-    return PreferenceGraph(order.m, tuple(sorted(edges)))
+    return tuple(sorted(edges))
 
 
 def topological_sort(order: PartialOrder, tiebreak: Sequence[int]) -> tuple[int, ...]:

@@ -110,11 +110,6 @@ def all_cpnets(sizes: tuple[int, ...]) -> tuple[prefs.CPNet, ...]:
     return tuple(out)
 
 
-def all_independent_cpnets(sizes: tuple[int, ...]) -> tuple[prefs.CPNet, ...]:
-    """All CP-nets over the edgeless graph: one item order per type."""
-    return enumerate_cpnets(sizes, ((),) * len(sizes))
-
-
 @lru_cache(maxsize=32)
 def cpnet_order_representatives(
     sizes: tuple[int, ...],
@@ -196,28 +191,27 @@ class LinearOrderMisreports(MisreportSpace):
 
 @dataclass(frozen=True)
 class CpNetMisreports(MisreportSpace):
-    """All CP-nets over a fixed dependency graph.
-
-    ``graph`` is "own" (the agent's declared graph), "all" (every acyclic
-    graph), or an explicit parents tuple.  The nets are
-    :func:`enumerate_cpnets`', built once per type sizes and graph.
+    """All CP-nets over the agent's own dependency graph (``graph`` "own")
+    or over every acyclic graph ("all"); any other ``graph`` is refused
+    with ``ValueError``.  The nets are :func:`enumerate_cpnets`', built
+    once per type sizes and graph.
     """
 
-    graph: object = "own"
+    graph: str = "own"
+
+    def __post_init__(self) -> None:
+        if self.graph not in ("own", "all"):
+            raise ValueError(f"CP-net misreport graph must be 'own' or 'all', got {self.graph!r}")
 
     def for_agent(self, instance: Instance, agent: int) -> Iterable[Preference]:
         if self.graph == "all":
             return all_cpnets(instance.sizes)
-        if self.graph == "own":
-            net = instance.cpnet(agent)
-            if net is None:
-                raise MisreportSpaceTooLarge(
-                    f"agent {agent} has no CP-net to take a dependency graph from"
-                )
-            parents = net.parents
-        else:
-            parents = tuple(tuple(g) for g in self.graph)  # type: ignore[arg-type]
-        return enumerate_cpnets(instance.sizes, parents)
+        net = instance.cpnet(agent)
+        if net is None:
+            raise MisreportSpaceTooLarge(
+                f"agent {agent} has no CP-net to take a dependency graph from"
+            )
+        return enumerate_cpnets(instance.sizes, net.parents)
 
     def describe(self) -> str:
         return f"CP-nets over dependency graph {self.graph!r}"
@@ -226,7 +220,7 @@ class CpNetMisreports(MisreportSpace):
 @dataclass(frozen=True)
 class IndependentCpNetMisreports(MisreportSpace):
     def for_agent(self, instance: Instance, agent: int) -> Iterable[Preference]:
-        return all_independent_cpnets(instance.sizes)
+        return enumerate_cpnets(instance.sizes, ((),) * instance.p)
 
     def describe(self) -> str:
         return "all independent CP-nets"

@@ -141,13 +141,15 @@ def test_cli_run_mc_seed(workdir, capsys, mixed_pair):
     assert sum(out.row(0)) == 1
 
 
-def test_cli_env_seed(workdir, capsys, mixed_pair, monkeypatch):
-    monkeypatch.setenv("MTRA_SEED", "4")
+def test_cli_env_seed(workdir, capsys, monkeypatch):
+    # --seed is the only seed: without it the seed is 0, whatever MTRA_SEED says
     args = ["run", str(workdir / "mixed_pair.json"), "--mechanism", "mrp", "--mode", "sample"]
-    assert main(args) == 0
-    first = capsys.readouterr().out
-    assert main(args) == 0
-    assert capsys.readouterr().out == first
+    assert main(args + ["--seed", "0"]) == 0
+    want = capsys.readouterr().out
+    for value in ("4", "x"):
+        monkeypatch.setenv("MTRA_SEED", value)
+        assert main(args) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_cli_check_pass_and_fail(workdir, capsys):
@@ -370,6 +372,52 @@ def test_cli_bad_input_exit2(workdir, capsys, argv, patch):
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "{inst}", "--mechanism", "mrp", "--mode", "mc:0"], "monte-carlo mode needs at least one sample, got 0"),
+        (["run", "{inst}", "--mechanism", "mrp", "--mode", "mc:-3"], "monte-carlo mode needs at least one sample, got -3"),
+        (["check", "{inst}", "{a1}", "--property", "sd-strategyproofness", "--mechanism", "mps",
+          "--misreports", "sampled:0"], "a sampled misreport space needs at least one sample, got 0"),
+        (["run", "{inst}", "--mechanism", "mrp", "--mode", "mc:x"],
+         "bad monte-carlo mode 'mc:x': K must be an integer"),
+        (["check", "{inst}", "{a1}", "--property", "sd-strategyproofness", "--mechanism", "mps",
+          "--misreports", "sampled:abc"], "bad misreport space 'sampled:abc': K must be an integer"),
+    ],
+    ids=["mc-zero", "mc-negative", "sampled-zero", "mc-not-int", "sampled-not-int"],
+)
+def test_cli_sample_counts_are_checked_by_their_classes(workdir, capsys, argv, message):
+    # _count only parses K; the lower bound is the sample classes' own
+    paths = {"inst": str(workdir / "mixed_pair.json"), "a1": str(workdir / "a1.json")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_cli_refuses_too_many_bundle_pairs(tmp_path, capsys):
+    # 16 agents and 4 types make 65 536 bundles: past the budget before any
+    # preference is closed, while 12 agents and 4 types still construct
+    rng = random.Random(0)
+    types = spaces.square_types(16, 4)
+    nets = [spaces.random_cpnet(rng, (16,) * 4, independent=True) for _ in range(16)]
+    doc = {
+        "agents": 16,
+        "types": [{"name": t.name, "items": list(t.items)} for t in types],
+        "preferences": [
+            {"kind": "cpnet", "dependency": [],
+             "cpt": {t.name: {"": [t.items[v] for v in table[0][1]]} for t, table in zip(types, net.tables)}}
+            for net in nets
+        ],
+    }
+    path = tmp_path / "sixteen.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["run", str(path), "--mechanism", "mps"]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("guard violation: 65536 bundles make 4294967296 bundle pairs")
+    assert spaces.random_profile(rng, 12, 4, "independent").m == 12**4
 
 
 def test_repeated_dependency_edge_is_read_once(dependent_pair):

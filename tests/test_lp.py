@@ -433,6 +433,22 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_no_environment_read_in_src():
+    # results are pure functions of the inputs: no module reads a setting
+    # from the process environment
+    package = Path(lp_module.__file__).resolve().parent
+    names = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os"
+        and node.attr in names
+        or isinstance(node, ast.ImportFrom) and node.module == "os" and any(a.name in names for a in node.names)
+    ]
+    assert found == []
+
+
 def test_src_imports_only_the_standard_library():
     # numpy, scipy and hypothesis are installed for the tests, so only this
     # keeps them out of the runtime

@@ -26,7 +26,6 @@ from mtra.mechanisms import (
     MpsTrace,
     MrpExact,
     MrpMonteCarlo,
-    MrpSingle,
     mgd,
     mgd_decompose,
     mps,
@@ -44,6 +43,7 @@ from mtra.model import (
     FractionalAssignment,
     Instance,
     Lottery,
+    from_discrete,
     validate_assignment,
 )
 
@@ -87,10 +87,9 @@ def test_mrp_singleton():
 
 
 def test_mrp_single_run(mixed_pair):
-    result = mrp(mixed_pair, MrpSingle((1, 0)), fixtures.sort_a(mixed_pair))
-    assert result.assignment == FractionalAssignment.from_rows(
-        [[0, 1, 0, 0], [0, 0, 1, 0]]
-    )
+    sorts = resolve_sorts(mixed_pair, fixtures.sort_a(mixed_pair))
+    result = from_discrete(mixed_pair, serial_dictatorship(mixed_pair, sorts, (1, 0)))
+    assert result == FractionalAssignment.from_rows([[0, 1, 0, 0], [0, 0, 1, 0]])
 
 
 def test_mrp_monte_carlo_reproducible(mixed_pair):
@@ -111,19 +110,24 @@ def test_mrp_monte_carlo_is_guarded():
     assert MrpMonteCarlo(spaces.ENUMERATION_LIMIT).samples == spaces.ENUMERATION_LIMIT
 
 
-def test_mrp_single_rejects_bad_priority(three_chains):
-    # a repeated agent, a missing agent and an agent that does not exist
-    for priority in ((0, 0, 1), (0, 1), (0, 1, 2, 3)):
-        with pytest.raises(DimensionMismatch):
-            mrp(three_chains, MrpSingle(priority))
-
-
-@pytest.mark.parametrize("priority", [[0], [0, 0], [0, 2]], ids=["short", "repeated", "no-agent"])
-def test_serial_dictatorship_rejects_bad_priority(mixed_pair, priority):
+@pytest.mark.parametrize(
+    "name, priority",
+    [
+        ("mixed_pair", [0]),
+        ("mixed_pair", [0, 0]),
+        ("mixed_pair", [0, 2]),
+        ("three_chains", (0, 0, 1)),
+        ("three_chains", (0, 1)),
+        ("three_chains", (0, 1, 2, 3)),
+    ],
+    ids=["short", "repeated", "no-agent", "three-repeated", "three-short", "three-too-long"],
+)
+def test_serial_dictatorship_rejects_bad_priority(request, name, priority):
     # each would give one item twice, let one agent pick twice or pick for no agent
-    sorts = resolve_sorts(mixed_pair, fixtures.sort_a(mixed_pair))
-    with pytest.raises(DimensionMismatch, match=r"priority \[.*\] is not an order of the 2 agents"):
-        serial_dictatorship(mixed_pair, sorts, priority)
+    inst = request.getfixturevalue(name)
+    sorts = resolve_sorts(inst, fixtures.sort_a(inst) if name == "mixed_pair" else None)
+    with pytest.raises(DimensionMismatch, match=rf"priority [\[(].*[\])] is not an order of the {inst.n} agents"):
+        serial_dictatorship(inst, sorts, priority)
 
 
 def test_mrp_exact_guard(own_items_first):

@@ -36,7 +36,7 @@ def test_cpnet_enumeration_counts():
     nets_22 = spaces.all_cpnets((2, 2))
     assert len(nets_22) == 4 + 8 + 8
     assert spaces.count_cpnets((3, 3), ((), (0,))) == 6 * 6**3
-    independents = spaces.all_independent_cpnets((2, 2))
+    independents = spaces.enumerate_cpnets((2, 2), ((), ()))
     assert len(independents) == 4 and all(n.is_independent for n in independents)
 
 
@@ -150,11 +150,18 @@ def test_sampled_misreports_are_drawn_lazily(monkeypatch):
 def test_cpnet_misreports_are_built_once_per_graph():
     inst = spaces.random_profile(random.Random(5), 3, 2, "cpnet")
     for j, net in enumerate(inst.preferences):
-        for space in (spaces.CpNetMisreports(), spaces.CpNetMisreports(net.parents)):
-            nets = space.for_agent(inst, j)
-            assert space.for_agent(inst, j) is nets
-            assert nets == spaces.enumerate_cpnets(inst.sizes, net.parents)
-            assert len(nets) == spaces.count_cpnets(inst.sizes, net.parents)
+        space = spaces.CpNetMisreports()
+        nets = space.for_agent(inst, j)
+        assert space.for_agent(inst, j) is nets
+        assert nets == spaces.enumerate_cpnets(inst.sizes, net.parents)
+        assert len(nets) == spaces.count_cpnets(inst.sizes, net.parents)
+
+
+def test_cpnet_misreports_refuse_an_unknown_graph():
+    # refused when built, not as a TypeError deep inside check_strategyproofness
+    for graph in ("independent", None, ((), ())):
+        with pytest.raises(ValueError, match="must be 'own' or 'all'"):
+            spaces.CpNetMisreports(graph)
 
 
 def test_independent_cpnets_are_the_edgeless_enumeration():
@@ -162,7 +169,7 @@ def test_independent_cpnets_are_the_edgeless_enumeration():
         # the former construction: one permutation per type, the last type fastest
         per_type = [list(itertools.permutations(range(s))) for s in sizes]
         want = tuple(prefs.CPNet.independent(combo) for combo in itertools.product(*per_type))
-        assert spaces.all_independent_cpnets(sizes) == want
+        assert spaces.enumerate_cpnets(sizes, ((),) * len(sizes)) == want
 
 
 def test_independent_space_is_guarded():
