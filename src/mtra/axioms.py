@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 from . import preferences as prefs
 from . import spaces
 from .errors import DimensionMismatch, InstanceTooLargeToDecide, SoundnessError, UniverseMismatch
-from .lp import EQ, GE, Constraint, LinearProgram, solve
+from .lp import EQ, GE, Constraint, LinearProgram, LpOutcome, solve
 from .mechanisms import MgdReruns, MpsReruns, MrpTurns, Tiebreak, reruns
 from .model import (
     ZERO,
@@ -54,7 +54,14 @@ def _contour_sums(masks: Sequence[int], values: Sequence[int]) -> list[int]:
     """Per upper contour mask, the sum of the integer ``values`` over the
     bundles in it."""
     held = [(1 << y, v) for y, v in enumerate(values) if v]
-    return [sum(v for bit, v in held if mask & bit) for mask in masks]
+    sums = []
+    for mask in masks:
+        total = 0
+        for bit, v in held:
+            if mask & bit:
+                total += v
+        sums.append(total)
+    return sums
 
 
 def _at_least(sums: Sequence[int], den: int, ref: Sequence[int], ref_den: int) -> bool:
@@ -436,6 +443,59 @@ def _decomposition_guard(instance: Instance) -> None:
         )
 
 
+def _supported(
+    P: FractionalAssignment, assignments: Iterable[DiscreteAssignment]
+) -> list[DiscreteAssignment]:
+    """The assignments that give every agent a bundle P gives it a share
+    of: the only ones a lottery whose expectation is P can use."""
+    return [a for a in assignments if all(row[x] for row, x in zip(P.nums, a.bundles))]
+
+
+def _lottery_lp(
+    instance: Instance, P: FractionalAssignment, columns: Sequence[DiscreteAssignment]
+) -> tuple[LpOutcome, list[int]]:
+    """The exact LP "P is a mixture of ``columns``", solved, and the flat
+    index j * m + x of each entry row it has.
+
+    Entry row (j, x) says that the weights of the columns giving agent j
+    bundle x sum to P's entry; the row "all weights sum to 1" is last.
+    An entry row with no column and right-hand side 0 holds for every
+    weight and is not built: the LP presolve would drop it, with
+    multiplier 0.  Over :func:`_supported` columns that leaves exactly
+    the program the presolve makes of the one over all of them, with the
+    same rows and columns in the same order, so the simplex makes the
+    same pivots."""
+    nv = len(columns)
+    # cols[j][x]: the columns that give agent j bundle x
+    cols: list[list[list[int]]] = [[[] for _ in range(instance.m)] for _ in range(instance.n)]
+    for k, a in enumerate(columns):
+        for j, x in enumerate(a.bundles):
+            cols[j][x].append(k)
+    cons, entries = [], []
+    for j, row in enumerate(P.nums):
+        for x, v in enumerate(row):
+            if v or cols[j][x]:
+                cons.append(_share_row(nv, cols[j][x], EQ, v, P.den))
+                entries.append(j * instance.m + x)
+    cons.append(_share_row(nv, range(nv), EQ, 1))
+    return solve(LinearProgram(nv, tuple(cons))), entries
+
+
+def _lottery(
+    prop: str, instance: Instance, P: FractionalAssignment, columns: Sequence[DiscreteAssignment]
+) -> PropertyReport | None:
+    """P as a lottery over ``columns``, reported as a ``prop`` pass; None
+    when there is none.  The lottery's expectation must be P exactly."""
+    out, _ = _lottery_lp(instance, P, columns)
+    if not out.optimal:
+        return None
+    weights = (Fraction(w, out.det) for w in out.witness)
+    lottery = Lottery(tuple((w, a) for w, a in zip(weights, columns) if w > 0))
+    if lottery.expectation(instance) != P:
+        raise SoundnessError("the lottery's expectation is not P")
+    return PropertyReport(prop, True, witness=lottery)
+
+
 def _lottery_report(
     prop: str,
     instance: Instance,
@@ -443,36 +503,37 @@ def _lottery_report(
     assignments: Sequence[DiscreteAssignment],
 ) -> PropertyReport:
     """Exact LP feasibility of P as a mixture of ``assignments``, reported
-    as ``prop``."""
-    nv = len(assignments)
-    # cols[j][x]: the assignments that give agent j bundle x
-    cols: list[list[list[int]]] = [[[] for _ in range(instance.m)] for _ in range(instance.n)]
-    for k, a in enumerate(assignments):
-        for j, x in enumerate(a.bundles):
-            cols[j][x].append(k)
-    cons = [
-        _share_row(nv, cols[j][x], EQ, v, P.den) for j, row in enumerate(P.nums) for x, v in enumerate(row)
-    ]
-    cons.append(_share_row(nv, range(nv), EQ, 1))
-    out = solve(LinearProgram(nv, tuple(cons)))
+    as ``prop``.
+
+    The LP is solved over the :func:`_supported` assignments alone, and
+    a lottery found there is the one the LP over all of them gives,
+    entry for entry.  A Farkas certificate must hold on every column, so
+    a failure solves the LP over all of ``assignments`` and carries its
+    certificate, which the LP layer verified on that whole program.
+    """
+    report = _lottery(prop, instance, P, _supported(P, assignments))
+    if report is not None:
+        return report
+    out, entries = _lottery_lp(instance, P, assignments)
     if out.optimal:
-        weights = (Fraction(w, out.det) for w in out.witness)
-        lottery = Lottery(tuple((w, a) for w, a in zip(weights, assignments) if w > 0))
-        if lottery.expectation(instance) != P:
-            raise SoundnessError("the lottery's expectation is not P")
-        return PropertyReport(prop, True, witness=lottery)
+        raise SoundnessError("P is a mixture of all the assignments but not of those it supports")
     # multipliers of the rows with unit coefficients: row (j, x) was
-    # scaled by P.den / gcd(v, P.den), the last row not at all
-    scales = [P.den // math.gcd(v, P.den) for row in P.nums for v in row] + [1]
-    cert = [y * k for y, k in zip(out.certificate, scales)]
+    # scaled by P.den / gcd(v, P.den), the last row not at all; a row
+    # not built has multiplier 0
+    flat = [v for row in P.nums for v in row]
+    cert = [0] * len(flat) + [out.certificate[-1]]
+    for i, y in zip(entries, out.certificate):
+        cert[i] = y * (P.den // math.gcd(flat[i], P.den))
     g = math.gcd(*cert)
     return PropertyReport(prop, False, witness=FarkasWitness(tuple(Fraction(v // g) for v in cert)))
 
 
 def check_decomposability(instance: Instance, P: FractionalAssignment) -> PropertyReport:
-    """Is P a mixture of discrete assignments?  Exact LP feasibility over
-    all (n!)^p of them; a pass carries the lottery, a fail the Farkas
-    certificate of the matching equations."""
+    """Is P a mixture of discrete assignments?  Exact LP feasibility,
+    decided over the discrete assignments P supports
+    (:func:`_lottery_report`); a pass carries the lottery, a fail the
+    Farkas certificate of the matching equations over all (n!)^p of
+    them."""
     require_shape(P, instance)
     _decomposition_guard(instance)
     return _lottery_report("decomposability", instance, P, instance._discrete_assignments)
@@ -481,28 +542,34 @@ def check_decomposability(instance: Instance, P: FractionalAssignment) -> Proper
 def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> PropertyReport:
     """Is P a mixture of *sd-efficient* discrete assignments?
 
-    Each call finds every discrete assignment's generalized cycle once
-    and keeps no verdict.  The lottery LP is first solved over the
-    cycle-free assignments alone: if it is feasible, P passes, and every
-    entry of its lottery is efficient by the no-cycle lemma, with no LP
-    optimum trusted.  Only if it is infeasible is each cyclic assignment
-    decided from its cycle (:func:`_cyclic_sd_efficiency`: the trade LP,
-    then the exact LP), and the lottery LP solved over all the efficient
-    ones, whose Farkas certificate a failure carries.  The cycle-free
+    Each call decides each discrete assignment at most once and keeps no
+    verdict.  First only the assignments P supports
+    (:func:`_supported`) get their generalized cycle, and the lottery LP
+    is solved over the cycle-free ones among them: if it is feasible, P
+    passes, and every entry of its lottery is efficient by the no-cycle
+    lemma, with no LP optimum trusted.  Only if it is infeasible are the
+    other assignments' cycles found, each cyclic assignment decided from
+    its cycle (:func:`_cyclic_sd_efficiency`: the trade LP, then the
+    exact LP), and the lottery LP solved over all the efficient ones,
+    whose Farkas certificate a failure carries.  The cycle-free
     assignments are among the efficient ones, so the first LP passes
     only where the second would.
     """
     require_shape(P, instance)
     _decomposition_guard(instance)
     assignments = instance._discrete_assignments
-    cycles = {a: find_generalized_cycle(instance, from_discrete(instance, a)) for a in assignments}
-    cycle_free = [a for a, cycle in cycles.items() if cycle is None]
-    report = _lottery_report("ex-post-efficiency", instance, P, cycle_free)
-    if report.passed:
+    cycles = {
+        a: find_generalized_cycle(instance, from_discrete(instance, a)) for a in _supported(P, assignments)
+    }
+    report = _lottery("ex-post-efficiency", instance, P, [a for a, cycle in cycles.items() if cycle is None])
+    if report is not None:
         return report
+    for a in assignments:
+        if a not in cycles:
+            cycles[a] = find_generalized_cycle(instance, from_discrete(instance, a))
     efficient = [
-        a for a, cycle in cycles.items()
-        if cycle is None or _cyclic_sd_efficiency(instance, from_discrete(instance, a), cycle).passed
+        a for a in assignments
+        if cycles[a] is None or _cyclic_sd_efficiency(instance, from_discrete(instance, a), cycles[a]).passed
     ]
     return _lottery_report("ex-post-efficiency", instance, P, efficient)
 

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from mtra import axioms, fixtures, spaces
 from mtra import preferences as prefs
 from mtra.axioms import (
+    FarkasWitness,
     InvarianceWitness,
     ManipulationWitness,
     PropertyReport,
@@ -38,6 +40,7 @@ from mtra.errors import (
     UniverseMismatch,
 )
 from mtra.io import build_instance
+from mtra.lp import EQ, LinearProgram, solve
 from mtra.mechanisms import MrpExact, MrpTurns, mgd, mgd_decompose, mps, mrp, reruns
 from mtra.model import (
     DiscreteAssignment,
@@ -659,6 +662,40 @@ def _assert_separates(instance, P, cert):
     assert sum(cert[j * m + x] * P.entry(j, x) for j in range(n) for x in range(m)) + cert[-1] > 0
 
 
+def whole_program_lottery(prop, instance, P, assignments):
+    """Reference lottery LP over every one of ``assignments`` (the former
+    `axioms._lottery_report`): one entry row per (j, x), zero entries
+    included, which the LP presolve removes with their columns."""
+    nv = len(assignments)
+    cols = [[[] for _ in range(instance.m)] for _ in range(instance.n)]
+    for k, a in enumerate(assignments):
+        for j, x in enumerate(a.bundles):
+            cols[j][x].append(k)
+    cons = [
+        axioms._share_row(nv, cols[j][x], EQ, v, P.den)
+        for j, row in enumerate(P.nums)
+        for x, v in enumerate(row)
+    ]
+    cons.append(axioms._share_row(nv, range(nv), EQ, 1))
+    out = solve(LinearProgram(nv, tuple(cons)))
+    if out.optimal:
+        weights = (F(w, out.det) for w in out.witness)
+        lottery = Lottery(tuple((w, a) for w, a in zip(weights, assignments) if w > 0))
+        assert lottery.expectation(instance) == P
+        return PropertyReport(prop, True, witness=lottery)
+    scales = [P.den // math.gcd(v, P.den) for row in P.nums for v in row] + [1]
+    cert = [y * k for y, k in zip(out.certificate, scales)]
+    g = math.gcd(*cert)
+    return PropertyReport(prop, False, witness=FarkasWitness(tuple(F(v // g) for v in cert)))
+
+
+def whole_program_decomposability(instance, P):
+    """Reference decomposability check: the lottery LP over all (n!)^p
+    discrete assignments."""
+    axioms._decomposition_guard(instance)
+    return whole_program_lottery("decomposability", instance, P, all_discrete_assignments(instance))
+
+
 def test_decomposability_dependent_pair(dependent_pair):
     P = fixtures.assignment_3()
     report = check_decomposability(dependent_pair, P)
@@ -683,6 +720,27 @@ def test_decomposability_certificates_of_eating_outputs():
                 fails += 1
                 scaled += any(v.denominator > 1 for row in P.rows for v in row)
     assert fails > 0 and scaled > 0
+
+
+def test_decomposability_matches_whole_program_reference():
+    # the LP over the supported assignments gives the whole program's
+    # lottery; a failure carries the whole program's certificate
+    rng = random.Random(109)
+    verdicts = {True: 0, False: 0}
+    scaled_fails = 0
+    for n, p in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)):
+        for kind in ("general", "cpnet", "independent"):
+            for _ in range(2):
+                inst = spaces.random_profile(rng, n, p, kind)
+                for tb in spaces.sweep_tiebreaks(inst.m):
+                    for mech in ("mrp", "mgd", "mps"):
+                        P = run_mechanism(mech, inst, tb)
+                        got = check_decomposability(inst, P)
+                        assert got == whole_program_decomposability(inst, P)
+                        verdicts[got.passed] += 1
+                        if not got.passed:
+                            scaled_fails += any(v.denominator > 1 for row in P.rows for v in row)
+    assert verdicts[True] > 0 and scaled_fails > 0, (verdicts, scaled_fails)
 
 
 def test_decomposability_mrp(mixed_pair):
@@ -730,6 +788,54 @@ def test_ex_post_fails_for_dependent_pair(dependent_pair):
     assert not check_ex_post_efficiency(dependent_pair, fixtures.assignment_3()).passed
 
 
+_LOTTERY_TAMPER = """
+import dataclasses
+import sys
+from mtra import axioms, fixtures
+from mtra.errors import MtraError, SoundnessError
+from mtra.mechanisms import MrpExact, mrp
+
+if __debug__ or issubclass(SoundnessError, MtraError):
+    sys.exit("expected python -O and a SoundnessError outside MtraError")
+real = axioms.solve
+
+
+def tampered(lp):
+    out = real(lp)
+    if lp.objective is None and out.optimal:
+        # one unit of weight moves from the first positive entry to the
+        # second: still a lottery, but of another expectation
+        w = list(out.witness)
+        first, second = [k for k, v in enumerate(w) if v][:2]
+        w[first] -= 1
+        w[second] += 1
+        return dataclasses.replace(out, witness=tuple(w))
+    return out
+
+
+axioms.solve = tampered
+inst = fixtures.three_chains()
+try:
+    axioms.check_decomposability(inst, mrp(inst, MrpExact()).assignment)
+except SoundnessError as exc:
+    print("caught:", exc)
+else:
+    print("missed")
+"""
+
+
+def test_lottery_expectation_check_survives_python_O():
+    # the lottery LP's witness is moved after the LP layer verified it:
+    # only the expectation check ties the lottery to P
+    src = str(Path(axioms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _LOTTERY_TAMPER], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["caught: the lottery's expectation is not P"]
+
+
 def _record_calls(monkeypatch, name):
     """Wrap ``axioms.<name>`` so each call's assignment is appended to the
     returned list."""
@@ -753,6 +859,18 @@ def test_ex_post_efficiency_decides_each_assignment_once(monkeypatch):
     # no verdict is kept between calls, so the second call checks again
     assert check_ex_post_efficiency(inst, P) == first
     assert len(calls) == 2 * len(all_discrete_assignments(inst))
+
+
+def test_ex_post_pass_decides_only_the_supported_assignments(monkeypatch):
+    calls = _record_calls(monkeypatch, "find_generalized_cycle")
+    inst = spaces.random_profile(random.Random(53), 3, 2, "general")
+    P = mrp(inst, MrpExact()).assignment
+    assert check_ex_post_efficiency(inst, P).passed
+    supported = [
+        a for a in all_discrete_assignments(inst) if all(P.nums[j][x] for j, x in enumerate(a.bundles))
+    ]
+    assert calls == [from_discrete(inst, a) for a in supported]
+    assert len(supported) < len(all_discrete_assignments(inst))
 
 
 def _dominated_mixture():
@@ -788,7 +906,7 @@ def all_columns_ex_post(instance, P):
         if find_generalized_cycle(instance, from_discrete(instance, a)) is None
         or _sd_efficiency_lp(instance, from_discrete(instance, a)).passed
     ]
-    return axioms._lottery_report("ex-post-efficiency", instance, P, efficient)
+    return whole_program_lottery("ex-post-efficiency", instance, P, efficient)
 
 
 def _ex_post_cases():
@@ -808,15 +926,13 @@ def test_ex_post_matches_all_columns_reference():
     for inst, P in _ex_post_cases():
         got = check_ex_post_efficiency(inst, P)
         want = all_columns_ex_post(inst, P)
-        assert got.passed == want.passed
+        # a pass over the supported cycle-free assignments gives the
+        # reference's lottery; a failure carries its certificate
+        assert got == want
         verdicts[got.passed] += 1
-        if not got.passed:
-            # the fallback solves the reference's program
-            assert got == want
-            continue
-        assert got.witness.expectation(inst) == P
-        for _, a in got.witness.entries:
-            assert find_generalized_cycle(inst, from_discrete(inst, a)) is None
+        if got.passed:
+            for _, a in got.witness.entries:
+                assert find_generalized_cycle(inst, from_discrete(inst, a)) is None
     assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
 
 
@@ -1169,7 +1285,7 @@ def fraction_ucs_sums(order, row):
 def test_ucs_sums_match_fraction_reference():
     rng = random.Random(79)
     for _ in range(200):
-        m = rng.choice([1, 2, 4, 9, 16, 27])
+        m = rng.choice([1, 2, 4, 9, 16, 27, 64, 125])
         order = spaces.random_partial_order(rng, m)
         kind = rng.choice(["mixed", "int", "zero"])
         if kind == "zero":
@@ -1201,7 +1317,7 @@ def test_sd_compare_matches_subtract_reference():
 
     kinds = {"zero": 0, "dominated": 0, "equal": 0}
     for _ in range(400):
-        m = rng.choice([1, 2, 4, 9, 16, 27])
+        m = rng.choice([1, 2, 4, 9, 16, 27, 64, 125])
         order = spaces.random_partial_order(rng, m)
         kind = rng.choice(["mixed", "zero", "equal", "shifted"])
         p_row = [entry() for _ in range(m)]
