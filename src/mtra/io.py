@@ -23,6 +23,7 @@ from .model import (
     Instance,
     Lottery,
     Preference,
+    ShareReader,
     TypeDef,
     validate_assignment,
 )
@@ -318,17 +319,24 @@ def parse_assignment(text: str, instance: Instance) -> FractionalAssignment:
     matrix = doc["matrix"]
     if not isinstance(matrix, Sequence) or len(matrix) != instance.n:
         raise ParseError("matrix must hold one row per agent")
-    rows = []
+    shares, rows = ShareReader(), []
     for j, row in enumerate(matrix):
         if not isinstance(row, Mapping):
             raise ParseError(f"agent {j} row must be an object keyed by bundle name")
-        values = [Fraction(0)] * instance.m
+        pairs = [(0, 1)] * instance.m
         for name, share in row.items():
-            values[_resolve_bundle(instance, name)] = parse_frac(share)
-        rows.append(values)
-    P = FractionalAssignment.from_rows(rows)
-    if P.den >= DIGIT_BOUND:
-        raise ParseError(f"the shares' common denominator has more than {MAX_DIGITS} digits")
+            # a JSON number, true or null is read as it prints
+            pairs[_resolve_bundle(instance, name)] = shares.read(
+                share if isinstance(share, str) else parse_frac(share)
+            )
+        rows.append(pairs)
+    # one denominator at a time, so a huge lcm is refused before it is built
+    den = 1
+    for b in {b for pairs in rows for _, b in pairs}:
+        den = math.lcm(den, b)
+        if den >= DIGIT_BOUND:
+            raise ParseError(f"the shares' common denominator has more than {MAX_DIGITS} digits")
+    P = FractionalAssignment(tuple(tuple(a * (den // b) for a, b in pairs) for pairs in rows), den)
     violation = validate_assignment(P, instance)
     if violation is not None:
         raise ParseError(

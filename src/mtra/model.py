@@ -248,12 +248,41 @@ def parse_fraction(text: object) -> Fraction:
     return v
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_fraction(value)
-    raise ParseError(f"share {value!r} is not an exact rational")
+class ShareReader(dict):
+    """Reads exact shares as (numerator, denominator) pairs in lowest
+    terms, each distinct string once.  The memo is keyed by strings only:
+    ``1``, ``True``, ``1.0`` and ``Fraction(1)`` hash equal, and the float
+    is refused where the others are read."""
+
+    def read(self, value: object) -> tuple[int, int]:
+        """A Fraction or an int by its attributes, a string as
+        :func:`parse_fraction` reads it."""
+        if isinstance(value, str):
+            return self[value]
+        if isinstance(value, (Fraction, int)):
+            return value.numerator, value.denominator
+        raise ParseError(f"share {value!r} is not an exact rational")
+
+    def __missing__(self, text: str) -> tuple[int, int]:
+        # an "a/b" or "a" of ASCII digits, at most MAX_DIGITS a part, is
+        # read by int(); every other spelling by parse_fraction
+        num, slash, den = text.partition("/")
+        a = b = 0
+        if (
+            text.isascii()
+            and num.isdigit()
+            and len(num) <= MAX_DIGITS
+            and (not slash or den.isdigit() and len(den) <= MAX_DIGITS)
+        ):
+            a, b = int(num), int(den) if slash else 1
+        if b:
+            g = math.gcd(a, b)
+            pair = a // g, b // g
+        else:
+            v = parse_fraction(text)
+            pair = v.numerator, v.denominator
+        self[text] = pair
+        return pair
 
 
 @dataclass(frozen=True)
@@ -282,11 +311,13 @@ class FractionalAssignment:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "FractionalAssignment":
-        """Fractions, ints or strings (:func:`parse_fraction`), scaled by
-        their lcm denominator."""
-        fracs = [[_as_fraction(v) for v in row] for row in rows]
-        den = math.lcm(*(v.denominator for row in fracs for v in row))
-        return cls(tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in fracs), den)
+        """Fractions, ints or strings (:func:`parse_fraction`), read as
+        integer pairs (:class:`ShareReader`) and scaled by their lcm
+        denominator."""
+        read = ShareReader().read
+        pairs = [[read(v) for v in row] for row in rows]
+        den = math.lcm(*{b for row in pairs for _, b in row})
+        return cls(tuple(tuple(a * (den // b) for a, b in row) for row in pairs), den)
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -332,16 +363,17 @@ def validate_assignment(
     """None iff row sums and per-item marginals are all exactly one."""
     require_shape(P, instance)
     for j, row in enumerate(P.nums):
-        for x, v in enumerate(row):
-            if v < 0 or v > P.den:
-                return AssignmentViolation(
-                    "entry-range", f"agent {j} bundle {instance.bundle_names[x]}", Fraction(v, P.den)
-                )
+        if min(row) < 0 or max(row) > P.den:
+            x, v = next((x, v) for x, v in enumerate(row) if v < 0 or v > P.den)
+            return AssignmentViolation(
+                "entry-range", f"agent {j} bundle {instance.bundle_names[x]}", Fraction(v, P.den)
+            )
     for j, row in enumerate(P.nums):
         if sum(row) != P.den:
             return AssignmentViolation("row-sum", f"agent {j}", Fraction(sum(row), P.den))
+    column = [sum(c) for c in zip(*P.nums)]
     for item, holders in zip(instance.item_names, instance.item_bundles):
-        total = sum(row[x] for row in P.nums for x in prefs._bits(holders))
+        total = sum(column[x] for x in prefs._bits(holders))
         if total != P.den:
             return AssignmentViolation("item-marginal", item, Fraction(total, P.den))
     return None

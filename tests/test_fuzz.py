@@ -21,7 +21,8 @@ from mtra import fixtures, io
 from mtra.cli import main
 from mtra.errors import MtraError
 from mtra.mechanisms import mgd_decompose
-from mtra.model import FractionalAssignment
+from mtra.model import FractionalAssignment, Instance, TypeDef
+from mtra.preferences import PartialOrder
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -112,6 +113,14 @@ HUGE_SHARES = [
     # valid rows whose item marginal has a 6000-digit denominator
     _shares([[f"1/{P}", f"{P - 1}/{P}"], [f"1/{Q}", f"{Q - 1}/{Q}"]]),
 ]
+# four agents and three types; every share has its own 4300-digit
+# denominator, so the common one has about a million digits
+FOUR_BY_THREE = Instance(
+    tuple(TypeDef(t, tuple(f"{k}{t}" for k in range(1, 5))) for t in "FBC"), (PartialOrder.empty(64),) * 4
+)
+HUGE_LCM = json.dumps({"matrix": [
+    {name: f"1/{10**4299 + 64 * j + x}" for x, name in enumerate(FOUR_BY_THREE.bundle_names)} for j in range(4)
+]})
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +130,7 @@ def files(tmp_path_factory):
     for name, text in {
         "mixed_pair": io.serialize_instance(MIXED_PAIR),
         "blank_vs_chain": io.serialize_instance(BLANK_VS_CHAIN),
+        "four_by_three": io.serialize_instance(FOUR_BY_THREE),
         "a1": io.serialize_assignment(MIXED_PAIR, fixtures.assignment_1()),
         "junk": "[1, 2",
     }.items():
@@ -165,8 +175,10 @@ def test_fuzz_parse_assignment(files, case):
     [
         (HUGE_AGENTS, ["run", "{case}", "--mechanism", "mps"]),
         *((text, ["check", "{blank_vs_chain}", "{case}", "--property", "sd-efficiency"]) for text in HUGE_SHARES),
+        (HUGE_LCM, ["check", "{four_by_three}", "{case}", "--property", "sd-efficiency"]),
     ],
-    ids=["agents-digits", "share-digits", "share-exponent", "share-exponent-7-digits", "marginal-digits"],
+    ids=["agents-digits", "share-digits", "share-exponent", "share-exponent-7-digits", "marginal-digits",
+         "common-denominator-digits-4x3"],
 )
 def test_huge_numbers_exit2_quickly(files, text, argv):
     _case(files, text)

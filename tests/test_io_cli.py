@@ -7,6 +7,7 @@ import pytest
 
 from mtra import fixtures, io, spaces
 from mtra.cli import main
+from mtra.errors import ParseError
 from mtra.mechanisms import mps
 from mtra.model import FractionalAssignment, validate_assignment
 
@@ -50,6 +51,44 @@ def test_assignment_rejects_invalid(mixed_pair):
 
     with pytest.raises(ParseError):
         io.parse_assignment(text, mixed_pair)
+
+
+def _matrix(*rows):
+    return json.dumps({"matrix": list(rows)})
+
+
+@pytest.mark.parametrize(
+    "fixture, text, message",
+    [
+        # a share that is not a string is read as it prints
+        ("blank_vs_chain", _matrix({"1F": None, "2F": "1"}, {"1F": "1", "2F": "0"}), "bad rational None"),
+        ("blank_vs_chain", _matrix({"1F": True, "2F": "0"}, {"1F": "0", "2F": "1"}), "bad rational True"),
+        ("blank_vs_chain", _matrix({"1F": [1], "2F": 0}, {"1F": 0, "2F": 1}), "bad rational [1]"),
+        # errors come in the document's order, a share before its own bundle name
+        ("blank_vs_chain", _matrix({"2F": "x", "1F": "y"}, {"1F": "0", "2F": "1"}), "bad rational 'x'"),
+        ("blank_vs_chain", _matrix({"1F": "x", "ZZ": "1"}, {"1F": "0", "2F": "1"}), "bad rational 'x'"),
+        ("blank_vs_chain", _matrix({"ZZ": "x"}, {"1F": "0", "2F": "1"}), "bad rational 'x'"),
+        ("blank_vs_chain", _matrix({"ZZ": "1", "1F": "x"}, {"1F": "0", "2F": "1"}), "unknown bundle name 'ZZ'"),
+        ("blank_vs_chain", _matrix({"1F": "1", "2F": "0"}, {"1F": "x", "ZZ": "1"}), "bad rational 'x'"),
+        ("blank_vs_chain", _matrix({"ZZ": "1"}, {"1F": "x", "2F": "1"}), "unknown bundle name 'ZZ'"),
+        ("blank_vs_chain", _matrix({"1F": "0/0", "2F": "1"}, {"1F": "1", "2F": "0"}), "bad rational '0/0'"),
+        # then the common denominator, then the first broken constraint
+        ("blank_vs_chain", _matrix({"1F": f"1/{10**2999 + 1}", "2F": "x/1"}, {"ZZ": "1"}), "bad rational 'x/1'"),
+        ("blank_vs_chain", _matrix({"1F": f"1/{10**2999 + 1}", "2F": "3/2"}, {"1F": f"1/{10**2999 + 3}"}),
+         "the shares' common denominator has more than 4300 digits"),
+        ("blank_vs_chain", _matrix({"1F": "3/2", "2F": "-1/2"}, {"1F": "-1/2", "2F": "3/2"}),
+         "assignment violates entry-range at agent 0 bundle 1F: 3/2"),
+        ("blank_vs_chain", _matrix({"1F": "1/2", "2F": "1/3"}, {"1F": "1/2", "2F": "2/3"}),
+         "assignment violates row-sum at agent 0: 5/6"),
+        ("mixed_pair", _matrix({"1F1B": "1/2", "2F2B": "1/2"}, {"1F1B": "1/2", "1F2B": "1/2"}),
+         "assignment violates item-marginal at 1F: 3/2"),
+        ("mixed_pair", _matrix({"1F1B": "1"}, {"1F1B": "1"}), "assignment violates item-marginal at 1F: 2"),
+    ],
+)
+def test_assignment_parse_errors_keep_their_text_and_order(request, fixture, text, message):
+    with pytest.raises(ParseError) as caught:
+        io.parse_assignment(text, request.getfixturevalue(fixture))
+    assert str(caught.value) == message
 
 
 def test_lottery_round_trip(three_chains):
