@@ -23,7 +23,6 @@ from .model import (
     Instance,
     Lottery,
     Preference,
-    ShareReader,
     TypeDef,
     validate_assignment,
 )
@@ -319,16 +318,22 @@ def parse_assignment(text: str, instance: Instance) -> FractionalAssignment:
     matrix = doc["matrix"]
     if not isinstance(matrix, Sequence) or len(matrix) != instance.n:
         raise ParseError("matrix must hold one row per agent")
-    shares, rows = ShareReader(), []
+    # each distinct string is parsed once; the memo is keyed by strings
+    # only, since true and 1 hash equal and true is refused
+    memo: dict[str, tuple[int, int]] = {}
+    rows = []
     for j, row in enumerate(matrix):
         if not isinstance(row, Mapping):
             raise ParseError(f"agent {j} row must be an object keyed by bundle name")
         pairs = [(0, 1)] * instance.m
         for name, share in row.items():
-            # a JSON number, true or null is read as it prints
-            pairs[_resolve_bundle(instance, name)] = shares.read(
-                share if isinstance(share, str) else parse_frac(share)
-            )
+            if not isinstance(share, str):
+                v = parse_frac(share)  # a JSON number, true or null is read as it prints
+                pair = v.numerator, v.denominator
+            elif (pair := memo.get(share)) is None:
+                v = parse_frac(share)
+                pair = memo[share] = v.numerator, v.denominator
+            pairs[_resolve_bundle(instance, name)] = pair
         rows.append(pairs)
     # one denominator at a time, so a huge lcm is refused before it is built
     den = 1
@@ -336,7 +341,7 @@ def parse_assignment(text: str, instance: Instance) -> FractionalAssignment:
         den = math.lcm(den, b)
         if den >= DIGIT_BOUND:
             raise ParseError(f"the shares' common denominator has more than {MAX_DIGITS} digits")
-    P = FractionalAssignment(tuple(tuple(a * (den // b) for a, b in pairs) for pairs in rows), den)
+    P = FractionalAssignment.from_pairs(rows)
     violation = validate_assignment(P, instance)
     if violation is not None:
         raise ParseError(

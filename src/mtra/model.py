@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from . import preferences as prefs
 from .errors import (
@@ -248,41 +248,15 @@ def parse_fraction(text: object) -> Fraction:
     return v
 
 
-class ShareReader(dict):
-    """Reads exact shares as (numerator, denominator) pairs in lowest
-    terms, each distinct string once.  The memo is keyed by strings only:
-    ``1``, ``True``, ``1.0`` and ``Fraction(1)`` hash equal, and the float
-    is refused where the others are read."""
-
-    def read(self, value: object) -> tuple[int, int]:
-        """A Fraction or an int by its attributes, a string as
-        :func:`parse_fraction` reads it."""
-        if isinstance(value, str):
-            return self[value]
-        if isinstance(value, (Fraction, int)):
-            return value.numerator, value.denominator
+def _share_pair(value: object) -> tuple[int, int]:
+    """A Fraction or an int by its attributes, a string by
+    :func:`parse_fraction`, as a (numerator, denominator) pair in lowest
+    terms."""
+    if isinstance(value, str):
+        value = parse_fraction(value)
+    elif not isinstance(value, (Fraction, int)):
         raise ParseError(f"share {value!r} is not an exact rational")
-
-    def __missing__(self, text: str) -> tuple[int, int]:
-        # an "a/b" or "a" of ASCII digits, at most MAX_DIGITS a part, is
-        # read by int(); every other spelling by parse_fraction
-        num, slash, den = text.partition("/")
-        a = b = 0
-        if (
-            text.isascii()
-            and num.isdigit()
-            and len(num) <= MAX_DIGITS
-            and (not slash or den.isdigit() and len(den) <= MAX_DIGITS)
-        ):
-            a, b = int(num), int(den) if slash else 1
-        if b:
-            g = math.gcd(a, b)
-            pair = a // g, b // g
-        else:
-            v = parse_fraction(text)
-            pair = v.numerator, v.denominator
-        self[text] = pair
-        return pair
+    return value.numerator, value.denominator
 
 
 @dataclass(frozen=True)
@@ -311,13 +285,15 @@ class FractionalAssignment:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "FractionalAssignment":
-        """Fractions, ints or strings (:func:`parse_fraction`), read as
-        integer pairs (:class:`ShareReader`) and scaled by their lcm
-        denominator."""
-        read = ShareReader().read
-        pairs = [[read(v) for v in row] for row in rows]
-        den = math.lcm(*{b for row in pairs for _, b in row})
-        return cls(tuple(tuple(a * (den // b) for a, b in row) for row in pairs), den)
+        """Fractions, ints or strings (:func:`parse_fraction`), scaled by
+        their lcm denominator."""
+        return cls.from_pairs([[_share_pair(v) for v in row] for row in rows])
+
+    @classmethod
+    def from_pairs(cls, rows: Sequence[Sequence[tuple[int, int]]]) -> "FractionalAssignment":
+        """(numerator, denominator) pairs, scaled by their lcm denominator."""
+        den = math.lcm(*{b for row in rows for _, b in row})
+        return cls(tuple(tuple(a * (den // b) for a, b in row) for row in rows), den)
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -64,6 +64,8 @@ def _matrix(*rows):
         ("blank_vs_chain", _matrix({"1F": None, "2F": "1"}, {"1F": "1", "2F": "0"}), "bad rational None"),
         ("blank_vs_chain", _matrix({"1F": True, "2F": "0"}, {"1F": "0", "2F": "1"}), "bad rational True"),
         ("blank_vs_chain", _matrix({"1F": [1], "2F": 0}, {"1F": 0, "2F": 1}), "bad rational [1]"),
+        # true is not read as the 1 before it, which it equals
+        ("blank_vs_chain", _matrix({"1F": 1, "2F": True}, {"1F": "1", "2F": 0}), "bad rational True"),
         # errors come in the document's order, a share before its own bundle name
         ("blank_vs_chain", _matrix({"2F": "x", "1F": "y"}, {"1F": "0", "2F": "1"}), "bad rational 'x'"),
         ("blank_vs_chain", _matrix({"1F": "x", "ZZ": "1"}, {"1F": "0", "2F": "1"}), "bad rational 'x'"),

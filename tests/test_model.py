@@ -3,8 +3,6 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mtra import fixtures, spaces
 from mtra import preferences as prefs
@@ -20,7 +18,6 @@ from mtra.model import (
     FractionalAssignment,
     Instance,
     Lottery,
-    ShareReader,
     all_discrete_assignments,
     from_discrete,
     parse_fraction,
@@ -265,54 +262,8 @@ def test_parse_fraction_digit_limit():
             parse_fraction(text)
 
 
-# parts past, at and under the 4300-digit limit, leading zeros included
-LONG_PARTS = ["9" * 4300, "0" * 4299 + "7", "1" + "0" * 4300, "0" * 4301, "6" * 4301]
-PART = st.one_of(
-    st.integers(0, 10**6).map(str),
-    st.text("0123456789", max_size=5),
-    st.sampled_from(LONG_PARTS),
-)
-# spellings that only parse_fraction reads, or that nothing reads
-ODD = ["0/0", "3/", "/3", "1/2/3", "1//2", "", " ", "1e9999", "1e-4299", "1e4301", "2E3", "1.5", ".5",
-       "1.", "-0", "nan", "inf", "1_000/3", "1/0_3", "_1", "\u0661/2", "\uff12", "\u00b2", "1\u00b2"]
-SHARE_TEXT = st.builds(
-    "{}{}{}".format,
-    st.sampled_from(["", "", "-", "+", " ", "\n"]),
-    st.one_of(
-        st.builds("{}/{}".format, PART, PART),
-        PART,
-        st.sampled_from(ODD),
-        st.text("0123456789/_+-. eE\t\u0661\uff12\u00b2", max_size=8),
-    ),
-    st.sampled_from(["", "", " ", "\t"]),
-)
-
-
-def _reads_as_parse_fraction(text):
-    try:
-        v = parse_fraction(text)
-    except ParseError:
-        with pytest.raises(ParseError):
-            ShareReader().read(text)
-    else:
-        assert ShareReader().read(text) == (v.numerator, v.denominator)
-
-
-@settings(derandomize=True, deadline=None, max_examples=500, database=None)
-@given(text=SHARE_TEXT)
-def test_share_reader_matches_parse_fraction(text):
-    """The integer share reader gives parse_fraction's (num, den), or
-    refuses what it refuses, for every spelling."""
-    _reads_as_parse_fraction(text)
-
-
-def test_share_reader_matches_parse_fraction_on_odd_spellings():
-    for text in ODD + [f"{a}/{b}" for a in LONG_PARTS for b in LONG_PARTS]:
-        _reads_as_parse_fraction(text)
-
-
 def test_from_rows_keeps_its_types():
-    # strings are remembered by themselves: 1.0 is not read as the 1 before it
+    # a float is refused, also next to the int or the string it equals
     for row in ([1, 1.0], ["1", 1.0], [None]):
         with pytest.raises(ParseError):
             FractionalAssignment.from_rows([row])
