@@ -244,11 +244,12 @@ def check_sd_efficiency(instance: Instance, P: FractionalAssignment) -> Property
     1. the no-cycle lemma: a valid assignment with no generalized cycle
        passes at once;
     2. the trade LP (:func:`_cyclic_sd_efficiency`): a valid cyclic P
-       fails if share can be moved upward to a dominating Q;
+       fails if share can be moved upward to a dominating Q, and a
+       discrete one (den 1) passes if it cannot;
     3. the exact LP (:func:`_sd_efficiency_lp`) decides the rest, a
-       cyclic P that trade cannot improve or a P that is not a valid
-       assignment.  An invalid P that no valid assignment dominates,
-       one whose rows or contour sums no assignment can reach, passes.
+       fractional cyclic P that trade cannot improve or an invalid P.
+       An invalid P that no valid assignment dominates, one whose rows
+       or contour sums no assignment can reach, passes.
 
     A failure carries a dominating witness re-checked exactly.  A P of
     the wrong shape raises :class:`~mtra.errors.DimensionMismatch`.
@@ -280,8 +281,8 @@ def _cyclic_sd_efficiency(
     instance: Instance, P: FractionalAssignment, cycle: frozenset[tuple[int, int]]
 ) -> PropertyReport:
     """Decide a valid P whose generalized cycle (the fixpoint of
-    :func:`find_generalized_cycle`) is ``cycle``: by trade if it can, by
-    the exact LP if not.
+    :func:`find_generalized_cycle`) is ``cycle``: by trade alone if P is
+    discrete, else by trade if it can and by the exact LP if not.
 
     The trade LP has one variable f >= 0 per improvable tuple whose pair
     is in ``cycle``, agent j moving f from ``worse`` to ``better``; one
@@ -293,7 +294,20 @@ def _cyclic_sd_efficiency(
     that dominates P, which :func:`_dominated_report` re-checks.  Under
     linear orders trade finds a dominating Q whenever one exists; under
     partial orders not every up-set is a contour set, so an infeasible
-    trade LP proves nothing and the exact LP decides.
+    trade LP proves nothing in general and the exact LP decides.
+
+    A valid P with den 1 is discrete, and trade is exact for it under
+    any orders; :func:`~mtra.lp.solve` checked the Farkas certificate:
+
+    1. Agent j holds bundle x_j.  Q sd-dominates P for j exactly when
+       Q_j(U_j(x_j)) >= 1, so Q_j lives on the bundles weakly above x_j.
+    2. Then Q - P is a nonnegative, item-balanced mix of improvable
+       tuples (y, x_j, j), each of weight Q_j(y).
+    3. Every item that enters through a better bundle leaves through a
+       worse one, so the tuples' pairs form a closed set, which the
+       fixpoint of :func:`find_generalized_cycle` never prunes.
+    4. A scaled copy of that mix is feasible for the trade LP over
+       ``cycle``: if that LP is infeasible, no Q != P dominates P.
     """
     trades = [t for t in improvable_tuples(instance, P) if (t.better, t.worse) in cycle]
     cons = [
@@ -303,7 +317,7 @@ def _cyclic_sd_efficiency(
     cons.append(Constraint((1,) * len(trades), EQ, 1))
     out = solve(LinearProgram(len(trades), tuple(cons)))
     if not out.optimal:
-        return _sd_efficiency_lp(instance, P)
+        return PropertyReport("sd-efficiency", True) if P.den == 1 else _sd_efficiency_lp(instance, P)
     # D is over the LP's det, which cancels out of Q
     D = [[0] * instance.m for _ in range(instance.n)]
     for t, f in zip(trades, out.witness):
@@ -381,21 +395,18 @@ def check_envy(
     if strength not in ("strong", "weak"):
         raise ValueError(f"unknown envy-freeness strength {strength!r}")
     name = "sd-envy-freeness" if strength == "strong" else "weak-sd-envy-freeness"
-    n, m = instance.n, instance.m
-    rows = P.nums
-    if P.n != n or P.m != m:
-        raise UniverseMismatch("allocation rows do not match the bundle universe")
-    for j in range(n):
+    require_shape(P, instance)
+    for j in range(instance.n):
         masks = _ucs_masks(instance.orders[j])
-        sums = [_contour_sums(masks, row) for row in rows]
+        sums = [_contour_sums(masks, row) for row in P.nums]
         own = sums[j]
-        for k in range(n):
+        for k in range(instance.n):
             if j == k:
                 continue
             if strength == "strong":
                 envies = any(a < b for a, b in zip(own, sums[k]))
             else:
-                envies = all(a <= b for a, b in zip(own, sums[k])) and rows[j] != rows[k]
+                envies = all(a <= b for a, b in zip(own, sums[k])) and P.nums[j] != P.nums[k]
             if envies:
                 return PropertyReport(name, False, witness=EnvyWitness(j, k))
     return PropertyReport(name, True)
@@ -549,8 +560,8 @@ def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> Pro
     passes, and every entry of its lottery is efficient by the no-cycle
     lemma, with no LP optimum trusted.  Only if it is infeasible are the
     other assignments' cycles found, each cyclic assignment decided from
-    its cycle (:func:`_cyclic_sd_efficiency`: the trade LP, then the
-    exact LP), and the lottery LP solved over all the efficient ones,
+    its cycle by the trade LP alone (:func:`_cyclic_sd_efficiency`),
+    and the lottery LP solved over all the efficient ones,
     whose Farkas certificate a failure carries.  The cycle-free
     assignments are among the efficient ones, so the first LP passes
     only where the second would.

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Sequence
 
 from . import preferences as prefs
 from . import spaces
@@ -209,8 +209,12 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
     if not isinstance(mode, MrpMonteCarlo):
         raise TypeError(f"unknown MRP mode {mode!r}")
     sorts = resolve_sorts(instance, tiebreak)
-    priorities = _shuffled(random.Random(mode.seed), instance.n, mode.samples)
-    outcomes = Counter(serial_dictatorship(instance, sorts, priority).bundles for priority in priorities)
+    rng = random.Random(mode.seed)
+    outcomes: Counter[tuple[int, ...]] = Counter()
+    for _ in range(mode.samples):
+        priority = list(range(instance.n))
+        rng.shuffle(priority)
+        outcomes[serial_dictatorship(instance, sorts, priority).bundles] += 1
     return MrpResult(outcome_matrix(instance, outcomes.items(), mode.samples), mode)
 
 
@@ -298,13 +302,6 @@ def _turns(instance: Instance, sorts: Sequence[Sequence[int]]) -> tuple[Fraction
             raise SoundnessError("every agent takes one turn in each priority order")
         rows.append(tuple(row))
     return FractionalAssignment(tuple(rows), total), tuple(tables)
-
-
-def _shuffled(rng: random.Random, n: int, samples: int) -> Iterator[list[int]]:
-    for _ in range(samples):
-        priority = list(range(n))
-        rng.shuffle(priority)
-        yield priority
 
 
 def _spend(taken: int, states: int, n: int, k: int, kind: str) -> int:

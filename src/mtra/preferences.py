@@ -388,7 +388,7 @@ class CPNet:
         on the net.  It comes from a cache keyed by the net's value, so
         equal nets hold one order object, and share its sorts; the net's
         tables are hashed only the first time a net is asked."""
-        return _induced_order_cached(self)
+        return induce_order(self)
 
     @classmethod
     def independent(cls, orders: Sequence[Sequence[int]]) -> "CPNet":
@@ -414,31 +414,17 @@ class CPNet:
         return cls(tuple(sizes), parent_tuple, table_tuple)
 
 
+@lru_cache(maxsize=65536)
 def induce_order(cpnet: CPNet) -> PartialOrder:
     """Partial order induced by a CP-net: closure of sanctioned flips.
 
     A flip fixes the parents of one type and swaps that type's item for a
     CPT-better one, with every other type held fixed at an arbitrary value.
-    Only the flips between adjacent entries of each CPT row are generated:
-    the others follow from them by transitivity.  The order is closed once
-    per distinct net and kept on the net as :attr:`CPNet.order`, so equal
-    nets share it and its sorts.
+    Only the flips between adjacent entries of each CPT row are generated,
+    each OR'd into the ``above`` row of its worse bundle; the others follow
+    by transitivity, through :func:`_closure`.  The cache is keyed by the
+    net's value, so equal nets share one order and its sorts.
     """
-    return cpnet.order
-
-
-def as_order(preference: PartialOrder | CPNet) -> PartialOrder:
-    """The partial order a preference stands for: itself, or the order a
-    CP-net induces, read off :attr:`CPNet.order`."""
-    return preference if isinstance(preference, PartialOrder) else preference.order
-
-
-@lru_cache(maxsize=65536)
-def _induced_order_cached(cpnet: CPNet) -> PartialOrder:
-    """The order :func:`induce_order` describes, for the first of the equal
-    nets that asks.  Each adjacent flip is OR'd into the ``above`` row of
-    its worse bundle, the rows closed by :func:`_closure`, and the result
-    checked by :class:`PartialOrder`'s construction."""
     sizes = cpnet.sizes
     p = len(sizes)
     m = math.prod(sizes)
@@ -460,6 +446,12 @@ def _induced_order_cached(cpnet: CPNet) -> PartialOrder:
     if closed is None:
         raise SoundnessError("an acyclic CP-net induces an acyclic order")
     return PartialOrder(m, tuple(closed))
+
+
+def as_order(preference: PartialOrder | CPNet) -> PartialOrder:
+    """The partial order a preference stands for: itself, or the order a
+    CP-net induces, read off :attr:`CPNet.order`."""
+    return preference if isinstance(preference, PartialOrder) else preference.order
 
 
 def top_cpnet(cpnet: CPNet, remaining: Sequence[Iterable[int]]) -> tuple[int, ...]:

@@ -208,9 +208,7 @@ class CpNetMisreports(MisreportSpace):
             return all_cpnets(instance.sizes)
         net = instance.cpnet(agent)
         if net is None:
-            raise MisreportSpaceTooLarge(
-                f"agent {agent} has no CP-net to take a dependency graph from"
-            )
+            raise MtraError(f"agent {agent} has no CP-net to take a dependency graph from")
         return enumerate_cpnets(instance.sizes, net.parents)
 
     def describe(self) -> str:

@@ -360,9 +360,29 @@ def test_sd_efficiency_matches_the_lp(monkeypatch):
         seen["cyclic pass"] += report.passed and cycle is not None
         if cycle is not None:
             seen["lp fallback" if decided_by_lp else "trade fail"] += 1
-            # trade decides failures only
-            assert decided_by_lp or not report.passed
+            # trade decides failures, and the passes of a P with den 1
+            assert decided_by_lp or not report.passed or P.den == 1
+            assert not (decided_by_lp and P.den == 1)
     assert all(seen.values()), seen
+
+
+def test_trade_alone_decides_discrete_assignments(monkeypatch):
+    # a point-mass row is sd-dominated only by moving its unit upward, so
+    # trade is exact for a discrete assignment under any orders
+    calls = _record_calls(monkeypatch, "_sd_efficiency_lp")
+    cyclic_efficient = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        for n, p in ((2, 2), (3, 2), (3, 1), (2, 3)):
+            for kind in ("general", "cpnet"):
+                inst = spaces.random_profile(rng, n, p, kind)
+                for a in all_discrete_assignments(inst):
+                    P = from_discrete(inst, a)
+                    report = check_sd_efficiency(inst, P)
+                    assert calls == []
+                    assert report.passed == _sd_efficiency_lp(inst, P).passed
+                    cyclic_efficient += report.passed and find_generalized_cycle(inst, P) is not None
+    assert cyclic_efficient > 0
 
 
 def _linear_order_cases():
@@ -394,7 +414,8 @@ def _linear_order_cases():
 def test_trade_is_exact_under_linear_orders(monkeypatch):
     # under linear orders every up-set is a contour set, so a dominating
     # change splits into upward moves (Gale's theorem): a cyclic P that
-    # trade cannot improve is efficient
+    # trade cannot improve is efficient; a discrete one passes on trade
+    # alone
     fallbacks = _record_calls(monkeypatch, "_sd_efficiency_lp")
     seen = {"trade fail": 0, "lp fallback": 0}
     for inst, P in _linear_order_cases():
@@ -403,10 +424,11 @@ def test_trade_is_exact_under_linear_orders(monkeypatch):
         fallbacks.clear()
         report = check_sd_efficiency(inst, P)
         if fallbacks:
-            assert report.passed
+            assert report.passed and P.den != 1
             seen["lp fallback"] += 1
+        elif report.passed:
+            assert P.den == 1
         else:
-            assert not report.passed
             assert_dominates(inst, report.witness, P)
             seen["trade fail"] += 1
     assert all(seen.values()), seen
@@ -500,12 +522,10 @@ def test_sd_efficiency_refuses_wrong_shapes(mixed_pair):
 )
 def test_checkers_refuse_wrong_shapes(mixed_pair, check):
     # mixed_pair needs a 2 x 4 matrix; a ragged one is refused when it is
-    # built, the others by the checker before it reads P (check_envy
-    # reports the rows against the bundle universe)
+    # built, the others by the checker before it reads P
     ragged = ((1, 0, 0, 0), (0, 0, 1))
     for nums in (ragged, ((1, 0, 0), (0, 0, 1)), ((1, 0, 0, 0),), ((1, 0, 0, 0),) * 3):
-        error = UniverseMismatch if check is check_envy and nums is not ragged else DimensionMismatch
-        with pytest.raises(error):
+        with pytest.raises(DimensionMismatch):
             check(mixed_pair, FractionalAssignment(nums, 1))
 
 
@@ -936,9 +956,10 @@ def test_ex_post_matches_all_columns_reference():
     assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
 
 
-def test_ex_post_falls_back_for_cyclic_efficient_assignments(monkeypatch):
+def test_ex_post_decides_cyclic_assignments_by_trade_alone(monkeypatch):
     # a discrete assignment is its own only lottery, so a cyclic one
-    # passes only through the fallback's LP verdicts
+    # passes only through the fallback, whose trade LP decides every
+    # discrete assignment without the domination LP
     decided = _record_calls(monkeypatch, "_sd_efficiency_lp")
     rng = random.Random(103)
     fallbacks = 0
@@ -951,8 +972,7 @@ def test_ex_post_falls_back_for_cyclic_efficient_assignments(monkeypatch):
                     continue
                 decided.clear()
                 report = check_ex_post_efficiency(inst, P)
-                # each cyclic assignment is LP-decided at most once per call
-                assert len(set(decided)) == len(decided)
+                assert decided == []
                 assert report.passed == _sd_efficiency_lp(inst, P).passed
                 if report.passed:
                     fallbacks += 1

@@ -436,6 +436,15 @@ def test_cli_sample_counts_are_checked_by_their_classes(workdir, capsys, argv, m
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+def test_cli_cpnet_misreports_without_a_cpnet_exit2(workdir, capsys):
+    # mixed_pair's agent 1 has no CP-net to take a dependency graph from
+    argv = ["check", str(workdir / "mixed_pair.json"), str(workdir / "a1.json"),
+            "--property", "sd-strategyproofness", "--mechanism", "mps", "--misreports", "cpnet"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "agent 1" in err
+
+
 def test_cli_refuses_too_many_bundle_pairs(tmp_path, capsys):
     # 16 agents and 4 types make 65 536 bundles: past the budget before any
     # preference is closed, while 12 agents and 4 types still construct

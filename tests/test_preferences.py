@@ -20,6 +20,23 @@ def bundle_ids(inst, names):
 # -- induced orders ----------------------------------------------------------
 
 
+def test_cpnet_orders_are_induced_once_per_net(monkeypatch):
+    # a net's order is built by the module's induce_order, so a wrapper
+    # put in its place (as a tracer does) sees one call per net object
+    calls = []
+    real = prefs.induce_order
+
+    def counting(net):
+        calls.append(net)
+        return real(net)
+
+    monkeypatch.setattr(prefs, "induce_order", counting)
+    inst = spaces.random_profile(random.Random(7), 3, 2, "cpnet")
+    assert inst.orders == tuple(real(net) for net in inst.preferences)
+    assert inst.orders is inst.orders
+    assert sorted(map(id, calls)) == sorted({id(net) for net in inst.preferences})
+
+
 def test_induce_order_mixed_pair_linear(mixed_pair):
     chain = prefs.PartialOrder.from_chain(bundle_ids(mixed_pair, ["1F1B", "1F2B", "2F2B", "2F1B"]))
     assert mixed_pair.orders[0] == chain

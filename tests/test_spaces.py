@@ -6,7 +6,7 @@ import pytest
 from mtra import spaces
 from mtra import preferences as prefs
 from mtra.axioms import check_upper_invariance
-from mtra.errors import MisreportSpaceTooLarge, MtraError
+from mtra.errors import GuardViolation, MisreportSpaceTooLarge, MtraError
 from mtra.mechanisms import reruns
 
 
@@ -162,6 +162,13 @@ def test_cpnet_misreports_refuse_an_unknown_graph():
     for graph in ("independent", None, ((), ())):
         with pytest.raises(ValueError, match="must be 'own' or 'all'"):
             spaces.CpNetMisreports(graph)
+
+
+def test_cpnet_misreports_refuse_an_agent_without_a_cpnet(mixed_pair):
+    # bad input, not a size guard: agent 1 states a plain partial order
+    with pytest.raises(MtraError, match="agent 1 has no CP-net") as info:
+        spaces.CpNetMisreports().for_agent(mixed_pair, 1)
+    assert not isinstance(info.value, GuardViolation)
 
 
 def test_independent_cpnets_are_the_edgeless_enumeration():
