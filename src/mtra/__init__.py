@@ -52,7 +52,6 @@ from .preferences import (
     induce_order,
     is_uit,
     preference_graph,
-    top_cpnet,
     topological_sort,
 )
 

@@ -361,12 +361,6 @@ class MpsRound:
 class MpsTrace:
     rounds: tuple[MpsRound, ...]
 
-    def exhaustion_time(self, item: int) -> Fraction:
-        for r in self.rounds:
-            if item in r.exhausted:
-                return r.end
-        raise KeyError(item)
-
 
 # One round of the eating: the bundle each agent ate, the round's length
 # over its denominator, that denominator, the clock after the round over

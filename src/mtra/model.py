@@ -198,12 +198,6 @@ class Instance:
     def is_cp_profile(self) -> bool:
         return all(isinstance(p, prefs.CPNet) for p in self.preferences)
 
-    @property
-    def is_independent_cp_profile(self) -> bool:
-        return self.is_cp_profile and all(
-            p.is_independent for p in self.preferences  # type: ignore[union-attr]
-        )
-
     def with_preference(self, agent: int, preference: Preference) -> "Instance":
         """Copy of the instance with one agent's preference replaced, built
         and checked like any instance.

@@ -37,15 +37,6 @@ def bundle_index(bundle: Sequence[int], sizes: Sequence[int]) -> int:
     return idx
 
 
-def bundle_tuple(index: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`bundle_index`."""
-    coords = []
-    for size in reversed(sizes):
-        index, coord = divmod(index, size)
-        coords.append(coord)
-    return tuple(reversed(coords))
-
-
 def _closure(above: list[int], m: int) -> list[int] | None:
     """Transitive closure of the relation, or None if it has a cycle.
 
@@ -174,9 +165,6 @@ class PartialOrder:
         bit = 1 << y
         return sum(1 for x in range(self.m) if self.above[x] & bit) + 1
 
-    def is_linear(self) -> bool:
-        return sorted(mask.bit_count() for mask in self.above) == list(range(self.m))
-
     def restricted_equal(self, other: "PartialOrder", subset_mask: int) -> bool:
         """Do the two relations agree on every pair inside ``subset_mask``?"""
         if self.m != other.m:
@@ -261,15 +249,6 @@ def topological_sort(order: PartialOrder, tiebreak: Sequence[int]) -> tuple[int,
             emitted |= 1 << x
             pending |= parked[x]
     return tuple(result)
-
-
-def is_linear_extension(order: PartialOrder, linear: Sequence[int]) -> bool:
-    seen = 0
-    for x in linear:
-        if order.above[x] & ~seen:
-            return False
-        seen |= 1 << x
-    return seen == (1 << order.m) - 1
 
 
 def ext(linear: Sequence[int], available: int) -> int:
@@ -372,16 +351,6 @@ class CPNet:
             if seen != expected:
                 raise IncompleteCPT(f"table for type {i} does not cover the parent product")
 
-    def row(self, type_index: int, parent_assignment: tuple[int, ...]) -> tuple[int, ...]:
-        for key, order in self.tables[type_index]:
-            if key == parent_assignment:
-                return order
-        raise IncompleteCPT(f"no row for type {type_index} at {parent_assignment}")
-
-    @property
-    def is_independent(self) -> bool:
-        return all(not pa for pa in self.parents)
-
     @cached_property
     def order(self) -> PartialOrder:
         """The partial order this net induces (:func:`induce_order`), kept
@@ -389,14 +358,6 @@ class CPNet:
         equal nets hold one order object, and share its sorts; the net's
         tables are hashed only the first time a net is asked."""
         return induce_order(self)
-
-    @classmethod
-    def independent(cls, orders: Sequence[Sequence[int]]) -> "CPNet":
-        """CP-net with an edgeless dependency graph."""
-        sizes = tuple(len(o) for o in orders)
-        parents = tuple(() for _ in orders)
-        tables = tuple((((), tuple(order)),) for order in orders)
-        return cls(sizes, parents, tables)
 
     @classmethod
     def from_tables(
@@ -452,24 +413,3 @@ def as_order(preference: PartialOrder | CPNet) -> PartialOrder:
     """The partial order a preference stands for: itself, or the order a
     CP-net induces, read off :attr:`CPNet.order`."""
     return preference if isinstance(preference, PartialOrder) else preference.order
-
-
-def top_cpnet(cpnet: CPNet, remaining: Sequence[Iterable[int]]) -> tuple[int, ...]:
-    """Unique best available bundle of an acyclic CP-net.
-
-    Walks the types in dependency order, at each type picking the
-    CPT-best remaining item given the already chosen parent items.
-    ``remaining[i]`` must be a nonempty subset of type ``i``'s items.
-    """
-    remaining_sets = [set(r) for r in remaining]
-    if any(not r for r in remaining_sets):
-        raise NothingAvailable("a type has no remaining items")
-    chosen: dict[int, int] = {}
-    order = dependency_order(cpnet.parents)
-    if order is None:
-        raise SoundnessError("construction rejects cyclic nets")
-    for i in order:
-        key = tuple(chosen[q] for q in cpnet.parents[i])
-        row = cpnet.row(i, key)
-        chosen[i] = next(o for o in row if o in remaining_sets[i])
-    return tuple(chosen[i] for i in range(len(cpnet.sizes)))

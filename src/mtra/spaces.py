@@ -33,25 +33,6 @@ def all_linear_orders(m: int) -> tuple[prefs.PartialOrder, ...]:
     )
 
 
-@lru_cache(maxsize=16)
-def all_partial_orders(m: int) -> tuple[prefs.PartialOrder, ...]:
-    """Every labeled strict partial order on m elements (m <= 4)."""
-    if m > 4:
-        raise MisreportSpaceTooLarge(f"cannot enumerate posets on {m} bundles")
-    pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
-    out = []
-    for mask in range(1 << len(pairs)):
-        chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        rel = [0] * m
-        for better, worse in chosen:
-            rel[worse] |= 1 << better
-        # count each poset once: keep the closed subsets.  The closure of
-        # a cyclic relation is None, so it never equals rel.
-        if prefs._closure(rel, m) == rel:
-            out.append(prefs.PartialOrder(m, tuple(rel)))
-    return tuple(out)
-
-
 @lru_cache(maxsize=64)
 def acyclic_dependency_graphs(p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All acyclic parent assignments over p types (p <= 3)."""

@@ -1,7 +1,15 @@
 import pytest
 
 from mtra import fixtures
+from mtra import preferences as prefs
 from mtra.io import build_instance
+
+
+def independent_net(orders):
+    """The CP-net with no dependencies in which type t ranks its items
+    as ``orders[t]``, best first."""
+    orders = [tuple(order) for order in orders]
+    return prefs.CPNet(tuple(map(len, orders)), ((),) * len(orders), tuple((((), order),) for order in orders))
 
 
 @pytest.fixture(scope="session")

@@ -182,7 +182,7 @@ def sweep() -> SweepResults:
         results.by_kind[kind] = results.by_kind.get(kind, 0) + 1
         tiebreaks = spaces.sweep_tiebreaks(inst.m)
         cp = inst.is_cp_profile
-        independent = inst.is_independent_cp_profile
+        independent = cp and all(not any(net.parents) for net in inst.preferences)
         seen_assignments = []
         for tb in tiebreaks:
             eating, _ = mps(inst, tb)

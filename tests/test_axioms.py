@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import independent_net
 from mtra import axioms, fixtures, spaces
 from mtra import preferences as prefs
 from mtra.axioms import (
@@ -1179,7 +1180,7 @@ class _WrongSizes(spaces.MisreportSpace, spaces.TransformSource):
     as many bundles, one over more."""
 
     def for_agent(self, instance, agent):
-        return (prefs.CPNet.independent([range(4)]), prefs.CPNet.independent([range(3), range(2)]))
+        return (independent_net([range(4)]), independent_net([range(3), range(2)]))
 
     def candidates(self, instance, assignment):
         return ((0, net, 0) for net in self.for_agent(instance, 0))

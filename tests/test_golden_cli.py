@@ -1,6 +1,7 @@
 """Recorded CLI output: each mechanism's run, the MGD lottery, the
 mechanism-level checks, the assignment-level checks of each mechanism's
-output, the comparison of the MPS and MRP outputs, and replay-paper must
+output, the comparison of the MPS and MRP outputs, replay-paper, and
+runs under tie-breaks read from files and from an instance document must
 keep printing the same bytes with the same exit codes.
 
 The recordings are in ``golden_cli.json``.  After an intended output
@@ -71,6 +72,24 @@ def write_inputs(directory: Path) -> list[list[str]]:
         for mech in ("mrp", "mps", "mgd"):
             commands.append(["check", f"{name}.json", f"{name}-{mech}.json", "--property", ASSIGNMENT_PROPERTIES])
     commands.append(["replay-paper"])
+    # tie-breaks from a file shared by all agents, from a file with one
+    # list per agent, and from an instance document that carries them
+    inst = fixtures.partial_twins()
+    shared = ["2F1B", "2F2B", "1F1B", "1F2B"]
+    per_agent = [["2F2B", "2F1B", "1F1B", "1F2B"], ["1F1B", "2F1B", "2F2B", "1F2B"]]
+    (directory / "tiebreak-shared.json").write_text(json.dumps(shared))
+    (directory / "tiebreak-per-agent.json").write_text(json.dumps(per_agent))
+    own = [[inst.bundle_by_name[x] for x in ranking] for ranking in reversed(per_agent)]
+    (directory / "partial_twins-tiebreak.json").write_text(io.serialize_instance(inst, own))
+    commands += [
+        ["run", "partial_twins.json", "--mechanism", "mps", "--tiebreak", "tiebreak-shared.json"],
+        ["run", "partial_twins.json", "--mechanism", "mgd", "--tiebreak", "tiebreak-per-agent.json"],
+        ["run", "partial_twins-tiebreak.json", "--mechanism", "mps"],
+        ["run", "partial_twins-tiebreak.json", "--mechanism", "mps", "--tiebreak", "default"],
+        ["decompose", "partial_twins.json", "--tiebreak", "tiebreak-per-agent.json"],
+        ["check", "partial_twins-tiebreak.json", "partial_twins-mps.json",
+         "--property", "sd-strategyproofness", "--mechanism", "mps"],
+    ]
     return commands
 
 

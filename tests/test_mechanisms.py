@@ -180,7 +180,7 @@ def test_mps_trace_consumes_in_item_order_on_independent_profiles():
         for j in range(n):
             net = inst.preferences[j]
             for t in range(p):
-                type_order = net.row(t, ())
+                type_order = dict(net.tables[t])[()]
                 rank = {item: i for i, item in enumerate(type_order)}
                 consumed: list[int] = []
                 for r in trace.rounds:
@@ -189,7 +189,7 @@ def test_mps_trace_consumes_in_item_order_on_independent_profiles():
                         if consumed:
                             # previous item must be exhausted by now
                             prev = inst.item_id(t, consumed[-1])
-                            assert trace.exhaustion_time(prev) <= r.start
+                            assert next(q.end for q in trace.rounds if prev in q.exhausted) <= r.start
                         consumed.append(item)
                 assert [rank[i] for i in consumed] == sorted(rank[i] for i in consumed)
 

@@ -94,7 +94,8 @@ def test_cpt_key_with_a_prefixed_item_name():
     types = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "d"]}]
     inst = build_instance(_prefix_cpnet(types, ["F"], {"a": ["c", "d"], "ab": ["d", "c"]}))
     net = inst.preferences[0]
-    assert net.row(1, (0,)) == (0, 1) and net.row(1, (1,)) == (1, 0)
+    rows = dict(net.tables[1])
+    assert rows[(0,)] == (0, 1) and rows[(1,)] == (1, 0)
     # two parents, names in either order: "bca" is bc + a, "cab" is
     # c + ab and "abbc" is ab + bc
     types = [
@@ -104,7 +105,8 @@ def test_cpt_key_with_a_prefixed_item_name():
     ]
     rows = {"ac": ["x", "y"], "bca": ["y", "x"], "cab": ["x", "y"], "abbc": ["y", "x"]}
     net = build_instance(_prefix_cpnet(types, ["F", "D"], rows)).preferences[0]
-    assert [net.row(1, key) for key in ((0, 0), (0, 1), (1, 0), (1, 1))] == [(0, 1), (1, 0), (0, 1), (1, 0)]
+    rows = dict(net.tables[1])
+    assert [rows[key] for key in ((0, 0), (0, 1), (1, 0), (1, 1))] == [(0, 1), (1, 0), (0, 1), (1, 0)]
 
 
 def test_ambiguous_cpt_key_names_both_readings():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import independent_net
 from mtra import spaces
 from mtra import preferences as prefs
 from mtra.errors import InconsistentOrder, NothingAvailable
@@ -40,11 +41,10 @@ def test_cpnet_orders_are_induced_once_per_net(monkeypatch):
 def test_induce_order_mixed_pair_linear(mixed_pair):
     chain = prefs.PartialOrder.from_chain(bundle_ids(mixed_pair, ["1F1B", "1F2B", "2F2B", "2F1B"]))
     assert mixed_pair.orders[0] == chain
-    assert mixed_pair.orders[0].is_linear()
 
 
 def test_induce_order_single_type_independent():
-    net = prefs.CPNet.independent([(0, 1, 2)])
+    net = independent_net([(0, 1, 2)])
     assert prefs.induce_order(net) == prefs.PartialOrder.from_chain([0, 1, 2])
 
 
@@ -376,7 +376,11 @@ def test_topological_sort_is_linear_extension_and_deterministic():
         tiebreak = list(range(m))
         rng.shuffle(tiebreak)
         out = prefs.topological_sort(order, tiebreak)
-        assert prefs.is_linear_extension(order, out)
+        emitted = 0  # each bundle comes after every bundle above it
+        for x in out:
+            assert not order.above[x] & ~emitted
+            emitted |= 1 << x
+        assert emitted == (1 << m) - 1
         assert out == prefs.topological_sort(order, tiebreak)
 
 
@@ -463,14 +467,26 @@ def test_ext_nothing_available(mixed_pair):
         prefs.ext(chain, available_mask(mixed_pair.bundle_items, [0, 1, 0, 0]))
 
 
-# -- top_cpnet ----------------------------------------------------------------
+# -- the CPT walk --------------------------------------------------------------
+
+
+def top_cpnet(net, remaining):
+    """Unique best available bundle of an acyclic CP-net, as item indices:
+    the types in dependency order, each taking its CPT-best item in
+    ``remaining[i]`` given the items chosen for its parents.  The
+    reference that `ext` over the induced order's sort must agree with."""
+    chosen = {}
+    for i in prefs.dependency_order(net.parents):
+        row = dict(net.tables[i])[tuple(chosen[q] for q in net.parents[i])]
+        chosen[i] = next(o for o in row if o in remaining[i])
+    return tuple(chosen[i] for i in range(len(net.sizes)))
 
 
 def test_top_cpnet_examples(mixed_pair):
     net = mixed_pair.preferences[0]
-    assert prefs.top_cpnet(net, [{0, 1}, {1}]) == (0, 1)  # only 2B left: 1F2B
-    assert prefs.top_cpnet(net, [{1}, {0, 1}]) == (1, 1)  # only 2F left: 2F2B
-    assert prefs.top_cpnet(net, [{0, 1}, {0, 1}]) == (0, 0)  # everything: 1F1B
+    assert top_cpnet(net, [{0, 1}, {1}]) == (0, 1)  # only 2B left: 1F2B
+    assert top_cpnet(net, [{1}, {0, 1}]) == (1, 1)  # only 2F left: 2F2B
+    assert top_cpnet(net, [{0, 1}, {0, 1}]) == (0, 0)  # everything: 1F1B
 
 
 def test_top_cpnet_dominates_every_available_bundle():
@@ -486,7 +502,7 @@ def test_top_cpnet_dominates_every_available_bundle():
                 for _ in range(p)
             ]
         ):
-            top = prefs.top_cpnet(net, remaining)
+            top = top_cpnet(net, remaining)
             top_idx = prefs.bundle_index(top, (n,) * p)
             for bundle in itertools.product(*remaining):
                 idx = prefs.bundle_index(bundle, (n,) * p)
@@ -504,10 +520,11 @@ def test_ext_equals_top_for_cpnet_orders():
         tiebreak = list(range(m))
         rng.shuffle(tiebreak)
         sort = prefs.topological_sort(order, tiebreak)
-        bundle_items = [
-            tuple(t * n + coord for t, coord in enumerate(prefs.bundle_tuple(x, (n,) * p)))
-            for x in range(m)
-        ]
+
+        def coords(x):  # mixed-radix digits of bundle x, one item index per type
+            return tuple(x // n ** (p - 1 - t) % n for t in range(p))
+
+        bundle_items = [tuple(t * n + coord for t, coord in enumerate(coords(x))) for x in range(m)]
         for _ in range(10):
             remaining = [
                 sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(p)
@@ -516,9 +533,9 @@ def test_ext_equals_top_for_cpnet_orders():
             for t, items in enumerate(remaining):
                 for i in items:
                     supply[t * n + i] = 1
-            top = prefs.top_cpnet(net, remaining)
+            top = top_cpnet(net, remaining)
             ext_bundle = prefs.ext(sort, available_mask(bundle_items, supply))
-            assert prefs.bundle_tuple(ext_bundle, (n,) * p) == top
+            assert coords(ext_bundle) == top
 
 
 # -- upper invariant transformations ------------------------------------------

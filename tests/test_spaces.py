@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import independent_net
 from mtra import spaces
 from mtra import preferences as prefs
 from mtra.axioms import check_upper_invariance
@@ -13,15 +14,30 @@ from mtra.mechanisms import reruns
 def test_linear_order_counts():
     assert len(spaces.all_linear_orders(3)) == 6
     assert len(spaces.all_linear_orders(4)) == 24
-    assert all(o.is_linear() for o in spaces.all_linear_orders(3))
+    # a linear order has one bundle above none, one above one, and so on
+    assert all(sorted(row.bit_count() for row in o.above) == [0, 1, 2] for o in spaces.all_linear_orders(3))
+
+
+def all_partial_orders(m):
+    """Every labeled strict partial order on m bundles: the relations over
+    distinct pairs that `_closure` leaves as they are.  The closure of a
+    cyclic relation is None, so it never counts."""
+    pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
+    out = []
+    for mask in range(1 << len(pairs)):
+        rel = [0] * m
+        for i, (better, worse) in enumerate(pairs):
+            if mask >> i & 1:
+                rel[worse] |= 1 << better
+        if prefs._closure(rel, m) == rel:
+            out.append(prefs.PartialOrder(m, tuple(rel)))
+    return out
 
 
 def test_poset_counts():
     # labeled posets: 19 on three elements, 219 on four
-    assert len(spaces.all_partial_orders(3)) == 19
-    assert len(spaces.all_partial_orders(4)) == 219
-    with pytest.raises(MisreportSpaceTooLarge):
-        spaces.all_partial_orders(5)
+    assert len(all_partial_orders(3)) == 19
+    assert len(all_partial_orders(4)) == 219
 
 
 def test_dependency_graphs():
@@ -37,7 +53,7 @@ def test_cpnet_enumeration_counts():
     assert len(nets_22) == 4 + 8 + 8
     assert spaces.count_cpnets((3, 3), ((), (0,))) == 6 * 6**3
     independents = spaces.enumerate_cpnets((2, 2), ((), ()))
-    assert len(independents) == 4 and all(n.is_independent for n in independents)
+    assert len(independents) == 4 and all(not any(n.parents) for n in independents)
 
 
 def test_cpnet_guard():
@@ -102,7 +118,7 @@ def test_random_profiles_are_valid():
             inst = spaces.random_profile(rng, rng.choice([2, 3]), rng.choice([1, 2]), kind)
             assert len(inst.orders) == inst.n
             if kind == "independent":
-                assert inst.is_independent_cp_profile
+                assert inst.is_cp_profile and all(not any(net.parents) for net in inst.preferences)
             if kind == "cpnet":
                 assert inst.is_cp_profile
 
@@ -132,7 +148,8 @@ def test_sampled_misreports_are_drawn_lazily(monkeypatch):
         prefs.PartialOrder, "from_chain", classmethod(lambda cls, perm: built.append(perm) or real_from_chain(perm))
     )
     limit = spaces.SampledLinearOrderMisreports(spaces.ENUMERATION_LIMIT, seed=9)
-    assert next(iter(limit.for_agent(inst, 0))).is_linear()
+    first = next(iter(limit.for_agent(inst, 0)))
+    assert sorted(row.bit_count() for row in first.above) == list(range(inst.m))
     assert len(built) == 1
     monkeypatch.undo()
     space = spaces.SampledLinearOrderMisreports(40, seed=9)
@@ -175,7 +192,7 @@ def test_independent_cpnets_are_the_edgeless_enumeration():
     for sizes in ((3, 3), (2, 2, 2), (4,)):
         # the former construction: one permutation per type, the last type fastest
         per_type = [list(itertools.permutations(range(s))) for s in sizes]
-        want = tuple(prefs.CPNet.independent(combo) for combo in itertools.product(*per_type))
+        want = tuple(independent_net(combo) for combo in itertools.product(*per_type))
         assert spaces.enumerate_cpnets(sizes, ((),) * len(sizes)) == want
 
 
