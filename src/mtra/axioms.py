@@ -104,6 +104,19 @@ def sd_compare(
     )
 
 
+def sd_dominance(
+    order: prefs.PartialOrder, P: FractionalAssignment, Q: FractionalAssignment, agent: int
+) -> tuple[bool, bool]:
+    """Does ``agent``'s row of P sd-dominate its row of Q under ``order``,
+    and does Q's dominate P's?  :func:`sd_compare`'s two verdicts, read off
+    the integer rows: each contour sum is cross-multiplied by the other
+    assignment's denominator, so no Fraction and no common denominator
+    is built."""
+    masks = _ucs_masks(order)
+    p, q = _contour_sums(masks, P.nums[agent]), _contour_sums(masks, Q.nums[agent])
+    return _at_least(p, P.den, q, Q.den), _at_least(q, Q.den, p, P.den)
+
+
 # -- improvable tuples and generalized cycles --------------------------------
 
 
@@ -603,14 +616,20 @@ def manipulations(
     Under "sd", a report manipulates if truth-telling does not
     sd-dominate the agent's row; under "weak", if the row sd-dominates
     truth-telling with other upper contour sums.  The liar's row is
-    read off ``runs`` by the report order's sort: no instance is copied
-    per report, and an order keeps its sorts, so it is sorted once per
-    tie-break.  A report sorted as the truth or as a report already
-    judged is skipped, since the same sort gives the same row.  Many
-    sorts still give the agent the same row, so each distinct row
-    (numerators and denominator) is judged once, by one integer
-    comparison: its upper contour sums cross-multiplied with the
-    truthful sums.  Equal sums mean equal rows.
+    read off ``runs`` by the report order's sort, so no instance is
+    copied per report, and only the first report of each sort is judged
+    (:func:`~mtra.spaces.first_of_each_sort`), since the same sort gives
+    the same row; a report sorted as the truth is skipped.  A
+    :class:`~mtra.spaces.Family` (the exhaustive misreport spaces and the
+    CPT search's nets) is shape-checked and sorted once per process and
+    tie-break, into its :meth:`~mtra.spaces.Family.table`, so each report
+    costs a row and a memo lookup here.  Any other reports, sampled or
+    supplied by the caller, are checked, sorted and deduplicated one at a
+    time as they are read, and nothing of them is kept.  Many sorts still
+    give the agent the same row, so each distinct row (numerators and
+    denominator) is judged once, by one integer comparison: its upper
+    contour sums cross-multiplied with the truthful sums.  Equal sums
+    mean equal rows.
     A manipulating report is run from scratch on the one-agent copy for
     the witness.  That output must give the row it was judged by, and
     equal :meth:`runs.rerun <mtra.mechanisms.MpsReruns.rerun>` as a whole.
@@ -618,16 +637,19 @@ def manipulations(
     if strength not in ("sd", "weak"):
         raise ValueError(f"unknown strategyproofness strength {strength!r}")
     instance, truth, j = runs.instance, runs.truth, agent
+    if not 0 <= j < instance.n:
+        raise DimensionMismatch(f"agent {j} is not one of the {instance.n} agents")
+    if isinstance(reports, spaces.Family):
+        table = zip(*reports.table(instance, j, runs.tiebreaks[j]))
+    else:
+        table = spaces.first_of_each_sort(instance, j, runs.tiebreaks[j], reports)
     masks = _ucs_masks(instance.orders[j])
     truth_sums = _contour_sums(masks, truth.nums[j])
     verdicts: dict[tuple[tuple[int, ...], int], bool] = {}
-    judged = {runs.sorts[j]}
-    for report in reports:
-        instance._check_preference(j, report)
-        sort = prefs.as_order(report).sort(runs.tiebreaks[j])
-        if sort in judged:
+    own = runs.sorts[j]
+    for sort, report in table:
+        if sort == own:
             continue
-        judged.add(sort)
         nums, den = key = runs.row(j, sort)
         verdict = verdicts.get(key)
         if verdict is None:

@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import io, spaces
 from .axioms import (
     PropertyReport,
-    SdVerdict,
     check_decomposability,
     check_envy,
     check_ete,
@@ -25,7 +24,7 @@ from .axioms import (
     check_sd_efficiency,
     check_strategyproofness,
     check_upper_invariance,
-    sd_compare,
+    sd_dominance,
 )
 from .errors import GuardViolation, MtraError, ParseError, SoundnessError
 from .fixtures import fixture_names, replay_all
@@ -214,12 +213,12 @@ def cmd_compare(args) -> int:
     for j in agents:
         if not 0 <= j < instance.n:
             raise ParseError(f"agent {j} out of range")
-        verdict: SdVerdict = sd_compare(instance.orders[j], a.row(j), b.row(j))
-        if verdict.p_dominates_q and verdict.q_dominates_p:
+        a_dominates, b_dominates = sd_dominance(instance.orders[j], a, b, j)
+        if a_dominates and b_dominates:
             word = "A and B mutually dominate (equal upper-contour sums)"
-        elif verdict.p_dominates_q:
+        elif a_dominates:
             word = "A sd B, not conversely"
-        elif verdict.q_dominates_p:
+        elif b_dominates:
             word = "B sd A, not conversely"
         else:
             word = "incomparable"

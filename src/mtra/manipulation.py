@@ -42,7 +42,7 @@ from .axioms import manipulations, sd_compare
 from .errors import SoundnessError
 from .mechanisms import reruns
 from .model import Instance
-from .spaces import square_types
+from .spaces import Family, square_types
 
 _ORDERS3 = tuple(itertools.permutations(range(3)))
 _IDENT = (0, 1, 2)
@@ -102,12 +102,13 @@ def _candidate_profiles(seed: int) -> Iterator[tuple[tuple, tuple, tuple]]:
 
 
 @lru_cache(maxsize=1)
-def _misreport_nets() -> tuple[dict, dict]:
+def _misreport_nets() -> tuple[dict, Family]:
     """The manipulator's shared-F->B nets by B-rows, with F-order 1F>2F>3F,
-    and the same nets keyed by induced order, in the order of the B-rows:
-    built and checked once per process."""
+    and the same nets as a misreport family, in the order of the B-rows:
+    built once per process, and sorted and checked once per tie-break
+    (:meth:`~mtra.spaces.Family.table`)."""
     nets = {rows: shared_fb_net(_IDENT, rows) for rows in _B_ROWS}
-    return nets, {prefs.as_order(net): net for net in nets.values()}
+    return nets, Family(nets.values())
 
 
 def search_cpt_manipulations(
@@ -128,7 +129,6 @@ def search_cpt_manipulations(
     is kept, after :func:`sd_compare` has confirmed it.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    # the misreports, as induced orders, each mapped back to its net
     nets, misreports = _misreport_nets()
     hits: list[ManipulationHit] = []
     scanned = 0
@@ -144,7 +144,7 @@ def search_cpt_manipulations(
             truth, lie = witness.truthful.row(0), witness.manipulated.row(0)
             if not sd_compare(instance.orders[0], lie, truth).p_dominates_q:
                 raise SoundnessError("sd_compare disagrees with the upper-contour sums")
-            hit = ManipulationHit(instance, misreports[witness.misreport], 0, truth, lie)
+            hit = ManipulationHit(instance, witness.misreport, 0, truth, lie)
             if require_pattern is not None:
                 want_truth, want_lie = require_pattern
                 if (

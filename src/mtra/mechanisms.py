@@ -498,7 +498,8 @@ class MpsReruns(_Reruns):
     truthful eating ends at ``leaf``, whose output is ``truth``.
     :meth:`rerun` is agent j's :func:`_walk` from ``root`` by its new
     sort, so the same eating returns the same output object: the truth
-    itself if j never picks otherwise.
+    itself if j never picks otherwise.  :meth:`row` reads j's row off
+    the same walk.
     """
 
     root: _Node
@@ -506,6 +507,10 @@ class MpsReruns(_Reruns):
 
     def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
         return _walk(self.instance, self.sorts, self.root, agent, sort).out
+
+    def row(self, agent: int, sort: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        out = _walk(self.instance, self.sorts, self.root, agent, sort).out
+        return out.nums[agent], out.den
 
 
 # -- MGD -----------------------------------------------------------------
@@ -536,9 +541,10 @@ class MgdReruns(_Reruns):
     ``available[j]``, comes from their truthful sorts alone, and the
     picks after j's depend only on what is left.  The groups are the
     truthful ones with j moved to its mates: the other agents whose
-    truthful sort is j's new one.  So the output is fixed by (j, j's
-    pick at ``available[j]``, mates), and :meth:`rerun` shares out once
-    per key: the same key returns the same output object.
+    truthful sort is j's new one, found in :attr:`groups`.  So the
+    output is fixed by (j, j's pick at ``available[j]``, mates), and
+    :meth:`rerun` shares out once per key: the same key returns the same
+    output object.
     """
 
     @cached_property
@@ -551,9 +557,14 @@ class MgdReruns(_Reruns):
             left.append(left[-1] & ~conflicts[x])
         return tuple(left)
 
+    @cached_property
+    def groups(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The agents by truthful sort (:func:`_groups`)."""
+        return _groups(self.sorts)
+
     def _key(self, agent: int, sort: Sequence[int]) -> Hashable:
         sort = tuple(sort)
-        mates = tuple(k for k, truthful in enumerate(self.sorts) if truthful == sort and k != agent)
+        mates = tuple(k for k in self.groups.get(sort, ()) if k != agent)
         return agent, prefs.ext(sort, self.available[agent]), mates
 
     def _run(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:

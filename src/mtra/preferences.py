@@ -337,10 +337,10 @@ class CPNet:
         p = len(self.sizes)
         if len(self.parents) != p or len(self.tables) != p:
             raise IncompleteCPT("per-type parent or table list has wrong length")
-        if dependency_order(self.parents) is None:
+        keys = _table_keys(self.sizes, self.parents)
+        if keys is None:
             raise CyclicDependency("CP-net dependency graph is cyclic")
-        for i in range(p):
-            expected = set(itertools.product(*(range(self.sizes[q]) for q in self.parents[i])))
+        for i, expected in enumerate(keys):
             seen = set()
             for key, row in self.tables[i]:
                 if key in seen:
@@ -373,6 +373,18 @@ class CPNet:
             for i in range(p)
         )
         return cls(tuple(sizes), parent_tuple, table_tuple)
+
+
+@lru_cache(maxsize=256)
+def _table_keys(
+    sizes: tuple[int, ...], parents: tuple[tuple[int, ...], ...]
+) -> tuple[frozenset[tuple[int, ...]], ...] | None:
+    """Per type, the assignments to its parents that its table must
+    cover; None if the dependency graph is cyclic.  Worked out once per
+    (sizes, parents), not once per net."""
+    if dependency_order(parents) is None:
+        return None
+    return tuple(frozenset(itertools.product(*(range(sizes[q]) for q in ps))) for ps in parents)
 
 
 @lru_cache(maxsize=65536)

@@ -24,13 +24,58 @@ ENUMERATION_LIMIT = 200_000
 LINEAR_ORDER_LIMIT = 4
 DELETION_LIMIT = 2
 
+Sort = tuple[int, ...]
+
+
+def first_of_each_sort(
+    instance: Instance, agent: int, tiebreak: Sort, reports: Iterable[Preference]
+) -> Iterator[tuple[Sort, Preference]]:
+    """Each report shape-checked against ``agent`` of ``instance`` and
+    sorted under ``tiebreak``; the first report of each sort, with its
+    sort, in report order.  The reports are read one at a time, as the
+    caller asks for them."""
+    seen: set[Sort] = set()
+    for report in reports:
+        instance._check_preference(agent, report)
+        sort = prefs.as_order(report).sort(tiebreak)
+        if sort not in seen:
+            seen.add(sort)
+            yield sort, report
+
+
+class Family(tuple):
+    """A finite misreport family, a tuple made once per process by a cached
+    builder (:func:`all_linear_orders`, :func:`enumerate_cpnets`,
+    :func:`all_cpnets`, the CPT search's nets), which keeps its judging
+    tables.
+
+    The table for one tie-break is :func:`first_of_each_sort` of the
+    whole family, made by :meth:`table` once per (type sizes, tie-break),
+    since a report's shape check reads the instance's sizes: every report
+    is shape-checked and sorted then, and never again.  The family keeps
+    its tables itself, so no report is hashed to find one.
+    """
+
+    def __init__(self, reports: Iterable[Preference]) -> None:
+        self._tables: dict[tuple[tuple[int, ...], Sort], tuple[tuple[Sort, ...], tuple[Preference, ...]]] = {}
+
+    def table(
+        self, instance: Instance, agent: int, tiebreak: Sort
+    ) -> tuple[tuple[Sort, ...], tuple[Preference, ...]]:
+        """The (sort, first report of that sort) pairs of the family under
+        ``tiebreak``, in report order, kept as a tuple of the sorts and one
+        of the reports, which take less memory than a tuple of pairs."""
+        key = (instance.sizes, tiebreak)
+        table = self._tables.get(key)
+        if table is None:
+            pairs = list(first_of_each_sort(instance, agent, tiebreak, self))
+            table = self._tables[key] = (tuple(s for s, _ in pairs), tuple(r for _, r in pairs))
+        return table
+
 
 @lru_cache(maxsize=64)
-def all_linear_orders(m: int) -> tuple[prefs.PartialOrder, ...]:
-    return tuple(
-        prefs.PartialOrder.from_chain(perm)
-        for perm in itertools.permutations(range(m))
-    )
+def all_linear_orders(m: int) -> Family:
+    return Family(prefs.PartialOrder.from_chain(perm) for perm in itertools.permutations(range(m)))
 
 
 @lru_cache(maxsize=64)
@@ -59,9 +104,7 @@ def count_cpnets(sizes: Sequence[int], parents: Sequence[Sequence[int]]) -> int:
 
 
 @lru_cache(maxsize=32)
-def enumerate_cpnets(
-    sizes: tuple[int, ...], parents: tuple[tuple[int, ...], ...]
-) -> tuple[prefs.CPNet, ...]:
+def enumerate_cpnets(sizes: tuple[int, ...], parents: tuple[tuple[int, ...], ...]) -> Family:
     """All CP-nets over a fixed dependency graph, built once per sizes and
     graph.  Each type's table runs over the item orders of its rows,
     the last row fastest, and the nets over the tables, the last type
@@ -79,16 +122,14 @@ def enumerate_cpnets(
             for combo in itertools.product(orders, repeat=len(keys))
         ]
         per_type.append(rows)
-    return tuple(prefs.CPNet(sizes, parents, combo) for combo in itertools.product(*per_type))
+    return Family(prefs.CPNet(sizes, parents, combo) for combo in itertools.product(*per_type))
 
 
 @lru_cache(maxsize=32)
-def all_cpnets(sizes: tuple[int, ...]) -> tuple[prefs.CPNet, ...]:
+def all_cpnets(sizes: tuple[int, ...]) -> Family:
     """All CP-nets over all acyclic dependency graphs."""
-    out: list[prefs.CPNet] = []
-    for parents in acyclic_dependency_graphs(len(sizes)):
-        out.extend(enumerate_cpnets(sizes, parents))
-    return tuple(out)
+    graphs = acyclic_dependency_graphs(len(sizes))
+    return Family(net for parents in graphs for net in enumerate_cpnets(sizes, parents))
 
 
 @lru_cache(maxsize=32)
@@ -103,14 +144,20 @@ def cpnet_order_representatives(
     return tuple(by_order.items())
 
 
+@lru_cache(maxsize=4096)
+def _mask_bits(u: int) -> tuple[int, ...]:
+    """The bundles of the mask ``u``, ascending, read once per mask."""
+    return tuple(prefs._bits(u))
+
+
 def _relation_key(order: prefs.PartialOrder, u: int) -> int:
     """The relation restricted to the bundle mask ``u`` as one int:
     ``above[y] & u`` for each y in u, ascending, ``m`` bits each.  Two
     orders get the same key for the same u exactly when
     ``restricted_equal(.., u)`` holds."""
-    key = 0
-    for y in prefs._bits(u):
-        key = (key << order.m) | (order.above[y] & u)
+    key, m, above = 0, order.m, order.above
+    for y in _mask_bits(u):
+        key = (key << m) | (above[y] & u)
     return key
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -1095,6 +1096,73 @@ def test_strategyproofness_matches_rerun_reference(blank_vs_chain, three_chains)
         assert check_strategyproofness(mechanism, inst, space, strength, tiebreaks=[None]) == want
 
 
+def test_misreport_family_tables_match_rerun_reference():
+    # the CP-net families are judged through their kept tables; each is
+    # compared with the reference under a shared tie-break other than the
+    # canonical one and under one tie-break per agent, passing and failing
+    rng = random.Random(73)
+    families = (spaces.CpNetMisreports("own"), spaces.CpNetMisreports("all"), spaces.IndependentCpNetMisreports())
+    failed = {}
+    for n, p, count in ((2, 2, 4), (3, 2, 1)):
+        for _ in range(count):
+            inst = spaces.random_profile(rng, n, p, "cpnet")
+            shared = rng.sample(range(inst.m), inst.m)
+            per_agent = [rng.sample(range(inst.m), inst.m) for _ in range(n)]
+            for space in families:
+                # the reference re-runs every (3,2) net of every graph, so that one is run under "sd" only
+                strengths = ("sd",) if n == 3 and space == spaces.CpNetMisreports("all") else ("sd", "weak")
+                for tiebreaks in ([shared], [per_agent]):
+                    for mechanism in ("mrp", "mps", "mgd"):
+                        for strength in strengths:
+                            want = rerun_strategyproofness(mechanism, inst, space, strength, tiebreaks)
+                            assert check_strategyproofness(mechanism, inst, space, strength, tiebreaks) == want
+                            key = (n, space.describe(), mechanism)
+                            failed[key] = failed.get(key, 0) + (not want.passed)
+    # mrp is sd-strategyproof on CP-net profiles; the others fail on every family and size
+    assert all(bool(count) == (key[2] != "mrp") for key, count in failed.items()), failed
+
+
+def test_cpnet_family_is_sorted_and_checked_once_per_tiebreak(monkeypatch):
+    # the 2 628 nets of CpNetMisreports("all") at (3,2) are shape-checked
+    # and sorted once per tie-break for all profiles, agents and checks
+    nets = spaces.all_cpnets((3, 3))
+    assert len(nets) == 2628
+    monkeypatch.setattr(nets, "_tables", {})  # no table made by an earlier test
+    net_ids = {id(net) for net in nets}
+    order_ids = {id(net.order) for net in nets}
+    checked, sorted_, tables = Counter(), Counter(), []
+    real_check, real_sort, real_first = Instance._check_preference, prefs.topological_sort, spaces.first_of_each_sort
+
+    def check(self, agent, preference):
+        if id(preference) in net_ids:
+            checked[id(preference)] += 1
+        return real_check(self, agent, preference)
+
+    def sort(order, tiebreak):
+        if id(order) in order_ids:
+            sorted_[id(order), tuple(tiebreak)] += 1
+        return real_sort(order, tiebreak)
+
+    def first_of_each_sort(instance, agent, tiebreak, reports):
+        tables.append(tiebreak)
+        return real_first(instance, agent, tiebreak, reports)
+
+    monkeypatch.setattr(Instance, "_check_preference", check)
+    monkeypatch.setattr(prefs, "topological_sort", sort)
+    monkeypatch.setattr(spaces, "first_of_each_sort", first_of_each_sort)
+    rng = random.Random(79)
+    space = spaces.CpNetMisreports("all")
+    for inst in (spaces.random_profile(rng, 3, 2, "cpnet") for _ in range(2)):
+        assert check_strategyproofness("mrp", inst, space, "sd", tiebreaks=[None]).passed
+        assert len(tables) == 1 and len(checked) == len(nets)
+        assert set(checked.values()) == {1} and set(sorted_.values()) <= {1}
+    # a second tie-break makes a second table, checking every net again
+    reverse = tuple(reversed(range(inst.m)))
+    assert check_strategyproofness("mrp", inst, space, "sd", tiebreaks=[reverse]).passed
+    assert tables == [tuple(range(inst.m)), reverse]
+    assert set(checked.values()) == {2} and set(sorted_.values()) <= {1}
+
+
 def test_manipulations_yields_every_manipulation_in_report_order(three_chains, opposed_trio):
     # each linear order is its own sort, so no report is skipped but the
     # truth's sort, which gives the truthful row
@@ -1122,6 +1190,16 @@ def test_manipulations_yields_every_manipulation_in_report_order(three_chains, o
                 assert list(manipulations(mechanism, runs, None, j, reports * 2, strength)) == want
                 found += len(want)
     assert found > 10
+
+
+@pytest.mark.parametrize("agent", [-1, 2], ids=["-1", "n"])
+def test_manipulations_of_no_agent_are_refused(blank_vs_chain, agent):
+    # a family's reports are checked once, into its table, so the agent
+    # is checked apart from them
+    runs = reruns("mrp", blank_vs_chain)
+    for reports in (spaces.all_linear_orders(2), list(spaces.all_linear_orders(2))):
+        with pytest.raises(DimensionMismatch, match=f"agent {agent} is not one of the 2 agents"):
+            next(manipulations("mrp", runs, None, agent, reports))
 
 
 def test_manipulation_rerun_must_give_the_whole_output(blank_vs_chain, monkeypatch):

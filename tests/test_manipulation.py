@@ -123,4 +123,4 @@ def test_search_builds_its_misreport_nets_once(monkeypatch):
     assert len(built) == 2
     nets, misreports = manipulation._misreport_nets()
     assert list(nets) == list(itertools.product(itertools.permutations(range(3)), repeat=3))
-    assert list(misreports.values()) == list(nets.values())
+    assert list(misreports) == list(nets.values())
