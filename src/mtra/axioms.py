@@ -26,6 +26,7 @@ from .model import (
     Lottery,
     Preference,
     from_discrete,
+    outcome_matrix,
     require_shape,
     validate_assignment,
 )
@@ -69,16 +70,22 @@ def _at_least(sums: Sequence[int], den: int, ref: Sequence[int], ref_den: int) -
     return all(v * ref_den >= t * den for v, t in zip(sums, ref))
 
 
+def _row_sums(order: prefs.PartialOrder, row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row's upper contour sums under ``order``, integers over its own denominator."""
+    scaled = FractionalAssignment.from_rows([row])
+    return _contour_sums(_ucs_masks(order), scaled.nums[0]), scaled.den
+
+
 def ucs_sums(order: prefs.PartialOrder, row: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Per bundle, the total share the row puts on its upper contour set.
 
-    The row is scaled to integers by :meth:`FractionalAssignment.from_rows`,
-    so the contour sums are integer additions and each result is one Fraction.
+    The row is scaled to integers by :func:`_row_sums`, so the contour
+    sums are integer additions and each result is one Fraction.
     """
     if len(row) != order.m:
         raise UniverseMismatch("allocation rows do not match the bundle universe")
-    scaled = FractionalAssignment.from_rows([row])
-    return tuple(Fraction(v, scaled.den) for v in _contour_sums(_ucs_masks(order), scaled.nums[0]))
+    sums, den = _row_sums(order, row)
+    return tuple(Fraction(v, den) for v in sums)
 
 
 def sd_compare(
@@ -87,20 +94,20 @@ def sd_compare(
     """Stochastic dominance: p dominates q iff p's upper-contour share is
     at least q's at every bundle.
 
-    Both rows are scaled to integers by :meth:`FractionalAssignment.from_rows`;
-    each slack is the sum of the integer differences over one contour
-    mask, both verdicts are read off the signs, and one slack Fraction is
-    built per distinct nonzero sum (ZERO for a zero slack).
+    Once both lengths are checked, each row is scaled to integers on its
+    own by :func:`_row_sums` and the contour sums are cross-multiplied:
+    both verdicts are read off the signs of the differences, and one
+    slack Fraction is built per distinct nonzero one (ZERO for zero).
     """
     if len(p_row) != order.m or len(q_row) != order.m:
         raise UniverseMismatch("allocation rows do not match the bundle universe")
-    both = FractionalAssignment.from_rows([p_row, q_row])
-    sums = _contour_sums(_ucs_masks(order), [a - b for a, b in zip(*both.nums)])
-    slack = {v: Fraction(v, both.den) if v else ZERO for v in set(sums)}
+    (p, p_den), (q, q_den) = _row_sums(order, p_row), _row_sums(order, q_row)
+    diffs = [a * q_den - b * p_den for a, b in zip(p, q)]
+    slack = {v: Fraction(v, p_den * q_den) if v else ZERO for v in set(diffs)}
     return SdVerdict(
-        p_dominates_q=all(v >= 0 for v in sums),
-        q_dominates_p=all(v <= 0 for v in sums),
-        slack=tuple(slack[v] for v in sums),
+        p_dominates_q=all(v >= 0 for v in diffs),
+        q_dominates_p=all(v <= 0 for v in diffs),
+        slack=tuple(slack[v] for v in diffs),
     )
 
 
@@ -284,8 +291,7 @@ def _dominated_report(
     if validate_assignment(Q, instance) is not None or Q == P:
         raise SoundnessError("the dominating witness is not another valid assignment")
     for j, order in enumerate(instance.orders):
-        masks = _ucs_masks(order)
-        if not _at_least(_contour_sums(masks, Q.nums[j]), Q.den, _contour_sums(masks, P.nums[j]), P.den):
+        if not sd_dominance(order, Q, P, j)[0]:
             raise SoundnessError(f"the witness does not sd-dominate P for agent {j}")
     return PropertyReport("sd-efficiency", False, witness=Q)
 
@@ -509,14 +515,13 @@ def _lottery(
     prop: str, instance: Instance, P: FractionalAssignment, columns: Sequence[DiscreteAssignment]
 ) -> PropertyReport | None:
     """P as a lottery over ``columns``, reported as a ``prop`` pass; None
-    when there is none.  The lottery's expectation must be P exactly."""
+    when there is none.  Its expectation must be P, on the LP's integers."""
     out, _ = _lottery_lp(instance, P, columns)
     if not out.optimal:
         return None
-    weights = (Fraction(w, out.det) for w in out.witness)
-    lottery = Lottery(tuple((w, a) for w, a in zip(weights, columns) if w > 0))
-    if lottery.expectation(instance) != P:
+    if outcome_matrix(instance, ((a.bundles, w) for a, w in zip(columns, out.witness)), out.det) != P:
         raise SoundnessError("the lottery's expectation is not P")
+    lottery = Lottery(tuple((Fraction(w, out.det), a) for w, a in zip(out.witness, columns) if w > 0))
     return PropertyReport(prop, True, witness=lottery)
 
 
@@ -602,16 +607,14 @@ def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> Pro
 
 
 def manipulations(
-    mechanism: str,
     runs: MpsReruns | MgdReruns | MrpTurns,
-    tiebreak: Tiebreak,
     agent: int,
     reports: Iterable[Preference],
     strength: str = "sd",
 ) -> Iterator[ManipulationWitness]:
-    """Each of ``reports`` by which ``agent`` manipulates ``mechanism``,
-    as a witness, in the order of ``reports``.  ``runs`` is the truthful
-    run under ``tiebreak``, from :func:`~mtra.mechanisms.reruns`.
+    """Each of ``reports`` by which ``agent`` manipulates the truthful
+    run ``runs`` (:func:`~mtra.mechanisms.reruns`), as a witness, in the
+    order of ``reports``.
 
     Under "sd", a report manipulates if truth-telling does not
     sd-dominate the agent's row; under "weak", if the row sd-dominates
@@ -630,9 +633,10 @@ def manipulations(
     denominator) is judged once, by one integer comparison: its upper
     contour sums cross-multiplied with the truthful sums.  Equal sums
     mean equal rows.
-    A manipulating report is run from scratch on the one-agent copy for
-    the witness.  That output must give the row it was judged by, and
-    equal :meth:`runs.rerun <mtra.mechanisms.MpsReruns.rerun>` as a whole.
+    A manipulating report is run from scratch for the witness by
+    :meth:`runs.fresh <mtra.mechanisms.MpsReruns.fresh>`, whose output
+    must give the row it was judged by and equal :meth:`runs.rerun
+    <mtra.mechanisms.MpsReruns.rerun>`; the witness records ``runs.tiebreak``.
     """
     if strength not in ("sd", "weak"):
         raise ValueError(f"unknown strategyproofness strength {strength!r}")
@@ -659,11 +663,11 @@ def manipulations(
                 verdict = verdict and _at_least(sums, den, truth_sums, truth.den)
             verdicts[key] = verdict
         if verdict:
-            lied = reruns(mechanism, instance.with_preference(j, report), tiebreak).truth
+            lied = runs.fresh(j, report)
             judged_row = all(v * den == w * lied.den for v, w in zip(lied.nums[j], nums))
             if not judged_row or lied != runs.rerun(j, sort):
                 raise SoundnessError(f"agent {j}'s row differs from the mechanism's on the re-run")
-            yield ManipulationWitness(j, report, truth, lied, tiebreak)
+            yield ManipulationWitness(j, report, truth, lied, runs.tiebreak)
 
 
 def _tiebreaks(instance: Instance, tiebreaks: Iterable[Tiebreak] | None) -> tuple[Tiebreak, ...]:
@@ -699,7 +703,7 @@ def check_strategyproofness(
         runs = reruns(mechanism, instance, tb)
         for j in range(instance.n):
             reports = misreports.for_agent(instance, j)
-            witness = next(manipulations(mechanism, runs, tb, j, reports, strength), None)
+            witness = next(manipulations(runs, j, reports, strength), None)
             if witness is not None:
                 return PropertyReport(name, False, witness=witness, detail=detail)
     return PropertyReport(name, True, detail=detail)
@@ -716,8 +720,8 @@ def check_upper_invariance(
 
     The transformed output comes from :func:`~mtra.mechanisms.reruns`,
     so no instance is copied per transformation.  The first failing one
-    is run from scratch on the one-agent copy for the witness, and that
-    output must equal the one it was judged by.
+    is run from scratch for the witness (:meth:`~mtra.mechanisms.MpsReruns.fresh`),
+    and that output must equal the one it was judged by.
     """
     detail = f"{mechanism} against {transforms.describe()}"
     for tb in _tiebreaks(instance, tiebreaks):
@@ -741,7 +745,7 @@ def check_upper_invariance(
                 lied = seen[key] = runs.rerun(j, new.sort(runs.tiebreaks[j]))
             for k in range(instance.n):
                 if lied.nums[k][pivot] * truth.den != truth.nums[k][pivot] * lied.den:
-                    fresh = reruns(mechanism, instance.with_preference(j, report), tb).truth
+                    fresh = runs.fresh(j, report)
                     if fresh != lied:
                         raise SoundnessError(f"agent {j}'s transformation re-runs to another output")
                     return PropertyReport(

@@ -16,8 +16,6 @@ from typing import Mapping, Sequence
 from . import preferences as prefs
 from .errors import DimensionMismatch, MissingPreference, ParseError
 from .model import (
-    DIGIT_BOUND,
-    MAX_DIGITS,
     DiscreteAssignment,
     FractionalAssignment,
     Instance,
@@ -335,12 +333,6 @@ def parse_assignment(text: str, instance: Instance) -> FractionalAssignment:
                 pair = memo[share] = v.numerator, v.denominator
             pairs[_resolve_bundle(instance, name)] = pair
         rows.append(pairs)
-    # one denominator at a time, so a huge lcm is refused before it is built
-    den = 1
-    for b in {b for pairs in rows for _, b in pairs}:
-        den = math.lcm(den, b)
-        if den >= DIGIT_BOUND:
-            raise ParseError(f"the shares' common denominator has more than {MAX_DIGITS} digits")
     P = FractionalAssignment.from_pairs(rows)
     violation = validate_assignment(P, instance)
     if violation is not None:

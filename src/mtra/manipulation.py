@@ -140,7 +140,7 @@ def search_cpt_manipulations(
         scanned += 1
         twins = shared_fb_net(f23, bb)
         instance = Instance(square_types(3, 2), (nets[_IDENT, b2, b3], twins, twins))
-        for witness in manipulations("mps", reruns("mps", instance), None, 0, misreports, "weak"):
+        for witness in manipulations(reruns("mps", instance), 0, misreports, "weak"):
             truth, lie = witness.truthful.row(0), witness.manipulated.row(0)
             if not sd_compare(instance.orders[0], lie, truth).p_dominates_q:
                 raise SoundnessError("sd_compare disagrees with the upper-contour sums")

@@ -16,13 +16,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Sequence
+from typing import ClassVar, Hashable, Sequence
 
 from . import preferences as prefs
 from . import spaces
 from .errors import DimensionMismatch, GuardViolation, InstanceTooLargeToDecide, MtraError, SoundnessError
 from .errors import TooManyAgentsForExact
-from .model import ZERO, DiscreteAssignment, FractionalAssignment, Instance, Lottery, outcome_matrix
+from .model import ZERO, DiscreteAssignment, FractionalAssignment, Instance, Lottery, Preference, outcome_matrix
 
 # Exact MRP refuses an instance whose pass over states of order prefixes
 # would take more than this many turns, a turn being one state with one
@@ -71,12 +71,15 @@ def _sorts(instance: Instance, tiebreak: Tiebreak) -> tuple[Sorts, Sorts]:
 class _Reruns:
     """A mechanism's truthful run under one tie-break, kept for re-runs in
     which one agent alone picks by another sort: a misreport's order
-    sorted under the agent's entry of ``tiebreaks``, say.  ``truth`` is
-    the truthful output and ``sorts`` the agents' truthful sorts.  No
-    re-run builds an instance.  Only :func:`reruns` makes one."""
+    sorted under the agent's entry of ``tiebreaks``, say.  ``tiebreak``
+    is the tie-break as given, ``truth`` the truthful output and ``sorts``
+    the agents' truthful sorts.  No re-run builds an instance, only
+    :meth:`fresh` does.  Only :func:`reruns` makes one."""
 
+    mechanism: ClassVar[str]
     instance: Instance
     truth: FractionalAssignment
+    tiebreak: Tiebreak
     tiebreaks: Sorts
     sorts: Sorts
 
@@ -106,6 +109,10 @@ class _Reruns:
         lied = self.rerun(agent, sort)
         return lied.nums[agent], lied.den
 
+    def fresh(self, agent: int, report: Preference) -> FractionalAssignment:
+        """The witness run: ``agent`` reports ``report`` on a copy, under ``tiebreak``."""
+        return reruns(self.mechanism, self.instance.with_preference(agent, report), self.tiebreak).truth
+
     def _swapped(self, agent: int, sort: Sequence[int]) -> list[Sequence[int]]:
         sorts: list[Sequence[int]] = list(self.sorts)
         sorts[agent] = sort
@@ -122,12 +129,12 @@ def reruns(mechanism: str, instance: Instance, tiebreak: Tiebreak = None) -> Mps
     breaks, sorts = _sorts(instance, tiebreak)
     if mechanism == "mrp":
         truth, tables = _turns(instance, sorts)
-        return MrpTurns(instance, truth, breaks, sorts, math.factorial(instance.n), tables)
+        return MrpTurns(instance, truth, tiebreak, breaks, sorts, math.factorial(instance.n), tables)
     if mechanism == "mgd":
-        return MgdReruns(instance, _share(instance, sorts), breaks, sorts)
+        return MgdReruns(instance, _share(instance, sorts), tiebreak, breaks, sorts)
     root = _Node((1 << instance.m) - 1, (1,) * (instance.n * instance.p), 1, 0, ())
     leaf = _walk(instance, sorts, root, 0, sorts[0])
-    return MpsReruns(instance, leaf.out, breaks, sorts, root, leaf)
+    return MpsReruns(instance, leaf.out, tiebreak, breaks, sorts, root, leaf)
 
 
 def serial_dictatorship(
@@ -231,6 +238,7 @@ class MrpTurns(_Reruns):
     output, so :meth:`rerun` makes a new pass once per (j, those picks).
     """
 
+    mechanism: ClassVar[str] = "mrp"
     total: int
     tables: Tables
 
@@ -502,15 +510,12 @@ class MpsReruns(_Reruns):
     the same walk.
     """
 
+    mechanism: ClassVar[str] = "mps"
     root: _Node
     leaf: _Node
 
     def rerun(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
         return _walk(self.instance, self.sorts, self.root, agent, sort).out
-
-    def row(self, agent: int, sort: Sequence[int]) -> tuple[tuple[int, ...], int]:
-        out = _walk(self.instance, self.sorts, self.root, agent, sort).out
-        return out.nums[agent], out.den
 
 
 # -- MGD -----------------------------------------------------------------
@@ -546,6 +551,8 @@ class MgdReruns(_Reruns):
     :meth:`rerun` shares out once per key: the same key returns the same
     output object.
     """
+
+    mechanism: ClassVar[str] = "mgd"
 
     @cached_property
     def available(self) -> tuple[int, ...]:

@@ -280,13 +280,18 @@ class FractionalAssignment:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "FractionalAssignment":
         """Fractions, ints or strings (:func:`parse_fraction`), scaled by
-        their lcm denominator."""
+        their lcm denominator as in :meth:`from_pairs`."""
         return cls.from_pairs([[_share_pair(v) for v in row] for row in rows])
 
     @classmethod
     def from_pairs(cls, rows: Sequence[Sequence[tuple[int, int]]]) -> "FractionalAssignment":
-        """(numerator, denominator) pairs, scaled by their lcm denominator."""
-        den = math.lcm(*{b for row in rows for _, b in row})
+        """(numerator, denominator) pairs, scaled by their lcm denominator,
+        built one denominator at a time and refused past ``MAX_DIGITS`` digits."""
+        den = 1
+        for b in {b for row in rows for _, b in row}:
+            den = math.lcm(den, b)
+            if den >= DIGIT_BOUND:
+                raise ParseError(f"the shares' common denominator has more than {MAX_DIGITS} digits")
         return cls(tuple(tuple(a * (den // b) for a, b in row) for row in rows), den)
 
     @cached_property

@@ -165,15 +165,6 @@ class PartialOrder:
         bit = 1 << y
         return sum(1 for x in range(self.m) if self.above[x] & bit) + 1
 
-    def restricted_equal(self, other: "PartialOrder", subset_mask: int) -> bool:
-        """Do the two relations agree on every pair inside ``subset_mask``?"""
-        if self.m != other.m:
-            return False
-        for x in _bits(subset_mask):
-            if (self.above[x] & subset_mask) != (other.above[x] & subset_mask):
-                return False
-        return True
-
     def without_bundles(self, removed: Iterable[int]) -> "PartialOrder":
         """Drop every relation involving the given bundles (kept in universe).
 
@@ -287,7 +278,7 @@ def is_uit(
     for z in _bits(z_mask):
         if row[z] != 0:
             return False, f"removed bundle {z} has positive share"
-    if not old.restricted_equal(new, u_new):
+    if any((old.above[x] ^ new.above[x]) & u_new for x in _bits(u_new)):
         return False, "relations disagree on the surviving upper contour set"
     return True, frozenset(_bits(z_mask))
 

@@ -153,8 +153,8 @@ def _mask_bits(u: int) -> tuple[int, ...]:
 def _relation_key(order: prefs.PartialOrder, u: int) -> int:
     """The relation restricted to the bundle mask ``u`` as one int:
     ``above[y] & u`` for each y in u, ascending, ``m`` bits each.  Two
-    orders get the same key for the same u exactly when
-    ``restricted_equal(.., u)`` holds."""
+    orders get the same key for the same u exactly when they agree on
+    every pair inside u, as :func:`~mtra.preferences.is_uit` asks."""
     key, m, above = 0, order.m, order.above
     for y in _mask_bits(u):
         key = (key << m) | (above[y] & u)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -554,6 +555,22 @@ def test_sd_efficiency_passes_invalid_rows_no_assignment_dominates(mixed_pair, m
     with pytest.raises(SoundnessError, match="P itself is feasible"):
         axioms._sd_efficiency_lp(mixed_pair, fixtures.assignment_1())
 
+
+def test_sd_efficiency_lp_refuses_an_optimum_below_p(mixed_pair, monkeypatch):
+    # P is feasible, so the optimum is at least P's own value; one below
+    # it is a fault of the solver, not a verdict
+    P = mps(mixed_pair)[0]
+    assert axioms._sd_efficiency_lp(mixed_pair, P).passed
+    real = axioms.solve
+
+    def lowered(program):
+        out = real(program)
+        return dataclasses.replace(out, objective_value=out.objective_value - 1)
+
+    monkeypatch.setattr(axioms, "solve", lowered)
+    with pytest.raises(SoundnessError, match="the LP optimum lies below P's own value"):
+        axioms._sd_efficiency_lp(mixed_pair, P)
+
 # -- envy / ete / ordinal fairness ------------------------------------------------
 
 
@@ -763,6 +780,38 @@ def test_decomposability_matches_whole_program_reference():
                         if not got.passed:
                             scaled_fails += any(v.denominator > 1 for row in P.rows for v in row)
     assert verdicts[True] > 0 and scaled_fails > 0, (verdicts, scaled_fails)
+
+
+def test_lottery_report_refuses_a_mixture_missed_over_the_supported_assignments(mixed_pair, monkeypatch):
+    # a lottery over all the assignments uses only those P supports, so
+    # an LP that finds none over them but one over all of them is a fault
+    real = axioms.solve
+    programs = []
+
+    def first_infeasible(program):
+        programs.append(program)
+        return SimpleNamespace(optimal=False) if len(programs) == 1 else real(program)
+
+    monkeypatch.setattr(axioms, "solve", first_infeasible)
+    message = "P is a mixture of all the assignments but not of those it supports"
+    with pytest.raises(SoundnessError, match=message):
+        check_decomposability(mixed_pair, mps(mixed_pair)[0])
+    assert len(programs) == 2
+
+
+def test_lottery_expectation_is_checked_on_the_lp_integers(mixed_pair, monkeypatch):
+    # a solver whose weights do not give P back is caught before any
+    # Fraction or Lottery is built
+    real = axioms.solve
+
+    def halved(program):
+        out = real(program)
+        return dataclasses.replace(out, det=out.det * 2)
+
+    monkeypatch.setattr(axioms, "solve", halved)
+    monkeypatch.setattr(axioms, "Lottery", None)
+    with pytest.raises(SoundnessError, match="the lottery's expectation is not P"):
+        check_decomposability(mixed_pair, mps(mixed_pair)[0])
 
 
 def test_decomposability_mrp(mixed_pair):
@@ -1185,9 +1234,9 @@ def test_manipulations_yields_every_manipulation_in_report_order(three_chains, o
                         manipulated = verdict.p_dominates_q and lied.row(j) != truth.row(j)
                     if manipulated:
                         want.append(ManipulationWitness(j, report, truth, lied, None))
-                assert list(manipulations(mechanism, runs, None, j, reports, strength)) == want
+                assert list(manipulations(runs, j, reports, strength)) == want
                 # a report sorted as one already judged is skipped
-                assert list(manipulations(mechanism, runs, None, j, reports * 2, strength)) == want
+                assert list(manipulations(runs, j, reports * 2, strength)) == want
                 found += len(want)
     assert found > 10
 
@@ -1199,7 +1248,7 @@ def test_manipulations_of_no_agent_are_refused(blank_vs_chain, agent):
     runs = reruns("mrp", blank_vs_chain)
     for reports in (spaces.all_linear_orders(2), list(spaces.all_linear_orders(2))):
         with pytest.raises(DimensionMismatch, match=f"agent {agent} is not one of the 2 agents"):
-            next(manipulations("mrp", runs, None, agent, reports))
+            next(manipulations(runs, agent, reports))
 
 
 def test_manipulation_rerun_must_give_the_whole_output(blank_vs_chain, monkeypatch):
@@ -1208,6 +1257,24 @@ def test_manipulation_rerun_must_give_the_whole_output(blank_vs_chain, monkeypat
     monkeypatch.setattr(MrpTurns, "rerun", lambda self, agent, sort: self.truth)
     with pytest.raises(SoundnessError, match="agent 0's row differs from the mechanism's on the re-run"):
         check_strategyproofness("mrp", blank_vs_chain, spaces.LinearOrderMisreports(), "sd", tiebreaks=[None])
+
+
+def test_manipulation_witness_replays_under_the_runs_tiebreak(opposed_trio):
+    # the witness records the tie-break the truthful run was made under,
+    # as the caller gave it, and the misreport replays to its output there
+    reverse = tuple(reversed(range(opposed_trio.m)))
+    space = spaces.LinearOrderMisreports()
+    for mechanism in ("mps", "mgd", "mrp"):
+        for tiebreak in (reverse, [reverse] * opposed_trio.n):
+            runs = reruns(mechanism, opposed_trio, tiebreak)
+            found = 0
+            for j in range(opposed_trio.n):
+                for witness in manipulations(runs, j, space.for_agent(opposed_trio, j)):
+                    assert witness.tiebreak is tiebreak
+                    replayed = run_mechanism(mechanism, opposed_trio.with_preference(j, witness.misreport), tiebreak)
+                    assert witness.manipulated == replayed
+                    found += 1
+            assert found > 0, mechanism
 
 
 def rerun_upper_invariance(mechanism, instance, transforms, tiebreaks=None):
@@ -1444,6 +1511,29 @@ def test_sd_compare_matches_subtract_reference():
         kinds["equal"] += p_row == q_row
     # every verdict combination is exercised
     assert all(count >= 20 for count in kinds.values()), kinds
+
+
+def test_sd_compare_takes_rows_with_large_coprime_denominators():
+    # each row's denominator is within the digit limit (4215 and 4295
+    # digits), their product is not: the rows are scaled one at a time
+    two, three = 2**14000, 3**9000
+    chain = prefs.PartialOrder.from_pairs(3, [(0, 1), (1, 2)])
+    p_row = [F(1, 2) + F(1, two), F(1, 2) - F(1, two), F(0)]
+    q_row = [F(1, 2) + F(1, three), F(1, 2) - F(1, three), F(0)]
+    r_row = [F(1, three), F(0), 1 - F(1, three)]
+    s_row = [F(3, two), F(1) - F(5, two), F(1, two)]
+    rows = (p_row, q_row, r_row, s_row)
+    for row in rows:
+        assert ucs_sums(chain, row) == fraction_ucs_sums(chain, row)
+    verdicts = set()
+    for a in rows:
+        for b in rows:
+            verdict = sd_compare(chain, a, b)
+            want = subtract_sd_compare(chain, a, b)
+            assert (verdict.p_dominates_q, verdict.q_dominates_p, verdict.slack) == want
+            verdicts.add(want[:2])
+    # equal, dominated both ways and incomparable rows are all among them
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_mgd_lottery_outcomes_are_efficient():

@@ -2,14 +2,15 @@ import json
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
-from mtra import fixtures, io, spaces
+from mtra import cli, fixtures, io, spaces
 from mtra.cli import main
-from mtra.errors import ParseError
-from mtra.mechanisms import mps
-from mtra.model import FractionalAssignment, validate_assignment
+from mtra.errors import ParseError, SoundnessError
+from mtra.mechanisms import mgd, mps
+from mtra.model import FractionalAssignment, Lottery, all_discrete_assignments, from_discrete, validate_assignment
 
 
 def test_instance_round_trip_fixture(mixed_pair):
@@ -252,6 +253,15 @@ def test_cli_compare(workdir, capsys):
 def test_cli_decompose(workdir, capsys, mixed_pair):
     assert main(["decompose", str(workdir / "mixed_pair.json")]) == 0
     io.parse_lottery(capsys.readouterr().out, mixed_pair)
+
+
+def test_cli_decompose_checks_the_expectation(workdir, mixed_pair, monkeypatch):
+    # a lottery whose expectation is not the mgd assignment is a fault
+    truth = mgd(mixed_pair)
+    other = next(a for a in all_discrete_assignments(mixed_pair) if from_discrete(mixed_pair, a) != truth)
+    monkeypatch.setattr(cli, "mgd_decompose", lambda instance, tiebreak: Lottery(((Fraction(1), other),)))
+    with pytest.raises(SoundnessError, match="the mgd lottery's expectation is not the mgd assignment"):
+        main(["decompose", str(workdir / "mixed_pair.json")])
 
 
 def test_cli_replay(capsys):

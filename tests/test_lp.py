@@ -499,6 +499,21 @@ def test_checkers_import_no_private_mechanism_names():
     assert found == []
 
 
+def test_witness_runs_and_the_digit_bound_have_one_owner():
+    # the checkers' from-scratch witness run is `_Reruns.fresh`, and the
+    # common-denominator bound is kept by `model.FractionalAssignment.from_pairs`
+    package = Path(lp_module.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if name == "with_preference" and path.name in ("axioms.py", "manipulation.py"):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+            if name == "DIGIT_BOUND" and path.name != "model.py":
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert found == []
+
+
 def test_lp_imports_nothing_from_fractions():
     # the solver takes and returns integers only
     tree = ast.parse(Path(lp_module.__file__).read_text(encoding="utf-8"))

@@ -1,9 +1,13 @@
 import itertools
 import random
+from types import SimpleNamespace
+
+import pytest
 
 from mtra import manipulation
 from mtra import preferences as prefs
 from mtra.axioms import sd_compare
+from mtra.errors import SoundnessError
 from mtra.mechanisms import mps
 from mtra.model import Instance
 from mtra.spaces import square_types
@@ -105,6 +109,15 @@ def test_candidate_order_matches_the_shuffled_combo_list():
         want = built_and_shuffled(seed)
         assert len(want) == 15552
         assert list(manipulation._candidate_profiles(seed)) == want
+
+
+def test_search_rechecks_each_hit_with_sd_compare(monkeypatch):
+    # seed 3 finds a hit in its first profile; a comparison that
+    # disagrees with the upper-contour sums is a fault
+    assert manipulation.search_cpt_manipulations(max_hits=1, seed=3, max_profiles=1)
+    monkeypatch.setattr(manipulation, "sd_compare", lambda order, p, q: SimpleNamespace(p_dominates_q=False))
+    with pytest.raises(SoundnessError, match="sd_compare disagrees with the upper-contour sums"):
+        manipulation.search_cpt_manipulations(max_hits=1, seed=3, max_profiles=1)
 
 
 def test_search_builds_its_misreport_nets_once(monkeypatch):

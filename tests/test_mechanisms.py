@@ -601,6 +601,20 @@ def truthful_states(runs):
 
 
 @pytest.mark.parametrize("mechanism", ["mps", "mgd", "mrp"])
+def test_reruns_know_what_they_ran(mechanism, opposed_trio):
+    # the mechanism is the class's own, the tie-break the caller's as
+    # given, and a fresh run is the public run of the one-agent copy
+    reverse = tuple(reversed(range(opposed_trio.m)))
+    for tiebreak in (None, reverse, [reverse] * opposed_trio.n):
+        runs = reruns(mechanism, opposed_trio, tiebreak)
+        assert runs.mechanism == type(runs).mechanism == mechanism
+        assert runs.tiebreak is tiebreak
+        for j in range(opposed_trio.n):
+            for report in spaces.all_linear_orders(opposed_trio.m):
+                assert runs.fresh(j, report) == public_run(mechanism, opposed_trio.with_preference(j, report), tiebreak)
+
+
+@pytest.mark.parametrize("mechanism", ["mps", "mgd", "mrp"])
 def test_reruns_match_public_runs(mechanism):
     # where each mps re-run left the truthful path: never, at round 0, or later
     resumed = {"truth": 0, "start": 0, "later": 0}

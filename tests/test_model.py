@@ -255,6 +255,19 @@ def test_from_rows_refuses_bad_strings_quickly(share):
     assert time.perf_counter() - start < 1
 
 
+def test_from_rows_bounds_the_common_denominator():
+    # each denominator is within the digit limit, but their lcm is not:
+    # refused as a document is, before the lcm grows further
+    dens = [10**4299 + 2 * k + 1 for k in range(16)]
+    rows = [[Fraction(1, d) for d in dens[:8]], [Fraction(1, d) for d in dens[8:]]]
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="the shares' common denominator has more than 4300 digits"):
+        FractionalAssignment.from_rows(rows)
+    assert time.perf_counter() - start < 0.1
+    # one such denominator is fine
+    assert FractionalAssignment.from_rows([[Fraction(1, dens[0])]]).den == dens[0]
+
+
 def test_parse_fraction_digit_limit():
     # 10**4299 has 4300 digits, the most a numerator or denominator may have
     assert parse_fraction("1e-4299") == Fraction(1, 10**4299)
