@@ -37,36 +37,60 @@ def bundle_index(bundle: Sequence[int], sizes: Sequence[int]) -> int:
     return idx
 
 
-def _closure(above: list[int], m: int) -> list[int] | None:
-    """Transitive closure of the relation, or None if it has a cycle.
+def _linear_extension(above: Sequence[int], m: int, tiebreak: Sequence[int]) -> tuple[int, ...]:
+    """The bundles, each the tiebreak-least one with nothing above it
+    left (``tiebreak[r]`` is the bundle of rank r); fewer than ``m`` of
+    them exactly when the relation has a cycle.
 
-    One depth-first pass (Purdom): a bundle's closed row is its own row
-    OR'd with the closed rows of the bundles above it.  A bundle above
-    one on the current path closes a cycle."""
+    Kahn's ready set, as one pass over a mask of tie-break ranks, lowest
+    first: a bundle with nothing better left is emitted, one with
+    something better left is parked on one of those better bundles (of
+    the lowest- and the highest-numbered, the one with more bundles
+    above it, so usually the later to go) and comes back to the mask
+    when that bundle is emitted.  No emitted bundle is looked at again;
+    a bundle on or below a cycle is never emitted.
+    """
+    pending = (1 << m) - 1  # tie-break ranks, neither emitted nor parked
+    parked = [0] * m  # per bundle, the ranks waiting for it
+    emitted = 0
+    result = []
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        x = tiebreak[low.bit_length() - 1]
+        rest = above[x] & ~emitted
+        if rest:
+            hi = rest.bit_length() - 1
+            lo = (rest & -rest).bit_length() - 1
+            parked[hi if above[hi].bit_count() >= above[lo].bit_count() else lo] |= low
+        else:
+            result.append(x)
+            emitted |= 1 << x
+            pending |= parked[x]
+    return tuple(result)
+
+
+def _close(above: Sequence[int], extension: Sequence[int]) -> list[int]:
+    """Transitive closure of an acyclic relation, along a linear
+    extension of it: a bundle's closed row is its own row OR'd with the
+    closed rows of the bundles above it, which come earlier.  What is
+    above one of them already is skipped."""
     closed = list(above)
-    done = path = 0  # bundles with a final row; bundles on the path
-    for root in range(m):
-        stack = [root]
-        while stack:
-            x = stack[-1]
-            bit = 1 << x
-            if done & bit:
-                stack.pop()
-            elif path & bit:  # everything above x is done
-                stack.pop()
-                path ^= bit
-                done |= bit
-                rest = above[x]
-                while rest:
-                    y = (rest & -rest).bit_length() - 1
-                    closed[x] |= closed[y]
-                    rest &= ~closed[y] & (rest - 1)  # inside closed[y] already
-            else:
-                path |= bit
-                if above[x] & path:
-                    return None
-                stack.extend(_bits(above[x] & ~done))
+    for x in extension:
+        rest = above[x]
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            closed[x] |= closed[y]
+            rest &= ~closed[y] & (rest - 1)  # inside closed[y] already
     return closed
+
+
+def _closure(above: list[int], m: int) -> list[int] | None:
+    """Transitive closure of the relation, or None if it has a cycle:
+    :func:`_close` along :func:`_linear_extension` under the identity
+    tie-break, which comes up short exactly on a cycle."""
+    extension = _linear_extension(above, m, range(m))
+    return _close(above, extension) if len(extension) == m else None
 
 
 @dataclass(frozen=True)
@@ -153,7 +177,9 @@ class PartialOrder:
 
     def sort(self, tiebreak: Sequence[int]) -> tuple[int, ...]:
         """:func:`topological_sort` of this order under ``tiebreak``, made
-        at most once per order and tie-break."""
+        at most once per order and tie-break.  A CP-net's order comes with
+        its canonical sort (:func:`induce_order`), so that one is never
+        made here."""
         key = tuple(tiebreak)
         out = self._sorts.get(key)
         if out is None:
@@ -205,41 +231,14 @@ def preference_graph(order: PartialOrder) -> tuple[tuple[int, int], ...]:
 
 
 def topological_sort(order: PartialOrder, tiebreak: Sequence[int]) -> tuple[int, ...]:
-    """Deterministic linear extension of ``order``.
-
-    Repeatedly emits the tiebreak-least source among the bundles whose
-    remaining strictly-better set is empty.  ``tiebreak`` must be a
-    permutation of the universe.
-
-    One pass over a mask of tie-break ranks, lowest first: a bundle
-    with nothing better left is emitted, one with something better left
-    is parked on one of those better bundles (of the lowest- and the
-    highest-numbered, the one with more bundles above it, so usually the
-    later to go) and comes back to the mask when that bundle is emitted.
-    No emitted bundle is looked at again.
-    """
+    """Deterministic linear extension of ``order``: repeatedly the
+    tiebreak-least bundle whose remaining strictly-better set is empty,
+    by :func:`_linear_extension`.  ``tiebreak`` must be a permutation of
+    the universe."""
     m = order.m
     if sorted(tiebreak) != list(range(m)):
         raise InconsistentOrder("tiebreak is not a permutation of the universe")
-    above = order.above
-    pending = (1 << m) - 1  # tie-break ranks, neither emitted nor parked
-    parked = [0] * m  # per bundle, the ranks waiting for it
-    emitted = 0
-    result = []
-    while pending:
-        low = pending & -pending
-        pending ^= low
-        x = tiebreak[low.bit_length() - 1]
-        rest = above[x] & ~emitted
-        if rest:
-            hi = rest.bit_length() - 1
-            lo = (rest & -rest).bit_length() - 1
-            parked[hi if above[hi].bit_count() >= above[lo].bit_count() else lo] |= low
-        else:
-            result.append(x)
-            emitted |= 1 << x
-            pending |= parked[x]
-    return tuple(result)
+    return _linear_extension(order.above, m, tiebreak)
 
 
 def ext(linear: Sequence[int], available: int) -> int:
@@ -328,10 +327,10 @@ class CPNet:
         p = len(self.sizes)
         if len(self.parents) != p or len(self.tables) != p:
             raise IncompleteCPT("per-type parent or table list has wrong length")
-        keys = _table_keys(self.sizes, self.parents)
-        if keys is None:
+        shape = _net_shape(self.sizes, self.parents)
+        if shape is None:
             raise CyclicDependency("CP-net dependency graph is cyclic")
-        for i, expected in enumerate(keys):
+        for i, expected in enumerate(shape[0]):
             seen = set()
             for key, row in self.tables[i]:
                 if key in seen:
@@ -367,15 +366,29 @@ class CPNet:
 
 
 @lru_cache(maxsize=256)
-def _table_keys(
+def _net_shape(
     sizes: tuple[int, ...], parents: tuple[tuple[int, ...], ...]
-) -> tuple[frozenset[tuple[int, ...]], ...] | None:
+) -> tuple[
+    tuple[frozenset[tuple[int, ...]], ...], tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]
+] | None:
     """Per type, the assignments to its parents that its table must
-    cover; None if the dependency graph is cyclic.  Worked out once per
-    (sizes, parents), not once per net."""
+    cover; the mixed-radix place values; per type, the index offsets of
+    every assignment to the types outside its row key; and the canonical
+    tie-break ``0..m-1``, shared by the canonical sorts of all nets of
+    this shape.  None if the dependency graph is cyclic.  Worked out once
+    per (sizes, parents), not once per net."""
     if dependency_order(parents) is None:
         return None
-    return tuple(frozenset(itertools.product(*(range(sizes[q]) for q in ps))) for ps in parents)
+    keys = tuple(frozenset(itertools.product(*(range(sizes[q]) for q in ps))) for ps in parents)
+    strides = tuple(math.prod(sizes[q + 1 :]) for q in range(len(sizes)))
+    offsets = []
+    for i, ps in enumerate(parents):
+        shifts = [0]
+        for q in range(len(sizes)):
+            if q != i and q not in ps:
+                shifts = [o + v * strides[q] for o in shifts for v in range(sizes[q])]
+        offsets.append(tuple(shifts))
+    return keys, strides, tuple(offsets), tuple(range(math.prod(sizes)))
 
 
 @lru_cache(maxsize=65536)
@@ -385,31 +398,34 @@ def induce_order(cpnet: CPNet) -> PartialOrder:
     A flip fixes the parents of one type and swaps that type's item for a
     CPT-better one, with every other type held fixed at an arbitrary value.
     Only the flips between adjacent entries of each CPT row are generated,
-    each OR'd into the ``above`` row of its worse bundle; the others follow
-    by transitivity, through :func:`_closure`.  The cache is keyed by the
+    each OR'd into the ``above`` row of its worse bundle.  Their
+    :func:`_linear_extension` under the canonical tie-break must hold all
+    m bundles, or ``SoundnessError``; the other flips follow by
+    transitivity, closed along it (:func:`_close`).
+
+    The extension is stored as the order's canonical sort.  It is the
+    closed order's :func:`topological_sort`: the bundles emitted are
+    always an up-set of the closure, so a bundle whose flip-betters are
+    all emitted has nothing better left.  The cache is keyed by the
     net's value, so equal nets share one order and its sorts.
     """
-    sizes = cpnet.sizes
-    p = len(sizes)
-    m = math.prod(sizes)
-    strides = [math.prod(sizes[q + 1 :]) for q in range(p)]  # mixed-radix place values
+    _, strides, offsets, canonical = _net_shape(cpnet.sizes, cpnet.parents)
+    m = len(canonical)
     above = [0] * m
     for i, parents in enumerate(cpnet.parents):
-        offsets = [0]  # index offsets of every assignment to the types outside i's row key
-        for q in range(p):
-            if q != i and q not in parents:
-                offsets = [o + v * strides[q] for o in offsets for v in range(sizes[q])]
         for key, row in cpnet.tables[i]:
             base = sum(v * strides[q] for q, v in zip(parents, key))
             cells = [base + item * strides[i] for item in row]
             for better, worse in zip(cells, cells[1:]):
                 bit = 1 << better
-                for o in offsets:
+                for o in offsets[i]:
                     above[worse + o] |= bit << o
-    closed = _closure(above, m)
-    if closed is None:
+    extension = _linear_extension(above, m, canonical)
+    if len(extension) < m:
         raise SoundnessError("an acyclic CP-net induces an acyclic order")
-    return PartialOrder(m, tuple(closed))
+    order = PartialOrder(m, tuple(_close(above, extension)))
+    order._sorts[canonical] = extension
+    return order
 
 
 def as_order(preference: PartialOrder | CPNet) -> PartialOrder:

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -267,15 +271,61 @@ def all_pairs_induced(net):
     return tuple(loop_closure(above, m))
 
 
+def check_induced(net, tiebreaks=()):
+    """The net's order equals the all-pairs reference, and its sorts, the
+    canonical one (stored when the order was induced) and each of
+    ``tiebreaks``, equal the scan reference's on the closed order."""
+    order = prefs.induce_order(net)
+    want = all_pairs_induced(net)
+    assert order.above == want
+    closed = prefs.PartialOrder(order.m, want)
+    for tiebreak in (tuple(range(order.m)), *tiebreaks):
+        assert order.sort(tiebreak) == scan_topological_sort(closed, tiebreak)
+
+
 def test_induction_matches_all_pairs_reference():
     nets = spaces.all_cpnets((3, 3)) + spaces.all_cpnets((2, 2, 2))
     assert len(nets) == 3980
-    for net in nets:
-        assert prefs.induce_order(net).above == all_pairs_induced(net)
     rng = random.Random(41)
+    sample = set(rng.sample(range(len(nets)), 200))
+    for k, net in enumerate(nets):
+        m = math.prod(net.sizes)
+        # on a sample, the reversed and a shuffled tie-break too
+        check_induced(net, [tuple(range(m - 1, -1, -1)), tuple(rng.sample(range(m), m))] if k in sample else [])
     for sizes in ((4, 3), (5, 5, 5)):
         net = spaces.random_cpnet(rng, sizes)
-        assert prefs.induce_order(net).above == all_pairs_induced(net)
+        m = math.prod(sizes)
+        check_induced(net, [tuple(range(m - 1, -1, -1)), tuple(rng.sample(range(m), m))])
+
+
+_INDUCTION_TAMPER = """
+import sys
+from mtra import preferences as prefs
+from mtra.errors import MtraError, SoundnessError
+
+if __debug__ or issubclass(SoundnessError, MtraError):
+    sys.exit("expected python -O and a SoundnessError outside MtraError")
+net = prefs.CPNet.from_tables([2, 2], {1: [0]}, {0: {(): [1, 0]}, 1: {(0,): [0, 1], (1,): [1, 0]}})
+# the linear extension of the net's flips comes up short, as on a cycle
+real = prefs._linear_extension
+prefs._linear_extension = lambda above, m, tiebreak: real(above, m, tiebreak)[:-1]
+try:
+    prefs.induce_order(net)
+except SoundnessError as exc:
+    print("caught:", exc)
+else:
+    print("missed")
+"""
+
+
+def test_induction_check_survives_python_O():
+    src = str(Path(prefs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _INDUCTION_TAMPER], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["caught: an acyclic CP-net induces an acyclic order"]
 
 
 def test_cpnets_keep_their_induced_order():
