@@ -144,21 +144,31 @@ def cpnet_order_representatives(
     return tuple(by_order.items())
 
 
+def _pack(order: prefs.PartialOrder) -> int:
+    """The order's rows in one int: ``above[y]`` in lane y, bits ``m*y``
+    to ``m*y + m - 1``."""
+    m, packed = order.m, 0
+    for row in reversed(order.above):
+        packed = (packed << m) | row
+    return packed
+
+
 @lru_cache(maxsize=4096)
-def _mask_bits(u: int) -> tuple[int, ...]:
-    """The bundles of the mask ``u``, ascending, read once per mask."""
-    return tuple(prefs._bits(u))
+def _lanes(u: int, m: int) -> int:
+    """The mask ``u`` copied into lane y for each bundle y in u, and
+    nothing in the other lanes, read once per mask."""
+    lanes = 0
+    for y in prefs._bits(u):
+        lanes |= u << (m * y)
+    return lanes
 
 
-def _relation_key(order: prefs.PartialOrder, u: int) -> int:
-    """The relation restricted to the bundle mask ``u`` as one int:
-    ``above[y] & u`` for each y in u, ascending, ``m`` bits each.  Two
-    orders get the same key for the same u exactly when they agree on
-    every pair inside u, as :func:`~mtra.preferences.is_uit` asks."""
-    key, m, above = 0, order.m, order.above
-    for y in _mask_bits(u):
-        key = (key << m) | (above[y] & u)
-    return key
+def _relation_key(packed: int, u: int, m: int) -> int:
+    """A :func:`_pack`-ed relation restricted to the bundle mask ``u``:
+    u in the low ``m`` bits, then ``above[y] & u`` in lane y for each y
+    in u.  Two orders share a key for u exactly when they agree on every
+    pair inside u, as :func:`~mtra.preferences.is_uit` asks."""
+    return ((packed & _lanes(u, m)) << m) | u
 
 
 @lru_cache(maxsize=32)
@@ -170,20 +180,22 @@ def cpnet_transform_index(
 
     Entry x is ``(masks, by_key)``: the distinct upper contour sets u the
     representatives have at x, and a map from
-    ``_relation_key(order, u) << m | u`` to the indices (ascending) of the
-    representatives with upper contour set u at x and that relation on u.
+    ``_relation_key(_pack(order), u, m)`` to the indices (ascending) of
+    the representatives with upper contour set u at x and that relation
+    on u.  Each representative is packed once, not once per pivot.
     """
     reps = cpnet_order_representatives(sizes)
     ids = list(range(len(reps)))  # one int object per index, shared by all pivots
+    packed = [_pack(order) for order, _ in reps]
     m = reps[0][0].m
     index = []
     for pivot in range(m):
         masks: dict[int, None] = {}
         by_key: dict[int, list[int]] = {}
-        for i, (order, _) in zip(ids, reps):
+        for i, (order, _), bits in zip(ids, reps, packed):
             u = order.ucs_mask(pivot)
             masks[u] = None
-            by_key.setdefault((_relation_key(order, u) << m) | u, []).append(i)
+            by_key.setdefault(_relation_key(bits, u, m), []).append(i)
         index.append((tuple(masks), {k: tuple(v) for k, v in by_key.items()}))
     return tuple(index)
 
@@ -351,16 +363,20 @@ class CpNetTransforms(TransformSource):
     contour set ``ucs_old``, every bundle of ``ucs_old`` outside u has
     zero share in ``assignment.nums[j]``, and the two relations agree on
     u.  :func:`cpnet_transform_index` turns that into one dict lookup per
-    admissible u.  The hits come sorted by (representative index, pivot)
-    and skip the truth's own order, the order a scan over every pair
-    would meet them in; the checker still re-validates each one.
+    admissible u, keyed by :func:`_relation_key` on the truth, which is
+    :func:`_pack`-ed once per agent.  The hits come sorted by
+    (representative index, pivot) and skip the truth's own order, the
+    order a scan over every pair would meet them in; the checker still
+    re-validates each one.
     """
 
     def candidates(self, instance, assignment):
         reps = cpnet_order_representatives(instance.sizes)
         index = cpnet_transform_index(instance.sizes)
+        m = instance.m
         for j in range(instance.n):
             truth = instance.orders[j]
+            packed = _pack(truth)
             positive = sum(1 << y for y, v in enumerate(assignment.nums[j]) if v)
             hits = []
             for pivot, (masks, by_key) in enumerate(index):
@@ -369,7 +385,7 @@ class CpNetTransforms(TransformSource):
                 for u in masks:
                     if u & ~u_old or keep & ~u:
                         continue
-                    key = (_relation_key(truth, u) << truth.m) | u
+                    key = _relation_key(packed, u, m)
                     hits.extend((i, pivot) for i in by_key.get(key, ()))
             hits.sort()
             for i, pivot in hits:

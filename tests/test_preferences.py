@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import independent_net
 from mtra import spaces
 from mtra import preferences as prefs
-from mtra.errors import InconsistentOrder, NothingAvailable
+from mtra.errors import CyclicDependency, IncompleteCPT, InconsistentOrder, NothingAvailable
 from mtra.mechanisms import MrpExact, mrp, resolve_sorts
 
 
@@ -66,20 +66,6 @@ def test_induced_orders_are_valid_partial_orders():
         assert order.m == n**p
 
 
-def test_cyclic_dependency_rejected():
-    from mtra.errors import CyclicDependency
-
-    with pytest.raises(CyclicDependency):
-        prefs.CPNet(
-            (2, 2),
-            ((1,), (0,)),
-            (
-                (((0,), (0, 1)), ((1,), (0, 1))),
-                (((0,), (0, 1)), ((1,), (0, 1))),
-            ),
-        )
-
-
 def _kahn_dependency_order(parents):
     """The former ready-set loop: the least ready node first."""
     remaining, placed, out = set(range(len(parents))), set(), []
@@ -110,11 +96,63 @@ def test_dependency_order_matches_the_ready_set_loop():
     assert prefs.dependency_order([(-1,)]) is None
 
 
-def test_incomplete_cpt_rejected():
-    from mtra.errors import IncompleteCPT
+_TOP = (((), (0, 1)),)  # type 0 of a (2, 2) net, no parents
 
-    with pytest.raises(IncompleteCPT):
-        prefs.CPNet((2, 2), ((), (0,)), ((((), (0, 1)),), (((0,), (0, 1)),)))
+
+@pytest.mark.parametrize(
+    "sizes, parents, tables, error, message",
+    [
+        ((2, 2), ((), (0,)), (_TOP, (((0,), (0, 1)), ((0,), (1, 0)), ((1,), (0, 1)))),
+         IncompleteCPT, "duplicate row for type 1 at (0,)"),
+        ((2, 2), ((), (0,)), (_TOP, (((0,), (0, 1)), ((1,), (1, 1)))),
+         IncompleteCPT, "row for type 1 at (1,) is not a total order"),
+        ((2, 2), ((), ()), (_TOP, (((), (0,)),)),
+         IncompleteCPT, "row for type 1 at () is not a total order"),
+        ((2, 2), ((), (0,)), (_TOP, (((0,), (0, 1)),)),
+         IncompleteCPT, "table for type 1 does not cover the parent product"),
+        ((2, 2), ((),), (_TOP, _TOP),
+         IncompleteCPT, "per-type parent or table list has wrong length"),
+        ((2, 2), ((), ()), (_TOP,),
+         IncompleteCPT, "per-type parent or table list has wrong length"),
+        ((2, 2), ((1,), (0,)), ((((0,), (0, 1)), ((1,), (0, 1))),) * 2,
+         CyclicDependency, "CP-net dependency graph is cyclic"),
+    ],
+    ids=["duplicate-row", "repeated-item", "short-row", "missing-assignment",
+         "short-parents", "short-tables", "cyclic"],
+)
+def test_malformed_nets_are_refused_alike_twice(sizes, parents, tables, error, message):
+    # the graph's shape is cached on first use, so the second build of each
+    # bad net reads the cache and must refuse it with the same class and text
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            prefs.CPNet(sizes, parents, tables)
+        refusals.append((type(info.value), str(info.value)))
+    assert refusals == [(error, message)] * 2
+
+
+def test_construction_builds_no_flips_and_induces_no_order(monkeypatch):
+    # construction checks the tables against the graph and no more, so a
+    # caller can refuse a 65 536-bundle instance before anything is built
+    # per bundle pair: neither the flip rows nor the order may be made
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("construction built an m-sized relation")
+
+    monkeypatch.setattr(prefs, "_table_flips", refuse)
+    monkeypatch.setattr(prefs, "induce_order", refuse)
+    rng = random.Random(11)
+    sizes = (16,) * 4
+    for parents in (((),) * 4, ((), (0,), (), ())):  # independent, and F -> B
+        tables = tuple(
+            tuple((key, tuple(rng.sample(range(16), 16))) for key in itertools.product(*(range(16) for _ in ps)))
+            for ps in parents
+        )
+        net = prefs.CPNet(sizes, parents, tables)
+        assert net.parents == parents and len(net.tables[1]) == 16 ** len(parents[1])
+    assert calls == []
 
 
 # -- preference graphs -------------------------------------------------------

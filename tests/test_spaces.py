@@ -67,6 +67,34 @@ def test_order_representatives_cover_all_orders():
     assert {o for o, _ in reps} == orders
 
 
+def per_bundle_relation_key(order, u):
+    """The former key loop, kept as the reference: ``above[y] & u`` for
+    each y in u, ascending, ``m`` bits each, then u in the low bits."""
+    key = 0
+    for y in prefs._bits(u):
+        key = (key << order.m) | (order.above[y] & u)
+    return (key << order.m) | u
+
+
+def test_packed_relation_key_matches_the_per_bundle_reference():
+    # two (order, mask) pairs share a packed key exactly when they share
+    # the reference key: the same mask, and the same relation inside it
+    rng = random.Random(43)
+    agreed = differed = 0
+    for m in (8, 9):
+        orders = [spaces.random_partial_order(rng, m) for _ in range(12)]
+        orders += [prefs.PartialOrder.empty(m), orders[0]]
+        for _ in range(3000):
+            a, b = rng.choice(orders), rng.choice(orders)
+            u = rng.randrange(1 << m) & rng.randrange(1 << m) & rng.randrange(1 << m)
+            v = u if rng.random() < 0.9 else rng.randrange(1 << m)
+            same = spaces._relation_key(spaces._pack(a), u, m) == spaces._relation_key(spaces._pack(b), v, m)
+            assert same == (per_bundle_relation_key(a, u) == per_bundle_relation_key(b, v))
+            agreed += same
+            differed += not same
+    assert agreed > 1000 and differed > 1000
+
+
 class ScanCpNetTransforms(spaces.TransformSource):
     """Reference for the indexed ``CpNetTransforms``: every pair of a
     representative (other than the truth's own order) and a pivot, left
@@ -95,7 +123,7 @@ def valid_scan_triples(instance, assignment):
 def test_cpnet_transforms_match_the_scan():
     rng = random.Random(37)
     triples = failures = 0
-    for n, p, per_kind in ((2, 1, 3), (3, 1, 3), (2, 2, 3), (3, 2, 1)):
+    for n, p, per_kind in ((2, 1, 3), (3, 1, 3), (2, 2, 3), (3, 2, 1), (2, 3, 1)):
         for kind in ("general", "cpnet"):
             for _ in range(per_kind):
                 inst = spaces.random_profile(rng, n, p, kind)
