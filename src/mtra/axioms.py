@@ -628,7 +628,13 @@ def manipulations(
     tie-break, into its :meth:`~mtra.spaces.Family.table`, so each report
     costs a row and a memo lookup here.  Any other reports, sampled or
     supplied by the caller, are checked, sorted and deduplicated one at a
-    time as they are read, and nothing of them is kept.  Many sorts still
+    time as they are read, and nothing of them is kept.  Under exact MRP
+    (:class:`~mtra.mechanisms.MrpTurns`) the agent's misreports are first
+    decided by the contour bound, before any row is read: if no upper
+    contour set can be won in a larger share than the truth gives it
+    (:meth:`~mtra.mechanisms.MrpTurns.most`), no report manipulates
+    under either strength, so the reports are read for their checks and
+    none is judged.  Many sorts still
     give the agent the same row, so each distinct row (numerators and
     denominator) is judged once, by one integer comparison: its upper
     contour sums cross-multiplied with the truthful sums.  Equal sums
@@ -649,6 +655,10 @@ def manipulations(
         table = spaces.first_of_each_sort(instance, j, runs.tiebreaks[j], reports)
     masks = _ucs_masks(instance.orders[j])
     truth_sums = _contour_sums(masks, truth.nums[j])
+    if isinstance(runs, MrpTurns) and _at_least(truth_sums, truth.den, runs.most(j, masks), runs.total):
+        for _ in table:  # no report can gain: each is still read, so its checks still run
+            pass
+        return
     verdicts: dict[tuple[tuple[int, ...], int], bool] = {}
     own = runs.sorts[j]
     for sort, report in table:

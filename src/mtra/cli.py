@@ -3,7 +3,7 @@
 Commands: run, check, compare, decompose, replay-paper.
 Exit codes: 0 success / all-pass, 1 property failure or fixture
 divergence, 2 input error, 3 guard violation (query too large for the
-exact procedures).
+exact procedures, or for the memory available).
 """
 
 from __future__ import annotations
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
     except MtraError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("guard violation: out of memory", file=sys.stderr)
+        return EXIT_GUARD
 
 
 if __name__ == "__main__":

@@ -242,6 +242,20 @@ class MrpTurns(_Reruns):
     total: int
     tables: Tables
 
+    def most(self, agent: int, masks: Sequence[int]) -> list[int]:
+        """Per bundle set U in ``masks``, the most of U that any report of
+        ``agent`` can win, as a numerator over ``total``: the orders whose
+        turn leaves the agent some bundle of U.
+
+        The table does not depend on the agent's own report, and at each
+        turn the agent gets one of the bundles left, so a bundle of U only
+        where one is left: no report wins more.  A report that ranks U's
+        bundles first picks inside U at every such turn, so every linear
+        order listing U first wins exactly this, under any tie-break.
+        """
+        turns = self.tables[agent].items()
+        return [sum(orders for available, orders in turns if available & mask) for mask in masks]
+
     def row(self, agent: int, sort: Sequence[int]) -> tuple[tuple[int, ...], int]:
         row = [0] * self.instance.m
         for available, orders in self.tables[agent].items():

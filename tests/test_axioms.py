@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import random
@@ -38,6 +39,7 @@ from mtra.errors import (
     DimensionMismatch,
     InstanceTooLargeToDecide,
     MisreportSpaceTooLarge,
+    MtraError,
     ParseError,
     SoundnessError,
     UniverseMismatch,
@@ -1213,6 +1215,109 @@ def test_cpnet_family_is_sorted_and_checked_once_per_tiebreak(monkeypatch):
     assert tables == [tuple(range(inst.m)), reverse]
     assert set(checked.values()) == {2} and set(sorted_.values()) <= {1}
     assert {tiebreak for _, tiebreak in sorted_} <= {reverse}
+
+
+class _OneAgent(spaces.MisreportSpace):
+    """Another space's misreports for one agent and none for the others,
+    so that a whole-profile check judges that agent alone."""
+
+    def __init__(self, space, agent):
+        self.space, self.agent = space, agent
+
+    def for_agent(self, instance, agent):
+        return self.space.for_agent(instance, agent) if agent == self.agent else ()
+
+    def describe(self):
+        return self.space.describe()
+
+
+def contour_shares(order, row):
+    """Per upper contour mask of ``order``, the mask and the share of ``row`` on it."""
+    masks = [order.ucs_mask(x) for x in range(order.m)]
+    return masks, [sum(v for x, v in enumerate(row) if mask >> x & 1) for mask in masks]
+
+
+def contour_bound_holds(runs, agent):
+    """Does the truth give ``agent`` at least ``MrpTurns.most`` of each of its upper contour sets?"""
+    masks, shares = contour_shares(runs.instance.orders[agent], runs.truth.row(agent))
+    return all(F(most, runs.total) <= share for most, share in zip(runs.most(agent, masks), shares))
+
+
+def test_mrp_contour_bound_is_exact_over_linear_orders():
+    # MrpTurns.most(j, U) is the most of U any linear order of j's wins,
+    # and the order listing U first (U's bundles in the truthful sort's
+    # order, then the rest) wins it.  So where the truth meets every
+    # bound, no linear order manipulates; where it misses one, that
+    # U-first order does.  Both are checked against the re-run reference.
+    rng = random.Random(101)
+    linear = spaces.LinearOrderMisreports()
+    held = Counter()
+    for n, p in ((2, 1), (3, 1), (4, 1), (2, 2)):
+        for kind in ("general", "cpnet"):
+            inst = spaces.random_profile(rng, n, p, kind)
+            m = inst.m
+            for tb in (None, tuple(reversed(range(m))), [rng.sample(range(m), m) for _ in range(n)]):
+                runs = reruns("mrp", inst, tb)
+                for j in range(n):
+                    order, own = inst.orders[j], runs.sorts[j]
+                    masks, truth = contour_shares(order, runs.truth.row(j))
+                    sorts = itertools.permutations(range(m))
+                    won = [contour_shares(order, runs.row(j, sort)[0])[1] for sort in sorts]
+                    missed = False
+                    for u, (mask, most, share) in enumerate(zip(masks, runs.most(j, masks), truth)):
+                        assert max(row[u] for row in won) == most
+                        first = [x for x in own if mask >> x & 1] + [x for x in own if not mask >> x & 1]
+                        nums, den = runs.row(j, first)
+                        assert den == runs.total and sum(nums[x] for x in range(m) if mask >> x & 1) == most
+                        if F(most, den) > share:
+                            missed = True
+                            lied = [F(v, den) for v in nums]
+                            assert not sd_compare(order, runs.truth.row(j), lied).p_dominates_q
+                    assert contour_bound_holds(runs, j) == (not missed)
+                    want = rerun_strategyproofness("mrp", inst, _OneAgent(linear, j), "sd", [tb])
+                    assert want.passed == (not missed)
+                    assert check_strategyproofness("mrp", inst, _OneAgent(linear, j), "sd", [tb]) == want
+                    held[kind, not missed] += 1
+    # the truth meets every bound on a CP-net profile here, and both ways on a general one
+    assert held["general", True] and held["general", False] and not held["cpnet", False], held
+
+
+def test_mrp_contour_bound_passes_every_cpnet_misreport():
+    # wherever the bound holds, the reference re-runs all 2 628 (3,2)
+    # CP-nets of every graph and finds no manipulation
+    rng = random.Random(103)
+    space = spaces.CpNetMisreports("all")
+    judged = Counter()
+    for kind in ("cpnet", "general", "general", "general"):
+        inst = spaces.random_profile(rng, 3, 2, kind)
+        runs = reruns("mrp", inst)
+        for j in range(inst.n):
+            if contour_bound_holds(runs, j):
+                assert rerun_strategyproofness("mrp", inst, _OneAgent(space, j), "sd", [None]).passed
+                judged[kind] += 1
+    assert judged["cpnet"] == 3 and judged["general"], judged
+
+
+def test_mrp_contour_bound_keeps_every_refusal(monkeypatch):
+    # where the bound decides every agent no row is read, yet each report
+    # is still read and each misreport space still refuses what it refused
+    rng = random.Random(107)
+    inst = spaces.random_profile(rng, 2, 2, "cpnet")
+    big = spaces.random_profile(rng, 3, 2, "cpnet")
+    for profile in (inst, big):
+        assert all(contour_bound_holds(reruns("mrp", profile), j) for j in range(profile.n))
+    monkeypatch.setattr(MrpTurns, "row", lambda self, agent, sort: pytest.fail("a row was read"))
+    for strength in ("sd", "weak"):
+        assert check_strategyproofness("mrp", inst, spaces.CpNetMisreports("all"), strength).passed
+        reports = [*spaces.all_cpnets(inst.sizes)[:5], independent_net([range(4)])]
+        with pytest.raises(ParseError):
+            list(manipulations(reruns("mrp", inst), 0, reports, strength))
+        with pytest.raises(MisreportSpaceTooLarge):
+            check_strategyproofness("mrp", big, spaces.LinearOrderMisreports(), strength)
+        # agent 0 is decided by the bound before agent 1's graph is asked for
+        no_net = big.with_preference(1, big.orders[1])
+        with pytest.raises(MtraError, match="agent 1 has no CP-net"):
+            check_strategyproofness("mrp", no_net, spaces.CpNetMisreports("own"), strength, tiebreaks=[None])
 
 
 def test_manipulations_yields_every_manipulation_in_report_order(three_chains, opposed_trio):

@@ -495,6 +495,22 @@ def test_cli_guard_exit3(tmp_path, capsys, own_items_first):
     assert "would take 1676400 turns" in capsys.readouterr().err
 
 
+def test_cli_out_of_memory_exits_3(tmp_path, capsys, mixed_pair, monkeypatch):
+    # running out of memory is a guard hit, not a failed property: one
+    # stderr line and exit 3, no traceback
+    path = tmp_path / "pair.json"
+    path.write_text(io.serialize_instance(mixed_pair))
+
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(io, "parse_instance", exhausted)
+    for argv in (["run", str(path), "--mechanism", "mps"], ["decompose", str(path)]):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "guard violation: out of memory\n"
+
+
 def test_cli_independent_misreports_guard_exit3(tmp_path, capsys):
     # (5,3) has 120**3 independent CP-nets, past the enumeration guard
     inst = spaces.random_profile(random.Random(0), 5, 3, "independent")
