@@ -22,6 +22,7 @@ from .model import (
     Lottery,
     Preference,
     TypeDef,
+    check_types,
     validate_assignment,
 )
 from .model import parse_fraction as parse_frac
@@ -79,7 +80,9 @@ def build_instance(spec: Mapping) -> Instance:
         if not all(isinstance(s, str) for s in (name, *items)):
             raise ParseError(f"type and item names must be strings (got {t!r})")
         types.append(TypeDef(name, tuple(items)))
-    # Construct a preference-less shell first so name resolution can use it.
+    # Construct a preference-less shell first so name resolution can use
+    # it, once the types pass the checks that precede any m-sized work.
+    check_types(types, agents)
     m = math.prod(len(t.items) for t in types)
     shell = Instance(tuple(types), (prefs.PartialOrder.empty(m),) * agents)
     parsed = tuple(_parse_preference(shell, q) for q in raw_prefs)

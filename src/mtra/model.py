@@ -46,6 +46,30 @@ class TypeDef:
     items: tuple[str, ...]
 
 
+def check_types(types: Sequence[TypeDef], n: int) -> None:
+    """The checks on an instance's types for ``n`` agents, made before
+    anything is built per bundle: names unique, ``n`` items per type, and
+    the bundle pairs within :data:`BUNDLE_PAIR_LIMIT`."""
+    if not types:
+        raise ParseError("an instance needs at least one type")
+    names: set[str] = set()
+    for t in types:
+        if t.name in names:
+            raise DuplicateItemName(f"type name {t.name!r} reused")
+        names.add(t.name)
+    item_names: set[str] = set()
+    for t in types:
+        if len(t.items) != n:
+            raise TypeSizeMismatch(f"type {t.name!r} has {len(t.items)} items for {n} agents")
+        for it in t.items:
+            if it in item_names:
+                raise DuplicateItemName(f"item name {it!r} reused")
+            item_names.add(it)
+    m = math.prod(len(t.items) for t in types)
+    if m**2 > BUNDLE_PAIR_LIMIT:
+        raise InstanceTooLargeToDecide(f"{m} bundles make {m**2} bundle pairs, past the {BUNDLE_PAIR_LIMIT} budget")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A validated allocation instance.
@@ -59,30 +83,9 @@ class Instance:
     preferences: tuple[Preference, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.preferences)
-        if n == 0:
+        if not self.preferences:
             raise MissingPreference("an instance needs at least one agent")
-        if not self.types:
-            raise ParseError("an instance needs at least one type")
-        names: set[str] = set()
-        for t in self.types:
-            if t.name in names:
-                raise DuplicateItemName(f"type name {t.name!r} reused")
-            names.add(t.name)
-        item_names: set[str] = set()
-        for t in self.types:
-            if len(t.items) != n:
-                raise TypeSizeMismatch(
-                    f"type {t.name!r} has {len(t.items)} items for {n} agents"
-                )
-            for it in t.items:
-                if it in item_names:
-                    raise DuplicateItemName(f"item name {it!r} reused")
-                item_names.add(it)
-        if self.m**2 > BUNDLE_PAIR_LIMIT:
-            raise InstanceTooLargeToDecide(
-                f"{self.m} bundles make {self.m**2} bundle pairs, past the {BUNDLE_PAIR_LIMIT} budget"
-            )
+        check_types(self.types, self.n)
         if len(self.bundle_by_name) != self.m:
             name = next(b for x, b in enumerate(self.bundle_names) if self.bundle_by_name[b] != x)
             raise DuplicateItemName(f"bundle name {name!r} names two bundles")

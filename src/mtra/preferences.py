@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -374,11 +373,13 @@ def _net_shape(
 ] | None:
     """Per type, the assignments to its parents that its table must
     cover; the mixed-radix place values; per type, the index offsets of
-    every assignment to the types outside its row key; and the canonical
+    every assignment to the types outside its row key, at which
+    :func:`induce_order` ORs each of that type's flips; and the canonical
     tie-break ``0..m-1``, shared by the canonical sorts of all nets of
     this shape.  None if the dependency graph is cyclic.  Worked out once
-    per (sizes, parents), not once per net; construction reads only the
-    first entry, so it builds nothing per bundle."""
+    per (sizes, parents), not once per net: O(m) ints per shape, where
+    an order holds m² bits.  Construction reads only the first entry and
+    builds no relation."""
     if dependency_order(parents) is None:
         return None
     keys = tuple(frozenset(itertools.product(*(range(sizes[q]) for q in ps))) for ps in parents)
@@ -393,30 +394,6 @@ def _net_shape(
     return keys, strides, tuple(offsets), tuple(range(math.prod(sizes)))
 
 
-@lru_cache(maxsize=1024)
-def _table_flips(
-    sizes: tuple[int, ...],
-    parents: tuple[tuple[int, ...], ...],
-    i: int,
-    table: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
-) -> tuple[int, ...]:
-    """Type i's adjacent flips as ``above`` rows over all m bundles,
-    built once per table, not once per net: the 2 628 nets over sizes
-    (3, 3) hold 456 distinct tables.  The bound holds them all; under
-    LRU, one below the 216 type-1 tables of the F -> B graph, which come
-    round once per type-0 table, would miss on every net."""
-    _, strides, offsets, canonical = _net_shape(sizes, parents)
-    rows = [0] * len(canonical)
-    for key, row in table:
-        base = sum(v * strides[q] for q, v in zip(parents[i], key))
-        cells = [base + item * strides[i] for item in row]
-        for better, worse in zip(cells, cells[1:]):
-            bit = 1 << better
-            for o in offsets[i]:
-                rows[worse + o] |= bit << o
-    return tuple(rows)
-
-
 @lru_cache(maxsize=65536)
 def induce_order(cpnet: CPNet) -> PartialOrder:
     """Partial order induced by a CP-net: closure of sanctioned flips.
@@ -424,9 +401,10 @@ def induce_order(cpnet: CPNet) -> PartialOrder:
     A flip fixes the parents of one type and swaps that type's item for a
     CPT-better one, with every other type held fixed at an arbitrary value.
     Only the flips between adjacent entries of each CPT row are generated,
-    per table by :func:`_table_flips`, and the p types' rows OR'd into
-    one ``above`` row per bundle.  Their :func:`_linear_extension` under
-    the canonical tie-break must hold all m bundles, or
+    each OR'd into the ``above`` row of its worse bundle, at every value
+    of the types outside the row's key (``_net_shape``'s offsets); no
+    flip row outlives the net's order.  Their :func:`_linear_extension`
+    under the canonical tie-break must hold all m bundles, or
     ``SoundnessError``; the other flips follow by transitivity, closed
     along it (:func:`_close`).
 
@@ -436,12 +414,22 @@ def induce_order(cpnet: CPNet) -> PartialOrder:
     all emitted has nothing better left.  The cache is keyed by the
     net's value, so equal nets share one order and its sorts.
     """
-    sizes, parents = cpnet.sizes, cpnet.parents
-    canonical = _net_shape(sizes, parents)[3]
+    _, strides, offsets, canonical = _net_shape(cpnet.sizes, cpnet.parents)
     m = len(canonical)
     above = [0] * m
     for i, table in enumerate(cpnet.tables):
-        above = list(map(operator.or_, above, _table_flips(sizes, parents, i, table)))
+        stride, shifts = strides[i], offsets[i]
+        for key, row in table:
+            base = 0
+            for q, v in zip(cpnet.parents[i], key):
+                base += v * strides[q]
+            bit = 0  # the bundle of the item before, none at the row's first
+            for item in row:
+                worse = base + item * stride
+                if bit:
+                    for o in shifts:
+                        above[worse + o] |= bit << o
+                bit = 1 << worse
     extension = _linear_extension(above, m, canonical)
     if len(extension) < m:
         raise SoundnessError("an acyclic CP-net induces an acyclic order")

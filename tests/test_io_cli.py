@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mtra import cli, fixtures, io, spaces
+from mtra import preferences as prefs
 from mtra.cli import main
 from mtra.errors import ParseError, SoundnessError
 from mtra.mechanisms import mgd, mps
@@ -478,6 +479,27 @@ def test_cli_refuses_too_many_bundle_pairs(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("guard violation: 65536 bundles make 4294967296 bundle pairs")
     assert spaces.random_profile(rng, 12, 4, "independent").m == 12**4
+
+
+def test_cli_refuses_too_many_bundle_pairs_before_any_bundle_is_built(tmp_path, capsys, monkeypatch):
+    # 24 two-item types make 2**24 bundles: the budget is checked on the
+    # types alone, before the shell that resolves bundle names is built
+    def refuse(*args):
+        raise AssertionError("an m-sized relation was built")
+
+    monkeypatch.setattr(prefs.PartialOrder, "empty", refuse)
+    doc = {
+        "agents": 2,
+        "types": [{"name": f"T{t}", "items": [f"a{t}", f"b{t}"]} for t in range(24)],
+        "preferences": [{"kind": "partial", "edges": []}] * 2,
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["run", str(path), "--mechanism", "mps"]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("guard violation: 16777216 bundles make 281474976710656 bundle pairs")
 
 
 def test_repeated_dependency_edge_is_read_once(dependent_pair):

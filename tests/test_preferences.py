@@ -1,9 +1,11 @@
+import gc
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -141,7 +143,6 @@ def test_construction_builds_no_flips_and_induces_no_order(monkeypatch):
         calls.append(args)
         raise AssertionError("construction built an m-sized relation")
 
-    monkeypatch.setattr(prefs, "_table_flips", refuse)
     monkeypatch.setattr(prefs, "induce_order", refuse)
     rng = random.Random(11)
     sizes = (16,) * 4
@@ -382,6 +383,25 @@ def test_cpnets_keep_their_induced_order():
     derived = inst.with_preference(0, inst.preferences[1])
     assert derived.orders[0] is inst.orders[1] is inst.preferences[1].order
     assert all(a is b for a, b in zip(derived.orders[1:], inst.orders[1:]))
+
+
+def test_an_induced_order_leaves_nothing_behind_once_dropped():
+    # the flips are built inside induce_order and go with it, so once the
+    # order and its cache entry are gone nothing m-sized is left: an (8,4)
+    # net's flip rows alone take some 4 MB
+    net = spaces.random_cpnet(random.Random(71), (8,) * 4, independent=True)  # builds the shape
+    gc.collect()
+    tracemalloc.start()
+    try:
+        order = prefs.induce_order(net)
+        assert order.m == 8**4
+        del order
+        prefs.induce_order.cache_clear()
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**19, f"{retained} bytes kept after the order was dropped"
 
 
 def down_mask_graph(order):
