@@ -740,13 +740,8 @@ def check_upper_invariance(
         seen: dict[tuple[int, prefs.PartialOrder], FractionalAssignment] = {}
         for j, report, pivot in transforms.candidates(instance, truth):
             instance._check_preference(j, report)
-            if not 0 <= pivot < instance.m:
-                raise DimensionMismatch(f"pivot {pivot} is not one of the {instance.m} bundles")
-            old = instance.orders[j]
             new = prefs.as_order(report)
-            if new == old:
-                continue  # identical order, identical run
-            valid, _ = prefs.is_uit(old, new, pivot, truth.nums[j])
+            valid, _ = prefs.is_uit(instance.orders[j], new, pivot, truth.nums[j])
             if not valid:
                 continue
             key = (j, new)

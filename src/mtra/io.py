@@ -122,6 +122,9 @@ def _resolve_bundle(instance: Instance, name: str) -> int:
 
 
 def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
+    """The net as the document spells it: every CPT row, a repeated one
+    too, goes to :class:`~mtra.preferences.CPNet`, which checks the
+    tables."""
     type_index = {t.name: i for i, t in enumerate(shell.types)}
     item_index = {
         it: (ti, ii)
@@ -129,7 +132,7 @@ def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
         for ii, it in enumerate(t.items)
     }
     # the dependency graph is a set of edges: a repeated edge is read once
-    parents: dict[int, set[int]] = {i: set() for i in range(shell.p)}
+    parent_sets: list[set[int]] = [set() for _ in range(shell.p)]
     for edge in _parse_list(raw.get("dependency", ()), "'dependency'"):
         try:
             parent, child = edge
@@ -137,8 +140,9 @@ def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
             raise ParseError(f"bad dependency edge {edge!r}") from exc
         if any(not isinstance(name, str) or name not in type_index for name in (parent, child)):
             raise ParseError(f"dependency edge {edge!r} names unknown types")
-        parents[type_index[child]].add(type_index[parent])
-    tables: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
+        parent_sets[type_index[child]].add(type_index[parent])
+    parents = tuple(tuple(sorted(ps)) for ps in parent_sets)
+    tables: list[tuple] = [()] * shell.p
     raw_cpt = raw.get("cpt", {})
     if not isinstance(raw_cpt, Mapping):
         raise ParseError("'cpt' must be an object keyed by type name")
@@ -148,15 +152,15 @@ def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
         if not isinstance(rows, Mapping):
             raise ParseError(f"CPT for type {tname!r} must be an object keyed by parent items")
         ti = type_index[tname]
-        parent_list = sorted(parents[ti])
-        table: dict[tuple[int, ...], tuple[int, ...]] = {}
+        table = []
         for key, ordered in rows.items():
-            table[_parse_parent_key(key, parent_list, item_index)] = tuple(
+            order = tuple(
                 _resolve_item(item_index, ti, it)
                 for it in _parse_list(ordered, f"CPT row {key!r} of type {tname!r}")
             )
-        tables[ti] = table
-    return prefs.CPNet.from_tables(shell.sizes, {k: tuple(sorted(v)) for k, v in parents.items()}, tables)
+            table.append((_parse_parent_key(key, parents[ti], item_index), order))
+        tables[ti] = tuple(sorted(table))
+    return prefs.CPNet(shell.sizes, parents, tuple(tables))
 
 
 def _parse_parent_key(
@@ -165,14 +169,16 @@ def _parse_parent_key(
     item_index: Mapping[str, tuple[int, int]],
 ) -> tuple[int, ...]:
     """A CPT row key: one item name per parent type, run together in any
-    order.  Every way of splitting the key into such names is tried, so
-    an item name that prefixes another cannot hide the right reading;
-    a key with no reading, or with two, is refused."""
+    order (``""`` when there are none).  Every way of splitting the key
+    into such names is tried, so an item name that prefixes another
+    cannot hide the right reading; a key with no reading, or with two,
+    is refused, and so is a key that is not a string."""
+    if not isinstance(key, str):
+        raise ParseError(f"cannot resolve CPT key {key!r}")
     if not parent_list:
-        if key not in ("", "-"):
+        if key:
             raise ParseError(f"parentless CPT row must use key '' (got {key!r})")
         return ()
-    key = str(key)
     names = [(name, ti, ii) for name, (ti, ii) in item_index.items() if ti in parent_list]
     readings: dict[tuple[int, ...], str] = {}
     short = False  # some split uses up the key but misses a parent type
@@ -202,10 +208,10 @@ def _parse_parent_key(
 def _resolve_item(
     item_index: Mapping[str, tuple[int, int]], type_i: int, name: str
 ) -> int:
-    try:
-        ti, ii = item_index[str(name)]
-    except KeyError:
-        raise ParseError(f"unknown item name {name!r}") from None
+    entry = item_index.get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise ParseError(f"unknown item name {name!r}")
+    ti, ii = entry
     if ti != type_i:
         raise ParseError(f"item {name!r} listed under the wrong type")
     return ii

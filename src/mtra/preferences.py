@@ -17,10 +17,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     CyclicDependency,
+    DimensionMismatch,
     IncompleteCPT,
     InconsistentOrder,
     NothingAvailable,
@@ -266,9 +267,14 @@ def is_uit(
     bundles must carry zero share, and the two relations must agree on
     what remains.  The relation outside the new upper contour set is
     deliberately left unchecked.
+
+    Orders over different universes raise ``UniverseMismatch``, and a
+    pivot that is not one of their ``m`` bundles ``DimensionMismatch``.
     """
     if old.m != new.m:
         raise UniverseMismatch("orders range over different universes")
+    if not 0 <= pivot < old.m:
+        raise DimensionMismatch(f"pivot {pivot} is not one of the {old.m} bundles")
     u_old = old.ucs_mask(pivot)
     u_new = new.ucs_mask(pivot)
     if u_new & ~u_old:
@@ -349,21 +355,6 @@ class CPNet:
         tables are hashed only the first time a net is asked."""
         return induce_order(self)
 
-    @classmethod
-    def from_tables(
-        cls,
-        sizes: Sequence[int],
-        parents: Mapping[int, Sequence[int]],
-        tables: Mapping[int, Mapping[tuple[int, ...], Sequence[int]]],
-    ) -> "CPNet":
-        p = len(sizes)
-        parent_tuple = tuple(tuple(sorted(parents.get(i, ()))) for i in range(p))
-        table_tuple = tuple(
-            tuple(sorted((tuple(k), tuple(v)) for k, v in tables.get(i, {}).items()))
-            for i in range(p)
-        )
-        return cls(tuple(sizes), parent_tuple, table_tuple)
-
 
 @lru_cache(maxsize=256)
 def _net_shape(
@@ -376,10 +367,14 @@ def _net_shape(
     every assignment to the types outside its row key, at which
     :func:`induce_order` ORs each of that type's flips; and the canonical
     tie-break ``0..m-1``, shared by the canonical sorts of all nets of
-    this shape.  None if the dependency graph is cyclic.  Worked out once
-    per (sizes, parents), not once per net: O(m) ints per shape, where
-    an order holds m² bits.  Construction reads only the first entry and
-    builds no relation."""
+    this shape.  None if the dependency graph is cyclic, and
+    ``IncompleteCPT`` if a type's parents name one type twice.  Worked
+    out once per (sizes, parents), not once per net: O(m) ints per
+    shape, where an order holds m² bits.  Construction reads only the
+    first entry and builds no relation."""
+    for i, ps in enumerate(parents):
+        if len(set(ps)) < len(ps):
+            raise IncompleteCPT(f"parents of type {i} name one type twice")
     if dependency_order(parents) is None:
         return None
     keys = tuple(frozenset(itertools.product(*(range(sizes[q]) for q in ps))) for ps in parents)

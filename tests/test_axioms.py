@@ -46,7 +46,7 @@ from mtra.errors import (
 )
 from mtra.io import build_instance
 from mtra.lp import EQ, LinearProgram, solve
-from mtra.mechanisms import MrpExact, MrpTurns, mgd, mgd_decompose, mps, mrp, reruns
+from mtra.mechanisms import MrpExact, MrpTurns, mgd, mgd_decompose, mps, mrp, reruns, resolve_sorts
 from mtra.model import (
     DiscreteAssignment,
     FractionalAssignment,
@@ -1494,6 +1494,37 @@ def test_transforms_of_no_pivot_are_refused(blank_vs_chain, mechanism, pivot):
     transforms = spaces.ExplicitTransforms(((0, lie, pivot),))
     with pytest.raises(DimensionMismatch, match=f"pivot {pivot} is not one of the 2 bundles"):
         check_upper_invariance(mechanism, blank_vs_chain, transforms, tiebreaks=[None])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda inst: resolve_sorts(inst, (0,)), DimensionMismatch, "tiebreak must rank every bundle"),
+        (lambda inst: resolve_sorts(inst, [tuple(range(inst.m))]), DimensionMismatch,
+         "per-agent tiebreak list must cover every agent"),
+        (lambda inst: prefs.is_uit(inst.orders[0], prefs.PartialOrder.empty(inst.m + 1), 0, [0] * inst.m),
+         UniverseMismatch, "orders range over different universes"),
+        (lambda inst: prefs.is_uit(inst.orders[0], inst.orders[0], -1, [0] * inst.m),
+         DimensionMismatch, "pivot -1 is not one of the 4 bundles"),
+        (lambda inst: prefs.is_uit(inst.orders[0], inst.orders[0], inst.m, [0] * inst.m),
+         DimensionMismatch, "pivot 4 is not one of the 4 bundles"),
+        (lambda inst: Instance(inst.types, ("1F1B", "2F2B")), ParseError, "agent 0 preference has unsupported type"),
+        (lambda inst: spaces.acyclic_dependency_graphs(4), MisreportSpaceTooLarge,
+         "cannot enumerate dependency graphs on 4 types"),
+        (lambda inst: spaces.random_profile(random.Random(0), 2, 1, "bogus"), ValueError,
+         "unknown profile kind 'bogus'"),
+        (lambda inst: next(manipulations(reruns("mps", inst), 0, (), strength="bogus")), ValueError,
+         "unknown strategyproofness strength 'bogus'"),
+    ],
+    ids=["shared-tiebreak-length", "per-agent-tiebreak-count", "uit-universes", "uit-pivot-negative",
+         "uit-pivot-past-m", "instance-preference-kind", "dependency-graphs-p4", "profile-kind",
+         "manipulation-strength"],
+)
+def test_input_guards_refuse_with_their_own_errors(mixed_pair, call, error, message):
+    assert mixed_pair.m == 4 and mixed_pair.n == 2
+    with pytest.raises(error) as info:
+        call(mixed_pair)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_upper_invariance_identity_passes(blank_vs_chain):

@@ -623,5 +623,42 @@ def test_cli_cpt_keys_with_prefixed_item_names(tmp_path, capsys):
     assert err.startswith("input error:") and "a+bc or ab+c" in err
 
 
+def _types(*names):
+    return [{"name": t, "items": [f"1{t}", f"2{t}"]} for t in names]
+
+
+# D's table names the row (1F, 1B) twice, as "1F1B" and as "1B1F"
+_D_TWICE = {
+    "kind": "cpnet",
+    "dependency": [["F", "D"], ["B", "D"]],
+    "cpt": {
+        "F": {"": ["1F", "2F"]},
+        "B": {"": ["1B", "2B"]},
+        "D": {"1F1B": ["1D", "2D"], "1F2B": ["1D", "2D"], "2F1B": ["2D", "1D"], "2F2B": ["2D", "1D"],
+              "1B1F": ["2D", "1D"]},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "types, net, message",
+    [
+        (_types("F", "B", "D"), _D_TWICE, "duplicate row for type 2 at (0, 0)"),
+        (_types("F"), {"kind": "cpnet", "cpt": {"F": {"": ["1F", "2F"], "-": ["2F", "1F"]}}},
+         "parentless CPT row must use key '' (got '-')"),
+        (_types("F"), {"kind": "cpnet", "cpt": {"F": {"-": ["2F", "1F"]}}},
+         "parentless CPT row must use key '' (got '-')"),
+    ],
+    ids=["row-under-two-spellings", "parentless-row-twice", "parentless-dash"],
+)
+def test_cli_refuses_a_cpt_row_named_twice(tmp_path, capsys, types, net, message):
+    # each parent assignment has one row; a later spelling of it must not win
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"agents": 2, "types": types, "preferences": [net, net]}))
+    assert main(["run", str(path), "--mechanism", "mps"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: {message}\n"
+
+
 def test_cli_unknown_property(workdir):
     assert main(["check", str(workdir / "mixed_pair.json"), str(workdir / "a1.json"), "--property", "nonsense"]) == 2

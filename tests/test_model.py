@@ -109,6 +109,26 @@ def test_cpt_key_with_a_prefixed_item_name():
     assert [rows[key] for key in ((0, 0), (0, 1), (1, 0), (1, 1))] == [(0, 1), (1, 0), (0, 1), (1, 0)]
 
 
+@pytest.mark.parametrize(
+    "items, top, rows, message",
+    [
+        (["1", "2"], [2, 1], {"1": ["x", "y"], "2": ["y", "x"]}, "unknown item name 2"),
+        (["True", "False"], [True, "False"], {"True": ["x", "y"], "False": ["y", "x"]}, "unknown item name True"),
+        (["1", "2"], ["1", "2"], {1: ["x", "y"], "2": ["y", "x"]}, "cannot resolve CPT key 1"),
+        (["True", "False"], ["True", "False"], {True: ["x", "y"], "False": ["y", "x"]},
+         "cannot resolve CPT key True"),
+    ],
+    ids=["entry-number", "entry-bool", "key-number", "key-bool"],
+)
+def test_cpt_names_must_be_strings(items, top, rows, message):
+    # each refused value would name an item of F if it were read as a string
+    types = [{"name": "F", "items": items}, {"name": "B", "items": ["x", "y"]}]
+    doc = _prefix_cpnet(types, ["F"], rows)
+    doc["preferences"][0]["cpt"]["F"] = {"": top}
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        build_instance(doc)
+
+
 def test_ambiguous_cpt_key_names_both_readings():
     # "abc" is a + bc and ab + c
     types = [

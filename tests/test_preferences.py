@@ -118,9 +118,12 @@ _TOP = (((), (0, 1)),)  # type 0 of a (2, 2) net, no parents
          IncompleteCPT, "per-type parent or table list has wrong length"),
         ((2, 2), ((1,), (0,)), ((((0,), (0, 1)), ((1,), (0, 1))),) * 2,
          CyclicDependency, "CP-net dependency graph is cyclic"),
+        # the table covers the product of the parents as listed, F twice
+        ((2, 2), ((), (0, 0)), (_TOP, tuple(((a, b), (0, 1)) for a in range(2) for b in range(2))),
+         IncompleteCPT, "parents of type 1 name one type twice"),
     ],
     ids=["duplicate-row", "repeated-item", "short-row", "missing-assignment",
-         "short-parents", "short-tables", "cyclic"],
+         "short-parents", "short-tables", "cyclic", "repeated-parent"],
 )
 def test_malformed_nets_are_refused_alike_twice(sizes, parents, tables, error, message):
     # the graph's shape is cached on first use, so the second build of each
@@ -344,7 +347,7 @@ from mtra.errors import MtraError, SoundnessError
 
 if __debug__ or issubclass(SoundnessError, MtraError):
     sys.exit("expected python -O and a SoundnessError outside MtraError")
-net = prefs.CPNet.from_tables([2, 2], {1: [0]}, {0: {(): [1, 0]}, 1: {(0,): [0, 1], (1,): [1, 0]}})
+net = prefs.CPNet((2, 2), ((), (0,)), ((((), (1, 0)),), (((0,), (0, 1)), ((1,), (1, 0)))))
 # the linear extension of the net's flips comes up short, as on a cycle
 real = prefs._linear_extension
 prefs._linear_extension = lambda above, m, tiebreak: real(above, m, tiebreak)[:-1]
