@@ -32,10 +32,21 @@ def dumps(document: object) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads would keep the last of two equal keys: a repeated CPT
+    # key, bundle name or type name must not have its later value win
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ParseError(f"key {key!r} appears twice in one JSON object")
+    return doc
+
+
 def _loads(text: str) -> object:
     # a ValueError is bad JSON or an int literal past the digit limit
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
 

@@ -8,11 +8,18 @@ integers itself.  Every variable is nonnegative, x >= 0: each program
 this package builds asks for nonnegative shares, flows or lottery
 weights.  :func:`solve` runs in three steps:
 
-1. An exact presolve (Andersen & Andersen, "Presolving in linear
-   programming", Math. Programming 71, 1995) removes what x >= 0
-   already decides.  An equality with right-hand side 0 whose
-   coefficients on the remaining columns share one sign fixes those
-   columns at 0, so the row and the columns go; this repeats until
+1. A program of equalities alone, with no more columns than rows, is
+   first eliminated whole, fraction-free (Bareiss, "Sylvester's
+   identity and multistep integer-preserving Gaussian elimination",
+   Math. Comp. 22, 1968), one pivot per column and no artificial
+   columns.  If every column gets a pivot, every row left over has
+   right-hand side 0 and the point is nonnegative, that point is the
+   program's only feasible one, so it is the optimum.  Any other
+   program goes to an exact presolve (Andersen & Andersen, "Presolving
+   in linear programming", Math. Programming 71, 1995), which removes
+   what x >= 0 already decides.  An equality with right-hand side 0
+   whose coefficients on the remaining columns share one sign fixes
+   those columns at 0, so the row and the columns go; this repeats until
    nothing changes.  A ``>=`` row with right-hand side <= 0 and
    nonnegative coefficients, or a ``<=`` row with right-hand side >= 0
    and nonpositive ones, is implied and dropped.
@@ -25,13 +32,13 @@ weights.  :func:`solve` runs in three steps:
    progress, so the solver is cycle-free and fully deterministic.
    Artificial columns are deleted once phase 1 ends.
 3. The outcome is lifted back to the original program and verified
-   there, in integers: a witness as numerators over the tableau
-   determinant against the constraints; an infeasible outcome's Farkas
-   certificate (multiplier 0 on each dropped row, and on each fixing
-   row, latest first, the multiplier that brings the column sums of the
-   columns it fixed to <= 0) against the whole system.  A failed check
-   raises :class:`~mtra.errors.SoundnessError`, which ``python -O`` does
-   not strip.
+   there, in integers: a witness as numerators over the elimination's
+   or the tableau's determinant against the constraints; an infeasible
+   outcome's Farkas certificate (multiplier 0 on each dropped row, and
+   on each fixing row, latest first, the multiplier that brings the
+   column sums of the columns it fixed to <= 0) against the whole
+   system.  A failed check raises :class:`~mtra.errors.SoundnessError`,
+   which ``python -O`` does not strip.
 
 Programs in this package are a few hundred rows by a few hundred
 columns, so the tableau stays dense.
@@ -132,8 +139,9 @@ class _IntTableau:
         prow = rows[r]
         piv = prow[c]
         if piv < 0:
-            # only reached when driving zero-value artificials out; a row
-            # negation keeps the determinant positive and the system equal
+            # reached when driving zero-value artificials out and by the
+            # elimination; a row negation keeps the determinant positive
+            # and the system equal
             prow = rows[r] = [-v for v in prow]
             piv = -piv
         det = self.det
@@ -281,6 +289,28 @@ def _simplex(constraints: Sequence[Constraint], objective: Sequence[int]) -> _Ra
     return _Raw("optimal", nums=nums, det=tab.det)
 
 
+def _eliminated(lp: LinearProgram) -> _Raw | None:
+    """The one feasible point of an all-equality program with
+    independent columns, by fraction-free elimination (module docstring,
+    step 1); None for any other program, which the simplex decides."""
+    cons = lp.constraints
+    n = lp.num_vars
+    if n > len(cons) or any(c.rel != EQ for c in cons):
+        return None
+    rows = [[*c.coeffs, c.rhs] for c in cons]
+    tab = _IntTableau(rows, [0] * len(rows), n, n)
+    for c in range(n):
+        r = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if r is None:
+            return None  # column c depends on the ones before it
+        rows[c], rows[r] = rows[r], rows[c]
+        tab.pivot(c, c)
+    nums = [row[n] for row in rows[:n]]
+    if any(row[n] for row in rows[n:]) or any(v < 0 for v in nums):
+        return None
+    return _Raw("optimal", nums=nums, det=tab.det)
+
+
 def _presolved_simplex(lp: LinearProgram, objective: Sequence[int]) -> _Raw:
     """Presolve the program (module docstring, step 1), run the simplex
     on what is left and lift the result back to ``lp``."""
@@ -357,7 +387,7 @@ def _verified(lp: LinearProgram, objective: Sequence[int], raw: _Raw) -> LpOutco
 def solve(lp: LinearProgram) -> LpOutcome:
     """Exact optimum (or feasibility when no objective is given)."""
     objective = lp.objective or (0,) * lp.num_vars
-    return _verified(lp, objective, _presolved_simplex(lp, objective))
+    return _verified(lp, objective, _eliminated(lp) or _presolved_simplex(lp, objective))
 
 
 def _verify_witness(lp: LinearProgram, nums: Sequence[int], det: int) -> None:

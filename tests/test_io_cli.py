@@ -660,5 +660,48 @@ def test_cli_refuses_a_cpt_row_named_twice(tmp_path, capsys, types, net, message
     assert out == "" and err == f"input error: {message}\n"
 
 
+_ONE_TYPE = '{"agents": 2, "types": [{"name": "F", "items": ["1F", "2F"]}], "preferences": [%s, %s]}'
+_TWO_TYPES = (
+    '{"agents": 2, "types": [{"name": "F", "items": ["1F", "2F"]}, {"name": "B", "items": ["1B", "2B"]}],'
+    ' "preferences": [%s, %s]}'
+)
+_CHAIN = '{"kind": "cpnet", "cpt": {"F": {"": ["1F", "2F"]}}}'
+_REPEATED_KEY = {
+    # the later of two rows under one CPT key must not win
+    "cpt-key": (
+        _ONE_TYPE % ('{"kind": "cpnet", "cpt": {"F": {"": ["1F", "2F"], "": ["2F", "1F"]}}}', _CHAIN),
+        None,
+        "''",
+    ),
+    # the later of two shares of one bundle must not win
+    "assignment-bundle": (
+        _ONE_TYPE % (_CHAIN, _CHAIN),
+        '{"matrix": [{"1F": "1", "2F": "0", "1F": "0"}, {"1F": "0", "2F": "1"}], "metadata": {}}',
+        "'1F'",
+    ),
+    # the later of two tables of one type must not win
+    "cpt-type": (
+        _TWO_TYPES % ('{"kind": "cpnet", "cpt": {"F": {"": ["1F", "2F"]}, "B": {"": ["1B", "2B"]},'
+                      ' "F": {"": ["2F", "1F"]}}}', '{"kind": "partial", "edges": []}'),
+        None,
+        "'F'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REPEATED_KEY))
+def test_cli_refuses_a_repeated_key(tmp_path, capsys, case):
+    instance, assignment, key = _REPEATED_KEY[case]
+    (tmp_path / "inst.json").write_text(instance)
+    if assignment is None:
+        argv = ["run", str(tmp_path / "inst.json"), "--mechanism", "mps"]
+    else:
+        (tmp_path / "a.json").write_text(assignment)
+        argv = ["check", str(tmp_path / "inst.json"), str(tmp_path / "a.json"), "--property", "sd-efficiency"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: key {key} appears twice in one JSON object\n"
+
+
 def test_cli_unknown_property(workdir):
     assert main(["check", str(workdir / "mixed_pair.json"), str(workdir / "a1.json"), "--property", "nonsense"]) == 2

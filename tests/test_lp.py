@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from mtra import build_instance, check_decomposability, mrp, mrp_decompose
 from mtra import lp as lp_module
 from mtra.errors import SoundnessError
 from mtra.lp import Constraint, LinearProgram, solve
+from mtra.model import FractionalAssignment, from_discrete
 
 F = Fraction
 
@@ -329,6 +332,108 @@ def test_presolve_matches_plain_simplex():
     assert statuses == {"optimal", "infeasible"}
 
 
+def _equality_lp(rng, kind):
+    """A seeded all-equality program of the given kind: "unique" (one
+    nonnegative point), "negative" (one point, a coordinate below 0),
+    "inconsistent", "dependent" (one column a multiple of another) or
+    "wide" (more columns than rows); a third carry an objective."""
+    n = rng.randint(2 if kind == "dependent" else 1, 5)
+    m = n + rng.randint(0, 3) if kind != "wide" else rng.randint(1, n)
+    n += kind == "wide"
+    den = rng.randint(1, 4)
+    x = [rng.randint(0, 5) for _ in range(n)]
+    if kind == "negative":
+        x[rng.randrange(n)] = -rng.randint(1, 5)
+    while True:
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        if kind == "dependent":
+            j, k = rng.sample(range(n), 2)
+            scale = rng.randint(1, 2)
+            for row in a:
+                row[j] = scale * row[k]
+        rank = _rank(a)
+        if rank == n or kind in ("dependent", "wide"):
+            break
+    rows = [Constraint(tuple(den * v for v in row), "=", sum(map(operator.mul, row, x))) for row in a]
+    if kind == "inconsistent":
+        # a mix of two rows with its right-hand side moved off by one
+        r, t = rng.randrange(m), rng.randrange(m)
+        mixed = [u + 2 * v for u, v in zip(rows[r].coeffs, rows[t].coeffs)]
+        rows.append(Constraint(tuple(mixed), "=", rows[r].rhs + 2 * rows[t].rhs + rng.choice([-1, 1])))
+    objective = tuple(rng.randint(-3, 3) for _ in range(n)) if rng.random() < 0.35 else None
+    return LinearProgram(n, tuple(rows), objective)
+
+
+def _rank(a):
+    rows = [[F(v) for v in row] for row in a]
+    rank = 0
+    for c in range(len(rows[0])):
+        r = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [u - f * v for u, v in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("kind", ["unique", "negative", "inconsistent", "dependent", "wide"])
+def test_elimination_matches_presolved_simplex(kind):
+    # the presolved simplex is the reference the elimination ahead of it
+    # must agree with, on every all-equality program
+    rng = random.Random(f"elimination-{kind}")
+    statuses, eliminated, objectives = set(), 0, 0
+    for _ in range(150):
+        prog = _equality_lp(rng, kind)
+        objective = prog.objective or (0,) * prog.num_vars
+        out = solve(prog)
+        ref = lp_module._verified(prog, objective, lp_module._presolved_simplex(prog, objective))
+        assert out.status == ref.status
+        statuses.add(out.status)
+        if out.optimal:
+            assert point(out) == point(ref)
+            assert value(out) == value(ref)
+        assert out.certificate == ref.certificate
+        eliminated += lp_module._eliminated(prog) is not None
+        objectives += prog.objective is not None
+    assert objectives > 0
+    if kind == "unique":
+        assert statuses == {"optimal"} and eliminated == 150
+    else:
+        # the elimination leaves each of these to the simplex
+        assert eliminated == 0
+        if kind in ("dependent", "wide"):
+            # x >= 0 is feasible; an objective may grow along a null direction
+            assert "optimal" in statuses and statuses <= {"optimal", "unbounded"}
+        else:
+            assert statuses == {"infeasible"}
+
+
+def test_elimination_decides_independent_lotteries(monkeypatch, mixed_pair):
+    # with the simplex switched off, a P over independent supported
+    # assignments is still decided; a rank-deficient one is not
+    def no_simplex(self, objective_row):
+        raise RuntimeError("simplex reached")
+
+    monkeypatch.setattr(lp_module._IntTableau, "run", no_simplex)
+    discrete = next(iter(mixed_pair._discrete_assignments))
+    P = from_discrete(mixed_pair, discrete)
+    assert check_decomposability(mixed_pair, P).passed
+    P = mrp(mixed_pair).assignment
+    assert P.den > 1 and len(mrp_decompose(mixed_pair).entries) == 2
+    assert check_decomposability(mixed_pair, P).passed
+    blank = {"kind": "partial", "edges": []}
+    uniform = build_instance(
+        {"agents": 3, "types": [{"name": "F", "items": ["1F", "2F", "3F"]}], "preferences": [blank] * 3}
+    )
+    # the 6 permutation matrices of order 3 span a space of dimension 5
+    with pytest.raises(RuntimeError, match="simplex reached"):
+        check_decomposability(uniform, FractionalAssignment(((1, 1, 1),) * 3, 3))
+
+
 def test_presolve_fixes_chained_rows():
     # row 0 is mixed-sign until row 1 fixes x0; then it fixes x1 and x2,
     # and the >= row on x2 makes the program infeasible
@@ -408,6 +513,47 @@ for prog in (feasible, infeasible):
     else:
         print("missed")
 """
+
+
+_ELIMINATION_TAMPER = """
+import sys
+from mtra import lp
+from mtra.errors import MtraError, SoundnessError
+
+if __debug__ or issubclass(SoundnessError, MtraError):
+    sys.exit("expected python -O and a SoundnessError outside MtraError")
+real = lp._eliminated
+
+
+def tampered(prog):
+    raw = real(prog)
+    if raw is None:
+        sys.exit("the elimination did not decide the program")
+    nums = list(raw.nums)
+    nums[0] += 1
+    return raw._replace(nums=nums)
+
+
+lp._eliminated = tampered
+# x0 + x1 = 3, x0 - x1 = 1: the one point (2, 1)
+prog = lp.LinearProgram(2, (lp.Constraint((1, 1), "=", 3), lp.Constraint((1, -1), "=", 1)))
+try:
+    lp.solve(prog)
+except SoundnessError as exc:
+    print("caught:", exc)
+else:
+    print("missed")
+"""
+
+
+def test_elimination_check_survives_python_O():
+    src = str(Path(lp_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _ELIMINATION_TAMPER], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["caught: witness violates constraint 0"]
 
 
 def test_soundness_checks_survive_python_O():
