@@ -473,12 +473,22 @@ def _decomposition_guard(instance: Instance) -> None:
         )
 
 
-def _supported(
-    P: FractionalAssignment, assignments: Iterable[DiscreteAssignment]
-) -> list[DiscreteAssignment]:
-    """The assignments that give every agent a bundle P gives it a share
-    of: the only ones a lottery whose expectation is P can use."""
-    return [a for a in assignments if all(row[x] for row, x in zip(P.nums, a.bundles))]
+def _supported(instance: Instance, P: FractionalAssignment) -> int:
+    """The bitmask over ``instance._discrete_assignments`` of those that
+    give every agent a bundle P gives it a share of: the only ones a
+    lottery whose expectation is P can use."""
+    supported = (1 << len(instance._discrete_assignments)) - 1
+    for row, masks in zip(P.nums, instance._assignment_masks):
+        # an assignment gives j one bundle, so j's masks are disjoint and
+        # their sum is their union
+        supported &= sum(mask for v, mask in zip(row, masks) if v)
+    return supported
+
+
+def _columns(instance: Instance, mask: int) -> list[DiscreteAssignment]:
+    """The discrete assignments in ``mask``, in enumeration order."""
+    assignments = instance._discrete_assignments
+    return [assignments[k] for k in prefs._bits(mask)]
 
 
 def _lottery_lp(
@@ -525,25 +535,20 @@ def _lottery(
     return PropertyReport(prop, True, witness=lottery)
 
 
-def _lottery_report(
-    prop: str,
-    instance: Instance,
-    P: FractionalAssignment,
-    assignments: Sequence[DiscreteAssignment],
-) -> PropertyReport:
-    """Exact LP feasibility of P as a mixture of ``assignments``, reported
-    as ``prop``.
+def _lottery_report(prop: str, instance: Instance, P: FractionalAssignment, mask: int) -> PropertyReport:
+    """Exact LP feasibility of P as a mixture of the discrete assignments
+    in ``mask``, reported as ``prop``.
 
-    The LP is solved over the :func:`_supported` assignments alone, and
-    a lottery found there is the one the LP over all of them gives,
+    The LP is solved over the :func:`_supported` ones among them alone,
+    and a lottery found there is the one the LP over all of them gives,
     entry for entry.  A Farkas certificate must hold on every column, so
-    a failure solves the LP over all of ``assignments`` and carries its
+    a failure solves the LP over all of ``mask`` and carries its
     certificate, which the LP layer verified on that whole program.
     """
-    report = _lottery(prop, instance, P, _supported(P, assignments))
+    report = _lottery(prop, instance, P, _columns(instance, mask & _supported(instance, P)))
     if report is not None:
         return report
-    out, entries = _lottery_lp(instance, P, assignments)
+    out, entries = _lottery_lp(instance, P, _columns(instance, mask))
     if out.optimal:
         raise SoundnessError("P is a mixture of all the assignments but not of those it supports")
     # multipliers of the rows with unit coefficients: row (j, x) was
@@ -565,7 +570,7 @@ def check_decomposability(instance: Instance, P: FractionalAssignment) -> Proper
     them."""
     require_shape(P, instance)
     _decomposition_guard(instance)
-    return _lottery_report("decomposability", instance, P, instance._discrete_assignments)
+    return _lottery_report("decomposability", instance, P, (1 << len(instance._discrete_assignments)) - 1)
 
 
 def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> PropertyReport:
@@ -588,18 +593,20 @@ def check_ex_post_efficiency(instance: Instance, P: FractionalAssignment) -> Pro
     _decomposition_guard(instance)
     assignments = instance._discrete_assignments
     cycles = {
-        a: find_generalized_cycle(instance, from_discrete(instance, a)) for a in _supported(P, assignments)
+        k: find_generalized_cycle(instance, from_discrete(instance, assignments[k]))
+        for k in prefs._bits(_supported(instance, P))
     }
-    report = _lottery("ex-post-efficiency", instance, P, [a for a, cycle in cycles.items() if cycle is None])
+    report = _lottery(
+        "ex-post-efficiency", instance, P, [assignments[k] for k, cycle in cycles.items() if cycle is None]
+    )
     if report is not None:
         return report
-    for a in assignments:
-        if a not in cycles:
-            cycles[a] = find_generalized_cycle(instance, from_discrete(instance, a))
-    efficient = [
-        a for a in assignments
-        if cycles[a] is None or _cyclic_sd_efficiency(instance, from_discrete(instance, a), cycles[a]).passed
-    ]
+    efficient = 0
+    for k, a in enumerate(assignments):
+        Q = from_discrete(instance, a)
+        cycle = cycles[k] if k in cycles else find_generalized_cycle(instance, Q)
+        if cycle is None or _cyclic_sd_efficiency(instance, Q, cycle).passed:
+            efficient |= 1 << k
     return _lottery_report("ex-post-efficiency", instance, P, efficient)
 
 

@@ -14,18 +14,23 @@ weights.  :func:`solve` runs in three steps:
    Math. Comp. 22, 1968), one pivot per column and no artificial
    columns.  If every column gets a pivot, every row left over has
    right-hand side 0 and the point is nonnegative, that point is the
-   program's only feasible one, so it is the optimum.  Any other
-   program goes to an exact presolve (Andersen & Andersen, "Presolving
-   in linear programming", Math. Programming 71, 1995), which removes
-   what x >= 0 already decides.  An equality with right-hand side 0
-   whose coefficients on the remaining columns share one sign fixes
-   those columns at 0, so the row and the columns go; this repeats until
-   nothing changes.  A ``>=`` row with right-hand side <= 0 and
+   program's only feasible one, so it is the optimum.  A row 0 = b
+   with b != 0 leaves the program to the simplex before any pivot.
+   Any other program goes to an exact presolve (Andersen & Andersen,
+   "Presolving in linear programming", Math. Programming 71, 1995),
+   which removes what x >= 0 already decides.  An equality with
+   right-hand side 0 whose coefficients on the remaining columns share
+   one sign fixes those columns at 0, so the row and the columns go;
+   this repeats until nothing changes.  A ``>=`` row with right-hand side <= 0 and
    nonnegative coefficients, or a ``<=`` row with right-hand side >= 0
    and nonpositive ones, is implied and dropped.
 2. A dense two-phase simplex solves the reduced program on a
    fraction-free integer tableau (Bareiss-style exact division), which
    is an order of magnitude faster in CPython than a Fraction tableau.
+   A pivot rewrites only the rows with a nonzero in the pivot column;
+   every other row keeps the determinant its entries are exact at and
+   is scaled up to the current one only where its entries are read as
+   numbers (:class:`_IntTableau`).
    Pricing is Dantzig's largest coefficient, and a ratio-test tie lets
    an artificial leave first; after ``DEGENERATE_LIMIT`` consecutive
    degenerate pivots it switches to Bland's rule until a pivot makes
@@ -120,7 +125,15 @@ class _Raw(NamedTuple):
 
 
 class _IntTableau:
-    """Integer simplex tableau: true values are entries divided by det.
+    """Integer simplex tableau with lazy row scaling: the true values of
+    row i are its entries divided by ``at[i]``, the determinant at which
+    they were last made exact.  A row that the current ``det`` has not
+    reached scales up by ``det / at[i]``, which is an integer multiple of
+    each entry by Sylvester's identity; :meth:`row` does that, and is
+    called only where entries are read as numbers.  Pricing, the ratio
+    test and every zero test read stored entries: they compare entries
+    of one row, cross-multiply two rows' entries, or test a sign, and a
+    positive factor per row changes none of those results.
 
     The rows after the constraints are objective rows (c - z form,
     scaled like everything else); they are pivoted alongside the
@@ -129,14 +142,23 @@ class _IntTableau:
 
     def __init__(self, rows: list[list[int]], basis: list[int], ncols: int, art_start: int):
         self.rows = rows
+        self.at = [1] * len(rows)  # per row, the det its entries are exact at
         self.basis = basis  # per constraint row
         self.ncols = ncols
         self.art_start = art_start  # columns from here on are artificial
         self.det = 1
 
+    def row(self, i: int) -> list[int]:
+        """Row i with its entries exact at ``det``."""
+        row, at, det = self.rows[i], self.at[i], self.det
+        if at != det:
+            row = self.rows[i] = [a * det // at for a in row]
+            self.at[i] = det
+        return row
+
     def pivot(self, r: int, c: int) -> None:
-        rows = self.rows
-        prow = rows[r]
+        rows, at = self.rows, self.at
+        prow = self.row(r)
         piv = prow[c]
         if piv < 0:
             # reached when driving zero-value artificials out and by the
@@ -144,26 +166,23 @@ class _IntTableau:
             # and the system equal
             prow = rows[r] = [-v for v in prow]
             piv = -piv
-        det = self.det
-        if piv == det:
-            # (det * a - f * b) / det: entries where the pivot row is zero
-            # keep their value, and rows with f = 0 keep every value
-            nonzero = [k for k, b in enumerate(prow) if b]
-            for i, row in enumerate(rows):
-                f = row[c]
-                if f and i != r:
+        # a row with f = 0 keeps its entries and its at[i]; any other row
+        # becomes (piv * a - f * b) / at[i], exact at piv
+        nonzero = None
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                d = at[i]
+                if piv == d:
+                    # entries where the pivot row is zero keep their value
+                    if nonzero is None:
+                        nonzero = [k for k, b in enumerate(prow) if b]
                     for k in nonzero:
-                        row[k] -= f * prow[k] // det
-        else:
-            for i, row in enumerate(rows):
-                if i == r:
-                    continue
-                f = row[c]
-                if f:
-                    rows[i] = [(piv * a - f * b) // det for a, b in zip(row, prow)]
+                        row[k] -= f * prow[k] // d
                 else:
-                    rows[i] = [(piv * a) // det for a in row]
-        self.det = piv
+                    rows[i] = [(piv * a - f * b) // d for a, b in zip(row, prow)]
+                    at[i] = piv
+        self.det = at[r] = piv
         self.basis[r] = c
 
     def run(self, objective_row: int) -> str:
@@ -252,7 +271,7 @@ def _simplex(constraints: Sequence[Constraint], objective: Sequence[int]) -> _Ra
     tab = _IntTableau(tab_rows, list(range(art_start, ncols)), ncols, art_start)
     if tab.run(m + 1) != "optimal":
         raise SoundnessError("phase 1 is bounded by construction")
-    phase1 = tab.rows[m + 1]
+    phase1 = tab.row(m + 1)
     if phase1[ncols] != 0:
         # Phase 1 keeps the z-c row of "minimize artificial mass": at the
         # artificial column of row i it now holds y_i - 1 (times det) with
@@ -261,6 +280,7 @@ def _simplex(constraints: Sequence[Constraint], objective: Sequence[int]) -> _Ra
         y = [(phase1[art_start + i] + tab.det) * signs[i] for i in range(m)]
         return _Raw("infeasible", y=y)
     del tab.rows[m + 1]
+    del tab.at[m + 1]
 
     # drive residual zero-value artificials out of the basis
     drop: list[int] = []
@@ -274,6 +294,7 @@ def _simplex(constraints: Sequence[Constraint], objective: Sequence[int]) -> _Ra
                 tab.pivot(i, target)
     for i in reversed(drop):
         del tab.rows[i]
+        del tab.at[i]
         del tab.basis[i]
     # artificial columns never re-enter: delete them
     for r in tab.rows:
@@ -285,7 +306,7 @@ def _simplex(constraints: Sequence[Constraint], objective: Sequence[int]) -> _Ra
     nums = [0] * n
     for i, b in enumerate(tab.basis):
         if b < n:
-            nums[b] = tab.rows[i][art_start]
+            nums[b] = tab.row(i)[art_start]
     return _Raw("optimal", nums=nums, det=tab.det)
 
 
@@ -297,15 +318,19 @@ def _eliminated(lp: LinearProgram) -> _Raw | None:
     n = lp.num_vars
     if n > len(cons) or any(c.rel != EQ for c in cons):
         return None
+    if any(c.rhs and not any(c.coeffs) for c in cons):
+        return None  # 0 = b != 0: inconsistent before any pivot
     rows = [[*c.coeffs, c.rhs] for c in cons]
     tab = _IntTableau(rows, [0] * len(rows), n, n)
+    at = tab.at
     for c in range(n):
         r = next((i for i in range(c, len(rows)) if rows[i][c]), None)
         if r is None:
             return None  # column c depends on the ones before it
         rows[c], rows[r] = rows[r], rows[c]
+        at[c], at[r] = at[r], at[c]
         tab.pivot(c, c)
-    nums = [row[n] for row in rows[:n]]
+    nums = [tab.row(i)[n] for i in range(n)]
     if any(row[n] for row in rows[n:]) or any(v < 0 for v in nums):
         return None
     return _Raw("optimal", nums=nums, det=tab.det)

@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence, Union
 
 from . import preferences as prefs
@@ -188,10 +188,17 @@ class Instance:
         """Per-agent partial order (a CP-net's is the one it keeps)."""
         return tuple(prefs.as_order(p) for p in self.preferences)
 
-    @cached_property
+    @property
     def _discrete_assignments(self) -> tuple["DiscreteAssignment", ...]:
-        """:func:`all_discrete_assignments`, built once per instance."""
-        return tuple(all_discrete_assignments(self))
+        """:func:`all_discrete_assignments`, built once per shape (n, p)
+        and shared by every instance of that shape."""
+        return _discrete_table(self.n, self.p)[0]
+
+    @property
+    def _assignment_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per agent j and bundle x, the bitmask over
+        :attr:`_discrete_assignments` of those that give j bundle x."""
+        return _discrete_table(self.n, self.p)[1]
 
     def cpnet(self, agent: int) -> prefs.CPNet | None:
         p = self.preferences[agent]
@@ -416,14 +423,22 @@ class Lottery:
 
 def all_discrete_assignments(instance: Instance) -> list[DiscreteAssignment]:
     """Every discrete assignment: one permutation of items per type."""
-    per_type = [
-        list(itertools.permutations(range(instance.n))) for _ in range(instance.p)
-    ]
-    out = []
-    for combo in itertools.product(*per_type):
-        bundles = tuple(
-            prefs.bundle_index([perm[j] for perm in combo], instance.sizes)
-            for j in range(instance.n)
-        )
-        out.append(DiscreteAssignment(bundles))
-    return out
+    return list(instance._discrete_assignments)
+
+
+# (n, p) shapes whose (n!)^p assignments the axioms enumerate: n <= 4, p <= 2
+@lru_cache(maxsize=8)
+def _discrete_table(n: int, p: int) -> tuple[tuple[DiscreteAssignment, ...], tuple[tuple[int, ...], ...]]:
+    """The discrete assignments of n agents over p types of n items, one
+    permutation per type in :func:`itertools.product` order, and per
+    agent and bundle the bitmask of the assignments giving that agent
+    that bundle."""
+    sizes = (n,) * p
+    assignments = []
+    masks = [[0] * n**p for _ in range(n)]
+    for k, combo in enumerate(itertools.product(itertools.permutations(range(n)), repeat=p)):
+        bundles = tuple(prefs.bundle_index([perm[j] for perm in combo], sizes) for j in range(n))
+        assignments.append(DiscreteAssignment(bundles))
+        for j, x in enumerate(bundles):
+            masks[j][x] |= 1 << k
+    return tuple(assignments), tuple(map(tuple, masks))

@@ -1045,6 +1045,124 @@ def test_ex_post_pass_runs_no_sd_efficiency_lp(monkeypatch):
     assert report.passed and calls == []
 
 
+def enumerated_assignments(instance):
+    """Reference enumeration (the former `all_discrete_assignments`):
+    one permutation of items per type, in `itertools.product` order."""
+    per_type = [list(itertools.permutations(range(instance.n))) for _ in range(instance.p)]
+    return [
+        DiscreteAssignment(
+            tuple(prefs.bundle_index([perm[j] for perm in combo], instance.sizes) for j in range(instance.n))
+        )
+        for combo in itertools.product(*per_type)
+    ]
+
+
+def scan_supported(P, assignments):
+    """Reference support (the former `axioms._supported`): a list scan
+    for the assignments giving every agent a bundle P gives it a share
+    of."""
+    return [a for a in assignments if all(row[x] for row, x in zip(P.nums, a.bundles))]
+
+
+def scan_lottery_report(prop, instance, P, assignments):
+    """Reference lottery report (the former `axioms._lottery_report`):
+    the lottery LP over the scanned supported assignments, and on a
+    failure over all of ``assignments``."""
+    report = axioms._lottery(prop, instance, P, scan_supported(P, assignments))
+    if report is not None:
+        return report
+    out, entries = axioms._lottery_lp(instance, P, assignments)
+    assert not out.optimal
+    flat = [v for row in P.nums for v in row]
+    cert = [0] * len(flat) + [out.certificate[-1]]
+    for i, y in zip(entries, out.certificate):
+        cert[i] = y * (P.den // math.gcd(flat[i], P.den))
+    g = math.gcd(*cert)
+    return PropertyReport(prop, False, witness=FarkasWitness(tuple(F(v // g) for v in cert)))
+
+
+def scan_ex_post(instance, P):
+    """Reference ex-post check (the former `check_ex_post_efficiency`)
+    over scanned assignment lists."""
+    assignments = enumerated_assignments(instance)
+    cycles = {a: find_generalized_cycle(instance, from_discrete(instance, a)) for a in scan_supported(P, assignments)}
+    report = axioms._lottery("ex-post-efficiency", instance, P, [a for a, c in cycles.items() if c is None])
+    if report is not None:
+        return report
+    for a in assignments:
+        if a not in cycles:
+            cycles[a] = find_generalized_cycle(instance, from_discrete(instance, a))
+    efficient = [
+        a
+        for a in assignments
+        if cycles[a] is None or axioms._cyclic_sd_efficiency(instance, from_discrete(instance, a), cycles[a]).passed
+    ]
+    return scan_lottery_report("ex-post-efficiency", instance, P, efficient)
+
+
+def _mask_cases():
+    """Per (n, p) the decomposability checks take, seeded profiles with
+    the three mechanisms' outputs, discrete P's, the uniform P and
+    invalid P's."""
+    rng = random.Random(113)
+    for n in range(1, axioms.DECOMPOSITION_AGENT_LIMIT + 1):
+        for p in range(1, axioms.DECOMPOSITION_TYPE_LIMIT + 1):
+            for kind in ("general", "cpnet", "independent"):
+                inst = spaces.random_profile(rng, n, p, kind)
+                Ps = [run_mechanism(mech, inst, None) for mech in ("mrp", "mgd", "mps")]
+                Ps.append(from_discrete(inst, rng.choice(enumerated_assignments(inst))))
+                if kind == "general":
+                    # the uniform P's lottery LP does not read the preferences
+                    Ps.append(FractionalAssignment(((1,) * inst.m,) * n, inst.m))
+                rows = [[rng.choice((0, 0, 1, 2)) for _ in range(inst.m)] for _ in range(n)]
+                Ps.append(FractionalAssignment(tuple(map(tuple, rows)), 2))
+                yield inst, Ps
+
+
+def test_supported_masks_match_the_list_scan():
+    shapes = set()
+    for inst, Ps in _mask_cases():
+        reference = enumerated_assignments(inst)
+        assert list(inst._discrete_assignments) == reference == all_discrete_assignments(inst)
+        shapes.add((inst.n, inst.p))
+        for P in Ps:
+            assert axioms._columns(inst, axioms._supported(inst, P)) == scan_supported(P, reference)
+    assert shapes == {(n, p) for n in (1, 2, 3, 4) for p in (1, 2)}
+
+
+def test_lottery_reports_match_the_list_scan_reference():
+    verdicts = Counter()
+    for inst, Ps in _mask_cases():
+        # an invalid P at (4, 2) fails over all 576 columns, which the
+        # test below covers; ex-post beyond 36 assignments is left out
+        for P in Ps if (inst.n, inst.p) != (4, 2) else Ps[:-1]:
+            got = check_decomposability(inst, P)
+            assert got == scan_lottery_report("decomposability", inst, P, enumerated_assignments(inst))
+            verdicts["decomposability", got.passed] += 1
+            if len(inst._discrete_assignments) <= 36:
+                got = check_ex_post_efficiency(inst, P)
+                assert got == scan_ex_post(inst, P)
+                verdicts["ex-post", got.passed] += 1
+    assert all(verdicts[prop, passed] for prop in ("decomposability", "ex-post") for passed in (True, False)), verdicts
+
+
+def test_a_failure_at_4_2_solves_over_all_576_assignments(monkeypatch):
+    inst = spaces.random_profile(random.Random(127), 4, 2, "general")
+    P = FractionalAssignment(((1,) * 16,) * 3 + ((2,) + (1,) * 14 + (0,),), 16)
+    assert validate_assignment(P, inst) is not None
+    widths = []
+    real = axioms.solve
+
+    def recording(program):
+        widths.append(program.num_vars)
+        return real(program)
+
+    monkeypatch.setattr(axioms, "solve", recording)
+    report = check_decomposability(inst, P)
+    assert not report.passed and widths[-1] == 576
+    _assert_separates(inst, P, report.witness.certificate)
+
+
 # -- strategyproofness / upper invariance --------------------------------------------
 
 

@@ -8,10 +8,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from mtra import build_instance, check_decomposability, mrp, mrp_decompose
+from mtra import axioms, build_instance, check_decomposability, mgd, mps, mrp, mrp_decompose, spaces
 from mtra import lp as lp_module
 from mtra.errors import SoundnessError
 from mtra.lp import Constraint, LinearProgram, solve
@@ -485,6 +486,175 @@ def test_presolve_matches_highs():
             assert -res.fun == pytest.approx(float(value(out)), abs=1e-7)
 
 
+# -- lazy row scaling -----------------------------------------------------------
+
+
+def _eager_pivot(tab, r, c):
+    """The reference pivot, without lazy row scaling: every row but the
+    pivot row is rewritten, so every row stays exact at det."""
+    rows = tab.rows
+    prow = rows[r]
+    piv = prow[c]
+    if piv < 0:
+        prow = rows[r] = [-v for v in prow]
+        piv = -piv
+    det = tab.det
+    if piv == det:
+        nonzero = [k for k, b in enumerate(prow) if b]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for k in nonzero:
+                    row[k] -= f * prow[k] // det
+    else:
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(piv * a - f * b) // det for a, b in zip(row, prow)]
+            else:
+                rows[i] = [(piv * a) // det for a in row]
+    tab.det = piv
+    tab.at[:] = [piv] * len(rows)
+    tab.basis[r] = c
+
+
+@pytest.fixture(scope="module")
+def package_programs():
+    """Seeded programs of every kind the package builds, by kind:
+    lottery LPs (decomposability and ex-post efficiency), trade LPs and
+    the efficiency LP with its >= rows and objective."""
+    programs = {"lottery": [], "trade": [], "efficiency": []}
+    real = axioms.solve
+    kind = []
+
+    def recording(prog):
+        programs[kind[-1] if prog.objective is None else "efficiency"].append(prog)
+        return real(prog)
+
+    def tagged(name, fn):
+        def wrapper(*args):
+            kind.append(name)
+            try:
+                return fn(*args)
+            finally:
+                kind.pop()
+
+        return wrapper
+
+    rng = random.Random("lazy-programs")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(axioms, "solve", recording)
+        mp.setattr(axioms, "_cyclic_sd_efficiency", tagged("trade", axioms._cyclic_sd_efficiency))
+        kind.append("lottery")
+        for n, p in ((2, 2), (3, 1), (3, 2), (4, 1)):
+            for k in ("general", "cpnet", "independent"):
+                inst = spaces.random_profile(rng, n, p, k)
+                outputs = [mps(inst)[0], mgd(inst), mrp(inst).assignment]
+                # a mixture of random shares: an invalid P more often than not
+                rows = [[rng.randint(0, 2) for _ in range(inst.m)] for _ in range(n)]
+                outputs.append(FractionalAssignment(tuple(map(tuple, rows)), max(map(sum, rows)) or 1))
+                for P in outputs:
+                    axioms.check_decomposability(inst, P)
+                    axioms.check_sd_efficiency(inst, P)
+                    axioms._sd_efficiency_lp(inst, P)
+                    if (n, p) != (3, 2):
+                        axioms.check_ex_post_efficiency(inst, P)
+    return programs
+
+
+def _inequality_lp(rng):
+    """A random program of <= and >= rows with an objective, often
+    infeasible or unbounded."""
+    n = rng.randint(2, 6)
+    cons = tuple(
+        Constraint(tuple(rng.randint(-3, 3) for _ in range(n)), rng.choice(["<=", ">="]), rng.randint(-4, 6))
+        for _ in range(rng.randint(2, 6))
+    )
+    return LinearProgram(n, cons, tuple(rng.randint(-3, 3) for _ in range(n)))
+
+
+def _differential_programs(package_programs):
+    rng = random.Random("lazy-random")
+    return [
+        *(prog for progs in package_programs.values() for prog in progs),
+        *_planted_lps(120, 17),
+        *(_inequality_lp(rng) for _ in range(200)),
+        *(_equality_lp(rng, kind) for kind in ("unique", "negative", "inconsistent", "dependent") for _ in range(30)),
+    ]
+
+
+def test_lazy_tableau_matches_the_eager_one(monkeypatch, package_programs):
+    # status, witness, det, objective value and certificate all equal
+    assert all(len(progs) >= 20 for progs in package_programs.values())
+    assert any(c.rel == ">=" for prog in package_programs["efficiency"] for c in prog.constraints)
+    programs = _differential_programs(package_programs)
+    lazy = [solve(prog) for prog in programs]
+    monkeypatch.setattr(lp_module._IntTableau, "pivot", _eager_pivot)
+    eager = [solve(prog) for prog in programs]
+    assert lazy == eager
+    assert {out.status for out in lazy} == {"optimal", "infeasible", "unbounded"}
+
+
+def test_every_row_brought_up_to_date_equals_the_eager_row(monkeypatch, package_programs):
+    lazy_pivot = lp_module._IntTableau.pivot
+    seen = {"pivots": 0, "stale": 0, "stale_rewrites": 0}
+
+    def checked(tab, r, c):
+        det = tab.det
+        ref = SimpleNamespace(
+            rows=[[a * det // d for a in row] for row, d in zip(tab.rows, tab.at)],
+            at=list(tab.at),
+            det=det,
+            basis=list(tab.basis),
+        )
+        _eager_pivot(ref, r, c)
+        seen["stale_rewrites"] += sum(1 for i, row in enumerate(tab.rows) if i != r and row[c] and tab.at[i] != det)
+        lazy_pivot(tab, r, c)
+        assert (tab.det, tab.basis) == (ref.det, ref.basis)
+        for row, d, want in zip(tab.rows, tab.at, ref.rows):
+            assert all(a * tab.det % d == 0 for a in row)
+            assert [a * tab.det // d for a in row] == want
+            seen["stale"] += d != tab.det
+        seen["pivots"] += 1
+
+    monkeypatch.setattr(lp_module._IntTableau, "pivot", checked)
+    for prog in _differential_programs(package_programs):
+        solve(prog)
+    # rows were left stale, and stale rows with a nonzero in the pivot
+    # column were rewritten straight from their own determinant
+    assert seen["pivots"] > 1000 and seen["stale"] > 1000 and seen["stale_rewrites"] > 100, seen
+
+
+def test_elimination_leaves_a_zero_row_to_the_simplex_without_pivoting(monkeypatch, package_programs):
+    # a row 0 = b with b != 0 makes the program infeasible before any
+    # pivot; the simplex then finds the same certificate as without
+    # the elimination
+    rng = random.Random("zero-row")
+    programs = [
+        prog for prog in package_programs["lottery"] if any(c.rhs and not any(c.coeffs) for c in prog.constraints)
+    ]
+    assert programs
+    for _ in range(40):
+        prog = _equality_lp(rng, rng.choice(["unique", "negative", "dependent"]))
+        rows = list(prog.constraints)
+        rows.insert(rng.randrange(len(rows) + 1), Constraint((0,) * prog.num_vars, "=", rng.choice([-2, -1, 1, 3])))
+        programs.append(LinearProgram(prog.num_vars, tuple(rows), prog.objective))
+
+    def no_pivot(tab, r, c):
+        raise RuntimeError("pivoted")
+
+    for prog in programs:
+        objective = prog.objective or (0,) * prog.num_vars
+        ref = lp_module._verified(prog, objective, lp_module._presolved_simplex(prog, objective))
+        assert ref.status == "infeasible"
+        with monkeypatch.context() as mp:
+            mp.setattr(lp_module._IntTableau, "pivot", no_pivot)
+            assert lp_module._eliminated(prog) is None
+        assert solve(prog) == ref
+
+
 _TAMPER = """
 import sys
 from mtra import lp
@@ -551,6 +721,39 @@ def test_elimination_check_survives_python_O():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _ELIMINATION_TAMPER], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["caught: witness violates constraint 0"]
+
+
+_ROW_TAMPER = """
+import random
+import sys
+from mtra import check_decomposability, lp, mps, spaces
+from mtra.errors import MtraError, SoundnessError
+
+if __debug__ or issubclass(SoundnessError, MtraError):
+    sys.exit("expected python -O and a SoundnessError outside MtraError")
+inst = spaces.random_profile(random.Random(0), 3, 1, "general")
+P = mps(inst)[0]
+if not check_decomposability(inst, P).passed:
+    sys.exit("the lottery LP is feasible untampered")
+# stale rows read as if they were exact at the current determinant
+lp._IntTableau.row = lambda self, i: self.rows[i]
+try:
+    check_decomposability(inst, P)
+except SoundnessError as exc:
+    print("caught:", exc)
+else:
+    print("missed")
+"""
+
+
+def test_stale_rows_are_caught_under_python_O():
+    src = str(Path(lp_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _ROW_TAMPER], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["caught: witness violates constraint 0"]
