@@ -266,8 +266,13 @@ def check_sd_efficiency(instance: Instance, P: FractionalAssignment) -> Property
     2. the trade LP (:func:`_cyclic_sd_efficiency`): a valid cyclic P
        fails if share can be moved upward to a dominating Q, and a
        discrete one (den 1) passes if it cannot;
-    3. the exact LP (:func:`_sd_efficiency_lp`) decides the rest, a
-       fractional cyclic P that trade cannot improve or an invalid P.
+    3. one exact feasibility program (:func:`_sd_efficiency_lp`)
+       decides the rest, a fractional cyclic P that trade cannot improve
+       or an invalid P: for the first it asks for a feasible direction
+       at P along which no contour sum falls, for the second for a
+       valid assignment with contour sums at least P's.  A feasible
+       program gives a dominating witness; an infeasible one is a pass,
+       with its Farkas certificate verified by :func:`~mtra.lp.solve`.
        An invalid P that no valid assignment dominates, one whose rows
        or contour sums no assignment can reach, passes.
 
@@ -342,64 +347,86 @@ def _cyclic_sd_efficiency(
     for t, f in zip(trades, out.witness):
         D[t.agent][t.worse] -= f
         D[t.agent][t.better] += f
-    # eps = (c / P.den) / (k / det): the share c = P.nums[j][x] is the
-    # first to reach 0 as D[j][x] = -k pulls it down
+    return _dominated_report(instance, P, _largest_step(P, D))
+
+
+def _largest_step(P: FractionalAssignment, D: Sequence[Sequence[int]]) -> FractionalAssignment:
+    """P + eps D for the largest eps that keeps every share >= 0.  The
+    integer direction D has negative entries, each where P is positive,
+    so eps > 0; a common factor of D cancels out of the result."""
+    # eps = (c / P.den) / k: the share c = P.nums[j][x] is the first to
+    # reach 0 as D[j][x] = -k pulls it down
     c = k = 0
     for prow, drow in zip(P.nums, D):
         for v, d in zip(prow, drow):
             if d < 0 and (not k or v * k < c * -d):
                 c, k = v, -d
-    Q = FractionalAssignment(
+    return FractionalAssignment(
         tuple(tuple(v * k + c * d for v, d in zip(prow, drow)) for prow, drow in zip(P.nums, D)), P.den * k
     )
-    return _dominated_report(instance, P, Q)
 
 
 def _sd_efficiency_lp(instance: Instance, P: FractionalAssignment) -> PropertyReport:
-    """:func:`check_sd_efficiency` decided by the exact LP alone.
+    """:func:`check_sd_efficiency` decided by one exact feasibility
+    program, whose outcome :func:`~mtra.lp.solve` verifies either way.
 
-    One aggregate LP over candidate assignments Q that are constrained
-    to dominate P, maximizing the total upper-contour slack.  The
-    optimum exceeds the baseline exactly when a dominating Q != P
-    exists: upper-contour sums pin a row down uniquely, so equal sums at
-    the optimum force Q = P.  A valid P is itself feasible, so only an
-    invalid one can leave the LP empty: no valid Q dominates it, and it
-    passes.
+    A valid P is decided by its feasible directions: matrices D with
+    row sums 0, item sums 0, every contour sum >= 0 and D >= 0 wherever
+    P is 0, normalised by sum over (j, y) of downset_size_j(y) D_jy = 1.
+    That sum is the total of D's contour sums.  D = D+ - D-, with a D-
+    column only where P is positive.
+
+    1. If such a D exists, Q = P + eps D with eps as large as keeps Q >= 0
+       (:func:`_largest_step`) has P's row and item sums, so it is a
+       valid assignment; its contour sums are P's plus eps times D's, so
+       it dominates P; and Q != P, since D's contour sums total 1.
+       :func:`_dominated_report` re-checks Q.
+    2. If none exists, P passes: for a dominating Q != P, D = Q - P has
+       every property but the normalisation, and its contour sums, which
+       determine a row, are >= 0 and not all 0, so their total is
+       positive and (Q - P) rescaled is such a D.  The program's Farkas
+       certificate is verified.
+
+    An invalid P is decided by the program "Q is a valid assignment
+    whose contour sums are at least P's".  A feasible Q dominates P and
+    differs from P, which is invalid; an infeasible program is a pass.
     """
     n, m = instance.n, instance.m
     nv = n * m
-    cons = [_share_row(nv, range(j * m, (j + 1) * m), EQ, 1) for j in range(n)]
+    valid = validate_assignment(P, instance) is None
+    # for a valid P the rows of D, right-hand side 0; else the rows of Q
+    total = 0 if valid else 1
+    cons = [_share_row(nv, range(j * m, (j + 1) * m), EQ, total) for j in range(n)]
     for holders in instance.item_bundles:
-        cons.append(_share_row(nv, (j * m + x for j in range(n) for x in prefs._bits(holders)), EQ, 1))
+        cons.append(_share_row(nv, (j * m + x for j in range(n) for x in prefs._bits(holders)), EQ, total))
     masks = [_ucs_masks(order) for order in instance.orders]
-    sums = [_contour_sums(masks[j], P.nums[j]) for j in range(n)]
-    depth_coeffs = [0] * nv
     for j in range(n):
-        for x, ucs in enumerate(masks[j]):
-            if sums[j][x] == P.den:
-                # Q's row sums to 1, so "ucs share >= 1" says Q puts
-                # nothing outside the contour set; written that way the
-                # LP presolve removes those columns
+        for x, (ucs, v) in enumerate(zip(masks[j], _contour_sums(masks[j], P.nums[j]))):
+            if v == P.den:
+                # share 1 in U leaves nothing outside U: Q's row sums to
+                # 1, and P's does, so D = D+ there; written that way the
+                # presolve removes those columns
                 outside = (j * m + y for y in range(m) if not ucs >> y & 1)
                 cons.append(_share_row(nv, outside, EQ, 0))
             else:
                 inside = (j * m + y for y in prefs._bits(ucs))
-                cons.append(_share_row(nv, inside, GE, sums[j][x], P.den))
-        for y in range(m):
-            depth_coeffs[j * m + y] = instance.orders[j].downset_size(y)
-    out = solve(LinearProgram(nv, tuple(cons), tuple(depth_coeffs)))
+                cons.append(_share_row(nv, inside, GE, 0 if valid else v, P.den))
+    held: list[int] = []
+    if valid:
+        cons.append(Constraint(tuple(order.downset_size(y) for order in instance.orders for y in range(m)), EQ, 1))
+        # the D- columns follow the D+ ones, each with its D+ column's
+        # coefficients negated
+        held = [j * m + x for j, row in enumerate(P.nums) for x, v in enumerate(row) if v]
+        cons = [Constraint(c.coeffs + tuple(-c.coeffs[k] for k in held), c.rel, c.rhs) for c in cons]
+    out = solve(LinearProgram(nv + len(held), tuple(cons)))
     if not out.optimal:
-        if validate_assignment(P, instance) is None:
-            raise SoundnessError("P itself is feasible, so the LP cannot fail")
         return PropertyReport("sd-efficiency", True)
-    # the optimum over det against P's own value, sum(sums) over P.den
-    gain = out.objective_value * P.den - sum(map(sum, sums)) * out.det
-    if gain < 0:
-        raise SoundnessError("the LP optimum lies below P's own value")
-    if gain == 0:
-        return PropertyReport("sd-efficiency", True)
-    Q = FractionalAssignment(tuple(out.witness[j * m : (j + 1) * m] for j in range(n)), out.det)
-    return _dominated_report(instance, P, Q)
+    rows = [list(out.witness[j * m : (j + 1) * m]) for j in range(n)]
+    if not valid:
+        return _dominated_report(instance, P, FractionalAssignment(tuple(map(tuple, rows)), out.det))
+    for k, f in zip(held, out.witness[nv:]):
+        rows[k // m][k % m] -= f
+    return _dominated_report(instance, P, _largest_step(P, rows))
 
 
 def check_envy(

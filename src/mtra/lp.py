@@ -1,12 +1,14 @@
-"""Exact linear programming over integer rows and nonnegative variables.
+"""Exact feasibility over integer rows and nonnegative variables.
 
 A program is given in integers: every coefficient and right-hand side
 is an ``int``, and so is every number handed back (a witness as
 numerators over one positive denominator, a Farkas certificate as
 coprime multipliers).  A caller with rational rows scales each row to
 integers itself.  Every variable is nonnegative, x >= 0: each program
-this package builds asks for nonnegative shares, flows or lottery
-weights.  :func:`solve` runs in three steps:
+this package builds asks for nonnegative shares, flows, lottery
+weights or the two parts of a direction.  A program asks only whether
+it is feasible: :func:`solve` finds a point or proves that there is
+none, in three steps:
 
 1. A program of equalities alone, with no more columns than rows, is
    first eliminated whole, fraction-free (Bareiss, "Sylvester's
@@ -14,8 +16,8 @@ weights.  :func:`solve` runs in three steps:
    Math. Comp. 22, 1968), one pivot per column and no artificial
    columns.  If every column gets a pivot, every row left over has
    right-hand side 0 and the point is nonnegative, that point is the
-   program's only feasible one, so it is the optimum.  A row 0 = b
-   with b != 0 leaves the program to the simplex before any pivot.
+   program's only feasible one.  A row 0 = b with b != 0 leaves the
+   program to the simplex before any pivot.
    Any other program goes to an exact presolve (Andersen & Andersen,
    "Presolving in linear programming", Math. Programming 71, 1995),
    which removes what x >= 0 already decides.  An equality with
@@ -24,9 +26,12 @@ weights.  :func:`solve` runs in three steps:
    this repeats until nothing changes.  A ``>=`` row with right-hand side <= 0 and
    nonnegative coefficients, or a ``<=`` row with right-hand side >= 0
    and nonpositive ones, is implied and dropped.
-2. A dense two-phase simplex solves the reduced program on a
-   fraction-free integer tableau (Bareiss-style exact division), which
-   is an order of magnitude faster in CPython than a Fraction tableau.
+2. A dense phase-1 simplex minimises the artificial mass of the
+   reduced program on a fraction-free integer tableau (Bareiss-style
+   exact division), which is an order of magnitude faster in CPython
+   than a Fraction tableau.  Mass 0 gives a feasible point, read off
+   the final basis, where any artificial left in it sits at 0; a
+   positive mass gives the Farkas certificate, read off the prices.
    A pivot rewrites only the rows with a nonzero in the pivot column;
    every other row keeps the determinant its entries are exact at and
    is scaled up to the current one only where its entries are read as
@@ -35,7 +40,6 @@ weights.  :func:`solve` runs in three steps:
    an artificial leave first; after ``DEGENERATE_LIMIT`` consecutive
    degenerate pivots it switches to Bland's rule until a pivot makes
    progress, so the solver is cycle-free and fully deterministic.
-   Artificial columns are deleted once phase 1 ends.
 3. The outcome is lifted back to the original program and verified
    there, in integers: a witness as numerators over the elimination's
    or the tableau's determinant against the constraints; an infeasible
@@ -43,7 +47,8 @@ weights.  :func:`solve` runs in three steps:
    on each fixing row, latest first, the multiplier that brings the
    column sums of the columns it fixed to <= 0) against the whole
    system.  A failed check raises :class:`~mtra.errors.SoundnessError`,
-   which ``python -O`` does not strip.
+   which ``python -O`` does not strip.  Both outcomes are checked, so
+   nothing the solver decides is taken on trust.
 
 Programs in this package are a few hundred rows by a few hundred
 columns, so the tableau stays dense.
@@ -73,12 +78,11 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x  subject to the constraints and x >= 0, all
-    in integers.  With no objective, :func:`solve` decides feasibility."""
+    """The constraints on x >= 0, all in integers: :func:`solve` decides
+    whether some x satisfies them."""
 
     num_vars: int
     constraints: tuple[Constraint, ...]
-    objective: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         for c in self.constraints:
@@ -90,23 +94,17 @@ class LinearProgram:
             # would be floored, not refused
             if not {type(c.rhs), *map(type, c.coeffs)} <= {int}:
                 raise TypeError("constraint entries must be ints")
-        if self.objective is not None:
-            if len(self.objective) != self.num_vars:
-                raise ValueError("objective arity does not match variable count")
-            if not set(map(type, self.objective)) <= {int}:
-                raise TypeError("objective entries must be ints")
 
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """An exact, verified result.  An optimal point is ``witness[k] / det``
-    and its value ``objective_value / det``; an infeasible program has
-    coprime Farkas row multipliers in ``certificate``."""
+    """An exact, verified result.  A feasible program's point is
+    ``witness[k] / det``; an infeasible program has coprime Farkas row
+    multipliers in ``certificate``."""
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" (feasible) | "infeasible"
     witness: tuple[int, ...] | None = None
     det: int = 1
-    objective_value: int | None = None
     certificate: tuple[int, ...] | None = None
 
     @property
@@ -135,9 +133,10 @@ class _IntTableau:
     of one row, cross-multiply two rows' entries, or test a sign, and a
     positive factor per row changes none of those results.
 
-    The rows after the constraints are objective rows (c - z form,
-    scaled like everything else); they are pivoted alongside the
-    constraints so reduced costs never need re-pricing.
+    The row after the constraints is the phase-1 row, the z - c form of
+    "minimise the artificial mass", scaled like everything else; it is
+    pivoted alongside the constraints so reduced costs never need
+    re-pricing.
     """
 
     def __init__(self, rows: list[list[int]], basis: list[int], ncols: int, art_start: int):
@@ -161,9 +160,8 @@ class _IntTableau:
         prow = self.row(r)
         piv = prow[c]
         if piv < 0:
-            # reached when driving zero-value artificials out and by the
-            # elimination; a row negation keeps the determinant positive
-            # and the system equal
+            # reached only by the elimination; a row negation keeps the
+            # determinant positive and the system equal
             prow = rows[r] = [-v for v in prow]
             piv = -piv
         # a row with f = 0 keeps its entries and its at[i]; any other row
@@ -185,9 +183,11 @@ class _IntTableau:
         self.det = at[r] = piv
         self.basis[r] = c
 
-    def run(self, objective_row: int) -> str:
-        """Simplex steps driven by the given objective row; 'optimal' or
-        'unbounded'.
+    def run(self) -> None:
+        """Phase-1 simplex steps, driven by the last row, until no reduced
+        cost is positive.  The artificial mass is bounded below by 0, so
+        every entering column has a leaving row; a missing one raises
+        :class:`~mtra.errors.SoundnessError`.
 
         Dantzig pricing, with ratio-test ties broken in favour of an
         artificial leaving the basis, then by the smallest basis index.
@@ -200,16 +200,16 @@ class _IntTableau:
         art = self.art_start
         degenerate = 0
         while True:
-            obj = rows[objective_row]
+            obj = rows[-1]
             bland = degenerate >= DEGENERATE_LIMIT
             if bland:
                 enter = next((c for c in range(ncols) if obj[c] > 0), -1)
                 if enter < 0:
-                    return "optimal"
+                    return
             else:
                 best = max(obj[:ncols], default=0)
                 if best <= 0:
-                    return "optimal"
+                    return
                 enter = obj.index(best)
             leave = -1
             best_num = best_den = 0
@@ -228,15 +228,14 @@ class _IntTableau:
                         if better:
                             leave = i
             if leave < 0:
-                return "unbounded"
+                raise SoundnessError("phase 1 is bounded, yet no row leaves")
             degenerate = degenerate + 1 if best_num == 0 else 0
             self.pivot(leave, enter)
 
 
-def _simplex(constraints: Sequence[Constraint], objective: Sequence[int]) -> _Raw:
-    """Two-phase simplex on integer constraints over nonnegative
+def _simplex(constraints: Sequence[Constraint], n: int) -> _Raw:
+    """Phase-1 simplex on integer constraints over n nonnegative
     variables.  The result is not yet verified."""
-    n = len(objective)
     m = len(constraints)
     n_slack = sum(1 for c in constraints if c.rel != EQ)
     art_start = n + n_slack
@@ -259,19 +258,16 @@ def _simplex(constraints: Sequence[Constraint], objective: Sequence[int]) -> _Ra
         tab_rows.append(row)
         signs.append(sign)
 
-    # phase-2 objective row (c - z; artificials cost 0, so initially just c)
-    tab_rows.append(list(objective) + [0] * (n_slack + m + 1))
-    # phase-1 objective row: z - c for "minimize artificial mass", which
-    # initially is the column sum of the constraint rows with artificial
-    # entries zeroed
-    phase1 = [sum(col) for col in zip(*tab_rows[:m])] if m else [0] * (ncols + 1)
+    # phase-1 row: z - c for "minimize artificial mass", which initially
+    # is the column sum of the constraint rows with artificial entries
+    # zeroed
+    phase1 = [sum(col) for col in zip(*tab_rows)] if m else [0] * (ncols + 1)
     phase1[art_start:ncols] = [0] * m
     tab_rows.append(phase1)
 
     tab = _IntTableau(tab_rows, list(range(art_start, ncols)), ncols, art_start)
-    if tab.run(m + 1) != "optimal":
-        raise SoundnessError("phase 1 is bounded by construction")
-    phase1 = tab.row(m + 1)
+    tab.run()
+    phase1 = tab.row(m)
     if phase1[ncols] != 0:
         # Phase 1 keeps the z-c row of "minimize artificial mass": at the
         # artificial column of row i it now holds y_i - 1 (times det) with
@@ -279,34 +275,11 @@ def _simplex(constraints: Sequence[Constraint], objective: Sequence[int]) -> _Ra
         # is dropped and the row signs are undone.
         y = [(phase1[art_start + i] + tab.det) * signs[i] for i in range(m)]
         return _Raw("infeasible", y=y)
-    del tab.rows[m + 1]
-    del tab.at[m + 1]
-
-    # drive residual zero-value artificials out of the basis
-    drop: list[int] = []
-    for i in range(m):
-        if tab.basis[i] >= art_start:
-            row = tab.rows[i]
-            target = next((c for c in range(art_start) if row[c] != 0), None)
-            if target is None:
-                drop.append(i)  # redundant constraint
-            else:
-                tab.pivot(i, target)
-    for i in reversed(drop):
-        del tab.rows[i]
-        del tab.at[i]
-        del tab.basis[i]
-    # artificial columns never re-enter: delete them
-    for r in tab.rows:
-        del r[art_start:ncols]
-    tab.ncols = art_start
-
-    if tab.run(len(tab.basis)) == "unbounded":
-        return _Raw("unbounded")
+    # mass 0: an artificial still in the basis sits at 0
     nums = [0] * n
     for i, b in enumerate(tab.basis):
         if b < n:
-            nums[b] = tab.row(i)[art_start]
+            nums[b] = tab.row(i)[ncols]
     return _Raw("optimal", nums=nums, det=tab.det)
 
 
@@ -336,7 +309,7 @@ def _eliminated(lp: LinearProgram) -> _Raw | None:
     return _Raw("optimal", nums=nums, det=tab.det)
 
 
-def _presolved_simplex(lp: LinearProgram, objective: Sequence[int]) -> _Raw:
+def _presolved_simplex(lp: LinearProgram) -> _Raw:
     """Presolve the program (module docstring, step 1), run the simplex
     on what is left and lift the result back to ``lp``."""
     cons = lp.constraints
@@ -364,55 +337,50 @@ def _presolved_simplex(lp: LinearProgram, objective: Sequence[int]) -> _Raw:
                 keep.append(i)
         active = keep
     if len(active) == len(rows):
-        return _simplex(cons, objective)
+        return _simplex(cons, n)
 
     cols = [j for j in range(n) if live[j]]
     reduced = [Constraint(tuple(rows[i][j] for j in cols), cons[i].rel, cons[i].rhs) for i in active]
-    raw = _simplex(reduced, [objective[j] for j in cols])
+    raw = _simplex(reduced, len(cols))
     if raw.status == "optimal":
         nums = [0] * n
         for k, j in enumerate(cols):
             nums[j] = raw.nums[k]
         return raw._replace(nums=nums)
-    if raw.status == "infeasible":
-        y = [0] * len(rows)
-        colsum = [0] * n
-        for k, i in enumerate(active):
-            y[i] = raw.y[k]
-            if y[i]:
-                for j in support[i]:
-                    colsum[j] += y[i] * rows[i][j]
-        for i, fixed in reversed(fixings):
-            row = rows[i]
-            if not fixed:
-                continue
-            if row[fixed[0]] > 0:
-                y[i] = min(-colsum[j] // row[j] for j in fixed)
-            else:
-                y[i] = max(-(colsum[j] // row[j]) for j in fixed)
+    y = [0] * len(rows)
+    colsum = [0] * n
+    for k, i in enumerate(active):
+        y[i] = raw.y[k]
+        if y[i]:
             for j in support[i]:
-                colsum[j] += y[i] * row[j]
-        return raw._replace(y=y)
-    return raw
+                colsum[j] += y[i] * rows[i][j]
+    for i, fixed in reversed(fixings):
+        row = rows[i]
+        if not fixed:
+            continue
+        if row[fixed[0]] > 0:
+            y[i] = min(-colsum[j] // row[j] for j in fixed)
+        else:
+            y[i] = max(-(colsum[j] // row[j]) for j in fixed)
+        for j in support[i]:
+            colsum[j] += y[i] * row[j]
+    return raw._replace(y=y)
 
 
-def _verified(lp: LinearProgram, objective: Sequence[int], raw: _Raw) -> LpOutcome:
+def _verified(lp: LinearProgram, raw: _Raw) -> LpOutcome:
     """Check a raw result against the original program and convert it."""
     if raw.status == "optimal":
         _verify_witness(lp, raw.nums, raw.det)
-        value = sum(map(mul, objective, raw.nums))
-        return LpOutcome("optimal", witness=tuple(raw.nums), det=raw.det, objective_value=value)
-    if raw.status == "infeasible":
-        _verify_certificate(lp, raw.y)
-        g = math.gcd(*raw.y)
-        return LpOutcome("infeasible", certificate=tuple(v // g for v in raw.y))
-    return LpOutcome(raw.status)
+        return LpOutcome("optimal", witness=tuple(raw.nums), det=raw.det)
+    _verify_certificate(lp, raw.y)
+    g = math.gcd(*raw.y)
+    return LpOutcome("infeasible", certificate=tuple(v // g for v in raw.y))
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
-    """Exact optimum (or feasibility when no objective is given)."""
-    objective = lp.objective or (0,) * lp.num_vars
-    return _verified(lp, objective, _eliminated(lp) or _presolved_simplex(lp, objective))
+    """A verified feasible point of the program, or a verified Farkas
+    certificate that it has none."""
+    return _verified(lp, _eliminated(lp) or _presolved_simplex(lp))
 
 
 def _verify_witness(lp: LinearProgram, nums: Sequence[int], det: int) -> None:

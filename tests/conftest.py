@@ -1,8 +1,42 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from mtra import fixtures
 from mtra import preferences as prefs
 from mtra.io import build_instance
+from mtra.lp import Constraint, LinearProgram, solve
+
+
+def constraint(coeffs, rel, rhs):
+    """A row with rational entries, scaled to integers by the lcm of
+    their denominators."""
+    fracs = [Fraction(v) for v in (*coeffs, rhs)]
+    scale = math.lcm(*(v.denominator for v in fracs))
+    ints = [int(v * scale) for v in fracs]
+    return Constraint(tuple(ints[:-1]), rel, ints[-1])
+
+
+def max_is(num_vars, constraints, c, v):
+    """Is the largest c.x over x >= 0 and the integer ``constraints``
+    exactly v?  Two feasibility programs decide it, each solved and
+    verified by :func:`mtra.lp.solve`, so no optimum is taken on trust:
+
+    * the constraints with c.x >= v added: some x reaches v;
+    * the dual certificate, y with A^T y >= c and b.y <= v, y_i >= 0 on a
+      <= row, y_i <= 0 on a >= row and free on an equality: every
+      feasible x has c.x <= y.Ax <= y.b <= v.
+
+    ``c`` and ``v`` may be Fractions; the added rows are scaled to
+    integers.  A free y_i is split into two nonnegative columns."""
+    reached = solve(LinearProgram(num_vars, (*constraints, constraint(c, ">=", v))))
+    signs = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
+    cols = [(row, s) for row in constraints for s in signs[row.rel]]
+    dual = [constraint([s * row.coeffs[j] for row, s in cols], ">=", c[j]) for j in range(num_vars)]
+    dual.append(constraint([s * row.rhs for row, s in cols], "<=", v))
+    bounded = solve(LinearProgram(len(cols), tuple(dual)))
+    return reached.optimal and bounded.optimal
 
 
 def independent_net(orders):

@@ -206,49 +206,31 @@ def test_sd_efficiency_serial_outcomes_pass(mixed_pair):
 
 
 def _dominated_per_cell(instance, P):
-    # independent formulation: P is dominated iff some single
-    # upper-contour slack can be made strictly positive while all stay
-    # nonnegative
-    from mtra.axioms import ucs_sums
+    # independent formulation for a valid P: P is dominated iff, for some
+    # single cell (j, x), a direction D at P (row and item sums 0, D >= 0
+    # where P is 0) keeps every upper-contour sum >= 0 and raises that
+    # cell's by 1; each cell is one feasibility program, over D = D+ - D-
     from mtra.lp import Constraint, LinearProgram, solve
 
     n, m = instance.n, instance.m
-    nv = n * m
-    base_cons = []
-    for j in range(n):
-        row = [0] * nv
-        for x in range(m):
-            row[j * m + x] = 1
-        base_cons.append(Constraint(tuple(row), "=", 1))
+    cells = [(j, x) for j in range(n) for x in range(m)]
+    held = [(j, x) for j, x in cells if P.nums[j][x]]
+    nv = len(cells) + len(held)
+
+    def row(weights, rel, rhs):
+        # weights per cell of D, spread over its D+ and D- columns
+        coeffs = [weights.get(cell, 0) for cell in cells] + [-weights.get(cell, 0) for cell in held]
+        return Constraint(tuple(coeffs), rel, rhs)
+
+    base_cons = [row({(j, x): 1 for x in range(m)}, "=", 0) for j in range(n)]
     for o in range(n * instance.p):
-        row = [0] * nv
-        for j in range(n):
-            for x, items in enumerate(instance.bundle_items):
-                if o in items:
-                    row[j * m + x] = 1
-        base_cons.append(Constraint(tuple(row), "=", 1))
-    sums = [ucs_sums(instance.orders[j], P.row(j)) for j in range(n)]
-    for j in range(n):
-        order = instance.orders[j]
-        for x in range(m):
-            # the row times the denominator of its right-hand side
-            row = [0] * nv
-            for y in range(m):
-                if order.ucs_mask(x) >> y & 1:
-                    row[j * m + y] = sums[j][x].denominator
-            base_cons.append(Constraint(tuple(row), ">=", sums[j][x].numerator))
-    for j in range(n):
-        order = instance.orders[j]
-        for x in range(m):
-            objective = [0] * nv
-            for y in range(m):
-                if order.ucs_mask(x) >> y & 1:
-                    objective[j * m + y] = 1
-            out = solve(LinearProgram(nv, tuple(base_cons), tuple(objective)))
-            assert out.status == "optimal"
-            if Fraction(out.objective_value, out.det) > sums[j][x]:
-                return True
-    return False
+        items = {(j, x): 1 for j in range(n) for x in range(m) if o in instance.bundle_items[x]}
+        base_cons.append(row(items, "=", 0))
+    contour = {
+        (j, x): {(j, y): 1 for y in range(m) if instance.orders[j].ucs_mask(x) >> y & 1} for j, x in cells
+    }
+    base_cons += [row(contour[cell], ">=", 0) for cell in cells]
+    return any(solve(LinearProgram(nv, (*base_cons, row(contour[cell], "=", 1)))).optimal for cell in cells)
 
 
 def test_sd_efficiency_oracle_matches_per_cell_formulation():
@@ -454,7 +436,7 @@ for name, perturb in (
 ):
     def tampered(lp, perturb=perturb):
         out = real(lp)
-        if lp.objective is None and out.optimal:
+        if out.optimal:
             return dataclasses.replace(out, witness=tuple(perturb(list(out.witness))))
         return out
 
@@ -539,39 +521,176 @@ def test_sd_efficiency_decides_invalid_rows_by_the_lp(mixed_pair):
     # about valid assignments only: the LP finds one that dominates them
     P = FractionalAssignment.from_rows([["1/2", 0, 0, 0], [0, 0, 0, "1/2"]])
     assert find_generalized_cycle(mixed_pair, P) is None
-    bn = mixed_pair.bundle_by_name
-    Q = from_discrete(mixed_pair, DiscreteAssignment((bn["1F1B"], bn["2F2B"])))
-    assert check_sd_efficiency(mixed_pair, P) == PropertyReport("sd-efficiency", False, witness=Q)
+    report = check_sd_efficiency(mixed_pair, P)
+    assert not report.passed
+    assert_dominates(mixed_pair, report.witness, P)
 
 
-def test_sd_efficiency_passes_invalid_rows_no_assignment_dominates(mixed_pair, monkeypatch):
+def test_sd_efficiency_passes_invalid_rows_no_assignment_dominates(mixed_pair):
     # these rows have contour sums past 1, which no valid assignment
     # reaches: the domination LP is empty, and no Q dominates P
     for rows in ([[1, 1, 0, 0], [0, 0, 0, 0]], [[2, 0, 0, 0], [0, 0, 0, 0]], [["3/2", 0, 0, 0], [0, 0, 0, "1/2"]]):
         P = FractionalAssignment.from_rows(rows)
         assert validate_assignment(P, mixed_pair) is not None
         assert check_sd_efficiency(mixed_pair, P) == PropertyReport("sd-efficiency", True)
-    # a valid P is a feasible point of its own LP, so an empty LP there
-    # is a fault, not a verdict
-    monkeypatch.setattr(axioms, "solve", lambda program: SimpleNamespace(optimal=False))
-    with pytest.raises(SoundnessError, match="P itself is feasible"):
-        axioms._sd_efficiency_lp(mixed_pair, fixtures.assignment_1())
 
 
-def test_sd_efficiency_lp_refuses_an_optimum_below_p(mixed_pair, monkeypatch):
-    # P is feasible, so the optimum is at least P's own value; one below
-    # it is a fault of the solver, not a verdict
-    P = mps(mixed_pair)[0]
-    assert axioms._sd_efficiency_lp(mixed_pair, P).passed
-    real = axioms.solve
+# The benchmark's seed-0 audit rounds (perfbench/workloads.py): their
+# sizes in order, and per round the ops whose exact mrp output reaches
+# _sd_efficiency_lp through check_sd_efficiency.
+AUDIT_SIZES = (
+    ((2, 1),) * 7 + ((2, 2),) * 7 + ((3, 1),) * 18 + ((4, 1),) * 4 + ((5, 1),) * 6
+    + ((3, 2),) * 6 + ((4, 2), (3, 3))
+)
+AUDIT_LP_OPS = {1: (48,), 2: (42,), 3: (44,), 4: (42,), 5: (45,), 6: (42, 45, 49)}
 
-    def lowered(program):
-        out = real(program)
-        return dataclasses.replace(out, objective_value=out.objective_value - 1)
 
-    monkeypatch.setattr(axioms, "solve", lowered)
-    with pytest.raises(SoundnessError, match="the LP optimum lies below P's own value"):
-        axioms._sd_efficiency_lp(mixed_pair, P)
+def _audit_lp_cases():
+    kinds = ("general", "cpnet", "independent")
+    for r, ops in AUDIT_LP_OPS.items():
+        rng = random.Random(f"audit:0:{r}")
+        for i, (n, p) in enumerate(AUDIT_SIZES[: max(ops) + 1]):
+            inst = spaces.random_profile(rng, n, p, kinds[(i + r) % 3])
+            if i in ops:
+                tiebreak = spaces.sweep_tiebreaks(inst.m)[(i + r) % 2]
+                yield inst, run_mechanism("mrp", inst, tiebreak)
+
+
+def _efficiency_reference_cases():
+    """Valid and invalid P's, cyclic and acyclic: mechanism outputs,
+    random mixtures of discrete assignments and random share matrices
+    (invalid more often than not), then the P's of the audit rounds and
+    the opposed trio's uniform matrix."""
+    rng = random.Random(127)
+    for n, p in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
+        for kind in ("general", "cpnet", "independent"):
+            inst = spaces.random_profile(rng, n, p, kind)
+            for tb in spaces.sweep_tiebreaks(inst.m):
+                for mech in ("mps", "mgd", "mrp"):
+                    yield inst, run_mechanism(mech, inst, tb)
+            assignments = all_discrete_assignments(inst)
+            for _ in range(3):
+                picks = rng.sample(assignments, k=min(len(assignments), rng.randint(2, 3)))
+                weights = [rng.randint(1, 4) for _ in picks]
+                yield inst, Lottery(tuple((F(w, sum(weights)), a) for w, a in zip(weights, picks))).expectation(inst)
+                rows = [[rng.randint(0, 2) for _ in range(inst.m)] for _ in range(n)]
+                yield inst, FractionalAssignment(tuple(map(tuple, rows)), max(map(sum, rows)) or 1)
+    yield from _audit_lp_cases()
+    yield fixtures.opposed_trio(), fixtures.assignment_5()
+
+
+def _highs_dominated(instance, P, linprog):
+    """The maximum-depth program, solved in floats by scipy's HiGHS: the
+    largest sum of downset_size_j(y) Q_jy over valid Q whose contour sums
+    are at least P's.  P is dominated iff that program is feasible and
+    its maximum exceeds P's own depth sum."""
+    n, m = instance.n, instance.m
+    cells = [(j, x) for j in range(n) for x in range(m)]
+    a_eq = [[float(k == j) for k, _ in cells] for j in range(n)]
+    a_eq += [[float(holders >> x & 1) for _, x in cells] for holders in instance.item_bundles]
+    a_ub, b_ub = [], []
+    for j, order in enumerate(instance.orders):
+        for x, total in enumerate(ucs_sums(order, P.row(j))):
+            a_ub.append([-float(k == j and order.ucs_mask(x) >> y & 1) for k, y in cells])
+            b_ub.append(-float(total))
+    depth = [instance.orders[j].downset_size(x) for j, x in cells]
+    res = linprog(
+        [-d for d in depth], A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0] * len(a_eq), bounds=(0, None), method="highs"
+    )
+    if res.status == 2:
+        return False
+    assert res.status == 0
+    return -res.fun > sum(d * float(P.entry(j, x)) for d, (j, x) in zip(depth, cells)) + 1e-7
+
+
+def test_sd_efficiency_lp_matches_both_references(monkeypatch):
+    # the exact per-cell direction programs (valid P's) and HiGHS on the
+    # maximum-depth program (every P) give the same verdict; every
+    # failure's witness is re-checked with the public functions
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    seen = Counter()
+    for inst, P in _efficiency_reference_cases():
+        valid = validate_assignment(P, inst) is None
+        report = _sd_efficiency_lp(inst, P)
+        if not report.passed:
+            assert_dominates(inst, report.witness, P)
+        assert report.passed != _highs_dominated(inst, P, linprog)
+        if valid:
+            assert report.passed != _dominated_per_cell(inst, P)
+        seen["valid" if valid else "invalid", find_generalized_cycle(inst, P) is not None, report.passed] += 1
+    # valid and invalid P's, cyclic and acyclic, pass and fail; a valid
+    # acyclic P always passes (the no-cycle lemma)
+    assert {key[:2] for key in seen} == {(v, c) for v in ("valid", "invalid") for c in (True, False)}, seen
+    assert {key[::2] for key in seen} == {(v, c) for v in ("valid", "invalid") for c in (True, False)}, seen
+    assert ("valid", True, True) in seen and ("valid", False, False) not in seen, seen
+    # the audit cases are the ones check_sd_efficiency sends to the LP
+    calls = _record_calls(monkeypatch, "_sd_efficiency_lp")
+    for inst, P in _audit_lp_cases():
+        check_sd_efficiency(inst, P)
+    assert len(calls) == sum(map(len, AUDIT_LP_OPS.values()))
+
+
+_EFFICIENCY_LP_TAMPER = """
+import dataclasses
+import sys
+from mtra import axioms, fixtures, lp, mps
+from mtra.errors import MtraError, SoundnessError
+
+if __debug__ or issubclass(SoundnessError, MtraError):
+    sys.exit("expected python -O and a SoundnessError outside MtraError")
+trio, uniform = fixtures.opposed_trio(), fixtures.assignment_5()
+pair = fixtures.mixed_pair()
+efficient = mps(pair)[0]
+if axioms._sd_efficiency_lp(trio, uniform).passed or not axioms._sd_efficiency_lp(pair, efficient).passed:
+    sys.exit("untampered, the uniform matrix fails and the mps output passes")
+real_solve, real_simplex = axioms.solve, lp._simplex
+
+
+def doubled(program):
+    # the direction the LP layer verified, its first nonzero entry doubled
+    out = real_solve(program)
+    w = list(out.witness)
+    k = next(k for k, v in enumerate(w) if v)
+    w[k] *= 2
+    return dataclasses.replace(out, witness=tuple(w))
+
+
+def negated(*args):
+    # the Farkas certificate, negated before the LP layer verifies it
+    raw = real_simplex(*args)
+    return raw if raw.y is None else raw._replace(y=[-v for v in raw.y])
+
+
+for name, module, attr, tampered, inst, P in (
+    ("direction", axioms, "solve", doubled, trio, uniform),
+    ("certificate", lp, "_simplex", negated, pair, efficient),
+):
+    real = getattr(module, attr)
+    setattr(module, attr, tampered)
+    try:
+        axioms._sd_efficiency_lp(inst, P)
+    except SoundnessError as exc:
+        print(name, "caught:", exc)
+    else:
+        print(name, "missed")
+    setattr(module, attr, real)
+"""
+
+
+def test_efficiency_lp_soundness_checks_survive_python_O():
+    # a feasible direction perturbed after the LP layer verified it, and
+    # a certificate perturbed before it does: each is refused, with
+    # asserts stripped
+    src = str(Path(axioms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _EFFICIENCY_LP_TAMPER], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "direction caught: the dominating witness is not another valid assignment",
+        "certificate caught: certificate fails on column 1",
+    ]
 
 # -- envy / ete / ordinal fairness ------------------------------------------------
 
@@ -875,7 +994,7 @@ real = axioms.solve
 
 def tampered(lp):
     out = real(lp)
-    if lp.objective is None and out.optimal:
+    if out.optimal:
         # one unit of weight moves from the first positive entry to the
         # second: still a lottery, but of another expectation
         w = list(out.witness)
