@@ -4,6 +4,11 @@ their dict form), tie-breaks, assignment matrices and lotteries.
 All are JSON with exact rationals carried as "num/den" strings, so
 nothing is lost on the wire.  Serialization is canonical (sorted keys,
 fixed separators, trailing newline), which makes CLI output byte-stable.
+Assignment documents, the largest written, are written directly
+(:func:`serialize_assignment`), byte for byte as :func:`dumps` lays
+them out.  An instance document is read into one :class:`Instance`,
+whose tables over the types are made once and read by its preferences
+too.
 """
 
 from __future__ import annotations
@@ -91,31 +96,54 @@ def build_instance(spec: Mapping) -> Instance:
         if not all(isinstance(s, str) for s in (name, *items)):
             raise ParseError(f"type and item names must be strings (got {t!r})")
         types.append(TypeDef(name, tuple(items)))
-    # Construct a preference-less shell first so name resolution can use
-    # it, once the types pass the checks that precede any m-sized work.
+    # the checks that precede any m-sized work, then the tables, made once
+    # and read by the preferences and the instance alike
     check_types(types, agents)
-    m = math.prod(len(t.items) for t in types)
-    shell = Instance(tuple(types), (prefs.PartialOrder.empty(m),) * agents)
-    parsed = tuple(_parse_preference(shell, q) for q in raw_prefs)
-    return Instance(tuple(types), parsed)
+    tables = Instance._type_tables(types)
+    names = _Names(types, tables)
+    parsed = tuple(_parse_preference(names, q) for q in raw_prefs)
+    return Instance._made(tuple(types), parsed, tables)
 
 
-def _parse_preference(shell: Instance, raw: Mapping) -> Preference:
+class _Names:
+    """What one instance document's preferences are read against, made
+    once per document: the bundle count, the type sizes, the bundle,
+    type and item indexes, and the reading of each CPT key under each
+    parent list it is read under."""
+
+    def __init__(self, types: Sequence[TypeDef], tables: Mapping) -> None:
+        self.m = tables["m"]
+        self.sizes = tables["sizes"]
+        self.bundle_by_name = tables["bundle_by_name"]
+        self.type_index = {t.name: i for i, t in enumerate(types)}
+        self.item_index = {it: (ti, ii) for ti, t in enumerate(types) for ii, it in enumerate(t.items)}
+        self.readings: dict[tuple[str, tuple[int, ...]], tuple[int, ...]] = {}
+
+    def parent_key(self, key: str, parent_list: tuple[int, ...]) -> tuple[int, ...]:
+        """:func:`_parse_parent_key`, once per key and parent list."""
+        reading = self.readings.get((key, parent_list))
+        if reading is None:
+            reading = self.readings[key, parent_list] = _parse_parent_key(key, parent_list, self.item_index)
+        return reading
+
+
+def _parse_preference(names: _Names, raw: Mapping) -> Preference:
     try:
         kind = raw["kind"]
     except (KeyError, TypeError) as exc:
         raise ParseError("preference entry lacks a 'kind'") from exc
     if kind == "partial":
+        by_name = names.bundle_by_name
         pairs = []
         for edge in _parse_list(raw.get("edges", ()), "'edges'"):
             try:
                 better, worse = edge
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bad edge {edge!r}") from exc
-            pairs.append((_resolve_bundle(shell, better), _resolve_bundle(shell, worse)))
-        return prefs.PartialOrder.from_pairs(shell.m, pairs)
+            pairs.append((_resolve_bundle(by_name, better), _resolve_bundle(by_name, worse)))
+        return prefs.PartialOrder.from_pairs(names.m, pairs)
     if kind == "cpnet":
-        return _parse_cpnet(shell, raw)
+        return _parse_cpnet(names, raw)
     raise ParseError(f"unknown preference kind {kind!r}")
 
 
@@ -125,25 +153,24 @@ def _parse_list(value, what: str) -> list | tuple:
     return value
 
 
-def _resolve_bundle(instance: Instance, name: str) -> int:
-    index = instance.bundle_by_name.get(name) if isinstance(name, str) else None
-    if index is None:
-        raise ParseError(f"unknown bundle name {name!r}")
-    return index
+def _resolve_bundle(by_name: Mapping[str, int], name: str) -> int:
+    """The index of the bundle ``name`` names in ``by_name``, an
+    instance's ``bundle_by_name``: one lookup, and an unhashable name is
+    as unknown as any other non-name."""
+    try:
+        return by_name[name]
+    except (KeyError, TypeError):
+        raise ParseError(f"unknown bundle name {name!r}") from None
 
 
-def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
+def _parse_cpnet(names: _Names, raw: Mapping) -> prefs.CPNet:
     """The net as the document spells it: every CPT row, a repeated one
     too, goes to :class:`~mtra.preferences.CPNet`, which checks the
     tables."""
-    type_index = {t.name: i for i, t in enumerate(shell.types)}
-    item_index = {
-        it: (ti, ii)
-        for ti, t in enumerate(shell.types)
-        for ii, it in enumerate(t.items)
-    }
+    type_index, item_index = names.type_index, names.item_index
+    p = len(type_index)
     # the dependency graph is a set of edges: a repeated edge is read once
-    parent_sets: list[set[int]] = [set() for _ in range(shell.p)]
+    parent_sets: list[set[int]] = [set() for _ in range(p)]
     for edge in _parse_list(raw.get("dependency", ()), "'dependency'"):
         try:
             parent, child = edge
@@ -153,7 +180,7 @@ def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
             raise ParseError(f"dependency edge {edge!r} names unknown types")
         parent_sets[type_index[child]].add(type_index[parent])
     parents = tuple(tuple(sorted(ps)) for ps in parent_sets)
-    tables: list[tuple] = [()] * shell.p
+    tables: list[tuple] = [()] * p
     raw_cpt = raw.get("cpt", {})
     if not isinstance(raw_cpt, Mapping):
         raise ParseError("'cpt' must be an object keyed by type name")
@@ -169,9 +196,9 @@ def _parse_cpnet(shell: Instance, raw: Mapping) -> prefs.CPNet:
                 _resolve_item(item_index, ti, it)
                 for it in _parse_list(ordered, f"CPT row {key!r} of type {tname!r}")
             )
-            table.append((_parse_parent_key(key, parents[ti], item_index), order))
+            table.append((names.parent_key(key, parents[ti]), order))
         tables[ti] = tuple(sorted(table))
-    return prefs.CPNet(shell.sizes, parents, tuple(tables))
+    return prefs.CPNet(names.sizes, parents, tuple(tables))
 
 
 def _parse_parent_key(
@@ -246,7 +273,8 @@ def parse_instance(text: str) -> tuple[Instance, object]:
 
 def _ranking(instance: Instance, agent_tb: object) -> list[int]:
     """One agent's tiebreak: a list naming every bundle exactly once."""
-    ranked = [_resolve_bundle(instance, name) for name in _parse_list(agent_tb, "a tiebreak entry")]
+    by_name = instance.bundle_by_name
+    ranked = [_resolve_bundle(by_name, name) for name in _parse_list(agent_tb, "a tiebreak entry")]
     if sorted(ranked) != list(range(instance.m)):
         raise ParseError("tiebreak must rank every bundle exactly once")
     return ranked
@@ -265,10 +293,28 @@ def serialize_instance(instance: Instance, tiebreak=None) -> str:
         "preferences": prefs_doc,
     }
     if tiebreak is not None:
-        doc["tiebreak"] = [
-            [instance.bundle_names[x] for x in agent_tb] for agent_tb in tiebreak
-        ]
+        doc["tiebreak"] = _tiebreak_doc(instance, tiebreak)
     return dumps(doc)
+
+
+def _tiebreak_doc(instance: Instance, tiebreak) -> list[list[str]]:
+    """A tie-break as the mechanisms take it, one bundle sequence shared
+    by all agents or one per agent, as :func:`parse_instance` reads it
+    back: one bundle-name list per agent.  ``DimensionMismatch`` for one
+    that it would refuse."""
+    if len(tiebreak) == 0 or isinstance(tiebreak[0], int):
+        tiebreak = [tiebreak] * instance.n
+    if len(tiebreak) != instance.n:
+        raise DimensionMismatch("tiebreak must list one bundle order per agent")
+    every = list(range(instance.m))
+    for agent_tb in tiebreak:
+        try:
+            ranks_every = sorted(agent_tb) == every
+        except TypeError:  # not a sequence of bundle indices
+            ranks_every = False
+        if not ranks_every:
+            raise DimensionMismatch("tiebreak must rank every bundle exactly once")
+    return [[instance.bundle_names[x] for x in agent_tb] for agent_tb in tiebreak]
 
 
 def _partial_doc(instance: Instance, order: prefs.PartialOrder) -> dict:
@@ -317,16 +363,36 @@ def parse_tiebreak(text: str, instance: Instance):
 def serialize_assignment(
     instance: Instance, P: FractionalAssignment, metadata: Mapping | None = None
 ) -> str:
-    doc = {
-        "agents": instance.n,
-        "bundles": list(instance.bundle_names),
-        "matrix": [
-            {instance.bundle_names[x]: frac_str(row[x]) for x in range(instance.m)}
-            for row in P.rows
-        ],
-        "metadata": dict(metadata or {}),
-    }
-    return dumps(doc)
+    """The assignment document: the agent count, the bundle names, per
+    agent an object mapping each bundle name to its share, and
+    ``metadata``.  Written directly from ``P.nums`` over ``P.den``, one
+    gcd per distinct share, it is byte for byte :func:`dumps` of that
+    document, which would take JSON's pure-Python indenting encoder."""
+    names = instance.bundle_names
+    quoted = [json.dumps(name) for name in names]
+    order = sorted(range(instance.m), key=names.__getitem__)
+    keys = [quoted[x] + ": " for x in order]
+    den = P.den
+    share = {}
+    for v in {v for row in P.nums for v in row}:
+        g = math.gcd(v, den)
+        share[v] = f'"{v // g}/{den // g}"'
+    rows = [_block("{", [key + share[row[x]] for key, x in zip(keys, order)], "}", 6) for row in P.nums]
+    meta = json.dumps(dict(metadata or {}), indent=2, sort_keys=True).replace("\n", "\n  ")
+    return (
+        f'{{\n  "agents": {instance.n},\n  "bundles": {_block("[", quoted, "]", 4)},'
+        f'\n  "matrix": {_block("[", rows, "]", 4)},\n  "metadata": {meta}\n}}\n'
+    )
+
+
+def _block(opening: str, items: Sequence[str], closing: str, indent: int) -> str:
+    """A JSON list or object of encoded ``items`` as :func:`dumps` lays
+    it out, the items ``indent`` spaces in.  A JSON string holds no raw
+    newline, so the layout is all in the newlines added here."""
+    if not items:
+        return opening + closing
+    pad = "\n" + " " * indent
+    return opening + pad + ("," + pad).join(items) + pad[:-2] + closing
 
 
 def parse_assignment(text: str, instance: Instance) -> FractionalAssignment:
@@ -339,6 +405,7 @@ def parse_assignment(text: str, instance: Instance) -> FractionalAssignment:
     # each distinct string is parsed once; the memo is keyed by strings
     # only, since true and 1 hash equal and true is refused
     memo: dict[str, tuple[int, int]] = {}
+    by_name = instance.bundle_by_name
     rows = []
     for j, row in enumerate(matrix):
         if not isinstance(row, Mapping):
@@ -351,7 +418,7 @@ def parse_assignment(text: str, instance: Instance) -> FractionalAssignment:
             elif (pair := memo.get(share)) is None:
                 v = parse_frac(share)
                 pair = memo[share] = v.numerator, v.denominator
-            pairs[_resolve_bundle(instance, name)] = pair
+            pairs[_resolve_bundle(by_name, name)] = pair
         rows.append(pairs)
     P = FractionalAssignment.from_pairs(rows)
     violation = validate_assignment(P, instance)
@@ -385,18 +452,19 @@ def parse_lottery(text: str, instance: Instance) -> Lottery:
         raise ParseError("lottery document must be an object with 'entries'")
     if not isinstance(doc["entries"], list):
         raise ParseError("lottery 'entries' must be a list")
+    by_name = instance.bundle_by_name
     entries = []
-    for e in doc["entries"]:
-        if not isinstance(e, Mapping) or "probability" not in e:
-            raise ParseError("lottery entry must be an object with a 'probability'")
-        if not isinstance(e.get("assignment"), list):
-            raise ParseError("lottery entry must list its 'assignment' by bundle name")
-        prob = parse_frac(e["probability"])
-        bundles = tuple(_resolve_bundle(instance, name) for name in e["assignment"])
-        disc = DiscreteAssignment(bundles)
-        disc.validate(instance)
-        entries.append((prob, disc))
+    # a misshapen entry or a bad probability is the document's fault
     try:
+        for e in doc["entries"]:
+            if not isinstance(e, Mapping) or "probability" not in e:
+                raise ParseError("lottery entry must be an object with a 'probability'")
+            if not isinstance(e.get("assignment"), list):
+                raise ParseError("lottery entry must list its 'assignment' by bundle name")
+            prob = parse_frac(e["probability"])
+            disc = DiscreteAssignment(tuple(_resolve_bundle(by_name, name) for name in e["assignment"]))
+            disc.validate(instance)
+            entries.append((prob, disc))
         return Lottery(tuple(entries))
     except DimensionMismatch as exc:
         raise ParseError(str(exc)) from exc

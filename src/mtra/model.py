@@ -70,6 +70,10 @@ def check_types(types: Sequence[TypeDef], n: int) -> None:
         raise InstanceTooLargeToDecide(f"{m} bundles make {m**2} bundle pairs, past the {BUNDLE_PAIR_LIMIT} budget")
 
 
+# The tables an instance reads off its types (:meth:`Instance._type_tables`)
+_TABLES = ("sizes", "m", "bundles", "bundle_names", "bundle_by_name", "bundle_items", "item_bundles")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A validated allocation instance.
@@ -77,6 +81,20 @@ class Instance:
     ``preferences[j]`` is either a :class:`~mtra.preferences.PartialOrder`
     over the bundle universe or an acyclic :class:`~mtra.preferences.CPNet`
     over the type structure.
+
+    Its tables over the types are made once, at construction, or taken
+    from whoever made them already (:meth:`_made`):
+
+    - ``sizes``, the items per type, and ``m``, the number of bundles;
+    - ``bundles``, all bundles in canonical lexicographic order: type
+      order first, item declaration order within a type.  The order is
+      the global tie-break reference;
+    - ``bundle_names`` and ``bundle_by_name``, each bundle's item names
+      run together, and back;
+    - ``bundle_items``, per bundle the flat item ids it contains
+      (:meth:`item_id`);
+    - ``item_bundles``, per flat item id the bitmask of the bundles that
+      contain it.
     """
 
     types: tuple[TypeDef, ...]
@@ -86,11 +104,47 @@ class Instance:
         if not self.preferences:
             raise MissingPreference("an instance needs at least one agent")
         check_types(self.types, self.n)
+        if "m" not in vars(self):
+            vars(self).update(self._type_tables(self.types))
         if len(self.bundle_by_name) != self.m:
             name = next(b for x, b in enumerate(self.bundle_names) if self.bundle_by_name[b] != x)
             raise DuplicateItemName(f"bundle name {name!r} names two bundles")
         for j, pref in enumerate(self.preferences):
             self._check_preference(j, pref)
+
+    @staticmethod
+    def _type_tables(types: Sequence[TypeDef]) -> dict[str, object]:
+        """The :data:`_TABLES` of an instance over ``types``, which have
+        passed :func:`check_types`."""
+        sizes = tuple(len(t.items) for t in types)
+        starts = itertools.accumulate(sizes[:-1], initial=0)
+        bundle_items = tuple(itertools.product(*(range(o, o + s) for o, s in zip(starts, sizes))))
+        item_bundles = [0] * sum(sizes)
+        for x, items in enumerate(bundle_items):
+            for o in items:
+                item_bundles[o] |= 1 << x
+        bundle_names = tuple(map("".join, itertools.product(*(t.items for t in types))))
+        return {
+            "sizes": sizes,
+            "m": len(bundle_items),
+            "bundles": tuple(itertools.product(*map(range, sizes))),
+            "bundle_names": bundle_names,
+            "bundle_by_name": {name: x for x, name in enumerate(bundle_names)},
+            "bundle_items": bundle_items,
+            "item_bundles": tuple(item_bundles),
+        }
+
+    @classmethod
+    def _made(cls, types: tuple[TypeDef, ...], preferences: tuple[Preference, ...], tables: dict) -> "Instance":
+        """``Instance(types, preferences)`` on ``tables``, the
+        :meth:`_type_tables` of ``types`` made already; every check of
+        the constructor still runs."""
+        instance = cls.__new__(cls)
+        object.__setattr__(instance, "types", types)
+        object.__setattr__(instance, "preferences", preferences)
+        vars(instance).update(tables)
+        instance.__post_init__()
+        return instance
 
     def _check_preference(self, j: int, pref: Preference) -> None:
         if not 0 <= j < self.n:
@@ -117,48 +171,12 @@ class Instance:
         return len(self.types)
 
     @cached_property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(t.items) for t in self.types)
-
-    @cached_property
-    def m(self) -> int:
-        return math.prod(self.sizes)
-
-    @cached_property
     def item_names(self) -> tuple[str, ...]:
         """Flat item ids: type-major, declaration order."""
         return tuple(it for t in self.types for it in t.items)
 
     def item_id(self, type_index: int, item_index: int) -> int:
         return type_index * self.n + item_index
-
-    @cached_property
-    def bundles(self) -> tuple[tuple[int, ...], ...]:
-        """All bundles in canonical lexicographic order.
-
-        The order is the global tie-break reference: type order first,
-        item declaration order within a type.
-        """
-        return tuple(
-            itertools.product(*(range(s) for s in self.sizes))
-        )
-
-    @cached_property
-    def bundle_items(self) -> tuple[tuple[int, ...], ...]:
-        """Per bundle, the flat item ids it contains."""
-        return tuple(
-            tuple(self.item_id(t, coord) for t, coord in enumerate(b))
-            for b in self.bundles
-        )
-
-    @cached_property
-    def item_bundles(self) -> tuple[int, ...]:
-        """Per flat item id, the bitmask of the bundles that contain it."""
-        masks = [0] * len(self.item_names)
-        for x, items in enumerate(self.bundle_items):
-            for o in items:
-                masks[o] |= 1 << x
-        return tuple(masks)
 
     @cached_property
     def conflicts(self) -> tuple[int, ...]:
@@ -171,17 +189,6 @@ class Instance:
                 mask |= self.item_bundles[o]
             out.append(mask)
         return tuple(out)
-
-    @cached_property
-    def bundle_names(self) -> tuple[str, ...]:
-        return tuple(
-            "".join(self.types[t].items[coord] for t, coord in enumerate(b))
-            for b in self.bundles
-        )
-
-    @cached_property
-    def bundle_by_name(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.bundle_names)}
 
     @cached_property
     def orders(self) -> tuple[prefs.PartialOrder, ...]:
@@ -215,13 +222,14 @@ class Instance:
         The other agents keep their preference objects, so their orders,
         and the sorts made on them, are shared with this instance: a
         partial order is its own order, and a CP-net keeps its own
-        (:attr:`~mtra.preferences.CPNet.order`).
+        (:attr:`~mtra.preferences.CPNet.order`).  The copy shares this
+        instance's tables over the types too.
         """
         if not 0 <= agent < self.n:
             raise DimensionMismatch(f"agent {agent} is not one of the {self.n} agents")
         new_prefs = list(self.preferences)
         new_prefs[agent] = preference
-        return Instance(self.types, tuple(new_prefs))
+        return Instance._made(self.types, tuple(new_prefs), {name: vars(self)[name] for name in _TABLES})
 
 
 # -- assignments ---------------------------------------------------------

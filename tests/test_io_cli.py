@@ -9,7 +9,7 @@ import pytest
 from mtra import cli, fixtures, io, spaces
 from mtra import preferences as prefs
 from mtra.cli import main
-from mtra.errors import ParseError, SoundnessError
+from mtra.errors import DimensionMismatch, DuplicateItemName, IncompleteCPT, ParseError, SoundnessError
 from mtra.mechanisms import mgd, mps
 from mtra.model import FractionalAssignment, Lottery, all_discrete_assignments, from_discrete, validate_assignment
 
@@ -38,6 +38,85 @@ def test_instance_tiebreak_round_trip(mixed_pair):
     text = io.serialize_instance(mixed_pair, tiebreak)
     parsed, got = io.parse_instance(text)
     assert got == tiebreak
+
+
+def test_instance_shared_tiebreak_round_trip():
+    # one bundle sequence shared by every agent, as the mechanisms take
+    # it, is written once per agent and reads back to equal outputs
+    rng = random.Random(19)
+    for kind in ("general", "cpnet", "independent"):
+        inst = spaces.random_profile(rng, 3, 2, kind)
+        shared = tuple(rng.sample(range(inst.m), inst.m))
+        per_agent = [tuple(rng.sample(range(inst.m), inst.m)) for _ in range(inst.n)]
+        for tiebreak in (shared, list(shared), per_agent):
+            parsed, got = io.parse_instance(io.serialize_instance(inst, tiebreak))
+            written = [shared] * inst.n if tiebreak is not per_agent else per_agent
+            assert [tuple(tb) for tb in got] == written
+            for mechanism in (lambda i, tb: mps(i, tb)[0], mgd):
+                assert mechanism(parsed, got) == mechanism(inst, tiebreak)
+
+
+@pytest.mark.parametrize(
+    "tiebreak, message",
+    [
+        ((0, 1, 2), "tiebreak must rank every bundle exactly once"),
+        ((0, 1, 2, 2), "tiebreak must rank every bundle exactly once"),
+        ((), "tiebreak must rank every bundle exactly once"),
+        ([(0, 1, 2, 3)], "tiebreak must list one bundle order per agent"),
+        ([(0, 1, 2, 3), (0, 1, 2, 4)], "tiebreak must rank every bundle exactly once"),
+        ([(0, 1, 2, 3), 5], "tiebreak must rank every bundle exactly once"),
+    ],
+    ids=["short", "repeated", "empty", "one-agent", "outside", "not-a-sequence"],
+)
+def test_serialize_instance_refuses_a_tiebreak_it_could_not_read_back(mixed_pair, tiebreak, message):
+    with pytest.raises(DimensionMismatch) as caught:
+        io.serialize_instance(mixed_pair, tiebreak)
+    assert str(caught.value) == message
+
+
+def _dumped_assignment(instance, P, metadata):
+    """The assignment document through `json.dumps`' indenting encoder."""
+    doc = {
+        "agents": instance.n,
+        "bundles": list(instance.bundle_names),
+        "matrix": [{name: io.frac_str(v) for name, v in zip(instance.bundle_names, row)} for row in P.rows],
+        "metadata": dict(metadata or {}),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_assignment_writer_matches_the_json_encoder():
+    # names that need escapes, and items listed against their sorted order
+    odd = io.build_instance(
+        {
+            "agents": 3,
+            "types": [
+                {"name": "F", "items": ["z\"q", "b\\s", "a\nl"]},
+                {"name": "B", "items": ["\u00e9", "\u2603", "A"]},
+            ],
+            "preferences": [{"kind": "partial", "edges": []}] * 3,
+        }
+    )
+    assert list(odd.bundle_names) != sorted(odd.bundle_names)
+    rng = random.Random(23)
+    instances = [odd] + [
+        spaces.random_profile(rng, n, p, kind)
+        for n, p in ((2, 1), (3, 2), (4, 2), (5, 3))
+        for kind in ("general", "cpnet", "independent")
+    ]
+    metadata = [
+        None,
+        {},
+        {"mechanism": "mps", "seed": 7, "tiebreak": "canonical"},
+        {"z": [1, {"b": None, "a": []}], "a": {"n\"\u00e9": {"x": True, "y": 1.5}}, "m": {}},
+    ]
+    for inst in instances:
+        for P in (mps(inst)[0], mgd(inst)):
+            for meta in metadata:
+                assert io.serialize_assignment(inst, P, meta) == _dumped_assignment(inst, P, meta)
+    # no rows at all, an empty list to the encoder
+    empty = FractionalAssignment(())
+    assert io.serialize_assignment(odd, empty) == _dumped_assignment(odd, empty, None)
 
 
 def test_assignment_round_trip(mixed_pair):
@@ -118,6 +197,22 @@ def test_lottery_parse_errors(three_chains):
     for text in ('{"entries": 3}', '{"entries": [5]}', '{"entries": [{"probability": "1"}]}'):
         with pytest.raises(ParseError):
             io.parse_lottery(text, three_chains)
+
+
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        (["1F", "2F"], "one bundle per agent required"),
+        (["1F", "1F", "3F"], "item 1F assigned twice"),
+    ],
+    ids=["too-few-bundles", "item-twice"],
+)
+def test_lottery_with_a_misshapen_entry_is_a_parse_error(three_chains, assignment, message):
+    # refused like any other malformed lottery, with the shape check's text
+    text = json.dumps({"entries": [{"probability": "1", "assignment": assignment}]})
+    with pytest.raises(ParseError) as caught:
+        io.parse_lottery(text, three_chains)
+    assert str(caught.value) == message
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -658,6 +753,68 @@ def test_cli_refuses_a_cpt_row_named_twice(tmp_path, capsys, types, net, message
     assert main(["run", str(path), "--mechanism", "mps"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"input error: {message}\n"
+
+
+def _first_best(t):
+    return {"": [f"1{t}", f"2{t}"]}
+
+
+# Instance documents refused, each with its exception and message
+_REFUSED = {
+    # "a" + "bc" and "ab" + "c" both name the bundle "abc"
+    "colliding-bundle-names": (
+        {
+            "agents": 2,
+            "types": [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["bc", "c"]}],
+            "preferences": [{"kind": "partial", "edges": []}] * 2,
+        },
+        DuplicateItemName,
+        "bundle name 'abc' names two bundles",
+    ),
+    # D's table names the row (1F, 1B) twice, as "1F1B" and as "1B1F"
+    "row-under-two-spellings": (
+        {"agents": 2, "types": _types("F", "B", "D"), "preferences": [_D_TWICE] * 2},
+        IncompleteCPT,
+        "duplicate row for type 2 at (0, 0)",
+    ),
+    # the key "1F" reads as 1F under agent 0's parents of D, and is short
+    # under agent 1's: its reading is not carried from one to the other
+    "key-under-two-parent-lists": (
+        {
+            "agents": 2,
+            "types": _types("F", "B", "D"),
+            "preferences": [
+                {"kind": "cpnet", "dependency": [["F", "D"]],
+                 "cpt": {"F": _first_best("F"), "B": _first_best("B"), "D": {"1F": ["1D", "2D"], "2F": ["2D", "1D"]}}},
+                {"kind": "cpnet", "dependency": [["F", "D"], ["B", "D"]],
+                 "cpt": {"F": _first_best("F"), "B": _first_best("B"), "D": {"1F": ["1D", "2D"], "2F2B": ["2D", "1D"]}}},
+            ],
+        },
+        ParseError,
+        "CPT key '1F' does not cover the parent types",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_instance_reader_refusals_keep_their_error_and_message(case):
+    doc, error, message = _REFUSED[case]
+    with pytest.raises(ParseError) as caught:
+        io.parse_instance(json.dumps(doc))
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_with_preference_shares_the_tables_and_checks_the_preference(mixed_pair):
+    copy = mixed_pair.with_preference(0, mixed_pair.preferences[1])
+    assert copy.bundle_names is mixed_pair.bundle_names
+    assert copy.item_bundles is mixed_pair.item_bundles
+    for pref, message in (
+        (prefs.PartialOrder.empty(9), "agent 0 order ranges over 9 bundles, expected 4"),
+        (spaces.random_cpnet(random.Random(0), (3, 3)), "agent 0 CP-net does not match the type sizes"),
+    ):
+        with pytest.raises(ParseError) as caught:
+            mixed_pair.with_preference(0, pref)
+        assert type(caught.value) is ParseError and str(caught.value) == message
 
 
 _ONE_TYPE = '{"agents": 2, "types": [{"name": "F", "items": ["1F", "2F"]}], "preferences": [%s, %s]}'

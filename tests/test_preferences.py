@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import independent_net
 from mtra import spaces
 from mtra import preferences as prefs
-from mtra.errors import CyclicDependency, IncompleteCPT, InconsistentOrder, NothingAvailable
+from mtra.errors import CyclicDependency, IncompleteCPT, InconsistentOrder, NothingAvailable, SoundnessError
 from mtra.mechanisms import MrpExact, mrp, resolve_sorts
 
 
@@ -368,6 +368,109 @@ def test_induction_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["caught: an acyclic CP-net induces an acyclic order"]
+
+
+def _tampers(closed):
+    """One bit added, one removed and one self-bit, each on a copy of the
+    closed rows of a strict partial order, and each leaving a relation
+    that is not one: the added bit puts a bundle above one of its own
+    betters, the removed one is implied by a chain of two."""
+    m = len(closed)
+    hi, lo = next((hi, lo) for lo in range(m) for hi in prefs._bits(closed[lo]))
+    w, z = next((w, z) for w in range(m) for z in prefs._bits(closed[w]) if closed[z])
+    added, removed, self_bit = list(closed), list(closed), list(closed)
+    added[hi] |= 1 << lo
+    removed[w] &= ~(closed[z] & -closed[z])
+    self_bit[z] |= 1 << z
+    return {"added": added, "removed": removed, "self": self_bit}
+
+
+_NET = prefs.CPNet((2, 3), ((), (0,)), ((((), (1, 0)),), (((0,), (0, 2, 1)), ((1,), (2, 1, 0)))))
+# orders closed from generators, each built afresh (not from a cache)
+_GENERATED = {
+    "from_pairs": lambda: prefs.PartialOrder.from_pairs(4, [(0, 1), (1, 2), (1, 3), (2, 3)]),
+    "induce_order": lambda: prefs.induce_order.__wrapped__(_NET),
+}
+
+
+@pytest.mark.parametrize("build", list(_GENERATED))
+@pytest.mark.parametrize("tamper", ["added", "removed", "self"])
+def test_generator_check_refuses_what_the_construction_check_refuses(monkeypatch, build, tamper):
+    order = _GENERATED[build]()
+    tampered = _tampers(order.above)[tamper]
+    # the construction check refuses the tampered rows handed in whole,
+    # and the generator check refuses them as the closure's output
+    with pytest.raises(InconsistentOrder):
+        prefs.PartialOrder(order.m, tuple(tampered))
+    monkeypatch.setattr(prefs, "_close", lambda above, extension: list(tampered))
+    with pytest.raises(SoundnessError):
+        _GENERATED[build]()
+
+
+def skip_one_or(above, extension):
+    """A mutant of `_close` that leaves out its first OR that adds a bit."""
+    closed = list(above)
+    skipped = False
+    for x in extension:
+        rest = above[x]
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            if skipped or not closed[y] & ~closed[x]:
+                closed[x] |= closed[y]
+            else:
+                skipped = True
+            rest &= ~closed[y] & (rest - 1)
+    return closed
+
+
+@pytest.mark.parametrize("build", list(_GENERATED))
+def test_generator_check_catches_a_closure_that_skips_one_or(monkeypatch, build):
+    real, differs = prefs._close, []
+
+    def mutant(above, extension):
+        closed = skip_one_or(above, extension)
+        differs.append(closed != real(above, extension))
+        return closed
+
+    monkeypatch.setattr(prefs, "_close", mutant)
+    with pytest.raises(SoundnessError) as caught:
+        _GENERATED[build]()
+    assert differs == [True]
+    assert str(caught.value) == "a closed row is its generators' row OR'd with their closed rows"
+
+
+_GENERATOR_TAMPER = """
+import sys
+from mtra import preferences as prefs
+from mtra.errors import InconsistentOrder, SoundnessError
+
+if __debug__:
+    sys.exit("expected python -O")
+order = prefs.PartialOrder.from_pairs(3, [(0, 1), (1, 2)])
+tampered = (0, 0b001, 0b010)  # 0 above 2 dropped
+try:
+    prefs.PartialOrder(3, tampered)
+except InconsistentOrder as exc:
+    print("construction check:", exc)
+prefs._close = lambda above, extension: list(tampered)
+try:
+    prefs.PartialOrder.from_pairs(3, [(0, 1), (1, 2)])
+except SoundnessError as exc:
+    print("generator check:", exc)
+"""
+
+
+def test_both_closure_checks_survive_python_O():
+    src = str(Path(prefs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _GENERATOR_TAMPER], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "construction check: relation is not transitively closed",
+        "generator check: a closed row is its generators' row OR'd with their closed rows",
+    ]
 
 
 def test_cpnets_keep_their_induced_order():
