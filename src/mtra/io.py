@@ -7,8 +7,10 @@ fixed separators, trailing newline), which makes CLI output byte-stable.
 Assignment documents, the largest written, are written directly
 (:func:`serialize_assignment`), byte for byte as :func:`dumps` lays
 them out.  An instance document is read into one :class:`Instance`,
-whose tables over the types are made once and read by its preferences
-too.
+built by its constructor like any other; the tables over its types
+(:func:`~mtra.model.type_tables`) are made once and read by its
+preferences too.  A ``partial`` preference is closed from its edges and
+keeps its canonical sort, as a CP-net's order does.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .model import (
     Lottery,
     Preference,
     TypeDef,
-    check_types,
+    type_tables,
     validate_assignment,
 )
 from .model import parse_fraction as parse_frac
@@ -96,13 +98,9 @@ def build_instance(spec: Mapping) -> Instance:
         if not all(isinstance(s, str) for s in (name, *items)):
             raise ParseError(f"type and item names must be strings (got {t!r})")
         types.append(TypeDef(name, tuple(items)))
-    # the checks that precede any m-sized work, then the tables, made once
-    # and read by the preferences and the instance alike
-    check_types(types, agents)
-    tables = Instance._type_tables(types)
-    names = _Names(types, tables)
-    parsed = tuple(_parse_preference(names, q) for q in raw_prefs)
-    return Instance._made(tuple(types), parsed, tables)
+    # checked before any m-sized work, and found made by the instance below
+    names = _Names(types, type_tables(types, agents))
+    return Instance(tuple(types), tuple(_parse_preference(names, q) for q in raw_prefs))
 
 
 class _Names:

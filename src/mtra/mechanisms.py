@@ -142,9 +142,11 @@ def serial_dictatorship(
     sorts: Sequence[Sequence[int]],
     priority: Sequence[int],
 ) -> DiscreteAssignment:
-    """Agents pick their first available bundle in priority order: the
-    only loop in which agents pick one after another.  ``priority`` must
-    be an order of the n agents."""
+    """Agents pick their first available bundle in priority order, for
+    :func:`mgd` and sampled :func:`mrp`.  Exact MRP picks in turn over
+    states of order prefixes instead (:func:`_turns`,
+    :func:`mrp_decompose`).  ``priority`` must be an order of the n
+    agents."""
     n = instance.n
     if sorted(priority) != list(range(n)):
         raise DimensionMismatch(f"priority {priority!r} is not an order of the {n} agents")

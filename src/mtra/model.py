@@ -3,7 +3,7 @@
 An instance is square: ``n`` agents, ``p`` item types with exactly ``n``
 items each, one unit of supply per item.  Every agent receives one item
 of each type, so the allocation objects live over the ``n**p`` bundles
-enumerated by :attr:`Instance.bundles`.
+enumerated by :attr:`Instance.bundle_items` (:func:`type_tables`).
 
 All shares are exact: integer numerators over one common denominator
 (:class:`FractionalAssignment`); no routine in this package ever rounds.
@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence, Union
 
 from . import preferences as prefs
 from .errors import (
@@ -70,8 +71,53 @@ def check_types(types: Sequence[TypeDef], n: int) -> None:
         raise InstanceTooLargeToDecide(f"{m} bundles make {m**2} bundle pairs, past the {BUNDLE_PAIR_LIMIT} budget")
 
 
-# The tables an instance reads off its types (:meth:`Instance._type_tables`)
-_TABLES = ("sizes", "m", "bundles", "bundle_names", "bundle_by_name", "bundle_items", "item_bundles")
+def type_tables(types: Sequence[TypeDef], n: int) -> Mapping[str, object]:
+    """The tables an instance over ``types`` for ``n`` agents reads off
+    its types, made once per type list and shared, read-only, by the
+    instances over equal ones.  On every call the types pass
+    :func:`check_types`, and no two bundles may share a name.
+
+    ``sizes`` (items per type) and ``m`` (bundles); ``item_names`` per
+    flat item id, type-major; ``bundle_items``, each bundle's flat item
+    ids, the bundles in canonical order (lexicographic by type, then by
+    item declaration), the global tie-break reference; ``bundle_names``
+    and ``bundle_by_name``, each bundle's item names run together, and
+    back; ``item_bundles``, per item the bitmask of its bundles.
+    """
+    return _type_tables(tuple((t.name, tuple(t.items)) for t in types), n)
+
+
+# An instance, its ``with_preference`` copies and the instances a checker
+# or a workload builds over one shape all read one entry, and a process
+# works over a handful of type lists at a time; an entry holds O(m) tuples
+# and names (about 2 MB at m = 10 000) that outlive the instances reading
+# them, so only a few are kept.
+@lru_cache(maxsize=8)
+def _type_tables(key: tuple[tuple[str, tuple[str, ...]], ...], n: int) -> Mapping[str, object]:
+    """:func:`type_tables` of the types ``key`` spells as (name, items) pairs."""
+    types = [TypeDef(name, items) for name, items in key]
+    check_types(types, n)
+    sizes = tuple(len(t.items) for t in types)
+    starts = itertools.accumulate(sizes[:-1], initial=0)
+    bundle_items = tuple(itertools.product(*(range(o, o + s) for o, s in zip(starts, sizes))))
+    item_bundles = [0] * sum(sizes)
+    for x, items in enumerate(bundle_items):
+        for o in items:
+            item_bundles[o] |= 1 << x
+    bundle_names = tuple(map("".join, itertools.product(*(t.items for t in types))))
+    bundle_by_name = {name: x for x, name in enumerate(bundle_names)}
+    if len(bundle_by_name) != len(bundle_names):
+        name = next(b for x, b in enumerate(bundle_names) if bundle_by_name[b] != x)
+        raise DuplicateItemName(f"bundle name {name!r} names two bundles")
+    return MappingProxyType({
+        "sizes": sizes,
+        "m": len(bundle_items),
+        "item_names": tuple(it for t in types for it in t.items),
+        "bundle_names": bundle_names,
+        "bundle_by_name": bundle_by_name,
+        "bundle_items": bundle_items,
+        "item_bundles": tuple(item_bundles),
+    })
 
 
 @dataclass(frozen=True)
@@ -80,21 +126,13 @@ class Instance:
 
     ``preferences[j]`` is either a :class:`~mtra.preferences.PartialOrder`
     over the bundle universe or an acyclic :class:`~mtra.preferences.CPNet`
-    over the type structure.
+    over the type structure.  A ``partial`` one, closed from its edges,
+    keeps its canonical sort as a CP-net's order does.
 
-    Its tables over the types are made once, at construction, or taken
-    from whoever made them already (:meth:`_made`):
-
-    - ``sizes``, the items per type, and ``m``, the number of bundles;
-    - ``bundles``, all bundles in canonical lexicographic order: type
-      order first, item declaration order within a type.  The order is
-      the global tie-break reference;
-    - ``bundle_names`` and ``bundle_by_name``, each bundle's item names
-      run together, and back;
-    - ``bundle_items``, per bundle the flat item ids it contains
-      (:meth:`item_id`);
-    - ``item_bundles``, per flat item id the bitmask of the bundles that
-      contain it.
+    The constructor is the one way to build one: it reads the tables
+    over the types off :func:`type_tables`, as plain attributes shared
+    by the instances over equal types, and checks each preference
+    against them.
     """
 
     types: tuple[TypeDef, ...]
@@ -103,48 +141,9 @@ class Instance:
     def __post_init__(self) -> None:
         if not self.preferences:
             raise MissingPreference("an instance needs at least one agent")
-        check_types(self.types, self.n)
-        if "m" not in vars(self):
-            vars(self).update(self._type_tables(self.types))
-        if len(self.bundle_by_name) != self.m:
-            name = next(b for x, b in enumerate(self.bundle_names) if self.bundle_by_name[b] != x)
-            raise DuplicateItemName(f"bundle name {name!r} names two bundles")
+        vars(self).update(type_tables(self.types, self.n))
         for j, pref in enumerate(self.preferences):
             self._check_preference(j, pref)
-
-    @staticmethod
-    def _type_tables(types: Sequence[TypeDef]) -> dict[str, object]:
-        """The :data:`_TABLES` of an instance over ``types``, which have
-        passed :func:`check_types`."""
-        sizes = tuple(len(t.items) for t in types)
-        starts = itertools.accumulate(sizes[:-1], initial=0)
-        bundle_items = tuple(itertools.product(*(range(o, o + s) for o, s in zip(starts, sizes))))
-        item_bundles = [0] * sum(sizes)
-        for x, items in enumerate(bundle_items):
-            for o in items:
-                item_bundles[o] |= 1 << x
-        bundle_names = tuple(map("".join, itertools.product(*(t.items for t in types))))
-        return {
-            "sizes": sizes,
-            "m": len(bundle_items),
-            "bundles": tuple(itertools.product(*map(range, sizes))),
-            "bundle_names": bundle_names,
-            "bundle_by_name": {name: x for x, name in enumerate(bundle_names)},
-            "bundle_items": bundle_items,
-            "item_bundles": tuple(item_bundles),
-        }
-
-    @classmethod
-    def _made(cls, types: tuple[TypeDef, ...], preferences: tuple[Preference, ...], tables: dict) -> "Instance":
-        """``Instance(types, preferences)`` on ``tables``, the
-        :meth:`_type_tables` of ``types`` made already; every check of
-        the constructor still runs."""
-        instance = cls.__new__(cls)
-        object.__setattr__(instance, "types", types)
-        object.__setattr__(instance, "preferences", preferences)
-        vars(instance).update(tables)
-        instance.__post_init__()
-        return instance
 
     def _check_preference(self, j: int, pref: Preference) -> None:
         if not 0 <= j < self.n:
@@ -169,11 +168,6 @@ class Instance:
     @property
     def p(self) -> int:
         return len(self.types)
-
-    @cached_property
-    def item_names(self) -> tuple[str, ...]:
-        """Flat item ids: type-major, declaration order."""
-        return tuple(it for t in self.types for it in t.items)
 
     def item_id(self, type_index: int, item_index: int) -> int:
         return type_index * self.n + item_index
@@ -222,14 +216,14 @@ class Instance:
         The other agents keep their preference objects, so their orders,
         and the sorts made on them, are shared with this instance: a
         partial order is its own order, and a CP-net keeps its own
-        (:attr:`~mtra.preferences.CPNet.order`).  The copy shares this
-        instance's tables over the types too.
+        (:attr:`~mtra.preferences.CPNet.order`).  The copy reads the
+        same tables over the types (:func:`type_tables`) too.
         """
         if not 0 <= agent < self.n:
             raise DimensionMismatch(f"agent {agent} is not one of the {self.n} agents")
         new_prefs = list(self.preferences)
         new_prefs[agent] = preference
-        return Instance._made(self.types, tuple(new_prefs), {name: vars(self)[name] for name in _TABLES})
+        return Instance(self.types, tuple(new_prefs))
 
 
 # -- assignments ---------------------------------------------------------

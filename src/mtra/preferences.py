@@ -103,8 +103,8 @@ class PartialOrder:
     closed, without computing a closure.  Anti-symmetry follows: if x and
     y were each above the other, closedness would put x above itself.
     An order closed from generators (:meth:`from_pairs`,
-    :func:`induce_order`) is checked against them instead
-    (:meth:`_generated`).
+    :func:`induce_order`) is checked against them instead, and keeps the
+    sort it was closed along (:meth:`_generated`).
     """
 
     m: int
@@ -135,29 +135,37 @@ class PartialOrder:
         """Build the order generated by ``better > worse`` pairs.
 
         The pairs are transitively closed; a cyclic pair set is rejected.
+        The order keeps its sort under the identity tie-break.
         """
         above = [0] * m
         for better, worse in pairs:
             if not (0 <= better < m and 0 <= worse < m):
                 raise InconsistentOrder(f"edge ({better},{worse}) outside universe")
             above[worse] |= 1 << better
-        extension = _linear_extension(above, m, range(m))
+        identity = tuple(range(m))
+        extension = _linear_extension(above, m, identity)
         if len(extension) < m:
             raise InconsistentOrder("edge list induces a cycle")
-        return cls._generated(above, extension)
+        return cls._generated(above, extension, identity)
 
     @classmethod
-    def _generated(cls, generators: Sequence[int], extension: Sequence[int]) -> "PartialOrder":
+    def _generated(cls, generators: Sequence[int], extension: tuple[int, ...], tiebreak: tuple) -> "PartialOrder":
         """The closure of ``generators``, a relation over ``m`` bundles,
-        along ``extension``, a linear extension of it (:func:`_close`),
-        checked against the generators in place of the construction
-        check: no bundle is above itself, and each closed row is its
-        generators' row OR'd with their closed rows.  That is a proof:
-        the closed relation contains the generators' closure, so the
-        generators are acyclic, and then the two relations agree by
-        induction along any linear extension.  It costs one OR per
-        generator pair, where the construction check makes an m-bit
-        AND-NOT per row it visits.  ``SoundnessError`` otherwise."""
+        along ``extension``, their :func:`_linear_extension` under
+        ``tiebreak`` (:func:`_close`), checked against the generators in
+        place of the construction check: no bundle is above itself, and
+        each closed row is its generators' row OR'd with their closed
+        rows.  That is a proof: the closed relation contains the
+        generators' closure, so the generators are acyclic, and then the
+        two relations agree by induction along any linear extension.  It
+        costs one OR per generator pair, where the construction check
+        makes an m-bit AND-NOT per row it visits.  ``SoundnessError``
+        otherwise.
+
+        The order keeps ``extension`` as its sort under ``tiebreak``: the
+        bundles emitted are always an up-set of the closure, so one whose
+        generator-betters are emitted has nothing better left, and the
+        extension is the closed order's :func:`topological_sort`."""
         m = len(generators)
         closed = _close(generators, extension)
         if len(closed) != m:
@@ -176,6 +184,7 @@ class PartialOrder:
         order = cls.__new__(cls)
         object.__setattr__(order, "m", m)
         object.__setattr__(order, "above", tuple(closed))
+        order._sorts[tiebreak] = extension
         return order
 
     @classmethod
@@ -213,9 +222,9 @@ class PartialOrder:
 
     def sort(self, tiebreak: Sequence[int]) -> tuple[int, ...]:
         """:func:`topological_sort` of this order under ``tiebreak``, made
-        at most once per order and tie-break.  A CP-net's order comes with
-        its canonical sort (:func:`induce_order`), so that one is never
-        made here."""
+        at most once per order and tie-break.  An order closed from
+        generators keeps the canonical one it was closed along
+        (:meth:`_generated`), so that one is never made here."""
         key = tuple(tiebreak)
         out = self._sorts.get(key)
         if out is None:
@@ -437,12 +446,8 @@ def induce_order(cpnet: CPNet) -> PartialOrder:
     under the canonical tie-break must hold all m bundles, or
     ``SoundnessError``; the other flips follow by transitivity, closed
     along it and checked against the adjacent flips
-    (:meth:`PartialOrder._generated`), at most p ORs per bundle.
-
-    The extension is stored as the order's canonical sort.  It is the
-    closed order's :func:`topological_sort`: the bundles emitted are
-    always an up-set of the closure, so a bundle whose flip-betters are
-    all emitted has nothing better left.  The cache is keyed by the
+    (:meth:`PartialOrder._generated`), at most p ORs per bundle, and it
+    is kept as the order's canonical sort.  The cache is keyed by the
     net's value, so equal nets share one order and its sorts.
     """
     _, strides, offsets, canonical = _net_shape(cpnet.sizes, cpnet.parents)
@@ -464,9 +469,7 @@ def induce_order(cpnet: CPNet) -> PartialOrder:
     extension = _linear_extension(above, m, canonical)
     if len(extension) < m:
         raise SoundnessError("an acyclic CP-net induces an acyclic order")
-    order = PartialOrder._generated(above, extension)
-    order._sorts[canonical] = extension
-    return order
+    return PartialOrder._generated(above, extension, canonical)
 
 
 def as_order(preference: PartialOrder | CPNet) -> PartialOrder:

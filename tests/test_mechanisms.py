@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from mtra import fixtures, manipulation, spaces
+from mtra import io as mio
 from mtra import mechanisms as mechanisms_module
 from mtra import preferences as prefs
 from mtra.errors import (
@@ -184,7 +185,7 @@ def test_mps_trace_consumes_in_item_order_on_independent_profiles():
                 rank = {item: i for i, item in enumerate(type_order)}
                 consumed: list[int] = []
                 for r in trace.rounds:
-                    item = inst.bundles[r.eaten[j]][t]
+                    item = inst.bundle_items[r.eaten[j]][t] - inst.item_id(t, 0)
                     if not consumed or consumed[-1] != item:
                         if consumed:
                             # previous item must be exhausted by now
@@ -508,6 +509,27 @@ def test_mgd_decompose_matches_rotation_reference():
         assert lottery.expectation(inst) == mgd(inst, tiebreak)
         lcms.add(math.lcm(*(p.denominator for p, _ in lottery.entries)))
     assert 6 in lcms and 2 in lcms, lcms
+
+
+def test_mechanisms_on_a_partial_profile_sort_nothing_under_the_default_tiebreak(monkeypatch):
+    # a `partial` preference is closed along its canonical sort and keeps
+    # it, so the mechanisms read that sort and make none
+    calls = []
+    real = prefs.topological_sort
+
+    def counted(order, tiebreak):
+        calls.append(tiebreak)
+        return real(order, tiebreak)
+
+    monkeypatch.setattr(prefs, "topological_sort", counted)
+    rng = random.Random(59)
+    for n, p in ((2, 1), (3, 2), (4, 2), (2, 3)):
+        # read back from a document, so every order is a fresh `partial` one
+        inst, _ = mio.parse_instance(mio.serialize_instance(spaces.random_profile(rng, n, p, "general")))
+        mps(inst)
+        mgd(inst)
+        mrp(inst, MrpExact())
+    assert calls == []
 
 
 def test_mgd_and_its_lottery_run_one_serial_dictatorship(monkeypatch):

@@ -9,18 +9,22 @@ from mtra import preferences as prefs
 from mtra.errors import (
     DimensionMismatch,
     DuplicateItemName,
+    InstanceTooLargeToDecide,
     MissingPreference,
     ParseError,
     TypeSizeMismatch,
 )
 from mtra.model import (
+    BUNDLE_PAIR_LIMIT,
     DiscreteAssignment,
     FractionalAssignment,
     Instance,
     Lottery,
+    TypeDef,
     all_discrete_assignments,
     from_discrete,
     parse_fraction,
+    type_tables,
     validate_assignment,
 )
 from mtra.axioms import check_ex_post_efficiency, check_strategyproofness
@@ -161,7 +165,8 @@ def test_missing_preference():
 
 def test_enumerate_bundles_orders(mixed_pair):
     assert [mixed_pair.bundle_names[i] for i in range(4)] == ["1F1B", "1F2B", "2F1B", "2F2B"]
-    assert mixed_pair.bundles == ((0, 0), (0, 1), (1, 0), (1, 1))
+    # flat item ids: 1F, 2F are 0, 1 and 1B, 2B are 2, 3
+    assert mixed_pair.bundle_items == ((0, 2), (0, 3), (1, 2), (1, 3))
     three = build_instance(
         {
             "agents": 3,
@@ -341,7 +346,7 @@ def test_with_preference_replaces_one_agent(mixed_pair):
     assert mixed_pair.preferences[0] != mixed_pair.preferences[1]
 
 
-STRUCTURE = ("sizes", "m", "item_names", "bundles", "bundle_items", "item_bundles", "bundle_names", "bundle_by_name")
+STRUCTURE = ("sizes", "m", "item_names", "bundle_items", "item_bundles", "bundle_names", "bundle_by_name")
 
 
 def test_item_bundles_lists_the_bundles_of_each_item():
@@ -411,6 +416,60 @@ def test_with_preference_shares_the_other_agents_orders():
             for k in range(src.n):
                 if k != j:
                     assert derived.orders[k] is src.orders[k]
+
+
+def test_instances_over_equal_types_share_one_set_of_tables():
+    rng = random.Random(61)
+    for kind in ("general", "cpnet"):
+        a = spaces.random_profile(rng, 3, 2, kind)
+        b = spaces.random_profile(rng, 3, 2, kind)
+        # equal type lists, built apart
+        types = tuple(TypeDef(t.name, tuple(t.items)) for t in a.types)
+        assert types == a.types and types[0] is not a.types[0]
+        c = Instance(types, b.preferences)
+        for name in STRUCTURE:
+            assert getattr(c, name) is getattr(a, name), name
+        assert type_tables(types, 3) is type_tables(a.types, 3)
+
+
+def _refusals():
+    collision = (TypeDef("F", ("a", "ab")), TypeDef("B", ("bc", "c")))  # "a"+"bc" == "ab"+"c"
+    three = (TypeDef("F", ("1F", "2F", "3F")),)
+    n = 32  # 32**3 bundles make more pairs than BUNDLE_PAIR_LIMIT
+    big = tuple(TypeDef(f"T{t}", tuple(f"{i}T{t}" for i in range(n))) for t in range(3))
+    assert (n**3) ** 2 > BUNDLE_PAIR_LIMIT
+    return [
+        (collision, 2, DuplicateItemName, "bundle name 'abc' names two bundles"),
+        (three, 2, TypeSizeMismatch, "type 'F' has 3 items for 2 agents"),
+        (big, n, InstanceTooLargeToDecide, "32768 bundles make"),
+    ]
+
+
+@pytest.mark.parametrize("types, n, error, message", _refusals(), ids=["collision", "item-count", "pair-limit"])
+def test_refused_types_are_refused_again_alike(types, n, error, message):
+    seen = set()
+    for _ in range(3):
+        for build in (lambda: Instance(types, (prefs.PartialOrder.empty(1),) * n), lambda: type_tables(types, n)):
+            with pytest.raises(error, match=message) as info:
+                build()
+            seen.add((type(info.value), str(info.value)))
+    assert len(seen) == 1
+
+
+def test_every_types_value_is_accepted(mixed_pair):
+    # a list of types, and items given as a list, read the tables of the
+    # equal tuple of types
+    ref = Instance(mixed_pair.types, mixed_pair.preferences)
+    listed = [TypeDef(t.name, list(t.items)) for t in mixed_pair.types]
+    for types in (list(mixed_pair.types), listed, tuple(listed)):
+        inst = Instance(types, mixed_pair.preferences)
+        for name in STRUCTURE:
+            assert getattr(inst, name) is getattr(ref, name), name
+            assert getattr(inst, name) == getattr(mixed_pair, name), name
+        swapped = inst.with_preference(0, mixed_pair.preferences[1])
+        assert swapped.types is types and swapped.bundle_items is ref.bundle_items
+        assert mps(inst)[0] == mps(mixed_pair)[0]
+
 
 def test_sorts_are_made_once_per_order_and_tiebreak(monkeypatch):
     calls = []

@@ -51,3 +51,28 @@ def test_traced_functions_resolve():
     assert entries
     for module, attr, _ in entries:
         assert hasattr(importlib.import_module(module), attr), f"tracing.FUNCTIONS names {module}.{attr}"
+
+
+def test_traced_methods_are_defined_on_their_own_classes():
+    # `Tracer.install` wraps `vars(cls)[attr]` and skips a class whose own
+    # namespace lacks the method, so a method moved to a base class or a
+    # helper would drop its traced layer without an error
+    replaced = {
+        node.args[1].value
+        for node in ast.walk(_parsed(PERFBENCH / "tracing.py"))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_replace"
+        and len(node.args) == 3
+        and isinstance(node.args[1], ast.Constant)
+    }
+    assert replaced == {"with_preference", "for_agent", "candidates"}
+    model = importlib.import_module("mtra.model")
+    spaces = importlib.import_module("mtra.spaces")
+    assert "with_preference" in vars(model.Instance)
+    owners = [(spaces.MisreportSpace, "for_agent"), (spaces.TransformSource, "candidates")]
+    for base, attr in owners:
+        classes = [cls for cls in vars(spaces).values() if isinstance(cls, type) and issubclass(cls, base)]
+        assert len(classes) > 2, base
+        for cls in classes:
+            assert attr in vars(cls), f"{cls.__name__}.{attr} is not defined on the class itself"

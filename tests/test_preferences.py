@@ -651,6 +651,18 @@ def test_topological_sort_matches_scan_reference():
     assert checked == 8 * 8 * 3 + 5 * 3 * 3
 
 
+def test_from_pairs_keeps_the_extension_it_closed_along_as_its_identity_sort():
+    checked = 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        for m in (1, 2, 5, 9, 27, 64, 125):
+            order = spaces.random_partial_order(rng, m)
+            identity = tuple(range(m))
+            assert order._sorts[identity] == prefs._linear_extension(order.above, m, identity)
+            checked += 1
+    assert checked == 4 * 7
+
+
 def test_topological_sort_rejects_bad_tiebreak():
     with pytest.raises(InconsistentOrder):
         prefs.topological_sort(prefs.PartialOrder.empty(3), [0, 0, 1])
