@@ -208,7 +208,9 @@ def _parse_parent_key(
     order (``""`` when there are none).  Every way of splitting the key
     into such names is tried, so an item name that prefixes another
     cannot hide the right reading; a key with no reading, or with two,
-    is refused, and so is a key that is not a string."""
+    is refused, and so is a key that is not a string.  A state (key left,
+    items read) reached again has been read out already and is skipped,
+    so the cost is bounded by the states, not the orders reaching them."""
     if not isinstance(key, str):
         raise ParseError(f"cannot resolve CPT key {key!r}")
     if not parent_list:
@@ -218,9 +220,15 @@ def _parse_parent_key(
     names = [(name, ti, ii) for name, (ti, ii) in item_index.items() if ti in parent_list]
     readings: dict[tuple[int, ...], str] = {}
     short = False  # some split uses up the key but misses a parent type
+    seen: set[frozenset[str]] = set()  # the names read fix the key left and the items
 
     def split(rest: str, found: dict[int, int], used: tuple[str, ...]) -> None:
         nonlocal short
+        if len(used) > 1:  # none or one name read is reached one way only
+            state = frozenset(used)
+            if state in seen:
+                return
+            seen.add(state)
         if not rest:
             if len(found) == len(parent_list):
                 readings.setdefault(tuple(found[t] for t in sorted(parent_list)), "+".join(used))

@@ -86,25 +86,17 @@ def _close(above: Sequence[int], extension: Sequence[int]) -> list[int]:
     return closed
 
 
-def _closure(above: list[int], m: int) -> list[int] | None:
-    """Transitive closure of the relation, or None if it has a cycle:
-    :func:`_close` along :func:`_linear_extension` under the identity
-    tie-break, which comes up short exactly on a cycle."""
-    extension = _linear_extension(above, m, range(m))
-    return _close(above, extension) if len(extension) == m else None
-
-
 @dataclass(frozen=True)
 class PartialOrder:
     """A strict partial order over ``m`` bundles.
 
     ``above[x]`` is the bitmask of bundles strictly preferred to ``x``.
-    Construction checks that the relation is irreflexive and transitively
-    closed, without computing a closure.  Anti-symmetry follows: if x and
-    y were each above the other, closedness would put x above itself.
-    An order closed from generators (:meth:`from_pairs`,
-    :func:`induce_order`) is checked against them instead, and keeps the
-    sort it was closed along (:meth:`_generated`).
+    An order handed in whole, or by :meth:`without_bundles`, is checked
+    to be irreflexive and transitively closed, without computing a
+    closure; anti-symmetry follows, as x above y above x would put x
+    above itself.  Every order the package closes is closed along a
+    :func:`_linear_extension` instead, checked against its generators,
+    and keeps that extension as its sort (:meth:`_generated`).
     """
 
     m: int
@@ -165,7 +157,9 @@ class PartialOrder:
         The order keeps ``extension`` as its sort under ``tiebreak``: the
         bundles emitted are always an up-set of the closure, so one whose
         generator-betters are emitted has nothing better left, and the
-        extension is the closed order's :func:`topological_sort`."""
+        extension is the closed order's :func:`topological_sort`.  Orders
+        are closed only here: by :meth:`from_pairs` (so :meth:`from_chain`
+        and :meth:`empty`) and :func:`induce_order`."""
         m = len(generators)
         closed = _close(generators, extension)
         if len(closed) != m:
@@ -189,18 +183,14 @@ class PartialOrder:
 
     @classmethod
     def empty(cls, m: int) -> "PartialOrder":
-        return cls(m, (0,) * m)
+        """No bundle above another: :meth:`from_pairs` of no pairs."""
+        return cls.from_pairs(m, ())
 
     @classmethod
     def from_chain(cls, chain: Sequence[int]) -> "PartialOrder":
-        """Linear order: ``chain[0]`` is the best bundle."""
-        m = len(chain)
-        above = [0] * m
-        mask = 0
-        for x in chain:
-            above[x] = mask
-            mask |= 1 << x
-        return cls(m, tuple(above))
+        """Linear order: ``chain[0]`` is the best bundle; :meth:`from_pairs`
+        of its consecutive pairs, so a non-permutation is refused."""
+        return cls.from_pairs(len(chain), zip(chain, chain[1:]))
 
     # -- queries ---------------------------------------------------------
 
@@ -340,9 +330,9 @@ def dependency_order(parents: Sequence[Sequence[int]]) -> tuple[int, ...] | None
     ``parents[i]``, or None if the graph is cyclic or names a node outside
     it.
 
-    Acyclicity is :func:`_closure`'s, over rows that are the parent
-    bitmasks; the nodes then come by ancestor count, ties by index.  An
-    ancestor of a node has fewer ancestors than the node."""
+    It is the :func:`_linear_extension` of the rows that are the parent
+    bitmasks under the identity tie-break, which comes up short exactly
+    on a cycle; no closure is built."""
     p = len(parents)
     rows = [0] * p
     for i, ps in enumerate(parents):
@@ -350,10 +340,8 @@ def dependency_order(parents: Sequence[Sequence[int]]) -> tuple[int, ...] | None
             if not 0 <= q < p:
                 return None
             rows[i] |= 1 << q
-    closed = _closure(rows, p)
-    if closed is None:
-        return None
-    return tuple(sorted(range(p), key=lambda i: closed[i].bit_count()))
+    order = _linear_extension(rows, p, range(p))
+    return order if len(order) == p else None
 
 
 @dataclass(frozen=True)

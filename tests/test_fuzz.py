@@ -1,7 +1,8 @@
 """Fuzz the document parsers and the command line.
 
 Each document is a valid one with a few values replaced, deleted or
-repeated, and argv is drawn from the CLI's own words.  Whatever comes in,
+repeated, each file argument is also given raw or broken bytes, and
+argv is drawn from the CLI's own words.  Whatever comes in,
 the CLI exits 0, 1, 2 or 3 and prints no traceback; the library parsers
 return or raise an MtraError.  The runs are derandomized, so every run
 sees the same examples.
@@ -137,6 +138,7 @@ def files(tmp_path_factory):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(text)
     paths["case"] = root / "case.json"
+    paths["raw"] = root / "raw.json"
     paths["missing"] = root / "missing.json"
     return {name: str(path) for name, path in paths.items()}
 
@@ -209,6 +211,55 @@ def test_fuzz_parse_lottery(text):
 @given(text=mutants(TIEBREAKS))
 def test_fuzz_parse_tiebreak(files, text):
     _exit_code(["run", files["mixed_pair"], "--mechanism", "mps", "--tiebreak", _case(files, text)])
+
+
+# valid files as bytes, each to be broken at the byte level
+VALID_BYTES = [
+    io.serialize_instance(MIXED_PAIR).encode(),
+    io.serialize_assignment(MIXED_PAIR, fixtures.assignment_1()).encode(),
+    json.dumps(TIEBREAKS[0]).encode(),
+]
+BOMS = [b"\xef\xbb\xbf", b"\xff\xfe", b"\xfe\xff"]
+# a stray continuation byte, a cut-off sequence, an encoded surrogate, a byte never in UTF-8
+BAD_UTF8 = [b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff"]
+
+
+@st.composite
+def raw_files(draw):
+    """Arbitrary bytes, or a valid file with a byte order mark before it,
+    invalid UTF-8 inside it, or its end cut off."""
+    how = draw(st.sampled_from(["binary", "bom", "invalid", "truncated"]))
+    if how == "binary":
+        return draw(st.binary(max_size=40))
+    base = draw(st.sampled_from(VALID_BYTES))
+    if how == "bom":
+        return draw(st.sampled_from(BOMS)) + base
+    at = draw(st.integers(0, len(base)))
+    if how == "invalid":
+        return base[:at] + draw(st.sampled_from(BAD_UTF8)) + base[at:]
+    return base[:at]
+
+
+# every file argument of the commands that read files, {raw} in its place
+FILE_SLOTS = [
+    ["run", "{raw}", "--mechanism", "mps"],
+    ["run", "{mixed_pair}", "--mechanism", "mgd", "--tiebreak", "{raw}"],
+    ["check", "{raw}", "{a1}", "--property", "sd-efficiency,decomposability"],
+    ["check", "{mixed_pair}", "{raw}", "--property", "sd-efficiency,decomposability"],
+    ["compare", "{raw}", "{a1}", "{a1}"],
+    ["compare", "{mixed_pair}", "{raw}", "{a1}"],
+    ["compare", "{mixed_pair}", "{a1}", "{raw}"],
+    ["decompose", "{raw}"],
+    ["decompose", "{mixed_pair}", "--tiebreak", "{raw}"],
+]
+
+
+@settings(FUZZ, max_examples=1000)
+@given(data=raw_files(), argv=st.sampled_from(FILE_SLOTS))
+def test_fuzz_file_bytes(files, data, argv):
+    with open(files["raw"], "wb") as fh:
+        fh.write(data)
+    _exit_code([word.format(**files) for word in argv])
 
 
 COMMANDS = ["run", "check", "compare", "decompose", "replay-paper", "--help", "x"]

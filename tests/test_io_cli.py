@@ -423,6 +423,28 @@ def test_cli_parse_error_exit2(workdir, capsys):
     assert main(["check", str(workdir / "mixed_pair.json"), str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "{bad}", "--mechanism", "mps"],
+        ["check", "{inst}", "{bad}", "--property", "sd-efficiency"],
+        ["compare", "{inst}", "{a1}", "{bad}"],
+        ["run", "{inst}", "--mechanism", "mps", "--tiebreak", "{bad}"],
+        ["decompose", "{inst}", "--tiebreak", "{bad}"],
+    ],
+    ids=["instance", "assignment", "compare-second", "run-tiebreak", "decompose-tiebreak"],
+)
+def test_cli_file_that_is_not_utf8_exit2(workdir, capsys, argv):
+    # a UTF-16 byte order mark before a valid document
+    bad = workdir / "bad.json"
+    bad.write_bytes(b"\xff\xfe" + (workdir / "tbA.json").read_bytes())
+    paths = {"bad": str(bad), "inst": str(workdir / "mixed_pair.json"), "a1": str(workdir / "a1.json")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"input error: cannot read {bad}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 BLANK = [{"kind": "partial", "edges": []}] * 2
 # a + bc and ab + c are both named "abc"
 ABC = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "bc"]}]
@@ -716,6 +738,91 @@ def test_cli_cpt_keys_with_prefixed_item_names(tmp_path, capsys):
     assert run(types, {"ac": ["x", "y"], "abc": ["y", "x"], "abbc": ["y", "x"]}) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "a+bc or ab+c" in err
+
+
+def exhaustive_parent_key(key, parent_list, item_index):
+    """The former CPT key reader, which explores a state once per order of
+    reaching it: the reference for `io._parse_parent_key`.  The reading,
+    or the message of the `ParseError` it raises."""
+    if not isinstance(key, str):
+        return f"cannot resolve CPT key {key!r}"
+    if not parent_list:
+        return f"parentless CPT row must use key '' (got {key!r})" if key else ()
+    names = [(name, ti, ii) for name, (ti, ii) in item_index.items() if ti in parent_list]
+    readings = {}
+    short = False
+
+    def split(rest, found, used):
+        nonlocal short
+        if not rest:
+            if len(found) == len(parent_list):
+                readings.setdefault(tuple(found[t] for t in sorted(parent_list)), "+".join(used))
+            else:
+                short = True
+            return
+        for name, ti, ii in names:
+            if ti not in found and rest.startswith(name):
+                split(rest[len(name):], {**found, ti: ii}, (*used, name))
+
+    split(key, {}, ())
+    if len(readings) > 1:
+        return f"CPT key {key!r} is ambiguous: {' or '.join(readings.values())}"
+    if not readings:
+        return f"CPT key {key!r} does not cover the parent types" if short else f"cannot resolve CPT key {key!r}"
+    return next(iter(readings))
+
+
+def _parent_key(key, parent_list, item_index):
+    try:
+        return io._parse_parent_key(key, parent_list, item_index)
+    except ParseError as exc:
+        return str(exc)
+
+
+KEY_REFUSALS = ("is ambiguous", "does not cover", "cannot resolve", "parentless")
+
+
+def test_cpt_key_reading_matches_the_exhaustive_split():
+    rng = random.Random(43)
+    outcomes = set()
+    for _ in range(1500):
+        p = rng.randint(1, 5)
+        item_index = {}
+        for t in range(p):
+            for i in range(rng.randint(1, 3)):
+                name = "".join(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+                item_index.setdefault(name, (t, i))
+        parent_list = tuple(sorted(rng.sample(range(p), rng.randint(0, p))))
+        spelled = [rng.choice([n for n, (t, _) in item_index.items() if t == q] or ["c"]) for q in parent_list]
+        rng.shuffle(spelled)
+        key = rng.choice([
+            "".join(spelled),
+            "".join(spelled[1:]),
+            "".join(spelled) + rng.choice("ab"),
+            "".join(rng.choice("ab") for _ in range(rng.randint(0, 8))),
+        ])
+        want = exhaustive_parent_key(key, parent_list, item_index)
+        assert _parent_key(key, parent_list, item_index) == want, (key, parent_list, item_index)
+        outcomes.add(next((word for word in KEY_REFUSALS if word in want), None) if isinstance(want, str) else "read")
+    assert outcomes == {"read", *KEY_REFUSALS}
+    # names that prefix one another, one per parent type: every order of
+    # reading them reaches the same states
+    item_index = {"a" * (t + 1): (t, 0) for t in range(7)}
+    for length in range(30):
+        key = "a" * length
+        assert _parent_key(key, tuple(range(7)), item_index) == exhaustive_parent_key(key, tuple(range(7)), item_index)
+
+
+def test_cpt_key_of_twelve_parents_is_read_quickly():
+    # the exhaustive split would explore each state once per order of
+    # reaching it, about 12! times for the full key
+    item_index = {"a" * (t + 1): (t, 0) for t in range(12)}
+    parents = tuple(range(12))
+    start = time.perf_counter()
+    assert io._parse_parent_key("a" * 78, parents, item_index) == (0,) * 12
+    with pytest.raises(ParseError, match="does not cover the parent types"):
+        io._parse_parent_key("a" * 77, parents, item_index)
+    assert time.perf_counter() - start < 1
 
 
 def _types(*names):

@@ -82,14 +82,14 @@ def _kahn_dependency_order(parents):
 
 
 def test_dependency_order_matches_the_ready_set_loop():
-    # every graph on up to four nodes: the same acyclicity verdict, and
-    # an order with each node after its parents
+    # every graph on up to four nodes: the same acyclicity verdict and
+    # the same order, each node after its parents
     for p in range(5):
         edges = [(a, b) for a in range(p) for b in range(p)]
         for mask in range(1 << len(edges)):
             parents = [[a for k, (a, b) in enumerate(edges) if mask >> k & 1 and b == t] for t in range(p)]
             order = prefs.dependency_order(parents)
-            assert (order is None) == (_kahn_dependency_order(parents) is None)
+            assert order == _kahn_dependency_order(parents)
             if order is not None:
                 assert sorted(order) == list(range(p))
                 assert all(order.index(q) < order.index(t) for t in range(p) for q in parents[t])
@@ -250,15 +250,14 @@ def test_closure_matches_loop_reference():
                 worse = rng.choice([x for x in range(m) if rel[x]])
                 better = rng.choice(list(prefs._bits(loop_closure(rel, m)[worse])))
                 rel[better] |= 1 << worse
-        before = list(rel)
         want = loop_closure(rel, m)
-        got = prefs._closure(rel, m)
-        assert rel == before
+        pairs = [(better, worse) for worse in range(m) for better in prefs._bits(rel[worse])]
         if any(want[x] >> x & 1 for x in range(m)):
-            assert got is None
+            with pytest.raises(InconsistentOrder):
+                prefs.PartialOrder.from_pairs(m, pairs)
             cyclic_seen += 1
         else:
-            assert got == want
+            assert list(prefs.PartialOrder.from_pairs(m, pairs).above) == want
     assert 100 < cyclic_seen < len(cases) - 100
 
 
@@ -270,8 +269,9 @@ def test_construction_check_matches_former_check():
     for _ in range(600):
         m = rng.randint(1, 9)
         rel = random_relation(rng, m, rng.random() < 0.3)
-        if rng.random() < 0.5 and prefs._closure(rel, m) is not None:
-            rel = prefs._closure(rel, m)
+        closed = loop_closure(rel, m)
+        if rng.random() < 0.5 and not any(closed[x] >> x & 1 for x in range(m)):
+            rel = closed
             if rng.random() < 0.5:  # drop one implied pair
                 x = rng.randrange(m)
                 if rel[x]:
@@ -659,8 +659,17 @@ def test_from_pairs_keeps_the_extension_it_closed_along_as_its_identity_sort():
             order = spaces.random_partial_order(rng, m)
             identity = tuple(range(m))
             assert order._sorts[identity] == prefs._linear_extension(order.above, m, identity)
+            # a chain and the empty order are built by `from_pairs` too
+            chain = tuple(rng.sample(range(m), m))
+            linear = prefs.PartialOrder.from_chain(chain)
+            assert linear._sorts[identity] == chain
+            assert all(linear.above[x] == sum(1 << y for y in chain[:k]) for k, x in enumerate(chain))
+            assert prefs.PartialOrder.empty(m)._sorts[identity] == identity
             checked += 1
     assert checked == 4 * 7
+    for chain in ([0, 0], [0, 2], [1, 0, 1]):
+        with pytest.raises(InconsistentOrder):
+            prefs.PartialOrder.from_chain(chain)
 
 
 def test_topological_sort_rejects_bad_tiebreak():

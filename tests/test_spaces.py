@@ -4,10 +4,10 @@ import random
 import pytest
 
 from conftest import independent_net
-from mtra import spaces
+from mtra import io, spaces
 from mtra import preferences as prefs
-from mtra.axioms import check_upper_invariance
-from mtra.errors import GuardViolation, MisreportSpaceTooLarge, MtraError
+from mtra.axioms import check_strategyproofness, check_upper_invariance
+from mtra.errors import GuardViolation, InconsistentOrder, MisreportSpaceTooLarge, MtraError
 from mtra.mechanisms import reruns
 
 
@@ -20,8 +20,8 @@ def test_linear_order_counts():
 
 def all_partial_orders(m):
     """Every labeled strict partial order on m bundles: the relations over
-    distinct pairs that `_closure` leaves as they are.  The closure of a
-    cyclic relation is None, so it never counts."""
+    distinct pairs that `PartialOrder`'s construction check accepts,
+    those that are transitively closed.  A cyclic one never is."""
     pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
     out = []
     for mask in range(1 << len(pairs)):
@@ -29,8 +29,10 @@ def all_partial_orders(m):
         for i, (better, worse) in enumerate(pairs):
             if mask >> i & 1:
                 rel[worse] |= 1 << better
-        if prefs._closure(rel, m) == rel:
+        try:
             out.append(prefs.PartialOrder(m, tuple(rel)))
+        except InconsistentOrder:
+            pass
     return out
 
 
@@ -190,6 +192,36 @@ def test_sampled_misreports_are_drawn_lazily(monkeypatch):
             rng.shuffle(perm)
             want.append(prefs.PartialOrder.from_chain(perm))
         assert tuple(space.for_agent(inst, agent)) == tuple(want)
+
+
+class FreshChains(spaces.MisreportSpace):
+    """Every linear order over the bundles, built anew for each agent."""
+
+    def for_agent(self, instance, agent):
+        return spaces.Family(prefs.PartialOrder.from_chain(perm) for perm in itertools.permutations(range(instance.m)))
+
+    def describe(self):
+        return "fresh linear orders"
+
+
+def test_chains_need_no_sort_under_the_default_tiebreak(monkeypatch):
+    # a chain is closed along its identity sort and keeps it, so judging
+    # chain misreports without a tie-break sorts nothing
+    calls = []
+    real = prefs.topological_sort
+
+    def counted(order, tiebreak):
+        calls.append(tiebreak)
+        return real(order, tiebreak)
+
+    monkeypatch.setattr(prefs, "topological_sort", counted)
+    rng = random.Random(61)
+    for n, p, space in ((2, 2, FreshChains()), (3, 2, spaces.SampledLinearOrderMisreports(30, seed=4))):
+        # read back from a document, so every truthful order is a fresh `partial` one
+        inst, _ = io.parse_instance(io.serialize_instance(spaces.random_profile(rng, n, p, "general")))
+        for mechanism in ("mps", "mgd", "mrp"):
+            check_strategyproofness(mechanism, inst, space, "sd", tiebreaks=[None])
+    assert calls == []
 
 
 def test_cpnet_misreports_are_built_once_per_graph():
