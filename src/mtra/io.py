@@ -10,7 +10,9 @@ them out.  An instance document is read into one :class:`Instance`,
 built by its constructor like any other; the tables over its types
 (:func:`~mtra.model.type_tables`) are made once and read by its
 preferences too.  A ``partial`` preference is closed from its edges and
-keeps its canonical sort, as a CP-net's order does.
+keeps its canonical sort, as a CP-net's order does.  Every CPT key of
+one document is split through one memo of (text left, parent types
+left) states, and the writer reads each key it writes back that way.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ def build_instance(spec: Mapping) -> Instance:
 class _Names:
     """What one instance document's preferences are read against, made
     once per document: the bundle count, the type sizes, the bundle,
-    type and item indexes, and the reading of each CPT key under each
-    parent list it is read under."""
+    type and item indexes, and ``splits``, the memo of
+    :func:`_split` that every CPT key of the document is read through."""
 
     def __init__(self, types: Sequence[TypeDef], tables: Mapping) -> None:
         self.m = tables["m"]
@@ -115,14 +117,7 @@ class _Names:
         self.bundle_by_name = tables["bundle_by_name"]
         self.type_index = {t.name: i for i, t in enumerate(types)}
         self.item_index = {it: (ti, ii) for ti, t in enumerate(types) for ii, it in enumerate(t.items)}
-        self.readings: dict[tuple[str, tuple[int, ...]], tuple[int, ...]] = {}
-
-    def parent_key(self, key: str, parent_list: tuple[int, ...]) -> tuple[int, ...]:
-        """:func:`_parse_parent_key`, once per key and parent list."""
-        reading = self.readings.get((key, parent_list))
-        if reading is None:
-            reading = self.readings[key, parent_list] = _parse_parent_key(key, parent_list, self.item_index)
-        return reading
+        self.splits: dict[tuple[str, int], tuple[tuple[tuple[tuple[int, ...], str], ...], bool]] = {}
 
 
 def _parse_preference(names: _Names, raw: Mapping) -> Preference:
@@ -194,59 +189,63 @@ def _parse_cpnet(names: _Names, raw: Mapping) -> prefs.CPNet:
                 _resolve_item(item_index, ti, it)
                 for it in _parse_list(ordered, f"CPT row {key!r} of type {tname!r}")
             )
-            table.append((names.parent_key(key, parents[ti]), order))
+            table.append((_parse_parent_key(names, key, parents[ti]), order))
         tables[ti] = tuple(sorted(table))
     return prefs.CPNet(names.sizes, parents, tuple(tables))
 
 
-def _parse_parent_key(
-    key: str,
-    parent_list: Sequence[int],
-    item_index: Mapping[str, tuple[int, int]],
-) -> tuple[int, ...]:
+def _parse_parent_key(names: _Names, key: str, parent_list: Sequence[int]) -> tuple[int, ...]:
     """A CPT row key: one item name per parent type, run together in any
     order (``""`` when there are none).  Every way of splitting the key
-    into such names is tried, so an item name that prefixes another
-    cannot hide the right reading; a key with no reading, or with two,
-    is refused, and so is a key that is not a string.  A state (key left,
-    items read) reached again has been read out already and is skipped,
-    so the cost is bounded by the states, not the orders reaching them."""
+    into such names counts, so an item name that prefixes another cannot
+    hide the right reading; a key with no reading, or with two, is
+    refused, and so is a key that is not a string.  The key is read as
+    the state (key, all its parent types) of :func:`_split`."""
     if not isinstance(key, str):
         raise ParseError(f"cannot resolve CPT key {key!r}")
     if not parent_list:
         if key:
             raise ParseError(f"parentless CPT row must use key '' (got {key!r})")
         return ()
-    names = [(name, ti, ii) for name, (ti, ii) in item_index.items() if ti in parent_list]
-    readings: dict[tuple[int, ...], str] = {}
-    short = False  # some split uses up the key but misses a parent type
-    seen: set[frozenset[str]] = set()  # the names read fix the key left and the items
-
-    def split(rest: str, found: dict[int, int], used: tuple[str, ...]) -> None:
-        nonlocal short
-        if len(used) > 1:  # none or one name read is reached one way only
-            state = frozenset(used)
-            if state in seen:
-                return
-            seen.add(state)
-        if not rest:
-            if len(found) == len(parent_list):
-                readings.setdefault(tuple(found[t] for t in sorted(parent_list)), "+".join(used))
-            else:
-                short = True
-            return
-        for name, ti, ii in names:
-            if ti not in found and rest.startswith(name):
-                split(rest[len(name):], {**found, ti: ii}, (*used, name))
-
-    split(key, {}, ())
+    readings, short = _split(names, key, sum(1 << t for t in parent_list))
     if len(readings) > 1:
-        raise ParseError(f"CPT key {key!r} is ambiguous: {' or '.join(readings.values())}")
+        raise ParseError(f"CPT key {key!r} is ambiguous: {' or '.join(spelling for _, spelling in readings)}")
     if not readings:
         if short:
             raise ParseError(f"CPT key {key!r} does not cover the parent types")
         raise ParseError(f"cannot resolve CPT key {key!r}")
-    return next(iter(readings))
+    return readings[0][0]
+
+
+def _split(names: _Names, rest: str, left: int) -> tuple[tuple[tuple[tuple[int, ...], str], ...], bool]:
+    """A CPT key's split in the state (``rest``, the text still to read;
+    ``left``, the bitmask of the parent types still unread): its first
+    two distinct readings as a depth-first split trying names in item
+    order meets them, each the items of ``left`` in type order with its
+    spelling, and whether some split uses ``rest`` up with a type left.
+    A state's first two readings are among the first two of the states it
+    steps to, so each state is read once per document (``names.splits``),
+    at most ``len(key) * 2**p`` of them per key."""
+    found = names.splits.get((rest, left))
+    if found is not None:
+        return found
+    if not rest:  # read up: a reading if no type is left, else a short split
+        found = ((((), ""),), False) if not left else ((), True)
+    else:
+        readings: list[tuple[tuple[int, ...], str]] = []
+        short = False
+        for name, (ti, ii) in names.item_index.items():
+            if left >> ti & 1 and rest.startswith(name):
+                subs, sub_short = _split(names, rest[len(name):], left & ~(1 << ti))
+                short = short or sub_short
+                at = (left & ((1 << ti) - 1)).bit_count()  # the types left before ti
+                for items, spelling in subs:
+                    items = (*items[:at], ii, *items[at:])
+                    if len(readings) < 2 and all(items != other for other, _ in readings):
+                        readings.append((items, f"{name}+{spelling}" if spelling else name))
+        found = (tuple(readings), short)
+    names.splits[rest, left] = found
+    return found
 
 
 def _resolve_item(
@@ -281,16 +280,21 @@ def _ranking(instance: Instance, agent_tb: object) -> list[int]:
     """One agent's tiebreak: a list naming every bundle exactly once."""
     by_name = instance.bundle_by_name
     ranked = [_resolve_bundle(by_name, name) for name in _parse_list(agent_tb, "a tiebreak entry")]
-    if sorted(ranked) != list(range(instance.m)):
-        raise ParseError("tiebreak must rank every bundle exactly once")
-    return ranked
+    try:
+        return list(instance.ranking(ranked))
+    except DimensionMismatch as exc:
+        raise ParseError(str(exc)) from None
 
 
 def serialize_instance(instance: Instance, tiebreak=None) -> str:
+    """The instance document :func:`parse_instance` reads back to
+    ``instance`` and ``tiebreak``, or ``DimensionMismatch`` for a
+    tie-break or a CPT key it would refuse."""
+    names = _Names(instance.types, type_tables(instance.types, instance.n))
     prefs_doc = []
     for pref in instance.preferences:
         if isinstance(pref, prefs.CPNet):
-            prefs_doc.append(_cpnet_doc(instance, pref))
+            prefs_doc.append(_cpnet_doc(instance, names, pref))
         else:
             prefs_doc.append(_partial_doc(instance, pref))
     doc = {
@@ -312,15 +316,7 @@ def _tiebreak_doc(instance: Instance, tiebreak) -> list[list[str]]:
         tiebreak = [tiebreak] * instance.n
     if len(tiebreak) != instance.n:
         raise DimensionMismatch("tiebreak must list one bundle order per agent")
-    every = list(range(instance.m))
-    for agent_tb in tiebreak:
-        try:
-            ranks_every = sorted(agent_tb) == every
-        except TypeError:  # not a sequence of bundle indices
-            ranks_every = False
-        if not ranks_every:
-            raise DimensionMismatch("tiebreak must rank every bundle exactly once")
-    return [[instance.bundle_names[x] for x in agent_tb] for agent_tb in tiebreak]
+    return [[instance.bundle_names[x] for x in instance.ranking(agent_tb)] for agent_tb in tiebreak]
 
 
 def _partial_doc(instance: Instance, order: prefs.PartialOrder) -> dict:
@@ -333,7 +329,7 @@ def _partial_doc(instance: Instance, order: prefs.PartialOrder) -> dict:
     }
 
 
-def _cpnet_doc(instance: Instance, net: prefs.CPNet) -> dict:
+def _cpnet_doc(instance: Instance, names: _Names, net: prefs.CPNet) -> dict:
     dependency = []
     for child, parents in enumerate(net.parents):
         for parent in parents:
@@ -345,6 +341,13 @@ def _cpnet_doc(instance: Instance, net: prefs.CPNet) -> dict:
             key_name = "".join(
                 instance.types[q].items[v] for q, v in zip(net.parents[i], key)
             )
+            # the names as written are one reading, so a key read at all reads as its row
+            try:
+                _parse_parent_key(names, key_name, net.parents[i])
+            except ParseError as exc:
+                raise DimensionMismatch(
+                    f"CPT of type {instance.types[i].name!r} would not read back: {exc}"
+                ) from None
             rows[key_name] = [instance.types[i].items[v] for v in order]
         cpt[instance.types[i].name] = rows
     return {"kind": "cpnet", "dependency": dependency, "cpt": cpt}

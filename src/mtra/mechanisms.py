@@ -53,17 +53,18 @@ def resolve_sorts(instance: Instance, tiebreak: Tiebreak = None) -> Sorts:
 
 def _sorts(instance: Instance, tiebreak: Tiebreak) -> tuple[Sorts, Sorts]:
     """The per-agent tie-breaks ``tiebreak`` stands for, and each agent's
-    order sorted under its own."""
+    order sorted under its own.  ``DimensionMismatch`` before any sort if
+    a tie-break is not a ranking of every bundle."""
     if tiebreak is None:
         breaks = [tuple(range(instance.m))] * instance.n
     elif len(tiebreak) == 0 or isinstance(tiebreak[0], int):
         if len(tiebreak) != instance.m:
             raise DimensionMismatch("tiebreak must rank every bundle")
-        breaks = [tuple(tiebreak)] * instance.n  # type: ignore[arg-type]
+        breaks = [instance.ranking(tiebreak)] * instance.n
     elif len(tiebreak) != instance.n:
         raise DimensionMismatch("per-agent tiebreak list must cover every agent")
     else:
-        breaks = [tuple(tb) for tb in tiebreak]  # type: ignore[union-attr]
+        breaks = [instance.ranking(tb) for tb in tiebreak]
     return tuple(breaks), tuple(order.sort(tb) for order, tb in zip(instance.orders, breaks))
 
 
@@ -131,7 +132,8 @@ def reruns(mechanism: str, instance: Instance, tiebreak: Tiebreak = None) -> Mps
         truth, tables = _turns(instance, sorts)
         return MrpTurns(instance, truth, tiebreak, breaks, sorts, math.factorial(instance.n), tables)
     if mechanism == "mgd":
-        return MgdReruns(instance, _share(instance, sorts), tiebreak, breaks, sorts)
+        truth, picks = _share(instance, sorts)
+        return MgdReruns(instance, truth, tiebreak, breaks, sorts, picks)
     root = _Node((1 << instance.m) - 1, (1,) * (instance.n * instance.p), 1, 0, ())
     leaf = _walk(instance, sorts, root, 0, sorts[0])
     return MpsReruns(instance, leaf.out, tiebreak, breaks, sorts, root, leaf)
@@ -550,7 +552,7 @@ def mgd(instance: Instance, tiebreak: Tiebreak = None) -> FractionalAssignment:
     bundle equally with everyone whose sort equals hers, then its items
     are removed.  The shares are numerators over the lcm of the group
     sizes."""
-    return _share(instance, resolve_sorts(instance, tiebreak))
+    return _share(instance, resolve_sorts(instance, tiebreak))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,7 +561,7 @@ class MgdReruns(_Reruns):
     again with one agent's sort swapped, once per distinct one-agent run.
 
     The agents pick in index order, so what agents 0..j-1 leave agent j,
-    ``available[j]``, comes from their truthful sorts alone, and the
+    ``available[j]``, comes from their truthful ``picks`` alone, and the
     picks after j's depend only on what is left.  The groups are the
     truthful ones with j moved to its mates: the other agents whose
     truthful sort is j's new one, found in :attr:`groups`.  So the
@@ -569,6 +571,7 @@ class MgdReruns(_Reruns):
     """
 
     mechanism: ClassVar[str] = "mgd"
+    picks: tuple[int, ...]
 
     @cached_property
     def available(self) -> tuple[int, ...]:
@@ -576,7 +579,7 @@ class MgdReruns(_Reruns):
         all of them less the conflicts of the earlier agents' picks."""
         conflicts = self.instance.conflicts
         left = [(1 << self.instance.m) - 1]
-        for x in serial_dictatorship(self.instance, self.sorts, range(self.instance.n)).bundles[:-1]:
+        for x in self.picks[:-1]:
             left.append(left[-1] & ~conflicts[x])
         return tuple(left)
 
@@ -591,23 +594,24 @@ class MgdReruns(_Reruns):
         return agent, prefs.ext(sort, self.available[agent]), mates
 
     def _run(self, agent: int, sort: Sequence[int]) -> FractionalAssignment:
-        return _share(self.instance, self._swapped(agent, sort))
+        return _share(self.instance, self._swapped(agent, sort))[0]
 
 
-def _share(instance: Instance, sorts: Sequence[Sequence[int]]) -> FractionalAssignment:
+def _share(instance: Instance, sorts: Sequence[Sequence[int]]) -> tuple[FractionalAssignment, tuple[int, ...]]:
     """The :func:`mgd` output when agent j picks by ``sorts[j]``: each
     agent's pick in the serial dictatorship in index order, shared
-    equally by its group."""
+    equally by its group; and those picks."""
     groups = _groups(sorts)
     den = math.lcm(*(len(g) for g in groups.values()))
     rows = [[0] * instance.m for _ in range(instance.n)]
-    for j, top in enumerate(serial_dictatorship(instance, sorts, range(instance.n)).bundles):
+    picks = serial_dictatorship(instance, sorts, range(instance.n)).bundles
+    for j, top in enumerate(picks):
         group = groups[tuple(sorts[j])]
         for member in group:
             if rows[member][top] != 0:
                 raise SoundnessError("a group never revisits a bundle")
             rows[member][top] = den // len(group)
-    return FractionalAssignment(tuple(map(tuple, rows)), den)
+    return FractionalAssignment(tuple(map(tuple, rows)), den), picks
 
 
 def mgd_decompose(instance: Instance, tiebreak: Tiebreak = None) -> Lottery:

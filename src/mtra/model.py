@@ -129,10 +129,10 @@ class Instance:
     over the type structure.  A ``partial`` one, closed from its edges,
     keeps its canonical sort as a CP-net's order does.
 
-    The constructor is the one way to build one: it reads the tables
-    over the types off :func:`type_tables`, as plain attributes shared
-    by the instances over equal types, and checks each preference
-    against them.
+    The constructor reads the tables over the types off
+    :func:`type_tables`, as plain attributes shared by the instances
+    over equal types, and checks each preference against them;
+    :meth:`with_preference` copies an instance with its tables.
     """
 
     types: tuple[TypeDef, ...]
@@ -216,14 +216,27 @@ class Instance:
         The other agents keep their preference objects, so their orders,
         and the sorts made on them, are shared with this instance: a
         partial order is its own order, and a CP-net keeps its own
-        (:attr:`~mtra.preferences.CPNet.order`).  The copy reads the
-        same tables over the types (:func:`type_tables`) too.
+        (:attr:`~mtra.preferences.CPNet.order`).  The copy takes this
+        instance's tables over the types and :attr:`conflicts` as they
+        are, and checks the one preference it replaces.
         """
-        if not 0 <= agent < self.n:
-            raise DimensionMismatch(f"agent {agent} is not one of the {self.n} agents")
+        self._check_preference(agent, preference)  # the copy's tables are this instance's
         new_prefs = list(self.preferences)
         new_prefs[agent] = preference
-        return Instance(self.types, tuple(new_prefs))
+        copy = object.__new__(Instance)
+        vars(copy).update(vars(self), preferences=tuple(new_prefs))
+        vars(copy).pop("orders", None)  # the one attribute made from the preferences
+        return copy
+
+    def ranking(self, tiebreak: object) -> tuple[int, ...]:
+        """``tiebreak`` as a tuple, if it ranks each bundle exactly once;
+        ``DimensionMismatch`` if not."""
+        try:
+            if sorted(ranked := tuple(tiebreak)) == list(range(self.m)):  # type: ignore[arg-type]
+                return ranked
+        except TypeError:  # not a sequence of bundle indices
+            pass
+        raise DimensionMismatch("tiebreak must rank every bundle exactly once")
 
 
 # -- assignments ---------------------------------------------------------

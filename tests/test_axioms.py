@@ -1739,6 +1739,12 @@ def test_transforms_of_no_pivot_are_refused(blank_vs_chain, mechanism, pivot):
         (lambda inst: resolve_sorts(inst, (0,)), DimensionMismatch, "tiebreak must rank every bundle"),
         (lambda inst: resolve_sorts(inst, [tuple(range(inst.m))]), DimensionMismatch,
          "per-agent tiebreak list must cover every agent"),
+        (lambda inst: resolve_sorts(inst, (0, 0, 1, 2)), DimensionMismatch,
+         "tiebreak must rank every bundle exactly once"),
+        (lambda inst: resolve_sorts(inst, (0, 1, 2, 7)), DimensionMismatch,
+         "tiebreak must rank every bundle exactly once"),
+        (lambda inst: resolve_sorts(inst, [tuple(range(inst.m)), None]), DimensionMismatch,
+         "tiebreak must rank every bundle exactly once"),
         (lambda inst: prefs.is_uit(inst.orders[0], prefs.PartialOrder.empty(inst.m + 1), 0, [0] * inst.m),
          UniverseMismatch, "orders range over different universes"),
         (lambda inst: prefs.is_uit(inst.orders[0], inst.orders[0], -1, [0] * inst.m),
@@ -1753,7 +1759,8 @@ def test_transforms_of_no_pivot_are_refused(blank_vs_chain, mechanism, pivot):
         (lambda inst: next(manipulations(reruns("mps", inst), 0, (), strength="bogus")), ValueError,
          "unknown strategyproofness strength 'bogus'"),
     ],
-    ids=["shared-tiebreak-length", "per-agent-tiebreak-count", "uit-universes", "uit-pivot-negative",
+    ids=["shared-tiebreak-length", "per-agent-tiebreak-count", "tiebreak-repeat", "tiebreak-outside",
+         "tiebreak-none-entry", "uit-universes", "uit-pivot-negative",
          "uit-pivot-past-m", "instance-preference-kind", "dependency-graphs-p4", "profile-kind",
          "manipulation-strength"],
 )

@@ -1,17 +1,27 @@
+import itertools
 import json
 import math
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from mtra import cli, fixtures, io, spaces
+from mtra import cli, fixtures, io, model, spaces
 from mtra import preferences as prefs
 from mtra.cli import main
 from mtra.errors import DimensionMismatch, DuplicateItemName, IncompleteCPT, ParseError, SoundnessError
 from mtra.mechanisms import mgd, mps
-from mtra.model import FractionalAssignment, Lottery, all_discrete_assignments, from_discrete, validate_assignment
+from mtra.model import (
+    FractionalAssignment,
+    Instance,
+    Lottery,
+    TypeDef,
+    all_discrete_assignments,
+    from_discrete,
+    validate_assignment,
+)
 
 
 def test_instance_round_trip_fixture(mixed_pair):
@@ -72,6 +82,59 @@ def test_serialize_instance_refuses_a_tiebreak_it_could_not_read_back(mixed_pair
     with pytest.raises(DimensionMismatch) as caught:
         io.serialize_instance(mixed_pair, tiebreak)
     assert str(caught.value) == message
+
+
+def _net_over(types, parents, rng):
+    """An instance of two agents reporting one CP-net over ``types``, with
+    the given parent lists and random tables."""
+    sizes = tuple(len(t.items) for t in types)
+    tables = []
+    for i, ps in enumerate(parents):
+        keys = itertools.product(*(range(sizes[q]) for q in ps))
+        tables.append(tuple((key, tuple(rng.sample(range(sizes[i]), sizes[i]))) for key in keys))
+    net = prefs.CPNet(sizes, parents, tuple(tables))
+    return Instance(tuple(types), (net, net))
+
+
+@pytest.mark.parametrize(
+    "f_items, h_items, readings",
+    [(("a", "ab"), ("c", "bc"), "a+bc or ab+c"), (("ab", "bc"), ("c", "a"), "ab+c or a+bc")],
+    ids=["two-rows-one-key", "key-read-two-ways"],
+)
+def test_serialize_instance_refuses_a_cpt_key_it_could_not_read_back(f_items, h_items, readings):
+    # I depends on F and H: (a, bc) and (ab, c) are both written "abc";
+    # with F(ab, bc) and H(c, a), "abc" written for (ab, c) reads as a+bc too
+    types = [TypeDef("F", f_items), TypeDef("G", ("x", "y")), TypeDef("H", h_items), TypeDef("I", ("1", "2"))]
+    inst = _net_over(types, ((), (), (), (0, 2)), random.Random(0))
+    with pytest.raises(DimensionMismatch) as caught:
+        io.serialize_instance(inst)
+    assert str(caught.value) == f"CPT of type 'I' would not read back: CPT key 'abc' is ambiguous: {readings}"
+
+
+def test_cpnet_round_trip_over_short_item_names():
+    # item names over {a, b}: a written key may read two ways, and then
+    # the writer refuses the instance rather than write it
+    rng = random.Random(45)
+    outcomes = []
+    while len(outcomes) < 300:
+        p = rng.randint(2, 3)
+        words = rng.sample(["".join(w) for k in (1, 2, 3) for w in itertools.product("ab", repeat=k)], 2 * p)
+        types = [TypeDef(f"T{t}", tuple(words[2 * t : 2 * t + 2])) for t in range(p)]
+        parents = tuple(tuple(sorted(rng.sample(range(t), rng.randint(0, t)))) for t in range(p))
+        try:
+            inst = _net_over(types, parents, rng)
+        except DuplicateItemName:  # two bundles spelled alike
+            continue
+        try:
+            text = io.serialize_instance(inst)
+        except DimensionMismatch as exc:
+            assert "would not read back: CPT key" in str(exc)
+            outcomes.append("refused")
+            continue
+        parsed, _ = io.parse_instance(text)
+        assert parsed.preferences == inst.preferences
+        outcomes.append("read back")
+    assert {"refused", "read back"} == set(outcomes)
 
 
 def _dumped_assignment(instance, P, metadata):
@@ -765,16 +828,23 @@ def exhaustive_parent_key(key, parent_list, item_index):
                 split(rest[len(name):], {**found, ti: ii}, (*used, name))
 
     split(key, {}, ())
-    if len(readings) > 1:
-        return f"CPT key {key!r} is ambiguous: {' or '.join(readings.values())}"
+    if len(readings) > 1:  # named by the first two: a key may have exponentially many
+        return f"CPT key {key!r} is ambiguous: {' or '.join(list(readings.values())[:2])}"
     if not readings:
         return f"CPT key {key!r} does not cover the parent types" if short else f"cannot resolve CPT key {key!r}"
     return next(iter(readings))
 
 
-def _parent_key(key, parent_list, item_index):
+def _names(item_index):
+    """What `io._parse_parent_key` reads of a document's `io._Names`: the
+    item index and the memo of the key splits read so far, here empty.
+    The items need not spell distinct bundles, as a document's must."""
+    return SimpleNamespace(item_index=item_index, splits={})
+
+
+def _parent_key(names, key, parent_list):
     try:
-        return io._parse_parent_key(key, parent_list, item_index)
+        return io._parse_parent_key(names, key, parent_list)
     except ParseError as exc:
         return str(exc)
 
@@ -795,22 +865,32 @@ def test_cpt_key_reading_matches_the_exhaustive_split():
         parent_list = tuple(sorted(rng.sample(range(p), rng.randint(0, p))))
         spelled = [rng.choice([n for n, (t, _) in item_index.items() if t == q] or ["c"]) for q in parent_list]
         rng.shuffle(spelled)
-        key = rng.choice([
+        keys = [
             "".join(spelled),
             "".join(spelled[1:]),
             "".join(spelled) + rng.choice("ab"),
             "".join(rng.choice("ab") for _ in range(rng.randint(0, 8))),
-        ])
+        ]
+        key = rng.choice(keys)
         want = exhaustive_parent_key(key, parent_list, item_index)
-        assert _parent_key(key, parent_list, item_index) == want, (key, parent_list, item_index)
+        assert _parent_key(_names(item_index), key, parent_list) == want, (key, parent_list, item_index)
         outcomes.add(next((word for word in KEY_REFUSALS if word in want), None) if isinstance(want, str) else "read")
+        # one memo per item set, as one document reads all its keys,
+        # under this parent list and under all the types
+        shared = _names(item_index)
+        for parents in (parent_list, tuple(range(p))):
+            for each in keys:
+                assert _parent_key(shared, each, parents) == _parent_key(_names(item_index), each, parents)
     assert outcomes == {"read", *KEY_REFUSALS}
     # names that prefix one another, one per parent type: every order of
-    # reading them reaches the same states
+    # reading them reaches the same states; every length through one memo
     item_index = {"a" * (t + 1): (t, 0) for t in range(7)}
+    shared = _names(item_index)
     for length in range(30):
         key = "a" * length
-        assert _parent_key(key, tuple(range(7)), item_index) == exhaustive_parent_key(key, tuple(range(7)), item_index)
+        want = exhaustive_parent_key(key, tuple(range(7)), item_index)
+        assert _parent_key(_names(item_index), key, tuple(range(7))) == want
+        assert _parent_key(shared, key, tuple(range(7))) == want
 
 
 def test_cpt_key_of_twelve_parents_is_read_quickly():
@@ -819,10 +899,48 @@ def test_cpt_key_of_twelve_parents_is_read_quickly():
     item_index = {"a" * (t + 1): (t, 0) for t in range(12)}
     parents = tuple(range(12))
     start = time.perf_counter()
-    assert io._parse_parent_key("a" * 78, parents, item_index) == (0,) * 12
+    assert io._parse_parent_key(_names(item_index), "a" * 78, parents) == (0,) * 12
     with pytest.raises(ParseError, match="does not cover the parent types"):
-        io._parse_parent_key("a" * 77, parents, item_index)
+        io._parse_parent_key(_names(item_index), "a" * 77, parents)
     assert time.perf_counter() - start < 1
+
+
+def test_cpt_keys_of_two_prefixed_items_per_parent_share_one_memo():
+    # type t holds the items a*(2t+1) and a*(2t+2): an all-a key has
+    # readings under up to 3**10 sets of items read, but one memo holds
+    # at most (text left, types left) states, 2**10 per suffix
+    item_index = {"a" * (2 * t + k): (t, k - 1) for t in range(10) for k in (1, 2)}
+    parents = tuple(range(10))
+    names = _names(item_index)
+    start = time.perf_counter()
+    read = {length: _parent_key(names, "a" * length, parents) for length in range(112)}
+    assert time.perf_counter() - start < 2
+    assert len(names.splits) <= 112 * 2**10
+    assert read[100] == (0,) * 10 and read[110] == (1,) * 10
+    assert read[99] == f"CPT key {'a' * 99!r} does not cover the parent types"
+    # ten readings, each with one type at its longer item: the first two
+    # the split meets are named
+    shorter = ["a" * (2 * t + 1) for t in range(10)]
+    first = "+".join([*shorter[:9], "a" * 20])
+    second = "+".join([*shorter[:8], "a" * 18, shorter[9]])
+    assert read[101] == f"CPT key {'a' * 101!r} is ambiguous: {first} or {second}"
+    assert read[111] == f"cannot resolve CPT key {'a' * 111!r}"
+
+
+def test_cpt_key_readings_are_the_documents_own():
+    # "xab" reads as the first items of F and G in one document and as
+    # their second items in the other
+    def document(f_items, g_items):
+        types = [{"name": "F", "items": f_items}, {"name": "G", "items": g_items}, {"name": "B", "items": ["c", "d"]}]
+        rows = {f + g: ["c", "d"] if f + g == "xab" else ["d", "c"] for f in f_items for g in g_items}
+        net = {"kind": "cpnet", "dependency": [["F", "B"], ["G", "B"]],
+               "cpt": {"F": {"": f_items}, "G": {"": g_items}, "B": rows}}
+        return json.dumps({"agents": 2, "types": types, "preferences": [net, net]})
+
+    for f_items, g_items, row in ((["x", "y"], ["ab", "z"], (0, 0)), (["y", "x"], ["z", "ab"], (1, 1))):
+        inst, _ = io.parse_instance(document(f_items, g_items))
+        table = dict(inst.preferences[0].tables[2])
+        assert table == {key: (0, 1) if key == row else (1, 0) for key in table}
 
 
 def _types(*names):
@@ -922,6 +1040,18 @@ def test_with_preference_shares_the_tables_and_checks_the_preference(mixed_pair)
         with pytest.raises(ParseError) as caught:
             mixed_pair.with_preference(0, pref)
         assert type(caught.value) is ParseError and str(caught.value) == message
+
+
+def test_with_preference_keeps_its_source_tables_after_other_type_lists(mixed_pair):
+    # `type_tables` keeps the last eight type lists; a copy takes its
+    # source's tables whatever was read since
+    mixed_pair.conflicts, mixed_pair.orders  # made before the copy
+    for k in range(12):
+        model.type_tables(spaces.square_types(2, 2)[:1] + (TypeDef("X", (f"a{k}", f"b{k}")),), 2)
+    copy = mixed_pair.with_preference(1, mixed_pair.preferences[0])
+    assert copy.bundle_names is mixed_pair.bundle_names and copy.conflicts is mixed_pair.conflicts
+    assert copy.preferences == (mixed_pair.preferences[0],) * 2
+    assert copy.orders == (mixed_pair.orders[0],) * 2 and copy == Instance(copy.types, copy.preferences)
 
 
 _ONE_TYPE = '{"agents": 2, "types": [{"name": "F", "items": ["1F", "2F"]}], "preferences": [%s, %s]}'

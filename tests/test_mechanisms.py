@@ -549,6 +549,30 @@ def test_mgd_and_its_lottery_run_one_serial_dictatorship(monkeypatch):
             assert list(calls[0][2]) == list(range(inst.n))
 
 
+def test_mgd_reruns_keep_the_truthful_picks(monkeypatch, three_chains):
+    # the truthful run is one serial dictatorship and a re-run another;
+    # what each agent is left comes from the truthful run's picks
+    real = mechanisms_module.serial_dictatorship
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mechanisms_module, "serial_dictatorship", counted)
+    truth = reruns("mgd", three_chains)
+    truth.rerun(0, tuple(reversed(truth.sorts[0])))
+    assert len(calls) == 2
+    monkeypatch.undo()
+    for inst, tiebreak in _mgd_group_cases():
+        run = reruns("mgd", inst, tiebreak)
+        picks = serial_dictatorship(inst, run.sorts, range(inst.n)).bundles
+        left = [(1 << inst.m) - 1]
+        for x in picks[:-1]:
+            left.append(left[-1] & ~inst.conflicts[x])
+        assert run.picks == picks and run.available == tuple(left)
+
+
 def test_equal_preferences_equal_rows():
     rng = random.Random(21)
     for _ in range(20):
