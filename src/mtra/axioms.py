@@ -51,10 +51,31 @@ def _ucs_masks(order: prefs.PartialOrder) -> list[int]:
     return [order.ucs_mask(x) for x in range(order.m)]
 
 
-def _contour_sums(masks: Sequence[int], values: Sequence[int]) -> list[int]:
-    """Per upper contour mask, the sum of the integer ``values`` over the
-    bundles in it."""
-    held = [(1 << y, v) for y, v in enumerate(values) if v]
+def _held(values: Sequence[int]) -> list[tuple[int, int]]:
+    """The row's held entries: (bit, value) per bundle of nonzero value."""
+    return [(1 << y, v) for y, v in enumerate(values) if v]
+
+
+def _support(*rows: Sequence[tuple[int, int]]) -> int:
+    """The bitmask of the bundles held in any of the rows' held entries."""
+    support = 0
+    for held in rows:
+        for bit, _ in held:
+            support |= bit
+    return support
+
+
+def _contour_sets(order: prefs.PartialOrder, support: int) -> list[int]:
+    """The distinct sets among the upper contour sets of ``order`` met
+    with ``support``.  A row held within ``support`` has the same contour
+    sum at two bundles whose contour sets meet it alike, so comparing
+    contour sums at these sets compares them at every bundle."""
+    return list(dict.fromkeys([(above | 1 << x) & support for x, above in enumerate(order.above)]))
+
+
+def _contour_sums(masks: Iterable[int], held: Sequence[tuple[int, int]]) -> list[int]:
+    """Per bundle set in ``masks``, the sum of the row's :func:`_held`
+    entries in it."""
     sums = []
     for mask in masks:
         total = 0
@@ -73,7 +94,7 @@ def _at_least(sums: Sequence[int], den: int, ref: Sequence[int], ref_den: int) -
 def _row_sums(order: prefs.PartialOrder, row: Sequence[Fraction]) -> tuple[list[int], int]:
     """The row's upper contour sums under ``order``, integers over its own denominator."""
     scaled = FractionalAssignment.from_rows([row])
-    return _contour_sums(_ucs_masks(order), scaled.nums[0]), scaled.den
+    return _contour_sums(_ucs_masks(order), _held(scaled.nums[0])), scaled.den
 
 
 def ucs_sums(order: prefs.PartialOrder, row: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -116,11 +137,21 @@ def sd_dominance(
 ) -> tuple[bool, bool]:
     """Does ``agent``'s row of P sd-dominate its row of Q under ``order``,
     and does Q's dominate P's?  :func:`sd_compare`'s two verdicts, read off
-    the integer rows: each contour sum is cross-multiplied by the other
-    assignment's denominator, so no Fraction and no common denominator
-    is built."""
-    masks = _ucs_masks(order)
-    p, q = _contour_sums(masks, P.nums[agent]), _contour_sums(masks, Q.nums[agent])
+    the integer rows: the contour sums are taken at the distinct contour
+    sets that the bundles held in either row meet (:func:`_contour_sets`),
+    and each is cross-multiplied by the other assignment's denominator,
+    so no Fraction and no common denominator is built.  An agent that is
+    not a row of both raises :class:`~mtra.errors.DimensionMismatch`, and
+    rows not over ``order``'s bundles :class:`~mtra.errors.UniverseMismatch`,
+    as :func:`sd_compare` does."""
+    if not (0 <= agent < len(P.nums) and agent < len(Q.nums)):
+        raise DimensionMismatch(f"agent {agent} is not a row of both assignments")
+    p_row, q_row = P.nums[agent], Q.nums[agent]
+    if len(p_row) != order.m or len(q_row) != order.m:
+        raise UniverseMismatch("allocation rows do not match the bundle universe")
+    p_held, q_held = _held(p_row), _held(q_row)
+    sets = _contour_sets(order, _support(p_held, q_held))
+    p, q = _contour_sums(sets, p_held), _contour_sums(sets, q_held)
     return _at_least(p, P.den, q, Q.den), _at_least(q, Q.den, p, P.den)
 
 
@@ -401,7 +432,7 @@ def _sd_efficiency_lp(instance: Instance, P: FractionalAssignment) -> PropertyRe
         cons.append(_share_row(nv, (j * m + x for j in range(n) for x in prefs._bits(holders)), EQ, total))
     masks = [_ucs_masks(order) for order in instance.orders]
     for j in range(n):
-        for x, (ucs, v) in enumerate(zip(masks[j], _contour_sums(masks[j], P.nums[j]))):
+        for x, (ucs, v) in enumerate(zip(masks[j], _contour_sums(masks[j], _held(P.nums[j])))):
             if v == P.den:
                 # share 1 in U leaves nothing outside U: Q's row sums to
                 # 1, and P's does, so D = D+ there; written that way the
@@ -435,16 +466,21 @@ def check_envy(
     """strong: everyone sd-prefers her own row to every other row.
     weak: nobody sd-prefers another row unless the rows are equal.
 
-    For each agent j the contour sums of every row of ``P.nums`` under
-    j's order are worked out once, and each pair is judged by comparing
-    integers.  The first witness is the first (j, k) in agent order."""
+    Each row's held entries are read once.  For each agent j the contour
+    sums of every row under j's order are worked out once, at the
+    distinct contour sets that the bundles held in P meet
+    (:func:`_contour_sets`), not at all m bundles, and each pair is
+    judged by comparing integers.  The first witness is the first (j, k)
+    in agent order."""
     if strength not in ("strong", "weak"):
         raise ValueError(f"unknown envy-freeness strength {strength!r}")
     name = "sd-envy-freeness" if strength == "strong" else "weak-sd-envy-freeness"
     require_shape(P, instance)
+    held = [_held(row) for row in P.nums]
+    support = _support(*held)
     for j in range(instance.n):
-        masks = _ucs_masks(instance.orders[j])
-        sums = [_contour_sums(masks, row) for row in P.nums]
+        sets = _contour_sets(instance.orders[j], support)
+        sums = [_contour_sums(sets, row) for row in held]
         own = sums[j]
         for k in range(instance.n):
             if j == k:
@@ -472,15 +508,23 @@ def check_ete(instance: Instance, P: FractionalAssignment) -> PropertyReport:
 
 def check_ordinal_fairness(instance: Instance, P: FractionalAssignment) -> PropertyReport:
     """Wherever an agent holds positive share, her upper-contour sum is
-    no larger than anyone else's at the same bundle."""
+    no larger than anyone else's at the same bundle.
+
+    Sums are compared at held bundles alone, so each agent's contour sums
+    are worked out at the bundles held in P, not at all m; the first
+    witness is the first (agent, bundle, other) in index order."""
     require_shape(P, instance)
-    sums = [_contour_sums(_ucs_masks(instance.orders[j]), P.nums[j]) for j in range(instance.n)]
+    at = [x for x, column in enumerate(zip(*P.nums)) if any(column)]
+    # sums[k][i]: agent k's contour sum at bundle at[i]
+    sums = [
+        _contour_sums([order.ucs_mask(x) for x in at], _held(row)) for order, row in zip(instance.orders, P.nums)
+    ]
     for j, row in enumerate(P.nums):
-        for x in range(instance.m):
+        for i, x in enumerate(at):
             if row[x] == 0:
                 continue
             for k in range(instance.n):
-                if k != j and sums[j][x] > sums[k][x]:
+                if k != j and sums[j][i] > sums[k][i]:
                     return PropertyReport(
                         "ordinal-fairness",
                         False,
@@ -688,7 +732,7 @@ def manipulations(
     else:
         table = spaces.first_of_each_sort(instance, j, runs.tiebreaks[j], reports)
     masks = _ucs_masks(instance.orders[j])
-    truth_sums = _contour_sums(masks, truth.nums[j])
+    truth_sums = _contour_sums(masks, _held(truth.nums[j]))
     if isinstance(runs, MrpTurns) and _at_least(truth_sums, truth.den, runs.most(j, masks), runs.total):
         for _ in table:  # no report can gain: each is still read, so its checks still run
             pass
@@ -701,7 +745,7 @@ def manipulations(
         nums, den = key = runs.row(j, sort)
         verdict = verdicts.get(key)
         if verdict is None:
-            sums = _contour_sums(masks, nums)
+            sums = _contour_sums(masks, _held(nums))
             verdict = not _at_least(truth_sums, truth.den, sums, den)
             if strength == "weak":
                 verdict = verdict and _at_least(sums, den, truth_sums, truth.den)

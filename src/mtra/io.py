@@ -225,27 +225,41 @@ def _split(names: _Names, rest: str, left: int) -> tuple[tuple[tuple[tuple[int, 
     spelling, and whether some split uses ``rest`` up with a type left.
     A state's first two readings are among the first two of the states it
     steps to, so each state is read once per document (``names.splits``),
-    at most ``len(key) * 2**p`` of them per key."""
-    found = names.splits.get((rest, left))
-    if found is not None:
-        return found
-    if not rest:  # read up: a reading if no type is left, else a short split
-        found = ((((), ""),), False) if not left else ((), True)
-    else:
+    at most ``len(key) * 2**p`` of them per key.  Each step reads one
+    type, so the states form no cycle; they are read from an explicit
+    stack, a state once the states it steps to are read, and a key of
+    any number of parent types needs no Python recursion."""
+    splits = names.splits
+    # a state, and None until its steps (name, type, item, next state) are listed
+    stack: list[tuple[str, int, list | None]] = [(rest, left, None)]
+    while stack:
+        text, unread, steps = stack.pop()
+        if steps is None:
+            if (text, unread) in splits:
+                continue
+            if not text:  # read up: a reading if no type is left, else a short split
+                splits[text, unread] = ((((), ""),), False) if not unread else ((), True)
+                continue
+            steps = [
+                (name, ti, ii, (text[len(name):], unread & ~(1 << ti)))
+                for name, (ti, ii) in names.item_index.items()
+                if unread >> ti & 1 and text.startswith(name)
+            ]
+            stack.append((text, unread, steps))
+            stack.extend((*state, None) for *_, state in steps if state not in splits)
+            continue
         readings: list[tuple[tuple[int, ...], str]] = []
         short = False
-        for name, (ti, ii) in names.item_index.items():
-            if left >> ti & 1 and rest.startswith(name):
-                subs, sub_short = _split(names, rest[len(name):], left & ~(1 << ti))
-                short = short or sub_short
-                at = (left & ((1 << ti) - 1)).bit_count()  # the types left before ti
-                for items, spelling in subs:
-                    items = (*items[:at], ii, *items[at:])
-                    if len(readings) < 2 and all(items != other for other, _ in readings):
-                        readings.append((items, f"{name}+{spelling}" if spelling else name))
-        found = (tuple(readings), short)
-    names.splits[rest, left] = found
-    return found
+        for name, ti, ii, state in steps:
+            subs, sub_short = splits[state]
+            short = short or sub_short
+            at = (unread & ((1 << ti) - 1)).bit_count()  # the types left before ti
+            for items, spelling in subs:
+                items = (*items[:at], ii, *items[at:])
+                if len(readings) < 2 and all(items != other for other, _ in readings):
+                    readings.append((items, f"{name}+{spelling}" if spelling else name))
+        splits[text, unread] = (tuple(readings), short)
+    return splits[rest, left]
 
 
 def _resolve_item(

@@ -145,21 +145,42 @@ def serial_dictatorship(
     priority: Sequence[int],
 ) -> DiscreteAssignment:
     """Agents pick their first available bundle in priority order, for
-    :func:`mgd` and sampled :func:`mrp`.  Exact MRP picks in turn over
+    :func:`mgd`; sampled :func:`mrp` runs the same loop
+    (:func:`_dictate`) with a memo of picks.  Exact MRP picks in turn over
     states of order prefixes instead (:func:`_turns`,
     :func:`mrp_decompose`).  ``priority`` must be an order of the n
     agents."""
     n = instance.n
     if sorted(priority) != list(range(n)):
         raise DimensionMismatch(f"priority {priority!r} is not an order of the {n} agents")
-    conflicts = instance.conflicts
+    return DiscreteAssignment(_dictate(instance, sorts, priority))
+
+
+def _dictate(
+    instance: Instance,
+    sorts: Sequence[Sequence[int]],
+    priority: Sequence[int],
+    picks: list[dict[int, int]] | None = None,
+) -> tuple[int, ...]:
+    """The bundles of :func:`serial_dictatorship` under ``priority``,
+    unchecked.  Given ``picks``, ``picks[j]`` maps the bundles available
+    at agent j's turn to its pick there, and is read before
+    :func:`~mtra.preferences.ext` is run and filled in after, so a caller
+    that dictates many times works each pick out once."""
+    ext, conflicts = prefs.ext, instance.conflicts
     available = (1 << instance.m) - 1
-    chosen = [0] * n
+    chosen = [0] * instance.n
     for j in priority:
-        x = prefs.ext(sorts[j], available)
+        if picks is None:
+            x = ext(sorts[j], available)
+        else:
+            memo = picks[j]
+            x = memo.get(available)
+            if x is None:
+                x = memo[available] = ext(sorts[j], available)
         chosen[j] = x
         available &= ~conflicts[x]
-    return DiscreteAssignment(tuple(chosen))
+    return tuple(chosen)
 
 
 def _lottery(outcomes: dict[tuple[int, ...], int], total: int) -> Lottery:
@@ -209,7 +230,10 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
     """Random priority over topological sorts.
 
     Monte-Carlo mode counts how many of its sampled priority orders
-    produce each serial-dictatorship outcome and averages them.  Exact
+    produce each serial-dictatorship outcome and averages them; an
+    agent's pick depends only on the bundles left at its turn, so the
+    samples share one memo of picks per (agent, bundles available),
+    kept for the call (:func:`_dictate`).  Exact
     mode takes the truthful output of ``reruns("mrp", ...)``, the rows its
     :func:`_turns` pass counts over all n! orders without running them;
     no mode builds a lottery.  One fixed priority order is
@@ -221,11 +245,12 @@ def mrp(instance: Instance, mode: MrpMode = MrpExact(), tiebreak: Tiebreak = Non
         raise TypeError(f"unknown MRP mode {mode!r}")
     sorts = resolve_sorts(instance, tiebreak)
     rng = random.Random(mode.seed)
+    picks: list[dict[int, int]] = [{} for _ in range(instance.n)]
     outcomes: Counter[tuple[int, ...]] = Counter()
     for _ in range(mode.samples):
         priority = list(range(instance.n))
         rng.shuffle(priority)
-        outcomes[serial_dictatorship(instance, sorts, priority).bundles] += 1
+        outcomes[_dictate(instance, sorts, priority, picks)] += 1
     return MrpResult(outcome_matrix(instance, outcomes.items(), mode.samples), mode)
 
 

@@ -749,15 +749,21 @@ def pairwise_envy(instance, P, strength="strong"):
     return PropertyReport(name, True)
 
 
-def test_envy_matches_pairwise_reference():
-    rng = random.Random(109)
-    seen = set()
-    for _ in range(60):
-        n, p = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1)])
+DIFFERENTIAL_SIZES = ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1), (2, 3), (3, 3), (4, 2), (6, 1))
+
+
+def differential_cases(seed, count):
+    """``count`` seeded instances at ``DIFFERENTIAL_SIZES``, each with its
+    matrices: the three mechanisms' outputs under a sweep tie-break, a
+    random mixture of discrete assignments (so envy fails too), and two
+    nonnegative integer matrices that are not assignments, the second
+    with two equal rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, p = rng.choice(DIFFERENTIAL_SIZES)
         inst = spaces.random_profile(rng, n, p, rng.choice(["general", "cpnet", "independent"]))
         tb = rng.choice(spaces.sweep_tiebreaks(inst.m))
         outputs = [run_mechanism(mech, inst, tb) for mech in ("mrp", "mgd", "mps")]
-        # a random mixture of discrete assignments, so envy fails too
         picks = rng.choices(all_discrete_assignments(inst), k=rng.randint(1, 3))
         weights = [F(rng.randint(1, 5)) for _ in picks]
         rows = [[F(0)] * inst.m for _ in range(inst.n)]
@@ -765,12 +771,59 @@ def test_envy_matches_pairwise_reference():
             for j, x in enumerate(disc.bundles):
                 rows[j][x] += w / sum(weights)
         outputs.append(FractionalAssignment.from_rows(rows))
-        for P in outputs:
+        ints = [[rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(inst.m)] for _ in range(inst.n)]
+        twins = [*ints[:-1], ints[0]]
+        matrices = [FractionalAssignment.from_rows(m) for m in (ints, twins)]
+        yield inst, outputs, [M for M in matrices if validate_assignment(M, inst) is not None]
+
+
+def test_envy_matches_pairwise_reference():
+    seen = set()
+    for inst, outputs, matrices in differential_cases(109, 80):
+        for kind, P in [*(("output", P) for P in outputs), *(("matrix", M) for M in matrices)]:
             for strength in ("strong", "weak"):
                 got = check_envy(inst, P, strength)
                 assert got == pairwise_envy(inst, P, strength)
-                seen.add((strength, got.passed))
-    assert len(seen) == 4, seen
+                seen.add((kind, strength, got.passed))
+    assert len(seen) == 8, seen
+
+
+def per_bundle_ordinal_fairness(instance, P):
+    """Reference ordinal-fairness check (the former `check_ordinal_fairness`):
+    every agent's contour sums at all m bundles, compared wherever it
+    holds share."""
+    sums = [ucs_sums(instance.orders[j], P.row(j)) for j in range(instance.n)]
+    for j, row in enumerate(P.nums):
+        for x in range(instance.m):
+            if row[x] == 0:
+                continue
+            for k in range(instance.n):
+                if k != j and sums[j][x] > sums[k][x]:
+                    return PropertyReport("ordinal-fairness", False, witness=axioms.OrdinalFairnessWitness(x, j, k))
+    return PropertyReport("ordinal-fairness", True)
+
+
+def test_ordinal_fairness_matches_per_bundle_reference():
+    seen = set()
+    for inst, outputs, matrices in differential_cases(113, 60):
+        for kind, P in [*(("output", P) for P in outputs), *(("matrix", M) for M in matrices)]:
+            got = check_ordinal_fairness(inst, P)
+            assert got == per_bundle_ordinal_fairness(inst, P)
+            seen.add((kind, got.passed))
+    assert seen == {("output", True), ("output", False), ("matrix", True), ("matrix", False)}, seen
+
+
+def test_sd_dominance_matches_two_sd_compares():
+    seen = set()
+    for inst, outputs, matrices in differential_cases(127, 60):
+        for P, Q in itertools.product(outputs + matrices, repeat=2):
+            for j in range(inst.n):
+                for order in inst.orders:
+                    verdict = sd_compare(order, P.row(j), Q.row(j))
+                    want = (verdict.p_dominates_q, sd_compare(order, Q.row(j), P.row(j)).p_dominates_q)
+                    assert axioms.sd_dominance(order, P, Q, j) == want
+                    seen.add(want)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_ete(three_chains):
@@ -1758,11 +1811,18 @@ def test_transforms_of_no_pivot_are_refused(blank_vs_chain, mechanism, pivot):
          "unknown profile kind 'bogus'"),
         (lambda inst: next(manipulations(reruns("mps", inst), 0, (), strength="bogus")), ValueError,
          "unknown strategyproofness strength 'bogus'"),
+        (lambda inst: axioms.sd_dominance(prefs.PartialOrder.from_chain((0, 1)), FractionalAssignment.from_rows(
+            [[1, 0, 0]]), FractionalAssignment.from_rows([[0, 0, 1]]), 0), UniverseMismatch,
+         "allocation rows do not match the bundle universe"),
+        (lambda inst: axioms.sd_dominance(inst.orders[0], fixtures.assignment_1(), fixtures.assignment_2(), 2),
+         DimensionMismatch, "agent 2 is not a row of both assignments"),
+        (lambda inst: axioms.sd_dominance(inst.orders[0], fixtures.assignment_1(), fixtures.assignment_2(), -1),
+         DimensionMismatch, "agent -1 is not a row of both assignments"),
     ],
     ids=["shared-tiebreak-length", "per-agent-tiebreak-count", "tiebreak-repeat", "tiebreak-outside",
          "tiebreak-none-entry", "uit-universes", "uit-pivot-negative",
          "uit-pivot-past-m", "instance-preference-kind", "dependency-graphs-p4", "profile-kind",
-         "manipulation-strength"],
+         "manipulation-strength", "sd-dominance-width", "sd-dominance-agent-past-n", "sd-dominance-agent-negative"],
 )
 def test_input_guards_refuse_with_their_own_errors(mixed_pair, call, error, message):
     assert mixed_pair.m == 4 and mixed_pair.n == 2

@@ -943,6 +943,25 @@ def test_cpt_key_readings_are_the_documents_own():
         assert table == {key: (0, 1) if key == row else (1, 0) for key in table}
 
 
+def test_cli_reads_a_cpt_key_of_1200_parent_types(tmp_path, capsys):
+    # one bundle, and a key that steps through 1 199 (text, types) states
+    # in a row: deeper than Python's recursion limit
+    types = [{"name": f"T{i:04d}", "items": [f"t{i:04d}"]} for i in range(1200)]
+    *parents, last = types
+    net = {
+        "kind": "cpnet",
+        "dependency": [[t["name"], last["name"]] for t in parents],
+        "cpt": {t["name"]: {"": t["items"]} for t in parents}
+        | {last["name"]: {"".join(t["items"][0] for t in parents): last["items"]}},
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"agents": 1, "types": types, "preferences": [net]}))
+    assert main(["run", str(path), "--mechanism", "mps"]) == 0
+    out, err = capsys.readouterr()
+    bundle = "".join(t["items"][0] for t in types)
+    assert err == "" and json.loads(out)["matrix"] == [{bundle: "1/1"}]
+
+
 def _types(*names):
     return [{"name": t, "items": [f"1{t}", f"2{t}"]} for t in names]
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from mtra.model import (
     Instance,
     Lottery,
     from_discrete,
+    outcome_matrix,
     validate_assignment,
 )
 
@@ -102,6 +104,33 @@ def test_mrp_monte_carlo_reproducible(mixed_pair):
     for samples in (0, -3):
         with pytest.raises(MtraError):
             MrpMonteCarlo(samples)
+
+
+def sampled_mrp_reference(instance, samples, seed, tiebreak):
+    """Reference sampled MRP (the former Monte-Carlo loop): one
+    `serial_dictatorship` per shuffled priority, nothing shared."""
+    sorts = resolve_sorts(instance, tiebreak)
+    rng = random.Random(seed)
+    outcomes = Counter()
+    for _ in range(samples):
+        priority = list(range(instance.n))
+        rng.shuffle(priority)
+        outcomes[serial_dictatorship(instance, sorts, priority).bundles] += 1
+    return outcome_matrix(instance, outcomes.items(), samples)
+
+
+def test_mrp_monte_carlo_matches_one_dictatorship_per_sample():
+    rng = random.Random(46)
+    for n, p in ((2, 1), (3, 2), (4, 2), (7, 2), (2, 3), (5, 3)):
+        inst = spaces.random_profile(rng, n, p, rng.choice(["general", "cpnet", "independent"]))
+        shared = tuple(rng.sample(range(inst.m), inst.m))
+        per_agent = [tuple(rng.sample(range(inst.m), inst.m)) for _ in range(n)]
+        for tiebreak in (None, shared, per_agent):
+            for samples in (1, 64, 200):
+                for seed in (0, rng.randrange(1 << 30), rng.randrange(1 << 30)):
+                    got = mrp(inst, MrpMonteCarlo(samples, seed), tiebreak)
+                    assert got.assignment == sampled_mrp_reference(inst, samples, seed, tiebreak)
+                    assert got.mode == MrpMonteCarlo(samples, seed)
 
 
 def test_mrp_monte_carlo_is_guarded():
