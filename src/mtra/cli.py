@@ -76,6 +76,8 @@ def _tiebreak_for(args, instance: Instance, file_tiebreak):
 
 
 def cmd_run(args) -> int:
+    if args.mechanism != "mrp" and args.mode != "exact":
+        raise ParseError(f"--mode {args.mode!r} applies to mrp only")
     instance, file_tb = _load_instance(args.instance)
     tiebreak = _tiebreak_for(args, instance, file_tb)
     meta = {
@@ -211,9 +213,8 @@ def cmd_compare(args) -> int:
     b = io.parse_assignment(_read(args.second), instance)
     agents = [args.agent] if args.agent is not None else list(range(instance.n))
     for j in agents:
-        if not 0 <= j < instance.n:
-            raise ParseError(f"agent {j} out of range")
-        a_dominates, b_dominates = sd_dominance(instance.orders[j], a, b, j)
+        # any order will do for an agent out of range: sd_dominance refuses the agent first
+        a_dominates, b_dominates = sd_dominance(instance.orders[j % instance.n], a, b, j)
         if a_dominates and b_dominates:
             word = "A and B mutually dominate (equal upper-contour sums)"
         elif a_dominates:

@@ -53,9 +53,10 @@ def _object(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _loads(text: str) -> object:
-    # a ValueError is bad JSON or an int literal past the digit limit
+    # a ValueError is bad JSON or an int literal past the digit limit; a
+    # number with a point or an exponent is read exactly, as a Fraction
     try:
-        return json.loads(text, object_pairs_hook=_object)
+        return json.loads(text, object_pairs_hook=_object, parse_float=parse_frac)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
 
@@ -275,27 +276,28 @@ def _resolve_item(
 
 
 def parse_instance(text: str) -> tuple[Instance, object]:
-    """Returns (instance, tiebreak); tiebreak is None or a per-agent list
-    of bundle index sequences."""
+    """Returns (instance, tiebreak); tiebreak is None or, per agent, the
+    bundle indices of its ranking."""
     doc = _loads(text)
     if not isinstance(doc, Mapping):
         raise ParseError("instance document must be a JSON object")
     instance = build_instance(doc)
-    tiebreak = None
-    if "tiebreak" in doc and doc["tiebreak"] is not None:
-        raw = doc["tiebreak"]
-        if not isinstance(raw, Sequence) or len(raw) != instance.n:
-            raise ParseError("tiebreak must list one bundle order per agent")
-        tiebreak = [_ranking(instance, agent_tb) for agent_tb in raw]
-    return instance, tiebreak
+    raw = doc.get("tiebreak")
+    if isinstance(raw, list):  # one list per agent: a shared list is for tiebreak files
+        raw = [_parse_list(agent_tb, "a tiebreak entry") for agent_tb in raw]
+    return instance, None if raw is None else _tiebreaks(instance, raw)
 
 
-def _ranking(instance: Instance, agent_tb: object) -> list[int]:
-    """One agent's tiebreak: a list naming every bundle exactly once."""
+def _tiebreaks(instance: Instance, doc: object) -> tuple[tuple[int, ...], ...]:
+    """The per-agent rankings of a tie-break spelled in bundle names, a
+    list of names or a list of such lists, by :meth:`Instance.tiebreaks`;
+    a ``ParseError`` for one it refuses."""
     by_name = instance.bundle_by_name
-    ranked = [_resolve_bundle(by_name, name) for name in _parse_list(agent_tb, "a tiebreak entry")]
+    if isinstance(doc, list):  # each name, and each name in a list, is read as its bundle's index
+        doc = [[_resolve_bundle(by_name, name) for name in entry] if isinstance(entry, list)
+               else _resolve_bundle(by_name, entry) for entry in doc]
     try:
-        return list(instance.ranking(ranked))
+        return instance.tiebreaks(doc)
     except DimensionMismatch as exc:
         raise ParseError(str(exc)) from None
 
@@ -322,15 +324,10 @@ def serialize_instance(instance: Instance, tiebreak=None) -> str:
 
 
 def _tiebreak_doc(instance: Instance, tiebreak) -> list[list[str]]:
-    """A tie-break as the mechanisms take it, one bundle sequence shared
-    by all agents or one per agent, as :func:`parse_instance` reads it
-    back: one bundle-name list per agent.  ``DimensionMismatch`` for one
-    that it would refuse."""
-    if len(tiebreak) == 0 or isinstance(tiebreak[0], int):
-        tiebreak = [tiebreak] * instance.n
-    if len(tiebreak) != instance.n:
-        raise DimensionMismatch("tiebreak must list one bundle order per agent")
-    return [[instance.bundle_names[x] for x in instance.ranking(agent_tb)] for agent_tb in tiebreak]
+    """A tie-break as the mechanisms take it (:meth:`Instance.tiebreaks`),
+    as :func:`parse_instance` reads it back: one bundle-name list per
+    agent.  ``DimensionMismatch`` for one that it would refuse."""
+    return [[instance.bundle_names[x] for x in ranking] for ranking in instance.tiebreaks(tiebreak)]
 
 
 def _partial_doc(instance: Instance, order: prefs.PartialOrder) -> dict:
@@ -367,17 +364,13 @@ def _cpnet_doc(instance: Instance, names: _Names, net: prefs.CPNet) -> dict:
     return {"kind": "cpnet", "dependency": dependency, "cpt": cpt}
 
 
-def parse_tiebreak(text: str, instance: Instance):
+def parse_tiebreak(text: str, instance: Instance) -> tuple[tuple[int, ...], ...]:
     """A tiebreak file: one bundle-name list shared by all agents, or one
     list per agent."""
     doc = _loads(text)
     if not isinstance(doc, list):
         raise ParseError("tiebreak file must be a JSON list")
-    if doc and isinstance(doc[0], str):
-        doc = [doc] * instance.n
-    if len(doc) != instance.n:
-        raise ParseError("tiebreak file must rank bundles for every agent")
-    return [_ranking(instance, agent_tb) for agent_tb in doc]
+    return _tiebreaks(instance, doc)
 
 
 # -- assignments -------------------------------------------------------------
@@ -436,7 +429,7 @@ def parse_assignment(text: str, instance: Instance) -> FractionalAssignment:
         pairs = [(0, 1)] * instance.m
         for name, share in row.items():
             if not isinstance(share, str):
-                v = parse_frac(share)  # a JSON number, true or null is read as it prints
+                v = parse_frac(share)  # a JSON number is exact already; true or null is refused
                 pair = v.numerator, v.denominator
             elif (pair := memo.get(share)) is None:
                 v = parse_frac(share)

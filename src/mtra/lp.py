@@ -57,9 +57,9 @@ columns, so the tableau stays dense.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import SoundnessError
 
@@ -98,9 +98,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """An exact, verified result.  A feasible program's point is
-    ``witness[k] / det``; an infeasible program has coprime Farkas row
-    multipliers in ``certificate``."""
+    """An exact result, verified before :func:`solve` hands it back.  A
+    feasible program's point is ``witness[k] / det``; an infeasible
+    program has Farkas row multipliers in ``certificate``, coprime once
+    verified."""
 
     status: str  # "optimal" (feasible) | "infeasible"
     witness: tuple[int, ...] | None = None
@@ -110,16 +111,6 @@ class LpOutcome:
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
-
-
-class _Raw(NamedTuple):
-    """A simplex result before verification: the witness as integer
-    numerators over ``det``, or Farkas multipliers on the integer rows."""
-
-    status: str
-    nums: list[int] | None = None
-    det: int = 1
-    y: list[int] | None = None
 
 
 class _IntTableau:
@@ -233,7 +224,7 @@ class _IntTableau:
             self.pivot(leave, enter)
 
 
-def _simplex(constraints: Sequence[Constraint], n: int) -> _Raw:
+def _simplex(constraints: Sequence[Constraint], n: int) -> LpOutcome:
     """Phase-1 simplex on integer constraints over n nonnegative
     variables.  The result is not yet verified."""
     m = len(constraints)
@@ -273,17 +264,17 @@ def _simplex(constraints: Sequence[Constraint], n: int) -> _Raw:
         # artificial column of row i it now holds y_i - 1 (times det) with
         # y the dual prices of the sign-normalized integer rows; det > 0
         # is dropped and the row signs are undone.
-        y = [(phase1[art_start + i] + tab.det) * signs[i] for i in range(m)]
-        return _Raw("infeasible", y=y)
+        y = tuple((phase1[art_start + i] + tab.det) * signs[i] for i in range(m))
+        return LpOutcome("infeasible", certificate=y)
     # mass 0: an artificial still in the basis sits at 0
     nums = [0] * n
     for i, b in enumerate(tab.basis):
         if b < n:
             nums[b] = tab.row(i)[ncols]
-    return _Raw("optimal", nums=nums, det=tab.det)
+    return LpOutcome("optimal", witness=tuple(nums), det=tab.det)
 
 
-def _eliminated(lp: LinearProgram) -> _Raw | None:
+def _eliminated(lp: LinearProgram) -> LpOutcome | None:
     """The one feasible point of an all-equality program with
     independent columns, by fraction-free elimination (module docstring,
     step 1); None for any other program, which the simplex decides."""
@@ -306,10 +297,10 @@ def _eliminated(lp: LinearProgram) -> _Raw | None:
     nums = [tab.row(i)[n] for i in range(n)]
     if any(row[n] for row in rows[n:]) or any(v < 0 for v in nums):
         return None
-    return _Raw("optimal", nums=nums, det=tab.det)
+    return LpOutcome("optimal", witness=tuple(nums), det=tab.det)
 
 
-def _presolved_simplex(lp: LinearProgram) -> _Raw:
+def _presolved_simplex(lp: LinearProgram) -> LpOutcome:
     """Presolve the program (module docstring, step 1), run the simplex
     on what is left and lift the result back to ``lp``."""
     cons = lp.constraints
@@ -341,16 +332,16 @@ def _presolved_simplex(lp: LinearProgram) -> _Raw:
 
     cols = [j for j in range(n) if live[j]]
     reduced = [Constraint(tuple(rows[i][j] for j in cols), cons[i].rel, cons[i].rhs) for i in active]
-    raw = _simplex(reduced, len(cols))
-    if raw.status == "optimal":
+    out = _simplex(reduced, len(cols))
+    if out.optimal:
         nums = [0] * n
         for k, j in enumerate(cols):
-            nums[j] = raw.nums[k]
-        return raw._replace(nums=nums)
+            nums[j] = out.witness[k]
+        return replace(out, witness=tuple(nums))
     y = [0] * len(rows)
     colsum = [0] * n
     for k, i in enumerate(active):
-        y[i] = raw.y[k]
+        y[i] = out.certificate[k]
         if y[i]:
             for j in support[i]:
                 colsum[j] += y[i] * rows[i][j]
@@ -364,17 +355,18 @@ def _presolved_simplex(lp: LinearProgram) -> _Raw:
             y[i] = max(-(colsum[j] // row[j]) for j in fixed)
         for j in support[i]:
             colsum[j] += y[i] * row[j]
-    return raw._replace(y=y)
+    return replace(out, certificate=tuple(y))
 
 
-def _verified(lp: LinearProgram, raw: _Raw) -> LpOutcome:
-    """Check a raw result against the original program and convert it."""
-    if raw.status == "optimal":
-        _verify_witness(lp, raw.nums, raw.det)
-        return LpOutcome("optimal", witness=tuple(raw.nums), det=raw.det)
-    _verify_certificate(lp, raw.y)
-    g = math.gcd(*raw.y)
-    return LpOutcome("infeasible", certificate=tuple(v // g for v in raw.y))
+def _verified(lp: LinearProgram, out: LpOutcome) -> LpOutcome:
+    """``out`` checked against the original program, with its
+    certificate's multipliers made coprime."""
+    if out.optimal:
+        _verify_witness(lp, out.witness, out.det)
+        return out
+    _verify_certificate(lp, out.certificate)
+    g = math.gcd(*out.certificate)
+    return replace(out, certificate=tuple(v // g for v in out.certificate))
 
 
 def solve(lp: LinearProgram) -> LpOutcome:

@@ -52,20 +52,11 @@ def resolve_sorts(instance: Instance, tiebreak: Tiebreak = None) -> Sorts:
 
 
 def _sorts(instance: Instance, tiebreak: Tiebreak) -> tuple[Sorts, Sorts]:
-    """The per-agent tie-breaks ``tiebreak`` stands for, and each agent's
-    order sorted under its own.  ``DimensionMismatch`` before any sort if
-    a tie-break is not a ranking of every bundle."""
-    if tiebreak is None:
-        breaks = [tuple(range(instance.m))] * instance.n
-    elif len(tiebreak) == 0 or isinstance(tiebreak[0], int):
-        if len(tiebreak) != instance.m:
-            raise DimensionMismatch("tiebreak must rank every bundle")
-        breaks = [instance.ranking(tiebreak)] * instance.n
-    elif len(tiebreak) != instance.n:
-        raise DimensionMismatch("per-agent tiebreak list must cover every agent")
-    else:
-        breaks = [instance.ranking(tb) for tb in tiebreak]
-    return tuple(breaks), tuple(order.sort(tb) for order, tb in zip(instance.orders, breaks))
+    """The per-agent tie-breaks ``tiebreak`` stands for
+    (:meth:`Instance.tiebreaks`, ``DimensionMismatch`` before any sort),
+    and each agent's order sorted under its own."""
+    breaks = instance.tiebreaks(tiebreak)
+    return breaks, tuple(order.sort(tb) for order, tb in zip(instance.orders, breaks))
 
 
 @dataclass(frozen=True, eq=False)

@@ -169,9 +169,6 @@ class Instance:
     def p(self) -> int:
         return len(self.types)
 
-    def item_id(self, type_index: int, item_index: int) -> int:
-        return type_index * self.n + item_index
-
     @cached_property
     def conflicts(self) -> tuple[int, ...]:
         """Per bundle, the bitmask of the bundles that share an item with
@@ -228,15 +225,29 @@ class Instance:
         vars(copy).pop("orders", None)  # the one attribute made from the preferences
         return copy
 
-    def ranking(self, tiebreak: object) -> tuple[int, ...]:
-        """``tiebreak`` as a tuple, if it ranks each bundle exactly once;
-        ``DimensionMismatch`` if not."""
-        try:
-            if sorted(ranked := tuple(tiebreak)) == list(range(self.m)):  # type: ignore[arg-type]
-                return ranked
-        except TypeError:  # not a sequence of bundle indices
-            pass
-        raise DimensionMismatch("tiebreak must rank every bundle exactly once")
+    def tiebreaks(self, tiebreak: object) -> tuple[tuple[int, ...], ...]:
+        """Per agent, the ranking of the bundles that ``tiebreak`` gives
+        it: the canonical order for None, else one sequence of bundle
+        indices shared by every agent, or one such sequence per agent.
+        ``DimensionMismatch`` unless there is one ranking per agent and
+        each ranks every bundle exactly once."""
+        if tiebreak is None:
+            return (tuple(range(self.m)),) * self.n
+        identity = list(range(self.m))
+
+        def ranked(order: object) -> tuple[int, ...]:
+            try:
+                if sorted(out := tuple(order)) == identity:  # type: ignore[arg-type]
+                    return out
+            except TypeError:  # not a sequence of bundle indices
+                pass
+            raise DimensionMismatch("tiebreak must rank every bundle exactly once")
+
+        if isinstance(tiebreak, Sequence) and (not tiebreak or isinstance(tiebreak[0], int)):
+            return (ranked(tiebreak),) * self.n
+        if not isinstance(tiebreak, Sequence) or len(tiebreak) != self.n:
+            raise DimensionMismatch("tiebreak must list one bundle order per agent")
+        return tuple(map(ranked, tiebreak))
 
 
 # -- assignments ---------------------------------------------------------

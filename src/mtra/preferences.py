@@ -158,8 +158,8 @@ class PartialOrder:
         bundles emitted are always an up-set of the closure, so one whose
         generator-betters are emitted has nothing better left, and the
         extension is the closed order's :func:`topological_sort`.  Orders
-        are closed only here: by :meth:`from_pairs` (so :meth:`from_chain`
-        and :meth:`empty`) and :func:`induce_order`."""
+        are closed only here: by :meth:`from_pairs` (so :meth:`from_chain`)
+        and :func:`induce_order`."""
         m = len(generators)
         closed = _close(generators, extension)
         if len(closed) != m:
@@ -180,11 +180,6 @@ class PartialOrder:
         object.__setattr__(order, "above", tuple(closed))
         order._sorts[tiebreak] = extension
         return order
-
-    @classmethod
-    def empty(cls, m: int) -> "PartialOrder":
-        """No bundle above another: :meth:`from_pairs` of no pairs."""
-        return cls.from_pairs(m, ())
 
     @classmethod
     def from_chain(cls, chain: Sequence[int]) -> "PartialOrder":

@@ -657,8 +657,8 @@ def doubled(program):
 
 def negated(*args):
     # the Farkas certificate, negated before the LP layer verifies it
-    raw = real_simplex(*args)
-    return raw if raw.y is None else raw._replace(y=[-v for v in raw.y])
+    out = real_simplex(*args)
+    return out if out.optimal else dataclasses.replace(out, certificate=tuple(-v for v in out.certificate))
 
 
 for name, module, attr, tampered, inst, P in (
@@ -1789,16 +1789,16 @@ def test_transforms_of_no_pivot_are_refused(blank_vs_chain, mechanism, pivot):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda inst: resolve_sorts(inst, (0,)), DimensionMismatch, "tiebreak must rank every bundle"),
+        (lambda inst: resolve_sorts(inst, (0,)), DimensionMismatch, "tiebreak must rank every bundle exactly once"),
         (lambda inst: resolve_sorts(inst, [tuple(range(inst.m))]), DimensionMismatch,
-         "per-agent tiebreak list must cover every agent"),
+         "tiebreak must list one bundle order per agent"),
         (lambda inst: resolve_sorts(inst, (0, 0, 1, 2)), DimensionMismatch,
          "tiebreak must rank every bundle exactly once"),
         (lambda inst: resolve_sorts(inst, (0, 1, 2, 7)), DimensionMismatch,
          "tiebreak must rank every bundle exactly once"),
         (lambda inst: resolve_sorts(inst, [tuple(range(inst.m)), None]), DimensionMismatch,
          "tiebreak must rank every bundle exactly once"),
-        (lambda inst: prefs.is_uit(inst.orders[0], prefs.PartialOrder.empty(inst.m + 1), 0, [0] * inst.m),
+        (lambda inst: prefs.is_uit(inst.orders[0], prefs.PartialOrder.from_pairs(inst.m + 1, ()), 0, [0] * inst.m),
          UniverseMismatch, "orders range over different universes"),
         (lambda inst: prefs.is_uit(inst.orders[0], inst.orders[0], -1, [0] * inst.m),
          DimensionMismatch, "pivot -1 is not one of the 4 bundles"),

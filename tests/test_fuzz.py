@@ -117,7 +117,7 @@ HUGE_SHARES = [
 # four agents and three types; every share has its own 4300-digit
 # denominator, so the common one has about a million digits
 FOUR_BY_THREE = Instance(
-    tuple(TypeDef(t, tuple(f"{k}{t}" for k in range(1, 5))) for t in "FBC"), (PartialOrder.empty(64),) * 4
+    tuple(TypeDef(t, tuple(f"{k}{t}" for k in range(1, 5))) for t in "FBC"), (PartialOrder.from_pairs(64, ()),) * 4
 )
 HUGE_LCM = json.dumps({"matrix": [
     {name: f"1/{10**4299 + 64 * j + x}" for x, name in enumerate(FOUR_BY_THREE.bundle_names)} for j in range(4)

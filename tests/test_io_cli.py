@@ -47,7 +47,7 @@ def test_instance_tiebreak_round_trip(mixed_pair):
     tiebreak = [fixtures.sort_a(mixed_pair)] * mixed_pair.n
     text = io.serialize_instance(mixed_pair, tiebreak)
     parsed, got = io.parse_instance(text)
-    assert got == tiebreak
+    assert got == tuple(map(tuple, tiebreak))
 
 
 def test_instance_shared_tiebreak_round_trip():
@@ -204,7 +204,13 @@ def _matrix(*rows):
 @pytest.mark.parametrize(
     "fixture, text, message",
     [
-        # a share that is not a string is read as it prints
+        # a share that is not a string is a JSON number, read exactly as
+        # its literal spells it, or refused as it prints
+        ("blank_vs_chain", '{"matrix": [{"1F": 0.30000000000000001, "2F": 0.69999999999999999}, '
+         '{"1F": 0.7, "2F": 0.3}]}', "assignment violates item-marginal at 1F: 100000000000000001/100000000000000000"),
+        ("blank_vs_chain", '{"matrix": [{"1F": 1e-400, "2F": 1}, {"1F": 1, "2F": 0}]}',
+         f"assignment violates row-sum at agent 0: {1 + Fraction(1, 10**400)}"),
+        ("blank_vs_chain", '{"matrix": [{"1F": 1e9999, "2F": 0}, {"1F": 0, "2F": 1}]}', "bad rational '1e9999'"),
         ("blank_vs_chain", _matrix({"1F": None, "2F": "1"}, {"1F": "1", "2F": "0"}), "bad rational None"),
         ("blank_vs_chain", _matrix({"1F": True, "2F": "0"}, {"1F": "0", "2F": "1"}), "bad rational True"),
         ("blank_vs_chain", _matrix({"1F": [1], "2F": 0}, {"1F": 0, "2F": 1}), "bad rational [1]"),
@@ -235,6 +241,22 @@ def test_assignment_parse_errors_keep_their_text_and_order(request, fixture, tex
     with pytest.raises(ParseError) as caught:
         io.parse_assignment(text, request.getfixturevalue(fixture))
     assert str(caught.value) == message
+
+
+def test_json_numbers_are_read_exactly(blank_vs_chain, three_chains, tmp_path, capsys):
+    half = '{"matrix": [{"1F": 0.5, "2F": 5e-1}, {"1F": 0.50, "2F": 0.5}]}'
+    assert io.parse_assignment(half, blank_vs_chain).rows == ((Fraction(1, 2),) * 2,) * 2
+    entries = '{"entries": [{"probability": %s, "assignment": ["1F", "2F", "3F"]}, ' \
+        '{"probability": %s, "assignment": ["2F", "3F", "1F"]}]}'
+    lottery = io.parse_lottery(entries % ("0.30000000000000001", "0.69999999999999999"), three_chains)
+    assert [prob for prob, _ in lottery.entries] == [Fraction("0.30000000000000001"), Fraction("0.69999999999999999")]
+    with pytest.raises(ParseError, match="lottery probabilities must sum to one"):
+        io.parse_lottery(entries % ("0.30000000000000001", "0.7"), three_chains)
+    inst, shares = tmp_path / "inst.json", tmp_path / "shares.json"
+    inst.write_text(io.serialize_instance(blank_vs_chain))
+    shares.write_text('{"matrix": [{"1F": 1e9999, "2F": 0}, {"1F": 0, "2F": 1}]}')
+    assert main(["check", str(inst), str(shares)]) == 2
+    assert capsys.readouterr().err == "input error: bad rational '1e9999'\n"
 
 
 def test_lottery_round_trip(three_chains):
@@ -572,9 +594,12 @@ ABC = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "bc"]}]
         (["run", "{inst}", "--mechanism", "mps"],
          lambda doc: doc.update(tiebreak=[["1F1B", "1F2B", "2F1B", "2F2B"]])),
         (["run", "{inst}", "--mechanism", "mrp", "--mode", "bogus"], None),
+        (["run", "{inst}", "--mechanism", "mgd", "--mode", "bogus", "--seed", "7"], None),
+        (["run", "{inst}", "--mechanism", "mps", "--mode", "mc:3"], None),
         (["check", "{inst}", "{a1}", "--property", "sd-strategyproofness", "--mechanism", "mps",
           "--misreports", "bogus"], None),
         (["compare", "{inst}", "{a1}", "{a1}", "--agent", "5"], None),
+        (["compare", "{inst}", "{a1}", "{a1}", "--agent", "-1"], None),
         (["run", "{missing}", "--mechanism", "mps"], None),
     ],
     ids=[
@@ -587,7 +612,7 @@ ABC = [{"name": "F", "items": ["a", "ab"]}, {"name": "B", "items": ["c", "bc"]}]
         "deep-instance", "deep-assignment", "deep-tiebreak",
         "cpt-parentless-key", "cpt-key-misses-parents", "cpt-key-unresolvable", "cpt-unknown-type",
         "cpt-item-wrong-type", "types-numbers", "agents-zero", "type-name-reused",
-        "tiebreak-one-list-two-agents", "mode-bogus", "misreports-bogus", "compare-agent-out-of-range",
+        "tiebreak-one-list-two-agents", "mode-bogus", "mode-bogus-mgd", "mode-mc-mps", "misreports-bogus", "compare-agent-out-of-range", "compare-agent-negative",
         "missing-file",
     ],
 )
@@ -667,7 +692,7 @@ def test_cli_refuses_too_many_bundle_pairs_before_any_bundle_is_built(tmp_path, 
     def refuse(*args):
         raise AssertionError("an m-sized relation was built")
 
-    monkeypatch.setattr(prefs.PartialOrder, "empty", refuse)
+    monkeypatch.setattr(prefs.PartialOrder, "from_pairs", refuse)
     doc = {
         "agents": 2,
         "types": [{"name": f"T{t}", "items": [f"a{t}", f"b{t}"]} for t in range(24)],
@@ -1053,7 +1078,7 @@ def test_with_preference_shares_the_tables_and_checks_the_preference(mixed_pair)
     assert copy.bundle_names is mixed_pair.bundle_names
     assert copy.item_bundles is mixed_pair.item_bundles
     for pref, message in (
-        (prefs.PartialOrder.empty(9), "agent 0 order ranges over 9 bundles, expected 4"),
+        (prefs.PartialOrder.from_pairs(9, ()), "agent 0 order ranges over 9 bundles, expected 4"),
         (spaces.random_cpnet(random.Random(0), (3, 3)), "agent 0 CP-net does not match the type sizes"),
     ):
         with pytest.raises(ParseError) as caught:

@@ -57,7 +57,7 @@ def test_variables_are_nonnegative():
     out = solve(lp)
     assert point(out) == (0,) and max_is(1, cons, (-1,), 0)
     with pytest.raises(SoundnessError, match="nonnegativity"):
-        lp_module._verified(lp, lp_module._Raw("optimal", nums=[-1]))
+        lp_module._verified(lp, lp_module.LpOutcome("optimal", witness=(-1,)))
 
 
 def test_blands_rule_survives_degeneracy(monkeypatch):
@@ -639,6 +639,7 @@ def test_elimination_leaves_a_zero_row_to_the_simplex_without_pivoting(monkeypat
 
 
 _TAMPER = """
+import dataclasses
 import sys
 from mtra import lp
 from mtra.errors import MtraError, SoundnessError
@@ -649,10 +650,10 @@ real = lp._simplex
 
 
 def tampered(*args, **kwargs):
-    raw = real(*args, **kwargs)
-    if raw.nums is not None:
-        return raw._replace(nums=[v + raw.det for v in raw.nums])
-    return raw._replace(y=[-v for v in raw.y])
+    out = real(*args, **kwargs)
+    if out.optimal:
+        return dataclasses.replace(out, witness=tuple(v + out.det for v in out.witness))
+    return dataclasses.replace(out, certificate=tuple(-v for v in out.certificate))
 
 
 lp._simplex = tampered
@@ -669,6 +670,7 @@ for prog in (feasible, infeasible):
 
 
 _ELIMINATION_TAMPER = """
+import dataclasses
 import sys
 from mtra import lp
 from mtra.errors import MtraError, SoundnessError
@@ -679,12 +681,12 @@ real = lp._eliminated
 
 
 def tampered(prog):
-    raw = real(prog)
-    if raw is None:
+    out = real(prog)
+    if out is None:
         sys.exit("the elimination did not decide the program")
-    nums = list(raw.nums)
+    nums = list(out.witness)
     nums[0] += 1
-    return raw._replace(nums=nums)
+    return dataclasses.replace(out, witness=tuple(nums))
 
 
 lp._eliminated = tampered

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -19,6 +20,7 @@ from mtra.errors import (
     GuardViolation,
     MtraError,
     NothingAvailable,
+    ParseError,
     SoundnessError,
     TooManyAgentsForExact,
 )
@@ -214,11 +216,11 @@ def test_mps_trace_consumes_in_item_order_on_independent_profiles():
                 rank = {item: i for i, item in enumerate(type_order)}
                 consumed: list[int] = []
                 for r in trace.rounds:
-                    item = inst.bundle_items[r.eaten[j]][t] - inst.item_id(t, 0)
+                    item = inst.bundle_items[r.eaten[j]][t] - t * inst.n
                     if not consumed or consumed[-1] != item:
                         if consumed:
                             # previous item must be exhausted by now
-                            prev = inst.item_id(t, consumed[-1])
+                            prev = t * inst.n + consumed[-1]
                             assert next(q.end for q in trace.rounds if prev in q.exhausted) <= r.start
                         consumed.append(item)
                 assert [rank[i] for i in consumed] == sorted(rank[i] for i in consumed)
@@ -309,7 +311,7 @@ def fraction_mps(instance, tiebreak=None):
         rounds.append(MpsRound(clock - step, clock, eaten, tuple(exhausted)))
         for t in range(p):
             left = sum(
-                (supply[instance.item_id(t, i)] for i in range(n) if instance.item_id(t, i) in alive),
+                (supply[t * n + i] for i in range(n) if t * n + i in alive),
                 ZERO,
             )
             if left != n * (1 - clock):
@@ -735,6 +737,70 @@ def test_mps_truthful_walks_end_at_the_truth():
 def test_reruns_refuse_an_unknown_mechanism(mixed_pair):
     with pytest.raises(ValueError):
         reruns("serial", mixed_pair)
+
+
+def _tiebreak_outputs(inst, tiebreak):
+    """Everything a tie-break decides: each mechanism's output, each
+    lottery, and each re-run object's tie-breaks, sorts and truth."""
+    runs = [reruns(mechanism, inst, tiebreak) for mechanism in ("mps", "mgd", "mrp")]
+    return (
+        mps(inst, tiebreak),
+        mgd(inst, tiebreak),
+        mrp(inst, MrpExact(), tiebreak),
+        mrp_decompose(inst, tiebreak),
+        mgd_decompose(inst, tiebreak),
+        [(r.tiebreaks, r.sorts, r.truth) for r in runs],
+    )
+
+
+def test_tiebreak_shapes_that_rank_alike_give_equal_outputs():
+    # None is the canonical ranking, and one shared ranking is that
+    # ranking given once per agent, to every mechanism and re-run
+    rng = random.Random(47)
+    for n, p in ((2, 2), (3, 2), (4, 1)):
+        for kind in ("general", "cpnet", "independent"):
+            inst = spaces.random_profile(rng, n, p, kind)
+            shared = tuple(rng.sample(range(inst.m), inst.m))
+            assert _tiebreak_outputs(inst, None) == _tiebreak_outputs(inst, tuple(range(inst.m)))
+            assert _tiebreak_outputs(inst, shared) == _tiebreak_outputs(inst, [shared] * n)
+
+
+RANKS = "tiebreak must rank every bundle exactly once"
+PER_AGENT = "tiebreak must list one bundle order per agent"
+NAMES = ["1F1B", "1F2B", "2F1B", "2F2B"]  # mixed_pair's bundles by index
+
+
+@pytest.mark.parametrize(
+    "tiebreak, file, document, message",
+    [
+        ((0, 1, 2), NAMES[:3], [NAMES[:3]] * 2, RANKS),
+        ((0, 1, 2, 2), NAMES[:3] + NAMES[2:3], [NAMES[:3] + NAMES[2:3]] * 2, RANKS),
+        ([(0, 1, 2, 3)], [NAMES], [NAMES], PER_AGENT),
+        ([(0, 1, 2, 3)] * 3, [NAMES] * 3, [NAMES] * 3, PER_AGENT),
+        # a tiebreak file must be a JSON list, and no name spells the 5
+        (5, None, 5, PER_AGENT),
+        ([(0, 1, 2, 3), 5], None, None, RANKS),
+    ],
+    ids=["short", "repeated", "one-agent", "three-agents", "not-a-sequence", "entry-not-a-sequence"],
+)
+def test_tiebreak_refusals_read_alike(mixed_pair, tiebreak, file, document, message):
+    # the mechanisms and the writer refuse a tie-break with one message,
+    # and a tiebreak file or an instance document that spells it by
+    # bundle names with the same text
+    for refuse in (resolve_sorts, mio.serialize_instance):
+        with pytest.raises(DimensionMismatch) as caught:
+            refuse(mixed_pair, tiebreak)
+        assert str(caught.value) == message
+    doc = json.loads(mio.serialize_instance(mixed_pair))
+    reads = []
+    if file is not None:
+        reads.append(lambda: mio.parse_tiebreak(json.dumps(file), mixed_pair))
+    if document is not None:
+        reads.append(lambda: mio.parse_instance(json.dumps(dict(doc, tiebreak=document))))
+    for read in reads:
+        with pytest.raises(ParseError) as caught:
+            read()
+        assert str(caught.value) == message
 
 
 def _cpnet_profile_32():

@@ -449,7 +449,7 @@ def _refusals():
 def test_refused_types_are_refused_again_alike(types, n, error, message):
     seen = set()
     for _ in range(3):
-        for build in (lambda: Instance(types, (prefs.PartialOrder.empty(1),) * n), lambda: type_tables(types, n)):
+        for build in (lambda: Instance(types, (prefs.PartialOrder.from_pairs(1, ()),) * n), lambda: type_tables(types, n)):
             with pytest.raises(error, match=message) as info:
                 build()
             seen.add((type(info.value), str(info.value)))
@@ -505,7 +505,7 @@ def test_order_sorts_are_kept_per_tiebreak():
     rng = random.Random(47)
     inst = spaces.random_profile(rng, 3, 2, "general")
     canonical = tuple(range(inst.m))
-    for source in (prefs.PartialOrder.empty(inst.m), *inst.orders):
+    for source in (prefs.PartialOrder.from_pairs(inst.m, ()), *inst.orders):
         order = prefs.PartialOrder(source.m, source.above)
         for tb in (canonical, canonical[::-1], tuple(rng.sample(canonical, inst.m)), canonical[::-1]):
             assert order.sort(tb) == prefs.topological_sort(order, tb)
@@ -521,4 +521,4 @@ def test_instance_requires_matching_preference_universe(mixed_pair):
     from mtra.preferences import PartialOrder
 
     with pytest.raises(ParseError):
-        Instance(mixed_pair.types, (PartialOrder.empty(3), PartialOrder.empty(3)))
+        Instance(mixed_pair.types, (PartialOrder.from_pairs(3, ()), PartialOrder.from_pairs(3, ())))

@@ -172,7 +172,7 @@ def test_preference_graph_bottom_bundle(mixed_pair):
 
 
 def test_preference_graph_empty_and_chain():
-    assert prefs.preference_graph(prefs.PartialOrder.empty(3)) == ()
+    assert prefs.preference_graph(prefs.PartialOrder.from_pairs(3, ())) == ()
     chain = prefs.PartialOrder.from_chain([2, 0, 3, 1])
     assert prefs.preference_graph(chain) == ((0, 3), (2, 0), (3, 1))
 
@@ -526,7 +526,7 @@ def test_preference_graph_matches_down_mask_reference():
     rng = random.Random(43)
     orders = [spaces.random_partial_order(rng, m) for m in (1, 2, 3, 5, 8, 12) for _ in range(10)]
     orders += [spaces.random_partial_order(rng, 125) for _ in range(2)]
-    orders += [prefs.induce_order(spaces.random_cpnet(rng, (5, 5, 5))), prefs.PartialOrder.empty(4)]
+    orders += [prefs.induce_order(spaces.random_cpnet(rng, (5, 5, 5))), prefs.PartialOrder.from_pairs(4, ())]
     for order in orders:
         assert prefs.preference_graph(order) == down_mask_graph(order)
 
@@ -561,7 +561,7 @@ def test_upper_contour_sets(mixed_pair):
         bn["2F2B"],
     }
     assert mixed_pair.orders[1].upper_contour_set(bn["2F1B"]) == {bn["2F1B"]}
-    empty = prefs.PartialOrder.empty(4)
+    empty = prefs.PartialOrder.from_pairs(4, ())
     assert empty.upper_contour_set(2) == {2}
 
 
@@ -621,7 +621,7 @@ def test_topological_sort_matches_scan_reference():
         orders = [spaces.random_partial_order(rng, m) for _ in range(4)]
         chain = rng.sample(range(m), m)
         orders += [
-            prefs.PartialOrder.empty(m),
+            prefs.PartialOrder.from_pairs(m, ()),
             prefs.PartialOrder.from_chain(range(m)),
             prefs.PartialOrder.from_chain(range(m - 1, -1, -1)),
             prefs.PartialOrder.from_chain(chain),
@@ -664,7 +664,7 @@ def test_from_pairs_keeps_the_extension_it_closed_along_as_its_identity_sort():
             linear = prefs.PartialOrder.from_chain(chain)
             assert linear._sorts[identity] == chain
             assert all(linear.above[x] == sum(1 << y for y in chain[:k]) for k, x in enumerate(chain))
-            assert prefs.PartialOrder.empty(m)._sorts[identity] == identity
+            assert prefs.PartialOrder.from_pairs(m, ())._sorts[identity] == identity
             checked += 1
     assert checked == 4 * 7
     for chain in ([0, 0], [0, 2], [1, 0, 1]):
@@ -674,7 +674,7 @@ def test_from_pairs_keeps_the_extension_it_closed_along_as_its_identity_sort():
 
 def test_topological_sort_rejects_bad_tiebreak():
     with pytest.raises(InconsistentOrder):
-        prefs.topological_sort(prefs.PartialOrder.empty(3), [0, 0, 1])
+        prefs.topological_sort(prefs.PartialOrder.from_pairs(3, ()), [0, 0, 1])
 
 
 # -- ext ----------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_packed_relation_key_matches_the_per_bundle_reference():
     agreed = differed = 0
     for m in (8, 9):
         orders = [spaces.random_partial_order(rng, m) for _ in range(12)]
-        orders += [prefs.PartialOrder.empty(m), orders[0]]
+        orders += [prefs.PartialOrder.from_pairs(m, ()), orders[0]]
         for _ in range(3000):
             a, b = rng.choice(orders), rng.choice(orders)
             u = rng.randrange(1 << m) & rng.randrange(1 << m) & rng.randrange(1 << m)
