@@ -167,6 +167,7 @@ class ImprovableTuple:
 
 def improvable_tuples(instance: Instance, P: FractionalAssignment) -> tuple[ImprovableTuple, ...]:
     """All (x, x̂, j) with x preferred to x̂ by j and j holding share of x̂."""
+    require_shape(P, instance)
     out = []
     for j, row in enumerate(P.nums):
         order = instance.orders[j]
@@ -195,6 +196,7 @@ def find_generalized_cycle(
     (:attr:`~mtra.model.Instance.item_bundles`) misses every right
     bundle; each such mask is a set of left bundles to delete.
     """
+    require_shape(P, instance)
     better = [0] * instance.m
     for j, row in enumerate(P.nums):
         above = instance.orders[j].above

@@ -52,11 +52,26 @@ def _object(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+class _Literal(Fraction):
+    """A JSON number with a point or an exponent: its exact value, which
+    a refusal shows as it was written."""
+
+    __slots__ = ("_text",)
+
+    def __new__(cls, text: str) -> _Literal:
+        self = super().__new__(cls, parse_frac(text))
+        self._text = text
+        return self
+
+    def __repr__(self) -> str:
+        return self._text
+
+
 def _loads(text: str) -> object:
     # a ValueError is bad JSON or an int literal past the digit limit; a
-    # number with a point or an exponent is read exactly, as a Fraction
+    # number with a point or an exponent is read exactly, as a _Literal
     try:
-        return json.loads(text, object_pairs_hook=_object, parse_float=parse_frac)
+        return json.loads(text, object_pairs_hook=_object, parse_float=_Literal)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
 

@@ -6,7 +6,8 @@ numerators over one positive denominator, a Farkas certificate as
 coprime multipliers).  A caller with rational rows scales each row to
 integers itself.  Every variable is nonnegative, x >= 0: each program
 this package builds asks for nonnegative shares, flows, lottery
-weights or the two parts of a direction.  A program asks only whether
+weights or the two parts of a direction.  A row is an equality
+(``=``) or a lower bound (``>=``).  A program asks only whether
 it is feasible: :func:`solve` finds a point or proves that there is
 none, in three steps:
 
@@ -23,9 +24,8 @@ none, in three steps:
    which removes what x >= 0 already decides.  An equality with
    right-hand side 0 whose coefficients on the remaining columns share
    one sign fixes those columns at 0, so the row and the columns go;
-   this repeats until nothing changes.  A ``>=`` row with right-hand side <= 0 and
-   nonnegative coefficients, or a ``<=`` row with right-hand side >= 0
-   and nonpositive ones, is implied and dropped.
+   this repeats until nothing changes.  A ``>=`` row with right-hand
+   side <= 0 and nonnegative coefficients is implied and dropped.
 2. A dense phase-1 simplex minimises the artificial mass of the
    reduced program on a fraction-free integer tableau (Bareiss-style
    exact division), which is an order of magnitude faster in CPython
@@ -63,7 +63,7 @@ from typing import Sequence
 
 from .errors import SoundnessError
 
-LE, EQ, GE = "<=", "=", ">="
+EQ, GE = "=", ">="
 
 # consecutive degenerate Dantzig pivots before pricing falls back to Bland
 DEGENERATE_LIMIT = 50
@@ -88,7 +88,7 @@ class LinearProgram:
         for c in self.constraints:
             if len(c.coeffs) != self.num_vars:
                 raise ValueError("constraint arity does not match variable count")
-            if c.rel not in (LE, EQ, GE):
+            if c.rel not in (EQ, GE):
                 raise ValueError(f"unknown relation {c.rel!r}")
             # the tableau divides exactly only on integers: a Fraction
             # would be floored, not refused
@@ -235,16 +235,13 @@ def _simplex(constraints: Sequence[Constraint], n: int) -> LpOutcome:
     signs: list[int] = []
     slack_i = 0
     for i, c in enumerate(constraints):
-        coeffs, rel, b = list(c.coeffs), c.rel, c.rhs
-        sign = -1 if b < 0 else 1
-        if sign < 0:
-            coeffs = [-a for a in coeffs]
-            b = -b
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        row = coeffs + [0] * (n_slack + m) + [b]
-        if rel != EQ:
-            row[n + slack_i] = 1 if rel == LE else -1
+        row = [*c.coeffs] + [0] * (n_slack + m) + [c.rhs]
+        if c.rel == GE:
+            row[n + slack_i] = -1  # surplus
             slack_i += 1
+        sign = -1 if c.rhs < 0 else 1
+        if sign < 0:
+            row = [-a for a in row]
         row[art_start + i] = 1
         tab_rows.append(row)
         signs.append(sign)
@@ -324,7 +321,7 @@ def _presolved_simplex(lp: LinearProgram) -> LpOutcome:
                     live[j] = False
                 fixings.append((i, cols))
                 changed = changed or bool(cols)
-            elif not (rel == GE and b <= 0 and not neg or rel == LE and b >= 0 and not pos):
+            elif not (rel == GE and b <= 0 and not neg):
                 keep.append(i)
         active = keep
     if len(active) == len(rows):
@@ -381,16 +378,15 @@ def _verify_witness(lp: LinearProgram, nums: Sequence[int], det: int) -> None:
     for i, c in enumerate(lp.constraints):
         lhs = sum(map(mul, c.coeffs, nums))
         b = c.rhs * det
-        ok = lhs <= b if c.rel == LE else lhs >= b if c.rel == GE else lhs == b
-        if not ok:
+        if (lhs < b) if c.rel == GE else (lhs != b):
             raise SoundnessError(f"witness violates constraint {i}")
     if any(v < 0 for v in nums):
         raise SoundnessError("witness violates nonnegativity")
 
 
 def _verify_certificate(lp: LinearProgram, y: Sequence[int]) -> None:
-    """Farkas: y^T A <= 0 on every column, each multiplier signed to its
-    relation, and y^T b > 0, so no x >= 0 satisfies the original
+    """Farkas: y^T A <= 0 on every column, y_i >= 0 on each ``>=`` row,
+    and y^T b > 0, so no x >= 0 satisfies the original
     constraints."""
     cons = lp.constraints
     if len(y) != len(cons):
@@ -400,7 +396,7 @@ def _verify_certificate(lp: LinearProgram, y: Sequence[int]) -> None:
         if total > 0:
             raise SoundnessError(f"certificate fails on column {j}")
     for i, c in enumerate(cons):
-        if c.rel == LE and y[i] > 0 or c.rel == GE and y[i] < 0:
+        if c.rel == GE and y[i] < 0:
             raise SoundnessError(f"certificate sign clash on constraint {i}")
     if sum(y[i] * c.rhs for i, c in enumerate(cons)) <= 0:
         raise SoundnessError("certificate does not separate")

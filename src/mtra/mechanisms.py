@@ -123,8 +123,8 @@ def reruns(mechanism: str, instance: Instance, tiebreak: Tiebreak = None) -> Mps
         truth, tables = _turns(instance, sorts)
         return MrpTurns(instance, truth, tiebreak, breaks, sorts, math.factorial(instance.n), tables)
     if mechanism == "mgd":
-        truth, picks = _share(instance, sorts)
-        return MgdReruns(instance, truth, tiebreak, breaks, sorts, picks)
+        truth, picks, groups = _share(instance, sorts)
+        return MgdReruns(instance, truth, tiebreak, breaks, sorts, picks, groups)
     root = _Node((1 << instance.m) - 1, (1,) * (instance.n * instance.p), 1, 0, ())
     leaf = _walk(instance, sorts, root, 0, sorts[0])
     return MpsReruns(instance, leaf.out, tiebreak, breaks, sorts, root, leaf)
@@ -580,14 +580,15 @@ class MgdReruns(_Reruns):
     ``available[j]``, comes from their truthful ``picks`` alone, and the
     picks after j's depend only on what is left.  The groups are the
     truthful ones with j moved to its mates: the other agents whose
-    truthful sort is j's new one, found in :attr:`groups`.  So the
-    output is fixed by (j, j's pick at ``available[j]``, mates), and
-    :meth:`rerun` shares out once per key: the same key returns the same
-    output object.
+    truthful sort is j's new one, found in ``groups``, kept as the
+    truthful :func:`_share` made them.  So the output is fixed by (j,
+    j's pick at ``available[j]``, mates), and :meth:`rerun` shares out
+    once per key: the same key returns the same output object.
     """
 
     mechanism: ClassVar[str] = "mgd"
     picks: tuple[int, ...]
+    groups: dict[tuple[int, ...], tuple[int, ...]]
 
     @cached_property
     def available(self) -> tuple[int, ...]:
@@ -599,11 +600,6 @@ class MgdReruns(_Reruns):
             left.append(left[-1] & ~conflicts[x])
         return tuple(left)
 
-    @cached_property
-    def groups(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """The agents by truthful sort (:func:`_groups`)."""
-        return _groups(self.sorts)
-
     def _key(self, agent: int, sort: Sequence[int]) -> Hashable:
         sort = tuple(sort)
         mates = tuple(k for k in self.groups.get(sort, ()) if k != agent)
@@ -613,10 +609,12 @@ class MgdReruns(_Reruns):
         return _share(self.instance, self._swapped(agent, sort))[0]
 
 
-def _share(instance: Instance, sorts: Sequence[Sequence[int]]) -> tuple[FractionalAssignment, tuple[int, ...]]:
+def _share(
+    instance: Instance, sorts: Sequence[Sequence[int]]
+) -> tuple[FractionalAssignment, tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]]:
     """The :func:`mgd` output when agent j picks by ``sorts[j]``: each
     agent's pick in the serial dictatorship in index order, shared
-    equally by its group; and those picks."""
+    equally by its group; those picks; and the groups (:func:`_groups`)."""
     groups = _groups(sorts)
     den = math.lcm(*(len(g) for g in groups.values()))
     rows = [[0] * instance.m for _ in range(instance.n)]
@@ -627,7 +625,7 @@ def _share(instance: Instance, sorts: Sequence[Sequence[int]]) -> tuple[Fraction
             if rows[member][top] != 0:
                 raise SoundnessError("a group never revisits a bundle")
             rows[member][top] = den // len(group)
-    return FractionalAssignment(tuple(map(tuple, rows)), den), picks
+    return FractionalAssignment(tuple(map(tuple, rows)), den), picks, groups
 
 
 def mgd_decompose(instance: Instance, tiebreak: Tiebreak = None) -> Lottery:

@@ -198,10 +198,6 @@ class Instance:
         :attr:`_discrete_assignments` of those that give j bundle x."""
         return _discrete_table(self.n, self.p)[1]
 
-    def cpnet(self, agent: int) -> prefs.CPNet | None:
-        p = self.preferences[agent]
-        return p if isinstance(p, prefs.CPNet) else None
-
     @property
     def is_cp_profile(self) -> bool:
         return all(isinstance(p, prefs.CPNet) for p in self.preferences)

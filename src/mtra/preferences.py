@@ -297,11 +297,14 @@ def is_uit(
     what remains.  The relation outside the new upper contour set is
     deliberately left unchecked.
 
-    Orders over different universes raise ``UniverseMismatch``, and a
-    pivot that is not one of their ``m`` bundles ``DimensionMismatch``.
+    Orders over different universes, or a row not over their ``m``
+    bundles, raise ``UniverseMismatch``, and a pivot that is not one of
+    those bundles ``DimensionMismatch``.
     """
     if old.m != new.m:
         raise UniverseMismatch("orders range over different universes")
+    if len(row) != old.m:
+        raise UniverseMismatch("allocation rows do not match the bundle universe")
     if not 0 <= pivot < old.m:
         raise DimensionMismatch(f"pivot {pivot} is not one of the {old.m} bundles")
     u_old = old.ucs_mask(pivot)

@@ -246,8 +246,8 @@ class CpNetMisreports(MisreportSpace):
     def for_agent(self, instance: Instance, agent: int) -> Iterable[Preference]:
         if self.graph == "all":
             return all_cpnets(instance.sizes)
-        net = instance.cpnet(agent)
-        if net is None:
+        net = instance.preferences[agent]
+        if not isinstance(net, prefs.CPNet):
             raise MtraError(f"agent {agent} has no CP-net to take a dependency graph from")
         return enumerate_cpnets(instance.sizes, net.parents)
 
@@ -301,7 +301,7 @@ class TransformSource:
     Candidates are never trusted.  Whether a source yields only valid
     ones (``CpNetTransforms``) or may yield any (``ExplicitTransforms``),
     the invariance checker validates each against the formal definition
-    (:func:`preferences.is_uit`) before using it.
+    (:func:`~mtra.preferences.is_uit`) before using it.
     """
 
     def candidates(

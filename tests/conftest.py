@@ -11,9 +11,12 @@ from mtra.lp import Constraint, LinearProgram, solve
 
 def constraint(coeffs, rel, rhs):
     """A row with rational entries, scaled to integers by the lcm of
-    their denominators."""
+    their denominators.  A ``<=`` row is written as its negated ``>=``
+    row: the solver takes ``=`` and ``>=`` rows only."""
     fracs = [Fraction(v) for v in (*coeffs, rhs)]
     scale = math.lcm(*(v.denominator for v in fracs))
+    if rel == "<=":
+        scale, rel = -scale, ">="
     ints = [int(v * scale) for v in fracs]
     return Constraint(tuple(ints[:-1]), rel, ints[-1])
 
@@ -24,17 +27,17 @@ def max_is(num_vars, constraints, c, v):
     verified by :func:`mtra.lp.solve`, so no optimum is taken on trust:
 
     * the constraints with c.x >= v added: some x reaches v;
-    * the dual certificate, y with A^T y >= c and b.y <= v, y_i >= 0 on a
-      <= row, y_i <= 0 on a >= row and free on an equality: every
-      feasible x has c.x <= y.Ax <= y.b <= v.
+    * the dual certificate, y with A^T y >= c and b.y <= v, y_i <= 0 on a
+      >= row and free on an equality: every feasible x has
+      c.x <= y.Ax <= y.b <= v.
 
     ``c`` and ``v`` may be Fractions; the added rows are scaled to
     integers.  A free y_i is split into two nonnegative columns."""
     reached = solve(LinearProgram(num_vars, (*constraints, constraint(c, ">=", v))))
-    signs = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
+    signs = {">=": (-1,), "=": (1, -1)}
     cols = [(row, s) for row in constraints for s in signs[row.rel]]
     dual = [constraint([s * row.coeffs[j] for row, s in cols], ">=", c[j]) for j in range(num_vars)]
-    dual.append(constraint([s * row.rhs for row, s in cols], "<=", v))
+    dual.append(constraint([-s * row.rhs for row, s in cols], ">=", -v))
     bounded = solve(LinearProgram(len(cols), tuple(dual)))
     return reached.optimal and bounded.optimal
 

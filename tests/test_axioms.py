@@ -39,6 +39,7 @@ from mtra.errors import (
     DimensionMismatch,
     InstanceTooLargeToDecide,
     MisreportSpaceTooLarge,
+    MissingPreference,
     MtraError,
     ParseError,
     SoundnessError,
@@ -1818,11 +1819,27 @@ def test_transforms_of_no_pivot_are_refused(blank_vs_chain, mechanism, pivot):
          DimensionMismatch, "agent 2 is not a row of both assignments"),
         (lambda inst: axioms.sd_dominance(inst.orders[0], fixtures.assignment_1(), fixtures.assignment_2(), -1),
          DimensionMismatch, "agent -1 is not a row of both assignments"),
+        (lambda inst: find_generalized_cycle(inst, FractionalAssignment.from_rows([[1, 0, 0, 0]] * 3)),
+         DimensionMismatch, "matrix is 3x4, instance needs 2x4"),
+        (lambda inst: find_generalized_cycle(inst, FractionalAssignment.from_rows([[0, 0, 0, 0, 1]] * 2)),
+         DimensionMismatch, "matrix is 2x5, instance needs 2x4"),
+        (lambda inst: improvable_tuples(inst, FractionalAssignment.from_rows([[0, 0, 0, 1]] * 3)),
+         DimensionMismatch, "matrix is 3x4, instance needs 2x4"),
+        (lambda inst: improvable_tuples(inst, FractionalAssignment.from_rows([[0, 0, 0, 1]])),
+         DimensionMismatch, "matrix is 1x4, instance needs 2x4"),
+        (lambda inst: prefs.is_uit(inst.orders[0], inst.orders[0], 0, [0]),
+         UniverseMismatch, "allocation rows do not match the bundle universe"),
+        (lambda inst: prefs.is_uit(inst.orders[0], inst.orders[0], 0, [0] * 9),
+         UniverseMismatch, "allocation rows do not match the bundle universe"),
+        (lambda inst: Instance(inst.types, ()), MissingPreference, "an instance needs at least one agent"),
+        (lambda inst: mrp(inst, "bogus"), TypeError, "unknown MRP mode 'bogus'"),
     ],
     ids=["shared-tiebreak-length", "per-agent-tiebreak-count", "tiebreak-repeat", "tiebreak-outside",
          "tiebreak-none-entry", "uit-universes", "uit-pivot-negative",
          "uit-pivot-past-m", "instance-preference-kind", "dependency-graphs-p4", "profile-kind",
-         "manipulation-strength", "sd-dominance-width", "sd-dominance-agent-past-n", "sd-dominance-agent-negative"],
+         "manipulation-strength", "sd-dominance-width", "sd-dominance-agent-past-n", "sd-dominance-agent-negative",
+         "cycle-rows-past-n", "cycle-width", "tuples-rows-past-n", "tuples-rows-short", "uit-row-short",
+         "uit-row-long", "instance-agentless", "mrp-mode-unknown"],
 )
 def test_input_guards_refuse_with_their_own_errors(mixed_pair, call, error, message):
     assert mixed_pair.m == 4 and mixed_pair.n == 2

@@ -232,6 +232,10 @@ def _matrix(*rows):
          "assignment violates entry-range at agent 0 bundle 1F: 3/2"),
         ("blank_vs_chain", _matrix({"1F": "1/2", "2F": "1/3"}, {"1F": "1/2", "2F": "2/3"}),
          "assignment violates row-sum at agent 0: 5/6"),
+        # a sum past the digit limit is shown by its size
+        ("blank_vs_chain", _matrix({"1F": f"{10**4300 - 2}/{10**4300 - 1}", "2F": f"{10**4300 - 2}/{10**4300 - 1}"},
+                                   {"1F": "0", "2F": "1"}),
+         "assignment violates row-sum at agent 0: a 14286-bit numerator over a 14285-bit denominator"),
         ("mixed_pair", _matrix({"1F1B": "1/2", "2F2B": "1/2"}, {"1F1B": "1/2", "1F2B": "1/2"}),
          "assignment violates item-marginal at 1F: 3/2"),
         ("mixed_pair", _matrix({"1F1B": "1"}, {"1F1B": "1"}), "assignment violates item-marginal at 1F: 2"),
@@ -454,6 +458,16 @@ def test_cli_replay(capsys):
     assert out.count("PASS") == len(listed)
 
 
+def test_cli_replay_stops_at_the_first_divergence(monkeypatch, capsys):
+    (first, _, _), (second, _, detail), *_ = fixtures.REPLAY_CHECKS
+    checks = ((first, lambda: True, ""), (second, lambda: False, detail), ("later", lambda: True, ""))
+    monkeypatch.setattr(fixtures, "REPLAY_CHECKS", checks)
+    assert main(["replay-paper"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"PASS {first}\nFAIL {second}" + (f" ({detail})" if detail else "") + "\n"
+    assert captured.err == f"first divergence: {second}\n"
+
+
 def test_replay_names_are_unique():
     """A repeated name would let a passing check hide a failing one in the
     name -> verdict dict the acceptance criteria read."""
@@ -629,6 +643,32 @@ def test_cli_bad_input_exit2(workdir, capsys, argv, patch):
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        lambda doc: doc.update(agents=2.5),
+        lambda doc: doc["types"][0]["items"].__setitem__(1, 2.5),
+        lambda doc: doc["types"][0].update(name=2.5),
+        lambda doc: doc["preferences"][1]["edges"][0].__setitem__(1, 2.5),
+        lambda doc: doc["preferences"][1].update(edges=2.5),
+        lambda doc: doc["preferences"][1].update(kind=2.5),
+        lambda doc: doc["preferences"][0]["cpt"]["F"][""].__setitem__(1, 2.5),
+        lambda doc: doc["preferences"][0].update(dependency=[2.5]),
+        lambda doc: doc.update(tiebreak=[["1F1B", "1F2B", "2F1B", 2.5]] * 2),
+    ],
+    ids=["agents", "item", "type", "edge-bundle", "edges", "kind", "cpt-item", "dependency-edge", "tiebreak-bundle"],
+)
+def test_refusals_show_json_numbers_as_written(workdir, capsys, patch):
+    # a JSON number is read as an exact rational, yet a refusal shows
+    # the literal from the document, not the rational's repr
+    doc = json.loads((workdir / "mixed_pair.json").read_text())
+    patch(doc)
+    (workdir / "case.json").write_text(json.dumps(doc).replace("2.5", "25e-1"))
+    assert main(["run", str(workdir / "case.json"), "--mechanism", "mps"]) == 2
+    err = capsys.readouterr().err
+    assert "25e-1" in err and "Fraction(" not in err
 
 
 @pytest.mark.parametrize(

@@ -228,6 +228,9 @@ def test_arity_validation():
         LinearProgram(2, (constraint([1], "<=", 1),))
     with pytest.raises(ValueError):
         LinearProgram(1, (constraint([1], "<>", 1),))
+    # an upper bound is written as its negated lower bound
+    with pytest.raises(ValueError, match="^unknown relation '<='$"):
+        LinearProgram(1, (Constraint((1,), "<=", 1),))
 
 
 # -- presolve -----------------------------------------------------------------
@@ -538,13 +541,14 @@ def package_programs():
 
 
 def _inequality_lp(rng):
-    """A random program of <= and >= rows, often infeasible."""
+    """A random program of <= and >= rows, often infeasible; a <= row is
+    its negated >= row."""
     n = rng.randint(2, 6)
-    cons = tuple(
-        Constraint(tuple(rng.randint(-3, 3) for _ in range(n)), rng.choice(["<=", ">="]), rng.randint(-4, 6))
+    rows = [
+        (tuple(rng.randint(-3, 3) for _ in range(n)), rng.choice([-1, 1]), rng.randint(-4, 6))
         for _ in range(rng.randint(2, 6))
-    )
-    return LinearProgram(n, cons)
+    ]
+    return LinearProgram(n, tuple(Constraint(tuple(s * a for a in c), ">=", s * b) for c, s, b in rows))
 
 
 def _differential_programs(package_programs):
@@ -657,8 +661,8 @@ def tampered(*args, **kwargs):
 
 
 lp._simplex = tampered
-feasible = lp.LinearProgram(2, (lp.Constraint((1, 1), "<=", 1),))
-infeasible = lp.LinearProgram(1, (lp.Constraint((1,), ">=", 1), lp.Constraint((1,), "<=", 0)))
+feasible = lp.LinearProgram(2, (lp.Constraint((-1, -1), ">=", -1),))
+infeasible = lp.LinearProgram(1, (lp.Constraint((1,), ">=", 1), lp.Constraint((-1,), ">=", 0)))
 for prog in (feasible, infeasible):
     try:
         lp.solve(prog)
@@ -863,8 +867,8 @@ def test_lp_imports_nothing_from_fractions():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: LinearProgram(1, (Constraint((F(1, 2),), "<=", 1),)),
-        lambda: LinearProgram(1, (Constraint((1,), "<=", F(1, 2)),)),
+        lambda: LinearProgram(1, (Constraint((F(-1, 2),), ">=", -1),)),
+        lambda: LinearProgram(1, (Constraint((-1,), ">=", F(-1, 2)),)),
     ],
     ids=["coefficient", "rhs"],
 )

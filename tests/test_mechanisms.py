@@ -915,6 +915,16 @@ def test_upper_invariance_makes_one_mrp_pass_per_key(monkeypatch):
     assert set(keys) == asked
 
 
+def test_mgd_reruns_keep_the_groups_of_their_truthful_share(monkeypatch):
+    inst, _ = _cpnet_profile_32()
+    real_groups = mechanisms_module._groups
+    grouped = []
+    monkeypatch.setattr(mechanisms_module, "_groups", lambda sorts: grouped.append(sorts) or real_groups(sorts))
+    runs = reruns("mgd", inst)
+    runs._key(0, runs.sorts[-1])  # a key reads the truthful groups
+    assert len(grouped) == 1 and runs.groups == real_groups(runs.sorts)
+
+
 def test_strategyproofness_shares_each_mgd_key_once(monkeypatch):
     inst, space = _cpnet_profile_32()
     real_share = mechanisms_module._share
